@@ -7,7 +7,6 @@ from .domain import (
     TabulatedDensity,
     ConstantMean,
     AffineMean,
-    TabulatedMean,
     SyntheticIntegrand,
     rkhs_norm,
     reference_integral,
@@ -23,7 +22,8 @@ from .kernels import (
     predicted_rate,
     RatePrediction,
 )
-from .gp import GpState, empty_state, build_state, posterior_mean, posterior_var, extend
+from .gp import (GpState, empty_state, build_state, posterior, posterior_mean,
+                 posterior_var, extend)
 from .transforms import Identity, Square, Exponential
 from .acquisition import (
     Power,
@@ -34,7 +34,6 @@ from .acquisition import (
     Mmlt,
     Vbmc,
     AcquisitionSpec,
-    psi,
     theoretical_clcu,
 )
 from .engine import (
@@ -43,8 +42,7 @@ from .engine import (
     RunRecord,
     select_next,
     run_abq,
-    estimate_plugin,
-    estimate_expectation,
+    estimates,
     certificate_grid,
 )
 from .analysis import (

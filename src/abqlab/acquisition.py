@@ -5,6 +5,10 @@ constant rule that reduces selection to scaled uncertainty sampling
 (P-greedy). The outer function F carries the concavity constant psi used
 by the weak-greedy certificate, and each rule can report the theoretical
 weak-adaptivity envelope [C_L, C_U] when its sufficient condition holds.
+
+Rules are weakly adaptive: b_l depends on the data only through the
+current posterior moments, so every evaluation takes the posterior mean
+and variance at the points as inputs and never touches the GP itself.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gp
 from .exceptions import DomainError, WeakAdaptivityViolation
 
 _B_FLOOR = 1e-300
@@ -72,15 +75,12 @@ def _check_psi_arg(c):
         raise DomainError(f"psi is defined for c in (0, 1], got {c}")
 
 
-def psi(outer, c):
-    return outer.psi(c)
-
-
 class AdaptiveTermRule:
     name = "base"
 
-    def evaluate(self, state, X, ell):
-        """b_l over a batch of points; must be strictly positive."""
+    def evaluate(self, X, mean, var, ell):
+        """b_l over a batch of points with posterior moments (mean, var)
+        there; must be strictly positive."""
         raise NotImplementedError
 
 
@@ -93,7 +93,7 @@ class ConstantRule(AdaptiveTermRule):
         if self.value <= 0:
             raise ValueError("constant rule needs a positive value")
 
-    def evaluate(self, state, X, ell):
+    def evaluate(self, X, mean, var, ell):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         return np.full(X.shape[0], float(self.value))
 
@@ -104,8 +104,8 @@ class WsabiL(AdaptiveTermRule):
 
     name = "wsabi_l"
 
-    def evaluate(self, state, X, ell):
-        return gp.posterior_mean(state, X) ** 2
+    def evaluate(self, X, mean, var, ell):
+        return mean ** 2
 
 
 @dataclass(frozen=True)
@@ -114,8 +114,8 @@ class WsabiM(AdaptiveTermRule):
 
     name = "wsabi_m"
 
-    def evaluate(self, state, X, ell):
-        return 0.5 * gp.posterior_var(state, X) + gp.posterior_mean(state, X) ** 2
+    def evaluate(self, X, mean, var, ell):
+        return 0.5 * var + mean ** 2
 
 
 @dataclass(frozen=True)
@@ -124,8 +124,8 @@ class Mmlt(AdaptiveTermRule):
 
     name = "mmlt"
 
-    def evaluate(self, state, X, ell):
-        return np.exp(gp.posterior_var(state, X) + 2.0 * gp.posterior_mean(state, X))
+    def evaluate(self, X, mean, var, ell):
+        return np.exp(var + 2.0 * mean)
 
 
 @dataclass(frozen=True)
@@ -158,14 +158,14 @@ class Vbmc(AdaptiveTermRule):
             )
         return self.densities[ell]
 
-    def evaluate(self, state, X, ell):
+    def evaluate(self, X, mean, var, ell):
         dens = self.density_at(ell)
         pvals = dens(X)
         if np.any(pvals <= 0):
             raise WeakAdaptivityViolation(
                 "vbmc density is nonpositive somewhere on the evaluated points"
             )
-        return pvals ** self.delta2 * np.exp(self.delta3 * gp.posterior_mean(state, X))
+        return pvals ** self.delta2 * np.exp(self.delta3 * mean)
 
 
 @dataclass(frozen=True)
@@ -181,19 +181,19 @@ class AcquisitionSpec:
         if not getattr(self.q, "strictly_positive", False):
             raise ValueError("q must be a strictly positive density")
 
-    def eval_b(self, state, X, ell):
-        return self.b.evaluate(state, X, ell)
+    def eval_b(self, X, mean, var, ell):
+        return self.b.evaluate(X, mean, var, ell)
 
-    def evaluate(self, state, X, ell):
-        """Acquisition values over a batch; returns (a, clamp_count).
+    def evaluate(self, X, mean, var, ell):
+        """Acquisition values over a batch with posterior moments (mean, var)
+        there; returns (a, clamp_count).
 
         clamp_count is the number of b values lifted to the 1e-300 floor
         before multiplication.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        var = gp.posterior_var(state, X)
         qv = self.q(X)
-        bv = self.b.evaluate(state, X, ell)
+        bv = self.b.evaluate(X, mean, var, ell)
         clamped = int(np.count_nonzero(bv < _B_FLOOR))
         bv = np.maximum(bv, _B_FLOOR)
         return self.outer(qv ** 2 * var) * bv, clamped

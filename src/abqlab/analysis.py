@@ -126,21 +126,19 @@ def _sup_qk_for_design(kernel, q, X, grid):
 
 
 def nwidth_surrogate(kernel, q, dom, n, grid=None):
-    """Upper bound on the n-width: grid designs, running minimum over size.
+    """Upper bounds on the m-widths for m = 1..n, as a list of n values.
 
-    The running minimum keeps the curve nonincreasing; any design of at
-    most n points spans a subspace of dimension at most n, so each term
-    is a valid bound.
+    Entry m-1 is the running minimum over grid designs of sizes 1..m,
+    which keeps the curve nonincreasing; any design of at most m points
+    spans a subspace of dimension at most m, so each term is a valid bound.
     """
     if n < 1:
         raise DomainError("n must be at least 1")
     if grid is None:
         grid = dom.uniform_grid(max(512 // dom.dim, 64))
-    best = np.inf
-    for m in range(1, n + 1):
-        X = _midpoint_design(dom, m)
-        best = min(best, _sup_qk_for_design(kernel, q, X, grid))
-    return best
+    sups = [_sup_qk_for_design(kernel, q, _midpoint_design(dom, m), grid)
+            for m in range(1, n + 1)]
+    return np.minimum.accumulate(sups).tolist()
 
 
 @dataclass(frozen=True)
@@ -231,8 +229,6 @@ def error_bound_check(record, integrand, pi, q, oracle_resolution=256,
     q sqrt(posterior var) widened by a modulus-of-continuity slack; the
     left side carries the quadrature oracle's self-estimate.
     """
-    from . import engine as _engine
-
     dom = record.domain
     kernel = integrand.kernel
     t = integrand.transform
@@ -255,8 +251,12 @@ def error_bound_check(record, integrand, pi, q, oracle_resolution=256,
         z = t.inverse(np.asarray(integrand(x), dtype=float))[0]
         state = gp.extend(state, x, z)
         sup, modulus = sup_qk_fine(state, q, dom, sup_points)
-        plug = _engine.estimate_plugin(state, t, pi, dom, oracle_resolution)
-        plug_fine = _engine.estimate_plugin(state, t, pi, dom, 2 * oracle_resolution)
+
+        def plugin(P):
+            return t.forward(gp.posterior_mean(state, P))
+
+        plug = reference_integral(plugin, pi, dom, oracle_resolution)
+        plug_fine = reference_integral(plugin, pi, dom, 2 * oracle_resolution)
         slack = ref_err + abs(plug_fine - plug)
         lhs = abs(reference - plug)
         rhs = c_t * c_piq * gnorm * (sup + modulus) + slack

@@ -23,6 +23,7 @@ from .config import load_config
 from .exceptions import (
     BudgetExceededError,
     ConfigError,
+    NonFiniteIntegrandError,
     NumericalDegradationError,
     SaturationError,
 )
@@ -143,7 +144,8 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NumericalDegradationError, SaturationError, BudgetExceededError) as exc:
+    except (NumericalDegradationError, SaturationError, BudgetExceededError,
+            NonFiniteIntegrandError) as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -183,20 +183,6 @@ class AffineMean(MeanFunction):
         return X @ np.atleast_1d(np.asarray(self.slope, dtype=float)) + self.offset
 
 
-class TabulatedMean(MeanFunction):
-    def __init__(self, domain, values):
-        values = np.asarray(values, dtype=float)
-        axes = [
-            np.linspace(a, b, n)
-            for (a, b), n in zip(zip(domain.lower, domain.upper), values.shape)
-        ]
-        self._interp = RegularGridInterpolator(axes, values, method="linear")
-        self.domain = domain
-
-    def __call__(self, X):
-        return self._interp(as_points(X, self.domain.dim))
-
-
 @dataclass(frozen=True)
 class SyntheticIntegrand:
     """Integrand f = T(m + sum_i alpha_i k(., y_i)) with known native norm."""

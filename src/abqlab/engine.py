@@ -1,5 +1,11 @@
 """The sequential quadrature loop: select, evaluate, condition, estimate.
 
+`run_abq` is the one place that computes posterior moments: one
+`gp.posterior` per GP state on the certificate grid, the candidate pool
+(skipped when it is the grid) and the estimators' quadrature nodes. The
+grid moments after step l give sup q sqrt(k) for step l and the b range
+and grid maximum for step l+1; acquisition rules take moments as inputs.
+
 Selection maximizes the acquisition over a candidate pool (optionally
 with coordinate-descent refinement); the certificate compares the chosen
 point against a dense fixed grid whose resolution is recorded, since the
@@ -15,7 +21,8 @@ from scipy.stats import qmc
 
 from . import gp
 from .domain import quadrature_nodes
-from .exceptions import Converged, DomainError, LinearDependenceError
+from .exceptions import (Converged, DomainError, LinearDependenceError,
+                         NonFiniteIntegrandError)
 
 DEFAULT_CERT_POINTS_PER_DIM = 2048
 
@@ -136,29 +143,26 @@ def _refine(spec, state, ell, dom, x, a_val, step, rounds):
             for sgn in (-1.0, 1.0):
                 trial = x.copy()
                 trial[i] += sgn * step[i]
-                trial = dom.clip(trial[None, :])[0]
-                a_trial, _ = spec.evaluate(state, trial[None, :], ell)
+                trial = dom.clip(trial[None, :])
+                a_trial, _ = spec.evaluate(trial, *gp.posterior(state, trial), ell)
                 if a_trial[0] > a_val:
                     a_val = float(a_trial[0])
-                    x = trial
+                    x = trial[0]
         step = step / 2.0
     return x, a_val
 
 
-def select_next(spec, cfg, state, ell, dom, candidates=None, cert_grid=None,
-                rng=None, exclude=None):
+def select_next(spec, cfg, state, ell, dom, candidates, a_cand, a_grid_max,
+                exclude=()):
     """Pick the next evaluation point and its weakness certificate.
 
+    a_cand is the acquisition over `candidates` and a_grid_max its maximum
+    over the certificate grid, both under `state` at iteration `ell`.
     Returns (point, certificate) where the certificate carries the
     acquisition at the chosen point, the maximum over the certificate
-    grid and their ratio. Raises Converged when the acquisition vanishes
-    at every candidate.
+    grid and their ratio. Candidate indices in `exclude` are skipped.
+    Raises Converged when the acquisition vanishes at every candidate.
     """
-    if candidates is None:
-        candidates = candidate_pool(dom, cfg, rng)
-    if cert_grid is None:
-        cert_grid = certificate_grid(dom)
-    a_cand, clamps = spec.evaluate(state, candidates, ell)
     order = np.argsort(-a_cand, kind="stable")
     if exclude:
         order = [i for i in order if i not in exclude]
@@ -172,32 +176,24 @@ def select_next(spec, cfg, state, ell, dom, candidates=None, cert_grid=None,
         step = dom.widths / per_dim
         x, a_val = _refine(spec, state, ell, dom, x, a_val, step,
                            cfg.local_refinement_steps)
-    a_grid, _ = spec.evaluate(state, cert_grid, ell)
-    a_max = max(float(np.max(a_grid)), a_val)
+    a_max = max(a_grid_max, a_val)
     cert = {
         "a_chosen": a_val,
         "a_max_grid": a_max,
         "ratio": a_val / a_max if a_max > 0 else 1.0,
         "candidate_index": best,
-        "clamped": clamps,
     }
     return x, cert
 
 
-def estimate_plugin(state, transform, pi, dom, resolution=256):
-    """Integral of the transformed posterior mean against pi."""
+def estimates(state, transform, pi, dom, resolution=256):
+    """(plugin, expectation): the integrals against pi of the transformed
+    posterior mean and of the pointwise posterior expectation of T."""
     pts, w = quadrature_nodes(dom, resolution)
-    vals = transform.forward(gp.posterior_mean(state, pts))
-    return float(np.sum(w * vals * pi(pts)))
-
-
-def estimate_expectation(state, transform, pi, dom, resolution=256):
-    """Integral of the pointwise posterior expectation of T against pi."""
-    pts, w = quadrature_nodes(dom, resolution)
-    mean = gp.posterior_mean(state, pts)
-    var = gp.posterior_var(state, pts)
-    vals = transform.posterior_expectation(mean, var)
-    return float(np.sum(w * vals * pi(pts)))
+    mean, var = gp.posterior(state, pts)
+    dens = pi(pts)
+    return (float(np.sum(w * transform.forward(mean) * dens)),
+            float(np.sum(w * transform.posterior_expectation(mean, var) * dens)))
 
 
 def run_abq(problem, spec, cfg, n, cert_grid=None, cert_grid_size=None,
@@ -206,7 +202,8 @@ def run_abq(problem, spec, cfg, n, cert_grid=None, cert_grid_size=None,
 
     When share_candidate_grid is set the certificate grid is the
     candidate pool itself, so exact-argmax runs certify a ratio of one.
-    Deterministic given (problem, spec, cfg, n).
+    Deterministic given (problem, spec, cfg, n). Raises
+    NonFiniteIntegrandError when the integrand returns NaN or inf.
     """
     dom = problem.domain
     t = problem.transform
@@ -229,27 +226,37 @@ def run_abq(problem, spec, cfg, n, cert_grid=None, cert_grid_size=None,
 
     record = RunRecord(domain=dom, gamma_tilde=spec.gamma_tilde, cert_grid=cert_grid,
                        spec=spec)
-    record.e0 = float(np.max(spec.q(cert_grid) * np.sqrt(gp.posterior_var(state, cert_grid))))
-    record.prior_plugin = estimate_plugin(state, t, problem.pi, dom, oracle_resolution)
-    record.prior_expectation = estimate_expectation(
+    q_grid = spec.q(cert_grid)
+    grid_moments = gp.posterior(state, cert_grid)
+    record.e0 = float(np.max(q_grid * np.sqrt(grid_moments[1])))
+    record.prior_plugin, record.prior_expectation = estimates(
         state, t, problem.pi, dom, oracle_resolution
     )
 
     for ell in range(n):
         candidates = (fixed_candidates if fixed_candidates is not None
                       else candidate_pool(dom, cfg, rng))
-        b_grid = spec.eval_b(state, cert_grid, ell)
+        a_grid, clamps = spec.evaluate(cert_grid, *grid_moments, ell)
+        b_grid = spec.eval_b(cert_grid, *grid_moments, ell)
+        a_cand = a_grid
+        if candidates is not cert_grid:
+            a_cand, clamps = spec.evaluate(
+                candidates, *gp.posterior(state, candidates), ell
+            )
+        a_grid_max = float(np.max(a_grid))
         exclude = set()
         while True:
             try:
-                x, cert = select_next(
-                    spec, cfg, state, ell, dom,
-                    candidates=candidates, cert_grid=cert_grid, exclude=exclude,
-                )
+                x, cert = select_next(spec, cfg, state, ell, dom, candidates,
+                                      a_cand, a_grid_max, exclude)
             except Converged:
                 record.converged = True
                 return state, record
             f_val = np.asarray(problem.integrand(x[None, :]), dtype=float)
+            if not np.all(np.isfinite(f_val)):
+                raise NonFiniteIntegrandError(
+                    f"non-finite integrand value {f_val.tolist()} at x = {x.tolist()}"
+                )
             z_val = t.inverse(f_val)[0]
             try:
                 new_state = gp.extend(state, x, z_val)
@@ -264,20 +271,16 @@ def run_abq(problem, spec, cfg, n, cert_grid=None, cert_grid_size=None,
         if new_state.jitter_used != state.jitter_used:
             record.jitter_events.append((ell, new_state.jitter_used))
         state = new_state
+        grid_moments = gp.posterior(state, cert_grid)
         record.points.append(x)
         record.a_chosen.append(cert["a_chosen"])
         record.a_max_grid.append(cert["a_max_grid"])
         record.greedy_ratio.append(cert["ratio"])
-        record.clamp_events += cert["clamped"]
+        record.clamp_events += clamps
         record.b_min.append(float(np.min(b_grid)))
         record.b_max.append(float(np.max(b_grid)))
-        record.sup_qk.append(
-            float(np.max(spec.q(cert_grid) * np.sqrt(gp.posterior_var(state, cert_grid))))
-        )
-        record.est_plugin.append(
-            estimate_plugin(state, t, problem.pi, dom, oracle_resolution)
-        )
-        record.est_expectation.append(
-            estimate_expectation(state, t, problem.pi, dom, oracle_resolution)
-        )
+        record.sup_qk.append(float(np.max(q_grid * np.sqrt(grid_moments[1]))))
+        plugin, expectation = estimates(state, t, problem.pi, dom, oracle_resolution)
+        record.est_plugin.append(plugin)
+        record.est_expectation.append(expectation)
     return state, record

@@ -40,3 +40,7 @@ class Converged(AbqError):
 
 class ConfigError(AbqError):
     """An experiment configuration failed validation."""
+
+
+class NonFiniteIntegrandError(AbqError):
+    """The integrand returned NaN or inf at a selected point."""

@@ -72,22 +72,32 @@ def posterior_mean(state, X):
     return prior + Kxn @ state.alpha
 
 
-def posterior_var(state, X):
-    """Posterior variance k(x,x) - k_n(x)^T K_n^{-1} k_n(x), clamped at 0."""
+def posterior(state, X):
+    """(mean, variance) over X from one kernel block and one triangular solve.
+
+    The variance k(x,x) - k_n(x)^T K_n^{-1} k_n(x) is clamped at 0, and a
+    value below the clamp tolerance raises NumericalDegradationError.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    prior = state.kernel.diag(X)
+    prior_mean = state.mean(X)
+    prior_var = state.kernel.diag(X)
     if state.n == 0:
-        return prior
+        return prior_mean, prior_var
     Kxn = state.kernel.pairwise(X, state.X)
     W = solve_triangular(state.chol, Kxn.T, lower=True)
-    var = prior - np.sum(W * W, axis=0)
-    floor = -1e-10 * np.maximum(1.0, np.abs(prior))
+    var = prior_var - np.sum(W * W, axis=0)
+    floor = -1e-10 * np.maximum(1.0, np.abs(prior_var))
     if np.any(var < floor):
         raise NumericalDegradationError(
             f"posterior variance {float(var.min()):g} below clamp tolerance",
             jitter_used=state.jitter_used,
         )
-    return np.maximum(var, 0.0)
+    return prior_mean + Kxn @ state.alpha, np.maximum(var, 0.0)
+
+
+def posterior_var(state, X):
+    """Posterior variance alone; see `posterior`."""
+    return posterior(state, X)[1]
 
 
 def dependence_threshold(state, x):

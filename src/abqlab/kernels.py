@@ -27,8 +27,7 @@ class Kernel:
         raise NotImplementedError
 
     def diag(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return np.array([self.pairwise(x[None, :], x[None, :])[0, 0] for x in X])
+        raise NotImplementedError
 
     def __call__(self, x, y):
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -193,8 +192,7 @@ class Wendland(Kernel):
         return t ** 6 * (35 * r ** 2 + 18 * r + 3) / 3.0
 
     def diag(self, X):
-        base = {0: 1.0, 1: 1.0, 2: 1.0}[self.smoothness_index]
-        return np.full(np.atleast_2d(X).shape[0], base)
+        return np.full(np.atleast_2d(X).shape[0], 1.0)
 
     def smoothness(self, d):
         if d > 3:

@@ -115,7 +115,8 @@ def _write_trace(path, record, reference, fills):
         fh.write("\n".join(lines) + "\n")
 
 
-def _clcu_for(problem, spec):
+def clcu_for(problem, spec):
+    """Theoretical [C_L, C_U] for the problem's rule, from a probe grid."""
     integrand = problem.integrand
     dom = problem.domain
     probe = dom.uniform_grid(max(512 // dom.dim, 64))
@@ -137,7 +138,7 @@ def build_report(raw, problem, spec, record, reference, ref_err, oracle_res):
     kernel = problem.integrand.kernel
     findings = []
 
-    clcu = _clcu_for(problem, spec)
+    clcu = clcu_for(problem, spec)
     clcu_json = {"present": clcu.present, "reason": clcu.reason}
     if clcu.present:
         clcu_json.update({"c_l": clcu.c_l, "c_u": clcu.c_u})
@@ -206,8 +207,8 @@ def build_report(raw, problem, spec, record, reference, ref_err, oracle_res):
         fits["skipped"] = str(exc)
 
     surrogate_ns = list(range(1, min(record.n, 30) + 1))
-    surrogate = [analysis.nwidth_surrogate(kernel, spec.q, dom, n)
-                 for n in surrogate_ns]
+    surrogate = (analysis.nwidth_surrogate(kernel, spec.q, dom, len(surrogate_ns))
+                 if record.n >= 1 else [])
 
     return {
         "schema": REPORT_SCHEMA,

@@ -46,6 +46,7 @@ from .domain import (
     TruncatedGaussianDensity,
     UniformDensity,
 )
+from .runner import clcu_for
 
 CERT_TOL = 1e-9
 PROJECTION_RTOL = 1e-8
@@ -235,14 +236,12 @@ def check_certificates(runs=None):
 
 
 def check_adaptivity_envelopes(runs=None):
-    from .runner import _clcu_for
-
     if runs is None:
         runs = _run_matrix()
     rows = []
     ok = True
     for name, problem, spec, record in runs:
-        clcu = _clcu_for(problem, spec)
+        clcu = clcu_for(problem, spec)
         if not clcu.present:
             rows.append({"run": name, "envelope": "absent", "reason": clcu.reason})
             ok = False
@@ -388,8 +387,7 @@ def check_moment_estimator(seed=5, n_mc=1_000_000, n_query=20):
 
     pi = UniformDensity(dom)
     ident = transforms.Identity()
-    plug = engine.estimate_plugin(state, ident, pi, dom)
-    expect = engine.estimate_expectation(state, ident, pi, dom)
+    plug, expect = engine.estimates(state, ident, pi, dom)
     identity_gap = abs(plug - expect)
     ok = worst_sigma <= 3.0 and identity_gap <= 1e-12
     return ok, {"worst_sigma": worst_sigma, "identity_gap": identity_gap,
@@ -427,14 +425,12 @@ def check_inconsistency_caveat(stall_factor=5.0):
     """Zero-mean squared-mean weighting on an integrand whose latent part
     vanishes for x > 0.53: the lower envelope is absent and the error
     series stalls relative to the same run with a shifted mean."""
-    from .runner import _clcu_for
-
     series = {}
     clcu_zero = None
     for label, mean_value in (("zero_mean", 0.0), ("shifted_mean", 5.0)):
         problem, spec, selector = build_problem(_inconsistency_config(mean_value))
         if label == "zero_mean":
-            clcu_zero = _clcu_for(problem, spec)
+            clcu_zero = clcu_for(problem, spec)
         _, record = engine.run_abq(problem, spec, selector, 30,
                                    share_candidate_grid=True)
         series[label] = list(record.sup_qk)

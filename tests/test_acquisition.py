@@ -64,7 +64,7 @@ def test_outer_function_inverses():
 def test_acquisition_vanishes_at_design_points():
     state = make_state(mean_value=5.0)
     spec = AcquisitionSpec(outer=Power(1.0), q=Q, b=WsabiL(), gamma_tilde=1.0)
-    a, _ = spec.evaluate(state, state.X, ell=0)
+    a, _ = spec.evaluate(state.X, *gp.posterior(state, state.X), ell=0)
     assert np.all(a < 1e-8)
 
 
@@ -73,7 +73,7 @@ def test_constant_rule_reduces_to_uncertainty_sampling():
     spec = AcquisitionSpec(outer=Power(1.0), q=Q, b=ConstantRule(2.0),
                            gamma_tilde=1.0)
     grid = DOM.uniform_grid(101)
-    a, _ = spec.evaluate(state, grid, ell=0)
+    a, _ = spec.evaluate(grid, *gp.posterior(state, grid), ell=0)
     var = gp.posterior_var(state, grid)
     assert np.argmax(a) == np.argmax(np.asarray(Q(grid)) ** 2 * var)
 
@@ -83,11 +83,12 @@ def test_rule_values_match_definitions():
     X = np.array([[0.5]])
     m = gp.posterior_mean(state, X)[0]
     v = gp.posterior_var(state, X)[0]
-    assert WsabiL().evaluate(state, X, 0)[0] == pytest.approx(m ** 2)
-    assert WsabiM().evaluate(state, X, 0)[0] == pytest.approx(0.5 * v + m ** 2)
-    assert Mmlt().evaluate(state, X, 0)[0] == pytest.approx(np.exp(v + 2 * m))
+    moments = gp.posterior(state, X)
+    assert WsabiL().evaluate(X, *moments, 0)[0] == pytest.approx(m ** 2)
+    assert WsabiM().evaluate(X, *moments, 0)[0] == pytest.approx(0.5 * v + m ** 2)
+    assert Mmlt().evaluate(X, *moments, 0)[0] == pytest.approx(np.exp(v + 2 * m))
     rule = Vbmc(densities=(Q,), delta2=2.0, delta3=0.5)
-    assert rule.evaluate(state, X, 0)[0] == pytest.approx(
+    assert rule.evaluate(X, *moments, 0)[0] == pytest.approx(
         Q(X)[0] ** 2 * np.exp(0.5 * m)
     )
 
@@ -106,7 +107,8 @@ def test_vbmc_rejects_nonpositive_density():
     rule = Vbmc(densities=(dens,))
     state = make_state()
     with pytest.raises(WeakAdaptivityViolation):
-        rule.evaluate(state, np.array([[0.0]]), 0)
+        X = np.array([[0.0]])
+        rule.evaluate(X, *gp.posterior(state, X), 0)
 
 
 def test_spec_validation():
@@ -160,6 +162,7 @@ def test_clcu_vbmc_needs_density_bounds():
 def test_clamp_counting_at_zero_mean():
     state = gp.empty_state(Matern(1.5, 0.3), ConstantMean(0.0), 1)
     spec = AcquisitionSpec(outer=Power(1.0), q=Q, b=WsabiL(), gamma_tilde=1.0)
-    a, clamped = spec.evaluate(state, DOM.uniform_grid(5), ell=0)
+    grid = DOM.uniform_grid(5)
+    a, clamped = spec.evaluate(grid, *gp.posterior(state, grid), ell=0)
     assert clamped == 5  # b = m^2 = 0 everywhere before any data
     assert np.all(a >= 0)

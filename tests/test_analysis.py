@@ -70,7 +70,7 @@ def test_fill_distance_single_center():
 
 def test_nwidth_surrogate_nonincreasing():
     kernel = Matern(1.5, 0.25)
-    vals = [analysis.nwidth_surrogate(kernel, Q, DOM, n) for n in range(1, 12)]
+    vals = analysis.nwidth_surrogate(kernel, Q, DOM, 11)
     assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
     with pytest.raises(DomainError):
         analysis.nwidth_surrogate(kernel, Q, DOM, 0)

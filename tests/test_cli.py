@@ -5,6 +5,7 @@ import pytest
 
 from abqlab import cli
 from abqlab.config import build_problem, expand_matrix, load_config, validate_config
+from abqlab.domain import SyntheticIntegrand
 from abqlab.exceptions import ConfigError
 
 MINIMAL = {
@@ -132,6 +133,14 @@ def test_cli_exit_code_2_on_bad_config(tmp_path, capsys):
     cfg = write_config(tmp_path, {"version": "1"})
     assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_cli_exit_code_3_on_non_finite_integrand(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(SyntheticIntegrand, "__call__",
+                        lambda self, X: np.full(len(X), np.nan))
+    cfg = write_config(tmp_path, MINIMAL)
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert "non-finite integrand value" in capsys.readouterr().err
 
 
 def test_cli_run_requires_output_dir(tmp_path):

@@ -1,11 +1,20 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from abqlab import engine, gp
-from abqlab.acquisition import AcquisitionSpec, ConstantRule, Power, WsabiL
-from abqlab.domain import ConstantMean, Domain, SyntheticIntegrand, UniformDensity
+from abqlab.acquisition import AcquisitionSpec, ConstantRule, Power, WsabiL, WsabiM
+from abqlab.domain import (
+    ConstantMean,
+    Domain,
+    SyntheticIntegrand,
+    UniformDensity,
+    quadrature_nodes,
+)
+from abqlab.exceptions import NonFiniteIntegrandError
 from abqlab.kernels import Matern, SquaredExponential
-from abqlab.transforms import Identity
+from abqlab.transforms import Identity, Square
 
 DOM = Domain((0.0,), (1.0,))
 
@@ -57,9 +66,8 @@ def test_select_next_matches_exhaustive_argmax():
     state = gp.build_state(problem.model_kernel(), problem.model_mean(),
                            np.array([[0.4]]), [0.1])
     grid = DOM.uniform_grid(101)
-    x, cert = engine.select_next(spec, cfg, state, 1, DOM, candidates=grid,
-                                 cert_grid=grid)
-    a, _ = spec.evaluate(state, grid, 1)
+    a, _ = spec.evaluate(grid, *gp.posterior(state, grid), 1)
+    x, cert = engine.select_next(spec, cfg, state, 1, DOM, grid, a, np.max(a))
     assert np.allclose(x, grid[np.argmax(a)])
     assert cert["ratio"] == pytest.approx(1.0)
 
@@ -70,8 +78,8 @@ def test_flat_acquisition_breaks_ties_by_lowest_index():
     cfg = engine.SelectorConfig(candidate_count=16, seed=0)
     state = gp.empty_state(SquaredExponential(0.5), ConstantMean(0.0), 1)
     grid = DOM.uniform_grid(16)
-    x, _ = engine.select_next(spec, cfg, state, 0, DOM, candidates=grid,
-                              cert_grid=grid)
+    a, _ = spec.evaluate(grid, *gp.posterior(state, grid), 0)
+    x, _ = engine.select_next(spec, cfg, state, 0, DOM, grid, a, np.max(a))
     assert np.allclose(x, grid[0])
 
 
@@ -144,8 +152,80 @@ def test_local_refinement_never_decreases_acquisition():
     coarse_cfg = engine.SelectorConfig(candidate_count=33, seed=0)
     refined_cfg = engine.SelectorConfig(candidate_count=33,
                                         local_refinement_steps=4, seed=0)
-    _, cert0 = engine.select_next(spec, coarse_cfg, state, 1, DOM,
-                                  candidates=grid, cert_grid=grid)
-    _, cert1 = engine.select_next(spec, refined_cfg, state, 1, DOM,
-                                  candidates=grid, cert_grid=grid)
+    a, _ = spec.evaluate(grid, *gp.posterior(state, grid), 1)
+    _, cert0 = engine.select_next(spec, coarse_cfg, state, 1, DOM, grid, a,
+                                  np.max(a))
+    _, cert1 = engine.select_next(spec, refined_cfg, state, 1, DOM, grid, a,
+                                  np.max(a))
     assert cert1["a_chosen"] >= cert0["a_chosen"] - 1e-15
+
+
+def wsabi_m_problem():
+    square = Square(alpha=2.0)
+    integrand = SyntheticIntegrand(
+        centers=np.array([[0.3], [0.7]]), weights=np.array([0.6, -0.4]),
+        prior_mean=ConstantMean(5.0), kernel=Matern(1.5, 0.25), transform=square,
+    )
+    problem = engine.Problem(integrand=integrand, pi=UniformDensity(DOM),
+                             domain=DOM, transform=square)
+    spec = AcquisitionSpec(outer=Power(1.0), q=UniformDensity(DOM), b=WsabiM(),
+                           gamma_tilde=1.0)
+    return problem, spec
+
+
+def test_record_replays_from_its_design():
+    # candidates (64-point grid) and certificate grid (128 Sobol points) differ
+    problem, spec = wsabi_m_problem()
+    cfg = engine.SelectorConfig(candidate_count=64, seed=0)
+    _, rec = engine.run_abq(problem, spec, cfg, 8, cert_grid_size=128,
+                            oracle_resolution=64)
+    assert rec.n == 8
+    grid, t, pi = rec.cert_grid, problem.transform, problem.pi
+    pts, w = quadrature_nodes(DOM, 64)
+    state = gp.empty_state(problem.model_kernel(), problem.model_mean(), 1)
+    for ell, x in enumerate(rec.design()):
+        b = spec.eval_b(grid, gp.posterior_mean(state, grid),
+                        gp.posterior_var(state, grid), ell)
+        assert np.array_equal([b.min(), b.max()], [rec.b_min[ell], rec.b_max[ell]])
+        z = t.inverse(np.asarray(problem.integrand(x[None, :]), dtype=float))[0]
+        state = gp.extend(state, x, z)
+        sup = np.max(spec.q(grid) * np.sqrt(gp.posterior_var(state, grid)))
+        mean, var = gp.posterior_mean(state, pts), gp.posterior_var(state, pts)
+        plugin = np.sum(w * t.forward(mean) * pi(pts))
+        expectation = np.sum(w * t.posterior_expectation(mean, var) * pi(pts))
+        assert np.array_equal(
+            [sup, plugin, expectation],
+            [rec.sup_qk[ell], rec.est_plugin[ell], rec.est_expectation[ell]],
+        )
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_run_abq_computes_each_posterior_once(monkeypatch, shared):
+    seen = Counter()
+    posterior = gp.posterior
+
+    def counting(state, X):
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        seen[state.X.tobytes(), X.shape, X.tobytes()] += 1
+        return posterior(state, X)
+
+    monkeypatch.setattr(gp, "posterior", counting)
+    problem, spec = wsabi_m_problem()
+    cfg = engine.SelectorConfig(candidate_count=64, seed=0)
+    _, rec = engine.run_abq(problem, spec, cfg, 8, cert_grid_size=128,
+                            oracle_resolution=64, share_candidate_grid=shared)
+    assert rec.n == 8
+    assert max(seen.values()) == 1
+    # per state: grid and nodes, candidates unless shared; extend adds one point
+    per_state = 2 if shared else 3
+    assert sum(seen.values()) == per_state * rec.n + 2 + (rec.n - 1)
+
+
+def test_non_finite_integrand_raises_typed_error():
+    base = make_problem()
+    problem = engine.Problem(integrand=lambda X: np.full(len(X), np.nan),
+                             pi=base.pi, domain=DOM, transform=Identity(),
+                             kernel=base.model_kernel(), mean=base.model_mean())
+    cfg = engine.SelectorConfig(candidate_count=16, seed=0)
+    with pytest.raises(NonFiniteIntegrandError, match="x = "):
+        engine.run_abq(problem, p_greedy_spec(), cfg, 3, share_candidate_grid=True)

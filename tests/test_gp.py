@@ -43,6 +43,16 @@ def test_posterior_var_matches_dense_solve_oracle():
     assert np.allclose(gp.posterior_var(state, q), np.maximum(oracle, 0), atol=1e-10)
 
 
+def test_posterior_equals_mean_and_var_paths():
+    state, _, _ = make_state()
+    empty = gp.empty_state(state.kernel, state.mean, 1)
+    q = np.linspace(0, 1, 11)[:, None]
+    for s in (empty, state):
+        mean, var = gp.posterior(s, q)
+        assert np.array_equal(mean, gp.posterior_mean(s, q))
+        assert np.array_equal(var, gp.posterior_var(s, q))
+
+
 def test_interpolation_at_design_points():
     state, X, z = make_state()
     assert np.allclose(gp.posterior_mean(state, X), z, atol=1e-6)
