@@ -35,9 +35,12 @@ def projection_distance_sq(kernel, q, X, x):
     qX = np.asarray(q(X), dtype=float)
     G = (qX[:, None] * qX[None, :]) * kernels.gram(kernel, X)
     L, _ = kernels.chol_with_jitter(G)
-    V = (qx[:, None] * qX[None, :]) * kernel.pairwise(x, X)
-    W = solve_triangular(L, V.T, lower=True)
-    return np.maximum(norm_sq - np.sum(W * W, axis=0), 0.0)
+    # in place: for a large point set x the (n, |x|) block dominates memory
+    V = kernel.pairwise(X, x)
+    V *= qX[:, None] * qx[None, :]
+    W = solve_triangular(L, V, lower=True, overwrite_b=True)
+    W *= W
+    return np.maximum(norm_sq - np.sum(W, axis=0), 0.0)
 
 
 @dataclass
@@ -55,8 +58,9 @@ class GreedyCertificate:
         return not self.failures
 
 
-def greedy_certificate(record, kernel, q, grid=None, clcu=None, tol=1e-9):
-    """Per-iteration ratios dist(h_chosen, S_l) / sup_grid dist(h, S_l).
+def greedy_certificate(record, kernel, q, clcu=None, tol=1e-9):
+    """Per-iteration ratios dist(h_chosen, S_l) / sup dist(h, S_l), the
+    supremum taken over the run's certificate grid.
 
     gamma_hat is computed from the monitored b range; when a theoretical
     [C_L, C_U] is supplied (and present) the certificate also carries the
@@ -64,14 +68,12 @@ def greedy_certificate(record, kernel, q, grid=None, clcu=None, tol=1e-9):
     """
     if record.n < 2:
         raise DomainError("greedy certificate needs a run with at least 2 points")
-    if grid is None:
-        grid = record.cert_grid
     spec = record.spec
     X_all = record.design()
     ratios = []
     for ell in range(record.n):
         X_ell = X_all[:ell]
-        d_grid = np.sqrt(projection_distance_sq(kernel, q, X_ell, grid))
+        d_grid = np.sqrt(projection_distance_sq(kernel, q, X_ell, record.cert_grid))
         d_chosen = float(np.sqrt(
             projection_distance_sq(kernel, q, X_ell, X_all[ell][None, :])
         )[0])
@@ -98,13 +100,22 @@ def greedy_certificate(record, kernel, q, grid=None, clcu=None, tol=1e-9):
     return cert
 
 
-def fill_distance(X, dom, grid_resolution=128):
-    """sup over a dense grid of the distance to the nearest design point."""
+def fill_distance(X, dom):
+    """Fill distances of the designs X[:1], ..., X[:n], as a list of n values.
+
+    Entry i-1 is the sup over a dense grid of the distance to the nearest
+    of the first i points, kept as a running minimum per grid point.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[0] == 0:
         raise DomainError("fill distance needs at least one point")
-    grid = dom.uniform_grid(grid_resolution)
-    return float(np.max(np.min(cdist(grid, X), axis=1)))
+    grid = dom.uniform_grid(256 if dom.dim == 1 else 64)
+    nearest = np.full(grid.shape[0], np.inf)
+    curve = []
+    for x in X:
+        np.minimum(nearest, cdist(grid, x[None, :])[:, 0], out=nearest)
+        curve.append(float(np.max(nearest)))
+    return curve
 
 
 def _midpoint_design(dom, n):
@@ -115,30 +126,20 @@ def _midpoint_design(dom, n):
     return pts[:n]
 
 
-def _sup_qk_for_design(kernel, q, X, grid):
-    # power function via Cholesky on the plain Gram matrix
-    K = kernels.gram(kernel, X)
-    L, _ = kernels.chol_with_jitter(K)
-    Kgx = kernel.pairwise(X, grid)
-    W = solve_triangular(L, Kgx, lower=True)
-    var = np.maximum(kernel.diag(grid) - np.sum(W * W, axis=0), 0.0)
-    return float(np.max(np.asarray(q(grid)) * np.sqrt(var)))
-
-
-def nwidth_surrogate(kernel, q, dom, n, grid=None):
+def nwidth_surrogate(kernel, q, dom, n):
     """Upper bounds on the m-widths for m = 1..n, as a list of n values.
 
     Entry m-1 is the running minimum over grid designs of sizes 1..m,
     which keeps the curve nonincreasing; any design of at most m points
     spans a subspace of dimension at most m, so each term is a valid bound.
+    Each term is sup q sqrt(k_X) over the domain's probe grid.
     """
     if n < 1:
         raise DomainError("n must be at least 1")
-    if grid is None:
-        grid = dom.uniform_grid(max(512 // dom.dim, 64))
-    sups = [_sup_qk_for_design(kernel, q, _midpoint_design(dom, m), grid)
-            for m in range(1, n + 1)]
-    return np.minimum.accumulate(sups).tolist()
+    grid = dom.probe_grid()
+    sups_sq = [np.max(projection_distance_sq(kernel, q, _midpoint_design(dom, m), grid))
+               for m in range(1, n + 1)]
+    return np.sqrt(np.minimum.accumulate(sups_sq)).tolist()
 
 
 @dataclass(frozen=True)
@@ -186,22 +187,20 @@ def fit_rate(e_values, model, n_values=None, n_min=5, floor=0.0):
                    r_squared=r2, n_range=(int(ns[0]), int(ns[-1])))
 
 
-def sup_qk_fine(state, q, dom, points_per_dim=4096):
+def sup_qk_fine(state, q, dom, points=2048):
     """Grid supremum of q sqrt(posterior var) plus a modulus-of-continuity slack.
 
-    Returns (sup, modulus) where modulus is the largest jump between
-    axis-adjacent grid values, an honest discretization allowance.
+    The tensor grid has ceil(points^(1/d)) points per dim. Returns
+    (sup, modulus) where modulus is the largest jump between axis-adjacent
+    grid values, an honest discretization allowance.
     """
-    per_dim = points_per_dim if dom.dim == 1 else int(np.ceil(points_per_dim ** (1 / dom.dim)))
+    per_dim = int(np.ceil(points ** (1 / dom.dim)))
     grid = dom.uniform_grid(per_dim)
     vals = np.asarray(q(grid)) * np.sqrt(gp.posterior_var(state, grid))
-    if dom.dim == 1:
-        modulus = float(np.max(np.abs(np.diff(vals)))) if vals.size > 1 else 0.0
-    else:
-        cube = vals.reshape((per_dim,) * dom.dim)
-        modulus = 0.0
-        for axis in range(dom.dim):
-            modulus = max(modulus, float(np.max(np.abs(np.diff(cube, axis=axis)))))
+    cube = vals.reshape((per_dim,) * dom.dim)
+    modulus = 0.0
+    for axis in range(dom.dim):
+        modulus = max(modulus, float(np.max(np.abs(np.diff(cube, axis=axis)))))
     return float(np.max(vals)), modulus
 
 
@@ -220,8 +219,7 @@ class BoundReport:
         return not self.violations
 
 
-def error_bound_check(record, integrand, pi, q, oracle_resolution=256,
-                      sup_points=2048):
+def error_bound_check(record, integrand, pi, q, oracle_resolution=256):
     """Check |reference - plugin estimate| against the assembled error bound.
 
     The right-hand side multiplies the transform's Lipschitz constant,
@@ -234,8 +232,7 @@ def error_bound_check(record, integrand, pi, q, oracle_resolution=256,
     t = integrand.transform
     gnorm = rkhs_norm(integrand)
     k_inf = kernel.sup_diag()
-    probe = dom.uniform_grid(max(1024 // dom.dim, 64))
-    m_inf = float(np.max(np.abs(integrand.prior_mean(probe))))
+    m_inf = float(np.max(np.abs(integrand.prior_mean(dom.probe_grid()))))
     c_t = t.lipschitz_constant(m_inf, gnorm, k_inf)
     c_piq = reference_integral(lambda P: 1.0 / np.asarray(q(P)), pi, dom,
                                min(oracle_resolution, 256))
@@ -250,7 +247,7 @@ def error_bound_check(record, integrand, pi, q, oracle_resolution=256,
         x = X_all[i][None, :]
         z = t.inverse(np.asarray(integrand(x), dtype=float))[0]
         state = gp.extend(state, x, z)
-        sup, modulus = sup_qk_fine(state, q, dom, sup_points)
+        sup, modulus = sup_qk_fine(state, q, dom)
 
         def plugin(P):
             return t.forward(gp.posterior_mean(state, P))

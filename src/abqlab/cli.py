@@ -6,7 +6,8 @@ Subcommands:
   rates <trace.csv..> re-fit decay rates from existing trace files
 
 Exit codes: 0 success (including theory-violation findings recorded in
-report.json), 2 configuration error, 3 numerical abort.
+report.json), 2 configuration error, 3 any other abqlab error (a numerical
+abort, a non-finite integrand value, a value outside the transform's range).
 """
 
 from __future__ import annotations
@@ -20,13 +21,7 @@ import numpy as np
 
 from . import analysis, kernels, runner, verify
 from .config import load_config
-from .exceptions import (
-    BudgetExceededError,
-    ConfigError,
-    NonFiniteIntegrandError,
-    NumericalDegradationError,
-    SaturationError,
-)
+from .exceptions import AbqError, ConfigError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -144,9 +139,8 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NumericalDegradationError, SaturationError, BudgetExceededError,
-            NonFiniteIntegrandError) as exc:
-        print(f"numerical abort: {exc}", file=sys.stderr)
+    except AbqError as exc:
+        print(f"abort ({type(exc).__name__}): {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

@@ -294,7 +294,7 @@ def build_problem(raw):
 
     latent_min_sq = None
     if raw["transform"]["kind"] == "square" and raw["transform"].get("alpha") is None:
-        probe = dom.uniform_grid(max(512 // dom.dim, 64))
+        probe = dom.probe_grid()
         stub = SyntheticIntegrand(centers=centers, weights=weights, prior_mean=mean,
                                   kernel=kernel, transform=transforms.Identity())
         latent = stub.latent(probe)

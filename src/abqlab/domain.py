@@ -20,6 +20,11 @@ from .exceptions import BudgetExceededError
 
 _TINY_DENSITY = 1e-300
 
+# probe grids (suprema and infima of means, densities and power functions)
+# hold at most PROBE_PER_DIM points per axis and PROBE_POINTS in total
+PROBE_PER_DIM = 512
+PROBE_POINTS = 2 ** 16
+
 
 def as_points(x, dim):
     """Coerce a point or an (n, d) batch of points to a 2-D float array."""
@@ -82,6 +87,18 @@ class Domain:
         ]
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=1)
+
+    def probe_grid(self):
+        """Endpoint tensor grid for suprema and infima over the box.
+
+        It has the largest per-dim count up to PROBE_PER_DIM whose d-th
+        power is at most PROBE_POINTS (512 in d=1, 256^2, 40^3, 16^4), and
+        it contains every box corner, so sup |m| is exact for affine m.
+        """
+        per_dim = PROBE_PER_DIM
+        while per_dim ** self.dim > PROBE_POINTS:
+            per_dim -= 1
+        return self.uniform_grid(per_dim)
 
 
 class Density:

@@ -82,8 +82,6 @@ class RunRecord:
     cert_grid: np.ndarray
     spec: object = None
     points: list = field(default_factory=list)
-    a_chosen: list = field(default_factory=list)
-    a_max_grid: list = field(default_factory=list)
     greedy_ratio: list = field(default_factory=list)
     sup_qk: list = field(default_factory=list)  # e_n surrogate after n points
     b_min: list = field(default_factory=list)
@@ -93,8 +91,6 @@ class RunRecord:
     jitter_events: list = field(default_factory=list)
     clamp_events: int = 0
     e0: float = float("nan")  # sup q sqrt(k) before any point
-    prior_plugin: float = float("nan")
-    prior_expectation: float = float("nan")
     converged: bool = False
     skipped_dependent: int = 0
 
@@ -196,8 +192,8 @@ def estimates(state, transform, pi, dom, resolution=256):
             float(np.sum(w * transform.posterior_expectation(mean, var) * dens)))
 
 
-def run_abq(problem, spec, cfg, n, cert_grid=None, cert_grid_size=None,
-            oracle_resolution=256, share_candidate_grid=False):
+def run_abq(problem, spec, cfg, n, cert_grid_size=None, oracle_resolution=256,
+            share_candidate_grid=False):
     """Run the sequential loop for `n` evaluations of the integrand.
 
     When share_candidate_grid is set the certificate grid is the
@@ -211,15 +207,14 @@ def run_abq(problem, spec, cfg, n, cert_grid=None, cert_grid_size=None,
     fixed_candidates = None
     if cfg.candidate_scheme in ("uniform-grid", "low-discrepancy"):
         fixed_candidates = candidate_pool(dom, cfg)
-    if cert_grid is None:
-        if share_candidate_grid:
-            if fixed_candidates is None:
-                raise DomainError(
-                    "share_candidate_grid needs a deterministic candidate scheme"
-                )
-            cert_grid = fixed_candidates
-        else:
-            cert_grid = certificate_grid(dom, cert_grid_size)
+    if share_candidate_grid:
+        if fixed_candidates is None:
+            raise DomainError(
+                "share_candidate_grid needs a deterministic candidate scheme"
+            )
+        cert_grid = fixed_candidates
+    else:
+        cert_grid = certificate_grid(dom, cert_grid_size)
 
     state = gp.empty_state(kernel=problem.model_kernel(), mean=problem.model_mean(),
                            dim=dom.dim)
@@ -229,9 +224,6 @@ def run_abq(problem, spec, cfg, n, cert_grid=None, cert_grid_size=None,
     q_grid = spec.q(cert_grid)
     grid_moments = gp.posterior(state, cert_grid)
     record.e0 = float(np.max(q_grid * np.sqrt(grid_moments[1])))
-    record.prior_plugin, record.prior_expectation = estimates(
-        state, t, problem.pi, dom, oracle_resolution
-    )
 
     for ell in range(n):
         candidates = (fixed_candidates if fixed_candidates is not None
@@ -273,8 +265,6 @@ def run_abq(problem, spec, cfg, n, cert_grid=None, cert_grid_size=None,
         state = new_state
         grid_moments = gp.posterior(state, cert_grid)
         record.points.append(x)
-        record.a_chosen.append(cert["a_chosen"])
-        record.a_max_grid.append(cert["a_max_grid"])
         record.greedy_ratio.append(cert["ratio"])
         record.clamp_events += clamps
         record.b_min.append(float(np.min(b_grid)))

@@ -76,11 +76,7 @@ def _run_single(raw, target):
         oracle_resolution=oracle_res,
         share_candidate_grid=shared,
     )
-    fills = [
-        analysis.fill_distance(record.design(i + 1), dom,
-                               grid_resolution=256 if dom.dim == 1 else 64)
-        for i in range(record.n)
-    ]
+    fills = analysis.fill_distance(record.design(), dom) if record.n else []
     _write_trace(os.path.join(target, "trace.csv"), record, reference, fills)
     report = build_report(raw, problem, spec, record, reference, ref_err, oracle_res)
     with open(os.path.join(target, "report.json"), "w") as fh:
@@ -119,7 +115,7 @@ def clcu_for(problem, spec):
     """Theoretical [C_L, C_U] for the problem's rule, from a probe grid."""
     integrand = problem.integrand
     dom = problem.domain
-    probe = dom.uniform_grid(max(512 // dom.dim, 64))
+    probe = dom.probe_grid()
     m_abs = np.abs(integrand.prior_mean(probe))
     gnorm = rkhs_norm(integrand)
     k_inf = integrand.kernel.sup_diag()

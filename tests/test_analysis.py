@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from abqlab import analysis, engine, gp
 from abqlab.acquisition import AcquisitionSpec, ConstantRule, Power
@@ -61,11 +62,24 @@ def test_greedy_certificate_needs_two_points():
 
 
 def test_fill_distance_single_center():
-    assert analysis.fill_distance(np.array([[0.5]]), DOM) == pytest.approx(
+    assert analysis.fill_distance(np.array([[0.5]]), DOM)[0] == pytest.approx(
         0.5, abs=1e-2
     )
     with pytest.raises(DomainError):
         analysis.fill_distance(np.zeros((0, 1)), DOM)
+
+
+@pytest.mark.parametrize("dom, per_dim", [(DOM, 256),
+                                          (Domain((0.0, -1.0), (2.0, 1.0)), 64)])
+def test_fill_distance_curve_matches_brute_force(dom, per_dim):
+    rng = np.random.default_rng(3)
+    lo, hi = np.asarray(dom.lower), np.asarray(dom.upper)
+    X = lo + (hi - lo) * rng.uniform(size=(9, dom.dim))
+    grid = dom.uniform_grid(per_dim)
+    curve = analysis.fill_distance(X, dom)
+    brute = [float(np.max(np.min(cdist(grid, X[:i]), axis=1)))
+             for i in range(1, len(X) + 1)]
+    assert np.array_equal(curve, brute)
 
 
 def test_nwidth_surrogate_nonincreasing():
@@ -115,6 +129,6 @@ def test_sup_qk_fine_reports_modulus():
     rec, problem, spec = _p_greedy_record(budget=4)
     state = gp.build_state(problem.integrand.kernel, ConstantMean(0.0),
                            rec.design(), np.zeros(rec.n))
-    sup, modulus = analysis.sup_qk_fine(state, spec.q, DOM, points_per_dim=512)
+    sup, modulus = analysis.sup_qk_fine(state, spec.q, DOM, points=512)
     assert sup > 0
     assert 0 <= modulus < sup

@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from abqlab import cli
+from abqlab import cli, runner
 from abqlab.config import build_problem, expand_matrix, load_config, validate_config
-from abqlab.domain import SyntheticIntegrand
+from abqlab.domain import Domain, SyntheticIntegrand
 from abqlab.exceptions import ConfigError
 
 MINIMAL = {
@@ -141,6 +141,37 @@ def test_cli_exit_code_3_on_non_finite_integrand(tmp_path, monkeypatch, capsys):
     cfg = write_config(tmp_path, MINIMAL)
     assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 3
     assert "non-finite integrand value" in capsys.readouterr().err
+
+
+def test_cli_exit_code_3_on_value_outside_transform_range(tmp_path, monkeypatch,
+                                                         capsys):
+    monkeypatch.setattr(SyntheticIntegrand, "__call__",
+                        lambda self, X: np.full(len(X), -1.0))
+    raw = json.loads(json.dumps(MINIMAL))
+    raw["transform"] = {"kind": "exponential"}
+    cfg = write_config(tmp_path, raw)
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert "nonpositive value" in capsys.readouterr().err
+
+
+def test_d3_run_keeps_every_tensor_grid_small(tmp_path, monkeypatch):
+    uniform_grid = Domain.uniform_grid
+
+    def guarded(self, points_per_dim, endpoint=True):
+        assert points_per_dim ** self.dim <= 2 ** 18, (points_per_dim, self.dim)
+        return uniform_grid(self, points_per_dim, endpoint)
+
+    monkeypatch.setattr(Domain, "uniform_grid", guarded)
+    raw = json.loads(json.dumps(MINIMAL))
+    raw["domain"] = {"lower": [0.0] * 3, "upper": [1.0] * 3}
+    raw["mean"] = {"kind": "constant", "value": 5.0}
+    raw["transform"] = {"kind": "square", "alpha": None}
+    raw["budget"] = 3
+    raw["grids"] = {"oracle": 16}
+    runner.run_experiment(raw, str(tmp_path / "d3"))
+    report = json.loads((tmp_path / "d3" / "report.json").read_text())
+    assert report["iterations"] == 3
+    assert report["error_bound"]["ok"]
 
 
 def test_cli_run_requires_output_dir(tmp_path):

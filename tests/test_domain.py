@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from abqlab.domain import (
+    PROBE_POINTS,
     AffineMean,
     ConstantMean,
     Domain,
@@ -45,6 +46,17 @@ def test_uniform_grid_shapes_and_midpoints():
     assert np.allclose(mid[:, 0], [0.125, 0.375, 0.625, 0.875])
     dom2 = Domain((0.0, 0.0), (1.0, 1.0))
     assert dom2.uniform_grid(3).shape == (9, 2)
+
+
+@pytest.mark.parametrize("dim, per_dim", [(1, 512), (2, 256), (3, 40), (4, 16)])
+def test_probe_grid_has_a_total_budget_and_the_corners(dim, per_dim):
+    dom = Domain(tuple(-1.0 - i for i in range(dim)),
+                 tuple(2.0 + i for i in range(dim)))
+    grid = dom.probe_grid()
+    assert grid.shape == (per_dim ** dim, dim)
+    assert grid.shape[0] <= PROBE_POINTS
+    corners = {tuple(dom.lower), tuple(dom.upper)}
+    assert corners <= set(map(tuple, grid))
 
 
 def test_densities_normalize():

@@ -216,9 +216,10 @@ def test_run_abq_computes_each_posterior_once(monkeypatch, shared):
                             oracle_resolution=64, share_candidate_grid=shared)
     assert rec.n == 8
     assert max(seen.values()) == 1
-    # per state: grid and nodes, candidates unless shared; extend adds one point
+    # per state: grid and nodes (none on the empty state), candidates unless
+    # shared; extend adds one point
     per_state = 2 if shared else 3
-    assert sum(seen.values()) == per_state * rec.n + 2 + (rec.n - 1)
+    assert sum(seen.values()) == per_state * rec.n + 1 + (rec.n - 1)
 
 
 def test_non_finite_integrand_raises_typed_error():
