@@ -186,17 +186,17 @@ class AcquisitionSpec:
 
     def evaluate(self, X, mean, var, ell):
         """Acquisition values over a batch with posterior moments (mean, var)
-        there; returns (a, clamp_count).
+        there; returns (a, clamp_count, b).
 
-        clamp_count is the number of b values lifted to the 1e-300 floor
-        before multiplication.
+        b is the adaptive term from `eval_b`, evaluated once; clamp_count
+        is the number of its values lifted to the 1e-300 floor before
+        multiplication (b itself is returned unclamped).
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         qv = self.q(X)
-        bv = self.b.evaluate(X, mean, var, ell)
+        bv = self.eval_b(X, mean, var, ell)
         clamped = int(np.count_nonzero(bv < _B_FLOOR))
-        bv = np.maximum(bv, _B_FLOOR)
-        return self.outer(qv ** 2 * var) * bv, clamped
+        return self.outer(qv ** 2 * var) * np.maximum(bv, _B_FLOOR), clamped, bv
 
 
 @dataclass(frozen=True)

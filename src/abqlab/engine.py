@@ -1,10 +1,15 @@
 """The sequential quadrature loop: select, evaluate, condition, estimate.
 
-`run_abq` is the one place that computes posterior moments: one
-`gp.posterior` per GP state on the certificate grid, the candidate pool
-(skipped when it is the grid) and the estimators' quadrature nodes. The
-grid moments after step l give sup q sqrt(k) for step l and the b range
-and grid maximum for step l+1; acquisition rules take moments as inputs.
+`run_abq` is the one place that computes posterior moments. It keeps one
+`gp.GridPosterior` per fixed point set: the certificate grid, the
+candidate pool (when it is fixed and not the grid) and the estimators'
+quadrature nodes. Each step adds one Newton-basis row to each, O(|P| n)
+instead of a dense O(|P| n^2) solve; the moments match the dense
+`gp.posterior` to rounding (see `gp`). Dense solves
+remain for the one-point refinement trials and for random candidate
+pools, which change every step. The grid moments after step l give
+sup q sqrt(k) for step l and the b range and grid maximum for step l+1;
+acquisition rules and estimators take moments as inputs.
 
 Selection maximizes the acquisition over a candidate pool (optionally
 with coordinate-descent refinement); the certificate compares the chosen
@@ -140,7 +145,7 @@ def _refine(spec, state, ell, dom, x, a_val, step, rounds):
                 trial = x.copy()
                 trial[i] += sgn * step[i]
                 trial = dom.clip(trial[None, :])
-                a_trial, _ = spec.evaluate(trial, *gp.posterior(state, trial), ell)
+                a_trial = spec.evaluate(trial, *gp.posterior(state, trial), ell)[0]
                 if a_trial[0] > a_val:
                     a_val = float(a_trial[0])
                     x = trial[0]
@@ -182,12 +187,11 @@ def select_next(spec, cfg, state, ell, dom, candidates, a_cand, a_grid_max,
     return x, cert
 
 
-def estimates(state, transform, pi, dom, resolution=256):
+def estimates(transform, w, dens, mean, var):
     """(plugin, expectation): the integrals against pi of the transformed
-    posterior mean and of the pointwise posterior expectation of T."""
-    pts, w = quadrature_nodes(dom, resolution)
-    mean, var = gp.posterior(state, pts)
-    dens = pi(pts)
+    posterior mean and of the pointwise posterior expectation of T, from
+    quadrature weights w, the density dens of pi at the nodes and the
+    posterior moments (mean, var) there."""
     return (float(np.sum(w * transform.forward(mean) * dens)),
             float(np.sum(w * transform.posterior_expectation(mean, var) * dens)))
 
@@ -218,23 +222,36 @@ def run_abq(problem, spec, cfg, n, cert_grid_size=None, oracle_resolution=256,
 
     state = gp.empty_state(kernel=problem.model_kernel(), mean=problem.model_mean(),
                            dim=dom.dim)
+    grid_post = gp.GridPosterior(state, cert_grid)
+    posts = [grid_post]
+    cand_post = None
+    if fixed_candidates is not None and fixed_candidates is not cert_grid:
+        cand_post = gp.GridPosterior(state, fixed_candidates)
+        posts.append(cand_post)
+    nodes, w = quadrature_nodes(dom, oracle_resolution)
+    dens = problem.pi(nodes)
+    node_post = gp.GridPosterior(state, nodes)
+    posts.append(node_post)
 
     record = RunRecord(domain=dom, gamma_tilde=spec.gamma_tilde, cert_grid=cert_grid,
                        spec=spec)
     q_grid = spec.q(cert_grid)
-    grid_moments = gp.posterior(state, cert_grid)
-    record.e0 = float(np.max(q_grid * np.sqrt(grid_moments[1])))
+    record.e0 = float(np.max(q_grid * np.sqrt(grid_post.var)))
 
     for ell in range(n):
-        candidates = (fixed_candidates if fixed_candidates is not None
-                      else candidate_pool(dom, cfg, rng))
-        a_grid, clamps = spec.evaluate(cert_grid, *grid_moments, ell)
-        b_grid = spec.eval_b(cert_grid, *grid_moments, ell)
-        a_cand = a_grid
-        if candidates is not cert_grid:
-            a_cand, clamps = spec.evaluate(
+        a_grid, clamps, b_grid = spec.evaluate(cert_grid, grid_post.mean,
+                                               grid_post.var, ell)
+        if fixed_candidates is None:
+            candidates = candidate_pool(dom, cfg, rng)
+            a_cand, clamps, _ = spec.evaluate(
                 candidates, *gp.posterior(state, candidates), ell
             )
+        elif cand_post is not None:
+            candidates = fixed_candidates
+            a_cand, clamps, _ = spec.evaluate(candidates, cand_post.mean,
+                                              cand_post.var, ell)
+        else:
+            candidates, a_cand = cert_grid, a_grid
         a_grid_max = float(np.max(a_grid))
         exclude = set()
         while True:
@@ -263,14 +280,15 @@ def run_abq(problem, spec, cfg, n, cert_grid_size=None, oracle_resolution=256,
         if new_state.jitter_used != state.jitter_used:
             record.jitter_events.append((ell, new_state.jitter_used))
         state = new_state
-        grid_moments = gp.posterior(state, cert_grid)
+        for post in posts:
+            post.update(state)
         record.points.append(x)
         record.greedy_ratio.append(cert["ratio"])
         record.clamp_events += clamps
         record.b_min.append(float(np.min(b_grid)))
         record.b_max.append(float(np.max(b_grid)))
-        record.sup_qk.append(float(np.max(q_grid * np.sqrt(grid_moments[1]))))
-        plugin, expectation = estimates(state, t, problem.pi, dom, oracle_resolution)
+        record.sup_qk.append(float(np.max(q_grid * np.sqrt(grid_post.var))))
+        plugin, expectation = estimates(t, w, dens, node_post.mean, node_post.var)
         record.est_plugin.append(plugin)
         record.est_expectation.append(expectation)
     return state, record

@@ -67,6 +67,13 @@ class SquaredExponential(Kernel):
         return 1.0
 
 
+def _matern_coefs(p):
+    """Coefficients c_0..c_p of the half-integer Matern polynomial in u."""
+    f = math.factorial
+    return [f(p) * f(2 * p - j) * 2 ** j / (f(2 * p) * f(j) * f(p - j))
+            for j in range(p + 1)]
+
+
 @dataclass(frozen=True)
 class Matern(Kernel):
     """Half-integer Matern kernel, evaluated via its polynomial-exponential form."""
@@ -81,15 +88,23 @@ class Matern(Kernel):
             raise ValueError("ell must be positive")
 
     def pairwise(self, X, Y):
-        r = cdist(np.atleast_2d(X), np.atleast_2d(Y))
-        p = int(self.nu - 0.5)
-        u = np.sqrt(2 * self.nu) * r / self.ell
-        poly = np.zeros_like(u)
-        # k = exp(-u) * p!/(2p)! * sum_i (p+i)!/(i!(p-i)!) (2u)^(p-i)
-        for i in range(p + 1):
-            coef = math.factorial(p + i) / (math.factorial(i) * math.factorial(p - i))
-            poly += coef * (2 * u) ** (p - i)
-        return np.exp(-u) * (math.factorial(p) / math.factorial(2 * p)) * poly
+        # k = exp(-u) * sum_j c_j u^j with u = sqrt(2 nu) r / ell, p = nu - 1/2
+        # and c_j = p!/(2p)! * (2p-j)!/(j!(p-j)!) * 2^j, evaluated by Horner
+        # in place on the distance block
+        u = cdist(np.atleast_2d(X), np.atleast_2d(Y))
+        u *= np.sqrt(2 * self.nu) / self.ell
+        expu = np.negative(u)
+        np.exp(expu, out=expu)
+        coefs = _matern_coefs(int(self.nu - 0.5))
+        if len(coefs) == 1:
+            return expu
+        poly = u * coefs[-1]
+        for c in coefs[-2:0:-1]:
+            poly += c
+            poly *= u
+        poly += coefs[0]
+        poly *= expu
+        return poly
 
     def diag(self, X):
         return np.ones(np.atleast_2d(X).shape[0])
@@ -216,11 +231,16 @@ def chol_with_jitter(K, max_doublings=10):
     """Lower Cholesky factor of K + jitter*I under the adaptive jitter policy.
 
     Jitter starts at 1e-12 * max diagonal and doubles at most
-    `max_doublings` times before giving up.
+    `max_doublings` times before giving up. A Gram matrix with a NaN or
+    inf entry raises NumericalDegradationError at once, since no jitter
+    repairs it.
     """
     n = K.shape[0]
     if n == 0:
         return np.zeros((0, 0)), 0.0
+    if not np.all(np.isfinite(K)):
+        raise NumericalDegradationError("Gram matrix has non-finite entries",
+                                        jitter_used=0.0)
     jitter = 1e-12 * float(np.max(np.diag(K)))
     if jitter <= 0:
         jitter = 1e-12
@@ -229,8 +249,6 @@ def chol_with_jitter(K, max_doublings=10):
             L = cholesky(K + jitter * np.eye(n), lower=True)
             return L, jitter
         except np.linalg.LinAlgError:
-            jitter *= 2
-        except Exception:
             jitter *= 2
     raise NumericalDegradationError(
         f"Cholesky failed after jitter grew to {jitter:g}", jitter_used=jitter

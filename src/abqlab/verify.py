@@ -45,6 +45,7 @@ from .domain import (
     SyntheticIntegrand,
     TruncatedGaussianDensity,
     UniformDensity,
+    quadrature_nodes,
 )
 from .runner import clcu_for
 
@@ -387,7 +388,8 @@ def check_moment_estimator(seed=5, n_mc=1_000_000, n_query=20):
 
     pi = UniformDensity(dom)
     ident = transforms.Identity()
-    plug, expect = engine.estimates(state, ident, pi, dom)
+    nodes, w = quadrature_nodes(dom, 256)
+    plug, expect = engine.estimates(ident, w, pi(nodes), *gp.posterior(state, nodes))
     identity_gap = abs(plug - expect)
     ok = worst_sigma <= 3.0 and identity_gap <= 1e-12
     return ok, {"worst_sigma": worst_sigma, "identity_gap": identity_gap,

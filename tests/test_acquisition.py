@@ -64,7 +64,7 @@ def test_outer_function_inverses():
 def test_acquisition_vanishes_at_design_points():
     state = make_state(mean_value=5.0)
     spec = AcquisitionSpec(outer=Power(1.0), q=Q, b=WsabiL(), gamma_tilde=1.0)
-    a, _ = spec.evaluate(state.X, *gp.posterior(state, state.X), ell=0)
+    a, _, _ = spec.evaluate(state.X, *gp.posterior(state, state.X), ell=0)
     assert np.all(a < 1e-8)
 
 
@@ -73,7 +73,7 @@ def test_constant_rule_reduces_to_uncertainty_sampling():
     spec = AcquisitionSpec(outer=Power(1.0), q=Q, b=ConstantRule(2.0),
                            gamma_tilde=1.0)
     grid = DOM.uniform_grid(101)
-    a, _ = spec.evaluate(grid, *gp.posterior(state, grid), ell=0)
+    a, _, _ = spec.evaluate(grid, *gp.posterior(state, grid), ell=0)
     var = gp.posterior_var(state, grid)
     assert np.argmax(a) == np.argmax(np.asarray(Q(grid)) ** 2 * var)
 
@@ -163,6 +163,6 @@ def test_clamp_counting_at_zero_mean():
     state = gp.empty_state(Matern(1.5, 0.3), ConstantMean(0.0), 1)
     spec = AcquisitionSpec(outer=Power(1.0), q=Q, b=WsabiL(), gamma_tilde=1.0)
     grid = DOM.uniform_grid(5)
-    a, clamped = spec.evaluate(grid, *gp.posterior(state, grid), ell=0)
+    a, clamped, _ = spec.evaluate(grid, *gp.posterior(state, grid), ell=0)
     assert clamped == 5  # b = m^2 = 0 everywhere before any data
     assert np.all(a >= 0)

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from abqlab import gp
 from abqlab.domain import ConstantMean, SyntheticIntegrand, rkhs_norm
-from abqlab.exceptions import LinearDependenceError
-from abqlab.kernels import Matern, SquaredExponential, gram
+from abqlab.exceptions import LinearDependenceError, NumericalDegradationError
+from abqlab.kernels import Matern, SquaredExponential, Wendland, gram
 from abqlab.transforms import Identity
 
 
@@ -112,3 +113,94 @@ def test_extend_is_persistent():
     n_before = state.n
     gp.extend(state, np.array([[0.99]]), 1.0)
     assert state.n == n_before
+
+
+# Property tests of the incremental paths against the dense ones. Both are
+# exact in exact arithmetic and round differently; their gap grows with the
+# condition number kappa of the jittered Gram matrix. Stated tolerance:
+# |mean gap| <= MEAN_TOL * eps * kappa * max(1, max |z - m|) and
+# |var gap| <= VAR_TOL * eps * kappa. On 900 random lattice designs the
+# observed gaps stayed below 140 and 2 in these units.
+EPS = np.finfo(float).eps
+MEAN_TOL = 1e3
+VAR_TOL = 1e2
+PROPERTY_KERNELS = (Matern(0.5, 0.3), Matern(2.5, 0.3), SquaredExponential(0.3),
+                    Wendland(1, 0.8))
+
+
+@st.composite
+def lattice_designs(draw):
+    """Up to 8 distinct points of a 16-point (1-D) or 8x8 (2-D) lattice on
+    the unit box, latent values in [-3, 3] and probe points that include
+    the design itself."""
+    dim = draw(st.sampled_from([1, 2]))
+    per_dim = 16 if dim == 1 else 8
+    cells = draw(st.lists(st.integers(0, per_dim ** dim - 1), min_size=1,
+                          max_size=8, unique=True))
+    X = np.stack(np.unravel_index(np.array(cells), (per_dim,) * dim), axis=1)
+    X = X / (per_dim - 1.0)
+    z = np.array(draw(st.lists(st.floats(-3, 3), min_size=len(cells),
+                               max_size=len(cells))))
+    axis = np.linspace(0.0, 1.0, 33 if dim == 1 else 9)
+    probe = np.stack(np.meshgrid(*[axis] * dim, indexing="ij"), -1).reshape(-1, dim)
+    return X, z, np.vstack([probe, X])
+
+
+def assert_moments_close(moments, dense_state, P, resid):
+    kappa = np.linalg.cond(dense_state.chol) ** 2
+    mean, var = gp.posterior(dense_state, P)
+    scale = max(1.0, float(np.max(np.abs(resid))))
+    assert np.allclose(moments[0], mean, rtol=0, atol=MEAN_TOL * EPS * kappa * scale)
+    assert np.allclose(moments[1], var, rtol=0, atol=VAR_TOL * EPS * kappa)
+
+
+@given(kernel=st.sampled_from(PROPERTY_KERNELS), design=lattice_designs(),
+       m=st.floats(-2, 2))
+def test_grid_posterior_matches_dense_posterior(kernel, design, m):
+    X, z, P = design
+    mean = ConstantMean(m)
+    state = gp.empty_state(kernel, mean, X.shape[1])
+    post = gp.GridPosterior(state, P)
+    assert np.array_equal(post.mean, mean(P))
+    assert np.array_equal(post.var, kernel.diag(P))
+    for k in range(1, len(X) + 1):
+        state = gp.extend(state, X[k - 1:k], z[k - 1])
+        post.update(state)
+        assert post.n == k
+        dense = gp.build_state(kernel, mean, X[:k], z[:k])
+        assert_moments_close((post.mean, post.var), dense, P, z[:k] - m)
+    # one construction on a conditioned state equals the chain of updates
+    batch = gp.GridPosterior(state, P)
+    assert np.allclose(batch.mean, post.mean, rtol=0, atol=1e-12)
+    assert np.allclose(batch.var, post.var, rtol=0, atol=1e-15)
+
+
+@given(kernel=st.sampled_from(PROPERTY_KERNELS), design=lattice_designs(),
+       m=st.floats(-2, 2))
+def test_extend_chain_equals_build_state(kernel, design, m):
+    X, z, P = design
+    mean = ConstantMean(m)
+    chain = gp.empty_state(kernel, mean, X.shape[1])
+    for xi, zi in zip(X, z):
+        chain = gp.extend(chain, xi[None, :], zi)
+    batch = gp.build_state(kernel, mean, X, z)
+    assert np.array_equal(chain.X, batch.X)
+    assert np.array_equal(chain.z, batch.z)
+    assert chain.jitter_used == batch.jitter_used
+    kappa = np.linalg.cond(batch.chol) ** 2
+    assert np.allclose(chain.chol, batch.chol, rtol=0, atol=VAR_TOL * EPS * kappa)
+    assert_moments_close(gp.posterior(chain, P), batch, P, z - m)
+
+
+def test_grid_posterior_keeps_the_floor_check():
+    state, X, _ = make_state(n=3)
+    post = gp.GridPosterior(state, X)
+    assert np.all(post.var >= 0.0)
+    # a corrupted Cholesky row drives the variance far below zero
+    chol = state.chol.copy()
+    chol[2, :2] *= 10.0
+    broken = gp.GpState(kernel=state.kernel, mean=state.mean, X=state.X,
+                        z=state.z, chol=chol, jitter_used=state.jitter_used,
+                        alpha=state.alpha)
+    with pytest.raises(NumericalDegradationError):
+        gp.GridPosterior(broken, X)

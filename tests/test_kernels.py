@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.special import gamma as gamma_fn, kv
 
-from abqlab.exceptions import DomainError
+from abqlab import kernels
+from abqlab.exceptions import DomainError, NumericalDegradationError
 from abqlab.kernels import (
     InverseMultiquadric,
     Matern,
@@ -24,6 +25,25 @@ def bessel_matern(nu, ell, r):
     pos = u > 0
     out[pos] = (2 ** (1 - nu) / gamma_fn(nu)) * u[pos] ** nu * kv(nu, u[pos])
     return out
+
+
+MATERN_CLOSED_FORMS = {
+    0.5: lambda u: np.exp(-u),
+    1.5: lambda u: (1 + u) * np.exp(-u),
+    2.5: lambda u: (1 + u + u ** 2 / 3) * np.exp(-u),
+    3.5: lambda u: (1 + u + 2 * u ** 2 / 5 + u ** 3 / 15) * np.exp(-u),
+}
+
+
+@pytest.mark.parametrize("nu", [0.5, 1.5, 2.5, 3.5])
+def test_matern_matches_closed_form(nu):
+    ell = 0.37
+    rng = np.random.default_rng(4)
+    X = rng.uniform(0, 3, size=(40, 2))
+    Y = rng.uniform(0, 3, size=(30, 2))
+    u = np.sqrt(2 * nu) * np.linalg.norm(X[:, None, :] - Y[None, :, :], axis=2) / ell
+    assert np.allclose(Matern(nu, ell).pairwise(X, Y), MATERN_CLOSED_FORMS[nu](u),
+                       rtol=1e-14, atol=0)
 
 
 def test_squared_exponential_values():
@@ -87,6 +107,18 @@ def test_chol_with_jitter_reconstructs():
     L, jitter = chol_with_jitter(K)
     assert np.allclose(L @ L.T, K + jitter * np.eye(8), atol=1e-12)
     assert jitter <= 1e-10
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_chol_with_jitter_rejects_non_finite_gram_at_once(monkeypatch, bad):
+    attempts = []
+    monkeypatch.setattr(kernels, "cholesky",
+                        lambda *args, **kw: attempts.append(args))
+    K = np.eye(3)
+    K[0, 1] = K[1, 0] = bad
+    with pytest.raises(NumericalDegradationError, match="non-finite"):
+        chol_with_jitter(K)
+    assert attempts == []
 
 
 def test_predicted_rate_forms():
