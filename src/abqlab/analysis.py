@@ -2,9 +2,11 @@
 
 Everything here recomputes quantities through paths independent of the
 engine (dense solves on the scaled Gram matrix, direct grid suprema), so
-the two code paths act as mutual oracles. Theory violations are reported
-as findings, never raised: confirming or refuting the certificates is
-the point of this module.
+the two code paths act as mutual oracles. The first i rows of L^{-1} K(X, P),
+L the Cholesky factor of a design X, are the Newton basis of X[:i] on P
+(Mueller & Schaback 2009): one solve per point set serves every prefix.
+Theory violations are reported as findings, never raised: confirming or
+refuting the certificates is the point of this module.
 """
 
 from __future__ import annotations
@@ -16,31 +18,39 @@ from scipy.linalg import solve_triangular
 from scipy.spatial.distance import cdist
 
 from . import gp, kernels
-from .domain import reference_integral, reference_integral_refined, rkhs_norm
+from .domain import quadrature_nodes, reference_integral, rkhs_norm
 from .exceptions import DomainError
 
 
 def projection_distance_sq(kernel, q, X, x):
-    """Squared RKHS distance from h_x = q(x) k(., x) to span{q(x_i) k(., x_i)}.
-
-    Computed by a dense solve on the scaled Gram matrix, independently of
-    the GP posterior-variance path it is tested against.
+    """Squared RKHS distances from h_x = q(x) k(., x) to span{q(x_j) k(., x_j)},
+    one row for each prefix X[:0], ..., X[:n] of X, from one dense solve on
+    the scaled Gram matrix of X (jittered for the whole design), independent
+    of the GP posterior-variance path it is tested against.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     qx = np.asarray(q(x), dtype=float)
     norm_sq = qx ** 2 * kernel.diag(x)
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[0] == 0:
-        return norm_sq
     qX = np.asarray(q(X), dtype=float)
     G = (qX[:, None] * qX[None, :]) * kernels.gram(kernel, X)
     L, _ = kernels.chol_with_jitter(G)
-    # in place: for a large point set x the (n, |x|) block dominates memory
-    V = kernel.pairwise(X, x)
+    # in place: for a large point set x the (n, |x|) blocks dominate memory;
+    # the transposed block is Fortran-ordered, so the solve needs no copy
+    V = kernel.pairwise(x, X).T
     V *= qX[:, None] * qx[None, :]
-    W = solve_triangular(L, V, lower=True, overwrite_b=True)
+    V = solve_triangular(L, V, lower=True, overwrite_b=True)
+    curve = _running_residual(V, norm_sq)
+    return np.maximum(curve, 0.0, out=curve)
+
+
+def _running_residual(W, norm_sq):
+    """Rows norm_sq - sum_{j < i} W_j^2, i = 0..n, squaring W in place; the
+    rows are Fortran-ordered like W, so the running sum needs no buffer."""
     W *= W
-    return np.maximum(norm_sq - np.sum(W, axis=0), 0.0)
+    curve = np.zeros((W.shape[0] + 1, W.shape[1]), order="F")
+    np.cumsum(W, axis=0, out=curve[1:])
+    return np.subtract(norm_sq, curve, out=curve)
 
 
 @dataclass
@@ -70,33 +80,28 @@ def greedy_certificate(record, kernel, q, clcu=None, tol=1e-9):
         raise DomainError("greedy certificate needs a run with at least 2 points")
     spec = record.spec
     X_all = record.design()
-    ratios = []
-    for ell in range(record.n):
-        X_ell = X_all[:ell]
-        d_grid = np.sqrt(projection_distance_sq(kernel, q, X_ell, record.cert_grid))
-        d_chosen = float(np.sqrt(
-            projection_distance_sq(kernel, q, X_ell, X_all[ell][None, :])
-        )[0])
-        sup = max(float(np.max(d_grid)), d_chosen)
-        ratios.append(d_chosen / sup if sup > 0 else 1.0)
-    ratios = np.asarray(ratios)
+    # rows 0..n-1: the designs X[:l] that each step l chose against
+    d_grid = np.sqrt(np.max(
+        projection_distance_sq(kernel, q, X_all[:-1], record.cert_grid), axis=1))
+    d_chosen = np.sqrt(np.diagonal(
+        projection_distance_sq(kernel, q, X_all[:-1], X_all)))
+    sup = np.maximum(d_grid, d_chosen)
+    ratios = np.divide(d_chosen, sup, out=np.ones_like(sup), where=sup > 0)
 
     b_min = min(record.b_min)
     b_max = max(record.b_max)
     c_hat = min(record.gamma_tilde * b_min / b_max, 1.0)
     gamma_hat = float(np.sqrt(spec.outer.psi(c_hat)))
 
-    cert = GreedyCertificate(ratios=ratios, gamma_hat=gamma_hat)
+    failures = [{"iteration": ell, "ratio": float(rho), "gamma_hat": gamma_hat}
+                for ell, rho in enumerate(ratios) if rho < gamma_hat - tol]
+    cert = GreedyCertificate(ratios=ratios, gamma_hat=gamma_hat, failures=failures)
     if clcu is not None:
         if clcu.present:
             c_theo = min(record.gamma_tilde * clcu.c_l / clcu.c_u, 1.0)
             cert.gamma_theoretical = float(np.sqrt(spec.outer.psi(c_theo)))
         else:
             cert.clcu_absent_reason = clcu.reason
-    for ell, rho in enumerate(ratios):
-        if rho < gamma_hat - tol:
-            cert.failures.append({"iteration": ell, "ratio": float(rho),
-                                  "gamma_hat": gamma_hat})
     return cert
 
 
@@ -118,27 +123,27 @@ def fill_distance(X, dom):
     return curve
 
 
-def _midpoint_design(dom, n):
-    """First n points of the nested equally-spaced (midpoint) construction."""
-    d = dom.dim
-    per_dim = int(np.ceil(n ** (1.0 / d)))
-    pts = dom.uniform_grid(per_dim, endpoint=False)
-    return pts[:n]
-
-
 def nwidth_surrogate(kernel, q, dom, n):
     """Upper bounds on the m-widths for m = 1..n, as a list of n values.
 
-    Entry m-1 is the running minimum over grid designs of sizes 1..m,
-    which keeps the curve nonincreasing; any design of at most m points
-    spans a subspace of dimension at most m, so each term is a valid bound.
-    Each term is sup q sqrt(k_X) over the domain's probe grid.
+    Entry m-1 is the running minimum over designs of sizes 1..m, which
+    keeps the curve nonincreasing; any design of at most m points spans a
+    subspace of dimension at most m, so each term is a valid bound. Each
+    term is sup q sqrt(k_X) over the domain's probe grid, X the first m
+    points of the midpoint grid with ceil(m^(1/d)) points per dim.
     """
     if n < 1:
         raise DomainError("n must be at least 1")
     grid = dom.probe_grid()
-    sups_sq = [np.max(projection_distance_sq(kernel, q, _midpoint_design(dom, m), grid))
-               for m in range(1, n + 1)]
+    per_dims = np.ceil(np.arange(1, n + 1) ** (1.0 / dom.dim)).astype(int)
+    sups_sq = np.empty(n)
+    # the designs on one grid are its prefixes, so they share one solve;
+    # largest grid first, so each later block fits where a freed one was
+    for per_dim in np.unique(per_dims)[::-1]:
+        sizes = np.flatnonzero(per_dims == per_dim) + 1
+        design = dom.uniform_grid(per_dim, endpoint=False)[:sizes[-1]]
+        curve_max = np.max(projection_distance_sq(kernel, q, design, grid), axis=1)
+        sups_sq[sizes - 1] = curve_max[sizes]
     return np.sqrt(np.minimum.accumulate(sups_sq)).tolist()
 
 
@@ -187,27 +192,49 @@ def fit_rate(e_values, model, n_values=None, n_min=5, floor=0.0):
                    r_squared=r2, n_range=(int(ns[0]), int(ns[-1])))
 
 
-def sup_qk_fine(state, q, dom, points=2048):
-    """Grid supremum of q sqrt(posterior var) plus a modulus-of-continuity slack.
+def _newton_rows(state, P):
+    """L^{-1} K(X, P) for the state's design X and Cholesky factor L."""
+    return solve_triangular(state.chol, state.kernel.pairwise(P, state.X).T,
+                            lower=True, overwrite_b=True)
 
-    The tensor grid has ceil(points^(1/d)) points per dim. Returns
-    (sup, modulus) where modulus is the largest jump between axis-adjacent
-    grid values, an honest discretization allowance.
+
+def sup_qk_fine(state, q, dom, points=2048):
+    """Grid supremum of q sqrt(posterior var) plus a modulus-of-continuity
+    slack for each prefix X[:1], ..., X[:n] of the state's design.
+
+    The tensor grid has ceil(points^(1/d)) points per dim. Returns lists
+    (sups, moduli) where a modulus is the largest jump between
+    axis-adjacent grid values, an honest discretization allowance.
     """
     per_dim = int(np.ceil(points ** (1 / dom.dim)))
     grid = dom.uniform_grid(per_dim)
-    vals = np.asarray(q(grid)) * np.sqrt(gp.posterior_var(state, grid))
-    cube = vals.reshape((per_dim,) * dom.dim)
-    modulus = 0.0
-    for axis in range(dom.dim):
-        modulus = max(modulus, float(np.max(np.abs(np.diff(cube, axis=axis)))))
-    return float(np.max(vals)), modulus
+    prior = state.kernel.diag(grid)
+    var = _running_residual(_newton_rows(state, grid), prior)[1:]
+    vals = np.asarray(q(grid)) * np.sqrt(gp.check_floor(var, prior, state.jitter_used))
+    cube = vals.reshape((state.n,) + (per_dim,) * dom.dim)
+    axes = tuple(range(1, dom.dim + 1))
+    jumps = [np.max(np.abs(np.diff(cube, axis=a)), axis=axes) for a in axes]
+    return np.max(vals, axis=1).tolist(), np.max(jumps, axis=0).tolist()
+
+
+def _plugin_curve(state, transform, pi, dom, resolution):
+    """`reference_integral` of T(posterior mean) for each prefix X[:i] of
+    the state's design, the mean being m + sum_{j < i} beta_j (L^{-1} K(X, .))_j
+    with beta = L^{-1} (z - m_X)."""
+    pts, w = quadrature_nodes(dom, resolution)
+    rows = _newton_rows(state, pts)  # first: the kernel block sets peak memory
+    beta = solve_triangular(state.chol, state.z - state.mean(state.X), lower=True)
+    dens = np.asarray(pi(pts), dtype=float)
+    mean = state.mean(pts)
+    plugs = []
+    for row, b in zip(rows, beta):
+        mean = mean + b * row
+        plugs.append(float(np.sum(w * transform.forward(mean) * dens)))
+    return plugs
 
 
 @dataclass
 class BoundReport:
-    reference: float
-    reference_error: float
     constant_transform: float
     constant_pi_over_q: float
     gnorm: float
@@ -219,8 +246,11 @@ class BoundReport:
         return not self.violations
 
 
-def error_bound_check(record, integrand, pi, q, oracle_resolution=256):
-    """Check |reference - plugin estimate| against the assembled error bound.
+def error_bound_check(record, state, integrand, pi, q, reference, ref_err,
+                      oracle_resolution=256):
+    """Check |reference - plugin estimate| after each step against the
+    assembled error bound, by solves against the run's final `state`;
+    (reference, ref_err) is `reference_integral_refined` at oracle_resolution.
 
     The right-hand side multiplies the transform's Lipschitz constant,
     the integral of pi/q, the known native norm, and a grid supremum of
@@ -228,36 +258,23 @@ def error_bound_check(record, integrand, pi, q, oracle_resolution=256):
     left side carries the quadrature oracle's self-estimate.
     """
     dom = record.domain
-    kernel = integrand.kernel
     t = integrand.transform
     gnorm = rkhs_norm(integrand)
-    k_inf = kernel.sup_diag()
+    k_inf = integrand.kernel.sup_diag()
     m_inf = float(np.max(np.abs(integrand.prior_mean(dom.probe_grid()))))
     c_t = t.lipschitz_constant(m_inf, gnorm, k_inf)
     c_piq = reference_integral(lambda P: 1.0 / np.asarray(q(P)), pi, dom,
                                min(oracle_resolution, 256))
-    reference, ref_err = reference_integral_refined(integrand, pi, dom,
-                                                    oracle_resolution)
-    report = BoundReport(reference=reference, reference_error=ref_err,
-                         constant_transform=float(c_t),
+    report = BoundReport(constant_transform=float(c_t),
                          constant_pi_over_q=float(c_piq), gnorm=gnorm)
-    state = gp.empty_state(kernel, integrand.prior_mean, dom.dim)
-    X_all = record.design()
-    for i in range(record.n):
-        x = X_all[i][None, :]
-        z = t.inverse(np.asarray(integrand(x), dtype=float))[0]
-        state = gp.extend(state, x, z)
-        sup, modulus = sup_qk_fine(state, q, dom)
-
-        def plugin(P):
-            return t.forward(gp.posterior_mean(state, P))
-
-        plug = reference_integral(plugin, pi, dom, oracle_resolution)
-        plug_fine = reference_integral(plugin, pi, dom, 2 * oracle_resolution)
+    curves = zip(*sup_qk_fine(state, q, dom),
+                 _plugin_curve(state, t, pi, dom, oracle_resolution),
+                 _plugin_curve(state, t, pi, dom, 2 * oracle_resolution))
+    for n, (sup, modulus, plug, plug_fine) in enumerate(curves, start=1):
         slack = ref_err + abs(plug_fine - plug)
         lhs = abs(reference - plug)
         rhs = c_t * c_piq * gnorm * (sup + modulus) + slack
-        row = {"n": i + 1, "lhs": lhs, "rhs": rhs, "sup_qk": sup,
+        row = {"n": n, "lhs": lhs, "rhs": rhs, "sup_qk": sup,
                "modulus": modulus, "slack": slack}
         report.rows.append(row)
         if lhs > rhs:

@@ -95,7 +95,7 @@ def posterior(state, X):
     W = solve_triangular(state.chol, Kxn.T, lower=True)
     var = prior_var - np.sum(W * W, axis=0)
     return (prior_mean + Kxn @ state.alpha,
-            _check_floor(var, prior_var, state.jitter_used))
+            check_floor(var, prior_var, state.jitter_used))
 
 
 def posterior_var(state, X):
@@ -103,11 +103,13 @@ def posterior_var(state, X):
     return posterior(state, X)[1]
 
 
-def _check_floor(var, prior_var, jitter_used):
+def check_floor(var, prior_var, jitter_used):
+    """Posterior variances clamped at 0; a value below
+    -1e-10 * max(1, |prior variance|) raises NumericalDegradationError."""
     floor = -1e-10 * np.maximum(1.0, np.abs(prior_var))
     if np.any(var < floor):
         raise NumericalDegradationError(
-            f"posterior variance {float(var.min()):g} below clamp tolerance",
+            f"posterior variance {float(np.min(var)):g} below clamp tolerance",
             jitter_used=jitter_used,
         )
     return np.maximum(var, 0.0)
@@ -160,12 +162,7 @@ class GridPosterior:
             row *= row
             self._raw_var -= row
         self.n = state.n
-        self.var = _check_floor(self._raw_var, self._prior_var, state.jitter_used)
-
-
-def dependence_threshold(state, x):
-    k_diag = float(state.kernel.diag(np.atleast_2d(x))[0])
-    return max(100.0 * state.jitter_used, 1e-12 * k_diag)
+        self.var = check_floor(self._raw_var, self._prior_var, state.jitter_used)
 
 
 def extend(state, x_new, z_new):
@@ -179,28 +176,18 @@ def extend(state, x_new, z_new):
     if x_new.shape[0] != 1:
         raise ValueError("extend takes a single point")
     k_diag = float(state.kernel.diag(x_new)[0])
-    if state.n == 0:
-        jitter = 1e-12 * abs(k_diag) if k_diag != 0 else 1e-12
-        L = np.array([[np.sqrt(k_diag + jitter)]])
-        X = x_new.copy()
-        z = np.array([float(z_new)])
-        alpha = cho_solve((L, True), z - state.mean(X))
-        return GpState(kernel=state.kernel, mean=state.mean, X=X, z=z,
-                       chol=L, jitter_used=jitter, alpha=alpha)
-
-    var = float(posterior_var(state, x_new)[0])
-    if var <= dependence_threshold(state, x_new):
+    # the first point fixes the jitter for the rest of the chain
+    jitter = state.jitter_used if state.n else (1e-12 * abs(k_diag) or 1e-12)
+    kvec = state.kernel.pairwise(state.X, x_new)[:, 0]
+    w = solve_triangular(state.chol, kvec, lower=True)
+    ww = float(w @ w)
+    var = float(check_floor(k_diag - ww, k_diag, jitter))
+    if var <= max(100.0 * state.jitter_used, 1e-12 * k_diag):
         raise LinearDependenceError(
             f"new point has posterior variance {var:g}, below the dependence "
             f"threshold; design would become numerically singular"
         )
-    kvec = state.kernel.pairwise(state.X, x_new)[:, 0]
-    w = solve_triangular(state.chol, kvec, lower=True)
-    diag_sq = k_diag + state.jitter_used - float(w @ w)
-    if diag_sq <= 0:
-        raise LinearDependenceError(
-            f"rank-1 Cholesky extension lost positivity (diag^2 = {diag_sq:g})"
-        )
+    diag_sq = k_diag + jitter - ww
     n = state.n
     L = np.zeros((n + 1, n + 1))
     L[:n, :n] = state.chol
@@ -210,4 +197,4 @@ def extend(state, x_new, z_new):
     z = np.append(state.z, float(z_new))
     alpha = cho_solve((L, True), z - state.mean(X))
     return GpState(kernel=state.kernel, mean=state.mean, X=X, z=z,
-                   chol=L, jitter_used=state.jitter_used, alpha=alpha)
+                   chol=L, jitter_used=jitter, alpha=alpha)

@@ -29,11 +29,6 @@ class Kernel:
     def diag(self, X):
         raise NotImplementedError
 
-    def __call__(self, x, y):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        y = np.atleast_2d(np.asarray(y, dtype=float))
-        return float(self.pairwise(x, y)[0, 0])
-
     # (smoothness kind, Sobolev order r or None); r may depend on d
     def smoothness(self, d):
         raise NotImplementedError

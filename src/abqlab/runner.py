@@ -78,7 +78,8 @@ def _run_single(raw, target):
     )
     fills = analysis.fill_distance(record.design(), dom) if record.n else []
     _write_trace(os.path.join(target, "trace.csv"), record, reference, fills)
-    report = build_report(raw, problem, spec, record, reference, ref_err, oracle_res)
+    report = build_report(raw, problem, spec, state, record, reference, ref_err,
+                          oracle_res)
     with open(os.path.join(target, "report.json"), "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True, default=json_default)
         fh.write("\n")
@@ -129,7 +130,7 @@ def clcu_for(problem, spec):
                             gnorm, k_inf, **kwargs)
 
 
-def build_report(raw, problem, spec, record, reference, ref_err, oracle_res):
+def build_report(raw, problem, spec, state, record, reference, ref_err, oracle_res):
     dom = problem.domain
     kernel = problem.integrand.kernel
     findings = []
@@ -172,8 +173,8 @@ def build_report(raw, problem, spec, record, reference, ref_err, oracle_res):
     bound_json = None
     if record.n:
         bound = analysis.error_bound_check(
-            record, problem.integrand, problem.pi, spec.q,
-            oracle_resolution=oracle_res,
+            record, state, problem.integrand, problem.pi, spec.q,
+            reference, ref_err, oracle_resolution=oracle_res,
         )
         margins = [row["lhs"] / row["rhs"] for row in bound.rows if row["rhs"] > 0]
         bound_json = {

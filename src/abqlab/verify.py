@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analysis, engine, gp, kernels, transforms
-from .acquisition import Expm1, Power
+from .acquisition import AcquisitionSpec, ConstantRule, Expm1, Power
 from .config import build_problem
 from .domain import (
     ConstantMean,
@@ -46,6 +46,7 @@ from .domain import (
     TruncatedGaussianDensity,
     UniformDensity,
     quadrature_nodes,
+    reference_integral_refined,
 )
 from .runner import clcu_for
 
@@ -112,7 +113,7 @@ def check_projection_identity(n_configs=200, seed=20260824):
         state = gp.build_state(kernel, lambda P: np.zeros(len(P)),
                                X, np.zeros(X.shape[0]))
         lhs = np.asarray(q(x_query)) ** 2 * gp.posterior_var(state, x_query)
-        rhs = analysis.projection_distance_sq(kernel, q, X, x_query)
+        rhs = analysis.projection_distance_sq(kernel, q, X, x_query)[-1]
         scale = np.maximum(np.asarray(q(x_query)) ** 2 * kernel.diag(x_query),
                            1e-30)
         worst = max(worst, float(np.max(np.abs(lhs - rhs) / scale)))
@@ -287,18 +288,19 @@ def _bound_problems(seed=11):
 
 
 def check_error_bound(budget=30):
-    from .acquisition import AcquisitionSpec, ConstantRule
-
     rows = []
     ok = True
     for t_kind, problem in _bound_problems():
         spec = AcquisitionSpec(outer=Power(1.0), q=UniformDensity(problem.domain),
                                b=ConstantRule(1.0), gamma_tilde=1.0)
         selector = engine.SelectorConfig(candidate_count=512, seed=0)
-        _, record = engine.run_abq(problem, spec, selector, budget,
-                                   share_candidate_grid=True)
+        state, record = engine.run_abq(problem, spec, selector, budget,
+                                       share_candidate_grid=True)
+        # at error_bound_check's default oracle resolution
+        reference, ref_err = reference_integral_refined(
+            problem.integrand, problem.pi, problem.domain, 256)
         report = analysis.error_bound_check(
-            record, problem.integrand, problem.pi, spec.q
+            record, state, problem.integrand, problem.pi, spec.q, reference, ref_err
         )
         margins = [r["lhs"] / r["rhs"] for r in report.rows if r["rhs"] > 0]
         rows.append({"transform": t_kind, "iterations": record.n,
@@ -313,8 +315,6 @@ def check_error_bound(budget=30):
 
 
 def _p_greedy_run(dom, kernel, budget, candidate_count=512):
-    from .acquisition import AcquisitionSpec, ConstantRule
-
     integrand = SyntheticIntegrand(
         centers=np.zeros((0, dom.dim)), weights=np.zeros(0),
         prior_mean=ConstantMean(0.0), kernel=kernel,
@@ -372,8 +372,7 @@ def check_moment_estimator(seed=5, n_mc=1_000_000, n_query=20):
     z = rng.normal(0.3, 0.5, size=6)
     state = gp.build_state(kernel, ConstantMean(0.2), X, z)
     queries = rng.uniform(0.0, 1.0, size=(n_query, 1))
-    mean = gp.posterior_mean(state, queries)
-    var = gp.posterior_var(state, queries)
+    mean, var = gp.posterior(state, queries)
     draws = rng.standard_normal(n_mc)
 
     worst_sigma = 0.0

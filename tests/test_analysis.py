@@ -1,13 +1,18 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.spatial.distance import cdist
 
-from abqlab import analysis, engine, gp
-from abqlab.acquisition import AcquisitionSpec, ConstantRule, Power
-from abqlab.domain import ConstantMean, Domain, SyntheticIntegrand, UniformDensity
-from abqlab.exceptions import DomainError
-from abqlab.kernels import Matern, RatePrediction, SquaredExponential
-from abqlab.transforms import Identity
+from abqlab import analysis, engine, gp, kernels
+from abqlab.acquisition import AcquisitionSpec, ConstantRule, Power, WsabiM
+from abqlab.domain import (ConstantMean, Domain, SyntheticIntegrand,
+                           TruncatedGaussianDensity, UniformDensity,
+                           reference_integral, reference_integral_refined)
+from abqlab.exceptions import DomainError, NumericalDegradationError
+from abqlab.kernels import Matern, RatePrediction, SquaredExponential, Wendland
+from abqlab.transforms import Identity, Square
 
 DOM = Domain((0.0,), (1.0,))
 Q = UniformDensity(DOM)
@@ -20,8 +25,61 @@ def test_projection_distance_equals_scaled_posterior_variance():
     xq = rng.uniform(0, 1, size=(20, 1))
     state = gp.build_state(kernel, ConstantMean(0.0), X, np.zeros(3))
     lhs = np.asarray(Q(xq)) ** 2 * gp.posterior_var(state, xq)
-    rhs = analysis.projection_distance_sq(kernel, Q, X, xq)
+    rhs = analysis.projection_distance_sq(kernel, Q, X, xq)[-1]
     assert np.allclose(lhs, rhs, atol=1e-10)
+
+
+# Row i of the curve and a dense solve on the prefix X[:i] are equal in exact
+# arithmetic. They round differently, by at most VAR_TOL * eps * kappa times
+# the largest squared norm (kappa the condition number of the prefix's
+# jittered scaled Gram matrix, as in test_gp.py). Under a non-uniform q the
+# jitter j chosen for the whole design differs from the prefix's jitter j_i,
+# which moves the distance by |j - j_i| * ||(G_i + j_i I)^{-1} v||^2 to
+# first order; the tolerance allows twice that.
+EPS = np.finfo(float).eps
+VAR_TOL = 1e2
+
+
+@st.composite
+def prefix_cases(draw):
+    """Up to 8 distinct points of a 16-point (1-D) or 8x8 (2-D) lattice, a
+    uniform or truncated-Gaussian q, and probe points that include the
+    design itself."""
+    dim = draw(st.sampled_from([1, 2]))
+    per_dim = 16 if dim == 1 else 8
+    cells = draw(st.lists(st.integers(0, per_dim ** dim - 1), min_size=1,
+                          max_size=8, unique=True))
+    X = np.stack(np.unravel_index(np.array(cells), (per_dim,) * dim), axis=1)
+    X = X / (per_dim - 1.0)
+    dom = Domain((0.0,) * dim, (1.0,) * dim)
+    q = (UniformDensity(dom) if draw(st.booleans())
+         else TruncatedGaussianDensity(dom, center=[0.3] * dim, scale=[0.4] * dim))
+    axis = np.linspace(0.0, 1.0, 33 if dim == 1 else 9)
+    probe = np.stack(np.meshgrid(*[axis] * dim, indexing="ij"), -1).reshape(-1, dim)
+    return X, q, np.vstack([probe, X])
+
+
+@given(kernel=st.sampled_from((Matern(2.5, 0.3), SquaredExponential(0.3),
+                               Wendland(1, 0.8))),
+       case=prefix_cases())
+def test_projection_distance_curve_matches_per_prefix_solves(kernel, case):
+    X, q, x = case
+    curve = analysis.projection_distance_sq(kernel, q, X, x)
+    assert curve.shape == (len(X) + 1, len(x))
+    qX, qx = q(X), q(x)
+    norm_sq = qx ** 2 * kernel.diag(x)
+    assert np.array_equal(curve[0], norm_sq)
+    G = np.outer(qX, qX) * kernels.gram(kernel, X)
+    _, jitter = kernels.chol_with_jitter(G)
+    for i in range(1, len(X) + 1):
+        _, jitter_i = kernels.chol_with_jitter(G[:i, :i])
+        G_i = G[:i, :i] + jitter_i * np.eye(i)
+        V = np.outer(qX[:i], qx) * kernel.pairwise(X[:i], x)
+        A = np.linalg.solve(G_i, V)
+        dense = np.maximum(norm_sq - np.sum(V * A, axis=0), 0.0)
+        tol = (VAR_TOL * EPS * np.linalg.cond(G_i) * np.max(norm_sq)
+               + 2.0 * abs(jitter - jitter_i) * np.sum(A * A, axis=0))
+        assert np.all(np.abs(curve[i] - dense) <= tol)
 
 
 def test_projection_distance_empty_design_is_norm():
@@ -42,13 +100,13 @@ def _p_greedy_record(budget=10, kernel=None):
     spec = AcquisitionSpec(outer=Power(1.0), q=Q, b=ConstantRule(1.0),
                            gamma_tilde=1.0)
     cfg = engine.SelectorConfig(candidate_count=128, seed=0)
-    _, rec = engine.run_abq(problem, spec, cfg, budget,
-                            share_candidate_grid=True)
-    return rec, problem, spec
+    state, rec = engine.run_abq(problem, spec, cfg, budget,
+                                share_candidate_grid=True)
+    return rec, problem, spec, state
 
 
 def test_greedy_certificate_exact_argmax_ratio_one():
-    rec, problem, spec = _p_greedy_record()
+    rec, problem, spec, _ = _p_greedy_record()
     cert = analysis.greedy_certificate(rec, problem.integrand.kernel, spec.q)
     assert cert.ok
     assert np.min(cert.ratios) >= 1.0 - 1e-9
@@ -56,7 +114,7 @@ def test_greedy_certificate_exact_argmax_ratio_one():
 
 
 def test_greedy_certificate_needs_two_points():
-    rec, problem, spec = _p_greedy_record(budget=1)
+    rec, problem, spec, _ = _p_greedy_record(budget=1)
     with pytest.raises(DomainError):
         analysis.greedy_certificate(rec, problem.integrand.kernel, spec.q)
 
@@ -90,6 +148,19 @@ def test_nwidth_surrogate_nonincreasing():
         analysis.nwidth_surrogate(kernel, Q, DOM, 0)
 
 
+def test_nwidth_surrogate_shares_one_solve_per_grid():
+    # in d=2 the designs of sizes 5..9 are prefixes of one 3x3 midpoint grid
+    dom = Domain((0.0, 0.0), (1.0, 1.0))
+    kernel, q, grid = Matern(2.5, 0.3), UniformDensity(dom), dom.probe_grid()
+    per_design = []
+    for m in range(1, 11):
+        design = dom.uniform_grid(int(np.ceil(np.sqrt(m))), endpoint=False)[:m]
+        curve = analysis.projection_distance_sq(kernel, q, design, grid)
+        per_design.append(np.sqrt(np.max(curve[-1])))
+    assert np.allclose(analysis.nwidth_surrogate(kernel, q, dom, 10),
+                       np.minimum.accumulate(per_design), rtol=1e-12, atol=0.0)
+
+
 def test_fit_rate_recovers_exact_exponential_series():
     n = np.arange(1, 40)
     e = 3.0 * np.exp(-0.7 * n)
@@ -117,18 +188,117 @@ def test_fit_rate_truncates_at_floor_and_guards_length():
 
 
 def test_error_bound_holds_on_small_run():
-    rec, problem, spec = _p_greedy_record(budget=8)
-    report = analysis.error_bound_check(rec, problem.integrand, problem.pi,
-                                        spec.q)
+    rec, problem, spec, state = _p_greedy_record(budget=8)
+    reference, ref_err = reference_integral_refined(problem.integrand, problem.pi,
+                                                    DOM, 256)
+    report = analysis.error_bound_check(rec, state, problem.integrand, problem.pi,
+                                        spec.q, reference, ref_err)
     assert report.ok
     assert len(report.rows) == rec.n
     assert report.constant_transform == 1.0
 
 
+def square_warp_problem():
+    square = Square(alpha=2.0)
+    integrand = SyntheticIntegrand(
+        centers=np.array([[0.3], [0.7]]), weights=np.array([0.6, -0.4]),
+        prior_mean=ConstantMean(5.0), kernel=Matern(1.5, 0.25), transform=square,
+    )
+    pi = TruncatedGaussianDensity(DOM, center=[0.4], scale=[0.3])
+    problem = engine.Problem(integrand=integrand, pi=pi, domain=DOM,
+                             transform=square)
+    spec = AcquisitionSpec(outer=Power(1.0), q=Q, b=WsabiM(), gamma_tilde=1.0)
+    return problem, spec
+
+
+def bound_check_inputs(budget=8, oracle=64):
+    problem, spec = square_warp_problem()
+    cfg = engine.SelectorConfig(candidate_count=64, seed=0)
+    state, rec = engine.run_abq(problem, spec, cfg, budget, oracle_resolution=oracle,
+                                share_candidate_grid=True)
+    assert rec.n == budget
+    reference, ref_err = reference_integral_refined(problem.integrand, problem.pi,
+                                                    DOM, oracle)
+    return problem, spec, state, rec, reference, ref_err
+
+
+def test_error_bound_rows_match_a_dense_replay():
+    problem, spec, state, rec, reference, ref_err = bound_check_inputs()
+    report = analysis.error_bound_check(rec, state, problem.integrand, problem.pi,
+                                        spec.q, reference, ref_err,
+                                        oracle_resolution=64)
+    assert report.ok
+    grid = DOM.uniform_grid(2048)  # sup_qk_fine's default grid in d=1
+    t = problem.transform
+    const = report.constant_transform * report.constant_pi_over_q * report.gnorm
+    replay = gp.empty_state(state.kernel, state.mean, 1)
+    for row, x, z in zip(report.rows, state.X, state.z, strict=True):
+        replay = gp.extend(replay, x[None, :], z)
+        vals = spec.q(grid) * np.sqrt(gp.posterior(replay, grid)[1])
+        sup, modulus = np.max(vals), np.max(np.abs(np.diff(vals)))
+
+        def plugin(P):
+            return t.forward(gp.posterior(replay, P)[0])
+
+        plug = reference_integral(plugin, problem.pi, DOM, 64)
+        slack = ref_err + abs(reference_integral(plugin, problem.pi, DOM, 128) - plug)
+        expected = {"n": replay.n, "lhs": abs(reference - plug),
+                    "rhs": const * (sup + modulus) + slack, "sup_qk": sup,
+                    "modulus": modulus, "slack": slack}
+        assert row.keys() == expected.keys()
+        # lhs and slack are differences of integrals of size |reference|,
+        # so their rounding is relative to that size
+        assert np.allclose([row[k] for k in expected], list(expected.values()),
+                           rtol=1e-12, atol=1e-12 * abs(reference))
+
+
+def test_report_checks_read_the_run_instead_of_replaying_it(monkeypatch):
+    problem, spec, state, rec, reference, ref_err = bound_check_inputs()
+    short = bound_check_inputs(budget=4)[3]
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(SyntheticIntegrand, "__call__",
+                        counting("integrand", SyntheticIntegrand.__call__))
+    monkeypatch.setattr(gp, "extend", counting("extend", gp.extend))
+    monkeypatch.setattr(kernels, "chol_with_jitter",
+                        counting("chol", kernels.chol_with_jitter))
+    analysis.error_bound_check(rec, state, problem.integrand, problem.pi, spec.q,
+                               reference, ref_err, oracle_resolution=64)
+    assert calls["integrand"] == 0
+    assert calls["extend"] == 0
+    # one factorization for the certificate grid and one for the design,
+    # whatever the number of steps
+    chols = []
+    for record in (short, rec):
+        calls.clear()
+        analysis.greedy_certificate(record, problem.integrand.kernel, spec.q)
+        chols.append(calls["chol"])
+    assert chols == [2, 2]
+
+
+def test_sup_qk_fine_keeps_the_floor_check():
+    state = bound_check_inputs(budget=3)[2]
+    # a corrupted Cholesky row drives the variance far below zero
+    chol = state.chol.copy()
+    chol[2, :2] *= 10.0
+    broken = gp.GpState(kernel=state.kernel, mean=state.mean, X=state.X,
+                        z=state.z, chol=chol, jitter_used=state.jitter_used,
+                        alpha=state.alpha)
+    with pytest.raises(NumericalDegradationError):
+        analysis.sup_qk_fine(broken, Q, DOM)
+
+
 def test_sup_qk_fine_reports_modulus():
-    rec, problem, spec = _p_greedy_record(budget=4)
+    rec, problem, spec, _ = _p_greedy_record(budget=4)
     state = gp.build_state(problem.integrand.kernel, ConstantMean(0.0),
                            rec.design(), np.zeros(rec.n))
-    sup, modulus = analysis.sup_qk_fine(state, spec.q, DOM, points=512)
+    sups, moduli = analysis.sup_qk_fine(state, spec.q, DOM, points=512)
+    sup, modulus = sups[-1], moduli[-1]
     assert sup > 0
     assert 0 <= modulus < sup

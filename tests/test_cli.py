@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from abqlab import cli, runner
+from abqlab import analysis, cli, domain, runner
 from abqlab.config import build_problem, expand_matrix, load_config, validate_config
 from abqlab.domain import Domain, SyntheticIntegrand
 from abqlab.exceptions import ConfigError
@@ -172,6 +172,22 @@ def test_d3_run_keeps_every_tensor_grid_small(tmp_path, monkeypatch):
     report = json.loads((tmp_path / "d3" / "report.json").read_text())
     assert report["iterations"] == 3
     assert report["error_bound"]["ok"]
+
+
+def test_cli_run_computes_the_reference_integral_once(tmp_path, monkeypatch):
+    original = domain.reference_integral_refined
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (domain, runner, analysis):
+        if getattr(module, "reference_integral_refined", None) is original:
+            monkeypatch.setattr(module, "reference_integral_refined", counting)
+    path = write_config(tmp_path, MINIMAL)
+    assert cli.main(["run", path, "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
 
 
 def test_cli_run_requires_output_dir(tmp_path):

@@ -246,8 +246,8 @@ def test_run_abq_computes_each_posterior_once(monkeypatch, shared):
     sets = 2 if shared else 3
     assert list(built.values()) == [1] * sets
     assert sorted(updates.values()) == [1] * (sets * (rec.n + 1))
-    # the only dense solves are extend's one-point dependence checks
-    assert dense == [1] * (rec.n - 1)
+    # and no dense solve
+    assert dense == []
 
 
 def test_random_candidate_pool_gets_one_dense_posterior_per_step(monkeypatch):
@@ -259,7 +259,7 @@ def test_random_candidate_pool_gets_one_dense_posterior_per_step(monkeypatch):
                             oracle_resolution=64)
     assert rec.n == 8
     assert list(built.values()) == [1, 1]  # grid and oracle nodes
-    assert sorted(dense) == [1] * (rec.n - 1) + [64] * rec.n
+    assert dense == [64] * rec.n
 
 
 def test_vbmc_density_runs_once_per_step_on_the_grid():

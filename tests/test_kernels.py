@@ -48,8 +48,8 @@ def test_matern_matches_closed_form(nu):
 
 def test_squared_exponential_values():
     k = SquaredExponential(gamma=0.5)
-    assert k(np.array([0.3]), np.array([0.3])) == pytest.approx(1.0)
-    assert k(np.array([0.0]), np.array([0.5])) == pytest.approx(np.exp(-1.0))
+    assert k.pairwise([[0.3]], [[0.3]])[0, 0] == pytest.approx(1.0)
+    assert k.pairwise([[0.0]], [[0.5]])[0, 0] == pytest.approx(np.exp(-1.0))
 
 
 @pytest.mark.parametrize("nu", [0.5, 1.5, 2.5, 3.5])
@@ -78,9 +78,9 @@ def test_kernels_positive_definite_on_distinct_points():
 
 def test_wendland_compact_support_and_values():
     k = Wendland(smoothness_index=1, radius=0.5)
-    assert k(np.array([0.0]), np.array([0.6])) == 0.0
+    assert k.pairwise([[0.0]], [[0.6]])[0, 0] == 0.0
     # t = 1 - r = 0.5, value = t^4 (4 r + 1) = 0.0625 * 3
-    assert k(np.array([0.0]), np.array([0.25])) == pytest.approx(0.1875)
+    assert k.pairwise([[0.0]], [[0.25]])[0, 0] == pytest.approx(0.1875)
     with pytest.raises(ValueError):
         Wendland(smoothness_index=3)
 
@@ -88,7 +88,7 @@ def test_wendland_compact_support_and_values():
 def test_multiquadric_sign_convention():
     k = Multiquadric(beta=0.5, c=1.0)
     assert k.sign == -1.0
-    assert k(np.array([0.0]), np.array([0.0])) == pytest.approx(-1.0)
+    assert k.pairwise([[0.0]], [[0.0]])[0, 0] == pytest.approx(-1.0)
     with pytest.raises(ValueError):
         Multiquadric(beta=2.0)  # integer exponent
 
