@@ -15,15 +15,13 @@ from .domain import (
 from .kernels import (
     SquaredExponential,
     Matern,
-    Multiquadric,
     InverseMultiquadric,
     Wendland,
     gram,
     predicted_rate,
     RatePrediction,
 )
-from .gp import (GpState, empty_state, build_state, posterior, posterior_mean,
-                 posterior_var, extend)
+from .gp import GpState, empty_state, build_state, posterior, extend
 from .transforms import Identity, Square, Exponential
 from .acquisition import (
     Power,

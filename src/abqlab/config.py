@@ -55,7 +55,6 @@ CONFIG_SCHEMA = {
                     "enum": [
                         "squared-exponential",
                         "matern",
-                        "multiquadric",
                         "inverse-multiquadric",
                         "wendland",
                     ]
@@ -223,8 +222,6 @@ def build_kernel(raw):
         return kernels.SquaredExponential(spec.get("gamma", 1.0))
     if family == "matern":
         return kernels.Matern(spec.get("nu", 1.5), spec.get("ell", 1.0))
-    if family == "multiquadric":
-        return kernels.Multiquadric(spec.get("beta", 0.5), spec.get("c", 1.0))
     if family == "inverse-multiquadric":
         return kernels.InverseMultiquadric(spec.get("beta", 0.5), spec.get("c", 1.0))
     return kernels.Wendland(spec.get("smoothness_index", 1), spec.get("radius", 1.0))

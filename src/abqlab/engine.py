@@ -1,13 +1,12 @@
 """The sequential quadrature loop: select, evaluate, condition, estimate.
 
-`run_abq` is the one place that computes posterior moments. It keeps one
-`gp.GridPosterior` per fixed point set: the certificate grid, the
-candidate pool (when it is fixed and not the grid) and the estimators'
-quadrature nodes. Each step adds one Newton-basis row to each, O(|P| n)
-instead of a dense O(|P| n^2) solve; the moments match the dense
-`gp.posterior` to rounding (see `gp`). Dense solves
-remain for the one-point refinement trials and for random candidate
-pools, which change every step. The grid moments after step l give
+`run_abq` is the one place that computes posterior moments, each from a
+`gp.GridPosterior`. The certificate grid, a fixed candidate pool (unless
+it is the grid itself) and the estimators' quadrature nodes keep one
+posterior each for the whole run; each step adds one Newton-basis row to
+each, O(|P| n) instead of a dense O(|P| n^2) solve. A random candidate
+pool changes every step and gets a fresh posterior, as does each
+one-point refinement trial. The grid moments after step l give
 sup q sqrt(k) for step l and the b range and grid maximum for step l+1;
 acquisition rules and estimators take moments as inputs.
 
@@ -208,15 +207,13 @@ def run_abq(problem, spec, cfg, n, cert_grid_size=None, oracle_resolution=256,
     dom = problem.domain
     t = problem.transform
     rng = np.random.default_rng(cfg.seed)
-    fixed_candidates = None
-    if cfg.candidate_scheme in ("uniform-grid", "low-discrepancy"):
-        fixed_candidates = candidate_pool(dom, cfg)
+    fixed_pool = cfg.candidate_scheme != "uniform-random"
     if share_candidate_grid:
-        if fixed_candidates is None:
+        if not fixed_pool:
             raise DomainError(
                 "share_candidate_grid needs a deterministic candidate scheme"
             )
-        cert_grid = fixed_candidates
+        cert_grid = candidate_pool(dom, cfg)
     else:
         cert_grid = certificate_grid(dom, cert_grid_size)
 
@@ -224,9 +221,9 @@ def run_abq(problem, spec, cfg, n, cert_grid_size=None, oracle_resolution=256,
                            dim=dom.dim)
     grid_post = gp.GridPosterior(state, cert_grid)
     posts = [grid_post]
-    cand_post = None
-    if fixed_candidates is not None and fixed_candidates is not cert_grid:
-        cand_post = gp.GridPosterior(state, fixed_candidates)
+    cand_post = grid_post
+    if fixed_pool and not share_candidate_grid:
+        cand_post = gp.GridPosterior(state, candidate_pool(dom, cfg))
         posts.append(cand_post)
     nodes, w = quadrature_nodes(dom, oracle_resolution)
     dens = problem.pi(nodes)
@@ -241,17 +238,12 @@ def run_abq(problem, spec, cfg, n, cert_grid_size=None, oracle_resolution=256,
     for ell in range(n):
         a_grid, clamps, b_grid = spec.evaluate(cert_grid, grid_post.mean,
                                                grid_post.var, ell)
-        if fixed_candidates is None:
-            candidates = candidate_pool(dom, cfg, rng)
-            a_cand, clamps, _ = spec.evaluate(
-                candidates, *gp.posterior(state, candidates), ell
-            )
-        elif cand_post is not None:
-            candidates = fixed_candidates
+        if not fixed_pool:
+            cand_post = gp.GridPosterior(state, candidate_pool(dom, cfg, rng))
+        candidates, a_cand = cand_post.P, a_grid
+        if cand_post is not grid_post:
             a_cand, clamps, _ = spec.evaluate(candidates, cand_post.mean,
                                               cand_post.var, ell)
-        else:
-            candidates, a_cand = cert_grid, a_grid
         a_grid_max = float(np.max(a_grid))
         exclude = set()
         while True:

@@ -4,13 +4,15 @@ States are persistent: `extend` returns a fresh state backed by a rank-1
 Cholesky extension, leaving the original untouched, so the sequential
 loop (and its tests) can backtrack freely.
 
-Two paths give the posterior moments. `posterior` solves densely against
-all n design points, O(|P| n^2) on a point set P. `GridPosterior` keeps
-the Newton-basis rows V = L^{-1} K(X, P) of one fixed point set and adds
-one row per design point, O(|P| n) per step (Mueller & Schaback 2009).
-The two agree to rounding. On the benchmark's d=2 and d=3 runs the
-means differ by at most 1e-14 and the variances by 2e-15; the gap grows
-with the Gram condition number, and tests/test_gp.py states the bound.
+A state carries the Cholesky factor L of its jittered Gram matrix and
+the whitened residual beta = L^{-1} (z - m_X). `GridPosterior` is the one
+place that computes posterior moments: on a point set P it holds the
+Newton-basis rows V = L^{-1} K(X, P), the mean m(P) + V^T beta and the
+variance k(P, P) - sum_i V_i^2 (Mueller & Schaback 2009). It is built
+from one kernel block and one triangular solve, and `update` adds one
+row per new design point, O(|P| n) per step. `posterior` is the one-shot
+form. Built and updated rows agree to rounding; the gap grows with the
+Gram condition number, and tests/test_gp.py states the bound.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
 
 from . import kernels
 from .exceptions import LinearDependenceError, NumericalDegradationError
@@ -30,9 +32,9 @@ class GpState:
     mean: object
     X: np.ndarray  # (n, d) design points
     z: np.ndarray  # (n,) latent observations g(x_i)
-    chol: np.ndarray  # lower Cholesky factor of K_n + jitter*I
+    chol: np.ndarray  # lower Cholesky factor L of K_n + jitter*I
     jitter_used: float
-    alpha: np.ndarray  # (K_n + jitter I)^{-1} (z - m_n), cached
+    beta: np.ndarray  # L^{-1} (z - m_n), the whitened residual
 
     @property
     def n(self):
@@ -51,7 +53,7 @@ def empty_state(kernel, mean, dim):
         z=np.zeros(0),
         chol=np.zeros((0, 0)),
         jitter_used=0.0,
-        alpha=np.zeros(0),
+        beta=np.zeros(0),
     )
 
 
@@ -65,42 +67,15 @@ def build_state(kernel, mean, X, z):
         return empty_state(kernel, mean, X.shape[1] if X.ndim == 2 else 1)
     K = kernels.gram(kernel, X)
     L, jitter = kernels.chol_with_jitter(K)
-    alpha = cho_solve((L, True), z - mean(X))
+    beta = solve_triangular(L, z - mean(X), lower=True)
     return GpState(kernel=kernel, mean=mean, X=X, z=z, chol=L,
-                   jitter_used=jitter, alpha=alpha)
-
-
-def posterior_mean(state, X):
-    """Posterior mean m(x) + k_n(x)^T K_n^{-1} (z - m_n), vectorized over X."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    prior = state.mean(X)
-    if state.n == 0:
-        return prior
-    Kxn = state.kernel.pairwise(X, state.X)
-    return prior + Kxn @ state.alpha
+                   jitter_used=jitter, beta=beta)
 
 
 def posterior(state, X):
-    """(mean, variance) over X from one kernel block and one triangular solve.
-
-    The variance k(x,x) - k_n(x)^T K_n^{-1} k_n(x) is clamped at 0, and a
-    value below the clamp tolerance raises NumericalDegradationError.
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    prior_mean = state.mean(X)
-    prior_var = state.kernel.diag(X)
-    if state.n == 0:
-        return prior_mean, prior_var
-    Kxn = state.kernel.pairwise(X, state.X)
-    W = solve_triangular(state.chol, Kxn.T, lower=True)
-    var = prior_var - np.sum(W * W, axis=0)
-    return (prior_mean + Kxn @ state.alpha,
-            check_floor(var, prior_var, state.jitter_used))
-
-
-def posterior_var(state, X):
-    """Posterior variance alone; see `posterior`."""
-    return posterior(state, X)[1]
+    """(mean, variance) over X: the moments of a one-shot `GridPosterior`."""
+    post = GridPosterior(state, X)
+    return post.mean, post.var
 
 
 def check_floor(var, prior_var, jitter_used):
@@ -116,25 +91,23 @@ def check_floor(var, prior_var, jitter_used):
 
 
 class GridPosterior:
-    """Posterior moments on a fixed point set P, updated point by point.
+    """Posterior moments on a point set P, built once and updated point by point.
 
-    Holds the rows V = L^{-1} K(X, P), the whitened residual
-    beta = L^{-1} (z - m_X), the mean m(P) + V^T beta and the variance
-    k(P, P) - sum_i V_i^2. `update` adds one row per new design point from
-    one kernel row and one product with the new Cholesky row. `mean` and
-    `var` carry `posterior`'s clamp and its floor check.
+    Holds the rows V = L^{-1} K(X, P), the mean m(P) + V^T beta and the
+    variance k(P, P) - sum_i V_i^2, clamped at 0 with `check_floor`.
+    `update` adds one row per new design point from one kernel row and
+    one product with the new Cholesky row.
     """
 
     def __init__(self, state, P):
         self.P = np.atleast_2d(np.asarray(P, dtype=float))
-        self.n = 0
+        self.n = state.n
         self._prior_var = state.kernel.diag(self.P)
-        self._raw_var = self._prior_var.copy()
-        self._rows = np.empty((0, self.P.shape[0]))
-        self._beta = np.empty(0)
-        self.mean = state.mean(self.P)
-        self.var = self._prior_var
-        self.update(state)
+        self._rows = solve_triangular(
+            state.chol, state.kernel.pairwise(self.P, state.X).T, lower=True)
+        self._raw_var = self._prior_var - np.sum(self._rows * self._rows, axis=0)
+        self.mean = state.mean(self.P) + self._rows.T @ state.beta
+        self.var = check_floor(self._raw_var, self._prior_var, state.jitter_used)
 
     def update(self, state):
         """Condition on the design points of `state` past the first `n`.
@@ -149,16 +122,11 @@ class GridPosterior:
                 grown = np.empty((max(8, 2 * i), self.P.shape[0]))
                 grown[:i] = self._rows[:i]
                 self._rows = grown
-                self._beta = np.resize(self._beta, grown.shape[0])
-            x = state.X[i:i + 1]
-            l_row, pivot = state.chol[i, :i], state.chol[i, i]
-            row = state.kernel.pairwise(x, self.P)[0]
-            row -= l_row @ self._rows[:i]
-            row /= pivot
-            resid = state.z[i] - state.mean(x)[0] - l_row @ self._beta[:i]
+            row = state.kernel.pairwise(state.X[i:i + 1], self.P)[0]
+            row -= state.chol[i, :i] @ self._rows[:i]
+            row /= state.chol[i, i]
             self._rows[i] = row
-            self._beta[i] = resid / pivot
-            self.mean = self.mean + self._beta[i] * row
+            self.mean = self.mean + state.beta[i] * row
             row *= row
             self._raw_var -= row
         self.n = state.n
@@ -193,8 +161,9 @@ def extend(state, x_new, z_new):
     L[:n, :n] = state.chol
     L[n, :n] = w
     L[n, n] = np.sqrt(diag_sq)
-    X = np.vstack([state.X, x_new])
-    z = np.append(state.z, float(z_new))
-    alpha = cho_solve((L, True), z - state.mean(X))
-    return GpState(kernel=state.kernel, mean=state.mean, X=X, z=z,
-                   chol=L, jitter_used=jitter, alpha=alpha)
+    z_new = float(z_new)
+    resid = z_new - state.mean(x_new)[0] - L[n, :n] @ state.beta
+    return GpState(kernel=state.kernel, mean=state.mean,
+                   X=np.vstack([state.X, x_new]), z=np.append(state.z, z_new),
+                   chol=L, jitter_used=jitter,
+                   beta=np.append(state.beta, resid / L[n, n]))

@@ -1,7 +1,7 @@
 """Covariance kernels with smoothness metadata.
 
 Each kernel knows whether its native space has infinite smoothness
-(square-exponential, multiquadric families) or a finite Sobolev order r
+(square-exponential, inverse multiquadric) or a finite Sobolev order r
 (Matern with half-integer nu, Wendland), which drives the predicted decay
 of the worst-case error: exp(-D n^(1/d)) versus n^(-r/d + 1/2).
 """
@@ -109,42 +109,6 @@ class Matern(Kernel):
 
     def sup_diag(self):
         return 1.0
-
-
-@dataclass(frozen=True)
-class Multiquadric(Kernel):
-    """k(x, y) = (-1)^ceil(beta) (c^2 + ||x-y||^2)^beta, beta > 0 not an integer.
-
-    Only conditionally positive definite; Gram factorizations may need
-    heavy jitter and are surfaced through the jitter record rather than
-    hidden.
-    """
-
-    beta: float = 0.5
-    c: float = 1.0
-
-    def __post_init__(self):
-        if self.beta <= 0 or float(self.beta).is_integer():
-            raise ValueError("beta must be positive and not an integer")
-        if self.c <= 0:
-            raise ValueError("c must be positive")
-
-    @property
-    def sign(self):
-        return (-1.0) ** math.ceil(self.beta)
-
-    def pairwise(self, X, Y):
-        D2 = cdist(np.atleast_2d(X), np.atleast_2d(Y), "sqeuclidean")
-        return self.sign * (self.c ** 2 + D2) ** self.beta
-
-    def diag(self, X):
-        return np.full(np.atleast_2d(X).shape[0], self.sign * self.c ** (2 * self.beta))
-
-    def smoothness(self, d):
-        return ("infinite", None)
-
-    def sup_diag(self):
-        return abs(self.c ** (2 * self.beta))
 
 
 @dataclass(frozen=True)

@@ -36,27 +36,23 @@ def run_experiment(raw, out_dir, seed=None, grid=None):
         raw = {**raw, "seed": int(seed)}
     if grid is not None:
         raw = {**raw, "grids": {**raw.get("grids", {}), "certificate": int(grid)}}
-    jobs = []
+    flats, targets = [], []
     for tag, flat in expand_matrix(raw):
         target = os.path.join(out_dir, tag) if tag else out_dir
         os.makedirs(target, exist_ok=True)
-        jobs.append((flat, target))
+        flats.append(flat)
+        targets.append(target)
     width = int(os.environ.get("ABQ_LAB_THREADS", "1"))
-    if width > 1 and len(jobs) > 1:
+    if width > 1 and len(flats) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         # each combo writes only to its own directory, so order is immaterial
-        with ProcessPoolExecutor(max_workers=min(width, len(jobs))) as pool:
-            list(pool.map(_run_single_job, jobs))
+        with ProcessPoolExecutor(max_workers=min(width, len(flats))) as pool:
+            list(pool.map(_run_single, flats, targets))
     else:
-        for job in jobs:
-            _run_single_job(job)
-    return [target for _, target in jobs]
-
-
-def _run_single_job(job):
-    flat, target = job
-    _run_single(flat, target)
+        for flat, target in zip(flats, targets):
+            _run_single(flat, target)
+    return targets
 
 
 def _run_single(raw, target):
@@ -83,7 +79,6 @@ def _run_single(raw, target):
     with open(os.path.join(target, "report.json"), "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True, default=json_default)
         fh.write("\n")
-    return record, report
 
 
 def _write_trace(path, record, reference, fills):

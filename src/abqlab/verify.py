@@ -112,7 +112,7 @@ def check_projection_identity(n_configs=200, seed=20260824):
         dom, kernel, q, X, x_query = _random_config(rng)
         state = gp.build_state(kernel, lambda P: np.zeros(len(P)),
                                X, np.zeros(X.shape[0]))
-        lhs = np.asarray(q(x_query)) ** 2 * gp.posterior_var(state, x_query)
+        lhs = np.asarray(q(x_query)) ** 2 * gp.posterior(state, x_query)[1]
         rhs = analysis.projection_distance_sq(kernel, q, X, x_query)[-1]
         scale = np.maximum(np.asarray(q(x_query)) ** 2 * kernel.diag(x_query),
                            1e-30)

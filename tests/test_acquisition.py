@@ -73,17 +73,16 @@ def test_constant_rule_reduces_to_uncertainty_sampling():
     spec = AcquisitionSpec(outer=Power(1.0), q=Q, b=ConstantRule(2.0),
                            gamma_tilde=1.0)
     grid = DOM.uniform_grid(101)
-    a, _, _ = spec.evaluate(grid, *gp.posterior(state, grid), ell=0)
-    var = gp.posterior_var(state, grid)
+    mean, var = gp.posterior(state, grid)
+    a, _, _ = spec.evaluate(grid, mean, var, ell=0)
     assert np.argmax(a) == np.argmax(np.asarray(Q(grid)) ** 2 * var)
 
 
 def test_rule_values_match_definitions():
     state = make_state(mean_value=2.0)
     X = np.array([[0.5]])
-    m = gp.posterior_mean(state, X)[0]
-    v = gp.posterior_var(state, X)[0]
     moments = gp.posterior(state, X)
+    m, v = moments[0][0], moments[1][0]
     assert WsabiL().evaluate(X, *moments, 0)[0] == pytest.approx(m ** 2)
     assert WsabiM().evaluate(X, *moments, 0)[0] == pytest.approx(0.5 * v + m ** 2)
     assert Mmlt().evaluate(X, *moments, 0)[0] == pytest.approx(np.exp(v + 2 * m))

@@ -24,7 +24,7 @@ def test_projection_distance_equals_scaled_posterior_variance():
     X = np.array([[0.15], [0.4], [0.8]])
     xq = rng.uniform(0, 1, size=(20, 1))
     state = gp.build_state(kernel, ConstantMean(0.0), X, np.zeros(3))
-    lhs = np.asarray(Q(xq)) ** 2 * gp.posterior_var(state, xq)
+    lhs = np.asarray(Q(xq)) ** 2 * gp.posterior(state, xq)[1]
     rhs = analysis.projection_distance_sq(kernel, Q, X, xq)[-1]
     assert np.allclose(lhs, rhs, atol=1e-10)
 
@@ -289,7 +289,7 @@ def test_sup_qk_fine_keeps_the_floor_check():
     chol[2, :2] *= 10.0
     broken = gp.GpState(kernel=state.kernel, mean=state.mean, X=state.X,
                         z=state.z, chol=chol, jitter_used=state.jitter_used,
-                        alpha=state.alpha)
+                        beta=state.beta)
     with pytest.raises(NumericalDegradationError):
         analysis.sup_qk_fine(broken, Q, DOM)
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -135,6 +139,15 @@ def test_cli_exit_code_2_on_bad_config(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_cli_exit_code_2_on_multiquadric_kernel(tmp_path, capsys):
+    # conditionally positive definite with a negative diagonal: no covariance
+    raw = json.loads(json.dumps(MINIMAL))
+    raw["kernel"] = {"family": "multiquadric", "beta": 0.5, "c": 1.0}
+    cfg = write_config(tmp_path, raw)
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "kernel/family" in capsys.readouterr().err
+
+
 def test_cli_exit_code_3_on_non_finite_integrand(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(SyntheticIntegrand, "__call__",
                         lambda self, X: np.full(len(X), np.nan))
@@ -222,3 +235,26 @@ def test_cli_rates_rejects_foreign_csv(tmp_path):
     path = tmp_path / "foreign.csv"
     path.write_text("a,b\n1,2\n")
     assert cli.main(["rates", str(path)]) == 2
+
+
+def test_run_artifacts_identical_across_blas_threads(tmp_path):
+    raw = json.loads(json.dumps(MINIMAL))
+    raw["domain"] = {"lower": [0.0, 0.0], "upper": [1.0, 1.0]}
+    raw["kernel"] = {"family": "matern", "nu": 2.5, "ell": 0.3}
+    raw["mean"] = {"kind": "constant", "value": 5.0}
+    raw["transform"] = {"kind": "square", "alpha": 2.0}
+    raw["acquisition"]["b"] = {"kind": "wsabi_m"}
+    raw["budget"] = 12
+    raw["grids"] = {"oracle": 32}
+    cfg = write_config(tmp_path, raw)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    artifacts = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-m", "abqlab.cli", "run", cfg,
+                        "--out", str(out)], env=env, check=True,
+                       capture_output=True)
+        artifacts.append([(out / name).read_bytes()
+                          for name in ("trace.csv", "report.json")])
+    assert artifacts[0] == artifacts[1]

@@ -174,8 +174,8 @@ def wsabi_m_problem():
     return problem, spec
 
 
-# The engine's moments come from gp.GridPosterior, the replay from the
-# dense gp.posterior; they agree to rounding, not bit for bit.
+# The engine's moments come from posteriors updated row by row, the replay
+# from one built afresh on each state; they agree to rounding, not bit for bit.
 REPLAY_RTOL = 1e-12
 REPLAY_ATOL = 1e-12
 
@@ -191,14 +191,13 @@ def test_record_replays_from_its_design():
     pts, w = quadrature_nodes(DOM, 64)
     state = gp.empty_state(problem.model_kernel(), problem.model_mean(), 1)
     for ell, x in enumerate(rec.design()):
-        b = spec.eval_b(grid, gp.posterior_mean(state, grid),
-                        gp.posterior_var(state, grid), ell)
+        b = spec.eval_b(grid, *gp.posterior(state, grid), ell)
         assert np.allclose([b.min(), b.max()], [rec.b_min[ell], rec.b_max[ell]],
                            rtol=REPLAY_RTOL, atol=REPLAY_ATOL)
         z = t.inverse(np.asarray(problem.integrand(x[None, :]), dtype=float))[0]
         state = gp.extend(state, x, z)
-        sup = np.max(spec.q(grid) * np.sqrt(gp.posterior_var(state, grid)))
-        mean, var = gp.posterior_mean(state, pts), gp.posterior_var(state, pts)
+        sup = np.max(spec.q(grid) * np.sqrt(gp.posterior(state, grid)[1]))
+        mean, var = gp.posterior(state, pts)
         plugin = np.sum(w * t.forward(mean) * pi(pts))
         expectation = np.sum(w * t.posterior_expectation(mean, var) * pi(pts))
         assert np.allclose(
@@ -209,57 +208,55 @@ def test_record_replays_from_its_design():
 
 
 def count_posteriors(monkeypatch):
-    """Count GridPosterior constructions and updates by point set, and the
-    sizes of the point sets that get a dense gp.posterior."""
-    built, updates, dense = Counter(), Counter(), []
-    grid_posterior, update, posterior = (gp.GridPosterior,
-                                         gp.GridPosterior.update, gp.posterior)
+    """Record each GridPosterior construction as (point set, |P|, state.n),
+    `gp.posterior` included, and count updates by point set and state."""
+    built, updates = [], Counter()
+    grid_posterior, update = gp.GridPosterior, gp.GridPosterior.update
 
     def counting_update(self, state):
         updates[self.P.tobytes(), state.n] += 1
         return update(self, state)
 
     def counting_grid(state, P):
-        built[np.asarray(P, dtype=float).tobytes()] += 1
+        P = np.atleast_2d(np.asarray(P, dtype=float))
+        built.append((P.tobytes(), P.shape[0], state.n))
         return grid_posterior(state, P)
-
-    def counting_dense(state, X):
-        dense.append(np.atleast_2d(X).shape[0])
-        return posterior(state, X)
 
     monkeypatch.setattr(gp.GridPosterior, "update", counting_update)
     monkeypatch.setattr(gp, "GridPosterior", counting_grid)
-    monkeypatch.setattr(gp, "posterior", counting_dense)
-    return built, updates, dense
+    return built, updates
 
 
 @pytest.mark.parametrize("shared", [False, True])
 def test_run_abq_computes_each_posterior_once(monkeypatch, shared):
-    built, updates, dense = count_posteriors(monkeypatch)
+    built, updates = count_posteriors(monkeypatch)
     problem, spec = wsabi_m_problem()
     cfg = engine.SelectorConfig(candidate_count=64, seed=0)
     _, rec = engine.run_abq(problem, spec, cfg, 8, cert_grid_size=128,
                             oracle_resolution=64, share_candidate_grid=shared)
     assert rec.n == 8
-    # one incremental posterior each on the grid, the oracle nodes and,
-    # unless shared, the candidates; each conditioned once per GP state
+    # one posterior each on the grid, the oracle nodes and, unless shared,
+    # the candidates, built before the first point and conditioned once per
+    # new GP state; nothing else is built
     sets = 2 if shared else 3
-    assert list(built.values()) == [1] * sets
-    assert sorted(updates.values()) == [1] * (sets * (rec.n + 1))
-    # and no dense solve
-    assert dense == []
+    assert len({P for P, _, _ in built}) == len(built) == sets
+    assert all(n == 0 for _, _, n in built)
+    assert sorted(updates.values()) == [1] * (sets * rec.n)
 
 
 def test_random_candidate_pool_gets_one_dense_posterior_per_step(monkeypatch):
-    built, _, dense = count_posteriors(monkeypatch)
+    built, updates = count_posteriors(monkeypatch)
     problem, spec = wsabi_m_problem()
     cfg = engine.SelectorConfig(candidate_count=64,
                                 candidate_scheme="uniform-random", seed=0)
     _, rec = engine.run_abq(problem, spec, cfg, 8, cert_grid_size=128,
                             oracle_resolution=64)
     assert rec.n == 8
-    assert list(built.values()) == [1, 1]  # grid and oracle nodes
-    assert dense == [64] * rec.n
+    # the grid and the oracle nodes, then a fresh 64-point pool per step
+    # built on that step's state and never updated
+    assert [(size, n) for _, size, n in built] == (
+        [(128, 0), (64, 0)] + [(64, ell) for ell in range(rec.n)])
+    assert sorted(updates.values()) == [1] * (2 * rec.n)
 
 
 def test_vbmc_density_runs_once_per_step_on_the_grid():

@@ -20,8 +20,9 @@ def make_state(kernel=None, n=6, seed=0, mean_value=0.3):
 def test_empty_state_returns_prior():
     state = gp.empty_state(SquaredExponential(0.5), ConstantMean(1.5), 1)
     X = np.array([[0.2], [0.9]])
-    assert np.allclose(gp.posterior_mean(state, X), 1.5)
-    assert np.allclose(gp.posterior_var(state, X), 1.0)
+    mean, var = gp.posterior(state, X)
+    assert np.allclose(mean, 1.5)
+    assert np.allclose(var, 1.0)
 
 
 def test_posterior_mean_matches_dense_solve_oracle():
@@ -30,7 +31,7 @@ def test_posterior_mean_matches_dense_solve_oracle():
     K = gram(state.kernel, X) + state.jitter_used * np.eye(len(X))
     alpha = np.linalg.solve(K, z - 0.3)
     oracle = 0.3 + state.kernel.pairwise(q, X) @ alpha
-    assert np.allclose(gp.posterior_mean(state, q), oracle, atol=1e-10)
+    assert np.allclose(gp.posterior(state, q)[0], oracle, atol=1e-10)
 
 
 def test_posterior_var_matches_dense_solve_oracle():
@@ -41,23 +42,14 @@ def test_posterior_var_matches_dense_solve_oracle():
     oracle = state.kernel.diag(q) - np.einsum(
         "ij,ij->i", Kq, np.linalg.solve(K, Kq.T).T
     )
-    assert np.allclose(gp.posterior_var(state, q), np.maximum(oracle, 0), atol=1e-10)
-
-
-def test_posterior_equals_mean_and_var_paths():
-    state, _, _ = make_state()
-    empty = gp.empty_state(state.kernel, state.mean, 1)
-    q = np.linspace(0, 1, 11)[:, None]
-    for s in (empty, state):
-        mean, var = gp.posterior(s, q)
-        assert np.array_equal(mean, gp.posterior_mean(s, q))
-        assert np.array_equal(var, gp.posterior_var(s, q))
+    assert np.allclose(gp.posterior(state, q)[1], np.maximum(oracle, 0), atol=1e-10)
 
 
 def test_interpolation_at_design_points():
     state, X, z = make_state()
-    assert np.allclose(gp.posterior_mean(state, X), z, atol=1e-6)
-    assert np.all(gp.posterior_var(state, X) < 1e-8)
+    mean, var = gp.posterior(state, X)
+    assert np.allclose(mean, z, atol=1e-6)
+    assert np.all(var < 1e-8)
 
 
 def test_extend_matches_batch_build():
@@ -70,18 +62,15 @@ def test_extend_matches_batch_build():
     for xi, zi in zip(X, z):
         seq = gp.extend(seq, xi[None, :], zi)
     q = rng.uniform(0, 1, size=(9, 2))
-    assert np.allclose(gp.posterior_mean(seq, q), gp.posterior_mean(batch, q),
-                       atol=1e-8)
-    assert np.allclose(gp.posterior_var(seq, q), gp.posterior_var(batch, q),
-                       atol=1e-8)
+    assert np.allclose(gp.posterior(seq, q), gp.posterior(batch, q), atol=1e-8)
 
 
 def test_variance_monotone_under_conditioning():
     state, _, _ = make_state(n=4)
     q = np.linspace(0, 1, 50)[:, None]
-    before = gp.posterior_var(state, q)
+    before = gp.posterior(state, q)[1]
     bigger = gp.extend(state, np.array([[0.5]]), 0.0)
-    after = gp.posterior_var(bigger, q)
+    after = gp.posterior(bigger, q)[1]
     assert np.all(after <= before + 1e-9)
 
 
@@ -97,8 +86,9 @@ def test_worst_case_interpolation_bound():
     X = np.array([[0.1], [0.4], [0.7], [0.9]])
     state = gp.build_state(kernel, ConstantMean(0.0), X, g.latent(X))
     q = np.linspace(0, 1, 200)[:, None]
-    gap = np.abs(g.latent(q) - gp.posterior_mean(state, q))
-    bound = norm * np.sqrt(gp.posterior_var(state, q))
+    mean, var = gp.posterior(state, q)
+    gap = np.abs(g.latent(q) - mean)
+    bound = norm * np.sqrt(var)
     assert np.all(gap <= bound + 1e-9)
 
 
@@ -169,10 +159,8 @@ def test_grid_posterior_matches_dense_posterior(kernel, design, m):
         assert post.n == k
         dense = gp.build_state(kernel, mean, X[:k], z[:k])
         assert_moments_close((post.mean, post.var), dense, P, z[:k] - m)
-    # one construction on a conditioned state equals the chain of updates
-    batch = gp.GridPosterior(state, P)
-    assert np.allclose(batch.mean, post.mean, rtol=0, atol=1e-12)
-    assert np.allclose(batch.var, post.var, rtol=0, atol=1e-15)
+    # the chain of updates agrees with one construction on the chained state
+    assert_moments_close((post.mean, post.var), state, P, z - m)
 
 
 @given(kernel=st.sampled_from(PROPERTY_KERNELS), design=lattice_designs(),
@@ -189,6 +177,9 @@ def test_extend_chain_equals_build_state(kernel, design, m):
     assert chain.jitter_used == batch.jitter_used
     kappa = np.linalg.cond(batch.chol) ** 2
     assert np.allclose(chain.chol, batch.chol, rtol=0, atol=VAR_TOL * EPS * kappa)
+    scale = max(1.0, float(np.max(np.abs(z - m))))
+    assert np.allclose(chain.beta, batch.beta, rtol=0,
+                       atol=MEAN_TOL * EPS * kappa * scale)
     assert_moments_close(gp.posterior(chain, P), batch, P, z - m)
 
 
@@ -201,6 +192,22 @@ def test_grid_posterior_keeps_the_floor_check():
     chol[2, :2] *= 10.0
     broken = gp.GpState(kernel=state.kernel, mean=state.mean, X=state.X,
                         z=state.z, chol=chol, jitter_used=state.jitter_used,
-                        alpha=state.alpha)
+                        beta=state.beta)
     with pytest.raises(NumericalDegradationError):
         gp.GridPosterior(broken, X)
+
+
+def test_grid_posterior_builds_from_one_kernel_block(monkeypatch):
+    state, _, _ = make_state(n=6)
+    calls = []
+    pairwise = Matern.pairwise
+
+    def counting(self, X, Y):
+        calls.append((len(X), len(Y)))
+        return pairwise(self, X, Y)
+
+    monkeypatch.setattr(Matern, "pairwise", counting)
+    P = np.linspace(0, 1, 11)[:, None]
+    post = gp.GridPosterior(state, P)
+    assert calls == [(11, 6)]
+    assert post.n == 6

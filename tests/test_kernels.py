@@ -7,7 +7,6 @@ from abqlab.exceptions import DomainError, NumericalDegradationError
 from abqlab.kernels import (
     InverseMultiquadric,
     Matern,
-    Multiquadric,
     RatePrediction,
     SquaredExponential,
     Wendland,
@@ -83,14 +82,6 @@ def test_wendland_compact_support_and_values():
     assert k.pairwise([[0.0]], [[0.25]])[0, 0] == pytest.approx(0.1875)
     with pytest.raises(ValueError):
         Wendland(smoothness_index=3)
-
-
-def test_multiquadric_sign_convention():
-    k = Multiquadric(beta=0.5, c=1.0)
-    assert k.sign == -1.0
-    assert k.pairwise([[0.0]], [[0.0]])[0, 0] == pytest.approx(-1.0)
-    with pytest.raises(ValueError):
-        Multiquadric(beta=2.0)  # integer exponent
 
 
 def test_gram_bitwise_symmetric():
