@@ -90,7 +90,7 @@ def greedy_certificate(record, kernel, q, clcu=None, tol=1e-9):
 
     b_min = min(record.b_min)
     b_max = max(record.b_max)
-    c_hat = min(record.gamma_tilde * b_min / b_max, 1.0)
+    c_hat = min(spec.gamma_tilde * b_min / b_max, 1.0)
     gamma_hat = float(np.sqrt(spec.outer.psi(c_hat)))
 
     failures = [{"iteration": ell, "ratio": float(rho), "gamma_hat": gamma_hat}
@@ -98,7 +98,7 @@ def greedy_certificate(record, kernel, q, clcu=None, tol=1e-9):
     cert = GreedyCertificate(ratios=ratios, gamma_hat=gamma_hat, failures=failures)
     if clcu is not None:
         if clcu.present:
-            c_theo = min(record.gamma_tilde * clcu.c_l / clcu.c_u, 1.0)
+            c_theo = min(spec.gamma_tilde * clcu.c_l / clcu.c_u, 1.0)
             cert.gamma_theoretical = float(np.sqrt(spec.outer.psi(c_theo)))
         else:
             cert.clcu_absent_reason = clcu.reason
@@ -246,11 +246,11 @@ class BoundReport:
         return not self.violations
 
 
-def error_bound_check(record, state, integrand, pi, q, reference, ref_err,
-                      oracle_resolution=256):
+def error_bound_check(record, state, integrand, pi, q, reference, ref_err):
     """Check |reference - plugin estimate| after each step against the
     assembled error bound, by solves against the run's final `state`;
-    (reference, ref_err) is `reference_integral_refined` at oracle_resolution.
+    (reference, ref_err) is `reference_integral_refined` at the run's
+    `record.oracle_resolution`, the resolution of the plug-in integrals.
 
     The right-hand side multiplies the transform's Lipschitz constant,
     the integral of pi/q, the known native norm, and a grid supremum of
@@ -258,18 +258,19 @@ def error_bound_check(record, state, integrand, pi, q, reference, ref_err,
     left side carries the quadrature oracle's self-estimate.
     """
     dom = record.domain
+    res = record.oracle_resolution
     t = integrand.transform
     gnorm = rkhs_norm(integrand)
     k_inf = integrand.kernel.sup_diag()
     m_inf = float(np.max(np.abs(integrand.prior_mean(dom.probe_grid()))))
     c_t = t.lipschitz_constant(m_inf, gnorm, k_inf)
     c_piq = reference_integral(lambda P: 1.0 / np.asarray(q(P)), pi, dom,
-                               min(oracle_resolution, 256))
+                               min(res, 256))
     report = BoundReport(constant_transform=float(c_t),
                          constant_pi_over_q=float(c_piq), gnorm=gnorm)
     curves = zip(*sup_qk_fine(state, q, dom),
-                 _plugin_curve(state, t, pi, dom, oracle_resolution),
-                 _plugin_curve(state, t, pi, dom, 2 * oracle_resolution))
+                 _plugin_curve(state, t, pi, dom, res),
+                 _plugin_curve(state, t, pi, dom, 2 * res))
     for n, (sup, modulus, plug, plug_fine) in enumerate(curves, start=1):
         slack = ref_err + abs(plug_fine - plug)
         lhs = abs(reference - plug)

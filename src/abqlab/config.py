@@ -33,6 +33,8 @@ _DENSITY_SCHEMA = {
         "values": {"type": "array"},
     },
     "required": ["kind"],
+    "if": {"properties": {"kind": {"const": "tabulated"}}},
+    "then": {"required": ["values"]},
 }
 
 CONFIG_SCHEMA = {
@@ -283,7 +285,16 @@ def build_transform(raw, latent_min_sq=None):
 
 
 def build_problem(raw):
-    """Resolve a flat (matrix-expanded) config into runnable objects."""
+    """Resolve a flat (matrix-expanded) config into runnable objects; a value
+    that an object rejects (a degenerate box, a Matern nu that is not a half
+    integer, a nonpositive scale) is a ConfigError."""
+    try:
+        return _build_problem(raw)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _build_problem(raw):
     dom = build_domain(raw)
     kernel = build_kernel(raw)
     mean = build_mean(raw, dom)
@@ -312,12 +323,8 @@ def build_problem(raw):
              if outer_raw["kind"] == "power" else acquisition.Expm1())
     q = build_density(acq_raw["q"], dom)
     b = _build_rule(acq_raw["b"], dom)
-    try:
-        spec = acquisition.AcquisitionSpec(
-            outer=outer, q=q, b=b, gamma_tilde=acq_raw["gamma_tilde"]
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    spec = acquisition.AcquisitionSpec(outer=outer, q=q, b=b,
+                                       gamma_tilde=acq_raw["gamma_tilde"])
     sel_raw = raw.get("selector", {})
     selector = SelectorConfig(
         candidate_count=sel_raw.get("candidate_count", 512),

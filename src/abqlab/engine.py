@@ -82,8 +82,8 @@ class RunRecord:
     """Per-iteration trace of one sequential run."""
 
     domain: object
-    gamma_tilde: float
     cert_grid: np.ndarray
+    oracle_resolution: int  # Gauss-Legendre nodes per dim of the estimators
     spec: object = None
     points: list = field(default_factory=list)
     greedy_ratio: list = field(default_factory=list)
@@ -118,9 +118,7 @@ def candidate_pool(dom, cfg, rng=None):
         per_dim = int(np.ceil(cfg.candidate_count ** (1.0 / d)))
         return dom.uniform_grid(per_dim)
     if cfg.candidate_scheme == "low-discrepancy":
-        sob = qmc.Sobol(d, scramble=False)
-        pts = sob.random(_next_pow2(cfg.candidate_count))
-        return qmc.scale(pts, dom.lower, dom.upper)
+        return certificate_grid(dom, cfg.candidate_count)
     rng = rng if rng is not None else np.random.default_rng(cfg.seed)
     lo = np.asarray(dom.lower)
     hi = np.asarray(dom.upper)
@@ -195,17 +193,22 @@ def estimates(transform, w, dens, mean, var):
             float(np.sum(w * transform.posterior_expectation(mean, var) * dens)))
 
 
-def run_abq(problem, spec, cfg, n, cert_grid_size=None, oracle_resolution=256,
+def run_abq(problem, spec, cfg, n, cert_grid_size=None, oracle_resolution=None,
             share_candidate_grid=False):
     """Run the sequential loop for `n` evaluations of the integrand.
 
     When share_candidate_grid is set the certificate grid is the
     candidate pool itself, so exact-argmax runs certify a ratio of one.
+    The estimators integrate on a Gauss-Legendre tensor grid with
+    oracle_resolution nodes per dim, by default 256 in d=1 and 64 above;
+    the record keeps the resolution for the report's oracle integrals.
     Deterministic given (problem, spec, cfg, n). Raises
     NonFiniteIntegrandError when the integrand returns NaN or inf.
     """
     dom = problem.domain
     t = problem.transform
+    if oracle_resolution is None:
+        oracle_resolution = 256 if dom.dim == 1 else 64
     rng = np.random.default_rng(cfg.seed)
     fixed_pool = cfg.candidate_scheme != "uniform-random"
     if share_candidate_grid:
@@ -230,8 +233,8 @@ def run_abq(problem, spec, cfg, n, cert_grid_size=None, oracle_resolution=256,
     node_post = gp.GridPosterior(state, nodes)
     posts.append(node_post)
 
-    record = RunRecord(domain=dom, gamma_tilde=spec.gamma_tilde, cert_grid=cert_grid,
-                       spec=spec)
+    record = RunRecord(domain=dom, cert_grid=cert_grid,
+                       oracle_resolution=oracle_resolution, spec=spec)
     q_grid = spec.q(cert_grid)
     record.e0 = float(np.max(q_grid * np.sqrt(grid_post.var)))
 

@@ -85,20 +85,17 @@ class Matern(Kernel):
     def pairwise(self, X, Y):
         # k = exp(-u) * sum_j c_j u^j with u = sqrt(2 nu) r / ell, p = nu - 1/2
         # and c_j = p!/(2p)! * (2p-j)!/(j!(p-j)!) * 2^j, evaluated by Horner
-        # in place on the distance block
+        # in place; u is overwritten by exp(-u) once the polynomial is done,
+        # so the kernel block costs two (n, m) buffers
         u = cdist(np.atleast_2d(X), np.atleast_2d(Y))
         u *= np.sqrt(2 * self.nu) / self.ell
-        expu = np.negative(u)
-        np.exp(expu, out=expu)
         coefs = _matern_coefs(int(self.nu - 0.5))
-        if len(coefs) == 1:
-            return expu
-        poly = u * coefs[-1]
-        for c in coefs[-2:0:-1]:
-            poly += c
+        poly = np.full(u.shape, coefs[-1])
+        for c in coefs[-2::-1]:
             poly *= u
-        poly += coefs[0]
-        poly *= expu
+            poly += c
+        np.negative(u, out=u)
+        poly *= np.exp(u, out=u)
         return poly
 
     def diag(self, X):

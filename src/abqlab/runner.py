@@ -55,27 +55,28 @@ def run_experiment(raw, out_dir, seed=None, grid=None):
     return targets
 
 
-def _run_single(raw, target):
+def execute(raw):
+    """Build and run one flat (matrix-expanded) config, the only reader of
+    its `budget` and `grids`; returns (problem, spec, state, record)."""
     problem, spec, selector = build_problem(raw)
-    dom = problem.domain
     grids = raw.get("grids", {})
-    oracle_res = grids.get("oracle", 256 if dom.dim == 1 else 64)
-    shared = grids.get("shared_certificate", False)
-    budget = raw["budget"]
-
-    reference, ref_err = reference_integral_refined(
-        problem.integrand, problem.pi, dom, oracle_res
-    )
     state, record = engine.run_abq(
-        problem, spec, selector, budget,
+        problem, spec, selector, raw["budget"],
         cert_grid_size=grids.get("certificate"),
-        oracle_resolution=oracle_res,
-        share_candidate_grid=shared,
+        oracle_resolution=grids.get("oracle"),
+        share_candidate_grid=grids.get("shared_certificate", False),
     )
-    fills = analysis.fill_distance(record.design(), dom) if record.n else []
+    return problem, spec, state, record
+
+
+def _run_single(raw, target):
+    problem, spec, state, record = execute(raw)
+    reference, ref_err = reference_integral_refined(
+        problem.integrand, problem.pi, problem.domain, record.oracle_resolution
+    )
+    fills = analysis.fill_distance(record.design(), problem.domain) if record.n else []
     _write_trace(os.path.join(target, "trace.csv"), record, reference, fills)
-    report = build_report(raw, problem, spec, state, record, reference, ref_err,
-                          oracle_res)
+    report = build_report(raw, problem, spec, state, record, reference, ref_err)
     with open(os.path.join(target, "report.json"), "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True, default=json_default)
         fh.write("\n")
@@ -125,7 +126,7 @@ def clcu_for(problem, spec):
                             gnorm, k_inf, **kwargs)
 
 
-def build_report(raw, problem, spec, state, record, reference, ref_err, oracle_res):
+def build_report(raw, problem, spec, state, record, reference, ref_err):
     dom = problem.domain
     kernel = problem.integrand.kernel
     findings = []
@@ -168,8 +169,7 @@ def build_report(raw, problem, spec, state, record, reference, ref_err, oracle_r
     bound_json = None
     if record.n:
         bound = analysis.error_bound_check(
-            record, state, problem.integrand, problem.pi, spec.q,
-            reference, ref_err, oracle_resolution=oracle_res,
+            record, state, problem.integrand, problem.pi, spec.q, reference, ref_err
         )
         margins = [row["lhs"] / row["rhs"] for row in bound.rows if row["rhs"] > 0]
         bound_json = {

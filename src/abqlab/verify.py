@@ -36,19 +36,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import analysis, engine, gp, kernels, transforms
-from .acquisition import AcquisitionSpec, ConstantRule, Expm1, Power
-from .config import build_problem
+from . import analysis, engine, gp, kernels, runner, transforms
+from .acquisition import Expm1, Power
 from .domain import (
     ConstantMean,
     Domain,
-    SyntheticIntegrand,
     TruncatedGaussianDensity,
     UniformDensity,
     quadrature_nodes,
     reference_integral_refined,
 )
-from .runner import clcu_for
 
 CERT_TOL = 1e-9
 PROJECTION_RTOL = 1e-8
@@ -148,80 +145,64 @@ def check_psi_inequality(samples=10_000, seed=3):
 # builtin acquisition matrix
 
 
-def _matrix_base():
+def _config(kernel, integrand, mean=0.0, transform=None, b=None, gamma_tilde=1.0,
+            seed=0, budget=30, dim=1, candidate_count=512):
+    """A flat run config on the unit box with uniform pi and q, Power(1) outer
+    and the certificate grid shared with the candidate grid; b defaults to
+    the constant rule (uncertainty sampling)."""
     return {
         "version": "1",
-        "seed": 7,
-        "domain": {"lower": [0.0], "upper": [1.0]},
-        "kernel": {"family": "matern", "nu": 1.5, "ell": 0.25},
+        "seed": seed,
+        "domain": {"lower": [0.0] * dim, "upper": [1.0] * dim},
+        "kernel": kernel,
+        "mean": {"kind": "constant", "value": mean},
+        "transform": transform or {"kind": "identity"},
+        "integrand": integrand,
         "pi": {"kind": "uniform"},
-        "budget": 30,
+        "acquisition": {
+            "outer": {"kind": "power", "delta": 1.0},
+            "q": {"kind": "uniform"},
+            "b": b or {"kind": "constant", "value": 1.0},
+            "gamma_tilde": gamma_tilde,
+        },
+        "budget": budget,
         "grids": {"shared_certificate": True},
-        "selector": {"candidate_count": 512, "scheme": "uniform-grid"},
+        "selector": {"candidate_count": candidate_count},
     }
 
 
 def builtin_matrix():
     """Named configs: four published rules, two certificate slacknesses each."""
+    square = {"kind": "square", "alpha": 2.0}
     small = {"kind": "synthetic", "centers": [[0.3], [0.7]],
              "weights": [0.3, -0.2]}
-    cases = {
-        "constant": {
-            "mean": {"kind": "constant", "value": 0.0},
-            "transform": {"kind": "identity"},
-            "integrand": {"kind": "synthetic", "centers": [[0.3], [0.75]],
-                          "weights": [0.8, -0.5]},
-            "b": {"kind": "constant", "value": 1.0},
-        },
-        "wsabi_l": {
-            "mean": {"kind": "constant", "value": 5.0},
-            "transform": {"kind": "square", "alpha": 2.0},
-            "integrand": small,
-            "b": {"kind": "wsabi_l"},
-        },
-        "wsabi_m": {
-            "mean": {"kind": "constant", "value": 5.0},
-            "transform": {"kind": "square", "alpha": 2.0},
-            "integrand": small,
-            "b": {"kind": "wsabi_m"},
-        },
-        "mmlt": {
-            "mean": {"kind": "constant", "value": 0.0},
-            "transform": {"kind": "exponential"},
-            "integrand": small,
-            "b": {"kind": "mmlt"},
-        },
+    cases = {  # name: (mean, transform, integrand, b)
+        "constant": (0.0, None, {"kind": "synthetic", "centers": [[0.3], [0.75]],
+                                 "weights": [0.8, -0.5]}, None),
+        "wsabi_l": (5.0, square, small, {"kind": "wsabi_l"}),
+        "wsabi_m": (5.0, square, small, {"kind": "wsabi_m"}),
+        "mmlt": (0.0, {"kind": "exponential"}, small, {"kind": "mmlt"}),
     }
-    configs = []
-    for name, parts in cases.items():
-        for gt in (1.0, 0.5):
-            raw = _matrix_base()
-            raw.update({k: parts[k] for k in ("mean", "transform", "integrand")})
-            raw["acquisition"] = {
-                "outer": {"kind": "power", "delta": 1.0},
-                "q": {"kind": "uniform"},
-                "b": parts["b"],
-                "gamma_tilde": gt,
-            }
-            configs.append((f"{name}__gamma_tilde={gt}", raw))
-    return configs
+    kernel = {"family": "matern", "nu": 1.5, "ell": 0.25}
+    return [(f"{name}__gamma_tilde={gt}",
+             _config(kernel, integrand, mean=mean, transform=transform, b=b,
+                     gamma_tilde=gt, seed=7))
+            for name, (mean, transform, integrand, b) in cases.items()
+            for gt in (1.0, 0.5)]
 
 
-def _run_matrix():
+def matrix_runs():
+    """(name, problem, spec, record) for each run of the builtin matrix."""
     runs = []
     for name, raw in builtin_matrix():
-        problem, spec, selector = build_problem(raw)
-        _, record = engine.run_abq(
-            problem, spec, selector, raw["budget"],
-            share_candidate_grid=True,
-        )
+        problem, spec, _, record = runner.execute(raw)
         runs.append((name, problem, spec, record))
     return runs
 
 
 def check_certificates(runs=None):
     if runs is None:
-        runs = _run_matrix()
+        runs = matrix_runs()
     rows = []
     ok = True
     for name, problem, spec, record in runs:
@@ -239,11 +220,11 @@ def check_certificates(runs=None):
 
 def check_adaptivity_envelopes(runs=None):
     if runs is None:
-        runs = _run_matrix()
+        runs = matrix_runs()
     rows = []
     ok = True
     for name, problem, spec, record in runs:
-        clcu = clcu_for(problem, spec)
+        clcu = runner.clcu_for(problem, spec)
         if not clcu.present:
             rows.append({"run": name, "envelope": "absent", "reason": clcu.reason})
             ok = False
@@ -260,45 +241,33 @@ def check_adaptivity_envelopes(runs=None):
 # error-bound
 
 
-def _bound_problems(seed=11):
+def _bound_configs(budget, seed=11):
+    """Five random synthetic integrands under each of the three warps."""
     rng = np.random.default_rng(seed)
-    dom = Domain((0.0,), (1.0,))
-    kernel = kernels.Matern(nu=2.5, ell=0.3)
-    problems = []
-    for t_kind in ("identity", "square", "exponential"):
+    kernel = {"family": "matern", "nu": 2.5, "ell": 0.3}
+    warps = {"identity": (0.0, {"kind": "identity"}),
+             "square": (5.0, {"kind": "square", "alpha": 2.0}),
+             "exponential": (0.0, {"kind": "exponential"})}
+    configs = []
+    for t_kind, (mean, transform) in warps.items():
         for _ in range(5):
             m = int(rng.integers(2, 5))
             centers = np.sort(rng.uniform(0.05, 0.95, size=(m, 1)), axis=0)
             weights = rng.uniform(-0.4, 0.4, size=m)
-            if t_kind == "identity":
-                mean, transform = 0.0, transforms.Identity()
-            elif t_kind == "square":
-                mean, transform = 5.0, transforms.Square(alpha=2.0)
-            else:
-                mean, transform = 0.0, transforms.Exponential()
-            integrand = SyntheticIntegrand(
-                centers=centers, weights=weights, prior_mean=ConstantMean(mean),
-                kernel=kernel, transform=transform,
-            )
-            problems.append((t_kind, engine.Problem(
-                integrand=integrand, pi=UniformDensity(dom), domain=dom,
-                transform=transform,
-            )))
-    return problems
+            integrand = {"kind": "synthetic", "centers": centers.tolist(),
+                         "weights": weights.tolist()}
+            configs.append((t_kind, _config(kernel, integrand, mean=mean,
+                                            transform=transform, budget=budget)))
+    return configs
 
 
 def check_error_bound(budget=30):
     rows = []
     ok = True
-    for t_kind, problem in _bound_problems():
-        spec = AcquisitionSpec(outer=Power(1.0), q=UniformDensity(problem.domain),
-                               b=ConstantRule(1.0), gamma_tilde=1.0)
-        selector = engine.SelectorConfig(candidate_count=512, seed=0)
-        state, record = engine.run_abq(problem, spec, selector, budget,
-                                       share_candidate_grid=True)
-        # at error_bound_check's default oracle resolution
+    for t_kind, raw in _bound_configs(budget):
+        problem, spec, state, record = runner.execute(raw)
         reference, ref_err = reference_integral_refined(
-            problem.integrand, problem.pi, problem.domain, 256)
+            problem.integrand, problem.pi, problem.domain, record.oracle_resolution)
         report = analysis.error_bound_check(
             record, state, problem.integrand, problem.pi, spec.q, reference, ref_err
         )
@@ -314,30 +283,19 @@ def check_error_bound(budget=30):
 # rate forms
 
 
-def _p_greedy_run(dom, kernel, budget, candidate_count=512):
-    integrand = SyntheticIntegrand(
-        centers=np.zeros((0, dom.dim)), weights=np.zeros(0),
-        prior_mean=ConstantMean(0.0), kernel=kernel,
-        transform=transforms.Identity(),
-    )
-    problem = engine.Problem(integrand=integrand, pi=UniformDensity(dom),
-                             domain=dom, transform=transforms.Identity())
-    spec = AcquisitionSpec(outer=Power(1.0), q=UniformDensity(dom),
-                           b=ConstantRule(1.0), gamma_tilde=1.0)
-    selector = engine.SelectorConfig(candidate_count=candidate_count, seed=0)
-    _, record = engine.run_abq(problem, spec, selector, budget,
-                               share_candidate_grid=True)
-    return record
+def _p_greedy_run(kernel, budget, dim=1, candidate_count=512):
+    """The record of a P-greedy run: zero integrand, constant b."""
+    raw = _config(kernel, {"kind": "synthetic", "centers": [], "weights": []},
+                  budget=budget, dim=dim, candidate_count=candidate_count)
+    return runner.execute(raw)[3]
 
 
 def check_rate_infinite():
-    rec1 = _p_greedy_run(Domain((0.0,), (1.0,)),
-                         kernels.SquaredExponential(gamma=0.5), budget=60)
+    se = {"family": "squared-exponential", "gamma": 0.5}
+    rec1 = _p_greedy_run(se, budget=60)
     fit1 = analysis.fit_rate(rec1.sup_qk, kernels.RatePrediction("exponential", 1.0),
                              n_min=5, floor=1e-7)
-    rec2 = _p_greedy_run(Domain((0.0, 0.0), (1.0, 1.0)),
-                         kernels.SquaredExponential(gamma=0.5), budget=60,
-                         candidate_count=1024)
+    rec2 = _p_greedy_run(se, budget=60, dim=2, candidate_count=1024)
     fit2 = analysis.fit_rate(rec2.sup_qk, kernels.RatePrediction("exponential", 0.5),
                              n_min=5, floor=1e-7)
     ok = (fit1.r_squared >= 0.95 and fit1.slope < 0
@@ -351,8 +309,7 @@ def check_rate_infinite():
 
 
 def check_rate_finite():
-    rec = _p_greedy_run(Domain((0.0,), (1.0,)),
-                        kernels.Matern(nu=1.5, ell=0.25), budget=100)
+    rec = _p_greedy_run({"family": "matern", "nu": 1.5, "ell": 0.25}, budget=100)
     fit = analysis.fit_rate(rec.sup_qk, kernels.RatePrediction("polynomial", -1.5),
                             n_min=8, floor=1e-12)
     ok = fit.slope <= -1.2
@@ -400,26 +357,10 @@ def check_moment_estimator(seed=5, n_mc=1_000_000, n_query=20):
 
 
 def _inconsistency_config(mean_value):
-    raw = {
-        "version": "1",
-        "seed": 13,
-        "domain": {"lower": [0.0], "upper": [1.0]},
-        "kernel": {"family": "wendland", "smoothness_index": 1, "radius": 0.25},
-        "mean": {"kind": "constant", "value": mean_value},
-        "transform": {"kind": "square", "alpha": 0.5},
-        "integrand": {"kind": "builtin", "name": "left-cluster"},
-        "pi": {"kind": "uniform"},
-        "acquisition": {
-            "outer": {"kind": "power", "delta": 1.0},
-            "q": {"kind": "uniform"},
-            "b": {"kind": "wsabi_l"},
-            "gamma_tilde": 1.0,
-        },
-        "budget": 30,
-        "grids": {"shared_certificate": True},
-        "selector": {"candidate_count": 512, "scheme": "uniform-grid"},
-    }
-    return raw
+    return _config({"family": "wendland", "smoothness_index": 1, "radius": 0.25},
+                   {"kind": "builtin", "name": "left-cluster"}, mean=mean_value,
+                   transform={"kind": "square", "alpha": 0.5},
+                   b={"kind": "wsabi_l"}, seed=13)
 
 
 def check_inconsistency_caveat(stall_factor=5.0):
@@ -429,11 +370,9 @@ def check_inconsistency_caveat(stall_factor=5.0):
     series = {}
     clcu_zero = None
     for label, mean_value in (("zero_mean", 0.0), ("shifted_mean", 5.0)):
-        problem, spec, selector = build_problem(_inconsistency_config(mean_value))
+        problem, spec, _, record = runner.execute(_inconsistency_config(mean_value))
         if label == "zero_mean":
-            clcu_zero = clcu_for(problem, spec)
-        _, record = engine.run_abq(problem, spec, selector, 30,
-                                   share_candidate_grid=True)
+            clcu_zero = runner.clcu_for(problem, spec)
         series[label] = list(record.sup_qk)
     e_zero = series["zero_mean"][-1]
     e_shift = series["shifted_mean"][-1]
@@ -453,7 +392,7 @@ def check_inconsistency_caveat(stall_factor=5.0):
 
 
 def run_all(printer=print):
-    runs = _run_matrix()
+    runs = matrix_runs()
     results = [
         _timed("projection-identity", check_projection_identity),
         _timed("psi-inequality", check_psi_inequality),

@@ -21,7 +21,7 @@ def report(name, ok, detail=""):
 
 @pytest.fixture(scope="module")
 def matrix_runs():
-    return verify._run_matrix()
+    return verify.matrix_runs()
 
 
 def test_criterion_01_projection_identity_oracle():

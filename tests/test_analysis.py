@@ -225,8 +225,7 @@ def bound_check_inputs(budget=8, oracle=64):
 def test_error_bound_rows_match_a_dense_replay():
     problem, spec, state, rec, reference, ref_err = bound_check_inputs()
     report = analysis.error_bound_check(rec, state, problem.integrand, problem.pi,
-                                        spec.q, reference, ref_err,
-                                        oracle_resolution=64)
+                                        spec.q, reference, ref_err)
     assert report.ok
     grid = DOM.uniform_grid(2048)  # sup_qk_fine's default grid in d=1
     t = problem.transform
@@ -269,7 +268,7 @@ def test_report_checks_read_the_run_instead_of_replaying_it(monkeypatch):
     monkeypatch.setattr(kernels, "chol_with_jitter",
                         counting("chol", kernels.chol_with_jitter))
     analysis.error_bound_check(rec, state, problem.integrand, problem.pi, spec.q,
-                               reference, ref_err, oracle_resolution=64)
+                               reference, ref_err)
     assert calls["integrand"] == 0
     assert calls["extend"] == 0
     # one factorization for the certificate grid and one for the design,

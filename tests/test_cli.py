@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from abqlab import analysis, cli, domain, runner
+from abqlab import analysis, cli, domain, engine, runner, verify
 from abqlab.config import build_problem, expand_matrix, load_config, validate_config
 from abqlab.domain import Domain, SyntheticIntegrand
 from abqlab.exceptions import ConfigError
@@ -146,6 +146,66 @@ def test_cli_exit_code_2_on_multiquadric_kernel(tmp_path, capsys):
     cfg = write_config(tmp_path, raw)
     assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "kernel/family" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    pytest.param("kernel", {"family": "matern", "nu": 2.0}, id="matern-nu"),
+    pytest.param("kernel", {"family": "squared-exponential", "gamma": 0},
+                 id="se-gamma"),
+    pytest.param("pi", {"kind": "tabulated"}, id="tabulated-no-values"),
+    pytest.param("domain", {"lower": [0.5], "upper": [0.5]}, id="degenerate-box"),
+    pytest.param("domain", {"lower": [0.0, 0.0], "upper": [1.0]},
+                 id="box-lengths"),
+    pytest.param("acquisition.outer", {"kind": "power", "delta": 0},
+                 id="outer-delta"),
+    pytest.param("pi", {"kind": "truncated-gaussian", "scale": [0]},
+                 id="gaussian-scale"),
+    pytest.param("acquisition.b", {"kind": "constant", "value": 0},
+                 id="constant-b"),
+])
+def test_cli_exit_code_2_on_invalid_config_value(tmp_path, capsys, key, value):
+    raw = json.loads(json.dumps(MINIMAL))
+    node = raw
+    *parents, last = key.split(".")
+    for part in parents:
+        node = node[part]
+    node[last] = value
+    cfg = write_config(tmp_path, raw)
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
+def test_execute_reads_the_grids_block():
+    raw = json.loads(json.dumps(MINIMAL))
+    raw["grids"] = {"oracle": 32, "certificate": 100}
+    rec = runner.execute(raw)[3]
+    assert rec.n == raw["budget"]
+    assert rec.oracle_resolution == 32
+    assert np.array_equal(rec.cert_grid, engine.certificate_grid(rec.domain, 100))
+    raw["grids"] = {"shared_certificate": True}
+    rec = runner.execute(raw)[3]
+    assert rec.oracle_resolution == 256
+    assert np.array_equal(rec.cert_grid,
+                          engine.candidate_pool(rec.domain, engine.SelectorConfig()))
+
+
+def test_every_verify_run_is_a_valid_config(monkeypatch):
+    execute = runner.execute
+    seen = []
+
+    def validating(raw):
+        validate_config(raw)
+        seen.append(raw)
+        return execute(raw)
+
+    monkeypatch.setattr(runner, "execute", validating)
+    verify.matrix_runs()
+    verify.check_error_bound()
+    verify.check_rate_infinite()
+    verify.check_rate_finite()
+    verify.check_inconsistency_caveat()
+    # 8 matrix runs, 15 bound runs, 3 P-greedy runs, 2 inconsistency runs
+    assert len(seen) == 28
 
 
 def test_cli_exit_code_3_on_non_finite_integrand(tmp_path, monkeypatch, capsys):

@@ -52,6 +52,28 @@ def test_candidate_pool_schemes():
         assert pool.shape[1] == 1
         assert pool.shape[0] >= 64
         assert np.all((pool >= 0) & (pool <= 1))
+        if scheme == "low-discrepancy":
+            assert np.array_equal(pool, engine.certificate_grid(DOM, 64))
+
+
+def test_run_abq_picks_the_oracle_resolution_by_dimension():
+    # 256 nodes per dim in d=1 and 64 above, so a d=3 run stays under the
+    # tensor-grid guard (256^3 is over it)
+    for dim, expected in ((1, 256), (2, 64), (3, 64)):
+        dom = Domain((0.0,) * dim, (1.0,) * dim)
+        integrand = SyntheticIntegrand(
+            centers=np.full((1, dim), 0.4), weights=np.array([0.5]),
+            prior_mean=ConstantMean(0.0), kernel=Matern(1.5, 0.25),
+            transform=Identity(),
+        )
+        problem = engine.Problem(integrand=integrand, pi=UniformDensity(dom),
+                                 domain=dom, transform=Identity())
+        spec = AcquisitionSpec(outer=Power(1.0), q=UniformDensity(dom),
+                               b=ConstantRule(1.0), gamma_tilde=1.0)
+        cfg = engine.SelectorConfig(candidate_count=64, seed=0)
+        _, rec = engine.run_abq(problem, spec, cfg, 2)
+        assert rec.n == 2
+        assert rec.oracle_resolution == expected
 
 
 def test_certificate_grid_is_pow2_sobol():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import gamma as gamma_fn, kv
@@ -43,6 +45,31 @@ def test_matern_matches_closed_form(nu):
     u = np.sqrt(2 * nu) * np.linalg.norm(X[:, None, :] - Y[None, :, :], axis=2) / ell
     assert np.allclose(Matern(nu, ell).pairwise(X, Y), MATERN_CLOSED_FORMS[nu](u),
                        rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("nu", [0.5, 1.5, 2.5, 3.5])
+def test_matern_pairwise_is_horner_in_two_buffers(nu):
+    rng = np.random.default_rng(9)
+    X = rng.uniform(0, 1, size=(20_000, 2))
+    Y = rng.uniform(0, 1, size=(50, 2))
+    # reference: the Horner form with u, exp(-u) and the polynomial in
+    # three separate blocks; the same operations in the same order
+    u = kernels.cdist(X, Y) * (np.sqrt(2 * nu) / 0.3)
+    coefs = kernels._matern_coefs(int(nu - 0.5))
+    poly = np.full(u.shape, coefs[-1])
+    for c in coefs[-2::-1]:
+        poly = poly * u + c
+    expected = poly * np.exp(-u)
+    block = u.nbytes
+    del u, poly
+    tracemalloc.start()
+    try:
+        K = Matern(nu, 0.3).pairwise(X, Y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(K, expected)
+    assert peak < 2.5 * block
 
 
 def test_squared_exponential_values():
