@@ -10,7 +10,6 @@ from .domain import (
     SyntheticIntegrand,
     rkhs_norm,
     reference_integral,
-    reference_integral_refined,
 )
 from .kernels import (
     SquaredExponential,

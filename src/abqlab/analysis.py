@@ -21,6 +21,8 @@ from . import gp, kernels
 from .domain import quadrature_nodes, reference_integral, rkhs_norm
 from .exceptions import DomainError
 
+CERT_TOL = 1e-9  # slack of a weak-greedy ratio below gamma_hat
+
 
 def projection_distance_sq(kernel, q, X, x):
     """Squared RKHS distances from h_x = q(x) k(., x) to span{q(x_j) k(., x_j)},
@@ -68,33 +70,34 @@ class GreedyCertificate:
         return not self.failures
 
 
-def greedy_certificate(record, kernel, q, clcu=None, tol=1e-9):
+def greedy_certificate(record, clcu=None):
     """Per-iteration ratios dist(h_chosen, S_l) / sup dist(h, S_l), the
-    supremum taken over the run's certificate grid.
+    supremum taken over the run's certificate grid, with the run's kernel
+    and q; a ratio below gamma_hat by more than CERT_TOL is a failure.
 
-    gamma_hat is computed from the monitored b range; when a theoretical
-    [C_L, C_U] is supplied (and present) the certificate also carries the
-    theoretical gamma as well. Failures are reported, not raised.
+    gamma_hat is computed from the monitored b range, and is 0 (a vacuous
+    certificate) when b_min is 0; when a theoretical [C_L, C_U] is supplied
+    (and present) the certificate carries the theoretical gamma as well.
+    Failures are reported, not raised.
     """
     if record.n < 2:
         raise DomainError("greedy certificate needs a run with at least 2 points")
     spec = record.spec
+    kernel = record.problem.integrand.kernel
     X_all = record.design()
     # rows 0..n-1: the designs X[:l] that each step l chose against
     d_grid = np.sqrt(np.max(
-        projection_distance_sq(kernel, q, X_all[:-1], record.cert_grid), axis=1))
+        projection_distance_sq(kernel, spec.q, X_all[:-1], record.cert_grid), axis=1))
     d_chosen = np.sqrt(np.diagonal(
-        projection_distance_sq(kernel, q, X_all[:-1], X_all)))
+        projection_distance_sq(kernel, spec.q, X_all[:-1], X_all)))
     sup = np.maximum(d_grid, d_chosen)
     ratios = np.divide(d_chosen, sup, out=np.ones_like(sup), where=sup > 0)
 
-    b_min = min(record.b_min)
-    b_max = max(record.b_max)
-    c_hat = min(spec.gamma_tilde * b_min / b_max, 1.0)
-    gamma_hat = float(np.sqrt(spec.outer.psi(c_hat)))
+    c_hat = min(spec.gamma_tilde * min(record.b_min) / max(record.b_max), 1.0)
+    gamma_hat = float(np.sqrt(spec.outer.psi(c_hat))) if c_hat > 0 else 0.0
 
     failures = [{"iteration": ell, "ratio": float(rho), "gamma_hat": gamma_hat}
-                for ell, rho in enumerate(ratios) if rho < gamma_hat - tol]
+                for ell, rho in enumerate(ratios) if rho < gamma_hat - CERT_TOL]
     cert = GreedyCertificate(ratios=ratios, gamma_hat=gamma_hat, failures=failures)
     if clcu is not None:
         if clcu.present:
@@ -235,6 +238,8 @@ def _plugin_curve(state, transform, pi, dom, resolution):
 
 @dataclass
 class BoundReport:
+    reference: float
+    reference_self_error: float
     constant_transform: float
     constant_pi_over_q: float
     gnorm: float
@@ -246,19 +251,26 @@ class BoundReport:
         return not self.violations
 
 
-def error_bound_check(record, state, integrand, pi, q, reference, ref_err):
+def error_bound_check(record, state):
     """Check |reference - plugin estimate| after each step against the
-    assembled error bound, by solves against the run's final `state`;
-    (reference, ref_err) is `reference_integral_refined` at the run's
-    `record.oracle_resolution`, the resolution of the plug-in integrals.
+    assembled error bound, by solves against the run's final `state`.
 
-    The right-hand side multiplies the transform's Lipschitz constant,
-    the integral of pi/q, the known native norm, and a grid supremum of
+    The reference is `reference_integral` of the integrand at twice the
+    run's `record.oracle_resolution` (the resolution of the plug-in
+    integrals), its self-error the distance to the integral at that
+    resolution; a run of no steps gets the reference and no rows. The
+    right-hand side multiplies the transform's Lipschitz constant, the
+    integral of pi/q, the known native norm, and a grid supremum of
     q sqrt(posterior var) widened by a modulus-of-continuity slack; the
     left side carries the quadrature oracle's self-estimate.
     """
-    dom = record.domain
+    integrand, pi, dom = (record.problem.integrand, record.problem.pi,
+                          record.problem.domain)
+    q = record.spec.q
     res = record.oracle_resolution
+    coarse = reference_integral(integrand, pi, dom, res)
+    reference = reference_integral(integrand, pi, dom, 2 * res)
+    ref_err = abs(reference - coarse)
     t = integrand.transform
     gnorm = rkhs_norm(integrand)
     k_inf = integrand.kernel.sup_diag()
@@ -266,8 +278,11 @@ def error_bound_check(record, state, integrand, pi, q, reference, ref_err):
     c_t = t.lipschitz_constant(m_inf, gnorm, k_inf)
     c_piq = reference_integral(lambda P: 1.0 / np.asarray(q(P)), pi, dom,
                                min(res, 256))
-    report = BoundReport(constant_transform=float(c_t),
+    report = BoundReport(reference=reference, reference_self_error=ref_err,
+                         constant_transform=float(c_t),
                          constant_pi_over_q=float(c_piq), gnorm=gnorm)
+    if not state.n:
+        return report
     curves = zip(*sup_qk_fine(state, q, dom),
                  _plugin_curve(state, t, pi, dom, res),
                  _plugin_curve(state, t, pi, dom, 2 * res))

@@ -39,7 +39,6 @@ def _build_parser():
     p_run.add_argument("config", help="path to a JSON experiment config")
     p_run.add_argument("--out", help="output directory (overrides config)")
     p_run.add_argument("--seed", type=int, help="seed override")
-    p_run.add_argument("--grid", type=int, help="certificate grid size override")
 
     p_verify = sub.add_parser("verify", help="run the built-in verification suite")
     p_verify.add_argument("--out", help="write the summary JSON here too")
@@ -55,7 +54,7 @@ def _cmd_run(args):
     out_dir = args.out or raw.get("output_dir")
     if not out_dir:
         raise ConfigError("no output directory: set output_dir or pass --out")
-    written = runner.run_experiment(raw, out_dir, seed=args.seed, grid=args.grid)
+    written = runner.run_experiment(raw, out_dir, seed=args.seed)
     findings = 0
     for target in written:
         with open(os.path.join(target, "report.json")) as fh:

@@ -33,6 +33,7 @@ _DENSITY_SCHEMA = {
         "values": {"type": "array"},
     },
     "required": ["kind"],
+    "additionalProperties": False,
     "if": {"properties": {"kind": {"const": "tabulated"}}},
     "then": {"required": ["values"]},
 }
@@ -49,6 +50,7 @@ CONFIG_SCHEMA = {
                 "upper": {"type": "array", "items": {"type": "number"}, "minItems": 1},
             },
             "required": ["lower", "upper"],
+            "additionalProperties": False,
         },
         "kernel": {
             "type": "object",
@@ -70,6 +72,7 @@ CONFIG_SCHEMA = {
                 "radius": {"type": "number"},
             },
             "required": ["family"],
+            "additionalProperties": False,
         },
         "mean": {
             "type": "object",
@@ -80,6 +83,7 @@ CONFIG_SCHEMA = {
                 "offset": {"type": "number"},
             },
             "required": ["kind"],
+            "additionalProperties": False,
         },
         "transform": {
             "type": "object",
@@ -88,6 +92,7 @@ CONFIG_SCHEMA = {
                 "alpha": {"type": ["number", "null"]},
             },
             "required": ["kind"],
+            "additionalProperties": False,
         },
         "integrand": {
             "type": "object",
@@ -98,6 +103,7 @@ CONFIG_SCHEMA = {
                 "name": {"enum": ["two-bumps", "left-cluster"]},
             },
             "required": ["kind"],
+            "additionalProperties": False,
         },
         "pi": _DENSITY_SCHEMA,
         "acquisition": {
@@ -110,6 +116,7 @@ CONFIG_SCHEMA = {
                         "delta": {"type": "number"},
                     },
                     "required": ["kind"],
+                    "additionalProperties": False,
                 },
                 "q": _DENSITY_SCHEMA,
                 "b": {
@@ -124,10 +131,12 @@ CONFIG_SCHEMA = {
                         "density": _DENSITY_SCHEMA,
                     },
                     "required": ["kind"],
+                    "additionalProperties": False,
                 },
                 "gamma_tilde": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
             },
             "required": ["outer", "q", "b", "gamma_tilde"],
+            "additionalProperties": False,
         },
         "selector": {
             "type": "object",
@@ -138,6 +147,7 @@ CONFIG_SCHEMA = {
                 },
                 "local_refinement_steps": {"type": "integer", "minimum": 0},
             },
+            "additionalProperties": False,
         },
         "budget": {"type": "integer", "minimum": 0},
         "grids": {
@@ -147,6 +157,7 @@ CONFIG_SCHEMA = {
                 "oracle": {"type": "integer", "minimum": 8},
                 "shared_certificate": {"type": "boolean"},
             },
+            "additionalProperties": False,
         },
         "output_dir": {"type": "string"},
         "matrix": {
@@ -158,6 +169,7 @@ CONFIG_SCHEMA = {
         "version", "seed", "domain", "kernel", "mean", "transform",
         "integrand", "pi", "acquisition", "budget",
     ],
+    "additionalProperties": False,
 }
 
 _BUILTIN_INTEGRANDS = {
@@ -179,12 +191,16 @@ def load_config(path):
     return raw
 
 
+# built once: jsonschema.validate checks the schema itself on every call
+_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+
+
 def validate_config(raw):
-    try:
-        jsonschema.validate(raw, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
+    """Raise ConfigError for the error jsonschema.validate would raise."""
+    exc = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(raw))
+    if exc is not None:
         path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"config field {path}: {exc.message}") from exc
+        raise ConfigError(f"config field {path}: {exc.message}")
 
 
 def expand_matrix(raw):
@@ -332,7 +348,7 @@ def _build_problem(raw):
         local_refinement_steps=sel_raw.get("local_refinement_steps", 0),
         seed=raw["seed"],
     )
-    problem = Problem(integrand=integrand, pi=pi, domain=dom, transform=transform)
+    problem = Problem(integrand=integrand, pi=pi, domain=dom)
     return problem, spec, selector
 
 

@@ -279,10 +279,3 @@ def reference_integral(f, pi, dom, resolution):
     vals = np.asarray(f(pts), dtype=float)
     pvals = np.asarray(pi(pts), dtype=float)
     return float(np.sum(w * vals * pvals))
-
-
-def reference_integral_refined(f, pi, dom, resolution):
-    """Integral at 2x resolution plus a Richardson-style self error estimate."""
-    coarse = reference_integral(f, pi, dom, resolution)
-    fine = reference_integral(f, pi, dom, 2 * resolution)
-    return fine, abs(fine - coarse)

@@ -51,40 +51,27 @@ class SelectorConfig:
 
 @dataclass(frozen=True)
 class Problem:
-    """An integrand on a box with its weight density and warping transform.
+    """An integrand on a box with its weight density.
 
-    The GP model (kernel, prior mean) defaults to the attributes of a
-    synthetic integrand; pass them explicitly for black-box integrands.
+    The integrand carries the GP model: `run_abq` conditions with its
+    `kernel`, `prior_mean` and `transform` attributes, which a synthetic
+    integrand has and a black-box integrand must expose too.
     """
 
     integrand: object  # callable on (n, d) points
     pi: object  # Density
     domain: object  # Domain
-    transform: object
-    kernel: object = None
-    mean: object = None
-
-    def model_kernel(self):
-        kernel = self.kernel or getattr(self.integrand, "kernel", None)
-        if kernel is None:
-            raise DomainError("problem does not expose a model kernel")
-        return kernel
-
-    def model_mean(self):
-        mean = self.mean or getattr(self.integrand, "prior_mean", None)
-        if mean is None:
-            raise DomainError("problem does not expose a prior mean")
-        return mean
 
 
 @dataclass
 class RunRecord:
-    """Per-iteration trace of one sequential run."""
+    """Per-iteration trace of one sequential run, with the problem and the
+    acquisition it ran, so every certificate reads the run it certifies."""
 
-    domain: object
+    problem: Problem
+    spec: object  # AcquisitionSpec
     cert_grid: np.ndarray
     oracle_resolution: int  # Gauss-Legendre nodes per dim of the estimators
-    spec: object = None
     points: list = field(default_factory=list)
     greedy_ratio: list = field(default_factory=list)
     sup_qk: list = field(default_factory=list)  # e_n surrogate after n points
@@ -102,9 +89,8 @@ class RunRecord:
     def n(self):
         return len(self.points)
 
-    def design(self, upto=None):
-        pts = self.points if upto is None else self.points[:upto]
-        return np.array(pts).reshape(len(pts), -1)
+    def design(self):
+        return np.array(self.points).reshape(self.n, -1)
 
 
 def _next_pow2(n):
@@ -201,12 +187,13 @@ def run_abq(problem, spec, cfg, n, cert_grid_size=None, oracle_resolution=None,
     candidate pool itself, so exact-argmax runs certify a ratio of one.
     The estimators integrate on a Gauss-Legendre tensor grid with
     oracle_resolution nodes per dim, by default 256 in d=1 and 64 above;
-    the record keeps the resolution for the report's oracle integrals.
+    the record keeps it, the problem and the spec for the report.
     Deterministic given (problem, spec, cfg, n). Raises
     NonFiniteIntegrandError when the integrand returns NaN or inf.
     """
     dom = problem.domain
-    t = problem.transform
+    model = problem.integrand
+    t = model.transform
     if oracle_resolution is None:
         oracle_resolution = 256 if dom.dim == 1 else 64
     rng = np.random.default_rng(cfg.seed)
@@ -220,8 +207,7 @@ def run_abq(problem, spec, cfg, n, cert_grid_size=None, oracle_resolution=None,
     else:
         cert_grid = certificate_grid(dom, cert_grid_size)
 
-    state = gp.empty_state(kernel=problem.model_kernel(), mean=problem.model_mean(),
-                           dim=dom.dim)
+    state = gp.empty_state(kernel=model.kernel, mean=model.prior_mean, dim=dom.dim)
     grid_post = gp.GridPosterior(state, cert_grid)
     posts = [grid_post]
     cand_post = grid_post
@@ -233,8 +219,8 @@ def run_abq(problem, spec, cfg, n, cert_grid_size=None, oracle_resolution=None,
     node_post = gp.GridPosterior(state, nodes)
     posts.append(node_post)
 
-    record = RunRecord(domain=dom, cert_grid=cert_grid,
-                       oracle_resolution=oracle_resolution, spec=spec)
+    record = RunRecord(problem=problem, spec=spec, cert_grid=cert_grid,
+                       oracle_resolution=oracle_resolution)
     q_grid = spec.q(cert_grid)
     record.e0 = float(np.max(q_grid * np.sqrt(grid_post.var)))
 

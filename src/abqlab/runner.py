@@ -9,8 +9,8 @@ import numpy as np
 
 from . import analysis, engine, kernels
 from .acquisition import theoretical_clcu, Vbmc
-from .config import build_problem, expand_matrix
-from .domain import reference_integral_refined, rkhs_norm
+from .config import build_problem, expand_matrix, validate_config
+from .domain import rkhs_norm
 from .exceptions import DomainError
 
 TRACE_SCHEMA = "abqlab-trace v1"
@@ -26,22 +26,20 @@ def json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj).__name__}")
 
 
-def run_experiment(raw, out_dir, seed=None, grid=None):
+def run_experiment(raw, out_dir, seed=None):
     """Run a (possibly matrix) config; one artifact directory per combo.
 
-    Returns the list of directories written. Deterministic given the
-    config and overrides.
+    Every combo is validated before any runs, and a combo's directory is
+    made only once its report is built. Returns the list of directories
+    written. Deterministic given the config and overrides.
     """
     if seed is not None:
         raw = {**raw, "seed": int(seed)}
-    if grid is not None:
-        raw = {**raw, "grids": {**raw.get("grids", {}), "certificate": int(grid)}}
     flats, targets = [], []
     for tag, flat in expand_matrix(raw):
-        target = os.path.join(out_dir, tag) if tag else out_dir
-        os.makedirs(target, exist_ok=True)
+        validate_config(flat)
         flats.append(flat)
-        targets.append(target)
+        targets.append(os.path.join(out_dir, tag) if tag else out_dir)
     width = int(os.environ.get("ABQ_LAB_THREADS", "1"))
     if width > 1 and len(flats) > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -57,33 +55,31 @@ def run_experiment(raw, out_dir, seed=None, grid=None):
 
 def execute(raw):
     """Build and run one flat (matrix-expanded) config, the only reader of
-    its `budget` and `grids`; returns (problem, spec, state, record)."""
+    its `budget` and `grids`; returns (state, record)."""
     problem, spec, selector = build_problem(raw)
     grids = raw.get("grids", {})
-    state, record = engine.run_abq(
+    return engine.run_abq(
         problem, spec, selector, raw["budget"],
         cert_grid_size=grids.get("certificate"),
         oracle_resolution=grids.get("oracle"),
         share_candidate_grid=grids.get("shared_certificate", False),
     )
-    return problem, spec, state, record
 
 
 def _run_single(raw, target):
-    problem, spec, state, record = execute(raw)
-    reference, ref_err = reference_integral_refined(
-        problem.integrand, problem.pi, problem.domain, record.oracle_resolution
-    )
-    fills = analysis.fill_distance(record.design(), problem.domain) if record.n else []
-    _write_trace(os.path.join(target, "trace.csv"), record, reference, fills)
-    report = build_report(raw, problem, spec, state, record, reference, ref_err)
+    state, record = execute(raw)
+    report = build_report(raw, state, record)
+    fills = (analysis.fill_distance(record.design(), record.problem.domain)
+             if record.n else [])
+    os.makedirs(target, exist_ok=True)
+    _write_trace(os.path.join(target, "trace.csv"), record, report["reference"], fills)
     with open(os.path.join(target, "report.json"), "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True, default=json_default)
         fh.write("\n")
 
 
 def _write_trace(path, record, reference, fills):
-    dim = record.domain.dim
+    dim = record.problem.domain.dim
     cols = (["n"] + [f"x{i}" for i in range(dim)]
             + ["sup_q_sqrt_k", "plugin_estimate", "expectation_estimate",
                "abs_error_plugin", "abs_error_expectation",
@@ -108,30 +104,31 @@ def _write_trace(path, record, reference, fills):
         fh.write("\n".join(lines) + "\n")
 
 
-def clcu_for(problem, spec):
-    """Theoretical [C_L, C_U] for the problem's rule, from a probe grid."""
-    integrand = problem.integrand
-    dom = problem.domain
-    probe = dom.probe_grid()
+def clcu_for(record):
+    """Theoretical [C_L, C_U] for the run's rule, from a probe grid."""
+    integrand = record.problem.integrand
+    b = record.spec.b
+    probe = record.problem.domain.probe_grid()
     m_abs = np.abs(integrand.prior_mean(probe))
     gnorm = rkhs_norm(integrand)
     k_inf = integrand.kernel.sup_diag()
     kwargs = {}
-    if isinstance(spec.b, Vbmc):
-        dens = spec.b.densities[0]
-        vals = dens(probe)
+    if isinstance(b, Vbmc):
+        vals = b.densities[0](probe)
         kwargs = {"density_low": float(np.min(vals)),
                   "density_high": float(np.max(vals))}
-    return theoretical_clcu(spec.b, float(np.min(m_abs)), float(np.max(m_abs)),
+    return theoretical_clcu(b, float(np.min(m_abs)), float(np.max(m_abs)),
                             gnorm, k_inf, **kwargs)
 
 
-def build_report(raw, problem, spec, state, record, reference, ref_err):
-    dom = problem.domain
-    kernel = problem.integrand.kernel
+def build_report(raw, state, record):
+    """The report.json payload of one run, from the run alone: raw is the
+    flat config it ran, echoed in the report."""
+    dom = record.problem.domain
+    kernel = record.problem.integrand.kernel
     findings = []
 
-    clcu = clcu_for(problem, spec)
+    clcu = clcu_for(record)
     clcu_json = {"present": clcu.present, "reason": clcu.reason}
     if clcu.present:
         clcu_json.update({"c_l": clcu.c_l, "c_u": clcu.c_u})
@@ -151,7 +148,7 @@ def build_report(raw, problem, spec, state, record, reference, ref_err):
 
     cert_json = None
     if record.n >= 2:
-        cert = analysis.greedy_certificate(record, kernel, spec.q, clcu=clcu)
+        cert = analysis.greedy_certificate(record, clcu=clcu)
         cert_json = {
             "gamma_hat": cert.gamma_hat,
             "gamma_theoretical": (None if np.isnan(cert.gamma_theoretical)
@@ -159,6 +156,11 @@ def build_report(raw, problem, spec, state, record, reference, ref_err):
             "min_ratio": float(np.min(cert.ratios)),
             "failures": cert.failures,
         }
+        if cert.gamma_hat == 0.0:
+            findings.append(
+                f"weak-greedy certificate vacuous: b_min = {min(record.b_min):g} "
+                f"gives gamma_hat = 0"
+            )
         for failure in cert.failures:
             findings.append(
                 f"weak-greedy certificate failed at iteration "
@@ -166,11 +168,9 @@ def build_report(raw, problem, spec, state, record, reference, ref_err):
                 f"gamma_hat {failure['gamma_hat']:g}"
             )
 
+    bound = analysis.error_bound_check(record, state)
     bound_json = None
     if record.n:
-        bound = analysis.error_bound_check(
-            record, state, problem.integrand, problem.pi, spec.q, reference, ref_err
-        )
         margins = [row["lhs"] / row["rhs"] for row in bound.rows if row["rhs"] > 0]
         bound_json = {
             "ok": bound.ok,
@@ -199,14 +199,15 @@ def build_report(raw, problem, spec, state, record, reference, ref_err):
         fits["skipped"] = str(exc)
 
     surrogate_ns = list(range(1, min(record.n, 30) + 1))
-    surrogate = (analysis.nwidth_surrogate(kernel, spec.q, dom, len(surrogate_ns))
+    surrogate = (analysis.nwidth_surrogate(kernel, record.spec.q, dom,
+                                           len(surrogate_ns))
                  if record.n >= 1 else [])
 
     return {
         "schema": REPORT_SCHEMA,
         "config": {k: v for k, v in raw.items() if k != "output_dir"},
-        "reference": reference,
-        "reference_self_error": ref_err,
+        "reference": bound.reference,
+        "reference_self_error": bound.reference_self_error,
         "iterations": record.n,
         "converged_early": record.converged,
         "e0": record.e0,

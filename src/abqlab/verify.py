@@ -44,10 +44,8 @@ from .domain import (
     TruncatedGaussianDensity,
     UniformDensity,
     quadrature_nodes,
-    reference_integral_refined,
 )
 
-CERT_TOL = 1e-9
 PROJECTION_RTOL = 1e-8
 PSI_TOL = 1e-12
 
@@ -192,39 +190,29 @@ def builtin_matrix():
 
 
 def matrix_runs():
-    """(name, problem, spec, record) for each run of the builtin matrix."""
-    runs = []
-    for name, raw in builtin_matrix():
-        problem, spec, _, record = runner.execute(raw)
-        runs.append((name, problem, spec, record))
-    return runs
+    """(name, record) for each run of the builtin matrix."""
+    return [(name, runner.execute(raw)[1]) for name, raw in builtin_matrix()]
 
 
-def check_certificates(runs=None):
-    if runs is None:
-        runs = matrix_runs()
+def check_certificates(runs):
     rows = []
     ok = True
-    for name, problem, spec, record in runs:
-        cert = analysis.greedy_certificate(
-            record, problem.integrand.kernel, spec.q, tol=CERT_TOL
-        )
+    for name, record in runs:
+        cert = analysis.greedy_certificate(record)
         min_ratio = float(np.min(cert.ratios))
         rows.append({
             "run": name, "iterations": record.n, "gamma_hat": cert.gamma_hat,
             "min_ratio": min_ratio, "failures": len(cert.failures),
         })
         ok = ok and cert.ok
-    return ok, {"runs": rows, "tolerance": CERT_TOL}
+    return ok, {"runs": rows, "tolerance": analysis.CERT_TOL}
 
 
-def check_adaptivity_envelopes(runs=None):
-    if runs is None:
-        runs = matrix_runs()
+def check_adaptivity_envelopes(runs):
     rows = []
     ok = True
-    for name, problem, spec, record in runs:
-        clcu = runner.clcu_for(problem, spec)
+    for name, record in runs:
+        clcu = runner.clcu_for(record)
         if not clcu.present:
             rows.append({"run": name, "envelope": "absent", "reason": clcu.reason})
             ok = False
@@ -265,12 +253,8 @@ def check_error_bound(budget=30):
     rows = []
     ok = True
     for t_kind, raw in _bound_configs(budget):
-        problem, spec, state, record = runner.execute(raw)
-        reference, ref_err = reference_integral_refined(
-            problem.integrand, problem.pi, problem.domain, record.oracle_resolution)
-        report = analysis.error_bound_check(
-            record, state, problem.integrand, problem.pi, spec.q, reference, ref_err
-        )
+        state, record = runner.execute(raw)
+        report = analysis.error_bound_check(record, state)
         margins = [r["lhs"] / r["rhs"] for r in report.rows if r["rhs"] > 0]
         rows.append({"transform": t_kind, "iterations": record.n,
                      "violations": len(report.violations),
@@ -287,7 +271,7 @@ def _p_greedy_run(kernel, budget, dim=1, candidate_count=512):
     """The record of a P-greedy run: zero integrand, constant b."""
     raw = _config(kernel, {"kind": "synthetic", "centers": [], "weights": []},
                   budget=budget, dim=dim, candidate_count=candidate_count)
-    return runner.execute(raw)[3]
+    return runner.execute(raw)[1]
 
 
 def check_rate_infinite():
@@ -370,9 +354,9 @@ def check_inconsistency_caveat(stall_factor=5.0):
     series = {}
     clcu_zero = None
     for label, mean_value in (("zero_mean", 0.0), ("shifted_mean", 5.0)):
-        problem, spec, _, record = runner.execute(_inconsistency_config(mean_value))
+        record = runner.execute(_inconsistency_config(mean_value))[1]
         if label == "zero_mean":
-            clcu_zero = runner.clcu_for(problem, spec)
+            clcu_zero = runner.clcu_for(record)
         series[label] = list(record.sup_qk)
     e_zero = series["zero_mean"][-1]
     e_shift = series["shifted_mean"][-1]

@@ -9,7 +9,7 @@ from abqlab import analysis, engine, gp, kernels
 from abqlab.acquisition import AcquisitionSpec, ConstantRule, Power, WsabiM
 from abqlab.domain import (ConstantMean, Domain, SyntheticIntegrand,
                            TruncatedGaussianDensity, UniformDensity,
-                           reference_integral, reference_integral_refined)
+                           reference_integral)
 from abqlab.exceptions import DomainError, NumericalDegradationError
 from abqlab.kernels import Matern, RatePrediction, SquaredExponential, Wendland
 from abqlab.transforms import Identity, Square
@@ -95,8 +95,7 @@ def _p_greedy_record(budget=10, kernel=None):
         centers=np.zeros((0, 1)), weights=np.zeros(0),
         prior_mean=ConstantMean(0.0), kernel=kernel, transform=Identity(),
     )
-    problem = engine.Problem(integrand=integrand, pi=Q, domain=DOM,
-                             transform=Identity())
+    problem = engine.Problem(integrand=integrand, pi=Q, domain=DOM)
     spec = AcquisitionSpec(outer=Power(1.0), q=Q, b=ConstantRule(1.0),
                            gamma_tilde=1.0)
     cfg = engine.SelectorConfig(candidate_count=128, seed=0)
@@ -107,16 +106,16 @@ def _p_greedy_record(budget=10, kernel=None):
 
 def test_greedy_certificate_exact_argmax_ratio_one():
     rec, problem, spec, _ = _p_greedy_record()
-    cert = analysis.greedy_certificate(rec, problem.integrand.kernel, spec.q)
+    cert = analysis.greedy_certificate(rec)
     assert cert.ok
     assert np.min(cert.ratios) >= 1.0 - 1e-9
     assert cert.gamma_hat == pytest.approx(1.0)
 
 
 def test_greedy_certificate_needs_two_points():
-    rec, problem, spec, _ = _p_greedy_record(budget=1)
+    rec = _p_greedy_record(budget=1)[0]
     with pytest.raises(DomainError):
-        analysis.greedy_certificate(rec, problem.integrand.kernel, spec.q)
+        analysis.greedy_certificate(rec)
 
 
 def test_fill_distance_single_center():
@@ -188,14 +187,30 @@ def test_fit_rate_truncates_at_floor_and_guards_length():
 
 
 def test_error_bound_holds_on_small_run():
-    rec, problem, spec, state = _p_greedy_record(budget=8)
-    reference, ref_err = reference_integral_refined(problem.integrand, problem.pi,
-                                                    DOM, 256)
-    report = analysis.error_bound_check(rec, state, problem.integrand, problem.pi,
-                                        spec.q, reference, ref_err)
+    rec, _, _, state = _p_greedy_record(budget=8)
+    report = analysis.error_bound_check(rec, state)
     assert report.ok
     assert len(report.rows) == rec.n
     assert report.constant_transform == 1.0
+
+
+def test_error_bound_check_reports_the_reference_self_error():
+    # a run of no steps still gets its reference, at twice a coarse oracle
+    # resolution, and a self-error that covers its distance to the integral
+    integrand = SyntheticIntegrand(
+        centers=np.array([[0.3], [0.7]]), weights=np.array([0.6, -0.4]),
+        prior_mean=ConstantMean(0.0), kernel=Matern(2.5, 0.05), transform=Identity(),
+    )
+    problem = engine.Problem(integrand=integrand, pi=Q, domain=DOM)
+    spec = AcquisitionSpec(outer=Power(1.0), q=Q, b=ConstantRule(1.0),
+                           gamma_tilde=1.0)
+    state, rec = engine.run_abq(problem, spec, engine.SelectorConfig(), 0,
+                                oracle_resolution=8)
+    report = analysis.error_bound_check(rec, state)
+    assert report.rows == [] and report.ok
+    exact = reference_integral(integrand, Q, DOM, 1024)
+    assert report.reference_self_error > 1e-6
+    assert abs(report.reference - exact) <= report.reference_self_error
 
 
 def square_warp_problem():
@@ -205,8 +220,7 @@ def square_warp_problem():
         prior_mean=ConstantMean(5.0), kernel=Matern(1.5, 0.25), transform=square,
     )
     pi = TruncatedGaussianDensity(DOM, center=[0.4], scale=[0.3])
-    problem = engine.Problem(integrand=integrand, pi=pi, domain=DOM,
-                             transform=square)
+    problem = engine.Problem(integrand=integrand, pi=pi, domain=DOM)
     spec = AcquisitionSpec(outer=Power(1.0), q=Q, b=WsabiM(), gamma_tilde=1.0)
     return problem, spec
 
@@ -217,18 +231,21 @@ def bound_check_inputs(budget=8, oracle=64):
     state, rec = engine.run_abq(problem, spec, cfg, budget, oracle_resolution=oracle,
                                 share_candidate_grid=True)
     assert rec.n == budget
-    reference, ref_err = reference_integral_refined(problem.integrand, problem.pi,
-                                                    DOM, oracle)
-    return problem, spec, state, rec, reference, ref_err
+    return problem, spec, state, rec
 
 
 def test_error_bound_rows_match_a_dense_replay():
-    problem, spec, state, rec, reference, ref_err = bound_check_inputs()
-    report = analysis.error_bound_check(rec, state, problem.integrand, problem.pi,
-                                        spec.q, reference, ref_err)
+    problem, spec, state, rec = bound_check_inputs()
+    report = analysis.error_bound_check(rec, state)
     assert report.ok
+    # the reference is the oracle integral at twice the run's resolution,
+    # its self-error the distance to the integral at that resolution
+    reference = reference_integral(problem.integrand, problem.pi, DOM, 128)
+    ref_err = abs(reference - reference_integral(problem.integrand, problem.pi,
+                                                 DOM, 64))
+    assert (report.reference, report.reference_self_error) == (reference, ref_err)
     grid = DOM.uniform_grid(2048)  # sup_qk_fine's default grid in d=1
-    t = problem.transform
+    t = problem.integrand.transform
     const = report.constant_transform * report.constant_pi_over_q * report.gnorm
     replay = gp.empty_state(state.kernel, state.mean, 1)
     for row, x, z in zip(report.rows, state.X, state.z, strict=True):
@@ -252,9 +269,11 @@ def test_error_bound_rows_match_a_dense_replay():
 
 
 def test_report_checks_read_the_run_instead_of_replaying_it(monkeypatch):
-    problem, spec, state, rec, reference, ref_err = bound_check_inputs()
+    state, rec = bound_check_inputs()[2:]
     short = bound_check_inputs(budget=4)[3]
     calls = Counter()
+    integrand_sizes = []
+    call = SyntheticIntegrand.__call__
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
@@ -262,21 +281,24 @@ def test_report_checks_read_the_run_instead_of_replaying_it(monkeypatch):
             return fn(*args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(SyntheticIntegrand, "__call__",
-                        counting("integrand", SyntheticIntegrand.__call__))
+    def integrand(self, X):
+        integrand_sizes.append(len(X))
+        return call(self, X)
+
+    monkeypatch.setattr(SyntheticIntegrand, "__call__", integrand)
     monkeypatch.setattr(gp, "extend", counting("extend", gp.extend))
     monkeypatch.setattr(kernels, "chol_with_jitter",
                         counting("chol", kernels.chol_with_jitter))
-    analysis.error_bound_check(rec, state, problem.integrand, problem.pi, spec.q,
-                               reference, ref_err)
-    assert calls["integrand"] == 0
+    analysis.error_bound_check(rec, state)
+    # the integrand is evaluated only on the reference's two node sets
+    assert integrand_sizes == [64, 128]
     assert calls["extend"] == 0
     # one factorization for the certificate grid and one for the design,
     # whatever the number of steps
     chols = []
     for record in (short, rec):
         calls.clear()
-        analysis.greedy_certificate(record, problem.integrand.kernel, spec.q)
+        analysis.greedy_certificate(record)
         chols.append(calls["chol"])
     assert chols == [2, 2]
 

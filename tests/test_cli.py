@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from abqlab import analysis, cli, domain, engine, runner, verify
-from abqlab.config import build_problem, expand_matrix, load_config, validate_config
+from abqlab.config import (CONFIG_SCHEMA, build_problem, expand_matrix, load_config,
+                           validate_config)
 from abqlab.domain import Domain, SyntheticIntegrand
-from abqlab.exceptions import ConfigError
+from abqlab.exceptions import ConfigError, NumericalDegradationError
 
 MINIMAL = {
     "version": "1",
@@ -85,7 +86,7 @@ def test_square_alpha_defaults_from_latent_floor():
     raw["transform"] = {"kind": "square", "alpha": None}
     raw["mean"] = {"kind": "constant", "value": 5.0}
     problem, _, _ = build_problem(raw)
-    assert problem.transform.alpha > 0
+    assert problem.integrand.transform.alpha > 0
     # zero mean: latent touches zero, so the default has no positive floor
     raw["mean"] = {"kind": "constant", "value": 0.0}
     with pytest.raises(ConfigError, match="alpha"):
@@ -173,20 +174,98 @@ def test_cli_exit_code_2_on_invalid_config_value(tmp_path, capsys, key, value):
     cfg = write_config(tmp_path, raw)
     assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    pytest.param("kernel", {"family": "squared-exponential", "gama": 0.2},
+                 id="kernel"),
+    pytest.param("selector", {"schem": "uniform-random"}, id="selector"),
+    pytest.param("pi", {"kind": "truncated-gaussian", "centre": [0.2]}, id="density"),
+    pytest.param("grid", {"certificate": 64}, id="top-level"),
+])
+def test_cli_exit_code_2_on_misspelled_key(tmp_path, capsys, key, value):
+    raw = json.loads(json.dumps(MINIMAL))
+    raw[key] = value
+    cfg = write_config(tmp_path, raw)
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "Additional properties are not allowed" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("key, values", [
+    ("acquisition.b.kind", ["wsabi_m", "wsabi-l"]),
+    ("kernel.family", ["matern", "matérn"]),
+])
+def test_cli_validates_every_matrix_combo_before_running(tmp_path, capsys, key,
+                                                         values):
+    raw = json.loads(json.dumps(MINIMAL))
+    raw["mean"] = {"kind": "constant", "value": 5.0}
+    raw["matrix"] = {key: values}
+    cfg = write_config(tmp_path, raw)
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "config error: config field " + key.replace(".", "/") in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()  # the valid combo did not run either
+
+
+def test_validate_config_keeps_the_error_jsonschema_picks(monkeypatch):
+    import jsonschema
+
+    cls = jsonschema.validators.validator_for(CONFIG_SCHEMA)
+    cls.check_schema(CONFIG_SCHEMA)
+    bad = json.loads(json.dumps(MINIMAL))
+    bad["kernel"] = {"family": "mystery", "gamma": "x"}
+    bad["budget"] = -1
+    with pytest.raises(jsonschema.ValidationError) as expected:
+        jsonschema.validate(bad, CONFIG_SCHEMA)
+    path = "/".join(str(p) for p in expected.value.absolute_path)
+
+    def no_schema_check(*args, **kwargs):
+        raise AssertionError("the schema is checked once, not per config")
+
+    monkeypatch.setattr(cls, "check_schema", no_schema_check)
+    with pytest.raises(ConfigError) as got:
+        validate_config(bad)
+    assert str(got.value) == f"config field {path}: {expected.value.message}"
+
+
+def test_cli_error_at_report_time_writes_no_artifact(tmp_path, monkeypatch, capsys):
+    def failing(record, state):
+        raise NumericalDegradationError("posterior variance below its floor")
+
+    monkeypatch.setattr(analysis, "error_bound_check", failing)
+    cfg = write_config(tmp_path, MINIMAL)
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert "NumericalDegradationError" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "trace.csv").exists()
+
+
+def test_cli_runs_the_inconsistency_config_with_a_vacuous_certificate(tmp_path):
+    # zero prior mean under WSABI-L: b = m^2 starts at 0, so b_min = 0
+    cfg = write_config(tmp_path, verify._inconsistency_config(0.0))
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 0
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    cert = report["certificate"]
+    assert cert["gamma_hat"] == 0.0
+    assert cert["failures"] == []
+    assert 0.0 < cert["min_ratio"] <= 1.0
+    assert any("certificate vacuous: b_min = 0" in f for f in report["findings"])
 
 
 def test_execute_reads_the_grids_block():
     raw = json.loads(json.dumps(MINIMAL))
     raw["grids"] = {"oracle": 32, "certificate": 100}
-    rec = runner.execute(raw)[3]
+    rec = runner.execute(raw)[1]
+    dom = rec.problem.domain
     assert rec.n == raw["budget"]
     assert rec.oracle_resolution == 32
-    assert np.array_equal(rec.cert_grid, engine.certificate_grid(rec.domain, 100))
+    assert np.array_equal(rec.cert_grid, engine.certificate_grid(dom, 100))
     raw["grids"] = {"shared_certificate": True}
-    rec = runner.execute(raw)[3]
+    rec = runner.execute(raw)[1]
     assert rec.oracle_resolution == 256
     assert np.array_equal(rec.cert_grid,
-                          engine.candidate_pool(rec.domain, engine.SelectorConfig()))
+                          engine.candidate_pool(dom, engine.SelectorConfig()))
 
 
 def test_every_verify_run_is_a_valid_config(monkeypatch):
@@ -248,19 +327,22 @@ def test_d3_run_keeps_every_tensor_grid_small(tmp_path, monkeypatch):
 
 
 def test_cli_run_computes_the_reference_integral_once(tmp_path, monkeypatch):
-    original = domain.reference_integral_refined
-    calls = []
+    # one reference: the integrand's integral at the oracle resolution (256
+    # in d=1) and at twice it, for the self-error
+    original = domain.reference_integral
+    resolutions = []
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def counting(f, pi, dom, resolution):
+        if isinstance(f, SyntheticIntegrand):
+            resolutions.append(resolution)
+        return original(f, pi, dom, resolution)
 
     for module in (domain, runner, analysis):
-        if getattr(module, "reference_integral_refined", None) is original:
-            monkeypatch.setattr(module, "reference_integral_refined", counting)
+        if getattr(module, "reference_integral", None) is original:
+            monkeypatch.setattr(module, "reference_integral", counting)
     path = write_config(tmp_path, MINIMAL)
     assert cli.main(["run", path, "--out", str(tmp_path / "out")]) == 0
-    assert len(calls) == 1
+    assert resolutions == [256, 512]
 
 
 def test_cli_run_requires_output_dir(tmp_path):

@@ -12,7 +12,6 @@ from abqlab.domain import (
     UniformDensity,
     quadrature_nodes,
     reference_integral,
-    reference_integral_refined,
     rkhs_norm,
 )
 from abqlab.exceptions import BudgetExceededError
@@ -131,11 +130,3 @@ def test_quadrature_budget_guard():
     with pytest.raises(BudgetExceededError):
         quadrature_nodes(dom, 500)
 
-
-def test_reference_integral_refined_reports_self_error():
-    dom = Domain((0.0,), (1.0,))
-    fine, err = reference_integral_refined(
-        lambda P: np.sin(20 * P[:, 0]), UniformDensity(dom), dom, 8
-    )
-    exact = (1 - np.cos(20.0)) / 20.0
-    assert abs(fine - exact) <= max(err, 1e-10) * 10

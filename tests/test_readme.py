@@ -1,0 +1,38 @@
+"""README's code blocks run as written: the library sketch and the minimal
+config through `abqlab run`."""
+
+import json
+import re
+from pathlib import Path
+
+from abqlab import cli
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def block(after, lang):
+    """The first fenced `lang` block that follows the line `after`."""
+    match = re.search(rf"^{re.escape(after)}\n+```{lang}\n(.*?)^```", README,
+                      re.MULTILINE | re.DOTALL)
+    assert match, f"no {lang} block after {after!r} in README.md"
+    return match.group(1)
+
+
+def test_readme_library_sketch_runs(capsys):
+    namespace = {}
+    exec(block("## Library sketch", "python"), namespace)
+    record, cert, bound = namespace["record"], namespace["cert"], namespace["bound"]
+    assert record.n == 20
+    assert cert.ok and bound.ok
+    assert len(capsys.readouterr().out.split()) == 4
+
+
+def test_readme_minimal_config_runs(tmp_path):
+    raw = json.loads(block("Minimal config:", "json"))
+    path = tmp_path / "minimal.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert cli.main(["run", str(path), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert 0 < report["iterations"] <= raw["budget"]
+    assert report["error_bound"]["ok"]
