@@ -250,6 +250,11 @@ class BoundReport:
     def ok(self):
         return not self.violations
 
+    @property
+    def max_lhs_over_rhs(self):
+        return max((r["lhs"] / r["rhs"] for r in self.rows if r["rhs"] > 0),
+                   default=0.0)
+
 
 def error_bound_check(record, state):
     """Check |reference - plugin estimate| after each step against the

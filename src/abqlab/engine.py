@@ -11,8 +11,10 @@ sup q sqrt(k) for step l and the b range and grid maximum for step l+1;
 acquisition rules and estimators take moments as inputs.
 
 Selection maximizes the acquisition over a candidate pool (optionally
-with coordinate-descent refinement); the certificate compares the chosen
-point against a dense fixed grid whose resolution is recorded, since the
+with coordinate-descent refinement); a candidate the design spans, its
+variance at or below `gp.dependence_floor`, gets acquisition F(0) b = 0,
+and the run stops when all do. The certificate compares the chosen point
+against a dense fixed grid whose resolution is recorded, since the
 supremum over the whole box is not computable.
 """
 
@@ -83,7 +85,6 @@ class RunRecord:
     clamp_events: int = 0
     e0: float = float("nan")  # sup q sqrt(k) before any point
     converged: bool = False
-    skipped_dependent: int = 0
 
     @property
     def n(self):
@@ -136,23 +137,19 @@ def _refine(spec, state, ell, dom, x, a_val, step, rounds):
     return x, a_val
 
 
-def select_next(spec, cfg, state, ell, dom, candidates, a_cand, a_grid_max,
-                exclude=()):
-    """Pick the next evaluation point and its weakness certificate.
+def select_next(spec, cfg, state, ell, dom, candidates, a_cand, a_grid_max):
+    """Pick the next evaluation point and its greedy ratio.
 
     a_cand is the acquisition over `candidates` and a_grid_max its maximum
     over the certificate grid, both under `state` at iteration `ell`.
-    Returns (point, certificate) where the certificate carries the
-    acquisition at the chosen point, the maximum over the certificate
-    grid and their ratio. Candidate indices in `exclude` are skipped.
-    Raises Converged when the acquisition vanishes at every candidate.
+    Returns (point, ratio): the first candidate of largest acquisition,
+    locally refined if the selector asks for it, and its acquisition over
+    the larger of a_grid_max and its own. Raises Converged when the
+    acquisition vanishes at every candidate.
     """
-    order = np.argsort(-a_cand, kind="stable")
-    if exclude:
-        order = [i for i in order if i not in exclude]
-    if not len(order) or a_cand[order[0]] <= 0.0:
+    best = int(np.argmax(a_cand))
+    if a_cand[best] <= 0.0:
         raise Converged("acquisition is zero at every candidate")
-    best = int(order[0])
     x = candidates[best].copy()
     a_val = float(a_cand[best])
     if cfg.local_refinement_steps > 0:
@@ -161,13 +158,7 @@ def select_next(spec, cfg, state, ell, dom, candidates, a_cand, a_grid_max,
         x, a_val = _refine(spec, state, ell, dom, x, a_val, step,
                            cfg.local_refinement_steps)
     a_max = max(a_grid_max, a_val)
-    cert = {
-        "a_chosen": a_val,
-        "a_max_grid": a_max,
-        "ratio": a_val / a_max if a_max > 0 else 1.0,
-        "candidate_index": best,
-    }
-    return x, cert
+    return x, (a_val / a_max if a_max > 0 else 1.0)
 
 
 def estimates(transform, w, dens, mean, var):
@@ -234,29 +225,22 @@ def run_abq(problem, spec, cfg, n, cert_grid_size=None, oracle_resolution=None,
             a_cand, clamps, _ = spec.evaluate(candidates, cand_post.mean,
                                               cand_post.var, ell)
         a_grid_max = float(np.max(a_grid))
-        exclude = set()
-        while True:
-            try:
-                x, cert = select_next(spec, cfg, state, ell, dom, candidates,
-                                      a_cand, a_grid_max, exclude)
-            except Converged:
-                record.converged = True
-                return state, record
+        # F(0) b = 0 at a candidate the design spans: zero it where extend rejects
+        floor = gp.dependence_floor(state.jitter_used, cand_post.prior_var)
+        a_cand = np.where(cand_post.var <= floor, 0.0, a_cand)
+        try:
+            x, ratio = select_next(spec, cfg, state, ell, dom, candidates,
+                                   a_cand, a_grid_max)
             f_val = np.asarray(problem.integrand(x[None, :]), dtype=float)
             if not np.all(np.isfinite(f_val)):
                 raise NonFiniteIntegrandError(
                     f"non-finite integrand value {f_val.tolist()} at x = {x.tolist()}"
                 )
-            z_val = t.inverse(f_val)[0]
-            try:
-                new_state = gp.extend(state, x, z_val)
-                break
-            except LinearDependenceError:
-                record.skipped_dependent += 1
-                exclude.add(cert["candidate_index"])
-                if len(exclude) >= candidates.shape[0]:
-                    record.converged = True
-                    return state, record
+            new_state = gp.extend(state, x, t.inverse(f_val)[0])
+        except (Converged, LinearDependenceError):
+            # extend rejects only a refined point or one within rounding of the floor
+            record.converged = True
+            return state, record
 
         if new_state.jitter_used != state.jitter_used:
             record.jitter_events.append((ell, new_state.jitter_used))
@@ -264,7 +248,7 @@ def run_abq(problem, spec, cfg, n, cert_grid_size=None, oracle_resolution=None,
         for post in posts:
             post.update(state)
         record.points.append(x)
-        record.greedy_ratio.append(cert["ratio"])
+        record.greedy_ratio.append(ratio)
         record.clamp_events += clamps
         record.b_min.append(float(np.min(b_grid)))
         record.b_max.append(float(np.max(b_grid)))

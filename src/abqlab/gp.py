@@ -90,6 +90,11 @@ def check_floor(var, prior_var, jitter_used):
     return np.maximum(var, 0.0)
 
 
+def dependence_floor(jitter_used, prior_var):
+    """Posterior variance at or below which the design spans a point."""
+    return np.maximum(100.0 * jitter_used, 1e-12 * prior_var)
+
+
 class GridPosterior:
     """Posterior moments on a point set P, built once and updated point by point.
 
@@ -102,12 +107,12 @@ class GridPosterior:
     def __init__(self, state, P):
         self.P = np.atleast_2d(np.asarray(P, dtype=float))
         self.n = state.n
-        self._prior_var = state.kernel.diag(self.P)
+        self.prior_var = state.kernel.diag(self.P)
         self._rows = solve_triangular(
             state.chol, state.kernel.pairwise(self.P, state.X).T, lower=True)
-        self._raw_var = self._prior_var - np.sum(self._rows * self._rows, axis=0)
+        self._raw_var = self.prior_var - np.sum(self._rows * self._rows, axis=0)
         self.mean = state.mean(self.P) + self._rows.T @ state.beta
-        self.var = check_floor(self._raw_var, self._prior_var, state.jitter_used)
+        self.var = check_floor(self._raw_var, self.prior_var, state.jitter_used)
 
     def update(self, state):
         """Condition on the design points of `state` past the first `n`.
@@ -130,15 +135,15 @@ class GridPosterior:
             row *= row
             self._raw_var -= row
         self.n = state.n
-        self.var = check_floor(self._raw_var, self._prior_var, state.jitter_used)
+        self.var = check_floor(self._raw_var, self.prior_var, state.jitter_used)
 
 
 def extend(state, x_new, z_new):
     """State on X + {x_new} via rank-1 Cholesky extension.
 
-    Raises LinearDependenceError when x_new is numerically dependent on
-    the current design (the dichotomy of exact-arithmetic invertibility:
-    the caller must stop or reselect).
+    Raises LinearDependenceError when the posterior variance at x_new is
+    at or below `dependence_floor`: the point is numerically spanned by the
+    current design (the dichotomy of exact-arithmetic invertibility).
     """
     x_new = np.atleast_2d(np.asarray(x_new, dtype=float))
     if x_new.shape[0] != 1:
@@ -150,7 +155,7 @@ def extend(state, x_new, z_new):
     w = solve_triangular(state.chol, kvec, lower=True)
     ww = float(w @ w)
     var = float(check_floor(k_diag - ww, k_diag, jitter))
-    if var <= max(100.0 * state.jitter_used, 1e-12 * k_diag):
+    if var <= dependence_floor(state.jitter_used, k_diag):
         raise LinearDependenceError(
             f"new point has posterior variance {var:g}, below the dependence "
             f"threshold; design would become numerically singular"

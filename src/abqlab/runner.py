@@ -121,12 +121,21 @@ def clcu_for(record):
                             gnorm, k_inf, **kwargs)
 
 
+def envelope_verdict(record, clcu):
+    """(b_min, b_max, inside): the run's b range and whether [C_L, C_U] holds it."""
+    b_lo, b_hi = min(record.b_min), max(record.b_max)
+    return b_lo, b_hi, bool(clcu.c_l <= b_lo and b_hi <= clcu.c_u)
+
+
 def build_report(raw, state, record):
     """The report.json payload of one run, from the run alone: raw is the
     flat config it ran, echoed in the report."""
     dom = record.problem.domain
     kernel = record.problem.integrand.kernel
     findings = []
+    if record.converged:
+        findings.append(f"run stopped after {record.n} of {raw['budget']} steps: every "
+                        "candidate is spanned by the design or has zero acquisition")
 
     clcu = clcu_for(record)
     clcu_json = {"present": clcu.present, "reason": clcu.reason}
@@ -137,8 +146,7 @@ def build_report(raw, state, record):
 
     weak = None
     if record.n and clcu.present:
-        b_lo, b_hi = min(record.b_min), max(record.b_max)
-        inside = bool(clcu.c_l <= b_lo and b_hi <= clcu.c_u)
+        b_lo, b_hi, inside = envelope_verdict(record, clcu)
         weak = {"b_min": b_lo, "b_max": b_hi, "within_envelope": inside}
         if not inside:
             findings.append(
@@ -171,10 +179,9 @@ def build_report(raw, state, record):
     bound = analysis.error_bound_check(record, state)
     bound_json = None
     if record.n:
-        margins = [row["lhs"] / row["rhs"] for row in bound.rows if row["rhs"] > 0]
         bound_json = {
             "ok": bound.ok,
-            "max_lhs_over_rhs": max(margins) if margins else 0.0,
+            "max_lhs_over_rhs": bound.max_lhs_over_rhs,
             "violations": bound.violations,
             "constants": {
                 "transform": bound.constant_transform,
@@ -220,6 +227,5 @@ def build_report(raw, state, record):
         "nwidth_surrogate": {"n": surrogate_ns, "value": surrogate},
         "jitter_events": [[int(i), float(j)] for i, j in record.jitter_events],
         "clamp_events": record.clamp_events,
-        "skipped_dependent": record.skipped_dependent,
         "findings": findings,
     }

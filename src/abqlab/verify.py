@@ -217,8 +217,7 @@ def check_adaptivity_envelopes(runs):
             rows.append({"run": name, "envelope": "absent", "reason": clcu.reason})
             ok = False
             continue
-        b_lo, b_hi = min(record.b_min), max(record.b_max)
-        inside = bool(clcu.c_l <= b_lo and b_hi <= clcu.c_u)
+        b_lo, b_hi, inside = runner.envelope_verdict(record, clcu)
         rows.append({"run": name, "c_l": clcu.c_l, "c_u": clcu.c_u,
                      "b_min": b_lo, "b_max": b_hi, "inside": inside})
         ok = ok and inside
@@ -255,10 +254,9 @@ def check_error_bound(budget=30):
     for t_kind, raw in _bound_configs(budget):
         state, record = runner.execute(raw)
         report = analysis.error_bound_check(record, state)
-        margins = [r["lhs"] / r["rhs"] for r in report.rows if r["rhs"] > 0]
         rows.append({"transform": t_kind, "iterations": record.n,
                      "violations": len(report.violations),
-                     "max_lhs_over_rhs": max(margins) if margins else 0.0})
+                     "max_lhs_over_rhs": report.max_lhs_over_rhs})
         ok = ok and report.ok
     return ok, {"runs": rows}
 

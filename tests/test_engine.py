@@ -13,7 +13,7 @@ from abqlab.domain import (
     UniformDensity,
     quadrature_nodes,
 )
-from abqlab.exceptions import NonFiniteIntegrandError
+from abqlab.exceptions import LinearDependenceError, NonFiniteIntegrandError
 from abqlab.kernels import Matern, SquaredExponential
 from abqlab.transforms import Identity, Square
 
@@ -89,9 +89,9 @@ def test_select_next_matches_exhaustive_argmax():
                            np.array([[0.4]]), [0.1])
     grid = DOM.uniform_grid(101)
     a, _, _ = spec.evaluate(grid, *gp.posterior(state, grid), 1)
-    x, cert = engine.select_next(spec, cfg, state, 1, DOM, grid, a, np.max(a))
+    x, ratio = engine.select_next(spec, cfg, state, 1, DOM, grid, a, np.max(a))
     assert np.allclose(x, grid[np.argmax(a)])
-    assert cert["ratio"] == pytest.approx(1.0)
+    assert ratio == pytest.approx(1.0)
 
 
 def test_flat_acquisition_breaks_ties_by_lowest_index():
@@ -154,6 +154,34 @@ def test_exhausted_candidates_mark_convergence():
     assert rec.n <= 4
 
 
+def test_masked_candidates_are_those_extend_rejects(monkeypatch):
+    # an 8-point grid, 1/7 apart at lengthscale 0.25: each step's design
+    # points sit on the grid and the rest stay well separated from them
+    seen = []
+    select = engine.select_next
+
+    def spy(spec, cfg, state, ell, dom, candidates, a_cand, a_grid_max):
+        seen.append((state, candidates, a_cand))
+        return select(spec, cfg, state, ell, dom, candidates, a_cand, a_grid_max)
+
+    monkeypatch.setattr(engine, "select_next", spy)
+    cfg = engine.SelectorConfig(candidate_count=8, seed=0)
+    _, rec = engine.run_abq(make_problem(), p_greedy_spec(), cfg, 10,
+                            share_candidate_grid=True)
+    assert rec.n == 8 and rec.converged
+    assert len(seen) == 9
+    for state, candidates, a_cand in seen:
+        rejected = []
+        for x in candidates:
+            try:
+                gp.extend(state, x, 0.0)
+                rejected.append(False)
+            except LinearDependenceError:
+                rejected.append(True)
+        assert np.array_equal(a_cand == 0.0, rejected)
+        assert sum(rejected) == state.n
+
+
 def test_adaptive_rule_records_b_range():
     problem = make_problem(mean_value=5.0)
     spec = AcquisitionSpec(outer=Power(1.0), q=UniformDensity(DOM), b=WsabiL(),
@@ -167,18 +195,20 @@ def test_adaptive_rule_records_b_range():
 def test_local_refinement_never_decreases_acquisition():
     problem = make_problem()
     spec = p_greedy_spec()
+    # the acquisition peaks between grid points, so refinement moves
     state = gp.build_state(problem.integrand.kernel, problem.integrand.prior_mean,
-                           np.array([[0.4]]), [0.1])
+                           np.array([[0.0], [0.4], [1.0]]), [0.1, 0.1, 0.1])
     grid = DOM.uniform_grid(33)
     coarse_cfg = engine.SelectorConfig(candidate_count=33, seed=0)
     refined_cfg = engine.SelectorConfig(candidate_count=33,
                                         local_refinement_steps=4, seed=0)
     a, _, _ = spec.evaluate(grid, *gp.posterior(state, grid), 1)
-    _, cert0 = engine.select_next(spec, coarse_cfg, state, 1, DOM, grid, a,
-                                  np.max(a))
-    _, cert1 = engine.select_next(spec, refined_cfg, state, 1, DOM, grid, a,
-                                  np.max(a))
-    assert cert1["a_chosen"] >= cert0["a_chosen"] - 1e-15
+    x0, _ = engine.select_next(spec, coarse_cfg, state, 1, DOM, grid, a, np.max(a))
+    x1, _ = engine.select_next(spec, refined_cfg, state, 1, DOM, grid, a, np.max(a))
+    chosen = np.vstack([x0, x1])
+    a0, a1 = spec.evaluate(chosen, *gp.posterior(state, chosen), 1)[0]
+    assert not np.allclose(x0, x1)
+    assert a1 >= a0 - 1e-15
 
 
 def wsabi_m_problem():

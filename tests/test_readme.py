@@ -5,7 +5,7 @@ import json
 import re
 from pathlib import Path
 
-from abqlab import cli
+from abqlab import cli, config, runner
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -34,5 +34,23 @@ def test_readme_minimal_config_runs(tmp_path):
     out = tmp_path / "out"
     assert cli.main(["run", str(path), "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
-    assert 0 < report["iterations"] <= raw["budget"]
+    assert report["iterations"] == 12 and report["converged_early"]
     assert report["error_bound"]["ok"]
+    assert "skipped_dependent" not in report
+    assert any(f.startswith("run stopped after 12 of 30 steps")
+               for f in report["findings"])
+
+
+
+def test_readme_minimal_config_evaluates_only_kept_points(monkeypatch):
+    # SE gamma 0.5 on 512 shared candidates: after 12 points the design
+    # spans every candidate, so the run stops without evaluating any of them
+    raw = json.loads(block("Minimal config:", "json"))
+    integrand_type = type(config.build_problem(raw)[0].integrand)
+    call = integrand_type.__call__
+    calls = []
+    monkeypatch.setattr(integrand_type, "__call__",
+                        lambda self, X: calls.append(len(X)) or call(self, X))
+    record = runner.execute(raw)[1]
+    assert record.n == 12 and record.converged
+    assert sum(calls) == 12
