@@ -13,12 +13,12 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
-from scipy.stats import truncnorm
+from scipy.special import log_ndtr, ndtr
 
 from .exceptions import BudgetExceededError
 
 _TINY_DENSITY = 1e-300
+_LOG_SQRT_2PI = np.log(np.sqrt(2 * np.pi))
 
 # probe grids (suprema and infima of means, densities and power functions)
 # hold at most PROBE_PER_DIM points per axis and PROBE_POINTS in total
@@ -123,6 +123,18 @@ class UniformDensity(Density):
         return np.full(X.shape[0], self._value)
 
 
+def _log_gauss_mass(a, b):
+    """log(Phi(b) - Phi(a)) for a < b, the normaliser of scipy.stats.truncnorm,
+    computed like it: a box in a tail is mirrored into the left one, where
+    the log CDFs keep their precision."""
+    if b <= 0:
+        log_b = log_ndtr(b)
+        return log_b + np.log1p(-np.exp(log_ndtr(a) - log_b))
+    if a > 0:
+        return _log_gauss_mass(-b, -a)
+    return np.log1p(-ndtr(a) - ndtr(-b))
+
+
 class TruncatedGaussianDensity(Density):
     """Product of independent Gaussians truncated (and renormalized) to the box."""
 
@@ -136,14 +148,19 @@ class TruncatedGaussianDensity(Density):
             raise ValueError("scale must be positive")
         if self.center.shape[0] != domain.dim or self.scale.shape[0] != domain.dim:
             raise ValueError("center/scale dimension mismatch")
+        # standardized box [a_i, b_i] and the log of its Gaussian mass
+        self._a = (np.asarray(domain.lower) - self.center) / self.scale
+        self._b = (np.asarray(domain.upper) - self.center) / self.scale
+        self._log_mass = [_log_gauss_mass(a, b) for a, b in zip(self._a, self._b)]
 
     def __call__(self, X):
         X = as_points(X, self.domain.dim)
         out = np.ones(X.shape[0])
         for i in range(self.domain.dim):
-            a = (self.domain.lower[i] - self.center[i]) / self.scale[i]
-            b = (self.domain.upper[i] - self.center[i]) / self.scale[i]
-            out *= truncnorm.pdf(X[:, i], a, b, loc=self.center[i], scale=self.scale[i])
+            z = (X[:, i] - self.center[i]) / self.scale[i]
+            log_pdf = -z ** 2 / 2.0 - _LOG_SQRT_2PI - self._log_mass[i]
+            inside = (self._a[i] <= z) & (z <= self._b[i])
+            out *= np.where(inside, np.exp(log_pdf) / self.scale[i], 0.0)
         return out
 
 
@@ -160,6 +177,8 @@ class TabulatedDensity(Density):
             raise ValueError("values must be a d-dimensional tensor")
         if np.any(values < 0):
             raise ValueError("density values must be nonnegative")
+        from scipy.interpolate import RegularGridInterpolator
+
         axes = [
             np.linspace(a, b, n)
             for (a, b), n in zip(zip(domain.lower, domain.upper), values.shape)

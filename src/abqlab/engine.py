@@ -13,9 +13,10 @@ acquisition rules and estimators take moments as inputs.
 Selection maximizes the acquisition over a candidate pool (optionally
 with coordinate-descent refinement); a candidate the design spans, its
 variance at or below `gp.dependence_floor`, gets acquisition F(0) b = 0,
-and the run stops when all do. The certificate compares the chosen point
-against a dense fixed grid whose resolution is recorded, since the
-supremum over the whole box is not computable.
+and the run stops when all do; `RunRecord.stop_cause` says why a run
+stopped early. The certificate compares the chosen point against a dense
+fixed Sobol grid whose resolution is recorded, since the supremum over the
+whole box is not computable.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import qmc
 
 from . import gp
 from .domain import quadrature_nodes
@@ -31,6 +31,22 @@ from .exceptions import (Converged, DomainError, LinearDependenceError,
                          NonFiniteIntegrandError)
 
 DEFAULT_CERT_POINTS_PER_DIM = 2048
+
+# why a run stopped before its budget, as RunRecord.stop_cause
+STOP_SPANNED = "every candidate is spanned by the design"
+STOP_ZERO_ACQUISITION = ("the acquisition is zero at every candidate the design "
+                         "does not span")
+STOP_DEPENDENT = "the design rejected the chosen point as linearly dependent"
+
+# Primitive polynomials and initial direction numbers m_1..m_s of the first
+# ten Sobol' dimensions (Joe & Kuo, SIAM J. Sci. Comput. 2008), the rows
+# scipy.stats.qmc.Sobol starts from; dimension 0 is the van der Corput
+# sequence, all m_j = 1.
+_SOBOL_POLY = (1, 3, 7, 11, 13, 19, 25, 37, 41, 47)
+_SOBOL_M_INIT = ((), (1,), (1, 3), (1, 3, 1), (1, 1, 1), (1, 1, 3, 3),
+                 (1, 3, 5, 13), (1, 1, 5, 5, 17), (1, 1, 5, 5, 5),
+                 (1, 1, 7, 11, 19))
+_SOBOL_BITS = 30
 
 
 @dataclass(frozen=True)
@@ -84,7 +100,11 @@ class RunRecord:
     jitter_events: list = field(default_factory=list)
     clamp_events: int = 0
     e0: float = float("nan")  # sup q sqrt(k) before any point
-    converged: bool = False
+    stop_cause: str | None = None  # one of the STOP_* reasons, None at full budget
+
+    @property
+    def converged(self):
+        return self.stop_cause is not None
 
     @property
     def n(self):
@@ -112,12 +132,50 @@ def candidate_pool(dom, cfg, rng=None):
     return rng.uniform(lo, hi, size=(cfg.candidate_count, d))
 
 
+def _sobol_directions(d):
+    """(d, 30) direction numbers v_j = m_j 2^(30-j) of the first d dimensions."""
+    rows = []
+    for poly, m_init in zip(_SOBOL_POLY[:d], _SOBOL_M_INIT):
+        s = len(m_init)
+        m = list(m_init) if s else [1] * _SOBOL_BITS
+        for j in range(len(m), _SOBOL_BITS):
+            m_j = m[j - s]
+            for k in range(1, s + 1):
+                if (poly >> (s - k)) & 1:
+                    m_j ^= m[j - k] << k
+            m.append(m_j)
+        rows.append(m)
+    return np.array(rows, dtype=np.uint64) << np.arange(_SOBOL_BITS - 1, -1, -1,
+                                                         dtype=np.uint64)
+
+
+def _sobol(d, n):
+    """The first n unscrambled Sobol' points in [0, 1)^d, d <= 10, in the
+    Gray-code order of scipy.stats.qmc.Sobol(d, scramble=False): point
+    2^b + i is point 2^b - 1 - i with direction bit b flipped."""
+    v = _sobol_directions(d)
+    q = np.zeros((1, d), dtype=np.uint64)
+    for bit in range(int(n - 1).bit_length()):
+        q = np.concatenate([q, q[::-1] ^ v[:, bit]])
+    return q[:n] * 2.0 ** -_SOBOL_BITS
+
+
 def certificate_grid(dom, size=None):
-    """Fixed low-discrepancy grid backing every recorded supremum."""
+    """Fixed low-discrepancy grid backing every recorded supremum: the
+    first next-power-of-two unscrambled Sobol' points, scaled to the box.
+
+    Up to d = 10 the points come from the Joe-Kuo table above; beyond it
+    from scipy.stats.qmc, imported only then.
+    """
     d = dom.dim
     size = _next_pow2(size if size is not None else DEFAULT_CERT_POINTS_PER_DIM * d)
-    sob = qmc.Sobol(d, scramble=False)
-    return qmc.scale(sob.random(size), dom.lower, dom.upper)
+    if d > len(_SOBOL_POLY):
+        from scipy.stats import qmc
+
+        return qmc.scale(qmc.Sobol(d, scramble=False).random(size),
+                         dom.lower, dom.upper)
+    lower = np.asarray(dom.lower)
+    return _sobol(d, size) * (np.asarray(dom.upper) - lower) + lower
 
 
 def _refine(spec, state, ell, dom, x, a_val, step, rounds):
@@ -227,7 +285,8 @@ def run_abq(problem, spec, cfg, n, cert_grid_size=None, oracle_resolution=None,
         a_grid_max = float(np.max(a_grid))
         # F(0) b = 0 at a candidate the design spans: zero it where extend rejects
         floor = gp.dependence_floor(state.jitter_used, cand_post.prior_var)
-        a_cand = np.where(cand_post.var <= floor, 0.0, a_cand)
+        spanned = cand_post.var <= floor
+        a_cand = np.where(spanned, 0.0, a_cand)
         try:
             x, ratio = select_next(spec, cfg, state, ell, dom, candidates,
                                    a_cand, a_grid_max)
@@ -237,9 +296,11 @@ def run_abq(problem, spec, cfg, n, cert_grid_size=None, oracle_resolution=None,
                     f"non-finite integrand value {f_val.tolist()} at x = {x.tolist()}"
                 )
             new_state = gp.extend(state, x, t.inverse(f_val)[0])
-        except (Converged, LinearDependenceError):
+        except (Converged, LinearDependenceError) as exc:
             # extend rejects only a refined point or one within rounding of the floor
-            record.converged = True
+            record.stop_cause = (STOP_DEPENDENT if isinstance(exc, LinearDependenceError)
+                                 else STOP_SPANNED if np.all(spanned)
+                                 else STOP_ZERO_ACQUISITION)
             return state, record
 
         if new_state.jitter_used != state.jitter_used:

@@ -134,8 +134,8 @@ def build_report(raw, state, record):
     kernel = record.problem.integrand.kernel
     findings = []
     if record.converged:
-        findings.append(f"run stopped after {record.n} of {raw['budget']} steps: every "
-                        "candidate is spanned by the design or has zero acquisition")
+        findings.append(f"run stopped after {record.n} of {raw['budget']} steps: "
+                        f"{record.stop_cause}")
 
     clcu = clcu_for(record)
     clcu_json = {"present": clcu.present, "reason": clcu.reason}

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from abqlab import gp
 from abqlab.acquisition import (
@@ -17,6 +18,7 @@ from abqlab.domain import (
     ConstantMean,
     Domain,
     TabulatedDensity,
+    TruncatedGaussianDensity,
     UniformDensity,
 )
 from abqlab.exceptions import DomainError, WeakAdaptivityViolation
@@ -165,3 +167,36 @@ def test_clamp_counting_at_zero_mean():
     a, clamped, _ = spec.evaluate(grid, *gp.posterior(state, grid), ell=0)
     assert clamped == 5  # b = m^2 = 0 everywhere before any data
     assert np.all(a >= 0)
+
+
+# finite posterior moments at points of the box: |mean| <= 50, 0 <= var <= 100
+# (exp(var + 2 mean) stays finite); no subnormal var, whose half rounds to 0
+MOMENTS = st.lists(
+    st.tuples(st.floats(0.0, 1.0), st.floats(-50.0, 50.0),
+              st.floats(0.0, 100.0, allow_subnormal=False)),
+    min_size=1, max_size=16,
+)
+RULES = st.one_of(
+    st.builds(ConstantRule, st.floats(1e-6, 1e6)),
+    st.just(WsabiL()),
+    st.just(WsabiM()),
+    st.just(Mmlt()),
+    st.builds(lambda d2, d3: Vbmc(TruncatedGaussianDensity(DOM, [0.3], [0.2]), d2, d3),
+              st.floats(0.0, 2.0), st.floats(0.0, 2.0)),
+)
+
+
+@given(rule=RULES, moments=MOMENTS)
+def test_adaptive_terms_are_finite_nonnegative_and_clamped_by_count(rule, moments):
+    X, mean, var = (np.array(c) for c in zip(*moments))
+    X = X[:, None]
+    b = rule.evaluate(X, mean, var, 0)
+    assert b.shape == mean.shape
+    assert np.all(np.isfinite(b)) and np.all(b >= 0.0)
+    if not isinstance(rule, WsabiL):
+        # m^2 alone vanishes at m = 0; every other rule is positive once var is
+        assert np.all(b[var > 0] > 0.0)
+    spec = AcquisitionSpec(outer=Power(1.0), q=Q, b=rule)
+    _, clamped, b_spec = spec.evaluate(X, mean, var, 0)
+    assert np.array_equal(b_spec, b)
+    assert clamped == int(np.count_nonzero(b < 1e-300))

@@ -400,3 +400,15 @@ def test_run_artifacts_identical_across_blas_threads(tmp_path):
         artifacts.append([(out / name).read_bytes()
                           for name in ("trace.csv", "report.json")])
     assert artifacts[0] == artifacts[1]
+
+
+def test_cli_import_leaves_out_scipy_stats_and_interpolate():
+    # the two subpackages cost most of a command's start-up; no command
+    # path needs them (a d > 10 certificate grid and a tabulated density
+    # import them when built)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys, abqlab.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'interpolate'])))")
+    out = subprocess.run([sys.executable, "-c", code], check=True, text=True,
+                         capture_output=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"

@@ -69,6 +69,50 @@ def test_densities_normalize():
         assert dens.strictly_positive
 
 
+@pytest.mark.parametrize("lower, upper, center, scale", [
+    (0.0, 1.0, 0.5, 0.2),     # central: the box holds the centre
+    (0.0, 1.0, 0.3, 5.0),     # central, nearly flat
+    (0.0, 1.0, -2.0, 0.3),    # centre left of the box: right tail
+    (0.0, 1.0, -2.0, 2.0),    # right tail, Phi(a) a fair share of Phi(b)
+    (-1.0, 2.0, -40.0, 2.0),  # far right tail
+    (0.0, 1.0, 3.0, 0.3),     # centre right of the box: left tail
+    (0.0, 1.0, 3.0, 2.0),
+    (-1.0, 2.0, 8.0, 0.7),
+    (0.0, 1.0, 1.0, 0.1),     # centre on a box edge
+])
+def test_truncated_gaussian_matches_scipy_truncnorm(lower, upper, center, scale):
+    from scipy.stats import truncnorm
+
+    dom = Domain((lower, 0.0), (upper, 1.0))
+    dens = TruncatedGaussianDensity(dom, center=[center, 0.5], scale=[scale, 0.25])
+    rng = np.random.default_rng(0)
+    xs = np.concatenate([rng.uniform(lower - 0.5, upper + 0.5, 400),
+                         [lower, upper, lower - 1e-9, upper + 1e-9]])
+    X = np.column_stack([xs, rng.uniform(0.0, 1.0, xs.size)])
+    want = np.ones(xs.size)
+    for i, (c, s) in enumerate(((center, scale), (0.5, 0.25))):
+        a = (dom.lower[i] - c) / s
+        b = (dom.upper[i] - c) / s
+        want *= truncnorm.pdf(X[:, i], a, b, loc=c, scale=s)
+    got = dens(X)
+    outside = (xs < lower) | (xs > upper)
+    assert np.all(got[outside] == 0.0) and np.all(want[outside] == 0.0)
+    assert np.all(got[~outside] > 0.0)
+    assert np.all(np.abs(got - want) <= 2e-15 * want)
+
+
+def test_tabulated_density_matches_the_multilinear_interpolant():
+    from scipy.interpolate import RegularGridInterpolator
+
+    dom = Domain((0.0, -1.0), (2.0, 1.0))
+    values = np.array([[1.0, 2.0, 0.5], [3.0, 0.0, 1.0]])
+    X = np.random.default_rng(1).uniform(dom.lower, dom.upper, (200, 2))
+    want = RegularGridInterpolator(
+        [np.linspace(0.0, 2.0, 2), np.linspace(-1.0, 1.0, 3)], values)(X)
+    assert TabulatedDensity(dom, values)(X).tobytes() == want.tobytes()
+    assert TabulatedDensity(dom, values)(np.array([[2.0, 0.0]]))[0] == 0.0
+
+
 def test_tabulated_density_interpolates_and_flags_positivity():
     dom = Domain((0.0,), (1.0,))
     dens = TabulatedDensity(dom, np.array([1.0, 3.0]))

@@ -81,6 +81,21 @@ def test_certificate_grid_is_pow2_sobol():
     assert np.array_equal(grid, engine.certificate_grid(DOM, size=100))
 
 
+@pytest.mark.parametrize("dim", list(range(1, 11)) + [12])
+def test_certificate_grid_is_scipy_sobol_byte_for_byte(dim):
+    # d <= 10 from the Joe-Kuo table, d = 12 through the scipy fallback
+    from scipy.stats import qmc
+
+    dom = Domain(tuple(-0.5 + 0.1 * i for i in range(dim)),
+                 tuple(1.0 + 0.3 * i for i in range(dim)))
+    for n in (1, 2, 64, 1024, engine._next_pow2(2048 * dim)):
+        grid = engine.certificate_grid(dom, n)
+        want = qmc.scale(qmc.Sobol(dim, scramble=False).random(n),
+                         dom.lower, dom.upper)
+        assert grid.dtype == want.dtype and grid.shape == want.shape
+        assert grid.tobytes() == want.tobytes()
+
+
 def test_select_next_matches_exhaustive_argmax():
     problem = make_problem()
     spec = p_greedy_spec()
@@ -150,8 +165,51 @@ def test_exhausted_candidates_mark_convergence():
     spec = p_greedy_spec()
     cfg = engine.SelectorConfig(candidate_count=4, seed=0)
     _, rec = engine.run_abq(problem, spec, cfg, 10, share_candidate_grid=True)
-    assert rec.converged
+    assert rec.converged and rec.stop_cause == engine.STOP_SPANNED
     assert rec.n <= 4
+
+
+def test_full_budget_run_has_no_stop_cause():
+    cfg = engine.SelectorConfig(candidate_count=64, seed=0)
+    _, rec = engine.run_abq(make_problem(), p_greedy_spec(), cfg, 5)
+    assert rec.n == 5 and rec.stop_cause is None and not rec.converged
+
+
+def test_underflowing_acquisition_stops_with_its_own_cause():
+    # zero integrand and zero mean: b = m^2 = 0 is lifted to the 1e-300
+    # floor, and F(y) = y^20 times it underflows to 0 once every
+    # unspanned candidate's variance is below about 0.2, far above the
+    # spanned floor
+    integrand = SyntheticIntegrand(
+        centers=np.zeros((0, 1)), weights=np.zeros(0),
+        prior_mean=ConstantMean(0.0), kernel=Matern(1.5, 0.25),
+        transform=Identity(),
+    )
+    problem = engine.Problem(integrand=integrand, pi=UniformDensity(DOM),
+                             domain=DOM)
+    spec = AcquisitionSpec(outer=Power(20.0), q=UniformDensity(DOM), b=WsabiL())
+    cfg = engine.SelectorConfig(candidate_count=64, seed=0)
+    state, rec = engine.run_abq(problem, spec, cfg, 30, share_candidate_grid=True)
+    assert 0 < rec.n < 30
+    assert rec.stop_cause == engine.STOP_ZERO_ACQUISITION
+    var = gp.posterior(state, rec.cert_grid)[1]
+    assert np.any(var > gp.dependence_floor(state.jitter_used, 1.0))
+
+
+def test_rejected_point_stops_with_the_dependence_cause(monkeypatch):
+    extend = gp.extend
+    calls = []
+
+    def reject_third(state, x, z):
+        calls.append(x)
+        if len(calls) == 3:
+            raise LinearDependenceError("rejected")
+        return extend(state, x, z)
+
+    monkeypatch.setattr(gp, "extend", reject_third)
+    cfg = engine.SelectorConfig(candidate_count=64, seed=0)
+    _, rec = engine.run_abq(make_problem(), p_greedy_spec(), cfg, 10)
+    assert rec.n == 2 and rec.stop_cause == engine.STOP_DEPENDENT
 
 
 def test_masked_candidates_are_those_extend_rejects(monkeypatch):

@@ -5,7 +5,7 @@ import json
 import re
 from pathlib import Path
 
-from abqlab import cli, config, runner
+from abqlab import cli, config, engine, runner
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -37,9 +37,9 @@ def test_readme_minimal_config_runs(tmp_path):
     assert report["iterations"] == 12 and report["converged_early"]
     assert report["error_bound"]["ok"]
     assert "skipped_dependent" not in report
-    assert any(f.startswith("run stopped after 12 of 30 steps")
-               for f in report["findings"])
-
+    stops = [f for f in report["findings"] if f.startswith("run stopped after")]
+    assert stops == ["run stopped after 12 of 30 steps: every candidate is "
+                     "spanned by the design"]
 
 
 def test_readme_minimal_config_evaluates_only_kept_points(monkeypatch):
@@ -52,5 +52,5 @@ def test_readme_minimal_config_evaluates_only_kept_points(monkeypatch):
     monkeypatch.setattr(integrand_type, "__call__",
                         lambda self, X: calls.append(len(X)) or call(self, X))
     record = runner.execute(raw)[1]
-    assert record.n == 12 and record.converged
+    assert record.n == 12 and record.stop_cause == engine.STOP_SPANNED
     assert sum(calls) == 12
