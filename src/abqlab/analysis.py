@@ -18,7 +18,7 @@ from scipy.linalg import solve_triangular
 from scipy.spatial.distance import cdist
 
 from . import gp, kernels
-from .domain import quadrature_nodes, reference_integral, rkhs_norm
+from .domain import quadrature_sum, reference_integral, rkhs_norm
 from .exceptions import DomainError
 
 CERT_TOL = 1e-9  # slack of a weak-greedy ratio below gamma_hat
@@ -112,18 +112,17 @@ def fill_distance(X, dom):
     """Fill distances of the designs X[:1], ..., X[:n], as a list of n values.
 
     Entry i-1 is the sup over a dense grid of the distance to the nearest
-    of the first i points, kept as a running minimum per grid point.
+    of the first i points: per grid slab, a running minimum along the
+    design and its maximum over the slab's points.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[0] == 0:
         raise DomainError("fill distance needs at least one point")
-    grid = dom.uniform_grid(256 if dom.dim == 1 else 64)
-    nearest = np.full(grid.shape[0], np.inf)
-    curve = []
-    for x in X:
-        np.minimum(nearest, cdist(grid, x[None, :])[:, 0], out=nearest)
-        curve.append(float(np.max(nearest)))
-    return curve
+    curve = np.zeros(X.shape[0])
+    for block in dom.uniform_blocks(256 if dom.dim == 1 else 64):
+        nearest = np.minimum.accumulate(cdist(block, X), axis=1)
+        np.maximum(curve, np.max(nearest, axis=0), out=curve)
+    return curve.tolist()
 
 
 def nwidth_surrogate(kernel, q, dom, n):
@@ -223,17 +222,21 @@ def sup_qk_fine(state, q, dom, points=2048):
 def _plugin_curve(state, transform, pi, dom, resolution):
     """`reference_integral` of T(posterior mean) for each prefix X[:i] of
     the state's design, the mean being m + sum_{j < i} beta_j (L^{-1} K(X, .))_j
-    with beta = L^{-1} (z - m_X)."""
-    pts, w = quadrature_nodes(dom, resolution)
-    rows = _newton_rows(state, pts)  # first: the kernel block sets peak memory
+    with beta = L^{-1} (z - m_X); one node slab at a time, so memory is
+    O(n * slab)."""
     beta = solve_triangular(state.chol, state.z - state.mean(state.X), lower=True)
-    dens = np.asarray(pi(pts), dtype=float)
-    mean = state.mean(pts)
-    plugs = []
-    for row, b in zip(rows, beta):
-        mean = mean + b * row
-        plugs.append(float(np.sum(w * transform.forward(mean) * dens)))
-    return plugs
+
+    def partial(pts, w):
+        rows = _newton_rows(state, pts)
+        dens = np.asarray(pi(pts), dtype=float)
+        mean = state.mean(pts)
+        plugs = np.empty(state.n)
+        for i, (row, b) in enumerate(zip(rows, beta)):
+            mean = mean + b * row
+            plugs[i] = np.sum(w * transform.forward(mean) * dens)
+        return plugs
+
+    return quadrature_sum(dom, resolution, partial).tolist()
 
 
 @dataclass

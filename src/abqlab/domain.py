@@ -8,6 +8,7 @@ exactly.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -24,6 +25,11 @@ _LOG_SQRT_2PI = np.log(np.sqrt(2 * np.pi))
 # hold at most PROBE_PER_DIM points per axis and PROBE_POINTS in total
 PROBE_PER_DIM = 512
 PROBE_POINTS = 2 ** 16
+
+# the oracle quadrature and the fill-distance grid are generated and used
+# in slabs of at most BLOCK_POINTS nodes, so their memory does not grow
+# with the grid
+BLOCK_POINTS = 2 ** 16
 
 
 def as_points(x, dim):
@@ -78,15 +84,21 @@ class Domain:
         X = as_points(X, self.dim)
         return np.clip(X, np.asarray(self.lower), np.asarray(self.upper))
 
-    def uniform_grid(self, points_per_dim, endpoint=True):
-        """Tensor grid, flattened to (m^d, d) in lexicographic order."""
-        axes = [
+    def _grid_axes(self, points_per_dim, endpoint):
+        return [
             np.linspace(a, b, points_per_dim) if endpoint
             else a + (np.arange(points_per_dim) + 0.5) * (b - a) / points_per_dim
             for a, b in zip(self.lower, self.upper)
         ]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
+
+    def uniform_grid(self, points_per_dim, endpoint=True):
+        """Tensor grid, flattened to (m^d, d) in lexicographic order."""
+        return _mesh(self._grid_axes(points_per_dim, endpoint))
+
+    def uniform_blocks(self, points_per_dim):
+        """The endpoint `uniform_grid(points_per_dim)` as consecutive slabs
+        of at most BLOCK_POINTS points."""
+        return _slabs(self._grid_axes(points_per_dim, True), BLOCK_POINTS)
 
     def probe_grid(self):
         """Endpoint tensor grid for suprema and infima over the box.
@@ -264,37 +276,124 @@ def rkhs_norm(integrand):
     return float(np.sqrt(max(sq, 0.0)))
 
 
-@lru_cache(maxsize=64)
-def _legendre_nodes(resolution, lower, upper):
+def _mesh(axes):
+    """Tensor grid of the 1-D arrays `axes`, (prod of lengths, len(axes)),
+    in lexicographic order."""
+    return _points(np.empty((1, 0)), axes)
+
+
+def _points(heads, axes):
+    """Rows (h, x) for each row h of `heads` and, within it, each point x of
+    the tensor grid of `axes`, in lexicographic order; broadcast into place."""
+    lens = [len(a) for a in axes]
+    k = heads.shape[1]
+    out = np.empty((len(heads), *lens, k + len(axes)))
+    out[..., :k] = heads.reshape(len(heads), *[1] * len(lens), k)
+    for j, a in enumerate(axes):
+        out[..., k + j] = a.reshape(-1, *[1] * (len(lens) - 1 - j))
+    return out.reshape(len(heads) * math.prod(lens), k + len(axes))
+
+
+def _weights(heads, factors):
+    """Products ((h * f_0) * f_1) * ... for each entry h of `heads` and each
+    point of the tensor grid of the 1-D `factors`, in `_points` order."""
+    lens = [len(f) for f in factors]
+    out = np.empty((len(heads), *lens))
+    out[...] = heads.reshape(-1, *[1] * len(lens))
+    for j, f in enumerate(factors):
+        out *= f.reshape(-1, *[1] * (len(lens) - 1 - j))
+    return out.ravel()
+
+
+def _split(axes, block):
+    """How the tensor grid of `axes` falls into slabs of at most `block`
+    points: the trailing axes whose grid fits in a block stay whole, and a
+    slab takes `per_slab` consecutive index tuples of the `lead` other
+    axes; returns (lead, per_slab, heads), heads the number of tuples."""
+    sizes = [len(a) for a in axes]
+    lead = 0
+    while math.prod(sizes[lead:]) > block:
+        lead += 1
+    heads = math.prod(sizes[:lead])
+    return lead, min(max(block // math.prod(sizes[lead:]), 1), heads), heads
+
+
+def _slabs(axes, block):
+    """Consecutive slabs of `_mesh(axes)` with at most `block` points each,
+    equal to the dense grid's rows."""
+    lead, per_slab, heads = _split(axes, block)
+    head_pts = _mesh(axes[:lead])
+    for start in range(0, heads, per_slab):
+        yield _points(head_pts[start:start + per_slab], axes[lead:])
+
+
+def _weight_slabs(factors, block):
+    """The product weights ((1 * w_0) * w_1) * ... on the slabs of
+    `_slabs(factors, block)`, multiplied in the dense rule's order."""
+    lead, per_slab, heads = _split(factors, block)
+    head_w = _weights(np.ones(1), factors[:lead])
+    for start in range(0, heads, per_slab):
+        yield _weights(head_w[start:start + per_slab], factors[lead:])
+
+
+@lru_cache(maxsize=16)
+def _gauss_legendre(resolution):
+    """The 1-D Gauss-Legendre rule on [-1, 1]: an O(resolution^3) eigensolve,
+    cached (read-only) since every oracle call at a resolution repeats it."""
     x, w = np.polynomial.legendre.leggauss(resolution)
-    lo = np.asarray(lower)
-    hi = np.asarray(upper)
-    axes = []
-    wts = []
-    for a, b in zip(lo, hi):
-        axes.append(0.5 * (b - a) * x + 0.5 * (a + b))
-        wts.append(0.5 * (b - a) * w)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    wmesh = np.meshgrid(*wts, indexing="ij")
-    weight = np.ones(pts.shape[0])
-    for wm in wmesh:
-        weight *= wm.ravel()
-    return pts, weight
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
-def quadrature_nodes(dom, resolution):
-    """Tensor Gauss-Legendre nodes and weights on the domain box."""
+def _gauss_blocks(dom, resolution, block):
     if resolution ** dom.dim > 10 ** 7:
         raise BudgetExceededError(
             f"resolution^d = {resolution}^{dom.dim} exceeds the 1e7 evaluation guard"
         )
-    return _legendre_nodes(resolution, dom.lower, dom.upper)
+    x, w = _gauss_legendre(resolution)
+    axes = [0.5 * (b - a) * x + 0.5 * (a + b) for a, b in zip(dom.lower, dom.upper)]
+    factors = [0.5 * (b - a) * w for a, b in zip(dom.lower, dom.upper)]
+    return zip(_slabs(axes, block), _weight_slabs(factors, block))
+
+
+def quadrature_blocks(dom, resolution):
+    """The tensor Gauss-Legendre rule of `quadrature_nodes`, as consecutive
+    (nodes, weights) slabs of at most BLOCK_POINTS nodes, bit-equal to the
+    rule's rows in the rule's order."""
+    return _gauss_blocks(dom, resolution, BLOCK_POINTS)
+
+
+def quadrature_nodes(dom, resolution):
+    """Tensor Gauss-Legendre nodes and weights on the domain box."""
+    (rule,) = _gauss_blocks(dom, resolution, resolution ** dom.dim)
+    return rule
+
+
+def quadrature_sum(dom, resolution, partial):
+    """Sum over the slabs of `quadrature_blocks` of partial(nodes, weights),
+    a float or an array, in O(BLOCK_POINTS) memory.
+
+    The partials are added as a balanced binary tree, so the order is
+    fixed. It is the pairwise summation np.sum uses within a slab: numpy
+    halves an array down to blocks of 128, so 2^k slabs of 2^m >= 128 nodes
+    sum to the bits of one np.sum over the whole rule.
+    """
+    return _tree_sum([partial(pts, w) for pts, w in quadrature_blocks(dom, resolution)])
+
+
+def _tree_sum(parts):
+    if len(parts) == 1:
+        return parts[0]
+    half = len(parts) // 2
+    return _tree_sum(parts[:half]) + _tree_sum(parts[half:])
 
 
 def reference_integral(f, pi, dom, resolution):
     """Ground-truth value of the weighted integral of f by a tensor rule."""
-    pts, w = quadrature_nodes(dom, resolution)
-    vals = np.asarray(f(pts), dtype=float)
-    pvals = np.asarray(pi(pts), dtype=float)
-    return float(np.sum(w * vals * pvals))
+    def partial(pts, w):
+        vals = np.asarray(f(pts), dtype=float)
+        pvals = np.asarray(pi(pts), dtype=float)
+        return np.sum(w * vals * pvals)
+
+    return float(quadrature_sum(dom, resolution, partial))

@@ -54,8 +54,9 @@ def run_experiment(raw, out_dir, seed=None):
 
 
 def execute(raw):
-    """Build and run one flat (matrix-expanded) config, the only reader of
-    its `budget` and `grids`; returns (state, record)."""
+    """Validate, build and run one flat (matrix-expanded) config, the only
+    reader of its `budget` and `grids`; returns (state, record)."""
+    validate_config(raw)
     problem, spec, selector = build_problem(raw)
     grids = raw.get("grids", {})
     return engine.run_abq(

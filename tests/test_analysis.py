@@ -1,15 +1,17 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.linalg import solve_triangular
 from scipy.spatial.distance import cdist
 
 from abqlab import analysis, engine, gp, kernels
 from abqlab.acquisition import AcquisitionSpec, ConstantRule, Power, WsabiM
 from abqlab.domain import (ConstantMean, Domain, SyntheticIntegrand,
                            TruncatedGaussianDensity, UniformDensity,
-                           reference_integral)
+                           quadrature_nodes, reference_integral)
 from abqlab.exceptions import DomainError, NumericalDegradationError
 from abqlab.kernels import Matern, RatePrediction, SquaredExponential, Wendland
 from abqlab.transforms import Identity, Square
@@ -127,7 +129,8 @@ def test_fill_distance_single_center():
 
 
 @pytest.mark.parametrize("dom, per_dim", [(DOM, 256),
-                                          (Domain((0.0, -1.0), (2.0, 1.0)), 64)])
+                                          (Domain((0.0, -1.0), (2.0, 1.0)), 64),
+                                          (Domain((0.0, -1.0, 0.5), (2.0, 1.0, 0.75)), 64)])
 def test_fill_distance_curve_matches_brute_force(dom, per_dim):
     rng = np.random.default_rng(3)
     lo, hi = np.asarray(dom.lower), np.asarray(dom.upper)
@@ -323,3 +326,50 @@ def test_sup_qk_fine_reports_modulus():
     sup, modulus = sups[-1], moduli[-1]
     assert sup > 0
     assert 0 <= modulus < sup
+
+
+def test_plugin_curve_matches_a_one_shot_evaluation():
+    # 48^3 oracle nodes: two slabs of quadrature_blocks
+    dom = Domain((-0.3, 0.0, 0.5), (1.0, 2.0, 0.75))
+    rng = np.random.default_rng(5)
+    X = np.asarray(dom.lower) + dom.widths * rng.uniform(size=(6, 3))
+    state = gp.build_state(Matern(2.5, 0.3), ConstantMean(5.0), X,
+                           5.0 + rng.uniform(-0.5, 0.5, size=6))
+    pi = TruncatedGaussianDensity(dom, center=[0.3, 1.0, 0.6], scale=[0.5, 0.8, 0.2])
+    t = Square(alpha=2.0)
+    curve = analysis._plugin_curve(state, t, pi, dom, 48)
+    pts, w = quadrature_nodes(dom, 48)
+    rows = solve_triangular(state.chol, state.kernel.pairwise(pts, state.X).T,
+                            lower=True)
+    beta = solve_triangular(state.chol, state.z - state.mean(state.X), lower=True)
+    dens = pi(pts)
+    mean = state.mean(pts)
+    dense = []
+    for row, b in zip(rows, beta):
+        mean = mean + b * row
+        dense.append(np.sum(w * t.forward(mean) * dens))
+    assert np.allclose(curve, dense, rtol=1e-13, atol=0.0)
+
+
+def test_error_bound_check_memory_does_not_grow_with_the_oracle():
+    # default grids in d=3: the reference integral takes 128^3 = 2.1M nodes,
+    # which as one (N, 3) array alone would take 48 MiB
+    dom = Domain((0.0,) * 3, (1.0,) * 3)
+    q = UniformDensity(dom)
+    integrand = SyntheticIntegrand(
+        centers=np.array([[0.3, 0.4, 0.6], [0.7, 0.5, 0.3]]),
+        weights=np.array([0.3, -0.2]), prior_mean=ConstantMean(5.0),
+        kernel=Matern(2.5, 0.3), transform=Square(alpha=2.0),
+    )
+    problem = engine.Problem(integrand=integrand, pi=q, domain=dom)
+    spec = AcquisitionSpec(outer=Power(1.0), q=q, b=WsabiM(), gamma_tilde=1.0)
+    state, rec = engine.run_abq(problem, spec, engine.SelectorConfig(), 3)
+    assert rec.oracle_resolution == 64
+    tracemalloc.start()
+    try:
+        report = analysis.error_bound_check(rec, state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok and len(report.rows) == 3
+    assert peak < 32 * 2 ** 20

@@ -268,6 +268,13 @@ def test_execute_reads_the_grids_block():
                           engine.candidate_pool(dom, engine.SelectorConfig()))
 
 
+def test_execute_rejects_a_misspelled_key():
+    raw = json.loads(json.dumps(MINIMAL))
+    raw["selector"] = {"candidate_scheme": "low-discrepancy"}  # meant: "scheme"
+    with pytest.raises(ConfigError, match="candidate_scheme"):
+        runner.execute(raw)
+
+
 def test_every_verify_run_is_a_valid_config(monkeypatch):
     execute = runner.execute
     seen = []

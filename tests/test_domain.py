@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from abqlab.domain import (
+    BLOCK_POINTS,
     PROBE_POINTS,
     AffineMean,
     ConstantMean,
@@ -10,12 +11,13 @@ from abqlab.domain import (
     TabulatedDensity,
     TruncatedGaussianDensity,
     UniformDensity,
+    quadrature_blocks,
     quadrature_nodes,
     reference_integral,
     rkhs_norm,
 )
 from abqlab.exceptions import BudgetExceededError
-from abqlab.kernels import SquaredExponential
+from abqlab.kernels import Matern, SquaredExponential
 from abqlab.transforms import Identity
 
 
@@ -174,3 +176,46 @@ def test_quadrature_budget_guard():
     with pytest.raises(BudgetExceededError):
         quadrature_nodes(dom, 500)
 
+
+
+# d=3 on an uneven box: 48^3 nodes fill two slabs (a 48^2 tile under 28
+# and then 20 leading coordinates) and 64^3 nodes fill four
+BOX3 = Domain((-0.3, 0.0, 0.5), (1.0, 2.0, 0.75))
+
+
+def dense_rule(dom, resolution):
+    """The tensor Gauss-Legendre rule built as one meshgrid."""
+    x, w = np.polynomial.legendre.leggauss(resolution)
+    lo, hi = np.asarray(dom.lower), np.asarray(dom.upper)
+    axes = [0.5 * (b - a) * x + 0.5 * (a + b) for a, b in zip(lo, hi)]
+    wts = [0.5 * (b - a) * w for a, b in zip(lo, hi)]
+    pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    weight = np.ones(pts.shape[0])
+    for wm in np.meshgrid(*wts, indexing="ij"):
+        weight *= wm.ravel()
+    return pts, weight
+
+
+@pytest.mark.parametrize("resolution, slabs", [(48, 2), (64, 4)])
+def test_quadrature_blocks_are_the_dense_rule(resolution, slabs):
+    pts, w = dense_rule(BOX3, resolution)
+    nodes, weights = quadrature_nodes(BOX3, resolution)
+    assert np.array_equal(nodes, pts) and np.array_equal(weights, w)
+    blocks = list(quadrature_blocks(BOX3, resolution))
+    assert len(blocks) == slabs
+    assert all(len(b) <= BLOCK_POINTS and len(v) == len(b) for b, v in blocks)
+    assert np.array_equal(np.concatenate([b for b, _ in blocks]), pts)
+    assert np.array_equal(np.concatenate([v for _, v in blocks]), w)
+
+
+@pytest.mark.parametrize("resolution", [48, 64])
+def test_blocked_reference_integral_matches_a_one_shot_sum(resolution):
+    f = SyntheticIntegrand(
+        centers=np.array([[0.2, 0.5, 0.6], [0.7, 1.4, 0.7]]),
+        weights=np.array([0.6, -0.4]), prior_mean=ConstantMean(2.0),
+        kernel=Matern(2.5, 0.3), transform=Identity(),
+    )
+    pi = TruncatedGaussianDensity(BOX3, center=[0.3, 1.0, 0.6], scale=[0.5, 0.8, 0.2])
+    pts, w = dense_rule(BOX3, resolution)
+    dense = np.sum(w * f(pts) * pi(pts))
+    assert reference_integral(f, pi, BOX3, resolution) == pytest.approx(dense, rel=1e-13)
