@@ -18,10 +18,12 @@ from scipy.linalg import solve_triangular
 from scipy.spatial.distance import cdist
 
 from . import gp, kernels
-from .domain import quadrature_sum, reference_integral, rkhs_norm
+from .domain import (BLOCK_POINTS, REFINEMENT, grid_per_dim, quadrature_sum,
+                     reference_integral, rkhs_norm)
 from .exceptions import DomainError
 
 CERT_TOL = 1e-9  # slack of a weak-greedy ratio below gamma_hat
+ORACLE_TOL = 1e-3  # largest reference self-error, relative to the smallest rhs
 
 
 def projection_distance_sq(kernel, q, X, x):
@@ -111,18 +113,19 @@ def greedy_certificate(record, clcu=None):
 def fill_distance(X, dom):
     """Fill distances of the designs X[:1], ..., X[:n], as a list of n values.
 
-    Entry i-1 is the sup over a dense grid of the distance to the nearest
-    of the first i points: per grid slab, a running minimum along the
-    design and its maximum over the slab's points.
+    Entry i-1 is the sup over an endpoint grid of the distance to the
+    nearest of the first i points: a running minimum along the design and
+    its maximum over the grid. The grid has `grid_per_dim(d, BLOCK_POINTS,
+    cap)` points per dim, cap 256 in d=1 and 64 above: 256, 64^2, 40^3,
+    16^4 and 9^5 points, so one (grid, n) distance block bounds memory.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[0] == 0:
         raise DomainError("fill distance needs at least one point")
-    curve = np.zeros(X.shape[0])
-    for block in dom.uniform_blocks(256 if dom.dim == 1 else 64):
-        nearest = np.minimum.accumulate(cdist(block, X), axis=1)
-        np.maximum(curve, np.max(nearest, axis=0), out=curve)
-    return curve.tolist()
+    grid = dom.uniform_grid(grid_per_dim(dom.dim, BLOCK_POINTS,
+                                         256 if dom.dim == 1 else 64))
+    nearest = np.minimum.accumulate(cdist(grid, X), axis=1)
+    return np.max(nearest, axis=0).tolist()
 
 
 def nwidth_surrogate(kernel, q, dom, n):
@@ -263,9 +266,9 @@ def error_bound_check(record, state):
     """Check |reference - plugin estimate| after each step against the
     assembled error bound, by solves against the run's final `state`.
 
-    The reference is `reference_integral` of the integrand at twice the
-    run's `record.oracle_resolution` (the resolution of the plug-in
-    integrals), its self-error the distance to the integral at that
+    The reference is `reference_integral` of the integrand at REFINEMENT
+    times the run's `record.oracle_resolution` (the resolution of the
+    plug-in integrals), its self-error the distance to the integral at that
     resolution; a run of no steps gets the reference and no rows. The
     right-hand side multiplies the transform's Lipschitz constant, the
     integral of pi/q, the known native norm, and a grid supremum of
@@ -277,7 +280,7 @@ def error_bound_check(record, state):
     q = record.spec.q
     res = record.oracle_resolution
     coarse = reference_integral(integrand, pi, dom, res)
-    reference = reference_integral(integrand, pi, dom, 2 * res)
+    reference = reference_integral(integrand, pi, dom, REFINEMENT * res)
     ref_err = abs(reference - coarse)
     t = integrand.transform
     gnorm = rkhs_norm(integrand)
@@ -293,7 +296,7 @@ def error_bound_check(record, state):
         return report
     curves = zip(*sup_qk_fine(state, q, dom),
                  _plugin_curve(state, t, pi, dom, res),
-                 _plugin_curve(state, t, pi, dom, 2 * res))
+                 _plugin_curve(state, t, pi, dom, REFINEMENT * res))
     for n, (sup, modulus, plug, plug_fine) in enumerate(curves, start=1):
         slack = ref_err + abs(plug_fine - plug)
         lhs = abs(reference - plug)

@@ -19,7 +19,7 @@ from .domain import (
     TruncatedGaussianDensity,
     UniformDensity,
 )
-from .engine import Problem, SelectorConfig
+from .engine import ORACLE_MIN_PER_DIM, Problem, SelectorConfig
 from .exceptions import ConfigError
 
 SCHEMA_VERSION = "1"
@@ -154,7 +154,7 @@ CONFIG_SCHEMA = {
             "type": "object",
             "properties": {
                 "certificate": {"type": "integer", "minimum": 16},
-                "oracle": {"type": "integer", "minimum": 8},
+                "oracle": {"type": "integer", "minimum": ORACLE_MIN_PER_DIM},
                 "shared_certificate": {"type": "boolean"},
             },
             "additionalProperties": False,

@@ -26,10 +26,14 @@ _LOG_SQRT_2PI = np.log(np.sqrt(2 * np.pi))
 PROBE_PER_DIM = 512
 PROBE_POINTS = 2 ** 16
 
-# the oracle quadrature and the fill-distance grid are generated and used
-# in slabs of at most BLOCK_POINTS nodes, so their memory does not grow
-# with the grid
+# the oracle quadrature is generated and used in slabs of at most
+# BLOCK_POINTS nodes, so its memory does not grow with the rule; the
+# fill-distance grid has at most BLOCK_POINTS points, one slab's worth
 BLOCK_POINTS = 2 ** 16
+
+# the error bound's reference integral takes REFINEMENT times the oracle
+# resolution per dim; its self-error is the distance to the oracle's own
+REFINEMENT = 2
 
 
 def as_points(x, dim):
@@ -95,22 +99,25 @@ class Domain:
         """Tensor grid, flattened to (m^d, d) in lexicographic order."""
         return _mesh(self._grid_axes(points_per_dim, endpoint))
 
-    def uniform_blocks(self, points_per_dim):
-        """The endpoint `uniform_grid(points_per_dim)` as consecutive slabs
-        of at most BLOCK_POINTS points."""
-        return _slabs(self._grid_axes(points_per_dim, True), BLOCK_POINTS)
-
     def probe_grid(self):
         """Endpoint tensor grid for suprema and infima over the box.
 
-        It has the largest per-dim count up to PROBE_PER_DIM whose d-th
-        power is at most PROBE_POINTS (512 in d=1, 256^2, 40^3, 16^4), and
-        it contains every box corner, so sup |m| is exact for affine m.
+        It has `grid_per_dim(d, PROBE_POINTS, PROBE_PER_DIM)` points per dim
+        (512 in d=1, 256^2, 40^3, 16^4, 9^5), and it contains every box
+        corner, so sup |m| is exact for affine m.
         """
-        per_dim = PROBE_PER_DIM
-        while per_dim ** self.dim > PROBE_POINTS:
-            per_dim -= 1
-        return self.uniform_grid(per_dim)
+        return self.uniform_grid(grid_per_dim(self.dim, PROBE_POINTS, PROBE_PER_DIM))
+
+
+def grid_per_dim(dim, total, cap):
+    """The largest per-dim count at most `cap` whose dim-th power is at most
+    `total` (at least 1): the one sizing rule of the tensor grids that are
+    not set by a config, the probe grid, the default oracle rule and the
+    fill-distance grid."""
+    per_dim = cap
+    while per_dim > 1 and per_dim ** dim > total:
+        per_dim -= 1
+    return per_dim
 
 
 class Density:
@@ -346,11 +353,17 @@ def _gauss_legendre(resolution):
     return x, w
 
 
-def _gauss_blocks(dom, resolution, block):
-    if resolution ** dom.dim > 10 ** 7:
+def check_rule_size(dim, resolution):
+    """Raise BudgetExceededError when a tensor rule of `resolution` nodes
+    per dim has more than 1e7 nodes."""
+    if resolution ** dim > 10 ** 7:
         raise BudgetExceededError(
-            f"resolution^d = {resolution}^{dom.dim} exceeds the 1e7 evaluation guard"
+            f"resolution^d = {resolution}^{dim} exceeds the 1e7 evaluation guard"
         )
+
+
+def _gauss_blocks(dom, resolution, block):
+    check_rule_size(dom.dim, resolution)
     x, w = _gauss_legendre(resolution)
     axes = [0.5 * (b - a) * x + 0.5 * (a + b) for a, b in zip(dom.lower, dom.upper)]
     factors = [0.5 * (b - a) * w for a, b in zip(dom.lower, dom.upper)]

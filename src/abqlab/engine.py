@@ -26,11 +26,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gp
-from .domain import quadrature_nodes
+from .domain import REFINEMENT, check_rule_size, grid_per_dim, quadrature_nodes
 from .exceptions import (Converged, DomainError, LinearDependenceError,
                          NonFiniteIntegrandError)
 
 DEFAULT_CERT_POINTS_PER_DIM = 2048
+
+# the estimators' Gauss-Legendre rule when grids.oracle is not set: at most
+# ORACLE_PER_DIM nodes per dim and ORACLE_POINTS in total, but never fewer
+# than ORACLE_MIN_PER_DIM per dim (256, 64, 16, 8 and 8 in d = 1..5)
+ORACLE_POINTS = 4096
+ORACLE_PER_DIM = 256
+ORACLE_MIN_PER_DIM = 8
 
 # why a run stopped before its budget, as RunRecord.stop_cause
 STOP_SPANNED = "every candidate is spanned by the design"
@@ -235,16 +242,23 @@ def run_abq(problem, spec, cfg, n, cert_grid_size=None, oracle_resolution=None,
     When share_candidate_grid is set the certificate grid is the
     candidate pool itself, so exact-argmax runs certify a ratio of one.
     The estimators integrate on a Gauss-Legendre tensor grid with
-    oracle_resolution nodes per dim, by default 256 in d=1 and 64 above;
-    the record keeps it, the problem and the spec for the report.
+    oracle_resolution nodes per dim, by default the `domain.grid_per_dim`
+    count for ORACLE_POINTS nodes in total and at most ORACLE_PER_DIM per
+    dim, raised to ORACLE_MIN_PER_DIM: 256, 64, 16, 8 and 8 in d = 1..5.
+    The record keeps it, the problem and the spec for the report.
     Deterministic given (problem, spec, cfg, n). Raises
-    NonFiniteIntegrandError when the integrand returns NaN or inf.
+    NonFiniteIntegrandError when the integrand returns NaN or inf, and
+    BudgetExceededError before the first integrand call when the report's
+    rule, at REFINEMENT times the resolution, is over the 1e7-node guard.
     """
     dom = problem.domain
     model = problem.integrand
     t = model.transform
     if oracle_resolution is None:
-        oracle_resolution = 256 if dom.dim == 1 else 64
+        oracle_resolution = max(ORACLE_MIN_PER_DIM, grid_per_dim(
+            dom.dim, ORACLE_POINTS, ORACLE_PER_DIM))
+    # fail now, not after every integrand call of the run
+    check_rule_size(dom.dim, REFINEMENT * oracle_resolution)
     rng = np.random.default_rng(cfg.seed)
     fixed_pool = cfg.candidate_scheme != "uniform-random"
     if share_candidate_grid:

@@ -194,6 +194,13 @@ def build_report(raw, state, record):
             findings.append(
                 f"quadrature error bound violated at {len(bound.violations)} step(s)"
             )
+        min_rhs = min(row["rhs"] for row in bound.rows)
+        if bound.reference_self_error > analysis.ORACLE_TOL * min_rhs:
+            findings.append(
+                f"oracle self-error {bound.reference_self_error:g} exceeds "
+                f"{analysis.ORACLE_TOL:g} of the smallest bound {min_rhs:g}: "
+                f"the reference is too coarse to check it (raise grids.oracle)"
+            )
 
     fits = {}
     try:

@@ -130,7 +130,8 @@ def test_fill_distance_single_center():
 
 @pytest.mark.parametrize("dom, per_dim", [(DOM, 256),
                                           (Domain((0.0, -1.0), (2.0, 1.0)), 64),
-                                          (Domain((0.0, -1.0, 0.5), (2.0, 1.0, 0.75)), 64)])
+                                          (Domain((0.0, -1.0, 0.5), (2.0, 1.0, 0.75)), 40),
+                                          (Domain((0.0,) * 4, (1.0, 2.0, 1.0, 0.5)), 16)])
 def test_fill_distance_curve_matches_brute_force(dom, per_dim):
     rng = np.random.default_rng(3)
     lo, hi = np.asarray(dom.lower), np.asarray(dom.upper)
@@ -352,7 +353,7 @@ def test_plugin_curve_matches_a_one_shot_evaluation():
 
 
 def test_error_bound_check_memory_does_not_grow_with_the_oracle():
-    # default grids in d=3: the reference integral takes 128^3 = 2.1M nodes,
+    # oracle 64 in d=3: the reference integral takes 128^3 = 2.1M nodes,
     # which as one (N, 3) array alone would take 48 MiB
     dom = Domain((0.0,) * 3, (1.0,) * 3)
     q = UniformDensity(dom)
@@ -363,8 +364,8 @@ def test_error_bound_check_memory_does_not_grow_with_the_oracle():
     )
     problem = engine.Problem(integrand=integrand, pi=q, domain=dom)
     spec = AcquisitionSpec(outer=Power(1.0), q=q, b=WsabiM(), gamma_tilde=1.0)
-    state, rec = engine.run_abq(problem, spec, engine.SelectorConfig(), 3)
-    assert rec.oracle_resolution == 64
+    state, rec = engine.run_abq(problem, spec, engine.SelectorConfig(), 3,
+                                oracle_resolution=64)
     tracemalloc.start()
     try:
         report = analysis.error_bound_check(rec, state)

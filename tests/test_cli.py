@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,28 @@ MINIMAL = {
     "budget": 10,
     "grids": {"shared_certificate": True},
 }
+
+
+def box_config(dim, budget):
+    """The benchmark's run config in `dim` dimensions: Matern 2.5, constant
+    mean 5 under the square warp, WSABI-M, default selector and grids, and
+    three kernel bumps fixed by the dimension."""
+    rng = np.random.default_rng(dim)
+    return {
+        "version": "1", "seed": 0,
+        "domain": {"lower": [0.0] * dim, "upper": [1.0] * dim},
+        "kernel": {"family": "matern", "nu": 2.5, "ell": 0.3},
+        "mean": {"kind": "constant", "value": 5.0},
+        "transform": {"kind": "square", "alpha": 2.0},
+        "integrand": {"kind": "synthetic",
+                      "centers": rng.uniform(0.05, 0.95, (3, dim)).tolist(),
+                      "weights": rng.uniform(-0.4, 0.4, 3).tolist()},
+        "pi": {"kind": "uniform"},
+        "acquisition": {"outer": {"kind": "power", "delta": 1.0},
+                        "q": {"kind": "uniform"}, "b": {"kind": "wsabi_m"},
+                        "gamma_tilde": 1.0},
+        "budget": budget,
+    }
 
 
 def write_config(tmp_path, raw, name="config.json"):
@@ -331,6 +354,78 @@ def test_d3_run_keeps_every_tensor_grid_small(tmp_path, monkeypatch):
     report = json.loads((tmp_path / "d3" / "report.json").read_text())
     assert report["iterations"] == 3
     assert report["error_bound"]["ok"]
+
+
+def test_cli_rejects_an_oracle_over_the_guard_before_any_evaluation(tmp_path,
+                                                                  monkeypatch, capsys):
+    # the report integrates at twice the resolution: with default grids in
+    # d=6, 16^6 is over the 1e7 guard though 8^6 is not, and the run must
+    # not spend its budget first
+    calls = []
+    original = SyntheticIntegrand.__call__
+    monkeypatch.setattr(SyntheticIntegrand, "__call__",
+                        lambda self, X: calls.append(len(X)) or original(self, X))
+    cfg = write_config(tmp_path, box_config(6, 4))
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert "16^6 exceeds the 1e7 evaluation guard" in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "o").exists()
+
+
+def test_report_finds_an_oracle_too_coarse_for_the_bound():
+    # a rough Matern 0.5 integrand on 8 Gauss nodes: the self-error is about
+    # 4e-2 of the smallest right-hand side, though the bound still holds
+    raw = json.loads(json.dumps(MINIMAL))
+    raw["kernel"] = {"family": "matern", "nu": 0.5, "ell": 0.05}
+    raw["grids"] = {"oracle": 8, "shared_certificate": True}
+    state, record = runner.execute(raw)
+    bound = analysis.error_bound_check(record, state)
+    smallest = min(row["rhs"] for row in bound.rows)
+    assert bound.reference_self_error > 10 * analysis.ORACLE_TOL * smallest
+    report = runner.build_report(raw, state, record)
+    assert report["error_bound"]["ok"]
+    assert [f for f in report["findings"] if f.startswith("oracle self-error")] == [
+        f"oracle self-error {bound.reference_self_error:g} exceeds 0.001 of the "
+        f"smallest bound {smallest:g}: the reference is too coarse to check it "
+        f"(raise grids.oracle)"]
+
+
+def test_d3_default_oracle_is_fine_enough_for_the_bound():
+    raw = box_config(3, 4)
+    state, record = runner.execute(raw)
+    assert record.oracle_resolution == 16
+    report = runner.build_report(raw, state, record)
+    assert report["error_bound"]["ok"]
+    assert report["reference_self_error"] < 1e-6
+    assert not any(f.startswith("oracle self-error") for f in report["findings"])
+
+
+def test_default_grids_run_in_d1_to_d5_in_time_and_memory(tmp_path):
+    # one child process runs all five, so its peak RSS bounds each run's
+    for dim in range(1, 6):
+        write_config(tmp_path, box_config(dim, 8), name=f"d{dim}.json")
+    code = textwrap.dedent("""
+        import json, resource, sys, time
+        from abqlab import cli
+        runs = []
+        for dim in range(1, 6):
+            start = time.perf_counter()
+            code = cli.main(["run", f"{sys.argv[1]}/d{dim}.json",
+                             "--out", f"{sys.argv[1]}/d{dim}"])
+            runs.append((code, time.perf_counter() - start))
+        peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        print(json.dumps({"runs": runs, "peak_mb": peak_mb}))
+    """)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], check=True,
+                         text=True, capture_output=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    result = json.loads(out.stdout.splitlines()[-1])
+    assert result["peak_mb"] < 500, result
+    for dim, (code, seconds) in enumerate(result["runs"], start=1):
+        assert code == 0 and seconds < 30, (dim, result)
+        report = json.loads((tmp_path / f"d{dim}" / "report.json").read_text())
+        assert report["iterations"] == 8 and report["error_bound"]["ok"], dim
 
 
 def test_cli_run_computes_the_reference_integral_once(tmp_path, monkeypatch):

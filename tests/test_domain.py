@@ -49,7 +49,7 @@ def test_uniform_grid_shapes_and_midpoints():
     assert dom2.uniform_grid(3).shape == (9, 2)
 
 
-@pytest.mark.parametrize("dim, per_dim", [(1, 512), (2, 256), (3, 40), (4, 16)])
+@pytest.mark.parametrize("dim, per_dim", [(1, 512), (2, 256), (3, 40), (4, 16), (5, 9)])
 def test_probe_grid_has_a_total_budget_and_the_corners(dim, per_dim):
     dom = Domain(tuple(-1.0 - i for i in range(dim)),
                  tuple(2.0 + i for i in range(dim)))

@@ -56,9 +56,9 @@ def test_candidate_pool_schemes():
 
 
 def test_run_abq_picks_the_oracle_resolution_by_dimension():
-    # 256 nodes per dim in d=1 and 64 above, so a d=3 run stays under the
-    # tensor-grid guard (256^3 is over it)
-    for dim, expected in ((1, 256), (2, 64), (3, 64)):
+    # at most 4096 nodes in total and 256 per dim, never below 8 per dim,
+    # so the report's rule at twice the resolution stays under the 1e7 guard
+    for dim, expected in ((1, 256), (2, 64), (3, 16), (4, 8), (5, 8)):
         dom = Domain((0.0,) * dim, (1.0,) * dim)
         integrand = SyntheticIntegrand(
             centers=np.full((1, dim), 0.4), weights=np.array([0.5]),
