@@ -4,7 +4,8 @@ Everything here recomputes quantities through paths independent of the
 engine (dense solves on the scaled Gram matrix, direct grid suprema), so
 the two code paths act as mutual oracles. The first i rows of L^{-1} K(X, P),
 L the Cholesky factor of a design X, are the Newton basis of X[:i] on P
-(Mueller & Schaback 2009): one solve per point set serves every prefix.
+(Mueller & Schaback 2009): one forward substitution `kernels.solve_lower`
+on the C-ordered (n, |P|) block K(X, P) serves every prefix.
 Theory violations are reported as findings, never raised: confirming or
 refuting the certificates is the point of this module.
 """
@@ -14,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.spatial.distance import cdist
 
 from . import gp, kernels
 from .domain import (BLOCK_POINTS, REFINEMENT, grid_per_dim, quadrature_sum,
@@ -39,21 +38,21 @@ def projection_distance_sq(kernel, q, X, x):
     qX = np.asarray(q(X), dtype=float)
     G = (qX[:, None] * qX[None, :]) * kernels.gram(kernel, X)
     L, _ = kernels.chol_with_jitter(G)
-    # in place: for a large point set x the (n, |x|) blocks dominate memory;
-    # the transposed block is Fortran-ordered, so the solve needs no copy
-    V = kernel.pairwise(x, X).T
+    # in place: for a large point set x the (n, |x|) blocks dominate memory
+    V = kernel.pairwise(X, x)
     V *= qX[:, None] * qx[None, :]
-    V = solve_triangular(L, V, lower=True, overwrite_b=True)
-    curve = _running_residual(V, norm_sq)
+    curve = _running_residual(kernels.solve_lower(L, V), norm_sq)
     return np.maximum(curve, 0.0, out=curve)
 
 
 def _running_residual(W, norm_sq):
     """Rows norm_sq - sum_{j < i} W_j^2, i = 0..n, squaring W in place; the
-    rows are Fortran-ordered like W, so the running sum needs no buffer."""
+    running sum goes row by row, since a cumsum down the columns of a
+    C-ordered block strides across memory."""
     W *= W
-    curve = np.zeros((W.shape[0] + 1, W.shape[1]), order="F")
-    np.cumsum(W, axis=0, out=curve[1:])
+    curve = np.zeros((W.shape[0] + 1, W.shape[1]))
+    for i, row in enumerate(W):
+        np.add(curve[i], row, out=curve[i + 1])
     return np.subtract(norm_sq, curve, out=curve)
 
 
@@ -124,7 +123,8 @@ def fill_distance(X, dom):
         raise DomainError("fill distance needs at least one point")
     grid = dom.uniform_grid(grid_per_dim(dom.dim, BLOCK_POINTS,
                                          256 if dom.dim == 1 else 64))
-    nearest = np.minimum.accumulate(cdist(grid, X), axis=1)
+    dist = kernels.sqdist(grid, X)
+    nearest = np.minimum.accumulate(np.sqrt(dist, out=dist), axis=1)
     return np.max(nearest, axis=0).tolist()
 
 
@@ -144,7 +144,7 @@ def nwidth_surrogate(kernel, q, dom, n):
     sups_sq = np.empty(n)
     # the designs on one grid are its prefixes, so they share one solve;
     # largest grid first, so each later block fits where a freed one was
-    for per_dim in np.unique(per_dims)[::-1]:
+    for per_dim in sorted(set(per_dims.tolist()), reverse=True):
         sizes = np.flatnonzero(per_dims == per_dim) + 1
         design = dom.uniform_grid(per_dim, endpoint=False)[:sizes[-1]]
         curve_max = np.max(projection_distance_sq(kernel, q, design, grid), axis=1)
@@ -199,8 +199,7 @@ def fit_rate(e_values, model, n_values=None, n_min=5, floor=0.0):
 
 def _newton_rows(state, P):
     """L^{-1} K(X, P) for the state's design X and Cholesky factor L."""
-    return solve_triangular(state.chol, state.kernel.pairwise(P, state.X).T,
-                            lower=True, overwrite_b=True)
+    return kernels.solve_lower(state.chol, state.kernel.pairwise(state.X, P))
 
 
 def sup_qk_fine(state, q, dom, points=2048):
@@ -227,7 +226,7 @@ def _plugin_curve(state, transform, pi, dom, resolution):
     the state's design, the mean being m + sum_{j < i} beta_j (L^{-1} K(X, .))_j
     with beta = L^{-1} (z - m_X); one node slab at a time, so memory is
     O(n * slab)."""
-    beta = solve_triangular(state.chol, state.z - state.mean(state.X), lower=True)
+    beta = kernels.solve_lower(state.chol, state.z - state.mean(state.X))
 
     def partial(pts, w):
         rows = _newton_rows(state, pts)

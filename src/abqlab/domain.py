@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr
+from numpy.polynomial.legendre import leggauss
 
 from .exceptions import BudgetExceededError
 
@@ -145,7 +145,11 @@ class UniformDensity(Density):
 def _log_gauss_mass(a, b):
     """log(Phi(b) - Phi(a)) for a < b, the normaliser of scipy.stats.truncnorm,
     computed like it: a box in a tail is mirrored into the left one, where
-    the log CDFs keep their precision."""
+    the log CDFs keep their precision. scipy.special is imported here, not
+    at module level, so that only configs with a truncated Gaussian pay for
+    it."""
+    from scipy.special import log_ndtr, ndtr
+
     if b <= 0:
         log_b = log_ndtr(b)
         return log_b + np.log1p(-np.exp(log_ndtr(a) - log_b))
@@ -347,7 +351,7 @@ def _weight_slabs(factors, block):
 def _gauss_legendre(resolution):
     """The 1-D Gauss-Legendre rule on [-1, 1]: an O(resolution^3) eigensolve,
     cached (read-only) since every oracle call at a resolution repeats it."""
-    x, w = np.polynomial.legendre.leggauss(resolution)
+    x, w = leggauss(resolution)
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random import default_rng
 
 from . import gp
 from .domain import REFINEMENT, check_rule_size, grid_per_dim, quadrature_nodes
@@ -133,7 +134,7 @@ def candidate_pool(dom, cfg, rng=None):
         return dom.uniform_grid(per_dim)
     if cfg.candidate_scheme == "low-discrepancy":
         return certificate_grid(dom, cfg.candidate_count)
-    rng = rng if rng is not None else np.random.default_rng(cfg.seed)
+    rng = rng if rng is not None else default_rng(cfg.seed)
     lo = np.asarray(dom.lower)
     hi = np.asarray(dom.upper)
     return rng.uniform(lo, hi, size=(cfg.candidate_count, d))
@@ -259,7 +260,7 @@ def run_abq(problem, spec, cfg, n, cert_grid_size=None, oracle_resolution=None,
             dom.dim, ORACLE_POINTS, ORACLE_PER_DIM))
     # fail now, not after every integrand call of the run
     check_rule_size(dom.dim, REFINEMENT * oracle_resolution)
-    rng = np.random.default_rng(cfg.seed)
+    rng = default_rng(cfg.seed)
     fixed_pool = cfg.candidate_scheme != "uniform-random"
     if share_candidate_grid:
         if not fixed_pool:

@@ -9,7 +9,8 @@ the whitened residual beta = L^{-1} (z - m_X). `GridPosterior` is the one
 place that computes posterior moments: on a point set P it holds the
 Newton-basis rows V = L^{-1} K(X, P), the mean m(P) + V^T beta and the
 variance k(P, P) - sum_i V_i^2 (Mueller & Schaback 2009). It is built
-from one kernel block and one triangular solve, and `update` adds one
+from one C-ordered (n, |P|) kernel block K(X, P) and one blocked forward
+substitution, `kernels.solve_lower`, written over it; `update` adds one
 row per new design point, O(|P| n) per step. `posterior` is the one-shot
 form. Built and updated rows agree to rounding; the gap grows with the
 Gram condition number, and tests/test_gp.py states the bound.
@@ -20,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from . import kernels
 from .exceptions import LinearDependenceError, NumericalDegradationError
@@ -67,7 +67,7 @@ def build_state(kernel, mean, X, z):
         return empty_state(kernel, mean, X.shape[1] if X.ndim == 2 else 1)
     K = kernels.gram(kernel, X)
     L, jitter = kernels.chol_with_jitter(K)
-    beta = solve_triangular(L, z - mean(X), lower=True)
+    beta = kernels.solve_lower(L, z - mean(X))
     return GpState(kernel=kernel, mean=mean, X=X, z=z, chol=L,
                    jitter_used=jitter, beta=beta)
 
@@ -108,8 +108,8 @@ class GridPosterior:
         self.P = np.atleast_2d(np.asarray(P, dtype=float))
         self.n = state.n
         self.prior_var = state.kernel.diag(self.P)
-        self._rows = solve_triangular(
-            state.chol, state.kernel.pairwise(self.P, state.X).T, lower=True)
+        self._rows = kernels.solve_lower(state.chol,
+                                         state.kernel.pairwise(state.X, self.P))
         self._raw_var = self.prior_var - np.sum(self._rows * self._rows, axis=0)
         self.mean = state.mean(self.P) + self._rows.T @ state.beta
         self.var = check_floor(self._raw_var, self.prior_var, state.jitter_used)
@@ -152,7 +152,7 @@ def extend(state, x_new, z_new):
     # the first point fixes the jitter for the rest of the chain
     jitter = state.jitter_used if state.n else (1e-12 * abs(k_diag) or 1e-12)
     kvec = state.kernel.pairwise(state.X, x_new)[:, 0]
-    w = solve_triangular(state.chol, kvec, lower=True)
+    w = kernels.solve_lower(state.chol, kvec)
     ww = float(w @ w)
     var = float(check_floor(k_diag - ww, k_diag, jitter))
     if var <= dependence_floor(state.jitter_used, k_diag):

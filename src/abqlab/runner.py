@@ -54,9 +54,15 @@ def run_experiment(raw, out_dir, seed=None):
 
 
 def execute(raw):
-    """Validate, build and run one flat (matrix-expanded) config, the only
-    reader of its `budget` and `grids`; returns (state, record)."""
+    """Validate, build and run one flat (matrix-expanded) config; returns
+    (state, record)."""
     validate_config(raw)
+    return _execute_valid(raw)
+
+
+def _execute_valid(raw):
+    """Build and run one validated flat config, the only reader of its
+    `budget` and `grids`; returns (state, record)."""
     problem, spec, selector = build_problem(raw)
     grids = raw.get("grids", {})
     return engine.run_abq(
@@ -68,7 +74,8 @@ def execute(raw):
 
 
 def _run_single(raw, target):
-    state, record = execute(raw)
+    # run_experiment validated every combo before the first run
+    state, record = _execute_valid(raw)
     report = build_report(raw, state, record)
     fills = (analysis.fill_distance(record.design(), record.problem.domain)
              if record.n else [])

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from abqlab import analysis, cli, domain, engine, runner, verify
 from abqlab.config import (CONFIG_SCHEMA, build_problem, expand_matrix, load_config,
@@ -93,6 +94,37 @@ def test_expand_matrix_cartesian_product():
     for _, cfg in combos:
         assert "matrix" not in cfg
     assert combos[0][1]["acquisition"]["b"]["kind"] == "wsabi_l"
+
+
+@st.composite
+def matrix_axes(draw):
+    """A matrix block of 1 to 3 axes over distinct config keys, each axis
+    1 to 3 distinct values."""
+    keys = draw(st.lists(st.sampled_from(["seed", "budget", "acquisition.gamma_tilde",
+                                          "kernel.gamma", "mean.value"]),
+                         min_size=1, max_size=3, unique=True))
+    return {key: draw(st.lists(st.integers(1, 50), min_size=1, max_size=3,
+                               unique=True))
+            for key in keys}
+
+
+def _get_dotted(cfg, dotted):
+    for part in dotted.split("."):
+        cfg = cfg[part]
+    return cfg
+
+
+@given(matrix_axes())
+def test_expand_matrix_is_the_cartesian_product_of_its_axes(matrix):
+    raw = json.loads(json.dumps(MINIMAL))
+    raw["matrix"] = matrix
+    combos = expand_matrix(raw)
+    assert len(combos) == int(np.prod([len(v) for v in matrix.values()]))
+    picks = [tuple(_get_dotted(cfg, key) for key in matrix) for _, cfg in combos]
+    assert len(set(picks)) == len(picks)
+    assert len({tag for tag, _ in combos}) == len(combos)
+    for pick in picks:
+        assert all(value in axis for value, axis in zip(pick, matrix.values()))
 
 
 def test_build_problem_resolves_objects():
@@ -274,6 +306,22 @@ def test_cli_runs_the_inconsistency_config_with_a_vacuous_certificate(tmp_path):
     assert cert["failures"] == []
     assert 0.0 < cert["min_ratio"] <= 1.0
     assert any("certificate vacuous: b_min = 0" in f for f in report["findings"])
+
+
+def test_run_validates_each_matrix_combo_once(tmp_path, monkeypatch):
+    raw = json.loads(json.dumps(MINIMAL))
+    raw["budget"] = 3
+    raw["matrix"] = {"acquisition.gamma_tilde": [1.0, 0.5]}
+    validated = []
+
+    def counting(flat):
+        validated.append(flat["acquisition"]["gamma_tilde"])
+        return validate_config(flat)
+
+    monkeypatch.setattr(runner, "validate_config", counting)
+    monkeypatch.delenv("ABQ_LAB_THREADS", raising=False)
+    assert len(runner.run_experiment(raw, str(tmp_path / "out"))) == 2
+    assert validated == [1.0, 0.5]
 
 
 def test_execute_reads_the_grids_block():
@@ -505,12 +553,36 @@ def test_run_artifacts_identical_across_blas_threads(tmp_path):
 
 
 def test_cli_import_leaves_out_scipy_stats_and_interpolate():
-    # the two subpackages cost most of a command's start-up; no command
-    # path needs them (a d > 10 certificate grid and a tabulated density
-    # import them when built)
+    # no command path needs scipy: a truncated-Gaussian density, a tabulated
+    # density and a d > 10 certificate grid import it when built
     src = str(Path(cli.__file__).resolve().parents[1])
-    code = ("import sys, abqlab.cli; print(sorted(m for m in sys.modules "
-            "if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'interpolate'])))")
+    code = ("import sys, abqlab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], check=True, text=True,
                          capture_output=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_runs_load_no_module_the_import_did_not(tmp_path):
+    # a numpy submodule first touched inside a command (numpy.random by
+    # default_rng, numpy.polynomial by leggauss, numpy.ma by np.unique)
+    # costs its import in the command's own time
+    configs = [write_config(tmp_path, box_config(dim, 3), f"d{dim}.json")
+               for dim in (2, 3)]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = textwrap.dedent("""
+        import sys
+        import abqlab.cli
+
+        def loaded():
+            return {m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy")}
+
+        before = loaded()
+        for path in sys.argv[1:]:
+            assert abqlab.cli.main(["run", path, "--out", path + ".out"]) == 0
+        print(sorted(loaded() - before))
+    """)
+    out = subprocess.run([sys.executable, "-c", code, *configs], check=True,
+                         text=True, capture_output=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.splitlines()[-1] == "[]"

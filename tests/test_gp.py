@@ -209,5 +209,5 @@ def test_grid_posterior_builds_from_one_kernel_block(monkeypatch):
     monkeypatch.setattr(Matern, "pairwise", counting)
     P = np.linspace(0, 1, 11)[:, None]
     post = gp.GridPosterior(state, P)
-    assert calls == [(11, 6)]
+    assert calls == [(6, 11)]
     assert post.n == 6

@@ -2,6 +2,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.linalg import solve_triangular
+from scipy.spatial.distance import cdist
 from scipy.special import gamma as gamma_fn, kv
 
 from abqlab import kernels
@@ -15,6 +19,8 @@ from abqlab.kernels import (
     chol_with_jitter,
     gram,
     predicted_rate,
+    solve_lower,
+    sqdist,
 )
 
 
@@ -54,7 +60,7 @@ def test_matern_pairwise_is_horner_in_two_buffers(nu):
     Y = rng.uniform(0, 1, size=(50, 2))
     # reference: the Horner form with u, exp(-u) and the polynomial in
     # three separate blocks; the same operations in the same order
-    u = kernels.cdist(X, Y) * (np.sqrt(2 * nu) / 0.3)
+    u = cdist(X, Y) * (np.sqrt(2 * nu) / 0.3)
     coefs = kernels._matern_coefs(int(nu - 0.5))
     poly = np.full(u.shape, coefs[-1])
     for c in coefs[-2::-1]:
@@ -130,13 +136,64 @@ def test_chol_with_jitter_reconstructs():
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_chol_with_jitter_rejects_non_finite_gram_at_once(monkeypatch, bad):
     attempts = []
-    monkeypatch.setattr(kernels, "cholesky",
+    monkeypatch.setattr(np.linalg, "cholesky",
                         lambda *args, **kw: attempts.append(args))
     K = np.eye(3)
     K[0, 1] = K[1, 0] = bad
     with pytest.raises(NumericalDegradationError, match="non-finite"):
         chol_with_jitter(K)
     assert attempts == []
+
+
+@st.composite
+def point_pairs(draw):
+    """Two point sets in the same dimension d = 1..5, of 1 to 6 points each."""
+    d = draw(st.integers(1, 5))
+    coords = st.floats(-10, 10, allow_nan=False)
+    X = draw(arrays(float, (draw(st.integers(1, 6)), d), elements=coords))
+    Y = draw(arrays(float, (draw(st.integers(1, 6)), d), elements=coords))
+    return X, Y
+
+
+@given(point_pairs())
+@example((np.array([[0.1, 0.7]]), np.array([[0.3, 0.2], [0.9, 0.4]])))
+@example((np.array([[0.1], [0.5], [0.8]]), np.array([[0.3]])))
+def test_sqdist_is_cdist_bit_for_bit(pair):
+    X, Y = pair
+    D = sqdist(X, Y)
+    assert D.flags.c_contiguous
+    assert np.array_equal(D, cdist(X, Y, "sqeuclidean"))
+    assert np.array_equal(np.sqrt(D), cdist(X, Y))
+
+
+def test_sqdist_rejects_mismatched_dimensions():
+    with pytest.raises(ValueError, match="dimension"):
+        sqdist(np.zeros((3, 2)), np.zeros((4, 3)))
+
+
+# The Grams below are 81-point lattice designs, beyond both the matrix and
+# the vector block of solve_lower, so every off-diagonal block is used. The
+# gap to LAPACK's solve is held to the kappa-scaled tolerance that
+# tests/test_gp.py states, kappa = cond(L)^2 the condition number of the
+# jittered Gram matrix.
+EPS = np.finfo(float).eps
+MEAN_TOL = 1e3
+LATTICE = np.stack(np.meshgrid(*[np.linspace(0, 1, 9)] * 2, indexing="ij"),
+                   -1).reshape(-1, 2)
+
+
+@pytest.mark.parametrize("kernel", [Matern(2.5, 0.1), SquaredExponential(0.1),
+                                    Wendland(1, 0.3), InverseMultiquadric(0.5, 0.1)])
+@pytest.mark.parametrize("shape", [(81,), (81, 7), (81, kernels.SOLVE_CHUNK + 5)])
+def test_solve_lower_matches_lapack_triangular_solve(kernel, shape):
+    L, _ = chol_with_jitter(gram(kernel, LATTICE))
+    B = np.random.default_rng(3).normal(size=shape)
+    expected = solve_triangular(L, B, lower=True)
+    kappa = np.linalg.cond(L) ** 2
+    scale = max(1.0, float(np.max(np.abs(expected))))
+    out = B.copy()
+    assert solve_lower(L, out) is out
+    assert np.allclose(out, expected, rtol=0, atol=MEAN_TOL * EPS * kappa * scale)
 
 
 def test_predicted_rate_forms():
