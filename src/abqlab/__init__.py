@@ -34,7 +34,6 @@ from .acquisition import (
     theoretical_clcu,
 )
 from .engine import (
-    SelectorConfig,
     Problem,
     RunRecord,
     select_next,

@@ -38,7 +38,6 @@ def _build_parser():
     p_run = sub.add_parser("run", help="execute a config (or config matrix)")
     p_run.add_argument("config", help="path to a JSON experiment config")
     p_run.add_argument("--out", help="output directory (overrides config)")
-    p_run.add_argument("--seed", type=int, help="seed override")
 
     p_verify = sub.add_parser("verify", help="run the built-in verification suite")
     p_verify.add_argument("--out", help="write the summary JSON here too")
@@ -54,7 +53,7 @@ def _cmd_run(args):
     out_dir = args.out or raw.get("output_dir")
     if not out_dir:
         raise ConfigError("no output directory: set output_dir or pass --out")
-    written = runner.run_experiment(raw, out_dir, seed=args.seed)
+    written = runner.run_experiment(raw, out_dir)
     findings = 0
     for target in written:
         with open(os.path.join(target, "report.json")) as fh:

@@ -19,7 +19,7 @@ from .domain import (
     TruncatedGaussianDensity,
     UniformDensity,
 )
-from .engine import ORACLE_MIN_PER_DIM, Problem, SelectorConfig
+from .engine import ORACLE_MIN_PER_DIM, Problem
 from .exceptions import ConfigError
 
 SCHEMA_VERSION = "1"
@@ -138,24 +138,13 @@ CONFIG_SCHEMA = {
             "required": ["outer", "q", "b", "gamma_tilde"],
             "additionalProperties": False,
         },
-        "selector": {
-            "type": "object",
-            "properties": {
-                "candidate_count": {"type": "integer", "minimum": 2},
-                "scheme": {
-                    "enum": ["uniform-grid", "low-discrepancy", "uniform-random"]
-                },
-                "local_refinement_steps": {"type": "integer", "minimum": 0},
-            },
-            "additionalProperties": False,
-        },
         "budget": {"type": "integer", "minimum": 0},
         "grids": {
             "type": "object",
             "properties": {
                 "certificate": {"type": "integer", "minimum": 16},
+                "certificate_layout": {"enum": ["sobol", "uniform"]},
                 "oracle": {"type": "integer", "minimum": ORACLE_MIN_PER_DIM},
-                "shared_certificate": {"type": "boolean"},
             },
             "additionalProperties": False,
         },
@@ -341,15 +330,7 @@ def _build_problem(raw):
     b = _build_rule(acq_raw["b"], dom)
     spec = acquisition.AcquisitionSpec(outer=outer, q=q, b=b,
                                        gamma_tilde=acq_raw["gamma_tilde"])
-    sel_raw = raw.get("selector", {})
-    selector = SelectorConfig(
-        candidate_count=sel_raw.get("candidate_count", 512),
-        candidate_scheme=sel_raw.get("scheme", "uniform-grid"),
-        local_refinement_steps=sel_raw.get("local_refinement_steps", 0),
-        seed=raw["seed"],
-    )
-    problem = Problem(integrand=integrand, pi=pi, domain=dom)
-    return problem, spec, selector
+    return Problem(integrand=integrand, pi=pi, domain=dom), spec
 
 
 def _build_rule(spec, dom):

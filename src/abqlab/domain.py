@@ -84,10 +84,6 @@ class Domain:
         hi = np.asarray(self.upper)
         return np.all((X >= lo - 1e-12) & (X <= hi + 1e-12), axis=1)
 
-    def clip(self, X):
-        X = as_points(X, self.dim)
-        return np.clip(X, np.asarray(self.lower), np.asarray(self.upper))
-
     def _grid_axes(self, points_per_dim, endpoint):
         return [
             np.linspace(a, b, points_per_dim) if endpoint

@@ -1,22 +1,20 @@
 """The sequential quadrature loop: select, evaluate, condition, estimate.
 
 `run_abq` is the one place that computes posterior moments, each from a
-`gp.GridPosterior`. The certificate grid, a fixed candidate pool (unless
-it is the grid itself) and the estimators' quadrature nodes keep one
-posterior each for the whole run; each step adds one Newton-basis row to
-each, O(|P| n) instead of a dense O(|P| n^2) solve. A random candidate
-pool changes every step and gets a fresh posterior, as does each
-one-point refinement trial. The grid moments after step l give
-sup q sqrt(k) for step l and the b range and grid maximum for step l+1;
-acquisition rules and estimators take moments as inputs.
+`gp.GridPosterior`. The certificate grid and the estimators' quadrature
+nodes keep one posterior each for the whole run; each step adds one
+Newton-basis row to each, O(|P| n) instead of a dense O(|P| n^2) solve.
+The grid moments after step l give sup q sqrt(k) for step l and the b
+range and acquisition for step l+1; acquisition rules and estimators
+take moments as inputs.
 
-Selection maximizes the acquisition over a candidate pool (optionally
-with coordinate-descent refinement); a candidate the design spans, its
-variance at or below `gp.dependence_floor`, gets acquisition F(0) b = 0,
-and the run stops when all do; `RunRecord.stop_cause` says why a run
-stopped early. The certificate compares the chosen point against a dense
-fixed Sobol grid whose resolution is recorded, since the supremum over the
-whole box is not computable.
+Selection maximizes the acquisition over the certificate grid, the point
+set every recorded supremum is taken on, so the selection is greedy on
+that grid by construction; a grid point the design spans, its variance at
+or below `gp.dependence_floor`, gets acquisition F(0) b = 0, and the run
+stops when all do; `RunRecord.stop_cause` says why a run stopped early.
+The grid is a fixed Sobol set by default, and its resolution is recorded,
+since the supremum over the whole box is not computable.
 """
 
 from __future__ import annotations
@@ -24,12 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.random import default_rng
 
 from . import gp
 from .domain import REFINEMENT, check_rule_size, grid_per_dim, quadrature_nodes
-from .exceptions import (Converged, DomainError, LinearDependenceError,
-                         NonFiniteIntegrandError)
+from .exceptions import Converged, LinearDependenceError, NonFiniteIntegrandError
 
 DEFAULT_CERT_POINTS_PER_DIM = 2048
 
@@ -55,24 +51,6 @@ _SOBOL_M_INIT = ((), (1,), (1, 3), (1, 3, 1), (1, 1, 1), (1, 1, 3, 3),
                  (1, 3, 5, 13), (1, 1, 5, 5, 17), (1, 1, 5, 5, 5),
                  (1, 1, 7, 11, 19))
 _SOBOL_BITS = 30
-
-
-@dataclass(frozen=True)
-class SelectorConfig:
-    candidate_count: int = 512
-    candidate_scheme: str = "uniform-grid"  # uniform-grid | low-discrepancy | uniform-random
-    local_refinement_steps: int = 0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.candidate_count < 2:
-            raise ValueError("candidate_count must be at least 2")
-        if self.candidate_scheme not in (
-            "uniform-grid", "low-discrepancy", "uniform-random"
-        ):
-            raise ValueError(f"unknown candidate scheme {self.candidate_scheme!r}")
-        if self.local_refinement_steps < 0:
-            raise ValueError("local_refinement_steps must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -126,20 +104,6 @@ def _next_pow2(n):
     return 1 << (int(n) - 1).bit_length()
 
 
-def candidate_pool(dom, cfg, rng=None):
-    """Deterministic candidate set for one iteration."""
-    d = dom.dim
-    if cfg.candidate_scheme == "uniform-grid":
-        per_dim = int(np.ceil(cfg.candidate_count ** (1.0 / d)))
-        return dom.uniform_grid(per_dim)
-    if cfg.candidate_scheme == "low-discrepancy":
-        return certificate_grid(dom, cfg.candidate_count)
-    rng = rng if rng is not None else default_rng(cfg.seed)
-    lo = np.asarray(dom.lower)
-    hi = np.asarray(dom.upper)
-    return rng.uniform(lo, hi, size=(cfg.candidate_count, d))
-
-
 def _sobol_directions(d):
     """(d, 30) direction numbers v_j = m_j 2^(30-j) of the first d dimensions."""
     rows = []
@@ -186,45 +150,15 @@ def certificate_grid(dom, size=None):
     return _sobol(d, size) * (np.asarray(dom.upper) - lower) + lower
 
 
-def _refine(spec, state, ell, dom, x, a_val, step, rounds):
-    """Coordinate-descent hill climbing, clamped to the box."""
-    x = x.copy()
-    for _ in range(rounds):
-        for i in range(dom.dim):
-            for sgn in (-1.0, 1.0):
-                trial = x.copy()
-                trial[i] += sgn * step[i]
-                trial = dom.clip(trial[None, :])
-                a_trial = spec.evaluate(trial, *gp.posterior(state, trial), ell)[0]
-                if a_trial[0] > a_val:
-                    a_val = float(a_trial[0])
-                    x = trial[0]
-        step = step / 2.0
-    return x, a_val
-
-
-def select_next(spec, cfg, state, ell, dom, candidates, a_cand, a_grid_max):
-    """Pick the next evaluation point and its greedy ratio.
-
-    a_cand is the acquisition over `candidates` and a_grid_max its maximum
-    over the certificate grid, both under `state` at iteration `ell`.
-    Returns (point, ratio): the first candidate of largest acquisition,
-    locally refined if the selector asks for it, and its acquisition over
-    the larger of a_grid_max and its own. Raises Converged when the
-    acquisition vanishes at every candidate.
-    """
-    best = int(np.argmax(a_cand))
-    if a_cand[best] <= 0.0:
+def select_next(a, a_max):
+    """Index of the first point of largest acquisition `a` and its greedy
+    ratio: its acquisition over the larger of `a_max` and its own. Raises
+    Converged when the acquisition vanishes at every point."""
+    best = int(np.argmax(a))
+    if a[best] <= 0.0:
         raise Converged("acquisition is zero at every candidate")
-    x = candidates[best].copy()
-    a_val = float(a_cand[best])
-    if cfg.local_refinement_steps > 0:
-        per_dim = max(2, int(np.ceil(cfg.candidate_count ** (1.0 / dom.dim))))
-        step = dom.widths / per_dim
-        x, a_val = _refine(spec, state, ell, dom, x, a_val, step,
-                           cfg.local_refinement_steps)
-    a_max = max(a_grid_max, a_val)
-    return x, (a_val / a_max if a_max > 0 else 1.0)
+    a_val = float(a[best])
+    return best, a_val / max(a_max, a_val)
 
 
 def estimates(transform, w, dens, mean, var):
@@ -236,21 +170,21 @@ def estimates(transform, w, dens, mean, var):
             float(np.sum(w * transform.posterior_expectation(mean, var) * dens)))
 
 
-def run_abq(problem, spec, cfg, n, cert_grid_size=None, oracle_resolution=None,
-            share_candidate_grid=False):
+def run_abq(problem, spec, n, cert_grid=None, oracle_resolution=None):
     """Run the sequential loop for `n` evaluations of the integrand.
 
-    When share_candidate_grid is set the certificate grid is the
-    candidate pool itself, so exact-argmax runs certify a ratio of one.
+    Each step picks the point of largest acquisition on `cert_grid`, by
+    default `certificate_grid(dom)`, the grid the certificate takes its
+    suprema on, so an exact-argmax run certifies a ratio of one.
     The estimators integrate on a Gauss-Legendre tensor grid with
     oracle_resolution nodes per dim, by default the `domain.grid_per_dim`
     count for ORACLE_POINTS nodes in total and at most ORACLE_PER_DIM per
     dim, raised to ORACLE_MIN_PER_DIM: 256, 64, 16, 8 and 8 in d = 1..5.
     The record keeps it, the problem and the spec for the report.
-    Deterministic given (problem, spec, cfg, n). Raises
-    NonFiniteIntegrandError when the integrand returns NaN or inf, and
-    BudgetExceededError before the first integrand call when the report's
-    rule, at REFINEMENT times the resolution, is over the 1e7-node guard.
+    Deterministic given its arguments. Raises NonFiniteIntegrandError
+    when the integrand returns NaN or inf, and BudgetExceededError before
+    the first integrand call when the report's rule, at REFINEMENT times
+    the resolution, is over the 1e7-node guard.
     """
     dom = problem.domain
     model = problem.integrand
@@ -260,28 +194,14 @@ def run_abq(problem, spec, cfg, n, cert_grid_size=None, oracle_resolution=None,
             dom.dim, ORACLE_POINTS, ORACLE_PER_DIM))
     # fail now, not after every integrand call of the run
     check_rule_size(dom.dim, REFINEMENT * oracle_resolution)
-    rng = default_rng(cfg.seed)
-    fixed_pool = cfg.candidate_scheme != "uniform-random"
-    if share_candidate_grid:
-        if not fixed_pool:
-            raise DomainError(
-                "share_candidate_grid needs a deterministic candidate scheme"
-            )
-        cert_grid = candidate_pool(dom, cfg)
-    else:
-        cert_grid = certificate_grid(dom, cert_grid_size)
+    if cert_grid is None:
+        cert_grid = certificate_grid(dom)
 
     state = gp.empty_state(kernel=model.kernel, mean=model.prior_mean, dim=dom.dim)
     grid_post = gp.GridPosterior(state, cert_grid)
-    posts = [grid_post]
-    cand_post = grid_post
-    if fixed_pool and not share_candidate_grid:
-        cand_post = gp.GridPosterior(state, candidate_pool(dom, cfg))
-        posts.append(cand_post)
     nodes, w = quadrature_nodes(dom, oracle_resolution)
     dens = problem.pi(nodes)
     node_post = gp.GridPosterior(state, nodes)
-    posts.append(node_post)
 
     record = RunRecord(problem=problem, spec=spec, cert_grid=cert_grid,
                        oracle_resolution=oracle_resolution)
@@ -291,20 +211,13 @@ def run_abq(problem, spec, cfg, n, cert_grid_size=None, oracle_resolution=None,
     for ell in range(n):
         a_grid, clamps, b_grid = spec.evaluate(cert_grid, grid_post.mean,
                                                grid_post.var, ell)
-        if not fixed_pool:
-            cand_post = gp.GridPosterior(state, candidate_pool(dom, cfg, rng))
-        candidates, a_cand = cand_post.P, a_grid
-        if cand_post is not grid_post:
-            a_cand, clamps, _ = spec.evaluate(candidates, cand_post.mean,
-                                              cand_post.var, ell)
-        a_grid_max = float(np.max(a_grid))
-        # F(0) b = 0 at a candidate the design spans: zero it where extend rejects
-        floor = gp.dependence_floor(state.jitter_used, cand_post.prior_var)
-        spanned = cand_post.var <= floor
-        a_cand = np.where(spanned, 0.0, a_cand)
+        # F(0) b = 0 at a point the design spans: zero it where extend rejects
+        floor = gp.dependence_floor(state.jitter_used, grid_post.prior_var)
+        spanned = grid_post.var <= floor
         try:
-            x, ratio = select_next(spec, cfg, state, ell, dom, candidates,
-                                   a_cand, a_grid_max)
+            best, ratio = select_next(np.where(spanned, 0.0, a_grid),
+                                      float(np.max(a_grid)))
+            x = cert_grid[best]
             f_val = np.asarray(problem.integrand(x[None, :]), dtype=float)
             if not np.all(np.isfinite(f_val)):
                 raise NonFiniteIntegrandError(
@@ -312,7 +225,7 @@ def run_abq(problem, spec, cfg, n, cert_grid_size=None, oracle_resolution=None,
                 )
             new_state = gp.extend(state, x, t.inverse(f_val)[0])
         except (Converged, LinearDependenceError) as exc:
-            # extend rejects only a refined point or one within rounding of the floor
+            # extend rejects only a point within rounding of the floor
             record.stop_cause = (STOP_DEPENDENT if isinstance(exc, LinearDependenceError)
                                  else STOP_SPANNED if np.all(spanned)
                                  else STOP_ZERO_ACQUISITION)
@@ -321,8 +234,8 @@ def run_abq(problem, spec, cfg, n, cert_grid_size=None, oracle_resolution=None,
         if new_state.jitter_used != state.jitter_used:
             record.jitter_events.append((ell, new_state.jitter_used))
         state = new_state
-        for post in posts:
-            post.update(state)
+        grid_post.update(state)
+        node_post.update(state)
         record.points.append(x)
         record.greedy_ratio.append(ratio)
         record.clamp_events += clamps

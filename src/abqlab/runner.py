@@ -26,15 +26,13 @@ def json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj).__name__}")
 
 
-def run_experiment(raw, out_dir, seed=None):
+def run_experiment(raw, out_dir):
     """Run a (possibly matrix) config; one artifact directory per combo.
 
     Every combo is validated before any runs, and a combo's directory is
     made only once its report is built. Returns the list of directories
-    written. Deterministic given the config and overrides.
+    written. Deterministic given the config.
     """
-    if seed is not None:
-        raw = {**raw, "seed": int(seed)}
     flats, targets = [], []
     for tag, flat in expand_matrix(raw):
         validate_config(flat)
@@ -63,14 +61,22 @@ def execute(raw):
 def _execute_valid(raw):
     """Build and run one validated flat config, the only reader of its
     `budget` and `grids`; returns (state, record)."""
-    problem, spec, selector = build_problem(raw)
+    problem, spec = build_problem(raw)
     grids = raw.get("grids", {})
-    return engine.run_abq(
-        problem, spec, selector, raw["budget"],
-        cert_grid_size=grids.get("certificate"),
-        oracle_resolution=grids.get("oracle"),
-        share_candidate_grid=grids.get("shared_certificate", False),
-    )
+    return engine.run_abq(problem, spec, raw["budget"],
+                          cert_grid=_certificate_grid(problem.domain, grids),
+                          oracle_resolution=grids.get("oracle"))
+
+
+def _certificate_grid(dom, grids):
+    """The grid a run selects on and certifies against, from a config's
+    `grids` block: `certificate` points (default 2048 d), as Sobol points
+    rounded up to a power of two or, with `certificate_layout` "uniform",
+    a tensor grid of ceil(certificate^(1/d)) points per dim."""
+    count = grids.get("certificate", engine.DEFAULT_CERT_POINTS_PER_DIM * dom.dim)
+    if grids.get("certificate_layout") == "uniform":
+        return dom.uniform_grid(int(np.ceil(count ** (1.0 / dom.dim))))
+    return engine.certificate_grid(dom, count)
 
 
 def _run_single(raw, target):

@@ -35,6 +35,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random import default_rng
 
 from . import analysis, engine, gp, kernels, runner, transforms
 from .acquisition import Expm1, Power
@@ -101,7 +102,7 @@ def _random_config(rng):
 
 
 def check_projection_identity(n_configs=200, seed=20260824):
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     worst = 0.0
     for _ in range(n_configs):
         dom, kernel, q, X, x_query = _random_config(rng)
@@ -123,7 +124,7 @@ def check_projection_identity(n_configs=200, seed=20260824):
 
 
 def check_psi_inequality(samples=10_000, seed=3):
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     outers = [Power(1.0), Power(2.0), Power(0.5), Expm1()]
     worst = 0.0
     for outer in outers:
@@ -144,10 +145,10 @@ def check_psi_inequality(samples=10_000, seed=3):
 
 
 def _config(kernel, integrand, mean=0.0, transform=None, b=None, gamma_tilde=1.0,
-            seed=0, budget=30, dim=1, candidate_count=512):
+            seed=0, budget=30, dim=1, grid_points=512):
     """A flat run config on the unit box with uniform pi and q, Power(1) outer
-    and the certificate grid shared with the candidate grid; b defaults to
-    the constant rule (uncertainty sampling)."""
+    and a uniform tensor certificate grid of about `grid_points` points; b
+    defaults to the constant rule (uncertainty sampling)."""
     return {
         "version": "1",
         "seed": seed,
@@ -164,8 +165,7 @@ def _config(kernel, integrand, mean=0.0, transform=None, b=None, gamma_tilde=1.0
             "gamma_tilde": gamma_tilde,
         },
         "budget": budget,
-        "grids": {"shared_certificate": True},
-        "selector": {"candidate_count": candidate_count},
+        "grids": {"certificate": grid_points, "certificate_layout": "uniform"},
     }
 
 
@@ -230,7 +230,7 @@ def check_adaptivity_envelopes(runs):
 
 def _bound_configs(budget, seed=11):
     """Five random synthetic integrands under each of the three warps."""
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     kernel = {"family": "matern", "nu": 2.5, "ell": 0.3}
     warps = {"identity": (0.0, {"kind": "identity"}),
              "square": (5.0, {"kind": "square", "alpha": 2.0}),
@@ -265,10 +265,10 @@ def check_error_bound(budget=30):
 # rate forms
 
 
-def _p_greedy_run(kernel, budget, dim=1, candidate_count=512):
+def _p_greedy_run(kernel, budget, dim=1, grid_points=512):
     """The record of a P-greedy run: zero integrand, constant b."""
     raw = _config(kernel, {"kind": "synthetic", "centers": [], "weights": []},
-                  budget=budget, dim=dim, candidate_count=candidate_count)
+                  budget=budget, dim=dim, grid_points=grid_points)
     return runner.execute(raw)[1]
 
 
@@ -277,7 +277,7 @@ def check_rate_infinite():
     rec1 = _p_greedy_run(se, budget=60)
     fit1 = analysis.fit_rate(rec1.sup_qk, kernels.RatePrediction("exponential", 1.0),
                              n_min=5, floor=1e-7)
-    rec2 = _p_greedy_run(se, budget=60, dim=2, candidate_count=1024)
+    rec2 = _p_greedy_run(se, budget=60, dim=2, grid_points=1024)
     fit2 = analysis.fit_rate(rec2.sup_qk, kernels.RatePrediction("exponential", 0.5),
                              n_min=5, floor=1e-7)
     ok = (fit1.r_squared >= 0.95 and fit1.slope < 0
@@ -304,7 +304,7 @@ def check_rate_finite():
 
 
 def check_moment_estimator(seed=5, n_mc=1_000_000, n_query=20):
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     dom = Domain((0.0,), (1.0,))
     kernel = kernels.Matern(nu=2.5, ell=0.3)
     X = rng.uniform(0.1, 0.9, size=(6, 1))

@@ -100,9 +100,7 @@ def _p_greedy_record(budget=10, kernel=None):
     problem = engine.Problem(integrand=integrand, pi=Q, domain=DOM)
     spec = AcquisitionSpec(outer=Power(1.0), q=Q, b=ConstantRule(1.0),
                            gamma_tilde=1.0)
-    cfg = engine.SelectorConfig(candidate_count=128, seed=0)
-    state, rec = engine.run_abq(problem, spec, cfg, budget,
-                                share_candidate_grid=True)
+    state, rec = engine.run_abq(problem, spec, budget, cert_grid=DOM.uniform_grid(128))
     return rec, problem, spec, state
 
 
@@ -208,8 +206,7 @@ def test_error_bound_check_reports_the_reference_self_error():
     problem = engine.Problem(integrand=integrand, pi=Q, domain=DOM)
     spec = AcquisitionSpec(outer=Power(1.0), q=Q, b=ConstantRule(1.0),
                            gamma_tilde=1.0)
-    state, rec = engine.run_abq(problem, spec, engine.SelectorConfig(), 0,
-                                oracle_resolution=8)
+    state, rec = engine.run_abq(problem, spec, 0, oracle_resolution=8)
     report = analysis.error_bound_check(rec, state)
     assert report.rows == [] and report.ok
     exact = reference_integral(integrand, Q, DOM, 1024)
@@ -231,9 +228,8 @@ def square_warp_problem():
 
 def bound_check_inputs(budget=8, oracle=64):
     problem, spec = square_warp_problem()
-    cfg = engine.SelectorConfig(candidate_count=64, seed=0)
-    state, rec = engine.run_abq(problem, spec, cfg, budget, oracle_resolution=oracle,
-                                share_candidate_grid=True)
+    state, rec = engine.run_abq(problem, spec, budget, cert_grid=DOM.uniform_grid(64),
+                                oracle_resolution=oracle)
     assert rec.n == budget
     return problem, spec, state, rec
 
@@ -364,8 +360,7 @@ def test_error_bound_check_memory_does_not_grow_with_the_oracle():
     )
     problem = engine.Problem(integrand=integrand, pi=q, domain=dom)
     spec = AcquisitionSpec(outer=Power(1.0), q=q, b=WsabiM(), gamma_tilde=1.0)
-    state, rec = engine.run_abq(problem, spec, engine.SelectorConfig(), 3,
-                                oracle_resolution=64)
+    state, rec = engine.run_abq(problem, spec, 3, oracle_resolution=64)
     tracemalloc.start()
     try:
         report = analysis.error_bound_check(rec, state)

@@ -31,13 +31,13 @@ MINIMAL = {
         "gamma_tilde": 1.0,
     },
     "budget": 10,
-    "grids": {"shared_certificate": True},
+    "grids": {"certificate": 512, "certificate_layout": "uniform"},
 }
 
 
 def box_config(dim, budget):
     """The benchmark's run config in `dim` dimensions: Matern 2.5, constant
-    mean 5 under the square warp, WSABI-M, default selector and grids, and
+    mean 5 under the square warp, WSABI-M, default grids, and
     three kernel bumps fixed by the dimension."""
     rng = np.random.default_rng(dim)
     return {
@@ -128,10 +128,9 @@ def test_expand_matrix_is_the_cartesian_product_of_its_axes(matrix):
 
 
 def test_build_problem_resolves_objects():
-    problem, spec, selector = build_problem(MINIMAL)
+    problem, spec = build_problem(MINIMAL)
     assert problem.domain.dim == 1
     assert spec.gamma_tilde == 1.0
-    assert selector.seed == 0
     X = np.array([[0.2], [0.8]])
     assert np.all(np.isfinite(problem.integrand(X)))
 
@@ -140,7 +139,7 @@ def test_square_alpha_defaults_from_latent_floor():
     raw = json.loads(json.dumps(MINIMAL))
     raw["transform"] = {"kind": "square", "alpha": None}
     raw["mean"] = {"kind": "constant", "value": 5.0}
-    problem, _, _ = build_problem(raw)
+    problem, _ = build_problem(raw)
     assert problem.integrand.transform.alpha > 0
     # zero mean: latent touches zero, so the default has no positive floor
     raw["mean"] = {"kind": "constant", "value": 0.0}
@@ -232,19 +231,26 @@ def test_cli_exit_code_2_on_invalid_config_value(tmp_path, capsys, key, value):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("key, value", [
-    pytest.param("kernel", {"family": "squared-exponential", "gama": 0.2},
+@pytest.mark.parametrize("key, value, bad", [
+    pytest.param("kernel", {"family": "squared-exponential", "gama": 0.2}, "gama",
                  id="kernel"),
-    pytest.param("selector", {"schem": "uniform-random"}, id="selector"),
-    pytest.param("pi", {"kind": "truncated-gaussian", "centre": [0.2]}, id="density"),
-    pytest.param("grid", {"certificate": 64}, id="top-level"),
+    pytest.param("grids", {"certifcate": 512}, "certifcate", id="grids"),
+    pytest.param("pi", {"kind": "truncated-gaussian", "centre": [0.2]}, "centre",
+                 id="density"),
+    pytest.param("grid", {"certificate": 64}, "grid", id="top-level"),
+    # retired keys of the candidate pool: selection runs on the certificate grid
+    pytest.param("selector", {"candidate_count": 512}, "selector", id="selector"),
+    pytest.param("grids", {"shared_certificate": True}, "shared_certificate",
+                 id="shared-certificate"),
 ])
-def test_cli_exit_code_2_on_misspelled_key(tmp_path, capsys, key, value):
+def test_cli_exit_code_2_on_misspelled_key(tmp_path, capsys, key, value, bad):
     raw = json.loads(json.dumps(MINIMAL))
     raw[key] = value
     cfg = write_config(tmp_path, raw)
     assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert "Additional properties are not allowed" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "Additional properties are not allowed" in err
+    assert f"'{bad}' was unexpected" in err
     assert not (tmp_path / "o").exists()
 
 
@@ -325,24 +331,64 @@ def test_run_validates_each_matrix_combo_once(tmp_path, monkeypatch):
 
 
 def test_execute_reads_the_grids_block():
-    raw = json.loads(json.dumps(MINIMAL))
-    raw["grids"] = {"oracle": 32, "certificate": 100}
-    rec = runner.execute(raw)[1]
-    dom = rec.problem.domain
-    assert rec.n == raw["budget"]
-    assert rec.oracle_resolution == 32
-    assert np.array_equal(rec.cert_grid, engine.certificate_grid(dom, 100))
-    raw["grids"] = {"shared_certificate": True}
-    rec = runner.execute(raw)[1]
-    assert rec.oracle_resolution == 256
-    assert np.array_equal(rec.cert_grid,
-                          engine.candidate_pool(dom, engine.SelectorConfig()))
+    for dim, oracle in ((1, 256), (2, 64)):
+        raw = json.loads(json.dumps(MINIMAL))
+        raw["domain"] = {"lower": [0.0] * dim, "upper": [1.0] * dim}
+        raw["grids"] = {"oracle": 32, "certificate": 100}
+        rec = runner.execute(raw)[1]
+        dom = rec.problem.domain
+        assert rec.n == raw["budget"]
+        assert rec.oracle_resolution == 32
+        assert np.array_equal(rec.cert_grid, engine.certificate_grid(dom, 100))
+        raw["grids"] = {"certificate": 100, "certificate_layout": "uniform"}
+        rec = runner.execute(raw)[1]
+        assert rec.oracle_resolution == oracle
+        assert np.array_equal(rec.cert_grid,
+                              dom.uniform_grid(int(np.ceil(100 ** (1 / dim)))))
+        assert rec.cert_grid.shape == (100, dim)
+        del raw["grids"]
+        rec = runner.execute(raw)[1]
+        assert np.array_equal(rec.cert_grid, engine.certificate_grid(dom))
+        assert rec.cert_grid.shape == (2048 * dim, dim)
+
+
+# the benchmark's d=2 run config at seed 0, with default grids
+RUN_D2_SEED0 = {
+    "version": "1", "seed": 0,
+    "domain": {"lower": [0.0, 0.0], "upper": [1.0, 1.0]},
+    "kernel": {"family": "matern", "nu": 2.5, "ell": 0.3},
+    "mean": {"kind": "constant", "value": 5.0},
+    "transform": {"kind": "square", "alpha": 2.0},
+    "integrand": {"kind": "synthetic",
+                  "centers": [[0.732159, 0.428514], [0.283025, 0.510147],
+                              [0.414441, 0.755419], [0.322981, 0.478937]],
+                  "weights": [0.066706, 0.32649, 0.003749, -0.17453]},
+    "pi": {"kind": "uniform"},
+    "acquisition": {"outer": {"kind": "power", "delta": 1.0},
+                    "q": {"kind": "uniform"}, "b": {"kind": "wsabi_m"},
+                    "gamma_tilde": 1.0},
+    "budget": 60,
+}
+
+
+@pytest.mark.parametrize("gamma_tilde", [1.0, 0.5])
+def test_selection_on_the_certificate_grid_is_weak_greedy(gamma_tilde):
+    # b_min, b_max and the argmax all come from the one grid, so every step
+    # is the grid's exact argmax and the certificate cannot fail on it
+    raw = json.loads(json.dumps(RUN_D2_SEED0))
+    raw["acquisition"]["gamma_tilde"] = gamma_tilde
+    state, record = runner.execute(raw)
+    report = runner.build_report(raw, state, record)
+    assert record.n == 60
+    assert record.greedy_ratio == [1.0] * 60
+    assert report["certificate"]["failures"] == []
+    assert report["error_bound"]["ok"]
 
 
 def test_execute_rejects_a_misspelled_key():
     raw = json.loads(json.dumps(MINIMAL))
-    raw["selector"] = {"candidate_scheme": "low-discrepancy"}  # meant: "scheme"
-    with pytest.raises(ConfigError, match="candidate_scheme"):
+    raw["grids"] = {"certificate_layot": "uniform"}  # meant: "certificate_layout"
+    with pytest.raises(ConfigError, match="certificate_layot"):
         runner.execute(raw)
 
 
@@ -425,7 +471,7 @@ def test_report_finds_an_oracle_too_coarse_for_the_bound():
     # 4e-2 of the smallest right-hand side, though the bound still holds
     raw = json.loads(json.dumps(MINIMAL))
     raw["kernel"] = {"family": "matern", "nu": 0.5, "ell": 0.05}
-    raw["grids"] = {"oracle": 8, "shared_certificate": True}
+    raw["grids"] = {"oracle": 8, "certificate": 512, "certificate_layout": "uniform"}
     state, record = runner.execute(raw)
     bound = analysis.error_bound_check(record, state)
     smallest = min(row["rhs"] for row in bound.rows)
@@ -498,14 +544,6 @@ def test_cli_run_computes_the_reference_integral_once(tmp_path, monkeypatch):
 def test_cli_run_requires_output_dir(tmp_path):
     cfg = write_config(tmp_path, MINIMAL)
     assert cli.main(["run", cfg]) == 2
-
-
-def test_cli_seed_override_changes_nothing_for_fixed_grids(tmp_path):
-    # deterministic candidate scheme: the seed only matters for random pools
-    cfg = write_config(tmp_path, MINIMAL)
-    assert cli.main(["run", cfg, "--out", str(tmp_path / "s1"), "--seed", "9"]) == 0
-    report = json.loads((tmp_path / "s1" / "report.json").read_text())
-    assert report["config"]["seed"] == 9
 
 
 def test_cli_rates_refits_from_trace(tmp_path, capsys):

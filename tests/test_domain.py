@@ -35,7 +35,6 @@ def test_domain_geometry():
     assert np.allclose(dom.widths, [2.0, 2.0])
     assert dom.contains([[1.0, 0.0]])[0]
     assert not dom.contains([[3.0, 0.0]])[0]
-    assert np.allclose(dom.clip([[3.0, -5.0]]), [[2.0, -1.0]])
 
 
 def test_uniform_grid_shapes_and_midpoints():

@@ -34,27 +34,6 @@ def p_greedy_spec():
                            b=ConstantRule(1.0), gamma_tilde=1.0)
 
 
-def test_selector_config_validation():
-    with pytest.raises(ValueError):
-        engine.SelectorConfig(candidate_count=1)
-    with pytest.raises(ValueError):
-        engine.SelectorConfig(candidate_scheme="magic")
-    with pytest.raises(ValueError):
-        engine.SelectorConfig(local_refinement_steps=-1)
-
-
-def test_candidate_pool_schemes():
-    for scheme in ("uniform-grid", "low-discrepancy", "uniform-random"):
-        cfg = engine.SelectorConfig(candidate_count=64, candidate_scheme=scheme,
-                                    seed=5)
-        pool = engine.candidate_pool(DOM, cfg)
-        assert pool.shape[1] == 1
-        assert pool.shape[0] >= 64
-        assert np.all((pool >= 0) & (pool <= 1))
-        if scheme == "low-discrepancy":
-            assert np.array_equal(pool, engine.certificate_grid(DOM, 64))
-
-
 def test_run_abq_picks_the_oracle_resolution_by_dimension():
     # at most 4096 nodes in total and 256 per dim, never below 8 per dim,
     # so the report's rule at twice the resolution stays under the 1e7 guard
@@ -69,8 +48,7 @@ def test_run_abq_picks_the_oracle_resolution_by_dimension():
                                  domain=dom)
         spec = AcquisitionSpec(outer=Power(1.0), q=UniformDensity(dom),
                                b=ConstantRule(1.0), gamma_tilde=1.0)
-        cfg = engine.SelectorConfig(candidate_count=64, seed=0)
-        _, rec = engine.run_abq(problem, spec, cfg, 2)
+        _, rec = engine.run_abq(problem, spec, 2)
         assert rec.n == 2
         assert rec.oracle_resolution == expected
 
@@ -99,33 +77,32 @@ def test_certificate_grid_is_scipy_sobol_byte_for_byte(dim):
 def test_select_next_matches_exhaustive_argmax():
     problem = make_problem()
     spec = p_greedy_spec()
-    cfg = engine.SelectorConfig(candidate_count=101, seed=0)
     state = gp.build_state(problem.integrand.kernel, problem.integrand.prior_mean,
                            np.array([[0.4]]), [0.1])
     grid = DOM.uniform_grid(101)
     a, _, _ = spec.evaluate(grid, *gp.posterior(state, grid), 1)
-    x, ratio = engine.select_next(spec, cfg, state, 1, DOM, grid, a, np.max(a))
-    assert np.allclose(x, grid[np.argmax(a)])
-    assert ratio == pytest.approx(1.0)
+    best, ratio = engine.select_next(a, np.max(a))
+    assert all(a[best] >= value for value in a)
+    assert ratio == 1.0
+    # against a larger maximum elsewhere the ratio is the quotient
+    assert engine.select_next(a, 2 * np.max(a))[1] == pytest.approx(0.5)
 
 
 def test_flat_acquisition_breaks_ties_by_lowest_index():
     # empty state, constant-diagonal kernel, uniform q: all candidates tie
     spec = p_greedy_spec()
-    cfg = engine.SelectorConfig(candidate_count=16, seed=0)
     state = gp.empty_state(SquaredExponential(0.5), ConstantMean(0.0), 1)
     grid = DOM.uniform_grid(16)
     a, _, _ = spec.evaluate(grid, *gp.posterior(state, grid), 0)
-    x, _ = engine.select_next(spec, cfg, state, 0, DOM, grid, a, np.max(a))
-    assert np.allclose(x, grid[0])
+    assert np.all(a == a[0])
+    assert engine.select_next(a, np.max(a)) == (0, 1.0)
 
 
 def test_run_abq_is_deterministic():
     problem = make_problem()
     spec = p_greedy_spec()
-    cfg = engine.SelectorConfig(candidate_count=128, seed=3)
-    _, rec1 = engine.run_abq(problem, spec, cfg, 8, share_candidate_grid=True)
-    _, rec2 = engine.run_abq(problem, spec, cfg, 8, share_candidate_grid=True)
+    _, rec1 = engine.run_abq(problem, spec, 8, cert_grid=DOM.uniform_grid(128))
+    _, rec2 = engine.run_abq(problem, spec, 8, cert_grid=DOM.uniform_grid(128))
     assert np.array_equal(rec1.design(), rec2.design())
     assert rec1.sup_qk == rec2.sup_qk
 
@@ -133,8 +110,7 @@ def test_run_abq_is_deterministic():
 def test_run_record_monotone_error_and_shapes():
     problem = make_problem()
     spec = p_greedy_spec()
-    cfg = engine.SelectorConfig(candidate_count=128, seed=0)
-    _, rec = engine.run_abq(problem, spec, cfg, 10, share_candidate_grid=True)
+    _, rec = engine.run_abq(problem, spec, 10, cert_grid=DOM.uniform_grid(128))
     assert rec.n == 10
     assert rec.design().shape == (10, 1)
     e = [rec.e0] + rec.sup_qk
@@ -144,8 +120,7 @@ def test_run_record_monotone_error_and_shapes():
 def test_identity_estimators_agree():
     problem = make_problem()
     spec = p_greedy_spec()
-    cfg = engine.SelectorConfig(candidate_count=128, seed=0)
-    _, rec = engine.run_abq(problem, spec, cfg, 6, share_candidate_grid=True)
+    _, rec = engine.run_abq(problem, spec, 6, cert_grid=DOM.uniform_grid(128))
     assert np.allclose(rec.est_plugin, rec.est_expectation, atol=1e-12)
 
 
@@ -154,8 +129,7 @@ def test_plugin_estimate_converges_to_reference():
 
     problem = make_problem()
     spec = p_greedy_spec()
-    cfg = engine.SelectorConfig(candidate_count=256, seed=0)
-    _, rec = engine.run_abq(problem, spec, cfg, 25, share_candidate_grid=True)
+    _, rec = engine.run_abq(problem, spec, 25, cert_grid=DOM.uniform_grid(256))
     ref = reference_integral(problem.integrand, problem.pi, DOM, 256)
     assert abs(rec.est_plugin[-1] - ref) < 1e-4
 
@@ -163,15 +137,13 @@ def test_plugin_estimate_converges_to_reference():
 def test_exhausted_candidates_mark_convergence():
     problem = make_problem()
     spec = p_greedy_spec()
-    cfg = engine.SelectorConfig(candidate_count=4, seed=0)
-    _, rec = engine.run_abq(problem, spec, cfg, 10, share_candidate_grid=True)
+    _, rec = engine.run_abq(problem, spec, 10, cert_grid=DOM.uniform_grid(4))
     assert rec.converged and rec.stop_cause == engine.STOP_SPANNED
     assert rec.n <= 4
 
 
 def test_full_budget_run_has_no_stop_cause():
-    cfg = engine.SelectorConfig(candidate_count=64, seed=0)
-    _, rec = engine.run_abq(make_problem(), p_greedy_spec(), cfg, 5)
+    _, rec = engine.run_abq(make_problem(), p_greedy_spec(), 5)
     assert rec.n == 5 and rec.stop_cause is None and not rec.converged
 
 
@@ -188,8 +160,7 @@ def test_underflowing_acquisition_stops_with_its_own_cause():
     problem = engine.Problem(integrand=integrand, pi=UniformDensity(DOM),
                              domain=DOM)
     spec = AcquisitionSpec(outer=Power(20.0), q=UniformDensity(DOM), b=WsabiL())
-    cfg = engine.SelectorConfig(candidate_count=64, seed=0)
-    state, rec = engine.run_abq(problem, spec, cfg, 30, share_candidate_grid=True)
+    state, rec = engine.run_abq(problem, spec, 30, cert_grid=DOM.uniform_grid(64))
     assert 0 < rec.n < 30
     assert rec.stop_cause == engine.STOP_ZERO_ACQUISITION
     var = gp.posterior(state, rec.cert_grid)[1]
@@ -207,8 +178,7 @@ def test_rejected_point_stops_with_the_dependence_cause(monkeypatch):
         return extend(state, x, z)
 
     monkeypatch.setattr(gp, "extend", reject_third)
-    cfg = engine.SelectorConfig(candidate_count=64, seed=0)
-    _, rec = engine.run_abq(make_problem(), p_greedy_spec(), cfg, 10)
+    _, rec = engine.run_abq(make_problem(), p_greedy_spec(), 10)
     assert rec.n == 2 and rec.stop_cause == engine.STOP_DEPENDENT
 
 
@@ -218,55 +188,39 @@ def test_masked_candidates_are_those_extend_rejects(monkeypatch):
     seen = []
     select = engine.select_next
 
-    def spy(spec, cfg, state, ell, dom, candidates, a_cand, a_grid_max):
-        seen.append((state, candidates, a_cand))
-        return select(spec, cfg, state, ell, dom, candidates, a_cand, a_grid_max)
+    def spy(a, a_max):
+        seen.append(a)
+        return select(a, a_max)
 
     monkeypatch.setattr(engine, "select_next", spy)
-    cfg = engine.SelectorConfig(candidate_count=8, seed=0)
-    _, rec = engine.run_abq(make_problem(), p_greedy_spec(), cfg, 10,
-                            share_candidate_grid=True)
+    problem = make_problem()
+    grid = DOM.uniform_grid(8)
+    _, rec = engine.run_abq(problem, p_greedy_spec(), 10, cert_grid=grid)
     assert rec.n == 8 and rec.converged
     assert len(seen) == 9
-    for state, candidates, a_cand in seen:
+    # replay each step's state: the spanned test reads only the design
+    state = gp.empty_state(problem.integrand.kernel, problem.integrand.prior_mean, 1)
+    for ell, a in enumerate(seen):
         rejected = []
-        for x in candidates:
+        for x in grid:
             try:
                 gp.extend(state, x, 0.0)
                 rejected.append(False)
             except LinearDependenceError:
                 rejected.append(True)
-        assert np.array_equal(a_cand == 0.0, rejected)
-        assert sum(rejected) == state.n
+        assert np.array_equal(a == 0.0, rejected)
+        assert sum(rejected) == state.n == ell
+        if ell < rec.n:
+            state = gp.extend(state, rec.points[ell], 0.0)
 
 
 def test_adaptive_rule_records_b_range():
     problem = make_problem(mean_value=5.0)
     spec = AcquisitionSpec(outer=Power(1.0), q=UniformDensity(DOM), b=WsabiL(),
                            gamma_tilde=1.0)
-    cfg = engine.SelectorConfig(candidate_count=128, seed=0)
-    _, rec = engine.run_abq(problem, spec, cfg, 5, share_candidate_grid=True)
+    _, rec = engine.run_abq(problem, spec, 5, cert_grid=DOM.uniform_grid(128))
     assert all(lo <= hi for lo, hi in zip(rec.b_min, rec.b_max))
     assert min(rec.b_min) > 10.0  # squared mean near 25 throughout
-
-
-def test_local_refinement_never_decreases_acquisition():
-    problem = make_problem()
-    spec = p_greedy_spec()
-    # the acquisition peaks between grid points, so refinement moves
-    state = gp.build_state(problem.integrand.kernel, problem.integrand.prior_mean,
-                           np.array([[0.0], [0.4], [1.0]]), [0.1, 0.1, 0.1])
-    grid = DOM.uniform_grid(33)
-    coarse_cfg = engine.SelectorConfig(candidate_count=33, seed=0)
-    refined_cfg = engine.SelectorConfig(candidate_count=33,
-                                        local_refinement_steps=4, seed=0)
-    a, _, _ = spec.evaluate(grid, *gp.posterior(state, grid), 1)
-    x0, _ = engine.select_next(spec, coarse_cfg, state, 1, DOM, grid, a, np.max(a))
-    x1, _ = engine.select_next(spec, refined_cfg, state, 1, DOM, grid, a, np.max(a))
-    chosen = np.vstack([x0, x1])
-    a0, a1 = spec.evaluate(chosen, *gp.posterior(state, chosen), 1)[0]
-    assert not np.allclose(x0, x1)
-    assert a1 >= a0 - 1e-15
 
 
 def wsabi_m_problem():
@@ -289,10 +243,9 @@ REPLAY_ATOL = 1e-12
 
 
 def test_record_replays_from_its_design():
-    # candidates (64-point grid) and certificate grid (128 Sobol points) differ
     problem, spec = wsabi_m_problem()
-    cfg = engine.SelectorConfig(candidate_count=64, seed=0)
-    _, rec = engine.run_abq(problem, spec, cfg, 8, cert_grid_size=128,
+    _, rec = engine.run_abq(problem, spec, 8,
+                            cert_grid=engine.certificate_grid(DOM, 128),
                             oracle_resolution=64)
     assert rec.n == 8
     grid, t, pi = rec.cert_grid, problem.integrand.transform, problem.pi
@@ -335,35 +288,16 @@ def count_posteriors(monkeypatch):
     return built, updates
 
 
-@pytest.mark.parametrize("shared", [False, True])
-def test_run_abq_computes_each_posterior_once(monkeypatch, shared):
+def test_run_abq_computes_each_posterior_once(monkeypatch):
     built, updates = count_posteriors(monkeypatch)
     problem, spec = wsabi_m_problem()
-    cfg = engine.SelectorConfig(candidate_count=64, seed=0)
-    _, rec = engine.run_abq(problem, spec, cfg, 8, cert_grid_size=128,
-                            oracle_resolution=64, share_candidate_grid=shared)
-    assert rec.n == 8
-    # one posterior each on the grid, the oracle nodes and, unless shared,
-    # the candidates, built before the first point and conditioned once per
-    # new GP state; nothing else is built
-    sets = 2 if shared else 3
-    assert len({P for P, _, _ in built}) == len(built) == sets
-    assert all(n == 0 for _, _, n in built)
-    assert sorted(updates.values()) == [1] * (sets * rec.n)
-
-
-def test_random_candidate_pool_gets_one_dense_posterior_per_step(monkeypatch):
-    built, updates = count_posteriors(monkeypatch)
-    problem, spec = wsabi_m_problem()
-    cfg = engine.SelectorConfig(candidate_count=64,
-                                candidate_scheme="uniform-random", seed=0)
-    _, rec = engine.run_abq(problem, spec, cfg, 8, cert_grid_size=128,
+    _, rec = engine.run_abq(problem, spec, 8,
+                            cert_grid=engine.certificate_grid(DOM, 128),
                             oracle_resolution=64)
     assert rec.n == 8
-    # the grid and the oracle nodes, then a fresh 64-point pool per step
-    # built on that step's state and never updated
-    assert [(size, n) for _, size, n in built] == (
-        [(128, 0), (64, 0)] + [(64, ell) for ell in range(rec.n)])
+    # one posterior each on the grid and the oracle nodes, built before the
+    # first point and conditioned once per new GP state; nothing else is built
+    assert [(size, n) for _, size, n in built] == [(128, 0), (64, 0)]
     assert sorted(updates.values()) == [1] * (2 * rec.n)
 
 
@@ -378,12 +312,12 @@ def test_vbmc_density_runs_once_per_step_on_the_grid():
     problem, _ = wsabi_m_problem()
     spec = AcquisitionSpec(outer=Power(1.0), q=uniform, b=Vbmc(densities=(density,)),
                            gamma_tilde=1.0)
-    cfg = engine.SelectorConfig(candidate_count=64, seed=0)
-    _, rec = engine.run_abq(problem, spec, cfg, 6, cert_grid_size=128,
+    _, rec = engine.run_abq(problem, spec, 6,
+                            cert_grid=engine.certificate_grid(DOM, 128),
                             oracle_resolution=64)
     assert rec.n == 6
-    assert calls[128] == rec.n  # certificate grid
-    assert calls[64] == rec.n  # candidates
+    # once per step on the certificate grid, and nowhere else
+    assert calls == {128: rec.n}
 
 
 def test_non_finite_integrand_raises_typed_error():
@@ -397,6 +331,5 @@ def test_non_finite_integrand_raises_typed_error():
             return np.full(len(X), np.nan)
 
     problem = engine.Problem(integrand=BlackBox(), pi=UniformDensity(DOM), domain=DOM)
-    cfg = engine.SelectorConfig(candidate_count=16, seed=0)
     with pytest.raises(NonFiniteIntegrandError, match="x = "):
-        engine.run_abq(problem, p_greedy_spec(), cfg, 3, share_candidate_grid=True)
+        engine.run_abq(problem, p_greedy_spec(), 3, cert_grid=DOM.uniform_grid(16))

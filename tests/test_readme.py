@@ -43,8 +43,8 @@ def test_readme_minimal_config_runs(tmp_path):
 
 
 def test_readme_minimal_config_evaluates_only_kept_points(monkeypatch):
-    # SE gamma 0.5 on 512 shared candidates: after 12 points the design
-    # spans every candidate, so the run stops without evaluating any of them
+    # SE gamma 0.5 on a 512-point uniform grid: after 12 points the design
+    # spans every grid point, so the run stops without evaluating any of them
     raw = json.loads(block("Minimal config:", "json"))
     integrand_type = type(config.build_problem(raw)[0].integrand)
     call = integrand_type.__call__
