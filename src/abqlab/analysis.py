@@ -77,8 +77,9 @@ def greedy_certificate(record, clcu=None):
     and q; a ratio below gamma_hat by more than CERT_TOL is a failure.
 
     gamma_hat is computed from the monitored b range, and is 0 (a vacuous
-    certificate) when b_min is 0; when a theoretical [C_L, C_U] is supplied
-    (and present) the certificate carries the theoretical gamma as well.
+    certificate) when b_min is 0, b_max = 0 included; when a theoretical
+    [C_L, C_U] is supplied (and present) the certificate carries the
+    theoretical gamma as well.
     Failures are reported, not raised.
     """
     if record.n < 2:
@@ -94,7 +95,8 @@ def greedy_certificate(record, clcu=None):
     sup = np.maximum(d_grid, d_chosen)
     ratios = np.divide(d_chosen, sup, out=np.ones_like(sup), where=sup > 0)
 
-    c_hat = min(spec.gamma_tilde * min(record.b_min) / max(record.b_max), 1.0)
+    b_max = max(record.b_max)
+    c_hat = min(spec.gamma_tilde * min(record.b_min) / b_max, 1.0) if b_max > 0 else 0.0
     gamma_hat = float(np.sqrt(spec.outer.psi(c_hat))) if c_hat > 0 else 0.0
 
     failures = [{"iteration": ell, "ratio": float(rho), "gamma_hat": gamma_hat}

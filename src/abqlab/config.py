@@ -143,7 +143,6 @@ CONFIG_SCHEMA = {
             "type": "object",
             "properties": {
                 "certificate": {"type": "integer", "minimum": 16},
-                "certificate_layout": {"enum": ["sobol", "uniform"]},
                 "oracle": {"type": "integer", "minimum": ORACLE_MIN_PER_DIM},
             },
             "additionalProperties": False,

@@ -83,7 +83,6 @@ class RunRecord:
     b_max: list = field(default_factory=list)
     est_plugin: list = field(default_factory=list)
     est_expectation: list = field(default_factory=list)
-    jitter_events: list = field(default_factory=list)
     clamp_events: int = 0
     e0: float = float("nan")  # sup q sqrt(k) before any point
     stop_cause: str | None = None  # one of the STOP_* reasons, None at full budget
@@ -133,8 +132,10 @@ def _sobol(d, n):
 
 
 def certificate_grid(dom, size=None):
-    """Fixed low-discrepancy grid backing every recorded supremum: the
-    first next-power-of-two unscrambled Sobol' points, scaled to the box.
+    """The grid a run selects on and takes every recorded supremum over:
+    the first `size` unscrambled Sobol' points (a config's
+    `grids.certificate`, default 2048 d), rounded up to a power of two and
+    scaled to the box.
 
     Up to d = 10 the points come from the Joe-Kuo table above; beyond it
     from scipy.stats.qmc, imported only then.
@@ -223,7 +224,7 @@ def run_abq(problem, spec, n, cert_grid=None, oracle_resolution=None):
                 raise NonFiniteIntegrandError(
                     f"non-finite integrand value {f_val.tolist()} at x = {x.tolist()}"
                 )
-            new_state = gp.extend(state, x, t.inverse(f_val)[0])
+            state = gp.extend(state, x, t.inverse(f_val)[0])
         except (Converged, LinearDependenceError) as exc:
             # extend rejects only a point within rounding of the floor
             record.stop_cause = (STOP_DEPENDENT if isinstance(exc, LinearDependenceError)
@@ -231,9 +232,6 @@ def run_abq(problem, spec, n, cert_grid=None, oracle_resolution=None):
                                  else STOP_ZERO_ACQUISITION)
             return state, record
 
-        if new_state.jitter_used != state.jitter_used:
-            record.jitter_events.append((ell, new_state.jitter_used))
-        state = new_state
         grid_post.update(state)
         node_post.update(state)
         record.points.append(x)

@@ -11,7 +11,7 @@ from . import analysis, engine, kernels
 from .acquisition import theoretical_clcu, Vbmc
 from .config import build_problem, expand_matrix, validate_config
 from .domain import rkhs_norm
-from .exceptions import DomainError
+from .exceptions import ConfigError, DomainError
 
 TRACE_SCHEMA = "abqlab-trace v1"
 REPORT_SCHEMA = "abqlab-report v1"
@@ -38,7 +38,11 @@ def run_experiment(raw, out_dir):
         validate_config(flat)
         flats.append(flat)
         targets.append(os.path.join(out_dir, tag) if tag else out_dir)
-    width = int(os.environ.get("ABQ_LAB_THREADS", "1"))
+    try:
+        width = int(os.environ.get("ABQ_LAB_THREADS", "1"))
+    except ValueError:
+        raise ConfigError(f"ABQ_LAB_THREADS must be an integer, not "
+                          f"{os.environ['ABQ_LAB_THREADS']!r}") from None
     if width > 1 and len(flats) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -63,20 +67,10 @@ def _execute_valid(raw):
     `budget` and `grids`; returns (state, record)."""
     problem, spec = build_problem(raw)
     grids = raw.get("grids", {})
-    return engine.run_abq(problem, spec, raw["budget"],
-                          cert_grid=_certificate_grid(problem.domain, grids),
-                          oracle_resolution=grids.get("oracle"))
-
-
-def _certificate_grid(dom, grids):
-    """The grid a run selects on and certifies against, from a config's
-    `grids` block: `certificate` points (default 2048 d), as Sobol points
-    rounded up to a power of two or, with `certificate_layout` "uniform",
-    a tensor grid of ceil(certificate^(1/d)) points per dim."""
-    count = grids.get("certificate", engine.DEFAULT_CERT_POINTS_PER_DIM * dom.dim)
-    if grids.get("certificate_layout") == "uniform":
-        return dom.uniform_grid(int(np.ceil(count ** (1.0 / dom.dim))))
-    return engine.certificate_grid(dom, count)
+    return engine.run_abq(
+        problem, spec, raw["budget"],
+        cert_grid=engine.certificate_grid(problem.domain, grids.get("certificate")),
+        oracle_resolution=grids.get("oracle"))
 
 
 def _run_single(raw, target):
@@ -246,7 +240,8 @@ def build_report(raw, state, record):
         "error_bound": bound_json,
         "rate_fits": fits,
         "nwidth_surrogate": {"n": surrogate_ns, "value": surrogate},
-        "jitter_events": [[int(i), float(j)] for i, j in record.jitter_events],
+        # the first point fixes the jitter for the rest of the run
+        "jitter_events": [[0, float(state.jitter_used)]] if record.n else [],
         "clamp_events": record.clamp_events,
         "findings": findings,
     }

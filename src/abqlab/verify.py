@@ -147,7 +147,7 @@ def check_psi_inequality(samples=10_000, seed=3):
 def _config(kernel, integrand, mean=0.0, transform=None, b=None, gamma_tilde=1.0,
             seed=0, budget=30, dim=1, grid_points=512):
     """A flat run config on the unit box with uniform pi and q, Power(1) outer
-    and a uniform tensor certificate grid of about `grid_points` points; b
+    and a Sobol certificate grid of `grid_points` points (a power of two); b
     defaults to the constant rule (uncertainty sampling)."""
     return {
         "version": "1",
@@ -165,7 +165,7 @@ def _config(kernel, integrand, mean=0.0, transform=None, b=None, gamma_tilde=1.0
             "gamma_tilde": gamma_tilde,
         },
         "budget": budget,
-        "grids": {"certificate": grid_points, "certificate_layout": "uniform"},
+        "grids": {"certificate": grid_points},
     }
 
 

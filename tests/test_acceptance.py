@@ -119,7 +119,7 @@ def test_criterion_09_byte_identical_reruns(tmp_path):
             "gamma_tilde": 1.0,
         },
         "budget": 12,
-        "grids": {"certificate": 512, "certificate_layout": "uniform"},
+        "grids": {"certificate": 512},
     }
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(raw))

@@ -31,7 +31,7 @@ MINIMAL = {
         "gamma_tilde": 1.0,
     },
     "budget": 10,
-    "grids": {"certificate": 512, "certificate_layout": "uniform"},
+    "grids": {"certificate": 512},
 }
 
 
@@ -242,6 +242,9 @@ def test_cli_exit_code_2_on_invalid_config_value(tmp_path, capsys, key, value):
     pytest.param("selector", {"candidate_count": 512}, "selector", id="selector"),
     pytest.param("grids", {"shared_certificate": True}, "shared_certificate",
                  id="shared-certificate"),
+    # retired: every certificate grid is Sobol
+    pytest.param("grids", {"certificate_layout": "uniform"}, "certificate_layout",
+                 id="certificate-layout"),
 ])
 def test_cli_exit_code_2_on_misspelled_key(tmp_path, capsys, key, value, bad):
     raw = json.loads(json.dumps(MINIMAL))
@@ -314,6 +317,41 @@ def test_cli_runs_the_inconsistency_config_with_a_vacuous_certificate(tmp_path):
     assert any("certificate vacuous: b_min = 0" in f for f in report["findings"])
 
 
+def test_cli_runs_a_config_whose_b_is_zero_everywhere(tmp_path):
+    # an empty integrand under a zero mean: WSABI-L's b = m^2 stays 0 on the
+    # whole grid, so b_max = 0 too and the certificate is vacuous
+    raw = json.loads(json.dumps(MINIMAL))
+    raw["kernel"] = {"family": "matern", "nu": 2.5, "ell": 0.3}
+    raw["transform"] = {"kind": "square", "alpha": 2.0}
+    raw["integrand"] = {"kind": "synthetic", "centers": [], "weights": []}
+    raw["acquisition"]["b"] = {"kind": "wsabi_l"}
+    raw["budget"] = 8
+    cfg = write_config(tmp_path, raw)
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 0
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert report["iterations"] == 8
+    assert report["certificate"]["gamma_hat"] == 0.0
+    assert report["certificate"]["failures"] == []
+    assert "weak-greedy certificate vacuous: b_min = 0 gives gamma_hat = 0" in (
+        report["findings"])
+
+
+def test_cli_exit_code_2_on_a_malformed_thread_count(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("ABQ_LAB_THREADS", "abc")
+    cfg = write_config(tmp_path, MINIMAL)
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "config error: ABQ_LAB_THREADS must be an integer" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_report_records_the_jitter_the_first_point_fixes():
+    state, record = runner.execute(MINIMAL)
+    report = runner.build_report(MINIMAL, state, record)
+    # SE kernel, k(x, x) = 1: the jitter is 1e-12 k(x, x) from the first point on
+    assert report["jitter_events"] == [[0, 1e-12]]
+    assert state.jitter_used == 1e-12
+
+
 def test_run_validates_each_matrix_combo_once(tmp_path, monkeypatch):
     raw = json.loads(json.dumps(MINIMAL))
     raw["budget"] = 3
@@ -340,14 +378,10 @@ def test_execute_reads_the_grids_block():
         assert rec.n == raw["budget"]
         assert rec.oracle_resolution == 32
         assert np.array_equal(rec.cert_grid, engine.certificate_grid(dom, 100))
-        raw["grids"] = {"certificate": 100, "certificate_layout": "uniform"}
-        rec = runner.execute(raw)[1]
-        assert rec.oracle_resolution == oracle
-        assert np.array_equal(rec.cert_grid,
-                              dom.uniform_grid(int(np.ceil(100 ** (1 / dim)))))
-        assert rec.cert_grid.shape == (100, dim)
+        assert rec.cert_grid.shape == (128, dim)
         del raw["grids"]
         rec = runner.execute(raw)[1]
+        assert rec.oracle_resolution == oracle
         assert np.array_equal(rec.cert_grid, engine.certificate_grid(dom))
         assert rec.cert_grid.shape == (2048 * dim, dim)
 
@@ -387,8 +421,8 @@ def test_selection_on_the_certificate_grid_is_weak_greedy(gamma_tilde):
 
 def test_execute_rejects_a_misspelled_key():
     raw = json.loads(json.dumps(MINIMAL))
-    raw["grids"] = {"certificate_layot": "uniform"}  # meant: "certificate_layout"
-    with pytest.raises(ConfigError, match="certificate_layot"):
+    raw["grids"] = {"oracel": 32}  # meant: "oracle"
+    with pytest.raises(ConfigError, match="oracel"):
         runner.execute(raw)
 
 
@@ -471,7 +505,7 @@ def test_report_finds_an_oracle_too_coarse_for_the_bound():
     # 4e-2 of the smallest right-hand side, though the bound still holds
     raw = json.loads(json.dumps(MINIMAL))
     raw["kernel"] = {"family": "matern", "nu": 0.5, "ell": 0.05}
-    raw["grids"] = {"oracle": 8, "certificate": 512, "certificate_layout": "uniform"}
+    raw["grids"] = {"oracle": 8, "certificate": 512}
     state, record = runner.execute(raw)
     bound = analysis.error_bound_check(record, state)
     smallest = min(row["rhs"] for row in bound.rows)
