@@ -2,10 +2,12 @@
 
 Everything here recomputes quantities through paths independent of the
 engine (dense solves on the scaled Gram matrix, direct grid suprema), so
-the two code paths act as mutual oracles. The first i rows of L^{-1} K(X, P),
-L the Cholesky factor of a design X, are the Newton basis of X[:i] on P
-(Mueller & Schaback 2009): one forward substitution `kernels.solve_lower`
-on the C-ordered (n, |P|) block K(X, P) serves every prefix.
+the two code paths act as mutual oracles; the n-width surrogate picks its
+design with `gp.GridPosterior` but scores it by a dense solve. The first
+i rows of L^{-1} K(X, P), L the Cholesky factor of a design X, are the
+Newton basis of X[:i] on P (Mueller & Schaback 2009): one forward
+substitution `kernels.solve_lower` on the C-ordered (n, |P|) block
+K(X, P) serves every prefix.
 Theory violations are reported as findings, never raised: confirming or
 refuting the certificates is the point of this module.
 """
@@ -17,9 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gp, kernels
-from .domain import (BLOCK_POINTS, REFINEMENT, grid_per_dim, quadrature_sum,
-                     reference_integral, rkhs_norm)
-from .exceptions import DomainError
+from .domain import (BLOCK_POINTS, REFINEMENT, ConstantMean, grid_per_dim,
+                     quadrature_sum, reference_integral, rkhs_norm)
+from .exceptions import DomainError, LinearDependenceError
 
 CERT_TOL = 1e-9  # slack of a weak-greedy ratio below gamma_hat
 ORACLE_TOL = 1e-3  # largest reference self-error, relative to the smallest rhs
@@ -87,11 +89,13 @@ def greedy_certificate(record, clcu=None):
     spec = record.spec
     kernel = record.problem.integrand.kernel
     X_all = record.design()
-    # rows 0..n-1: the designs X[:l] that each step l chose against
-    d_grid = np.sqrt(np.max(
-        projection_distance_sq(kernel, spec.q, X_all[:-1], record.cert_grid), axis=1))
-    d_chosen = np.sqrt(np.diagonal(
-        projection_distance_sq(kernel, spec.q, X_all[:-1], X_all)))
+    size = len(record.cert_grid)
+    # rows 0..n-1: the designs X[:l] that each step l chose against, from one
+    # solve over the grid and the chosen points
+    dist = projection_distance_sq(kernel, spec.q, X_all[:-1],
+                                  np.vstack([record.cert_grid, X_all]))
+    d_grid = np.sqrt(np.max(dist[:, :size], axis=1))
+    d_chosen = np.sqrt(np.diagonal(dist[:, size:]))
     sup = np.maximum(d_grid, d_chosen)
     ratios = np.divide(d_chosen, sup, out=np.ones_like(sup), where=sup > 0)
 
@@ -130,28 +134,31 @@ def fill_distance(X, dom):
     return np.max(nearest, axis=0).tolist()
 
 
-def nwidth_surrogate(kernel, q, dom, n):
-    """Upper bounds on the m-widths for m = 1..n, as a list of n values.
+def nwidth_surrogate(kernel, q, grid, n):
+    """Upper bounds on the m-widths of {q(x) k(., x) : x in grid} for
+    m = 1..n, as a list of n values.
 
-    Entry m-1 is the running minimum over designs of sizes 1..m, which
-    keeps the curve nonincreasing; any design of at most m points spans a
-    subspace of dimension at most m, so each term is a valid bound. Each
-    term is sup q sqrt(k_X) over the domain's probe grid, X the first m
-    points of the midpoint grid with ceil(m^(1/d)) points per dim.
+    The design is P-greedy on the grid: each step adds the first grid point
+    of largest q^2 times the posterior variance of a zero-mean GP, until n
+    points or a point the design spans. Entry m-1 is sup q sqrt(k_X) over
+    the grid, X the first m design points, from one dense solve; any m grid
+    points span at most m dimensions, so each is a valid bound. A design
+    that stopped early repeats its last value, and a running minimum keeps
+    the curve nonincreasing.
     """
     if n < 1:
         raise DomainError("n must be at least 1")
-    grid = dom.probe_grid()
-    per_dims = np.ceil(np.arange(1, n + 1) ** (1.0 / dom.dim)).astype(int)
-    sups_sq = np.empty(n)
-    # the designs on one grid are its prefixes, so they share one solve;
-    # largest grid first, so each later block fits where a freed one was
-    for per_dim in sorted(set(per_dims.tolist()), reverse=True):
-        sizes = np.flatnonzero(per_dims == per_dim) + 1
-        design = dom.uniform_grid(per_dim, endpoint=False)[:sizes[-1]]
-        curve_max = np.max(projection_distance_sq(kernel, q, design, grid), axis=1)
-        sups_sq[sizes - 1] = curve_max[sizes]
-    return np.sqrt(np.minimum.accumulate(sups_sq)).tolist()
+    q_sq = np.asarray(q(grid), dtype=float) ** 2
+    state = gp.empty_state(kernel, ConstantMean(0.0), grid.shape[1])
+    post = gp.GridPosterior(state, grid)
+    for _ in range(n):
+        try:
+            state = gp.extend(state, grid[int(np.argmax(q_sq * post.var))], 0.0)
+        except LinearDependenceError:
+            break
+        post.update(state)
+    sups = np.sqrt(np.max(projection_distance_sq(kernel, q, state.X, grid), axis=1))[1:]
+    return np.minimum.accumulate(np.pad(sups, (0, n - sups.size), mode="edge")).tolist()
 
 
 @dataclass(frozen=True)
@@ -267,14 +274,16 @@ def error_bound_check(record, state):
     """Check |reference - plugin estimate| after each step against the
     assembled error bound, by solves against the run's final `state`.
 
+    The left side reads the run's own plug-in estimates `record.est_plugin`.
     The reference is `reference_integral` of the integrand at REFINEMENT
     times the run's `record.oracle_resolution` (the resolution of the
-    plug-in integrals), its self-error the distance to the integral at that
+    plug-in estimates), its self-error the distance to the integral at that
     resolution; a run of no steps gets the reference and no rows. The
     right-hand side multiplies the transform's Lipschitz constant, the
     integral of pi/q, the known native norm, and a grid supremum of
-    q sqrt(posterior var) widened by a modulus-of-continuity slack; the
-    left side carries the quadrature oracle's self-estimate.
+    q sqrt(posterior var) widened by a modulus-of-continuity slack; its
+    slack carries the reference's self-error and the distance from each
+    estimate to the plug-in integral at the refined resolution.
     """
     integrand, pi, dom = (record.problem.integrand, record.problem.pi,
                           record.problem.domain)
@@ -295,8 +304,7 @@ def error_bound_check(record, state):
                          constant_pi_over_q=float(c_piq), gnorm=gnorm)
     if not state.n:
         return report
-    curves = zip(*sup_qk_fine(state, q, dom),
-                 _plugin_curve(state, t, pi, dom, res),
+    curves = zip(*sup_qk_fine(state, q, dom), record.est_plugin,
                  _plugin_curve(state, t, pi, dom, REFINEMENT * res))
     for n, (sup, modulus, plug, plug_fine) in enumerate(curves, start=1):
         slack = ref_err + abs(plug_fine - plug)

@@ -85,7 +85,7 @@ def _cmd_verify(args):
 def _read_trace(path):
     with open(path) as fh:
         first = fh.readline().strip()
-        if not first.startswith(f"# {runner.TRACE_SCHEMA}"):
+        if first.removeprefix("# ") not in runner.READABLE_TRACE_SCHEMAS:
             raise ConfigError(f"{path}:1: unrecognized trace schema line {first!r}")
         header = fh.readline().strip().split(",")
         rows = [line.strip().split(",") for line in fh if line.strip()]

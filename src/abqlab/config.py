@@ -46,8 +46,10 @@ CONFIG_SCHEMA = {
         "domain": {
             "type": "object",
             "properties": {
-                "lower": {"type": "array", "items": {"type": "number"}, "minItems": 1},
-                "upper": {"type": "array", "items": {"type": "number"}, "minItems": 1},
+                "lower": {"type": "array", "items": {"type": "number"},
+                          "minItems": 1, "maxItems": 10},
+                "upper": {"type": "array", "items": {"type": "number"},
+                          "minItems": 1, "maxItems": 10},
             },
             "required": ["lower", "upper"],
             "additionalProperties": False,

@@ -21,7 +21,7 @@ from .exceptions import BudgetExceededError
 _TINY_DENSITY = 1e-300
 _LOG_SQRT_2PI = np.log(np.sqrt(2 * np.pi))
 
-# probe grids (suprema and infima of means, densities and power functions)
+# probe grids (suprema and infima of means and densities)
 # hold at most PROBE_PER_DIM points per axis and PROBE_POINTS in total
 PROBE_PER_DIM = 512
 PROBE_POINTS = 2 ** 16
@@ -84,16 +84,10 @@ class Domain:
         hi = np.asarray(self.upper)
         return np.all((X >= lo - 1e-12) & (X <= hi + 1e-12), axis=1)
 
-    def _grid_axes(self, points_per_dim, endpoint):
-        return [
-            np.linspace(a, b, points_per_dim) if endpoint
-            else a + (np.arange(points_per_dim) + 0.5) * (b - a) / points_per_dim
-            for a, b in zip(self.lower, self.upper)
-        ]
-
-    def uniform_grid(self, points_per_dim, endpoint=True):
-        """Tensor grid, flattened to (m^d, d) in lexicographic order."""
-        return _mesh(self._grid_axes(points_per_dim, endpoint))
+    def uniform_grid(self, points_per_dim):
+        """Endpoint tensor grid, flattened to (m^d, d) in lexicographic order."""
+        return _mesh([np.linspace(a, b, points_per_dim)
+                      for a, b in zip(self.lower, self.upper)])
 
     def probe_grid(self):
         """Endpoint tensor grid for suprema and infima over the box.

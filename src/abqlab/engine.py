@@ -25,7 +25,8 @@ import numpy as np
 
 from . import gp
 from .domain import REFINEMENT, check_rule_size, grid_per_dim, quadrature_nodes
-from .exceptions import Converged, LinearDependenceError, NonFiniteIntegrandError
+from .exceptions import (Converged, DomainError, LinearDependenceError,
+                         NonFiniteIntegrandError)
 
 DEFAULT_CERT_POINTS_PER_DIM = 2048
 
@@ -77,7 +78,6 @@ class RunRecord:
     cert_grid: np.ndarray
     oracle_resolution: int  # Gauss-Legendre nodes per dim of the estimators
     points: list = field(default_factory=list)
-    greedy_ratio: list = field(default_factory=list)
     sup_qk: list = field(default_factory=list)  # e_n surrogate after n points
     b_min: list = field(default_factory=list)
     b_max: list = field(default_factory=list)
@@ -137,29 +137,25 @@ def certificate_grid(dom, size=None):
     `grids.certificate`, default 2048 d), rounded up to a power of two and
     scaled to the box.
 
-    Up to d = 10 the points come from the Joe-Kuo table above; beyond it
-    from scipy.stats.qmc, imported only then.
+    The points come from the Joe-Kuo table above, so d is at most 10;
+    a larger d raises DomainError.
     """
     d = dom.dim
-    size = _next_pow2(size if size is not None else DEFAULT_CERT_POINTS_PER_DIM * d)
     if d > len(_SOBOL_POLY):
-        from scipy.stats import qmc
-
-        return qmc.scale(qmc.Sobol(d, scramble=False).random(size),
-                         dom.lower, dom.upper)
+        raise DomainError(f"the certificate grid has Sobol' points for d <= "
+                          f"{len(_SOBOL_POLY)}, not d = {d}")
+    size = _next_pow2(size if size is not None else DEFAULT_CERT_POINTS_PER_DIM * d)
     lower = np.asarray(dom.lower)
     return _sobol(d, size) * (np.asarray(dom.upper) - lower) + lower
 
 
-def select_next(a, a_max):
-    """Index of the first point of largest acquisition `a` and its greedy
-    ratio: its acquisition over the larger of `a_max` and its own. Raises
+def select_next(a):
+    """Index of the first point of largest acquisition `a`. Raises
     Converged when the acquisition vanishes at every point."""
     best = int(np.argmax(a))
     if a[best] <= 0.0:
         raise Converged("acquisition is zero at every candidate")
-    a_val = float(a[best])
-    return best, a_val / max(a_max, a_val)
+    return best
 
 
 def estimates(transform, w, dens, mean, var):
@@ -216,9 +212,7 @@ def run_abq(problem, spec, n, cert_grid=None, oracle_resolution=None):
         floor = gp.dependence_floor(state.jitter_used, grid_post.prior_var)
         spanned = grid_post.var <= floor
         try:
-            best, ratio = select_next(np.where(spanned, 0.0, a_grid),
-                                      float(np.max(a_grid)))
-            x = cert_grid[best]
+            x = cert_grid[select_next(np.where(spanned, 0.0, a_grid))]
             f_val = np.asarray(problem.integrand(x[None, :]), dtype=float)
             if not np.all(np.isfinite(f_val)):
                 raise NonFiniteIntegrandError(
@@ -235,7 +229,6 @@ def run_abq(problem, spec, n, cert_grid=None, oracle_resolution=None):
         grid_post.update(state)
         node_post.update(state)
         record.points.append(x)
-        record.greedy_ratio.append(ratio)
         record.clamp_events += clamps
         record.b_min.append(float(np.min(b_grid)))
         record.b_max.append(float(np.max(b_grid)))

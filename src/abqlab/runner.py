@@ -13,7 +13,9 @@ from .config import build_problem, expand_matrix, validate_config
 from .domain import rkhs_norm
 from .exceptions import ConfigError, DomainError
 
-TRACE_SCHEMA = "abqlab-trace v1"
+TRACE_SCHEMA = "abqlab-trace v2"
+# `abqlab rates` reads columns by name, so it reads every schema listed here
+READABLE_TRACE_SCHEMAS = ("abqlab-trace v1", TRACE_SCHEMA)
 REPORT_SCHEMA = "abqlab-report v1"
 
 
@@ -91,7 +93,7 @@ def _write_trace(path, record, reference, fills):
     cols = (["n"] + [f"x{i}" for i in range(dim)]
             + ["sup_q_sqrt_k", "plugin_estimate", "expectation_estimate",
                "abs_error_plugin", "abs_error_expectation",
-               "b_min", "b_max", "greedy_ratio", "fill_distance"])
+               "b_min", "b_max", "fill_distance"])
     lines = [f"# {TRACE_SCHEMA}", ",".join(cols)]
     for i in range(record.n):
         row = [str(i + 1)]
@@ -104,7 +106,6 @@ def _write_trace(path, record, reference, fills):
             abs(reference - record.est_expectation[i]),
             record.b_min[i],
             record.b_max[i],
-            record.greedy_ratio[i],
             fills[i],
         )]
         lines.append(",".join(row))
@@ -220,10 +221,9 @@ def build_report(raw, state, record):
     except DomainError as exc:
         fits["skipped"] = str(exc)
 
-    surrogate_ns = list(range(1, min(record.n, 30) + 1))
-    surrogate = (analysis.nwidth_surrogate(kernel, record.spec.q, dom,
-                                           len(surrogate_ns))
-                 if record.n >= 1 else [])
+    surrogate = (analysis.nwidth_surrogate(kernel, record.spec.q, record.cert_grid,
+                                           record.n)
+                 if record.n else [])
 
     return {
         "schema": REPORT_SCHEMA,
@@ -239,7 +239,7 @@ def build_report(raw, state, record):
         "weak_adaptivity": weak,
         "error_bound": bound_json,
         "rate_fits": fits,
-        "nwidth_surrogate": {"n": surrogate_ns, "value": surrogate},
+        "nwidth_surrogate": {"n": list(range(1, record.n + 1)), "value": surrogate},
         # the first point fixes the jitter for the rest of the run
         "jitter_events": [[0, float(state.jitter_used)]] if record.n else [],
         "clamp_events": record.clamp_events,

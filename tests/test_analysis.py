@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from scipy.linalg import solve_triangular
 from scipy.spatial.distance import cdist
 
-from abqlab import analysis, engine, gp, kernels
+from abqlab import analysis, engine, gp, kernels, verify
 from abqlab.acquisition import AcquisitionSpec, ConstantRule, Power, WsabiM
 from abqlab.domain import (ConstantMean, Domain, SyntheticIntegrand,
                            TruncatedGaussianDensity, UniformDensity,
@@ -143,23 +143,54 @@ def test_fill_distance_curve_matches_brute_force(dom, per_dim):
 
 def test_nwidth_surrogate_nonincreasing():
     kernel = Matern(1.5, 0.25)
-    vals = analysis.nwidth_surrogate(kernel, Q, DOM, 11)
-    assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
+    vals = analysis.nwidth_surrogate(kernel, Q, engine.certificate_grid(DOM, 512), 11)
+    assert len(vals) == 11
+    assert all(b <= a for a, b in zip(vals, vals[1:]))
     with pytest.raises(DomainError):
-        analysis.nwidth_surrogate(kernel, Q, DOM, 0)
+        analysis.nwidth_surrogate(kernel, Q, DOM.uniform_grid(8), 0)
 
 
-def test_nwidth_surrogate_shares_one_solve_per_grid():
-    # in d=2 the designs of sizes 5..9 are prefixes of one 3x3 midpoint grid
+def test_nwidth_surrogate_is_p_greedy_on_the_grid(monkeypatch):
+    # each design point is the first grid argmax of q^2 times the dense
+    # posterior variance of the points before it, and each value is the
+    # running minimum of the dense grid suprema over the design's prefixes
     dom = Domain((0.0, 0.0), (1.0, 1.0))
-    kernel, q, grid = Matern(2.5, 0.3), UniformDensity(dom), dom.probe_grid()
-    per_design = []
-    for m in range(1, 11):
-        design = dom.uniform_grid(int(np.ceil(np.sqrt(m))), endpoint=False)[:m]
-        curve = analysis.projection_distance_sq(kernel, q, design, grid)
-        per_design.append(np.sqrt(np.max(curve[-1])))
-    assert np.allclose(analysis.nwidth_surrogate(kernel, q, dom, 10),
-                       np.minimum.accumulate(per_design), rtol=1e-12, atol=0.0)
+    kernel, grid = Matern(2.5, 0.3), engine.certificate_grid(dom, 256)
+    q = TruncatedGaussianDensity(dom, center=[0.3, 0.6], scale=[0.4, 0.5])
+    design = []
+    extend = gp.extend
+    monkeypatch.setattr(gp, "extend", lambda state, x, z: design.append(x) or
+                        extend(state, x, z))
+    vals = analysis.nwidth_surrogate(kernel, q, grid, 10)
+    assert len(design) == 10
+    sups = []
+    for m, x in enumerate(design):
+        dist = analysis.projection_distance_sq(kernel, q, np.array(design[:m + 1]),
+                                               grid)
+        assert np.array_equal(x, grid[np.argmax(dist[m])])
+        sups.append(np.sqrt(np.max(dist[m + 1])))
+    assert np.allclose(vals, np.minimum.accumulate(sups), rtol=1e-12, atol=0.0)
+
+
+def test_nwidth_surrogate_stops_when_the_grid_is_spanned():
+    # four grid points span every function on the grid: the fifth step is
+    # linearly dependent, and the rest repeat the last value
+    vals = analysis.nwidth_surrogate(Matern(1.5, 0.25), Q, DOM.uniform_grid(4), 6)
+    assert len(vals) == 6
+    assert vals[3] < 1e-5 and vals[3:] == [vals[3]] * 3
+
+
+@pytest.mark.parametrize("dim, grid_points", [(1, 512), (2, 1024)])
+def test_nwidth_surrogate_equals_the_p_greedy_run(dim, grid_points):
+    # on a P-greedy run (constant b, uniform q) the surrogate's design is the
+    # run's, so its dense values cross-check the engine's incremental e_n
+    record = verify._p_greedy_run({"family": "matern", "nu": 1.5, "ell": 0.25},
+                                  budget=60, dim=dim, grid_points=grid_points)
+    vals = analysis.nwidth_surrogate(record.problem.integrand.kernel, record.spec.q,
+                                     record.cert_grid, record.n)
+    assert record.n == 60
+    assert np.allclose(vals, np.minimum.accumulate(record.sup_qk),
+                       rtol=1e-10, atol=0.0)
 
 
 def test_fit_rate_recovers_exact_exponential_series():
@@ -293,14 +324,14 @@ def test_report_checks_read_the_run_instead_of_replaying_it(monkeypatch):
     # the integrand is evaluated only on the reference's two node sets
     assert integrand_sizes == [64, 128]
     assert calls["extend"] == 0
-    # one factorization for the certificate grid and one for the design,
+    # one factorization for the certificate grid and the chosen points,
     # whatever the number of steps
     chols = []
     for record in (short, rec):
         calls.clear()
         analysis.greedy_certificate(record)
         chols.append(calls["chol"])
-    assert chols == [2, 2]
+    assert chols == [1, 1]
 
 
 def test_sup_qk_fine_keeps_the_floor_check():

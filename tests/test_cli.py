@@ -156,7 +156,7 @@ def test_cli_run_writes_artifacts_and_is_deterministic(tmp_path):
     t2 = (tmp_path / "b" / "trace.csv").read_bytes()
     assert t1 == t2
     lines = t1.decode().splitlines()
-    assert lines[0] == "# abqlab-trace v1"
+    assert lines[0] == "# abqlab-trace v2"
     assert lines[1].split(",")[:2] == ["n", "x0"]
     assert len(lines) == 2 + MINIMAL["budget"]
     report = json.loads((tmp_path / "a" / "report.json").read_text())
@@ -336,6 +336,15 @@ def test_cli_runs_a_config_whose_b_is_zero_everywhere(tmp_path):
         report["findings"])
 
 
+def test_cli_exit_code_2_on_a_box_over_ten_dimensions(tmp_path, capsys):
+    # the certificate grid's Sobol' table stops at d = 10
+    cfg = write_config(tmp_path, box_config(11, 4))
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: config field domain/" in err and "is too long" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_exit_code_2_on_a_malformed_thread_count(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("ABQ_LAB_THREADS", "abc")
     cfg = write_config(tmp_path, MINIMAL)
@@ -406,15 +415,17 @@ RUN_D2_SEED0 = {
 
 
 @pytest.mark.parametrize("gamma_tilde", [1.0, 0.5])
-def test_selection_on_the_certificate_grid_is_weak_greedy(gamma_tilde):
+def test_selection_on_the_certificate_grid_is_weak_greedy(tmp_path, gamma_tilde):
     # b_min, b_max and the argmax all come from the one grid, so every step
-    # is the grid's exact argmax and the certificate cannot fail on it
+    # is the grid's exact argmax and the certificate cannot fail on it; the
+    # trace keeps no per-step greedy ratio, which would be 1 at every step
     raw = json.loads(json.dumps(RUN_D2_SEED0))
     raw["acquisition"]["gamma_tilde"] = gamma_tilde
-    state, record = runner.execute(raw)
-    report = runner.build_report(raw, state, record)
-    assert record.n == 60
-    assert record.greedy_ratio == [1.0] * 60
+    runner.run_experiment(raw, str(tmp_path))
+    report = json.loads((tmp_path / "report.json").read_text())
+    header = (tmp_path / "trace.csv").read_text().splitlines()[1].split(",")
+    assert report["iterations"] == 60
+    assert "greedy_ratio" not in header
     assert report["certificate"]["failures"] == []
     assert report["error_bound"]["ok"]
 
@@ -467,9 +478,9 @@ def test_cli_exit_code_3_on_value_outside_transform_range(tmp_path, monkeypatch,
 def test_d3_run_keeps_every_tensor_grid_small(tmp_path, monkeypatch):
     uniform_grid = Domain.uniform_grid
 
-    def guarded(self, points_per_dim, endpoint=True):
+    def guarded(self, points_per_dim):
         assert points_per_dim ** self.dim <= 2 ** 18, (points_per_dim, self.dim)
-        return uniform_grid(self, points_per_dim, endpoint)
+        return uniform_grid(self, points_per_dim)
 
     monkeypatch.setattr(Domain, "uniform_grid", guarded)
     raw = json.loads(json.dumps(MINIMAL))
@@ -593,6 +604,40 @@ def test_cli_rates_refits_from_trace(tmp_path, capsys):
     fits = json.loads(open(summary).read())
     assert fits[0]["dim"] == 1
     assert fits[0]["fits"]["exponential"]["slope"] < 0
+
+
+def test_cli_rates_reads_a_v1_trace(tmp_path, capsys):
+    # v1 traces carry a greedy_ratio column; rates reads columns by name
+    cfg = write_config(tmp_path, MINIMAL)
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "r")]) == 0
+    schema, header, *rows = (tmp_path / "r" / "trace.csv").read_text().splitlines()
+    assert schema == f"# {runner.TRACE_SCHEMA}"
+    v1 = ["# abqlab-trace v1",
+          header.replace(",fill_distance", ",greedy_ratio,fill_distance")]
+    v1 += [",1.0,".join(row.rsplit(",", 1)) for row in rows]
+    (tmp_path / "v1.csv").write_text("\n".join(v1) + "\n")
+    out = []
+    summary = str(tmp_path / "fits.json")
+    for name in ("r/trace.csv", "v1.csv"):
+        assert cli.main(["rates", str(tmp_path / name), "--out", summary]) == 0
+        out.append(json.loads(open(summary).read())[0]["fits"])
+    assert out[0] == out[1]
+
+
+def test_report_bound_reads_the_trace_estimates(tmp_path, monkeypatch):
+    # the bound's left side is |reference - est_plugin|, the trace's column;
+    # the plug-in curve is walked only at the refined resolution (2 * 256)
+    runner.run_experiment(MINIMAL, str(tmp_path))
+    lines = (tmp_path / "trace.csv").read_text().splitlines()
+    column = lines[1].split(",").index("abs_error_plugin")
+    traced = [float(line.split(",")[column]) for line in lines[2:]]
+    state, record = runner.execute(MINIMAL)
+    walk, resolutions = analysis._plugin_curve, []
+    monkeypatch.setattr(analysis, "_plugin_curve", lambda *args: resolutions.append(
+        args[-1]) or walk(*args))
+    lhs = [row["lhs"] for row in analysis.error_bound_check(record, state).rows]
+    assert len(traced) == record.n and lhs == traced
+    assert resolutions == [512]
 
 
 def test_cli_rates_rejects_foreign_csv(tmp_path):

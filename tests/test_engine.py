@@ -13,7 +13,8 @@ from abqlab.domain import (
     UniformDensity,
     quadrature_nodes,
 )
-from abqlab.exceptions import LinearDependenceError, NonFiniteIntegrandError
+from abqlab.exceptions import (DomainError, LinearDependenceError,
+                               NonFiniteIntegrandError)
 from abqlab.kernels import Matern, SquaredExponential
 from abqlab.transforms import Identity, Square
 
@@ -59,9 +60,9 @@ def test_certificate_grid_is_pow2_sobol():
     assert np.array_equal(grid, engine.certificate_grid(DOM, size=100))
 
 
-@pytest.mark.parametrize("dim", list(range(1, 11)) + [12])
+@pytest.mark.parametrize("dim", range(1, 11))
 def test_certificate_grid_is_scipy_sobol_byte_for_byte(dim):
-    # d <= 10 from the Joe-Kuo table, d = 12 through the scipy fallback
+    # the Joe-Kuo table of d <= 10
     from scipy.stats import qmc
 
     dom = Domain(tuple(-0.5 + 0.1 * i for i in range(dim)),
@@ -74,6 +75,12 @@ def test_certificate_grid_is_scipy_sobol_byte_for_byte(dim):
         assert grid.tobytes() == want.tobytes()
 
 
+def test_certificate_grid_stops_at_d_10():
+    dom = Domain((0.0,) * 11, (1.0,) * 11)
+    with pytest.raises(DomainError, match="d = 11"):
+        engine.certificate_grid(dom, 64)
+
+
 def test_select_next_matches_exhaustive_argmax():
     problem = make_problem()
     spec = p_greedy_spec()
@@ -81,11 +88,8 @@ def test_select_next_matches_exhaustive_argmax():
                            np.array([[0.4]]), [0.1])
     grid = DOM.uniform_grid(101)
     a, _, _ = spec.evaluate(grid, *gp.posterior(state, grid), 1)
-    best, ratio = engine.select_next(a, np.max(a))
+    best = engine.select_next(a)
     assert all(a[best] >= value for value in a)
-    assert ratio == 1.0
-    # against a larger maximum elsewhere the ratio is the quotient
-    assert engine.select_next(a, 2 * np.max(a))[1] == pytest.approx(0.5)
 
 
 def test_flat_acquisition_breaks_ties_by_lowest_index():
@@ -95,7 +99,7 @@ def test_flat_acquisition_breaks_ties_by_lowest_index():
     grid = DOM.uniform_grid(16)
     a, _, _ = spec.evaluate(grid, *gp.posterior(state, grid), 0)
     assert np.all(a == a[0])
-    assert engine.select_next(a, np.max(a)) == (0, 1.0)
+    assert engine.select_next(a) == 0
 
 
 def test_run_abq_is_deterministic():
@@ -188,9 +192,9 @@ def test_masked_candidates_are_those_extend_rejects(monkeypatch):
     seen = []
     select = engine.select_next
 
-    def spy(a, a_max):
+    def spy(a):
         seen.append(a)
-        return select(a, a_max)
+        return select(a)
 
     monkeypatch.setattr(engine, "select_next", spy)
     problem = make_problem()
