@@ -28,7 +28,8 @@ PROBE_POINTS = 2 ** 16
 
 # the oracle quadrature is generated and used in slabs of at most
 # BLOCK_POINTS nodes, so its memory does not grow with the rule; the
-# fill-distance grid has at most BLOCK_POINTS points, one slab's worth
+# fill-distance grid has at most BLOCK_POINTS points, one slab's worth, and
+# verify's Monte Carlo moment check draws BLOCK_POINTS latent values at a time
 BLOCK_POINTS = 2 ** 16
 
 # the error bound's reference integral takes REFINEMENT times the oracle
