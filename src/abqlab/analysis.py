@@ -20,7 +20,7 @@ import numpy as np
 
 from . import gp, kernels
 from .domain import (BLOCK_POINTS, REFINEMENT, ConstantMean, grid_per_dim,
-                     quadrature_sum, reference_integral, rkhs_norm)
+                     rkhs_norm, weighted_integrals)
 from .exceptions import DomainError, LinearDependenceError
 
 CERT_TOL = 1e-9  # slack of a weak-greedy ratio below gamma_hat
@@ -66,7 +66,6 @@ class GreedyCertificate:
     gamma_hat: float
     gamma_theoretical: float = float("nan")
     failures: list = field(default_factory=list)
-    clcu_absent_reason: str = ""
 
     @property
     def ok(self):
@@ -106,12 +105,9 @@ def greedy_certificate(record, clcu=None):
     failures = [{"iteration": ell, "ratio": float(rho), "gamma_hat": gamma_hat}
                 for ell, rho in enumerate(ratios) if rho < gamma_hat - CERT_TOL]
     cert = GreedyCertificate(ratios=ratios, gamma_hat=gamma_hat, failures=failures)
-    if clcu is not None:
-        if clcu.present:
-            c_theo = min(spec.gamma_tilde * clcu.c_l / clcu.c_u, 1.0)
-            cert.gamma_theoretical = float(np.sqrt(spec.outer.psi(c_theo)))
-        else:
-            cert.clcu_absent_reason = clcu.reason
+    if clcu is not None and clcu.present:
+        c_theo = min(spec.gamma_tilde * clcu.c_l / clcu.c_u, 1.0)
+        cert.gamma_theoretical = float(np.sqrt(spec.outer.psi(c_theo)))
     return cert
 
 
@@ -206,48 +202,28 @@ def fit_rate(e_values, model, n_values=None, n_min=5, floor=0.0):
                    r_squared=r2, n_range=(int(ns[0]), int(ns[-1])))
 
 
-def _newton_rows(state, P):
-    """L^{-1} K(X, P) for the state's design X and Cholesky factor L."""
-    return kernels.solve_lower(state.chol, state.kernel.pairwise(state.X, P))
+def grid_slack(kernel, q, radius):
+    """sup q sqrt(2 (k(0) - k(radius))) + Lip(q) sqrt(k(0)) radius bounds how
+    far sup q sqrt(k_X) over the box exceeds its maximum on a grid within
+    `radius` of every point, for any X: q(x) sqrt(k_X(x)) = ||(I - Pi_X) q(x)
+    k(., x)||, I - Pi_X contracts, and each kernel is isotropic, decreasing."""
+    k0, k_r = kernel.pairwise(np.zeros((1, 1)), np.array([[0.0], [radius]]))[0]
+    q_sup, q_lip = q.bounds()
+    return float(q_sup * np.sqrt(2.0 * max(k0 - k_r, 0.0))
+                 + q_lip * np.sqrt(k0) * radius)
 
 
-def sup_qk_fine(state, q, dom, points=2048):
-    """Grid supremum of q sqrt(posterior var) plus a modulus-of-continuity
-    slack for each prefix X[:1], ..., X[:n] of the state's design.
-
-    The tensor grid has ceil(points^(1/d)) points per dim. Returns lists
-    (sups, moduli) where a modulus is the largest jump between
-    axis-adjacent grid values, an honest discretization allowance.
-    """
-    per_dim = int(np.ceil(points ** (1 / dom.dim)))
-    grid = dom.uniform_grid(per_dim)
-    prior = state.kernel.diag(grid)
-    var = _running_residual(_newton_rows(state, grid), prior)[1:]
-    vals = np.asarray(q(grid)) * np.sqrt(gp.check_floor(var, prior, state.jitter_used))
-    cube = vals.reshape((state.n,) + (per_dim,) * dom.dim)
-    axes = tuple(range(1, dom.dim + 1))
-    jumps = [np.max(np.abs(np.diff(cube, axis=a)), axis=axes) for a in axes]
-    return np.max(vals, axis=1).tolist(), np.max(jumps, axis=0).tolist()
-
-
-def _plugin_curve(state, transform, pi, dom, resolution):
-    """`reference_integral` of T(posterior mean) for each prefix X[:i] of
-    the state's design, the mean being m + sum_{j < i} beta_j (L^{-1} K(X, .))_j
-    with beta = L^{-1} (z - m_X); one node slab at a time, so memory is
-    O(n * slab)."""
-    beta = kernels.solve_lower(state.chol, state.z - state.mean(state.X))
-
-    def partial(pts, w):
-        rows = _newton_rows(state, pts)
-        dens = np.asarray(pi(pts), dtype=float)
+def _plugin_means(state, transform):
+    """A `weighted_integrals` term: T(m + sum_{j < i} beta_j (L^{-1} K(X, .))_j),
+    T of the posterior mean of each prefix X[:i] of the state's design."""
+    def term(pts):
+        rows = kernels.solve_lower(state.chol, state.kernel.pairwise(state.X, pts))
         mean = state.mean(pts)
-        plugs = np.empty(state.n)
-        for i, (row, b) in enumerate(zip(rows, beta)):
+        for row, b in zip(rows, state.beta):
             mean = mean + b * row
-            plugs[i] = np.sum(w * transform.forward(mean) * dens)
-        return plugs
+            yield transform.forward(mean)
 
-    return quadrature_sum(dom, resolution, partial).tolist()
+    return term
 
 
 @dataclass
@@ -257,6 +233,7 @@ class BoundReport:
     constant_transform: float
     constant_pi_over_q: float
     gnorm: float
+    grid_slack: float  # at the run's covering radius
     rows: list = field(default_factory=list)
     violations: list = field(default_factory=list)
 
@@ -275,43 +252,42 @@ def error_bound_check(record, state):
     assembled error bound, by solves against the run's final `state`.
 
     The left side reads the run's own plug-in estimates `record.est_plugin`.
-    The reference is `reference_integral` of the integrand at REFINEMENT
-    times the run's `record.oracle_resolution` (the resolution of the
-    plug-in estimates), its self-error the distance to the integral at that
+    The reference is the integral of the integrand at REFINEMENT times the
+    run's `record.oracle_resolution` (the resolution of the plug-in
+    estimates), its self-error the distance to the integral at that
     resolution; a run of no steps gets the reference and no rows. The
     right-hand side multiplies the transform's Lipschitz constant, the
-    integral of pi/q, the known native norm, and a grid supremum of
-    q sqrt(posterior var) widened by a modulus-of-continuity slack; its
-    slack carries the reference's self-error and the distance from each
-    estimate to the plug-in integral at the refined resolution.
+    integral of pi/q, the known native norm, and sup q sqrt(posterior var)
+    over the certificate grid plus `grid_slack` at `record.cert_radius`;
+    its slack carries the reference's self-error and the distance from each
+    estimate to the plug-in integral at the refined resolution. One walk at
+    each resolution gives every integral.
     """
     integrand, pi, dom = (record.problem.integrand, record.problem.pi,
                           record.problem.domain)
     q = record.spec.q
     res = record.oracle_resolution
-    coarse = reference_integral(integrand, pi, dom, res)
-    reference = reference_integral(integrand, pi, dom, REFINEMENT * res)
-    ref_err = abs(reference - coarse)
     t = integrand.transform
+    coarse, c_piq = weighted_integrals(dom, res, pi, lambda P: [integrand(P)],
+                                       lambda P: [1.0 / np.asarray(q(P))])
+    reference, *plug_fine = weighted_integrals(
+        dom, REFINEMENT * res, pi, lambda P: [integrand(P)], _plugin_means(state, t))
+    ref_err = abs(reference - coarse)
     gnorm = rkhs_norm(integrand)
-    k_inf = integrand.kernel.sup_diag()
     m_inf = float(np.max(np.abs(integrand.prior_mean(dom.probe_grid()))))
-    c_t = t.lipschitz_constant(m_inf, gnorm, k_inf)
-    c_piq = reference_integral(lambda P: 1.0 / np.asarray(q(P)), pi, dom,
-                               min(res, 256))
+    c_t = t.lipschitz_constant(m_inf, gnorm, integrand.kernel.sup_diag())
+    widen = grid_slack(integrand.kernel, q, record.cert_radius)
     report = BoundReport(reference=reference, reference_self_error=ref_err,
-                         constant_transform=float(c_t),
-                         constant_pi_over_q=float(c_piq), gnorm=gnorm)
-    if not state.n:
-        return report
-    curves = zip(*sup_qk_fine(state, q, dom), record.est_plugin,
-                 _plugin_curve(state, t, pi, dom, REFINEMENT * res))
-    for n, (sup, modulus, plug, plug_fine) in enumerate(curves, start=1):
-        slack = ref_err + abs(plug_fine - plug)
+                         constant_transform=float(c_t), constant_pi_over_q=c_piq,
+                         gnorm=gnorm, grid_slack=widen)
+    dist = projection_distance_sq(integrand.kernel, q, state.X, record.cert_grid)
+    sups = np.sqrt(np.max(dist[1:], axis=1)).tolist()
+    for n, (sup, plug, fine) in enumerate(zip(sups, record.est_plugin, plug_fine),
+                                          start=1):
+        slack = ref_err + abs(fine - plug)
         lhs = abs(reference - plug)
-        rhs = c_t * c_piq * gnorm * (sup + modulus) + slack
-        row = {"n": n, "lhs": lhs, "rhs": rhs, "sup_qk": sup,
-               "modulus": modulus, "slack": slack}
+        rhs = c_t * c_piq * gnorm * (sup + widen) + slack
+        row = {"n": n, "lhs": lhs, "rhs": rhs, "sup_qk": sup, "slack": slack}
         report.rows.append(row)
         if lhs > rhs:
             report.violations.append(row)

@@ -112,7 +112,8 @@ def grid_per_dim(dim, total, cap):
 
 
 class Density:
-    """A continuous, nonnegative density on a box domain."""
+    """A continuous, nonnegative density on a box domain; `bounds()` gives
+    upper bounds on its supremum and Euclidean Lipschitz constant there."""
 
     domain: Domain
     strictly_positive: bool = False
@@ -131,6 +132,9 @@ class UniformDensity(Density):
     def __call__(self, X):
         X = as_points(X, self.domain.dim)
         return np.full(X.shape[0], self._value)
+
+    def bounds(self):
+        return self._value, 0.0
 
 
 def _log_gauss_mass(a, b):
@@ -177,6 +181,15 @@ class TruncatedGaussianDensity(Density):
             out *= np.where(inside, np.exp(log_pdf) / self.scale[i], 0.0)
         return out
 
+    def bounds(self):
+        """|grad p| <= prod_j sup p_j * ||(sup |p_i'| / sup p_i)_i||, where
+        |p_i'| = |z| p_i / scale_i and |z| phi(z) peaks at z = +-1."""
+        peak = self(np.clip(self.center, self.domain.lower, self.domain.upper))[0]
+        zp = np.clip(0.0, self._a, self._b)
+        z = np.abs(np.clip([[1.0], [-1.0]], self._a, self._b))
+        slopes = np.max(z * np.exp((zp ** 2 - z ** 2) / 2.0), axis=0) / self.scale
+        return float(peak), float(peak * np.linalg.norm(slopes))
+
 
 class TabulatedDensity(Density):
     """Density given by values on a tensor grid, multilinear in between.
@@ -205,6 +218,13 @@ class TabulatedDensity(Density):
         vals = self._interp(X)
         vals = np.where(vals < _TINY_DENSITY, 0.0, vals)
         return vals
+
+    def bounds(self):
+        # a multilinear slope along axis i averages its cells' dv / dx_i
+        v = self._interp.values
+        return float(np.max(v)), float(np.linalg.norm(
+            [np.max(np.abs(np.diff(v, axis=i))) / np.min(np.diff(x))
+             for i, x in enumerate(self._interp.grid)]))
 
 
 class MeanFunction:
@@ -397,11 +417,18 @@ def _tree_sum(parts):
     return _tree_sum(parts[:half]) + _tree_sum(parts[half:])
 
 
+def weighted_integrals(dom, resolution, pi, *terms):
+    """The integrals against pi, by the tensor rule, of every function that
+    each term yields on a slab of nodes, in order: one walk over the rule,
+    pi evaluated once per node."""
+    def partial(pts, w):
+        dens = np.asarray(pi(pts), dtype=float)
+        return np.array([np.sum(w * np.asarray(v, dtype=float) * dens)
+                         for term in terms for v in term(pts)])
+
+    return quadrature_sum(dom, resolution, partial).tolist()
+
+
 def reference_integral(f, pi, dom, resolution):
     """Ground-truth value of the weighted integral of f by a tensor rule."""
-    def partial(pts, w):
-        vals = np.asarray(f(pts), dtype=float)
-        pvals = np.asarray(pi(pts), dtype=float)
-        return np.sum(w * vals * pvals)
-
-    return float(quadrature_sum(dom, resolution, partial))
+    return weighted_integrals(dom, resolution, pi, lambda P: [f(P)])[0]

@@ -13,8 +13,8 @@ set every recorded supremum is taken on, so the selection is greedy on
 that grid by construction; a grid point the design spans, its variance at
 or below `gp.dependence_floor`, gets acquisition F(0) b = 0, and the run
 stops when all do; `RunRecord.stop_cause` says why a run stopped early.
-The grid is a fixed Sobol set by default, and its resolution is recorded,
-since the supremum over the whole box is not computable.
+The grid is a Sobol' net, and the record keeps its covering radius, which
+bounds how far the supremum over the whole box can exceed the grid's.
 """
 
 from __future__ import annotations
@@ -76,6 +76,7 @@ class RunRecord:
     problem: Problem
     spec: object  # AcquisitionSpec
     cert_grid: np.ndarray
+    cert_radius: float  # every point of the box is this close to cert_grid
     oracle_resolution: int  # Gauss-Legendre nodes per dim of the estimators
     points: list = field(default_factory=list)
     sup_qk: list = field(default_factory=list)  # e_n surrogate after n points
@@ -149,6 +150,20 @@ def certificate_grid(dom, size=None):
     return _sobol(d, size) * (np.asarray(dom.upper) - lower) + lower
 
 
+def covering_radius(dom, size):
+    """A radius within which every point of the box has a point of
+    `certificate_grid(dom, size)`: the diagonal of an elementary box of
+    volume 2^(t-m), its widest side halved m - t times (the whole box if
+    m < t). Each holds 2^t of the 2^m points, a (t, m, d)-net with t the sum
+    of deg p_j - 1 = len(m_init) - 1 over the rows (Niederreiter 1988)."""
+    m = _next_pow2(size).bit_length() - 1
+    t = sum(len(_SOBOL_M_INIT[j][1:]) for j in range(dom.dim))
+    sides = dom.widths
+    for _ in range(m - t):
+        sides[np.argmax(sides)] /= 2
+    return float(np.linalg.norm(sides))
+
+
 def select_next(a):
     """Index of the first point of largest acquisition `a`. Raises
     Converged when the acquisition vanishes at every point."""
@@ -167,12 +182,13 @@ def estimates(transform, w, dens, mean, var):
             float(np.sum(w * transform.posterior_expectation(mean, var) * dens)))
 
 
-def run_abq(problem, spec, n, cert_grid=None, oracle_resolution=None):
+def run_abq(problem, spec, n, cert_points=None, oracle_resolution=None):
     """Run the sequential loop for `n` evaluations of the integrand.
 
-    Each step picks the point of largest acquisition on `cert_grid`, by
-    default `certificate_grid(dom)`, the grid the certificate takes its
-    suprema on, so an exact-argmax run certifies a ratio of one.
+    Each step picks the point of largest acquisition on
+    `certificate_grid(dom, cert_points)`, the grid the certificate takes
+    its suprema on, so an exact-argmax run certifies a ratio of one; the
+    record keeps the grid and its `covering_radius`.
     The estimators integrate on a Gauss-Legendre tensor grid with
     oracle_resolution nodes per dim, by default the `domain.grid_per_dim`
     count for ORACLE_POINTS nodes in total and at most ORACLE_PER_DIM per
@@ -191,8 +207,7 @@ def run_abq(problem, spec, n, cert_grid=None, oracle_resolution=None):
             dom.dim, ORACLE_POINTS, ORACLE_PER_DIM))
     # fail now, not after every integrand call of the run
     check_rule_size(dom.dim, REFINEMENT * oracle_resolution)
-    if cert_grid is None:
-        cert_grid = certificate_grid(dom)
+    cert_grid = certificate_grid(dom, cert_points)
 
     state = gp.empty_state(kernel=model.kernel, mean=model.prior_mean, dim=dom.dim)
     grid_post = gp.GridPosterior(state, cert_grid)
@@ -201,6 +216,7 @@ def run_abq(problem, spec, n, cert_grid=None, oracle_resolution=None):
     node_post = gp.GridPosterior(state, nodes)
 
     record = RunRecord(problem=problem, spec=spec, cert_grid=cert_grid,
+                       cert_radius=covering_radius(dom, len(cert_grid)),
                        oracle_resolution=oracle_resolution)
     q_grid = spec.q(cert_grid)
     record.e0 = float(np.max(q_grid * np.sqrt(grid_post.var)))

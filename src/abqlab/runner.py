@@ -69,10 +69,9 @@ def _execute_valid(raw):
     `budget` and `grids`; returns (state, record)."""
     problem, spec = build_problem(raw)
     grids = raw.get("grids", {})
-    return engine.run_abq(
-        problem, spec, raw["budget"],
-        cert_grid=engine.certificate_grid(problem.domain, grids.get("certificate")),
-        oracle_resolution=grids.get("oracle"))
+    return engine.run_abq(problem, spec, raw["budget"],
+                          cert_points=grids.get("certificate"),
+                          oracle_resolution=grids.get("oracle"))
 
 
 def _run_single(raw, target):
@@ -196,6 +195,8 @@ def build_report(raw, state, record):
                 "transform": bound.constant_transform,
                 "pi_over_q": bound.constant_pi_over_q,
                 "gnorm": bound.gnorm,
+                "covering_radius": record.cert_radius,
+                "grid_slack": bound.grid_slack,
             },
         }
         if not bound.ok:

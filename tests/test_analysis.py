@@ -10,9 +10,10 @@ from scipy.spatial.distance import cdist
 from abqlab import analysis, engine, gp, kernels, verify
 from abqlab.acquisition import AcquisitionSpec, ConstantRule, Power, WsabiM
 from abqlab.domain import (ConstantMean, Domain, SyntheticIntegrand,
-                           TruncatedGaussianDensity, UniformDensity,
-                           quadrature_nodes, reference_integral)
-from abqlab.exceptions import DomainError, NumericalDegradationError
+                           TabulatedDensity, TruncatedGaussianDensity,
+                           UniformDensity, quadrature_nodes, reference_integral,
+                           weighted_integrals)
+from abqlab.exceptions import DomainError
 from abqlab.kernels import Matern, RatePrediction, SquaredExponential, Wendland
 from abqlab.transforms import Identity, Square
 
@@ -100,7 +101,7 @@ def _p_greedy_record(budget=10, kernel=None):
     problem = engine.Problem(integrand=integrand, pi=Q, domain=DOM)
     spec = AcquisitionSpec(outer=Power(1.0), q=Q, b=ConstantRule(1.0),
                            gamma_tilde=1.0)
-    state, rec = engine.run_abq(problem, spec, budget, cert_grid=DOM.uniform_grid(128))
+    state, rec = engine.run_abq(problem, spec, budget, cert_points=128)
     return rec, problem, spec, state
 
 
@@ -219,6 +220,37 @@ def test_fit_rate_truncates_at_floor_and_guards_length():
         analysis.fit_rate([1.0, 0.5, 0.25], RatePrediction("exponential", 1.0))
 
 
+def slack_cases():
+    """q of each family on a d = 1, 2, 3 box."""
+    for d in (1, 2, 3):
+        dom = Domain((-1.0, 0.0, 0.5)[:d], (2.0, 1.0, 0.75)[:d])
+        yield UniformDensity(dom)
+        yield TruncatedGaussianDensity(dom, center=[0.3, 0.6, 0.7][:d],
+                                       scale=[0.8, 0.3, 0.1][:d])
+        values = np.random.default_rng(d).uniform(0.5, 2.0, size=(5, 4, 3)[:d])
+        yield TabulatedDensity(dom, values)
+
+
+@pytest.mark.parametrize("q", list(slack_cases()),
+                         ids=lambda q: f"{type(q).__name__}-{q.domain.dim}")
+def test_grid_slack_bounds_the_supremum_off_the_grid(q):
+    # sup over the box of q sqrt(k_X) is at most its maximum over the grid
+    # plus the slack at the grid's covering radius, for every prefix design
+    dom = q.domain
+    rng = np.random.default_rng(dom.dim)
+    kernel = Matern(2.5, 0.3)
+    X = rng.uniform(dom.lower, dom.upper, size=(6, dom.dim))
+    grid = engine.certificate_grid(dom, 256)
+    slack = analysis.grid_slack(kernel, q, engine.covering_radius(dom, 256))
+    on_grid = np.sqrt(np.max(analysis.projection_distance_sq(kernel, q, X, grid),
+                             axis=1))
+    points = rng.uniform(dom.lower, dom.upper, size=(200_000, dom.dim))
+    off_grid = np.sqrt(np.max(analysis.projection_distance_sq(kernel, q, X, points),
+                              axis=1))
+    assert slack > 0
+    assert np.all(off_grid <= on_grid + slack)
+
+
 def test_error_bound_holds_on_small_run():
     rec, _, _, state = _p_greedy_record(budget=8)
     report = analysis.error_bound_check(rec, state)
@@ -259,7 +291,7 @@ def square_warp_problem():
 
 def bound_check_inputs(budget=8, oracle=64):
     problem, spec = square_warp_problem()
-    state, rec = engine.run_abq(problem, spec, budget, cert_grid=DOM.uniform_grid(64),
+    state, rec = engine.run_abq(problem, spec, budget, cert_points=64,
                                 oracle_resolution=oracle)
     assert rec.n == budget
     return problem, spec, state, rec
@@ -275,14 +307,19 @@ def test_error_bound_rows_match_a_dense_replay():
     ref_err = abs(reference - reference_integral(problem.integrand, problem.pi,
                                                  DOM, 64))
     assert (report.reference, report.reference_self_error) == (reference, ref_err)
-    grid = DOM.uniform_grid(2048)  # sup_qk_fine's default grid in d=1
+    # 64 Sobol points in d=1 are the multiples of 1/64; uniform q is flat, so
+    # the slack is sqrt(2 (k(0) - k(h))) at h = 1/64
+    grid = rec.cert_grid
+    assert np.array_equal(np.sort(grid[:, 0]), np.arange(64) / 64)
+    assert rec.cert_radius == 1 / 64
+    k_h = state.kernel.pairwise(np.zeros((1, 1)), np.full((1, 1), 1 / 64))[0, 0]
+    assert report.grid_slack == pytest.approx(np.sqrt(2 * (1 - k_h)), rel=1e-14)
     t = problem.integrand.transform
     const = report.constant_transform * report.constant_pi_over_q * report.gnorm
     replay = gp.empty_state(state.kernel, state.mean, 1)
     for row, x, z in zip(report.rows, state.X, state.z, strict=True):
         replay = gp.extend(replay, x[None, :], z)
-        vals = spec.q(grid) * np.sqrt(gp.posterior(replay, grid)[1])
-        sup, modulus = np.max(vals), np.max(np.abs(np.diff(vals)))
+        sup = np.max(spec.q(grid) * np.sqrt(gp.posterior(replay, grid)[1]))
 
         def plugin(P):
             return t.forward(gp.posterior(replay, P)[0])
@@ -290,8 +327,8 @@ def test_error_bound_rows_match_a_dense_replay():
         plug = reference_integral(plugin, problem.pi, DOM, 64)
         slack = ref_err + abs(reference_integral(plugin, problem.pi, DOM, 128) - plug)
         expected = {"n": replay.n, "lhs": abs(reference - plug),
-                    "rhs": const * (sup + modulus) + slack, "sup_qk": sup,
-                    "modulus": modulus, "slack": slack}
+                    "rhs": const * (sup + report.grid_slack) + slack, "sup_qk": sup,
+                    "slack": slack}
         assert row.keys() == expected.keys()
         # lhs and slack are differences of integrals of size |reference|,
         # so their rounding is relative to that size
@@ -334,28 +371,6 @@ def test_report_checks_read_the_run_instead_of_replaying_it(monkeypatch):
     assert chols == [1, 1]
 
 
-def test_sup_qk_fine_keeps_the_floor_check():
-    state = bound_check_inputs(budget=3)[2]
-    # a corrupted Cholesky row drives the variance far below zero
-    chol = state.chol.copy()
-    chol[2, :2] *= 10.0
-    broken = gp.GpState(kernel=state.kernel, mean=state.mean, X=state.X,
-                        z=state.z, chol=chol, jitter_used=state.jitter_used,
-                        beta=state.beta)
-    with pytest.raises(NumericalDegradationError):
-        analysis.sup_qk_fine(broken, Q, DOM)
-
-
-def test_sup_qk_fine_reports_modulus():
-    rec, problem, spec, _ = _p_greedy_record(budget=4)
-    state = gp.build_state(problem.integrand.kernel, ConstantMean(0.0),
-                           rec.design(), np.zeros(rec.n))
-    sups, moduli = analysis.sup_qk_fine(state, spec.q, DOM, points=512)
-    sup, modulus = sups[-1], moduli[-1]
-    assert sup > 0
-    assert 0 <= modulus < sup
-
-
 def test_plugin_curve_matches_a_one_shot_evaluation():
     # 48^3 oracle nodes: two slabs of quadrature_blocks
     dom = Domain((-0.3, 0.0, 0.5), (1.0, 2.0, 0.75))
@@ -365,7 +380,7 @@ def test_plugin_curve_matches_a_one_shot_evaluation():
                            5.0 + rng.uniform(-0.5, 0.5, size=6))
     pi = TruncatedGaussianDensity(dom, center=[0.3, 1.0, 0.6], scale=[0.5, 0.8, 0.2])
     t = Square(alpha=2.0)
-    curve = analysis._plugin_curve(state, t, pi, dom, 48)
+    curve = weighted_integrals(dom, 48, pi, analysis._plugin_means(state, t))
     pts, w = quadrature_nodes(dom, 48)
     rows = solve_triangular(state.chol, state.kernel.pairwise(pts, state.X).T,
                             lower=True)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from abqlab import analysis, cli, domain, engine, runner, verify
+from abqlab import analysis, cli, engine, runner, verify
 from abqlab.config import (CONFIG_SCHEMA, build_problem, expand_matrix, load_config,
                            validate_config)
 from abqlab.domain import Domain, SyntheticIntegrand
@@ -430,6 +430,16 @@ def test_selection_on_the_certificate_grid_is_weak_greedy(tmp_path, gamma_tilde)
     assert report["error_bound"]["ok"]
 
 
+def test_error_bound_sups_are_the_runs_e_n():
+    # the bound's dense solve on the certificate grid and the engine's
+    # incremental grid posterior give the same sup q sqrt(k_X) per step
+    state, record = runner.execute(RUN_D2_SEED0)
+    rows = analysis.error_bound_check(record, state).rows
+    assert len(rows) == record.n == 60
+    assert np.allclose([row["sup_qk"] for row in rows], record.sup_qk,
+                       rtol=1e-10, atol=0.0)
+
+
 def test_execute_rejects_a_misspelled_key():
     raw = json.loads(json.dumps(MINIMAL))
     raw["grids"] = {"oracel": 32}  # meant: "oracle"
@@ -569,21 +579,15 @@ def test_default_grids_run_in_d1_to_d5_in_time_and_memory(tmp_path):
 
 def test_cli_run_computes_the_reference_integral_once(tmp_path, monkeypatch):
     # one reference: the integrand's integral at the oracle resolution (256
-    # in d=1) and at twice it, for the self-error
-    original = domain.reference_integral
-    resolutions = []
-
-    def counting(f, pi, dom, resolution):
-        if isinstance(f, SyntheticIntegrand):
-            resolutions.append(resolution)
-        return original(f, pi, dom, resolution)
-
-    for module in (domain, runner, analysis):
-        if getattr(module, "reference_integral", None) is original:
-            monkeypatch.setattr(module, "reference_integral", counting)
+    # in d=1) and at twice it, for the self-error, each node evaluated once;
+    # the run itself evaluates only the points it selects
+    call = SyntheticIntegrand.__call__
+    sizes = []
+    monkeypatch.setattr(SyntheticIntegrand, "__call__",
+                        lambda self, X: sizes.append(len(X)) or call(self, X))
     path = write_config(tmp_path, MINIMAL)
     assert cli.main(["run", path, "--out", str(tmp_path / "out")]) == 0
-    assert resolutions == [256, 512]
+    assert [size for size in sizes if size > 1] == [256, 512]
 
 
 def test_cli_run_requires_output_dir(tmp_path):
@@ -626,18 +630,25 @@ def test_cli_rates_reads_a_v1_trace(tmp_path, capsys):
 
 def test_report_bound_reads_the_trace_estimates(tmp_path, monkeypatch):
     # the bound's left side is |reference - est_plugin|, the trace's column;
-    # the plug-in curve is walked only at the refined resolution (2 * 256)
+    # one walk at the run's resolution gives the coarse reference and the
+    # integral of pi/q, and one at the refined resolution (2 * 256) gives
+    # the reference and the plug-in curve
     runner.run_experiment(MINIMAL, str(tmp_path))
     lines = (tmp_path / "trace.csv").read_text().splitlines()
     column = lines[1].split(",").index("abs_error_plugin")
     traced = [float(line.split(",")[column]) for line in lines[2:]]
     state, record = runner.execute(MINIMAL)
-    walk, resolutions = analysis._plugin_curve, []
-    monkeypatch.setattr(analysis, "_plugin_curve", lambda *args: resolutions.append(
-        args[-1]) or walk(*args))
+    walk, walks = analysis.weighted_integrals, []
+
+    def counting(dom, resolution, pi, *terms):
+        values = walk(dom, resolution, pi, *terms)
+        walks.append((resolution, len(values)))
+        return values
+
+    monkeypatch.setattr(analysis, "weighted_integrals", counting)
     lhs = [row["lhs"] for row in analysis.error_bound_check(record, state).rows]
     assert len(traced) == record.n and lhs == traced
-    assert resolutions == [512]
+    assert walks == [(256, 2), (512, 1 + record.n)]
 
 
 def test_cli_rates_rejects_foreign_csv(tmp_path):

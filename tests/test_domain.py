@@ -123,6 +123,44 @@ def test_tabulated_density_interpolates_and_flags_positivity():
         TabulatedDensity(dom, np.array([-1.0, 1.0]))
 
 
+DENSITY_BOX = Domain((-1.0, 0.0, 0.5), (2.0, 1.0, 0.75))
+
+
+def density_cases():
+    """Each density family on the first d axes of DENSITY_BOX, d = 1..3; the
+    truncated Gaussians have a centre inside and one outside the box."""
+    rng = np.random.default_rng(7)
+    for d in (1, 2, 3):
+        dom = Domain(DENSITY_BOX.lower[:d], DENSITY_BOX.upper[:d])
+        yield UniformDensity(dom)
+        for center in ([0.3, 0.6, 0.7], [3.0, -0.5, 0.6]):
+            yield TruncatedGaussianDensity(dom, center=center[:d],
+                                           scale=[0.8, 0.3, 0.05][:d])
+        yield TabulatedDensity(dom, rng.uniform(0.5, 2.0, size=(5, 4, 3)[:d]))
+
+
+@pytest.mark.parametrize("dens", list(density_cases()),
+                         ids=lambda q: f"{type(q).__name__}-{q.domain.dim}")
+def test_density_bounds_hold_on_random_points_and_pairs(dens):
+    dom = dens.domain
+    rng = np.random.default_rng(11)
+    X = rng.uniform(dom.lower, dom.upper, size=(20_000, dom.dim))
+    # close pairs probe the slope, far ones the range
+    Y = np.clip(X + rng.normal(scale=rng.choice([1e-3, 0.3], size=(len(X), 1)),
+                               size=X.shape), dom.lower, dom.upper)
+    sup, lip = dens.bounds()
+    qx, qy = dens(X), dens(Y)
+    assert np.all(qx <= sup * (1 + 1e-12))
+    gap = np.linalg.norm(X - Y, axis=1)
+    assert np.all(np.abs(qx - qy) <= lip * gap + 1e-12 * sup)
+    if isinstance(dens, TruncatedGaussianDensity):
+        # the supremum is the density at the centre clipped to the box
+        peak = np.clip(dens.center, dom.lower, dom.upper)[None, :]
+        assert dens(peak)[0] == pytest.approx(sup, rel=1e-12)
+    if isinstance(dens, UniformDensity):
+        assert (sup, lip) == (1.0 / dom.volume, 0.0)
+
+
 def test_mean_functions():
     assert ConstantMean(2.5)(np.zeros((3, 2)))[0] == 2.5
     m = AffineMean((1.0, -2.0), offset=0.5)

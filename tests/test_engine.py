@@ -92,6 +92,34 @@ def test_select_next_matches_exhaustive_argmax():
     assert all(a[best] >= value for value in a)
 
 
+def test_certificate_grid_is_a_net_at_the_covering_radius():
+    # Sobol' dimension j is a (t_j)-sequence with t_j = deg p_j - 1 (the
+    # first, van der Corput, has t = 0): each elementary box of volume
+    # 2^(t-m), in the shape covering_radius takes on the unit cube, holds
+    # exactly 2^t of the first 2^m points
+    t = 0
+    for d, poly in enumerate(engine._SOBOL_POLY, start=1):
+        t += max(poly.bit_length() - 2, 0)
+        unit = Domain((0.0,) * d, (1.0,) * d)
+        points = engine._sobol(d, 2 ** 15)
+        for m in range(max(t, 4), 16):
+            r = m - t
+            k = np.array([r // d + (i < r % d) for i in range(d)])
+            cells = np.ravel_multi_index(
+                np.floor(points[:2 ** m] * 2.0 ** k).astype(int).T, tuple(2 ** k))
+            assert np.all(np.bincount(cells, minlength=2 ** r) == 2 ** t), (d, m)
+            assert engine.covering_radius(unit, 2 ** m) == np.linalg.norm(2.0 ** -k)
+    # the widest side is halved first; with m < t the box is the whole box
+    assert engine.covering_radius(Domain((0.0, 0.0), (4.0, 1.0)), 4) == np.sqrt(2)
+    assert engine.covering_radius(Domain((0.0,) * 4, (1.0,) * 4), 4) == 2.0
+
+
+def test_run_records_the_grid_and_its_covering_radius():
+    _, rec = engine.run_abq(make_problem(), p_greedy_spec(), 2, cert_points=100)
+    assert np.array_equal(rec.cert_grid, engine.certificate_grid(DOM, 100))
+    assert rec.cert_radius == engine.covering_radius(DOM, 128) == 2.0 ** -7
+
+
 def test_flat_acquisition_breaks_ties_by_lowest_index():
     # empty state, constant-diagonal kernel, uniform q: all candidates tie
     spec = p_greedy_spec()
@@ -105,8 +133,8 @@ def test_flat_acquisition_breaks_ties_by_lowest_index():
 def test_run_abq_is_deterministic():
     problem = make_problem()
     spec = p_greedy_spec()
-    _, rec1 = engine.run_abq(problem, spec, 8, cert_grid=DOM.uniform_grid(128))
-    _, rec2 = engine.run_abq(problem, spec, 8, cert_grid=DOM.uniform_grid(128))
+    _, rec1 = engine.run_abq(problem, spec, 8, cert_points=128)
+    _, rec2 = engine.run_abq(problem, spec, 8, cert_points=128)
     assert np.array_equal(rec1.design(), rec2.design())
     assert rec1.sup_qk == rec2.sup_qk
 
@@ -114,7 +142,7 @@ def test_run_abq_is_deterministic():
 def test_run_record_monotone_error_and_shapes():
     problem = make_problem()
     spec = p_greedy_spec()
-    _, rec = engine.run_abq(problem, spec, 10, cert_grid=DOM.uniform_grid(128))
+    _, rec = engine.run_abq(problem, spec, 10, cert_points=128)
     assert rec.n == 10
     assert rec.design().shape == (10, 1)
     e = [rec.e0] + rec.sup_qk
@@ -124,7 +152,7 @@ def test_run_record_monotone_error_and_shapes():
 def test_identity_estimators_agree():
     problem = make_problem()
     spec = p_greedy_spec()
-    _, rec = engine.run_abq(problem, spec, 6, cert_grid=DOM.uniform_grid(128))
+    _, rec = engine.run_abq(problem, spec, 6, cert_points=128)
     assert np.allclose(rec.est_plugin, rec.est_expectation, atol=1e-12)
 
 
@@ -133,7 +161,7 @@ def test_plugin_estimate_converges_to_reference():
 
     problem = make_problem()
     spec = p_greedy_spec()
-    _, rec = engine.run_abq(problem, spec, 25, cert_grid=DOM.uniform_grid(256))
+    _, rec = engine.run_abq(problem, spec, 25, cert_points=256)
     ref = reference_integral(problem.integrand, problem.pi, DOM, 256)
     assert abs(rec.est_plugin[-1] - ref) < 1e-4
 
@@ -141,7 +169,7 @@ def test_plugin_estimate_converges_to_reference():
 def test_exhausted_candidates_mark_convergence():
     problem = make_problem()
     spec = p_greedy_spec()
-    _, rec = engine.run_abq(problem, spec, 10, cert_grid=DOM.uniform_grid(4))
+    _, rec = engine.run_abq(problem, spec, 10, cert_points=4)
     assert rec.converged and rec.stop_cause == engine.STOP_SPANNED
     assert rec.n <= 4
 
@@ -164,7 +192,7 @@ def test_underflowing_acquisition_stops_with_its_own_cause():
     problem = engine.Problem(integrand=integrand, pi=UniformDensity(DOM),
                              domain=DOM)
     spec = AcquisitionSpec(outer=Power(20.0), q=UniformDensity(DOM), b=WsabiL())
-    state, rec = engine.run_abq(problem, spec, 30, cert_grid=DOM.uniform_grid(64))
+    state, rec = engine.run_abq(problem, spec, 30, cert_points=64)
     assert 0 < rec.n < 30
     assert rec.stop_cause == engine.STOP_ZERO_ACQUISITION
     var = gp.posterior(state, rec.cert_grid)[1]
@@ -187,7 +215,7 @@ def test_rejected_point_stops_with_the_dependence_cause(monkeypatch):
 
 
 def test_masked_candidates_are_those_extend_rejects(monkeypatch):
-    # an 8-point grid, 1/7 apart at lengthscale 0.25: each step's design
+    # an 8-point grid, 1/8 apart at lengthscale 0.25: each step's design
     # points sit on the grid and the rest stay well separated from them
     seen = []
     select = engine.select_next
@@ -198,8 +226,8 @@ def test_masked_candidates_are_those_extend_rejects(monkeypatch):
 
     monkeypatch.setattr(engine, "select_next", spy)
     problem = make_problem()
-    grid = DOM.uniform_grid(8)
-    _, rec = engine.run_abq(problem, p_greedy_spec(), 10, cert_grid=grid)
+    _, rec = engine.run_abq(problem, p_greedy_spec(), 10, cert_points=8)
+    grid = rec.cert_grid
     assert rec.n == 8 and rec.converged
     assert len(seen) == 9
     # replay each step's state: the spanned test reads only the design
@@ -222,7 +250,7 @@ def test_adaptive_rule_records_b_range():
     problem = make_problem(mean_value=5.0)
     spec = AcquisitionSpec(outer=Power(1.0), q=UniformDensity(DOM), b=WsabiL(),
                            gamma_tilde=1.0)
-    _, rec = engine.run_abq(problem, spec, 5, cert_grid=DOM.uniform_grid(128))
+    _, rec = engine.run_abq(problem, spec, 5, cert_points=128)
     assert all(lo <= hi for lo, hi in zip(rec.b_min, rec.b_max))
     assert min(rec.b_min) > 10.0  # squared mean near 25 throughout
 
@@ -248,9 +276,7 @@ REPLAY_ATOL = 1e-12
 
 def test_record_replays_from_its_design():
     problem, spec = wsabi_m_problem()
-    _, rec = engine.run_abq(problem, spec, 8,
-                            cert_grid=engine.certificate_grid(DOM, 128),
-                            oracle_resolution=64)
+    _, rec = engine.run_abq(problem, spec, 8, cert_points=128, oracle_resolution=64)
     assert rec.n == 8
     grid, t, pi = rec.cert_grid, problem.integrand.transform, problem.pi
     pts, w = quadrature_nodes(DOM, 64)
@@ -295,9 +321,7 @@ def count_posteriors(monkeypatch):
 def test_run_abq_computes_each_posterior_once(monkeypatch):
     built, updates = count_posteriors(monkeypatch)
     problem, spec = wsabi_m_problem()
-    _, rec = engine.run_abq(problem, spec, 8,
-                            cert_grid=engine.certificate_grid(DOM, 128),
-                            oracle_resolution=64)
+    _, rec = engine.run_abq(problem, spec, 8, cert_points=128, oracle_resolution=64)
     assert rec.n == 8
     # one posterior each on the grid and the oracle nodes, built before the
     # first point and conditioned once per new GP state; nothing else is built
@@ -316,9 +340,7 @@ def test_vbmc_density_runs_once_per_step_on_the_grid():
     problem, _ = wsabi_m_problem()
     spec = AcquisitionSpec(outer=Power(1.0), q=uniform, b=Vbmc(densities=(density,)),
                            gamma_tilde=1.0)
-    _, rec = engine.run_abq(problem, spec, 6,
-                            cert_grid=engine.certificate_grid(DOM, 128),
-                            oracle_resolution=64)
+    _, rec = engine.run_abq(problem, spec, 6, cert_points=128, oracle_resolution=64)
     assert rec.n == 6
     # once per step on the certificate grid, and nowhere else
     assert calls == {128: rec.n}
@@ -336,4 +358,4 @@ def test_non_finite_integrand_raises_typed_error():
 
     problem = engine.Problem(integrand=BlackBox(), pi=UniformDensity(DOM), domain=DOM)
     with pytest.raises(NonFiniteIntegrandError, match="x = "):
-        engine.run_abq(problem, p_greedy_spec(), 3, cert_grid=DOM.uniform_grid(16))
+        engine.run_abq(problem, p_greedy_spec(), 3, cert_points=16)
