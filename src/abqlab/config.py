@@ -5,8 +5,8 @@ from __future__ import annotations
 import copy
 import itertools
 import json
+import numbers
 
-import jsonschema
 import numpy as np
 
 from . import acquisition, kernels, transforms
@@ -156,8 +156,8 @@ CONFIG_SCHEMA = {
         },
     },
     "required": [
-        "version", "seed", "domain", "kernel", "mean", "transform",
-        "integrand", "pi", "acquisition", "budget",
+        "version", "domain", "kernel", "mean", "transform", "integrand", "pi",
+        "acquisition", "budget",
     ],
     "additionalProperties": False,
 }
@@ -181,16 +181,114 @@ def load_config(path):
     return raw
 
 
-# built once: jsonschema.validate checks the schema itself on every call
-_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
-
-
 def validate_config(raw):
-    """Raise ConfigError for the error jsonschema.validate would raise."""
-    exc = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(raw))
-    if exc is not None:
-        path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"config field {path}: {exc.message}")
+    """Raise ConfigError for the error jsonschema.validate(raw, CONFIG_SCHEMA)
+    would raise, with its path and message."""
+    best = max(_schema_errors(raw, CONFIG_SCHEMA), key=_relevance, default=None)
+    if best is not None:
+        path = "/".join(str(p) for p in best[0]) or "<root>"
+        raise ConfigError(f"config field {path}: {best[1]}")
+
+
+def _relevance(error):
+    # jsonschema.exceptions.relevance: the shallowest path wins, then the
+    # largest, then an error whose own schema's "type" the value breaks; on a
+    # tie max() keeps the first error, as best_match does
+    path, _, breaks_type = error
+    return -len(path), path, breaks_type
+
+
+def _is_type(value, name):
+    # JSON types as jsonschema checks them: a bool is not a number, and a
+    # float with no fractional part is an integer
+    if name == "object":
+        return isinstance(value, dict)
+    if name == "array":
+        return isinstance(value, list)
+    if name == "string":
+        return isinstance(value, str)
+    if name == "null":
+        return value is None
+    if isinstance(value, bool):
+        return False
+    if name == "integer":
+        return isinstance(value, int) or (isinstance(value, float)
+                                          and value.is_integer())
+    return isinstance(value, numbers.Number)
+
+
+def _equal(value, expected):
+    return value == expected and isinstance(value, bool) == isinstance(expected, bool)
+
+
+def _schema_errors(value, schema, path=()):
+    """Yield (path, message, breaks_type) for each keyword of `schema` that
+    `value` breaks, in jsonschema's order (the schema's key order, depth
+    first) and with its message texts. Only the keywords in _KEYWORDS are
+    checked."""
+    types = schema.get("type", ())
+    types = [types] if isinstance(types, str) else types
+    breaks_type = not any(_is_type(value, t) for t in types)
+    is_object, is_array = isinstance(value, dict), isinstance(value, list)
+    is_number = _is_type(value, "number")
+    for keyword, rule in schema.items():
+        message = None
+        if keyword == "type":
+            if breaks_type:
+                message = f"{value!r} is not of type {', '.join(map(repr, types))}"
+        elif keyword == "enum":
+            if not any(_equal(value, each) for each in rule):
+                message = f"{value!r} is not one of {rule!r}"
+        elif keyword == "const":
+            if not _equal(value, rule):
+                message = f"{rule!r} was expected"
+        elif keyword == "properties" and is_object:
+            for name, sub in rule.items():
+                if name in value:
+                    yield from _schema_errors(value[name], sub, path + (name,))
+        elif keyword == "required" and is_object:
+            for name in rule:
+                if name not in value:
+                    yield path, f"{name!r} is a required property", breaks_type
+        elif keyword == "additionalProperties" and is_object:
+            extras = [k for k in value if k not in schema.get("properties", {})]
+            if isinstance(rule, dict):
+                for name in extras:
+                    yield from _schema_errors(value[name], rule, path + (name,))
+            elif not rule and extras:
+                listed = ", ".join(repr(k) for k in sorted(extras, key=str))
+                verb = "was" if len(extras) == 1 else "were"
+                message = ("Additional properties are not allowed "
+                           f"({listed} {verb} unexpected)")
+        elif keyword == "items" and is_array:
+            for index, item in enumerate(value):
+                yield from _schema_errors(item, rule, path + (index,))
+        elif keyword == "minItems" and is_array and len(value) < rule:
+            message = repr(value) + (" should be non-empty" if rule == 1
+                                     else " is too short")
+        elif keyword == "maxItems" and is_array and len(value) > rule:
+            message = repr(value) + (" is expected to be empty" if rule == 0
+                                     else " is too long")
+        elif keyword == "minimum" and is_number and value < rule:
+            message = f"{value!r} is less than the minimum of {rule!r}"
+        elif keyword == "maximum" and is_number and value > rule:
+            message = f"{value!r} is greater than the maximum of {rule!r}"
+        elif keyword == "exclusiveMinimum" and is_number and value <= rule:
+            message = f"{value!r} is less than or equal to the minimum of {rule!r}"
+        elif (keyword == "if" and "then" in schema
+              and next(_schema_errors(value, rule), None) is None):
+            yield from _schema_errors(value, schema["then"], path)
+        if message is not None:
+            yield path, message, breaks_type
+
+
+# the keywords _schema_errors checks ("then" through "if"); a test fails on
+# any other keyword in CONFIG_SCHEMA
+_KEYWORDS = frozenset({
+    "type", "enum", "const", "properties", "required", "additionalProperties",
+    "items", "minItems", "maxItems", "minimum", "maximum", "exclusiveMinimum",
+    "if", "then",
+})
 
 
 def expand_matrix(raw):

@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import subprocess
@@ -7,9 +8,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from abqlab import analysis, cli, engine, runner, verify
+from abqlab import analysis, cli, config, engine, runner, verify
 from abqlab.config import (CONFIG_SCHEMA, build_problem, expand_matrix, load_config,
                            validate_config)
 from abqlab.domain import Domain, SyntheticIntegrand
@@ -65,9 +66,12 @@ def write_config(tmp_path, raw, name="config.json"):
 
 def test_validate_config_reports_field_path():
     bad = dict(MINIMAL)
-    bad.pop("seed")
-    with pytest.raises(ConfigError, match="seed"):
+    bad.pop("budget")
+    with pytest.raises(ConfigError, match="<root>: 'budget' is a required property"):
         validate_config(bad)
+    seedless = dict(MINIMAL)
+    seedless.pop("seed")  # no run reads the seed, so it may be left out
+    validate_config(seedless)
     bad = json.loads(json.dumps(MINIMAL))
     bad["kernel"]["family"] = "mystery"
     with pytest.raises(ConfigError, match="kernel/family"):
@@ -292,6 +296,106 @@ def test_validate_config_keeps_the_error_jsonschema_picks(monkeypatch):
     with pytest.raises(ConfigError) as got:
         validate_config(bad)
     assert str(got.value) == f"config field {path}: {expected.value.message}"
+
+
+# values a mutation swaps in: a bool is not a number, 1.0 is an integer
+SWAPS = [0, -1, 2.5, 1.0, True, None, "x", [], {}]
+CONFIG_BASES = [MINIMAL, *(raw for _, raw in verify.builtin_matrix()),
+                {**MINIMAL, "matrix": {"seed": [0, 1], "acquisition.b.kind": ["mmlt"]}}]
+
+
+def _nodes(node, path=()):
+    """(path, node) for every node of a config, the root first."""
+    yield path, node
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from _nodes(child, path + (key,))
+
+
+@st.composite
+def mutated_configs(draw):
+    """MINIMAL, one of verify's builtin configs or a matrix config, with one
+    to three mutations: a key dropped, one or two keys added or a value
+    swapped."""
+    raw = copy.deepcopy(draw(st.sampled_from(CONFIG_BASES)))
+    for _ in range(draw(st.integers(1, 3))):
+        path, node = draw(st.sampled_from(list(_nodes(raw))))
+        swap = copy.deepcopy(draw(st.sampled_from(SWAPS)))
+        action = draw(st.sampled_from(["drop", "add", "swap"]))
+        if action == "drop" and isinstance(node, dict) and node:
+            del node[draw(st.sampled_from(sorted(node)))]
+        elif action == "add" and isinstance(node, dict):
+            for key in draw(st.lists(st.sampled_from(["unknown", "values", "seed"]),
+                                     min_size=1, max_size=2, unique=True)):
+                node[key] = swap
+        elif path:
+            parent = raw
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = swap
+    return raw
+
+
+@pytest.fixture(scope="module")
+def jsonschema():
+    return pytest.importorskip("jsonschema")
+
+
+def _paths_and_messages(errors):
+    return sorted((tuple(map(str, path)), message) for path, message in errors)
+
+
+@settings(max_examples=500)
+@given(raw=mutated_configs())
+def test_validate_config_raises_what_jsonschema_best_match_picks(jsonschema, raw):
+    validator = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+    expected = list(validator.iter_errors(raw))
+    errors = config._schema_errors(raw, CONFIG_SCHEMA)
+    # the same errors, and the same one picked
+    assert _paths_and_messages((path, message) for path, message, _ in errors) == (
+        _paths_and_messages((e.absolute_path, e.message) for e in expected))
+    best = jsonschema.exceptions.best_match(expected)
+    if best is None:
+        validate_config(raw)
+        return
+    path = "/".join(str(p) for p in best.absolute_path) or "<root>"
+    with pytest.raises(ConfigError) as got:
+        validate_config(raw)
+    assert str(got.value) == f"config field {path}: {best.message}"
+
+
+@pytest.mark.parametrize("schema, values", [
+    ({"type": "array", "minItems": 2, "maxItems": 0}, [[], [1], [1, 2, 3]]),
+    ({"type": "array", "minItems": 1, "maxItems": 2}, [[], [1, 2, 3], {}]),
+    ({"type": ["number", "null"], "minimum": 0, "maximum": 1,
+      "exclusiveMinimum": 0}, [True, -1, 0, 0.5, 2.0, None, "x"]),
+    ({"enum": [1, "a", None]}, [True, 1.0, "a", "b", None, [1]]),
+    ({"const": 0}, [False, 0.0, 1]),
+])
+def test_schema_errors_match_jsonschema_beyond_the_config_schema(jsonschema, schema,
+                                                                  values):
+    # bounds and values CONFIG_SCHEMA does not use yet, in jsonschema's order
+    validator = jsonschema.validators.validator_for(schema)(schema)
+    for value in values:
+        assert [message for _, message, _ in config._schema_errors(value, schema)] == [
+            e.message for e in validator.iter_errors(value)]
+
+
+def _subschemas(schema):
+    yield schema
+    for keyword, rule in schema.items():
+        if keyword == "properties":
+            for sub in rule.values():
+                yield from _subschemas(sub)
+        elif isinstance(rule, dict):  # items, additionalProperties, if, then
+            yield from _subschemas(rule)
+
+
+def test_config_schema_uses_the_keywords_the_checker_implements():
+    # a keyword the checker does not know would pass every config unchecked
+    used = {keyword for sub in _subschemas(CONFIG_SCHEMA) for keyword in sub}
+    assert used == config._KEYWORDS
 
 
 def test_cli_error_at_report_time_writes_no_artifact(tmp_path, monkeypatch, capsys):
@@ -680,21 +784,25 @@ def test_run_artifacts_identical_across_blas_threads(tmp_path):
     assert artifacts[0] == artifacts[1]
 
 
-def test_cli_import_leaves_out_scipy_stats_and_interpolate():
-    # no command path needs scipy: a truncated-Gaussian density, a tabulated
-    # density and a d > 10 certificate grid import it when built
+def test_cli_import_loads_no_jsonschema_numpy_random_or_scipy():
+    # the config check is in the package; numpy.random is imported by
+    # `verify` alone; a truncated-Gaussian density, a tabulated density and a
+    # d > 10 certificate grid import scipy when built. Counted over what
+    # `import numpy` loads, since numpy < 2 imports numpy.random itself.
     src = str(Path(cli.__file__).resolve().parents[1])
-    code = ("import sys, abqlab.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    code = ("import sys, numpy; numpy_alone = set(sys.modules); import abqlab.cli; "
+            "print(sorted(m for m in set(sys.modules) - numpy_alone "
+            "if m.split('.')[0] in ('jsonschema', 'scipy') "
+            "or m.startswith('numpy.random')))")
     out = subprocess.run([sys.executable, "-c", code], check=True, text=True,
                          capture_output=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "[]"
 
 
 def test_cli_runs_load_no_module_the_import_did_not(tmp_path):
-    # a numpy submodule first touched inside a command (numpy.random by
-    # default_rng, numpy.polynomial by leggauss, numpy.ma by np.unique)
-    # costs its import in the command's own time
+    # a numpy submodule first touched inside a run (numpy.polynomial by
+    # leggauss, numpy.ma by np.unique) costs its import in the command's own
+    # time; only `verify` imports numpy.random
     configs = [write_config(tmp_path, box_config(dim, 3), f"d{dim}.json")
                for dim in (2, 3)]
     src = str(Path(cli.__file__).resolve().parents[1])
