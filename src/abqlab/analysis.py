@@ -149,7 +149,7 @@ def nwidth_surrogate(kernel, q, grid, n):
     post = gp.GridPosterior(state, grid)
     for _ in range(n):
         try:
-            state = gp.extend(state, grid[int(np.argmax(q_sq * post.var))], 0.0)
+            state = post.extend(state, int(np.argmax(q_sq * post.var)), 0.0)
         except LinearDependenceError:
             break
         post.update(state)

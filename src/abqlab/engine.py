@@ -2,8 +2,9 @@
 
 `run_abq` is the one place that computes posterior moments, each from a
 `gp.GridPosterior`. The certificate grid and the estimators' quadrature
-nodes keep one posterior each for the whole run; each step adds one
-Newton-basis row to each, O(|P| n) instead of a dense O(|P| n^2) solve.
+nodes keep one posterior each for the whole run; each step grows the state
+from the grid posterior and adds one Newton-basis row to each, O(|P| n)
+instead of a dense O(|P| n^2) solve.
 The grid moments after step l give sup q sqrt(k) for step l and the b
 range and acquisition for step l+1; acquisition rules and estimators
 take moments as inputs.
@@ -25,8 +26,7 @@ import numpy as np
 
 from . import gp
 from .domain import REFINEMENT, check_rule_size, grid_per_dim, quadrature_nodes
-from .exceptions import (Converged, DomainError, LinearDependenceError,
-                         NonFiniteIntegrandError)
+from .exceptions import Converged, DomainError, NonFiniteIntegrandError
 
 DEFAULT_CERT_POINTS_PER_DIM = 2048
 
@@ -41,7 +41,6 @@ ORACLE_MIN_PER_DIM = 8
 STOP_SPANNED = "every candidate is spanned by the design"
 STOP_ZERO_ACQUISITION = ("the acquisition is zero at every candidate the design "
                          "does not span")
-STOP_DEPENDENT = "the design rejected the chosen point as linearly dependent"
 
 # Primitive polynomials and initial direction numbers m_1..m_s of the first
 # ten Sobol' dimensions (Joe & Kuo, SIAM J. Sci. Comput. 2008), the rows
@@ -194,7 +193,8 @@ def run_abq(problem, spec, n, cert_points=None, oracle_resolution=None):
     count for ORACLE_POINTS nodes in total and at most ORACLE_PER_DIM per
     dim, raised to ORACLE_MIN_PER_DIM: 256, 64, 16, 8 and 8 in d = 1..5.
     The record keeps it, the problem and the spec for the report.
-    Deterministic given its arguments. Raises NonFiniteIntegrandError
+    Deterministic given its arguments; the integrand is evaluated only at
+    the points the design keeps. Raises NonFiniteIntegrandError
     when the integrand returns NaN or inf, and BudgetExceededError before
     the first integrand call when the report's rule, at REFINEMENT times
     the resolution, is over the 1e7-node guard.
@@ -228,20 +228,18 @@ def run_abq(problem, spec, n, cert_points=None, oracle_resolution=None):
         floor = gp.dependence_floor(state.jitter_used, grid_post.prior_var)
         spanned = grid_post.var <= floor
         try:
-            x = cert_grid[select_next(np.where(spanned, 0.0, a_grid))]
-            f_val = np.asarray(problem.integrand(x[None, :]), dtype=float)
-            if not np.all(np.isfinite(f_val)):
-                raise NonFiniteIntegrandError(
-                    f"non-finite integrand value {f_val.tolist()} at x = {x.tolist()}"
-                )
-            state = gp.extend(state, x, t.inverse(f_val)[0])
-        except (Converged, LinearDependenceError) as exc:
-            # extend rejects only a point within rounding of the floor
-            record.stop_cause = (STOP_DEPENDENT if isinstance(exc, LinearDependenceError)
-                                 else STOP_SPANNED if np.all(spanned)
+            index = select_next(np.where(spanned, 0.0, a_grid))
+        except Converged:
+            record.stop_cause = (STOP_SPANNED if np.all(spanned)
                                  else STOP_ZERO_ACQUISITION)
             return state, record
-
+        x = cert_grid[index]
+        f_val = np.asarray(problem.integrand(x[None, :]), dtype=float)
+        if not np.all(np.isfinite(f_val)):
+            raise NonFiniteIntegrandError(
+                f"non-finite integrand value {f_val.tolist()} at x = {x.tolist()}"
+            )
+        state = grid_post.extend(state, index, t.inverse(f_val)[0])
         grid_post.update(state)
         node_post.update(state)
         record.points.append(x)

@@ -11,9 +11,11 @@ Newton-basis rows V = L^{-1} K(X, P), the mean m(P) + V^T beta and the
 variance k(P, P) - sum_i V_i^2 (Mueller & Schaback 2009). It is built
 from one C-ordered (n, |P|) kernel block K(X, P) and one blocked forward
 substitution, `kernels.solve_lower`, written over it; `update` adds one
-row per new design point, O(|P| n) per step. `posterior` is the one-shot
-form. Built and updated rows agree to rounding; the gap grows with the
-Gram condition number, and tests/test_gp.py states the bound.
+row per new design point, O(|P| n) per step, and `GridPosterior.extend`
+grows a state by a point of P from its column of V. `extend` and
+`posterior` are one-point and one-shot forms. Built and updated rows
+agree to rounding; the gap grows with the Gram condition number, and
+tests/test_gp.py states the bound.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ def build_state(kernel, mean, X, z):
         return empty_state(kernel, mean, X.shape[1] if X.ndim == 2 else 1)
     K = kernels.gram(kernel, X)
     L, jitter = kernels.chol_with_jitter(K)
-    beta = kernels.solve_lower(L, z - mean(X))
+    beta = kernels.solve_lower(L, (z - mean(X))[:, None])[:, 0]
     return GpState(kernel=kernel, mean=mean, X=X, z=z, chol=L,
                    jitter_used=jitter, beta=beta)
 
@@ -118,7 +120,7 @@ class GridPosterior:
         """Condition on the design points of `state` past the first `n`.
 
         `state` must extend the state this posterior last saw, as
-        `gp.extend` does.
+        `extend` does.
         """
         if state.n == self.n:
             return
@@ -137,38 +139,36 @@ class GridPosterior:
         self.n = state.n
         self.var = check_floor(self._raw_var, self.prior_var, state.jitter_used)
 
+    def extend(self, state, index, z):
+        """State on X + {P[index]} with latent value z, with no solve: the
+        Cholesky row is column `index` of V. Raises LinearDependenceError
+        when var[index] is at or below `dependence_floor`, and ValueError
+        when `state` is not the state this posterior last saw.
+        """
+        if state.n != self.n:
+            raise ValueError(f"posterior holds {self.n} design points, "
+                             f"the state {state.n}")
+        prior, var = float(self.prior_var[index]), float(self.var[index])
+        if var <= dependence_floor(state.jitter_used, prior):
+            raise LinearDependenceError(f"new point has posterior variance {var:g}, "
+                                        "at or below the dependence threshold")
+        # the first point fixes the jitter for the rest of the chain
+        jitter = state.jitter_used if state.n else (1e-12 * abs(prior) or 1e-12)
+        n = state.n
+        L = np.zeros((n + 1, n + 1))
+        L[:n, :n] = state.chol
+        L[n, :n] = self._rows[:n, index]
+        L[n, n] = np.sqrt(self._raw_var[index] + jitter)
+        z = float(z)
+        return GpState(kernel=state.kernel, mean=state.mean,
+                       X=np.vstack([state.X, self.P[index]]), z=np.append(state.z, z),
+                       chol=L, jitter_used=jitter,
+                       beta=np.append(state.beta, (z - self.mean[index]) / L[n, n]))
+
 
 def extend(state, x_new, z_new):
-    """State on X + {x_new} via rank-1 Cholesky extension.
-
-    Raises LinearDependenceError when the posterior variance at x_new is
-    at or below `dependence_floor`: the point is numerically spanned by the
-    current design (the dichotomy of exact-arithmetic invertibility).
-    """
+    """State on X + {x_new}: `GridPosterior.extend` on the one-point set {x_new}."""
     x_new = np.atleast_2d(np.asarray(x_new, dtype=float))
     if x_new.shape[0] != 1:
         raise ValueError("extend takes a single point")
-    k_diag = float(state.kernel.diag(x_new)[0])
-    # the first point fixes the jitter for the rest of the chain
-    jitter = state.jitter_used if state.n else (1e-12 * abs(k_diag) or 1e-12)
-    kvec = state.kernel.pairwise(state.X, x_new)[:, 0]
-    w = kernels.solve_lower(state.chol, kvec)
-    ww = float(w @ w)
-    var = float(check_floor(k_diag - ww, k_diag, jitter))
-    if var <= dependence_floor(state.jitter_used, k_diag):
-        raise LinearDependenceError(
-            f"new point has posterior variance {var:g}, below the dependence "
-            f"threshold; design would become numerically singular"
-        )
-    diag_sq = k_diag + jitter - ww
-    n = state.n
-    L = np.zeros((n + 1, n + 1))
-    L[:n, :n] = state.chol
-    L[n, :n] = w
-    L[n, n] = np.sqrt(diag_sq)
-    z_new = float(z_new)
-    resid = z_new - state.mean(x_new)[0] - L[n, :n] @ state.beta
-    return GpState(kernel=state.kernel, mean=state.mean,
-                   X=np.vstack([state.X, x_new]), z=np.append(state.z, z_new),
-                   chol=L, jitter_used=jitter,
-                   beta=np.append(state.beta, resid / L[n, n]))
+    return GridPosterior(state, x_new).extend(state, 0, z_new)

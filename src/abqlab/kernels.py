@@ -18,13 +18,9 @@ from .exceptions import DomainError, NumericalDegradationError
 _HALF_INTEGER_NUS = (0.5, 1.5, 2.5, 3.5)
 
 # solve_lower substitutes SOLVE_BLOCK rows at a time and works on at most
-# SOLVE_CHUNK right-hand sides at once, so a chunk of rows stays in cache.
-# A single right-hand side goes in VECTOR_BLOCK rows, the block of
-# OpenBLAS's trsv on x86-64, where a solve of up to 64 rows is then
-# bit-equal to LAPACK's (scipy.linalg.solve_triangular)
+# SOLVE_CHUNK right-hand sides at once, so a chunk of rows stays in cache
 SOLVE_BLOCK = 16
 SOLVE_CHUNK = 4096
-VECTOR_BLOCK = 64
 
 
 def sqdist(X, Y):
@@ -238,25 +234,20 @@ def chol_with_jitter(K, max_doublings=10):
 
 
 def solve_lower(L, B):
-    """L^{-1} B for a lower-triangular L, written over B (a vector or an
-    (n, m) block) and returned.
+    """L^{-1} B for a lower-triangular L, written over the (n, m) block B
+    and returned.
 
     Blocked forward substitution: each diagonal block of rows takes one
     BLAS product with the rows already solved, then its rows are
     substituted one by one. A block has SOLVE_BLOCK rows and spans at most
-    SOLVE_CHUNK columns; a vector goes in VECTOR_BLOCK-row blocks with dot
-    products, the order of OpenBLAS's trsv. No pivoting, which would double
-    the flops, and no explicit inverse, whose forward error is worse.
+    SOLVE_CHUNK columns. No pivoting, which would double the flops, and no
+    explicit inverse, whose forward error is worse.
     """
     n = L.shape[0]
-    if B.ndim == 1:
-        chunks, block = [B], VECTOR_BLOCK
-    else:
-        chunks = [B[:, c:c + SOLVE_CHUNK] for c in range(0, B.shape[1], SOLVE_CHUNK)]
-        block = SOLVE_BLOCK
-    for C in chunks:
-        for i0 in range(0, n, block):
-            i1 = min(i0 + block, n)
+    for c in range(0, B.shape[1], SOLVE_CHUNK):
+        C = B[:, c:c + SOLVE_CHUNK]
+        for i0 in range(0, n, SOLVE_BLOCK):
+            i1 = min(i0 + SOLVE_BLOCK, n)
             if i0:
                 C[i0:i1] -= L[i0:i1, :i0] @ C[:i0]
             for i in range(i0, i1):

@@ -159,9 +159,9 @@ def test_nwidth_surrogate_is_p_greedy_on_the_grid(monkeypatch):
     kernel, grid = Matern(2.5, 0.3), engine.certificate_grid(dom, 256)
     q = TruncatedGaussianDensity(dom, center=[0.3, 0.6], scale=[0.4, 0.5])
     design = []
-    extend = gp.extend
-    monkeypatch.setattr(gp, "extend", lambda state, x, z: design.append(x) or
-                        extend(state, x, z))
+    extend = gp.GridPosterior.extend
+    monkeypatch.setattr(gp.GridPosterior, "extend", lambda post, state, j, z:
+                        design.append(post.P[j]) or extend(post, state, j, z))
     vals = analysis.nwidth_surrogate(kernel, q, grid, 10)
     assert len(design) == 10
     sups = []

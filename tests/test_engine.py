@@ -199,51 +199,59 @@ def test_underflowing_acquisition_stops_with_its_own_cause():
     assert np.any(var > gp.dependence_floor(state.jitter_used, 1.0))
 
 
-def test_rejected_point_stops_with_the_dependence_cause(monkeypatch):
-    extend = gp.extend
-    calls = []
-
-    def reject_third(state, x, z):
-        calls.append(x)
-        if len(calls) == 3:
-            raise LinearDependenceError("rejected")
-        return extend(state, x, z)
-
-    monkeypatch.setattr(gp, "extend", reject_third)
-    _, rec = engine.run_abq(make_problem(), p_greedy_spec(), 10)
-    assert rec.n == 2 and rec.stop_cause == engine.STOP_DEPENDENT
-
-
 def test_masked_candidates_are_those_extend_rejects(monkeypatch):
     # an 8-point grid, 1/8 apart at lengthscale 0.25: each step's design
-    # points sit on the grid and the rest stay well separated from them
-    seen = []
+    # points sit on the grid and the rest stay well separated from them.
+    # At each selection, probe the run's own grid posterior and state.
+    posts, states, probes = [], [], []
+    grid_posterior, extend = gp.GridPosterior, gp.GridPosterior.extend
     select = engine.select_next
 
-    def spy(a):
-        seen.append(a)
-        return select(a)
+    def building(state, P):
+        posts.append(grid_posterior(state, P))
+        states.append(state)
+        return posts[-1]
 
-    monkeypatch.setattr(engine, "select_next", spy)
-    problem = make_problem()
-    _, rec = engine.run_abq(problem, p_greedy_spec(), 10, cert_points=8)
-    grid = rec.cert_grid
-    assert rec.n == 8 and rec.converged
-    assert len(seen) == 9
-    # replay each step's state: the spanned test reads only the design
-    state = gp.empty_state(problem.integrand.kernel, problem.integrand.prior_mean, 1)
-    for ell, a in enumerate(seen):
+    def extending(post, state, index, z):
+        states.append(extend(post, state, index, z))
+        return states[-1]
+
+    def spy(a):
         rejected = []
-        for x in grid:
+        for j in range(len(a)):
             try:
-                gp.extend(state, x, 0.0)
+                extend(posts[0], states[-1], j, 0.0)
                 rejected.append(False)
             except LinearDependenceError:
                 rejected.append(True)
-        assert np.array_equal(a == 0.0, rejected)
-        assert sum(rejected) == state.n == ell
-        if ell < rec.n:
-            state = gp.extend(state, rec.points[ell], 0.0)
+        probes.append((a == 0.0, np.array(rejected), states[-1].n))
+        return select(a)
+
+    monkeypatch.setattr(gp.GridPosterior, "extend", extending)
+    monkeypatch.setattr(gp, "GridPosterior", building)
+    monkeypatch.setattr(engine, "select_next", spy)
+    _, rec = engine.run_abq(make_problem(), p_greedy_spec(), 10, cert_points=8)
+    assert rec.n == 8 and rec.stop_cause == engine.STOP_SPANNED
+    assert len(probes) == 9
+    for ell, (masked, rejected, n) in enumerate(probes):
+        assert np.array_equal(masked, rejected)
+        assert rejected.sum() == n == ell
+
+
+@pytest.mark.parametrize("budget, cert_points, cause",
+                         [(12, 128, None), (10, 8, engine.STOP_SPANNED)],
+                         ids=["full-budget", "spanned"])
+def test_integrand_is_called_only_at_kept_points(monkeypatch, budget, cert_points,
+                                                 cause):
+    calls = []
+    call = SyntheticIntegrand.__call__
+    monkeypatch.setattr(SyntheticIntegrand, "__call__",
+                        lambda self, X: calls.append(np.copy(X)) or call(self, X))
+    _, rec = engine.run_abq(make_problem(), p_greedy_spec(), budget,
+                            cert_points=cert_points)
+    assert rec.stop_cause == cause
+    assert len(calls) == rec.n == (budget if cause is None else 8)
+    assert np.array_equal(np.vstack(calls), rec.design())
 
 
 def test_adaptive_rule_records_b_range():

@@ -98,6 +98,24 @@ def test_extend_rejects_duplicate_point():
         gp.extend(state, X[0][None, :], 0.0)
 
 
+def test_grid_posterior_extend_rejects_by_the_variance_it_holds():
+    # points ever closer to a design point: the variances cross the floor,
+    # and extend rejects exactly those at or below it
+    state, X, _ = make_state()
+    P = X[0] + np.logspace(-1, -9, 33)[:, None]
+    post = gp.GridPosterior(state, P)
+    rejected = []
+    for j in range(len(P)):
+        try:
+            post.extend(state, j, 0.0)
+            rejected.append(False)
+        except LinearDependenceError:
+            rejected.append(True)
+    spanned = post.var <= gp.dependence_floor(state.jitter_used, post.prior_var)
+    assert np.array_equal(rejected, spanned)
+    assert 0 < spanned.sum() < len(P)
+
+
 def test_extend_is_persistent():
     state, _, _ = make_state(n=3)
     n_before = state.n
@@ -166,21 +184,40 @@ def test_grid_posterior_matches_dense_posterior(kernel, design, m):
 @given(kernel=st.sampled_from(PROPERTY_KERNELS), design=lattice_designs(),
        m=st.floats(-2, 2))
 def test_extend_chain_equals_build_state(kernel, design, m):
+    # one chain by gp.extend, one by a posterior on the design grown by index
     X, z, P = design
     mean = ConstantMean(m)
-    chain = gp.empty_state(kernel, mean, X.shape[1])
-    for xi, zi in zip(X, z):
+    chain = grid_chain = gp.empty_state(kernel, mean, X.shape[1])
+    post = gp.GridPosterior(grid_chain, X)
+    for i, (xi, zi) in enumerate(zip(X, z)):
         chain = gp.extend(chain, xi[None, :], zi)
+        grid_chain = post.extend(grid_chain, i, zi)
+        post.update(grid_chain)
     batch = gp.build_state(kernel, mean, X, z)
-    assert np.array_equal(chain.X, batch.X)
-    assert np.array_equal(chain.z, batch.z)
-    assert chain.jitter_used == batch.jitter_used
     kappa = np.linalg.cond(batch.chol) ** 2
-    assert np.allclose(chain.chol, batch.chol, rtol=0, atol=VAR_TOL * EPS * kappa)
     scale = max(1.0, float(np.max(np.abs(z - m))))
-    assert np.allclose(chain.beta, batch.beta, rtol=0,
-                       atol=MEAN_TOL * EPS * kappa * scale)
-    assert_moments_close(gp.posterior(chain, P), batch, P, z - m)
+    for state in (chain, grid_chain):
+        assert np.array_equal(state.X, batch.X)
+        assert np.array_equal(state.z, batch.z)
+        assert state.jitter_used == batch.jitter_used
+        assert np.allclose(state.chol, batch.chol, rtol=0,
+                           atol=VAR_TOL * EPS * kappa)
+        assert np.allclose(state.beta, batch.beta, rtol=0,
+                           atol=MEAN_TOL * EPS * kappa * scale)
+        assert_moments_close(gp.posterior(state, P), batch, P, z - m)
+
+
+def test_grid_posterior_extend_rejects_a_stale_posterior():
+    # rows for another design size would give a wrong Cholesky row
+    state, _, _ = make_state(n=3)
+    post = gp.GridPosterior(state, np.linspace(0, 1, 5)[:, None])
+    bigger = post.extend(state, 0, 0.0)
+    with pytest.raises(ValueError, match="posterior holds 3 design points"):
+        post.extend(bigger, 1, 0.0)
+    post.update(bigger)
+    with pytest.raises(ValueError, match="posterior holds 4 design points"):
+        post.extend(state, 1, 0.0)
+    assert post.extend(bigger, 1, 0.0).n == 5
 
 
 def test_grid_posterior_keeps_the_floor_check():

@@ -171,11 +171,11 @@ def test_sqdist_rejects_mismatched_dimensions():
         sqdist(np.zeros((3, 2)), np.zeros((4, 3)))
 
 
-# The Grams below are 81-point lattice designs, beyond both the matrix and
-# the vector block of solve_lower, so every off-diagonal block is used. The
-# gap to LAPACK's solve is held to the kappa-scaled tolerance that
-# tests/test_gp.py states, kappa = cond(L)^2 the condition number of the
-# jittered Gram matrix.
+# The Grams below are 81-point lattice designs, beyond the row block of
+# solve_lower, so every off-diagonal block is used; one column is what a
+# one-point posterior (gp.extend) solves. The gap to LAPACK's solve is held
+# to the kappa-scaled tolerance that tests/test_gp.py states, kappa =
+# cond(L)^2 the condition number of the jittered Gram matrix.
 EPS = np.finfo(float).eps
 MEAN_TOL = 1e3
 LATTICE = np.stack(np.meshgrid(*[np.linspace(0, 1, 9)] * 2, indexing="ij"),
@@ -184,7 +184,7 @@ LATTICE = np.stack(np.meshgrid(*[np.linspace(0, 1, 9)] * 2, indexing="ij"),
 
 @pytest.mark.parametrize("kernel", [Matern(2.5, 0.1), SquaredExponential(0.1),
                                     Wendland(1, 0.3), InverseMultiquadric(0.5, 0.1)])
-@pytest.mark.parametrize("shape", [(81,), (81, 7), (81, kernels.SOLVE_CHUNK + 5)])
+@pytest.mark.parametrize("shape", [(81, 1), (81, 7), (81, kernels.SOLVE_CHUNK + 5)])
 def test_solve_lower_matches_lapack_triangular_solve(kernel, shape):
     L, _ = chol_with_jitter(gram(kernel, LATTICE))
     B = np.random.default_rng(3).normal(size=shape)
