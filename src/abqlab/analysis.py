@@ -234,6 +234,7 @@ class BoundReport:
     constant_pi_over_q: float
     gnorm: float
     grid_slack: float  # at the run's covering radius
+    cap: float  # sup q sqrt(sup k(x, x)), a bound on sup q sqrt(k_X) for any X
     rows: list = field(default_factory=list)
     violations: list = field(default_factory=list)
 
@@ -258,10 +259,12 @@ def error_bound_check(record, state):
     resolution; a run of no steps gets the reference and no rows. The
     right-hand side multiplies the transform's Lipschitz constant, the
     integral of pi/q, the known native norm, and sup q sqrt(posterior var)
-    over the certificate grid plus `grid_slack` at `record.cert_radius`;
-    its slack carries the reference's self-error and the distance from each
-    estimate to the plug-in integral at the refined resolution. One walk at
-    each resolution gives every integral.
+    over the certificate grid plus `grid_slack` at `record.cert_radius`,
+    capped by sup q sqrt(sup k(x, x)), since the posterior variance k_X(x)
+    never exceeds the prior's k(x, x); its slack carries the reference's
+    self-error and the distance from each estimate to the plug-in integral
+    at the refined resolution. One walk at each resolution gives every
+    integral.
     """
     integrand, pi, dom = (record.problem.integrand, record.problem.pi,
                           record.problem.domain)
@@ -277,16 +280,17 @@ def error_bound_check(record, state):
     m_inf = float(np.max(np.abs(integrand.prior_mean(dom.probe_grid()))))
     c_t = t.lipschitz_constant(m_inf, gnorm, integrand.kernel.sup_diag())
     widen = grid_slack(integrand.kernel, q, record.cert_radius)
+    cap = float(q.bounds()[0] * np.sqrt(integrand.kernel.sup_diag()))
     report = BoundReport(reference=reference, reference_self_error=ref_err,
                          constant_transform=float(c_t), constant_pi_over_q=c_piq,
-                         gnorm=gnorm, grid_slack=widen)
+                         gnorm=gnorm, grid_slack=widen, cap=cap)
     dist = projection_distance_sq(integrand.kernel, q, state.X, record.cert_grid)
     sups = np.sqrt(np.max(dist[1:], axis=1)).tolist()
     for n, (sup, plug, fine) in enumerate(zip(sups, record.est_plugin, plug_fine),
                                           start=1):
         slack = ref_err + abs(fine - plug)
         lhs = abs(reference - plug)
-        rhs = c_t * c_piq * gnorm * (sup + widen) + slack
+        rhs = c_t * c_piq * gnorm * min(sup + widen, cap) + slack
         row = {"n": n, "lhs": lhs, "rhs": rhs, "sup_qk": sup, "slack": slack}
         report.rows.append(row)
         if lhs > rhs:

@@ -137,20 +137,64 @@ class UniformDensity(Density):
         return self._value, 0.0
 
 
+_SQRT1_2 = math.sqrt(0.5)
+_INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
+# erfc(u) is a normal float up to about u = 26.5; `_erfcx` takes a continued
+# fraction beyond _ERFCX_SPLIT, whose _ERFCX_TERMS terms have converged there
+_ERFCX_SPLIT = 26.0
+_ERFCX_TERMS = 10
+
+
+def _erfcx(u):
+    """exp(u^2) erfc(u) for u > 0. Below _ERFCX_SPLIT it is erfc(u) exp(p)
+    exp(e), where p = fl(u u) and e = u u - p exactly (Dekker's split of u),
+    so no rounding of u^2 reaches the exponent; beyond it, Laplace's
+    continued fraction 1 / sqrt(pi) / (u + (1/2) / (u + 1 / (u + ...)))."""
+    if u < _ERFCX_SPLIT:
+        p = u * u
+        c = 134217729.0 * u  # 2^27 + 1
+        hi = c - (c - u)
+        lo = u - hi
+        e = ((hi * hi - p) + 2.0 * hi * lo) + lo * lo
+        return math.erfc(u) * math.exp(p) * math.exp(e)
+    frac = u
+    for k in range(_ERFCX_TERMS, 0, -1):
+        frac = u + 0.5 * k / frac
+    return _INV_SQRT_PI / frac
+
+
+def _ndtr(x):
+    """Phi(x), the standard normal CDF, by the formula of scipy.special.ndtr
+    (cephes): 1/2 + erf/2 near the centre, erfc/2 (reflected) in the tails."""
+    t = x * _SQRT1_2
+    if abs(t) < _SQRT1_2:
+        return 0.5 + 0.5 * math.erf(t)
+    y = 0.5 * math.erfc(abs(t))
+    return 1.0 - y if t > 0 else y
+
+
+def _log_ndtr(x):
+    """log Phi(x) by the formula of scipy.special.log_ndtr: log(erfcx(-t)/2)
+    - t t for x < -1, which subtracts the same rounded t t as scipy, and
+    log1p(-erfc(t)/2) above."""
+    t = x * _SQRT1_2
+    if x < -1.0:
+        return math.log(_erfcx(-t) / 2.0) - t * t
+    return math.log1p(-math.erfc(t) / 2.0)
+
+
 def _log_gauss_mass(a, b):
     """log(Phi(b) - Phi(a)) for a < b, the normaliser of scipy.stats.truncnorm,
     computed like it: a box in a tail is mirrored into the left one, where
-    the log CDFs keep their precision. scipy.special is imported here, not
-    at module level, so that only configs with a truncated Gaussian pay for
-    it."""
-    from scipy.special import log_ndtr, ndtr
-
+    the log CDFs keep their precision, and a central box takes log1p of the
+    two tail masses. `_ndtr` and `_log_ndtr` follow scipy.special's formulas
+    on `math.erf`/`math.erfc`, so no scipy module is imported."""
     if b <= 0:
-        log_b = log_ndtr(b)
-        return log_b + np.log1p(-np.exp(log_ndtr(a) - log_b))
+        log_b = _log_ndtr(b)
+        return log_b + math.log1p(-math.exp(_log_ndtr(a) - log_b))
     if a > 0:
         return _log_gauss_mass(-b, -a)
-    return np.log1p(-ndtr(a) - ndtr(-b))
+    return math.log1p(-_ndtr(a) - _ndtr(-b))
 
 
 class TruncatedGaussianDensity(Density):

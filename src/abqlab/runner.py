@@ -197,6 +197,7 @@ def build_report(raw, state, record):
                 "gnorm": bound.gnorm,
                 "covering_radius": record.cert_radius,
                 "grid_slack": bound.grid_slack,
+                "cap": bound.cap,
             },
         }
         if not bound.ok:

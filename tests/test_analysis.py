@@ -314,6 +314,10 @@ def test_error_bound_rows_match_a_dense_replay():
     assert rec.cert_radius == 1 / 64
     k_h = state.kernel.pairwise(np.zeros((1, 1)), np.full((1, 1), 1 / 64))[0, 0]
     assert report.grid_slack == pytest.approx(np.sqrt(2 * (1 - k_h)), rel=1e-14)
+    # the posterior variance is at most k(x, x), so sup q sqrt(sup k) caps
+    # the grid supremum plus its slack
+    cap = spec.q.bounds()[0] * np.sqrt(state.kernel.sup_diag())
+    assert report.cap == cap
     t = problem.integrand.transform
     const = report.constant_transform * report.constant_pi_over_q * report.gnorm
     replay = gp.empty_state(state.kernel, state.mean, 1)
@@ -327,13 +331,39 @@ def test_error_bound_rows_match_a_dense_replay():
         plug = reference_integral(plugin, problem.pi, DOM, 64)
         slack = ref_err + abs(reference_integral(plugin, problem.pi, DOM, 128) - plug)
         expected = {"n": replay.n, "lhs": abs(reference - plug),
-                    "rhs": const * (sup + report.grid_slack) + slack, "sup_qk": sup,
+                    "rhs": const * min(sup + report.grid_slack, cap) + slack,
+                    "sup_qk": sup,
                     "slack": slack}
         assert row.keys() == expected.keys()
         # lhs and slack are differences of integrals of size |reference|,
         # so their rounding is relative to that size
         assert np.allclose([row[k] for k in expected], list(expected.values()),
                            rtol=1e-12, atol=1e-12 * abs(reference))
+
+
+def test_the_cap_binds_in_d4_and_the_bound_still_holds():
+    # in d=4 the default grid's proved slack exceeds sup q sqrt(k), so the
+    # design-free cap sets the right-hand side from the first step on
+    dom = Domain((0.0,) * 4, (1.0,) * 4)
+    integrand = SyntheticIntegrand(
+        centers=np.array([[0.732159, 0.428514, 0.283025, 0.614201],
+                          [0.510147, 0.414441, 0.755419, 0.207883],
+                          [0.322981, 0.478937, 0.575044, 0.861310]]),
+        weights=np.array([0.204643, -0.199595, 0.327797]),
+        prior_mean=ConstantMean(5.0), kernel=Matern(2.5, 0.3),
+        transform=Square(alpha=2.0),
+    )
+    q = UniformDensity(dom)
+    problem = engine.Problem(integrand=integrand, pi=q, domain=dom)
+    spec = AcquisitionSpec(outer=Power(1.0), q=q, b=WsabiM(), gamma_tilde=1.0)
+    state, rec = engine.run_abq(problem, spec, 12)
+    report = analysis.error_bound_check(rec, state)
+    assert report.ok and len(report.rows) == 12
+    assert report.cap == 1.0  # uniform q on the unit cube, k(x, x) = 1
+    const = report.constant_transform * report.constant_pi_over_q * report.gnorm
+    for row in report.rows:
+        assert row["sup_qk"] + report.grid_slack > report.cap
+        assert row["rhs"] == const * report.cap + row["slack"]
 
 
 def test_report_checks_read_the_run_instead_of_replaying_it(monkeypatch):

@@ -786,14 +786,33 @@ def test_run_artifacts_identical_across_blas_threads(tmp_path):
 
 def test_cli_import_loads_no_jsonschema_numpy_random_or_scipy():
     # the config check is in the package; numpy.random is imported by
-    # `verify` alone; a truncated-Gaussian density, a tabulated density and a
-    # d > 10 certificate grid import scipy when built. Counted over what
-    # `import numpy` loads, since numpy < 2 imports numpy.random itself.
+    # `verify` alone; only a tabulated density imports scipy, when it is
+    # built (a d > 10 certificate grid raises DomainError without it).
+    # Counted over what `import numpy` loads, since numpy < 2 imports
+    # numpy.random itself.
     src = str(Path(cli.__file__).resolve().parents[1])
     code = ("import sys, numpy; numpy_alone = set(sys.modules); import abqlab.cli; "
             "print(sorted(m for m in set(sys.modules) - numpy_alone "
             "if m.split('.')[0] in ('jsonschema', 'scipy') "
             "or m.startswith('numpy.random')))")
+    out = subprocess.run([sys.executable, "-c", code], check=True, text=True,
+                         capture_output=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
+
+
+def test_truncated_gaussians_and_the_projection_check_load_no_scipy():
+    # the truncated Gaussian's normaliser is computed on math.erf/erfc
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = textwrap.dedent("""
+        import sys
+        from abqlab import verify
+        from abqlab.domain import Domain, TruncatedGaussianDensity
+
+        TruncatedGaussianDensity(Domain((0.0, -1.0), (1.0, 2.0)),
+                                 center=[3.0, 0.5], scale=[0.3, 2.0])
+        assert verify.check_projection_identity()[0]
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    """)
     out = subprocess.run([sys.executable, "-c", code], check=True, text=True,
                          capture_output=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "[]"

@@ -11,6 +11,9 @@ from abqlab.domain import (
     TabulatedDensity,
     TruncatedGaussianDensity,
     UniformDensity,
+    _log_gauss_mass,
+    _log_ndtr,
+    _ndtr,
     quadrature_blocks,
     quadrature_nodes,
     reference_integral,
@@ -98,6 +101,56 @@ def test_truncated_gaussian_matches_scipy_truncnorm(lower, upper, center, scale)
     assert np.all(got[outside] == 0.0) and np.all(want[outside] == 0.0)
     assert np.all(got[~outside] > 0.0)
     assert np.all(np.abs(got - want) <= 2e-15 * want)
+
+
+def test_normal_cdfs_match_scipy_special():
+    from scipy.special import log_ndtr, ndtr
+
+    xs = np.linspace(-60.0, 30.0, 90_001)
+    tiny = np.finfo(float).tiny
+    for ours, theirs in ((_ndtr, ndtr), (_log_ndtr, log_ndtr)):
+        want = theirs(xs)
+        gap = np.abs(np.array([ours(x) for x in xs]) - want)
+        normal = np.abs(want) >= tiny
+        assert np.all(gap[normal] <= 1e-13 * np.abs(want[normal]))
+    # below -1 both log CDFs subtract the same rounded t t from log(erfcx(-t) / 2)
+    left = xs[xs < -1.0]
+    want = log_ndtr(left)
+    gap = np.abs(np.array([_log_ndtr(x) for x in left]) - want)
+    assert np.all(gap <= 8 * np.spacing(np.abs(want)))
+
+
+def test_log_gauss_mass_matches_the_scipy_normaliser_on_random_boxes():
+    from scipy.special import log_ndtr, ndtr
+
+    def reference(a, b):
+        """The normaliser on scipy.special, with the two CDFs it combines
+        and the ulps by which each may differ from ours: below -1 the log
+        CDFs share one formula, while cephes' ndtr rounds t^2 inside
+        exp(-t^2), which moves Phi(x) by up to x^2 ulps."""
+        if b <= 0:
+            log_b = log_ndtr(b)
+            return log_b + np.log1p(-np.exp(log_ndtr(a) - log_b)), ((a, 1.0), (b, 1.0))
+        if a > 0:
+            return reference(-b, -a)
+        return np.log1p(-ndtr(a) - ndtr(-b)), ((a, 1.0 + a * a), (-b, 1.0 + b * b))
+
+    rng = np.random.default_rng(0)
+    n = 10_000
+    centre = rng.choice([-1.0, 1.0], n) * 10 ** rng.uniform(-3.0, np.log10(900.0), n)
+    width = 10 ** rng.uniform(-4.0, 3.0, n)
+    lo = np.clip(centre - width / 2, -900.0, 900.0)
+    hi = np.clip(centre + width / 2, -900.0, 900.0)
+    tiny = np.finfo(float).tiny
+    for a, b in zip(lo, hi):
+        if a >= b:
+            continue
+        want, cdfs = reference(a, b)
+        # the result moves by Phi(x) / mass times each CDF's relative error;
+        # scipy's ndtr flushes Phi(x) to 0 below x = -37.6, hence the floor
+        cond = sum(np.exp(log_ndtr(x) - want) * ulps for x, ulps in cdfs)
+        tol = 128 * np.spacing(abs(want) + cond) + 2 * tiny
+        assert abs(_log_gauss_mass(a, b) - want) <= tol, (a, b)
 
 
 def test_tabulated_density_matches_the_multilinear_interpolant():
