@@ -7,7 +7,9 @@ design with `gp.GridPosterior` but scores it by a dense solve. The first
 i rows of L^{-1} K(X, P), L the Cholesky factor of a design X, are the
 Newton basis of X[:i] on P (Mueller & Schaback 2009): one forward
 substitution `kernels.solve_lower` on the C-ordered (n, |P|) block
-K(X, P) serves every prefix.
+K(X, P) serves every prefix. The report's passes take that block in
+column chunks or quadrature slabs of at most BLOCK_POINTS values, so
+their memory grows with neither the design nor the point set.
 Theory violations are reported as findings, never raised: confirming or
 refuting the certificates is the point of this module.
 """
@@ -33,18 +35,47 @@ def projection_distance_sq(kernel, q, X, x):
     the scaled Gram matrix of X (jittered for the whole design), independent
     of the GP posterior-variance path it is tested against.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    qx = np.asarray(q(x), dtype=float)
-    norm_sq = qx ** 2 * kernel.diag(x)
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    qX = np.asarray(q(X), dtype=float)
-    G = (qX[:, None] * qX[None, :]) * kernels.gram(kernel, X)
-    L, _ = kernels.chol_with_jitter(G)
-    # in place: for a large point set x the (n, |x|) blocks dominate memory
-    V = kernel.pairwise(X, x)
-    V *= qX[:, None] * qx[None, :]
-    curve = _running_residual(kernels.solve_lower(L, V), norm_sq)
-    return np.maximum(curve, 0.0, out=curve)
+    return _Projector(kernel, q, X)(x)
+
+
+class _Projector:
+    """One Cholesky factor of the scaled Gram matrix of X, against which
+    every call solves: projector(x) is projection_distance_sq(kernel, q,
+    X, x), an (n + 1, |x|) curve of `rows` rows."""
+
+    def __init__(self, kernel, q, X):
+        self.kernel, self.q = kernel, q
+        self.X = np.atleast_2d(np.asarray(X, dtype=float))
+        self.qX = np.asarray(q(self.X), dtype=float)
+        G = (self.qX[:, None] * self.qX[None, :]) * kernels.gram(kernel, self.X)
+        self.L, _ = kernels.chol_with_jitter(G)
+        self.rows = len(self.X) + 1
+
+    def __call__(self, x):
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        qx = np.asarray(self.q(x), dtype=float)
+        V = self.kernel.pairwise(self.X, x)
+        V *= self.qX[:, None] * qx[None, :]
+        curve = _running_residual(kernels.solve_lower(self.L, V),
+                                  qx ** 2 * self.kernel.diag(x))
+        return np.maximum(curve, 0.0, out=curve)
+
+    def chunks(self, x):
+        """(start, self(x[start:start + width])) over consecutive column
+        chunks of x, width = BLOCK_POINTS // rows, so a chunk holds
+        O(BLOCK_POINTS) values; a column does not depend on the others,
+        so the chunks are the full curve's columns."""
+        width = max(BLOCK_POINTS // self.rows, 1)
+        for start in range(0, len(x), width):
+            yield start, self(x[start:start + width])
+
+    def sups(self, x):
+        """The per-prefix maxima over x, np.max(self(x), axis=1), chunk by
+        chunk."""
+        sup = np.full(self.rows, -np.inf)
+        for _, chunk in self.chunks(x):
+            np.maximum(sup, np.max(chunk, axis=1), out=sup)
+        return sup
 
 
 def _running_residual(W, norm_sq):
@@ -88,13 +119,12 @@ def greedy_certificate(record, clcu=None):
     spec = record.spec
     kernel = record.problem.integrand.kernel
     X_all = record.design()
-    size = len(record.cert_grid)
     # rows 0..n-1: the designs X[:l] that each step l chose against, from one
-    # solve over the grid and the chosen points
-    dist = projection_distance_sq(kernel, spec.q, X_all[:-1],
-                                  np.vstack([record.cert_grid, X_all]))
-    d_grid = np.sqrt(np.max(dist[:, :size], axis=1))
-    d_chosen = np.sqrt(np.diagonal(dist[:, size:]))
+    # factor for the grid and the chosen points
+    projector = _Projector(kernel, spec.q, X_all[:-1])
+    d_grid = np.sqrt(projector.sups(record.cert_grid))
+    d_chosen = np.sqrt(np.concatenate([np.diagonal(chunk, offset=-start)
+                                       for start, chunk in projector.chunks(X_all)]))
     sup = np.maximum(d_grid, d_chosen)
     ratios = np.divide(d_chosen, sup, out=np.ones_like(sup), where=sup > 0)
 
@@ -118,16 +148,21 @@ def fill_distance(X, dom):
     nearest of the first i points: a running minimum along the design and
     its maximum over the grid. The grid has `grid_per_dim(d, BLOCK_POINTS,
     cap)` points per dim, cap 256 in d=1 and 64 above: 256, 64^2, 40^3,
-    16^4 and 9^5 points, so one (grid, n) distance block bounds memory.
+    16^4 and 9^5 points. The running minimum is one (grid,) vector, updated
+    point by point, so memory does not grow with the design.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[0] == 0:
         raise DomainError("fill distance needs at least one point")
     grid = dom.uniform_grid(grid_per_dim(dom.dim, BLOCK_POINTS,
                                          256 if dom.dim == 1 else 64))
-    dist = kernels.sqdist(grid, X)
-    nearest = np.minimum.accumulate(np.sqrt(dist, out=dist), axis=1)
-    return np.max(nearest, axis=0).tolist()
+    nearest = np.full(len(grid), np.inf)
+    fills = []
+    for x in X:
+        dist = kernels.sqdist(grid, x[None, :])[:, 0]
+        np.minimum(nearest, np.sqrt(dist, out=dist), out=nearest)
+        fills.append(float(np.max(nearest)))
+    return fills
 
 
 def nwidth_surrogate(kernel, q, grid, n):
@@ -153,7 +188,7 @@ def nwidth_surrogate(kernel, q, grid, n):
         except LinearDependenceError:
             break
         post.update(state)
-    sups = np.sqrt(np.max(projection_distance_sq(kernel, q, state.X, grid), axis=1))[1:]
+    sups = np.sqrt(_Projector(kernel, q, state.X).sups(grid))[1:]
     return np.minimum.accumulate(np.pad(sups, (0, n - sups.size), mode="edge")).tolist()
 
 
@@ -215,13 +250,17 @@ def grid_slack(kernel, q, radius):
 
 def _plugin_means(state, transform):
     """A `weighted_integrals` term: T(m + sum_{j < i} beta_j (L^{-1} K(X, .))_j),
-    T of the posterior mean of each prefix X[:i] of the state's design."""
+    T of the posterior mean of each prefix X[:i] of the state's design, as
+    one (n, slab) block per slab; the running sum goes row by row, like
+    `_running_residual`'s."""
     def term(pts):
         rows = kernels.solve_lower(state.chol, state.kernel.pairwise(state.X, pts))
-        mean = state.mean(pts)
-        for row, b in zip(rows, state.beta):
-            mean = mean + b * row
-            yield transform.forward(mean)
+        rows *= state.beta[:, None]
+        if len(rows):
+            rows[0] += state.mean(pts)
+        for i in range(1, len(rows)):
+            rows[i] += rows[i - 1]
+        yield transform.forward(rows)
 
     return term
 
@@ -272,9 +311,10 @@ def error_bound_check(record, state):
     res = record.oracle_resolution
     t = integrand.transform
     coarse, c_piq = weighted_integrals(dom, res, pi, lambda P: [integrand(P)],
-                                       lambda P: [1.0 / np.asarray(q(P))])
+                                       lambda P: [1.0 / np.asarray(q(P))], functions=2)
     reference, *plug_fine = weighted_integrals(
-        dom, REFINEMENT * res, pi, lambda P: [integrand(P)], _plugin_means(state, t))
+        dom, REFINEMENT * res, pi, lambda P: [integrand(P)], _plugin_means(state, t),
+        functions=1 + len(state.X))
     ref_err = abs(reference - coarse)
     gnorm = rkhs_norm(integrand)
     m_inf = float(np.max(np.abs(integrand.prior_mean(dom.probe_grid()))))
@@ -284,8 +324,8 @@ def error_bound_check(record, state):
     report = BoundReport(reference=reference, reference_self_error=ref_err,
                          constant_transform=float(c_t), constant_pi_over_q=c_piq,
                          gnorm=gnorm, grid_slack=widen, cap=cap)
-    dist = projection_distance_sq(integrand.kernel, q, state.X, record.cert_grid)
-    sups = np.sqrt(np.max(dist[1:], axis=1)).tolist()
+    projector = _Projector(integrand.kernel, q, state.X)
+    sups = np.sqrt(projector.sups(record.cert_grid)[1:]).tolist()
     for n, (sup, plug, fine) in enumerate(zip(sups, record.est_plugin, plug_fine),
                                           start=1):
         slack = ref_err + abs(fine - plug)

@@ -26,11 +26,19 @@ _LOG_SQRT_2PI = np.log(np.sqrt(2 * np.pi))
 PROBE_PER_DIM = 512
 PROBE_POINTS = 2 ** 16
 
-# the oracle quadrature is generated and used in slabs of at most
-# BLOCK_POINTS nodes, so its memory does not grow with the rule; the
-# fill-distance grid has at most BLOCK_POINTS points, one slab's worth, and
-# verify's Monte Carlo moment check draws BLOCK_POINTS latent values at a time
+# the report's passes hold O(BLOCK_POINTS) values at a time, so their memory
+# grows with neither the rule nor the design: `weighted_integrals` walks the
+# oracle quadrature in slabs whose nodes times the functions integrated hold
+# at most BLOCK_POINTS values, and `analysis` takes its suprema over column
+# chunks of at most BLOCK_POINTS values; the fill-distance grid has at most
+# BLOCK_POINTS points, and verify's Monte Carlo moment check draws
+# BLOCK_POINTS latent values at a time
 BLOCK_POINTS = 2 ** 16
+
+# a walk's slabs have at least MIN_SLAB nodes, whatever the number of
+# functions: numpy's pairwise summation adds blocks of 128 values, so
+# power-of-two slabs of at least 128 nodes sum to the bits of one np.sum
+MIN_SLAB = 128
 
 # the error bound's reference integral takes REFINEMENT times the oracle
 # resolution per dim; its self-error is the distance to the oracle's own
@@ -143,6 +151,12 @@ _INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 # fraction beyond _ERFCX_SPLIT, whose _ERFCX_TERMS terms have converged there
 _ERFCX_SPLIT = 26.0
 _ERFCX_TERMS = 10
+# `_log_gauss_mass` integrates phi by an _NARROW_NODES-node Gauss-Legendre
+# sum on boxes [a, b] with s = (b - a) max(1, |a|, |b|) below _NARROW_BOX;
+# above it, it keeps scipy's difference of CDFs, which cancels to about 1/s
+# ulps (339 at [-30, -29.9999], s = 3e-3)
+_NARROW_BOX = 2e-3
+_NARROW_NODES = 8
 
 
 def _erfcx(u):
@@ -188,7 +202,19 @@ def _log_gauss_mass(a, b):
     computed like it: a box in a tail is mirrored into the left one, where
     the log CDFs keep their precision, and a central box takes log1p of the
     two tail masses. `_ndtr` and `_log_ndtr` follow scipy.special's formulas
-    on `math.erf`/`math.erfc`, so no scipy module is imported."""
+    on `math.erf`/`math.erfc`, so no scipy module is imported.
+
+    The difference of CDFs cancels on a narrow box, so below _NARROW_BOX
+    the mass is a Gauss-Legendre sum of phi over [a, b] instead, with
+    phi(c) factored out at the endpoint c nearer 0: there
+    phi(c + t) / phi(c) = exp(-t (c + t / 2)) has an exponent of at most
+    about _NARROW_BOX in size, and the rule is exact to rounding."""
+    if (b - a) * max(1.0, abs(a), abs(b)) < _NARROW_BOX:
+        x, w = _gauss_legendre(_NARROW_NODES)
+        half = 0.5 * (b - a)
+        c, t = (a, half * (x + 1.0)) if abs(a) <= abs(b) else (b, half * (x - 1.0))
+        mass = half * float(np.dot(w, np.exp(-t * (c + 0.5 * t))))
+        return math.log(mass) - 0.5 * c * c - _LOG_SQRT_2PI
     if b <= 0:
         log_b = _log_ndtr(b)
         return log_b + math.log1p(-math.exp(_log_ndtr(a) - log_b))
@@ -429,11 +455,11 @@ def _gauss_blocks(dom, resolution, block):
     return zip(_slabs(axes, block), _weight_slabs(factors, block))
 
 
-def quadrature_blocks(dom, resolution):
+def quadrature_blocks(dom, resolution, block=BLOCK_POINTS):
     """The tensor Gauss-Legendre rule of `quadrature_nodes`, as consecutive
-    (nodes, weights) slabs of at most BLOCK_POINTS nodes, bit-equal to the
+    (nodes, weights) slabs of at most `block` nodes, bit-equal to the
     rule's rows in the rule's order."""
-    return _gauss_blocks(dom, resolution, BLOCK_POINTS)
+    return _gauss_blocks(dom, resolution, block)
 
 
 def quadrature_nodes(dom, resolution):
@@ -442,16 +468,17 @@ def quadrature_nodes(dom, resolution):
     return rule
 
 
-def quadrature_sum(dom, resolution, partial):
+def quadrature_sum(dom, resolution, partial, block):
     """Sum over the slabs of `quadrature_blocks` of partial(nodes, weights),
-    a float or an array, in O(BLOCK_POINTS) memory.
+    a float or an array, one slab of at most `block` nodes at a time.
 
     The partials are added as a balanced binary tree, so the order is
     fixed. It is the pairwise summation np.sum uses within a slab: numpy
     halves an array down to blocks of 128, so 2^k slabs of 2^m >= 128 nodes
     sum to the bits of one np.sum over the whole rule.
     """
-    return _tree_sum([partial(pts, w) for pts, w in quadrature_blocks(dom, resolution)])
+    return _tree_sum([partial(pts, w)
+                      for pts, w in quadrature_blocks(dom, resolution, block)])
 
 
 def _tree_sum(parts):
@@ -461,16 +488,27 @@ def _tree_sum(parts):
     return _tree_sum(parts[:half]) + _tree_sum(parts[half:])
 
 
-def weighted_integrals(dom, resolution, pi, *terms):
+def weighted_integrals(dom, resolution, pi, *terms, functions=1):
     """The integrals against pi, by the tensor rule, of every function that
     each term yields on a slab of nodes, in order: one walk over the rule,
-    pi evaluated once per node."""
+    pi evaluated once per node. A term yields the values of one function
+    on the slab, or a (rows, slab) block of one function per row.
+
+    `functions`, the number of functions of all terms together, sizes the
+    slabs: the largest power of two of nodes, but at least MIN_SLAB, whose
+    product with it is at most BLOCK_POINTS, so a slab's values take
+    O(BLOCK_POINTS) memory; on a rule of 2^k nodes the sums are the bits
+    of one np.sum per function over the whole rule.
+    """
+    block = max(MIN_SLAB, 1 << (max(BLOCK_POINTS // functions, 1).bit_length() - 1))
+
     def partial(pts, w):
         dens = np.asarray(pi(pts), dtype=float)
-        return np.array([np.sum(w * np.asarray(v, dtype=float) * dens)
-                         for term in terms for v in term(pts)])
+        return np.concatenate([
+            np.atleast_1d(np.sum(w * np.asarray(v, dtype=float) * dens, axis=-1))
+            for term in terms for v in term(pts)])
 
-    return quadrature_sum(dom, resolution, partial).tolist()
+    return quadrature_sum(dom, resolution, partial, block).tolist()
 
 
 def reference_integral(f, pi, dom, resolution):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -84,11 +85,13 @@ class SquaredExponential(Kernel):
         return 1.0
 
 
+@lru_cache(maxsize=None)
 def _matern_coefs(p):
-    """Coefficients c_0..c_p of the half-integer Matern polynomial in u."""
+    """Coefficients c_0..c_p of the half-integer Matern polynomial in u,
+    computed once per p, since every `Matern.pairwise` call reads them."""
     f = math.factorial
-    return [f(p) * f(2 * p - j) * 2 ** j / (f(2 * p) * f(j) * f(p - j))
-            for j in range(p + 1)]
+    return tuple(f(p) * f(2 * p - j) * 2 ** j / (f(2 * p) * f(j) * f(p - j))
+                 for j in range(p + 1))
 
 
 @dataclass(frozen=True)

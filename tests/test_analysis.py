@@ -7,9 +7,9 @@ from hypothesis import given, strategies as st
 from scipy.linalg import solve_triangular
 from scipy.spatial.distance import cdist
 
-from abqlab import analysis, engine, gp, kernels, verify
+from abqlab import analysis, domain, engine, gp, kernels, runner, verify
 from abqlab.acquisition import AcquisitionSpec, ConstantRule, Power, WsabiM
-from abqlab.domain import (ConstantMean, Domain, SyntheticIntegrand,
+from abqlab.domain import (BLOCK_POINTS, ConstantMean, Domain, SyntheticIntegrand,
                            TabulatedDensity, TruncatedGaussianDensity,
                            UniformDensity, quadrature_nodes, reference_integral,
                            weighted_integrals)
@@ -272,6 +272,7 @@ def test_error_bound_check_reports_the_reference_self_error():
     state, rec = engine.run_abq(problem, spec, 0, oracle_resolution=8)
     report = analysis.error_bound_check(rec, state)
     assert report.rows == [] and report.ok
+    assert report.reference == reference_integral(integrand, Q, DOM, 16)
     exact = reference_integral(integrand, Q, DOM, 1024)
     assert report.reference_self_error > 1e-6
     assert abs(report.reference - exact) <= report.reference_self_error
@@ -445,3 +446,102 @@ def test_error_bound_check_memory_does_not_grow_with_the_oracle():
         tracemalloc.stop()
     assert report.ok and len(report.rows) == 3
     assert peak < 32 * 2 ** 20
+
+
+# the run-d2 benchmark config: Matern 2.5, constant mean 5, square warp,
+# WSABI-M with Power(1), uniform pi and q, default grids, budget 60
+RUN_D2 = {
+    "version": "1", "seed": 0,
+    "domain": {"lower": [0.0, 0.0], "upper": [1.0, 1.0]},
+    "kernel": {"family": "matern", "nu": 2.5, "ell": 0.3},
+    "mean": {"kind": "constant", "value": 5.0},
+    "transform": {"kind": "square", "alpha": 2.0},
+    "integrand": {"kind": "synthetic",
+                  "centers": [[0.732159, 0.428514], [0.283025, 0.510147],
+                              [0.414441, 0.755419], [0.322981, 0.478937]],
+                  "weights": [0.066706, 0.32649, 0.003749, -0.17453]},
+    "pi": {"kind": "uniform"},
+    "acquisition": {"outer": {"kind": "power", "delta": 1.0},
+                    "q": {"kind": "uniform"}, "b": {"kind": "wsabi_m"},
+                    "gamma_tilde": 1.0},
+    "budget": 60,
+}
+
+
+@pytest.fixture(scope="module")
+def run_d2():
+    state, rec = runner.execute(RUN_D2)
+    assert rec.n == 60 and rec.n * len(rec.cert_grid) > BLOCK_POINTS
+    return state, rec
+
+
+def test_streamed_plugin_walk_equals_a_dense_per_row_sum(monkeypatch):
+    # 32^3 nodes and 7 functions: slabs of 8192 nodes, so four of them,
+    # whose tree sum has the bits of one np.sum per row over the whole rule
+    dom = Domain((-0.3, 0.0, 0.5), (1.0, 2.0, 0.75))
+    rng = np.random.default_rng(5)
+    X = np.asarray(dom.lower) + dom.widths * rng.uniform(size=(6, 3))
+    state = gp.build_state(Matern(2.5, 0.3), ConstantMean(5.0), X,
+                           5.0 + rng.uniform(-0.5, 0.5, size=6))
+    pi = TruncatedGaussianDensity(dom, center=[0.3, 1.0, 0.6], scale=[0.5, 0.8, 0.2])
+    t = Square(alpha=2.0)
+    slabs = []
+    blocks = domain.quadrature_blocks
+    monkeypatch.setattr(domain, "quadrature_blocks", lambda *args: [
+        slabs.append(len(pts)) or (pts, w) for pts, w in blocks(*args)])
+    f = SyntheticIntegrand(centers=X[:2], weights=np.array([0.4, -0.3]),
+                           prior_mean=ConstantMean(5.0), kernel=Matern(2.5, 0.3),
+                           transform=t)
+    curve = weighted_integrals(dom, 32, pi, lambda P: [f(P)],
+                               analysis._plugin_means(state, t), functions=7)
+    assert slabs == [8192] * 4
+    pts, w = quadrature_nodes(dom, 32)
+    rows = kernels.solve_lower(state.chol, state.kernel.pairwise(state.X, pts))
+    dens = pi(pts)
+    mean = state.mean(pts)
+    dense = [np.sum(w * f(pts) * dens)]
+    for row, b in zip(rows, state.beta):
+        mean = mean + b * row
+        dense.append(np.sum(w * t.forward(mean) * dens))
+    assert curve == dense
+
+
+def test_chunked_sups_equal_the_dense_maxima(run_d2):
+    # the certificate, the error bound and the n-width surrogate take their
+    # suprema over column chunks; n |grid| is over BLOCK_POINTS here
+    state, rec = run_d2
+    kernel, q, grid = state.kernel, rec.spec.q, rec.cert_grid
+    dense = np.max(analysis.projection_distance_sq(kernel, q, state.X, grid), axis=1)
+    chunked = analysis._Projector(kernel, q, state.X).sups(grid)
+    assert np.array_equal(chunked, dense)
+    report = analysis.error_bound_check(rec, state)
+    assert [row["sup_qk"] for row in report.rows] == np.sqrt(dense[1:]).tolist()
+    X_all = rec.design()
+    dist = analysis.projection_distance_sq(kernel, q, X_all[:-1],
+                                           np.vstack([grid, X_all]))
+    d_chosen = np.sqrt(np.diagonal(dist[:, len(grid):]))
+    sup = np.maximum(np.sqrt(np.max(dist[:, :len(grid)], axis=1)), d_chosen)
+    assert np.array_equal(analysis.greedy_certificate(rec).ratios, d_chosen / sup)
+
+
+def test_report_passes_on_the_run_d2_config_stay_under_5_mib(run_d2):
+    # each pass holds O(BLOCK_POINTS) values, not an (n, points) block: the
+    # fine plug-in walk's 60 x 16384 block would take 7.5 MiB alone
+    state, rec = run_d2
+    kernel, q = state.kernel, rec.spec.q
+    passes = {
+        "error bound": lambda: analysis.error_bound_check(rec, state),
+        "certificate": lambda: analysis.greedy_certificate(rec),
+        "n-width": lambda: analysis.nwidth_surrogate(kernel, q, rec.cert_grid, rec.n),
+        "fill distance": lambda: analysis.fill_distance(rec.design(),
+                                                        rec.problem.domain),
+    }
+    peaks = {}
+    for name, run in passes.items():
+        tracemalloc.start()
+        try:
+            run()
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert all(peak < 5 * 2 ** 20 for peak in peaks.values()), peaks

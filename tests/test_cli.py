@@ -744,8 +744,8 @@ def test_report_bound_reads_the_trace_estimates(tmp_path, monkeypatch):
     state, record = runner.execute(MINIMAL)
     walk, walks = analysis.weighted_integrals, []
 
-    def counting(dom, resolution, pi, *terms):
-        values = walk(dom, resolution, pi, *terms)
+    def counting(dom, resolution, pi, *terms, **kwargs):
+        values = walk(dom, resolution, pi, *terms, **kwargs)
         walks.append((resolution, len(values)))
         return values
 

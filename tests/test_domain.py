@@ -153,6 +153,19 @@ def test_log_gauss_mass_matches_the_scipy_normaliser_on_random_boxes():
         assert abs(_log_gauss_mass(a, b) - want) <= tol, (a, b)
 
 
+@pytest.mark.parametrize("a, b, want", [
+    (-2.83305, -2.83291, -13.80569450302172),
+    (1.2, 1.2003, -9.750846626111505),
+    (-30.0, -29.99995, -460.8216759923744),
+    (29.99995, 30.0, -460.8216759923744),
+    (-1e-3, 5e-4, -7.421228829078636),
+])
+def test_log_gauss_mass_is_accurate_on_narrow_boxes(a, b, want):
+    # log(Phi(b) - Phi(a)) by 400-digit mpmath, rounded to double; the
+    # difference of CDFs is 1722, 291, 936, 936 and 34 ulps off on these boxes
+    assert abs(_log_gauss_mass(a, b) - want) <= 2 * np.spacing(abs(want))
+
+
 def test_tabulated_density_matches_the_multilinear_interpolant():
     from scipy.interpolate import RegularGridInterpolator
 
