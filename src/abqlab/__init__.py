@@ -1,5 +1,17 @@
 """Adaptive Bayesian quadrature with weak-greedy convergence diagnostics."""
 
+import os
+
+# The linear algebra runs on panels of n <= budget rows (rank-one Newton
+# updates and triangular solves over a few thousand points), too small to
+# split: a second BLAS thread only spins after each call. The BLAS library
+# reads these when numpy is first imported, so they are set before any
+# module here imports it; a value already in the environment is kept. The
+# process pool of `runner.run_experiment` is the program's parallelism.
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+for _name in BLAS_THREAD_VARIABLES:
+    os.environ.setdefault(_name, "1")
+
 from .domain import (
     Domain,
     UniformDensity,

@@ -152,10 +152,10 @@ _INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 _ERFCX_SPLIT = 26.0
 _ERFCX_TERMS = 10
 # `_log_gauss_mass` integrates phi by an _NARROW_NODES-node Gauss-Legendre
-# sum on boxes [a, b] with s = (b - a) max(1, |a|, |b|) below _NARROW_BOX;
-# above it, it keeps scipy's difference of CDFs, which cancels to about 1/s
-# ulps (339 at [-30, -29.9999], s = 3e-3)
-_NARROW_BOX = 2e-3
+# sum on boxes [a, b] with s = (b - a) max(1, |a|, |b|) below _NARROW_BOX,
+# where scipy's difference of CDFs cancels to about 1/s ulps (339 at
+# [-30, -29.9999], s = 3e-3) and the rule is still exact to rounding
+_NARROW_BOX = 0.5
 _NARROW_NODES = 8
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from abqlab import analysis, cli, config, engine, runner, verify
+from abqlab import BLAS_THREAD_VARIABLES, analysis, cli, config, engine, runner, verify
 from abqlab.config import (CONFIG_SCHEMA, build_problem, expand_matrix, load_config,
                            validate_config)
 from abqlab.domain import Domain, SyntheticIntegrand
@@ -181,15 +181,19 @@ def test_cli_matrix_produces_six_artifact_sets(tmp_path, monkeypatch):
         "acquisition.b.kind": ["wsabi_l", "wsabi_m", "mmlt"],
         "acquisition.gamma_tilde": [1.0, 0.5],
     }
-    monkeypatch.setenv("ABQ_LAB_THREADS", "2")
     cfg = write_config(tmp_path, raw)
-    out = tmp_path / "matrix"
-    assert cli.main(["run", cfg, "--out", str(out)]) == 0
-    dirs = sorted(p.name for p in out.iterdir())
-    assert len(dirs) == 6
-    for d in dirs:
-        assert (out / d / "trace.csv").exists()
-        assert (out / d / "report.json").exists()
+    artifacts = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("ABQ_LAB_THREADS", workers)
+        out = tmp_path / f"matrix{workers}"
+        assert cli.main(["run", cfg, "--out", str(out)]) == 0
+        dirs = sorted(p.name for p in out.iterdir())
+        assert len(dirs) == 6
+        artifacts.append({d: [(out / d / name).read_bytes()
+                              for name in ("trace.csv", "report.json")]
+                          for d in dirs})
+    # one worker process or two, every combo's artifacts are the same bytes
+    assert artifacts[0] == artifacts[1]
 
 
 def test_cli_exit_code_2_on_bad_config(tmp_path, capsys):
@@ -761,6 +765,12 @@ def test_cli_rates_rejects_foreign_csv(tmp_path):
     assert cli.main(["rates", str(path)]) == 2
 
 
+def blas_unset_env():
+    """This process's environment without the BLAS thread variables, which
+    importing abqlab has set here."""
+    return {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
+
+
 def test_run_artifacts_identical_across_blas_threads(tmp_path):
     raw = json.loads(json.dumps(MINIMAL))
     raw["domain"] = {"lower": [0.0, 0.0], "upper": [1.0, 1.0]}
@@ -773,15 +783,43 @@ def test_run_artifacts_identical_across_blas_threads(tmp_path):
     cfg = write_config(tmp_path, raw)
     src = str(Path(cli.__file__).resolve().parents[1])
     artifacts = []
-    for threads in ("1", "2"):
+    # unset is the default pin to one thread; "2" opts back into threads
+    for threads in (None, "1", "2"):
         out = tmp_path / f"threads{threads}"
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+        env = {**blas_unset_env(), "PYTHONPATH": src}
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
         subprocess.run([sys.executable, "-m", "abqlab.cli", "run", cfg,
                         "--out", str(out)], env=env, check=True,
                        capture_output=True)
         artifacts.append([(out / name).read_bytes()
                           for name in ("trace.csv", "report.json")])
-    assert artifacts[0] == artifacts[1]
+    assert artifacts[0] == artifacts[1] == artifacts[2]
+
+
+def test_importing_abqlab_starts_no_blas_thread():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import os, abqlab.cli; "
+            "print(*(os.environ.get(k) for k in "
+            "('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS', 'MKL_NUM_THREADS'))); "
+            "task = '/proc/self/task'; "
+            "print(len(os.listdir(task)) if os.path.isdir(task) else 0)")
+
+    def child(**blas):
+        env = {**blas_unset_env(), **blas, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             text=True, capture_output=True)
+        variables, tasks = out.stdout.splitlines()
+        return variables.split(), int(tasks)
+
+    variables, tasks = child()
+    assert variables == ["1", "1", "1"]
+    # with two CPUs an unpinned OpenBLAS starts a second thread at import
+    if sys.platform == "linux" and len(os.sched_getaffinity(0)) >= 2:
+        assert tasks == 1
+    # a caller's own setting is kept
+    variables, _ = child(OPENBLAS_NUM_THREADS="2")
+    assert variables == ["2", "1", "1"]
 
 
 def test_cli_import_loads_no_jsonschema_numpy_random_or_scipy():
