@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import itertools
 import json
+import math
 import numbers
 
 import numpy as np
@@ -170,9 +171,16 @@ _BUILTIN_INTEGRANDS = {
 
 
 def load_config(path):
+    def finite(token):
+        # json takes NaN, Infinity and -Infinity, and 1e400 overflows to inf
+        value = float(token)
+        if not math.isfinite(value):
+            raise ConfigError(f"{path}: non-finite number {token}")
+        return value
+
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_float=finite, parse_constant=finite)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     except OSError as exc:
@@ -338,6 +346,9 @@ def build_mean(raw, dom):
     if spec["kind"] == "constant":
         return ConstantMean(spec.get("value", 0.0))
     slope = spec.get("slope", [0.0] * dom.dim)
+    if len(slope) != dom.dim:
+        raise ValueError(f"mean slope has {len(slope)} entries "
+                         f"in domain dimension {dom.dim}")
     return AffineMean(tuple(slope), spec.get("offset", 0.0))
 
 
@@ -356,9 +367,11 @@ def build_density(spec, dom):
 def _integrand_geometry(raw, dom):
     spec = raw["integrand"]
     if spec["kind"] == "synthetic":
-        return np.asarray(spec["centers"], dtype=float), np.asarray(
-            spec["weights"], dtype=float
-        )
+        centers = np.atleast_2d(np.asarray(spec["centers"], dtype=float))
+        if centers.size and (centers.ndim != 2 or centers.shape[1] != dom.dim):
+            raise ValueError(f"integrand centers of shape {centers.shape} "
+                             f"in domain dimension {dom.dim}")
+        return centers, np.asarray(spec["weights"], dtype=float)
     rel, weights = _BUILTIN_INTEGRANDS[spec["name"]]
     lo = np.asarray(dom.lower)
     widths = dom.widths

@@ -270,8 +270,8 @@ class TabulatedDensity(Density):
     def __init__(self, domain, values):
         self.domain = domain
         values = np.asarray(values, dtype=float)
-        if values.ndim != domain.dim:
-            raise ValueError("values must be a d-dimensional tensor")
+        if values.ndim != domain.dim or min(values.shape) < 2:
+            raise ValueError("values must be a d-dimensional tensor, 2 or more per axis")
         if np.any(values < 0):
             raise ValueError("density values must be nonnegative")
         from scipy.interpolate import RegularGridInterpolator
@@ -368,15 +368,12 @@ def rkhs_norm(integrand):
     return float(np.sqrt(max(sq, 0.0)))
 
 
-def _mesh(axes):
-    """Tensor grid of the 1-D arrays `axes`, (prod of lengths, len(axes)),
-    in lexicographic order."""
-    return _points(np.empty((1, 0)), axes)
-
-
-def _points(heads, axes):
+def _mesh(axes, heads=None):
     """Rows (h, x) for each row h of `heads` and, within it, each point x of
-    the tensor grid of `axes`, in lexicographic order; broadcast into place."""
+    the tensor grid of the 1-D `axes`, in lexicographic order, broadcast
+    into place; with no heads, the tensor grid (prod of lengths, len(axes))."""
+    if heads is None:
+        heads = np.empty((1, 0))
     lens = [len(a) for a in axes]
     k = heads.shape[1]
     out = np.empty((len(heads), *lens, k + len(axes)))
@@ -384,48 +381,6 @@ def _points(heads, axes):
     for j, a in enumerate(axes):
         out[..., k + j] = a.reshape(-1, *[1] * (len(lens) - 1 - j))
     return out.reshape(len(heads) * math.prod(lens), k + len(axes))
-
-
-def _weights(heads, factors):
-    """Products ((h * f_0) * f_1) * ... for each entry h of `heads` and each
-    point of the tensor grid of the 1-D `factors`, in `_points` order."""
-    lens = [len(f) for f in factors]
-    out = np.empty((len(heads), *lens))
-    out[...] = heads.reshape(-1, *[1] * len(lens))
-    for j, f in enumerate(factors):
-        out *= f.reshape(-1, *[1] * (len(lens) - 1 - j))
-    return out.ravel()
-
-
-def _split(axes, block):
-    """How the tensor grid of `axes` falls into slabs of at most `block`
-    points: the trailing axes whose grid fits in a block stay whole, and a
-    slab takes `per_slab` consecutive index tuples of the `lead` other
-    axes; returns (lead, per_slab, heads), heads the number of tuples."""
-    sizes = [len(a) for a in axes]
-    lead = 0
-    while math.prod(sizes[lead:]) > block:
-        lead += 1
-    heads = math.prod(sizes[:lead])
-    return lead, min(max(block // math.prod(sizes[lead:]), 1), heads), heads
-
-
-def _slabs(axes, block):
-    """Consecutive slabs of `_mesh(axes)` with at most `block` points each,
-    equal to the dense grid's rows."""
-    lead, per_slab, heads = _split(axes, block)
-    head_pts = _mesh(axes[:lead])
-    for start in range(0, heads, per_slab):
-        yield _points(head_pts[start:start + per_slab], axes[lead:])
-
-
-def _weight_slabs(factors, block):
-    """The product weights ((1 * w_0) * w_1) * ... on the slabs of
-    `_slabs(factors, block)`, multiplied in the dense rule's order."""
-    lead, per_slab, heads = _split(factors, block)
-    head_w = _weights(np.ones(1), factors[:lead])
-    for start in range(0, heads, per_slab):
-        yield _weights(head_w[start:start + per_slab], factors[lead:])
 
 
 @lru_cache(maxsize=16)
@@ -447,38 +402,39 @@ def check_rule_size(dim, resolution):
         )
 
 
-def _gauss_blocks(dom, resolution, block):
+def quadrature_blocks(dom, resolution, block=BLOCK_POINTS):
+    """The tensor Gauss-Legendre rule of `quadrature_nodes`, as consecutive
+    (nodes, weights) slabs of at most `block` nodes, bit-equal to the
+    rule's rows in the rule's order.
+
+    The trailing axes whose grid fits in a block stay whole, and a slab
+    takes as many consecutive index tuples of the `lead` other axes as fit
+    (at least one), so every slab is a whole number of tail grids. A
+    node's weight multiplies its axes' factors in axis order,
+    ((w_0 * w_1) * w_2) * ..., the order of the dense rule.
+    """
     check_rule_size(dom.dim, resolution)
     x, w = _gauss_legendre(resolution)
     axes = [0.5 * (b - a) * x + 0.5 * (a + b) for a, b in zip(dom.lower, dom.upper)]
     factors = [0.5 * (b - a) * w for a, b in zip(dom.lower, dom.upper)]
-    return zip(_slabs(axes, block), _weight_slabs(factors, block))
-
-
-def quadrature_blocks(dom, resolution, block=BLOCK_POINTS):
-    """The tensor Gauss-Legendre rule of `quadrature_nodes`, as consecutive
-    (nodes, weights) slabs of at most `block` nodes, bit-equal to the
-    rule's rows in the rule's order."""
-    return _gauss_blocks(dom, resolution, block)
+    lead = 0
+    while resolution ** (dom.dim - lead) > block:
+        lead += 1
+    heads = resolution ** lead
+    per_slab = min(max(block // resolution ** (dom.dim - lead), 1), heads)
+    head_pts, head_factors = _mesh(axes[:lead]), _mesh(factors[:lead])
+    for s in range(0, heads, per_slab):
+        cols = _mesh(factors[lead:], head_factors[s:s + per_slab])
+        weights = cols[:, 0].copy()
+        for col in cols.T[1:]:
+            weights *= col
+        yield _mesh(axes[lead:], head_pts[s:s + per_slab]), weights
 
 
 def quadrature_nodes(dom, resolution):
     """Tensor Gauss-Legendre nodes and weights on the domain box."""
-    (rule,) = _gauss_blocks(dom, resolution, resolution ** dom.dim)
+    (rule,) = quadrature_blocks(dom, resolution, resolution ** dom.dim)
     return rule
-
-
-def quadrature_sum(dom, resolution, partial, block):
-    """Sum over the slabs of `quadrature_blocks` of partial(nodes, weights),
-    a float or an array, one slab of at most `block` nodes at a time.
-
-    The partials are added as a balanced binary tree, so the order is
-    fixed. It is the pairwise summation np.sum uses within a slab: numpy
-    halves an array down to blocks of 128, so 2^k slabs of 2^m >= 128 nodes
-    sum to the bits of one np.sum over the whole rule.
-    """
-    return _tree_sum([partial(pts, w)
-                      for pts, w in quadrature_blocks(dom, resolution, block)])
 
 
 def _tree_sum(parts):
@@ -490,25 +446,28 @@ def _tree_sum(parts):
 
 def weighted_integrals(dom, resolution, pi, *terms, functions=1):
     """The integrals against pi, by the tensor rule, of every function that
-    each term yields on a slab of nodes, in order: one walk over the rule,
-    pi evaluated once per node. A term yields the values of one function
-    on the slab, or a (rows, slab) block of one function per row.
+    each term yields on a slab of nodes, in order: one walk over the slabs
+    of `quadrature_blocks`, pi evaluated once per node. A term yields the
+    values of one function on the slab, or a (rows, slab) block of one
+    function per row.
 
     `functions`, the number of functions of all terms together, sizes the
     slabs: the largest power of two of nodes, but at least MIN_SLAB, whose
     product with it is at most BLOCK_POINTS, so a slab's values take
-    O(BLOCK_POINTS) memory; on a rule of 2^k nodes the sums are the bits
-    of one np.sum per function over the whole rule.
+    O(BLOCK_POINTS) memory. The per-slab sums are added as a balanced
+    binary tree, so the order is fixed. It is the pairwise summation
+    np.sum uses within a slab: numpy halves an array down to blocks of
+    128, so on a rule of 2^k nodes the sums are the bits of one np.sum per
+    function over the whole rule.
     """
     block = max(MIN_SLAB, 1 << (max(BLOCK_POINTS // functions, 1).bit_length() - 1))
-
-    def partial(pts, w):
+    parts = []
+    for pts, w in quadrature_blocks(dom, resolution, block):
         dens = np.asarray(pi(pts), dtype=float)
-        return np.concatenate([
+        parts.append(np.concatenate([
             np.atleast_1d(np.sum(w * np.asarray(v, dtype=float) * dens, axis=-1))
-            for term in terms for v in term(pts)])
-
-    return quadrature_sum(dom, resolution, partial, block).tolist()
+            for term in terms for v in term(pts)]))
+    return _tree_sum(parts).tolist()
 
 
 def reference_integral(f, pi, dom, resolution):

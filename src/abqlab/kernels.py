@@ -45,13 +45,18 @@ def sqdist(X, Y):
 
 
 class Kernel:
-    """Base class: symmetric positive (semi-)definite covariance function."""
+    """Base class: symmetric positive (semi-)definite covariance function.
+
+    Every family is isotropic, k(x, y) a function of ||x - y||, so k(x, x)
+    is the constant `sup_diag()`.
+    """
 
     def pairwise(self, X, Y):
         raise NotImplementedError
 
     def diag(self, X):
-        raise NotImplementedError
+        """k(x, x) at each row of the (n, d) points X."""
+        return np.full(len(X), self.sup_diag())
 
     # (smoothness kind, Sobolev order r or None); r may depend on d
     def smoothness(self, d):
@@ -74,9 +79,6 @@ class SquaredExponential(Kernel):
 
     def pairwise(self, X, Y):
         return np.exp(-sqdist(X, Y) / self.gamma ** 2)
-
-    def diag(self, X):
-        return np.ones(np.atleast_2d(X).shape[0])
 
     def smoothness(self, d):
         return ("infinite", None)
@@ -124,9 +126,6 @@ class Matern(Kernel):
         poly *= np.exp(u, out=u)
         return poly
 
-    def diag(self, X):
-        return np.ones(np.atleast_2d(X).shape[0])
-
     def smoothness(self, d):
         return ("finite", self.nu + d / 2)
 
@@ -149,9 +148,6 @@ class InverseMultiquadric(Kernel):
 
     def pairwise(self, X, Y):
         return (self.c ** 2 + sqdist(X, Y)) ** (-self.beta)
-
-    def diag(self, X):
-        return np.full(np.atleast_2d(X).shape[0], self.c ** (-2 * self.beta))
 
     def smoothness(self, d):
         return ("infinite", None)
@@ -186,9 +182,6 @@ class Wendland(Kernel):
         if k == 1:
             return t ** 4 * (4 * r + 1)
         return t ** 6 * (35 * r ** 2 + 18 * r + 3) / 3.0
-
-    def diag(self, X):
-        return np.full(np.atleast_2d(X).shape[0], 1.0)
 
     def smoothness(self, d):
         if d > 3:

@@ -225,6 +225,11 @@ def test_cli_exit_code_2_on_multiquadric_kernel(tmp_path, capsys):
                  id="gaussian-scale"),
     pytest.param("acquisition.b", {"kind": "constant", "value": 0},
                  id="constant-b"),
+    pytest.param("integrand", {"kind": "synthetic", "centers": [[0.2, 0.7]],
+                               "weights": [0.5]}, id="centers-columns"),
+    pytest.param("mean", {"kind": "affine", "slope": [1.0, 2.0]}, id="slope-length"),
+    pytest.param("pi", {"kind": "tabulated", "values": [1.0]},
+                 id="tabulated-one-value-axis"),
 ])
 def test_cli_exit_code_2_on_invalid_config_value(tmp_path, capsys, key, value):
     raw = json.loads(json.dumps(MINIMAL))
@@ -236,6 +241,18 @@ def test_cli_exit_code_2_on_invalid_config_value(tmp_path, capsys, key, value):
     cfg = write_config(tmp_path, raw)
     assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_cli_exit_code_2_on_a_non_finite_number(tmp_path, capsys, token):
+    # json reads NaN and +-Infinity, and 1e400 overflows to inf
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(MINIMAL).replace('"delta": 1.0', f'"delta": {token}'))
+    assert f'"delta": {token}' in cfg.read_text()
+    cfg = str(cfg)
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: {cfg}: non-finite number {token}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

@@ -290,10 +290,13 @@ def test_quadrature_budget_guard():
 # d=3 on an uneven box: 48^3 nodes fill two slabs (a 48^2 tile under 28
 # and then 20 leading coordinates) and 64^3 nodes fill four
 BOX3 = Domain((-0.3, 0.0, 0.5), (1.0, 2.0, 0.75))
+BOX2 = Domain((-0.3, 0.0), (1.0, 2.0))
+BOX1 = Domain((0.5,), (0.75,))
 
 
 def dense_rule(dom, resolution):
-    """The tensor Gauss-Legendre rule built as one meshgrid."""
+    """The tensor Gauss-Legendre rule built as one meshgrid, its weights
+    multiplied in axis order."""
     x, w = np.polynomial.legendre.leggauss(resolution)
     lo, hi = np.asarray(dom.lower), np.asarray(dom.upper)
     axes = [0.5 * (b - a) * x + 0.5 * (a + b) for a, b in zip(lo, hi)]
@@ -305,14 +308,22 @@ def dense_rule(dom, resolution):
     return pts, weight
 
 
-@pytest.mark.parametrize("resolution, slabs", [(48, 2), (64, 4)])
-def test_quadrature_blocks_are_the_dense_rule(resolution, slabs):
-    pts, w = dense_rule(BOX3, resolution)
-    nodes, weights = quadrature_nodes(BOX3, resolution)
+# ids are resolution-slabs; a slab is a whole number of tail grids: in
+# d=2 at 48, 20 rows of 48 under a block of 1000, then the 8 left over
+@pytest.mark.parametrize("dom, resolution, block, sizes", [
+    pytest.param(BOX1, 256, 128, [128, 128], id="256-2"),
+    pytest.param(BOX2, 48, 1000, [960, 960, 384], id="48-3"),
+    pytest.param(BOX2, 16, 256, [256], id="16-1"),
+    pytest.param(BOX3, 48, BLOCK_POINTS, [28 * 48 ** 2, 20 * 48 ** 2], id="48-2"),
+    pytest.param(BOX3, 64, BLOCK_POINTS, [16 * 64 ** 2] * 4, id="64-4"),
+])
+def test_quadrature_blocks_are_the_dense_rule(dom, resolution, block, sizes):
+    pts, w = dense_rule(dom, resolution)
+    nodes, weights = quadrature_nodes(dom, resolution)
     assert np.array_equal(nodes, pts) and np.array_equal(weights, w)
-    blocks = list(quadrature_blocks(BOX3, resolution))
-    assert len(blocks) == slabs
-    assert all(len(b) <= BLOCK_POINTS and len(v) == len(b) for b, v in blocks)
+    blocks = list(quadrature_blocks(dom, resolution, block))
+    assert [len(b) for b, _ in blocks] == sizes
+    assert all(v.shape == (len(b),) for b, v in blocks)
     assert np.array_equal(np.concatenate([b for b, _ in blocks]), pts)
     assert np.array_equal(np.concatenate([v for _, v in blocks]), w)
 
