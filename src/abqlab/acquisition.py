@@ -78,7 +78,7 @@ def _check_psi_arg(c):
 class AdaptiveTermRule:
     name = "base"
 
-    def evaluate(self, X, mean, var, ell):
+    def evaluate(self, X, mean, var):
         """b_l over a batch of points with posterior moments (mean, var)
         there; must be strictly positive."""
         raise NotImplementedError
@@ -93,7 +93,7 @@ class ConstantRule(AdaptiveTermRule):
         if self.value <= 0:
             raise ValueError("constant rule needs a positive value")
 
-    def evaluate(self, X, mean, var, ell):
+    def evaluate(self, X, mean, var):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         return np.full(X.shape[0], float(self.value))
 
@@ -104,7 +104,7 @@ class WsabiL(AdaptiveTermRule):
 
     name = "wsabi_l"
 
-    def evaluate(self, X, mean, var, ell):
+    def evaluate(self, X, mean, var):
         return mean ** 2
 
 
@@ -114,7 +114,7 @@ class WsabiM(AdaptiveTermRule):
 
     name = "wsabi_m"
 
-    def evaluate(self, X, mean, var, ell):
+    def evaluate(self, X, mean, var):
         return 0.5 * var + mean ** 2
 
 
@@ -124,19 +124,19 @@ class Mmlt(AdaptiveTermRule):
 
     name = "mmlt"
 
-    def evaluate(self, X, mean, var, ell):
+    def evaluate(self, X, mean, var):
         return np.exp(var + 2.0 * mean)
 
 
 @dataclass(frozen=True)
 class Vbmc(AdaptiveTermRule):
-    """b_l(x) = pi_l^{delta2}(x) exp(delta3 m_{g,Xl}(x)).
+    """b_l(x) = pi^{delta2}(x) exp(delta3 m_{g,Xl}(x)).
 
-    The density sequence is user supplied (a single density counts as a
-    constant sequence); no variational loop runs here.
+    The density is user supplied and fixed over the run; no variational
+    loop runs here.
     """
 
-    densities: tuple
+    density: object
     delta2: float = 1.0
     delta3: float = 1.0
     name = "vbmc"
@@ -144,23 +144,9 @@ class Vbmc(AdaptiveTermRule):
     def __post_init__(self):
         if self.delta2 < 0 or self.delta3 < 0:
             raise ValueError("delta2 and delta3 must be nonnegative")
-        dens = self.densities
-        if not isinstance(dens, (tuple, list)):
-            dens = (dens,)
-        object.__setattr__(self, "densities", tuple(dens))
 
-    def density_at(self, ell):
-        if len(self.densities) == 1:
-            return self.densities[0]
-        if ell >= len(self.densities):
-            raise DomainError(
-                f"vbmc density sequence has no entry for iteration {ell}"
-            )
-        return self.densities[ell]
-
-    def evaluate(self, X, mean, var, ell):
-        dens = self.density_at(ell)
-        pvals = dens(X)
+    def evaluate(self, X, mean, var):
+        pvals = self.density(X)
         if np.any(pvals <= 0):
             raise WeakAdaptivityViolation(
                 "vbmc density is nonpositive somewhere on the evaluated points"
@@ -181,20 +167,17 @@ class AcquisitionSpec:
         if not getattr(self.q, "strictly_positive", False):
             raise ValueError("q must be a strictly positive density")
 
-    def eval_b(self, X, mean, var, ell):
-        return self.b.evaluate(X, mean, var, ell)
-
-    def evaluate(self, X, mean, var, ell):
+    def evaluate(self, X, mean, var):
         """Acquisition values over a batch with posterior moments (mean, var)
         there; returns (a, clamp_count, b).
 
-        b is the adaptive term from `eval_b`, evaluated once; clamp_count
+        b is the adaptive term `self.b`, evaluated once; clamp_count
         is the number of its values lifted to the 1e-300 floor before
         multiplication (b itself is returned unclamped).
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         qv = self.q(X)
-        bv = self.eval_b(X, mean, var, ell)
+        bv = self.b.evaluate(X, mean, var)
         clamped = int(np.count_nonzero(bv < _B_FLOOR))
         return self.outer(qv ** 2 * var) * np.maximum(bv, _B_FLOOR), clamped, bv
 
@@ -209,39 +192,29 @@ class ClcuResult:
     reason: str = ""
 
 
-def theoretical_clcu(rule, m_inf_low, m_inf_high, gnorm, k_inf,
-                     density_low=None, density_high=None):
+def theoretical_clcu(rule, m_inf_low, m_inf_high, gnorm, k_inf, probe=None):
     """[C_L, C_U] from the per-rule sufficient conditions.
 
     m_inf_low = inf |m|, m_inf_high = sup |m|, gnorm = native norm of the
-    expansion part, k_inf = sup k(x,x). VBMC additionally needs uniform
-    bounds on its density sequence.
+    expansion part, k_inf = sup k(x,x). VBMC additionally bounds its
+    density by its min and max on the (n, d) points `probe`.
     """
     if any(v < 0 for v in (m_inf_low, m_inf_high, gnorm, k_inf)):
         raise ValueError("all norm arguments must be nonnegative")
     spread = 2.0 * gnorm * np.sqrt(k_inf)
     if isinstance(rule, ConstantRule):
         return ClcuResult(True, rule.value, rule.value)
-    if isinstance(rule, WsabiL):
+    if isinstance(rule, (WsabiL, WsabiM)):
         if m_inf_low <= spread:
             return ClcuResult(
                 False,
                 reason=f"hypothesis inf|m| > 2||g||sqrt(sup k) fails "
                        f"({m_inf_low} <= {spread})",
             )
-        return ClcuResult(True, (m_inf_low - spread) ** 2, (m_inf_high + spread) ** 2)
-    if isinstance(rule, WsabiM):
-        if m_inf_low <= spread:
-            return ClcuResult(
-                False,
-                reason=f"hypothesis inf|m| > 2||g||sqrt(sup k) fails "
-                       f"({m_inf_low} <= {spread})",
-            )
-        return ClcuResult(
-            True,
-            (m_inf_low - spread) ** 2,
-            0.5 * k_inf + (m_inf_high + spread) ** 2,
-        )
+        c_u = (m_inf_high + spread) ** 2
+        if isinstance(rule, WsabiM):
+            c_u = 0.5 * k_inf + c_u
+        return ClcuResult(True, (m_inf_low - spread) ** 2, c_u)
     if isinstance(rule, Mmlt):
         return ClcuResult(
             True,
@@ -249,14 +222,13 @@ def theoretical_clcu(rule, m_inf_low, m_inf_high, gnorm, k_inf,
             float(np.exp(k_inf + 2.0 * m_inf_high + 2.0 * spread)),
         )
     if isinstance(rule, Vbmc):
-        if density_low is None or density_high is None:
-            return ClcuResult(
-                False, reason="no uniform bounds supplied for the density sequence"
-            )
+        if probe is None:
+            return ClcuResult(False, reason="no probe points to bound the vbmc density on")
+        vals = rule.density(probe)
         width = rule.delta3 * (m_inf_high + spread)
         return ClcuResult(
             True,
-            density_low ** rule.delta2 * float(np.exp(-width)),
-            density_high ** rule.delta2 * float(np.exp(width)),
+            float(np.min(vals)) ** rule.delta2 * float(np.exp(-width)),
+            float(np.max(vals)) ** rule.delta2 * float(np.exp(width)),
         )
     return ClcuResult(False, reason=f"no known envelope for rule {rule.name}")

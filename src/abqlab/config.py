@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import itertools
 import json
 import math
@@ -171,16 +172,25 @@ _BUILTIN_INTEGRANDS = {
 
 
 def load_config(path):
-    def finite(token):
-        # json takes NaN, Infinity and -Infinity, and 1e400 overflows to inf
-        value = float(token)
-        if not math.isfinite(value):
-            raise ConfigError(f"{path}: non-finite number {token}")
-        return value
+    def finite(parse):
+        # json takes NaN, Infinity and -Infinity, 1e400 overflows to inf, an
+        # integer past 1.8e308 overflows where it meets a float, and int()
+        # refuses one of more than 4300 digits
+        def hook(token):
+            try:
+                value = parse(token)
+                if math.isfinite(value):
+                    return value
+            except (OverflowError, ValueError):
+                pass
+            shown = token if len(token) <= 20 else f"{token[:12]}... ({len(token)} chars)"
+            raise ConfigError(f"{path}: non-finite number {shown}")
+        return hook
 
     try:
         with open(path) as fh:
-            raw = json.load(fh, parse_float=finite, parse_constant=finite)
+            raw = json.load(fh, parse_float=finite(float), parse_int=finite(int),
+                            parse_constant=finite(float))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     except OSError as exc:
@@ -329,16 +339,22 @@ def build_domain(raw):
     return Domain(tuple(raw["domain"]["lower"]), tuple(raw["domain"]["upper"]))
 
 
+_KERNELS = {
+    "squared-exponential": kernels.SquaredExponential,
+    "matern": kernels.Matern,
+    "inverse-multiquadric": kernels.InverseMultiquadric,
+    "wendland": kernels.Wendland,
+}
+
+
 def build_kernel(raw):
-    spec = raw["kernel"]
-    family = spec["family"]
-    if family == "squared-exponential":
-        return kernels.SquaredExponential(spec.get("gamma", 1.0))
-    if family == "matern":
-        return kernels.Matern(spec.get("nu", 1.5), spec.get("ell", 1.0))
-    if family == "inverse-multiquadric":
-        return kernels.InverseMultiquadric(spec.get("beta", 0.5), spec.get("c", 1.0))
-    return kernels.Wendland(spec.get("smoothness_index", 1), spec.get("radius", 1.0))
+    params = dict(raw["kernel"])
+    family = params.pop("family")
+    cls = _KERNELS[family]
+    foreign = sorted(set(params) - {f.name for f in dataclasses.fields(cls)})
+    if foreign:
+        raise ValueError(f"kernel family {family} takes no {', '.join(foreign)}")
+    return cls(**params)
 
 
 def build_mean(raw, dom):
@@ -456,5 +472,5 @@ def _build_rule(spec, dom):
     if kind == "mmlt":
         return acquisition.Mmlt()
     density = build_density(spec.get("density", {"kind": "uniform"}), dom)
-    return acquisition.Vbmc(densities=(density,), delta2=spec.get("delta2", 1.0),
+    return acquisition.Vbmc(density, delta2=spec.get("delta2", 1.0),
                             delta3=spec.get("delta3", 1.0))

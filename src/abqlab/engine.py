@@ -221,9 +221,8 @@ def run_abq(problem, spec, n, cert_points=None, oracle_resolution=None):
     q_grid = spec.q(cert_grid)
     record.e0 = float(np.max(q_grid * np.sqrt(grid_post.var)))
 
-    for ell in range(n):
-        a_grid, clamps, b_grid = spec.evaluate(cert_grid, grid_post.mean,
-                                               grid_post.var, ell)
+    for _ in range(n):
+        a_grid, clamps, b_grid = spec.evaluate(cert_grid, grid_post.mean, grid_post.var)
         # F(0) b = 0 at a point the design spans: zero it where extend rejects
         floor = gp.dependence_floor(state.jitter_used, grid_post.prior_var)
         spanned = grid_post.var <= floor

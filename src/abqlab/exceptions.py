@@ -20,10 +20,6 @@ class SaturationError(AbqError):
 class NumericalDegradationError(AbqError):
     """Linear algebra lost too much accuracy to trust the result."""
 
-    def __init__(self, msg, jitter_used=None):
-        super().__init__(msg)
-        self.jitter_used = jitter_used
-
 
 class LinearDependenceError(AbqError):
     """A new design point is (numerically) linearly dependent on the

@@ -80,15 +80,13 @@ def posterior(state, X):
     return post.mean, post.var
 
 
-def check_floor(var, prior_var, jitter_used):
+def check_floor(var, prior_var):
     """Posterior variances clamped at 0; a value below
     -1e-10 * max(1, |prior variance|) raises NumericalDegradationError."""
     floor = -1e-10 * np.maximum(1.0, np.abs(prior_var))
     if np.any(var < floor):
         raise NumericalDegradationError(
-            f"posterior variance {float(np.min(var)):g} below clamp tolerance",
-            jitter_used=jitter_used,
-        )
+            f"posterior variance {float(np.min(var)):g} below clamp tolerance")
     return np.maximum(var, 0.0)
 
 
@@ -114,7 +112,7 @@ class GridPosterior:
                                          state.kernel.pairwise(state.X, self.P))
         self._raw_var = self.prior_var - np.sum(self._rows * self._rows, axis=0)
         self.mean = state.mean(self.P) + self._rows.T @ state.beta
-        self.var = check_floor(self._raw_var, self.prior_var, state.jitter_used)
+        self.var = check_floor(self._raw_var, self.prior_var)
 
     def update(self, state):
         """Condition on the design points of `state` past the first `n`.
@@ -137,7 +135,7 @@ class GridPosterior:
             row *= row
             self._raw_var -= row
         self.n = state.n
-        self.var = check_floor(self._raw_var, self.prior_var, state.jitter_used)
+        self.var = check_floor(self._raw_var, self.prior_var)
 
     def extend(self, state, index, z):
         """State on X + {P[index]} with latent value z, with no solve: the

@@ -213,8 +213,7 @@ def chol_with_jitter(K, max_doublings=10):
     if n == 0:
         return np.zeros((0, 0)), 0.0
     if not np.all(np.isfinite(K)):
-        raise NumericalDegradationError("Gram matrix has non-finite entries",
-                                        jitter_used=0.0)
+        raise NumericalDegradationError("Gram matrix has non-finite entries")
     jitter = 1e-12 * float(np.max(np.diag(K)))
     if jitter <= 0:
         jitter = 1e-12
@@ -224,9 +223,7 @@ def chol_with_jitter(K, max_doublings=10):
             return L, jitter
         except np.linalg.LinAlgError:
             jitter *= 2
-    raise NumericalDegradationError(
-        f"Cholesky failed after jitter grew to {jitter:g}", jitter_used=jitter
-    )
+    raise NumericalDegradationError(f"Cholesky failed after jitter grew to {jitter:g}")
 
 
 def solve_lower(L, B):

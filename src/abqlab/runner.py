@@ -8,7 +8,7 @@ import os
 import numpy as np
 
 from . import analysis, engine, kernels
-from .acquisition import theoretical_clcu, Vbmc
+from .acquisition import theoretical_clcu
 from .config import build_problem, expand_matrix, validate_config
 from .domain import rkhs_norm
 from .exceptions import ConfigError, DomainError
@@ -115,18 +115,10 @@ def _write_trace(path, record, reference, fills):
 def clcu_for(record):
     """Theoretical [C_L, C_U] for the run's rule, from a probe grid."""
     integrand = record.problem.integrand
-    b = record.spec.b
     probe = record.problem.domain.probe_grid()
     m_abs = np.abs(integrand.prior_mean(probe))
-    gnorm = rkhs_norm(integrand)
-    k_inf = integrand.kernel.sup_diag()
-    kwargs = {}
-    if isinstance(b, Vbmc):
-        vals = b.densities[0](probe)
-        kwargs = {"density_low": float(np.min(vals)),
-                  "density_high": float(np.max(vals))}
-    return theoretical_clcu(b, float(np.min(m_abs)), float(np.max(m_abs)),
-                            gnorm, k_inf, **kwargs)
+    return theoretical_clcu(record.spec.b, float(np.min(m_abs)), float(np.max(m_abs)),
+                            rkhs_norm(integrand), integrand.kernel.sup_diag(), probe)
 
 
 def envelope_verdict(record, clcu):

@@ -1,8 +1,8 @@
 """Warping transforms linking the latent GP to the integrand.
 
 Each transform provides the forward map, the inverse used to recover
-latent observations from integrand values, the derivative (for the
-Lipschitz constant in the quadrature error bound), and the closed-form
+latent observations from integrand values, the closed-form Lipschitz
+constant used by the quadrature error bound, and the closed-form
 Gaussian posterior expectation used by the moment-based estimator.
 """
 
@@ -18,15 +18,10 @@ _EXP_LIMIT = 700.0
 
 
 class Transform:
-    kind = "base"
-
     def forward(self, y):
         raise NotImplementedError
 
     def inverse(self, f_val):
-        raise NotImplementedError
-
-    def derivative(self, y):
         raise NotImplementedError
 
     def posterior_expectation(self, mean, var):
@@ -47,16 +42,11 @@ def _check_var(var):
 
 @dataclass(frozen=True)
 class Identity(Transform):
-    kind = "identity"
-
     def forward(self, y):
         return np.asarray(y, dtype=float)
 
     def inverse(self, f_val):
         return np.asarray(f_val, dtype=float)
-
-    def derivative(self, y):
-        return np.ones_like(np.asarray(y, dtype=float))
 
     def posterior_expectation(self, mean, var):
         _check_var(var)
@@ -70,13 +60,10 @@ class Identity(Transform):
 class Square(Transform):
     """T(y) = alpha + y^2 / 2 with 0 < alpha < inf f.
 
-    The inverse takes the nonnegative branch; the negative branch can be
-    selected for experiments that probe the branch choice.
+    The inverse takes the nonnegative branch.
     """
 
     alpha: float
-    kind = "square"
-    negative_branch: bool = False
 
     def __post_init__(self):
         if self.alpha <= 0:
@@ -93,11 +80,7 @@ class Square(Transform):
             raise DomainError(
                 f"square transform: value {bad} below alpha={self.alpha}"
             )
-        root = np.sqrt(np.maximum(2.0 * (f_val - self.alpha), 0.0))
-        return -root if self.negative_branch else root
-
-    def derivative(self, y):
-        return np.asarray(y, dtype=float)
+        return np.sqrt(np.maximum(2.0 * (f_val - self.alpha), 0.0))
 
     def posterior_expectation(self, mean, var):
         var = _check_var(var)
@@ -110,8 +93,6 @@ class Square(Transform):
 
 @dataclass(frozen=True)
 class Exponential(Transform):
-    kind = "exponential"
-
     def forward(self, y):
         y = np.asarray(y, dtype=float)
         if np.any(y > _EXP_LIMIT):
@@ -125,9 +106,6 @@ class Exponential(Transform):
                 f"exponential transform: nonpositive value {float(np.min(f_val))}"
             )
         return np.log(f_val)
-
-    def derivative(self, y):
-        return np.exp(np.asarray(y, dtype=float))
 
     def posterior_expectation(self, mean, var):
         var = _check_var(var)

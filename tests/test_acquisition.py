@@ -66,7 +66,7 @@ def test_outer_function_inverses():
 def test_acquisition_vanishes_at_design_points():
     state = make_state(mean_value=5.0)
     spec = AcquisitionSpec(outer=Power(1.0), q=Q, b=WsabiL(), gamma_tilde=1.0)
-    a, _, _ = spec.evaluate(state.X, *gp.posterior(state, state.X), ell=0)
+    a, _, _ = spec.evaluate(state.X, *gp.posterior(state, state.X))
     assert np.all(a < 1e-8)
 
 
@@ -76,7 +76,7 @@ def test_constant_rule_reduces_to_uncertainty_sampling():
                            gamma_tilde=1.0)
     grid = DOM.uniform_grid(101)
     mean, var = gp.posterior(state, grid)
-    a, _, _ = spec.evaluate(grid, mean, var, ell=0)
+    a, _, _ = spec.evaluate(grid, mean, var)
     assert np.argmax(a) == np.argmax(np.asarray(Q(grid)) ** 2 * var)
 
 
@@ -85,31 +85,29 @@ def test_rule_values_match_definitions():
     X = np.array([[0.5]])
     moments = gp.posterior(state, X)
     m, v = moments[0][0], moments[1][0]
-    assert WsabiL().evaluate(X, *moments, 0)[0] == pytest.approx(m ** 2)
-    assert WsabiM().evaluate(X, *moments, 0)[0] == pytest.approx(0.5 * v + m ** 2)
-    assert Mmlt().evaluate(X, *moments, 0)[0] == pytest.approx(np.exp(v + 2 * m))
-    rule = Vbmc(densities=(Q,), delta2=2.0, delta3=0.5)
-    assert rule.evaluate(X, *moments, 0)[0] == pytest.approx(
+    assert WsabiL().evaluate(X, *moments)[0] == pytest.approx(m ** 2)
+    assert WsabiM().evaluate(X, *moments)[0] == pytest.approx(0.5 * v + m ** 2)
+    assert Mmlt().evaluate(X, *moments)[0] == pytest.approx(np.exp(v + 2 * m))
+    rule = Vbmc(Q, delta2=2.0, delta3=0.5)
+    assert rule.evaluate(X, *moments)[0] == pytest.approx(
         Q(X)[0] ** 2 * np.exp(0.5 * m)
     )
 
 
-def test_vbmc_density_sequence_indexing():
-    rule = Vbmc(densities=(Q, Q))
-    assert rule.density_at(1) is Q
-    with pytest.raises(DomainError):
-        rule.density_at(2)
+def test_vbmc_rejects_negative_exponents():
     with pytest.raises(ValueError):
-        Vbmc(densities=(Q,), delta2=-1.0)
+        Vbmc(Q, delta2=-1.0)
+    with pytest.raises(ValueError):
+        Vbmc(Q, delta3=-1.0)
 
 
 def test_vbmc_rejects_nonpositive_density():
     dens = TabulatedDensity(DOM, np.array([0.0, 2.0]))
-    rule = Vbmc(densities=(dens,))
+    rule = Vbmc(dens)
     state = make_state()
     with pytest.raises(WeakAdaptivityViolation):
         X = np.array([[0.0]])
-        rule.evaluate(X, *gp.posterior(state, X), 0)
+        rule.evaluate(X, *gp.posterior(state, X))
 
 
 def test_spec_validation():
@@ -151,10 +149,11 @@ def test_clcu_mmlt():
 
 
 def test_clcu_vbmc_needs_density_bounds():
-    rule = Vbmc(densities=(Q,), delta2=1.0, delta3=1.0)
-    assert not theoretical_clcu(rule, 0.0, 1.0, 0.5, 1.0).present
-    res = theoretical_clcu(rule, 0.0, 1.0, 0.5, 1.0,
-                           density_low=0.5, density_high=2.0)
+    # the density's min and max on the probe points bound it: 0.5 and 2.0
+    rule = Vbmc(lambda X: np.where(X[:, 0] < 0.5, 0.5, 2.0), delta2=1.0, delta3=1.0)
+    absent = theoretical_clcu(rule, 0.0, 1.0, 0.5, 1.0)
+    assert not absent.present and "probe" in absent.reason
+    res = theoretical_clcu(rule, 0.0, 1.0, 0.5, 1.0, probe=np.array([[0.1], [0.9]]))
     assert res.present
     assert res.c_l == pytest.approx(0.5 * np.exp(-2.0))
     assert res.c_u == pytest.approx(2.0 * np.exp(2.0))
@@ -164,7 +163,7 @@ def test_clamp_counting_at_zero_mean():
     state = gp.empty_state(Matern(1.5, 0.3), ConstantMean(0.0), 1)
     spec = AcquisitionSpec(outer=Power(1.0), q=Q, b=WsabiL(), gamma_tilde=1.0)
     grid = DOM.uniform_grid(5)
-    a, clamped, _ = spec.evaluate(grid, *gp.posterior(state, grid), ell=0)
+    a, clamped, _ = spec.evaluate(grid, *gp.posterior(state, grid))
     assert clamped == 5  # b = m^2 = 0 everywhere before any data
     assert np.all(a >= 0)
 
@@ -190,13 +189,13 @@ RULES = st.one_of(
 def test_adaptive_terms_are_finite_nonnegative_and_clamped_by_count(rule, moments):
     X, mean, var = (np.array(c) for c in zip(*moments))
     X = X[:, None]
-    b = rule.evaluate(X, mean, var, 0)
+    b = rule.evaluate(X, mean, var)
     assert b.shape == mean.shape
     assert np.all(np.isfinite(b)) and np.all(b >= 0.0)
     if not isinstance(rule, WsabiL):
         # m^2 alone vanishes at m = 0; every other rule is positive once var is
         assert np.all(b[var > 0] > 0.0)
     spec = AcquisitionSpec(outer=Power(1.0), q=Q, b=rule)
-    _, clamped, b_spec = spec.evaluate(X, mean, var, 0)
+    _, clamped, b_spec = spec.evaluate(X, mean, var)
     assert np.array_equal(b_spec, b)
     assert clamped == int(np.count_nonzero(b < 1e-300))

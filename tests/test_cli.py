@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from abqlab import BLAS_THREAD_VARIABLES, analysis, cli, config, engine, runner, verify
 from abqlab.config import (CONFIG_SCHEMA, build_problem, expand_matrix, load_config,
                            validate_config)
-from abqlab.domain import Domain, SyntheticIntegrand
+from abqlab.domain import Domain, SyntheticIntegrand, rkhs_norm
 from abqlab.exceptions import ConfigError, NumericalDegradationError
 
 MINIMAL = {
@@ -230,6 +230,9 @@ def test_cli_exit_code_2_on_multiquadric_kernel(tmp_path, capsys):
     pytest.param("mean", {"kind": "affine", "slope": [1.0, 2.0]}, id="slope-length"),
     pytest.param("pi", {"kind": "tabulated", "values": [1.0]},
                  id="tabulated-one-value-axis"),
+    # a Matern length scale means nothing to the squared-exponential family
+    pytest.param("kernel", {"family": "squared-exponential", "ell": 0.05},
+                 id="se-with-matern-ell"),
 ])
 def test_cli_exit_code_2_on_invalid_config_value(tmp_path, capsys, key, value):
     raw = json.loads(json.dumps(MINIMAL))
@@ -244,15 +247,22 @@ def test_cli_exit_code_2_on_invalid_config_value(tmp_path, capsys, key, value):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])
-def test_cli_exit_code_2_on_a_non_finite_number(tmp_path, capsys, token):
+@pytest.mark.parametrize("token, shown", [
+    *[pytest.param(t, t, id=t) for t in ("NaN", "Infinity", "-Infinity", "1e400")],
+    # 10^400 overflows where it meets a float; int() refuses 5001 digits
+    *[pytest.param("1" + "0" * (n - 1), f"100000000000... ({n} chars)",
+                   id=f"{n}-digit-integer") for n in (401, 5001)],
+])
+def test_cli_exit_code_2_on_a_non_finite_number(tmp_path, capsys, token, shown):
     # json reads NaN and +-Infinity, and 1e400 overflows to inf
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(MINIMAL).replace('"delta": 1.0', f'"delta": {token}'))
     assert f'"delta": {token}' in cfg.read_text()
     cfg = str(cfg)
     assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert f"config error: {cfg}: non-finite number {token}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"config error: {cfg}: non-finite number {shown}" in err
+    assert len(err) < 500
     assert not (tmp_path / "o").exists()
 
 
@@ -730,7 +740,7 @@ def test_cli_rates_refits_from_trace(tmp_path, capsys):
     assert cli.main(["rates", trace, "--out", summary]) == 0
     out = capsys.readouterr().out
     assert "slope" in out
-    fits = json.loads(open(summary).read())
+    fits = json.loads(Path(summary).read_text())
     assert fits[0]["dim"] == 1
     assert fits[0]["fits"]["exponential"]["slope"] < 0
 
@@ -749,8 +759,29 @@ def test_cli_rates_reads_a_v1_trace(tmp_path, capsys):
     summary = str(tmp_path / "fits.json")
     for name in ("r/trace.csv", "v1.csv"):
         assert cli.main(["rates", str(tmp_path / name), "--out", summary]) == 0
-        out.append(json.loads(open(summary).read())[0]["fits"])
+        out.append(json.loads(Path(summary).read_text())[0]["fits"])
     assert out[0] == out[1]
+
+
+def test_report_vbmc_envelope_from_the_density_on_the_probe_grid(tmp_path):
+    raw = box_config(2, budget=4)
+    density = {"kind": "truncated-gaussian", "center": [0.3, 0.6], "scale": [0.2, 0.3]}
+    raw["acquisition"]["b"] = {"kind": "vbmc", "density": density, "delta2": 1.5,
+                               "delta3": 0.5}
+    cfg = write_config(tmp_path, raw)
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "r")]) == 0
+    report = json.loads((tmp_path / "r" / "report.json").read_text())
+    # [C_L, C_U] = [min pi^d2 e^-w, max pi^d2 e^w], w = d3 (sup|m| + 2||g|| sqrt(sup k))
+    problem, _ = build_problem(raw)
+    pvals = config.build_density(density, problem.domain)(problem.domain.probe_grid())
+    width = 0.5 * (5.0 + 2.0 * rkhs_norm(problem.integrand) * 1.0)
+    clcu = report["clcu"]
+    assert clcu["present"]
+    assert clcu["c_l"] == pytest.approx(np.min(pvals) ** 1.5 * np.exp(-width), rel=1e-12)
+    assert clcu["c_u"] == pytest.approx(np.max(pvals) ** 1.5 * np.exp(width), rel=1e-12)
+    weak = report["weak_adaptivity"]
+    assert set(weak) == {"b_min", "b_max", "within_envelope"}
+    assert weak["within_envelope"]
 
 
 def test_report_bound_reads_the_trace_estimates(tmp_path, monkeypatch):

@@ -87,7 +87,7 @@ def test_select_next_matches_exhaustive_argmax():
     state = gp.build_state(problem.integrand.kernel, problem.integrand.prior_mean,
                            np.array([[0.4]]), [0.1])
     grid = DOM.uniform_grid(101)
-    a, _, _ = spec.evaluate(grid, *gp.posterior(state, grid), 1)
+    a, _, _ = spec.evaluate(grid, *gp.posterior(state, grid))
     best = engine.select_next(a)
     assert all(a[best] >= value for value in a)
 
@@ -125,7 +125,7 @@ def test_flat_acquisition_breaks_ties_by_lowest_index():
     spec = p_greedy_spec()
     state = gp.empty_state(SquaredExponential(0.5), ConstantMean(0.0), 1)
     grid = DOM.uniform_grid(16)
-    a, _, _ = spec.evaluate(grid, *gp.posterior(state, grid), 0)
+    a, _, _ = spec.evaluate(grid, *gp.posterior(state, grid))
     assert np.all(a == a[0])
     assert engine.select_next(a) == 0
 
@@ -290,7 +290,7 @@ def test_record_replays_from_its_design():
     pts, w = quadrature_nodes(DOM, 64)
     state = gp.empty_state(problem.integrand.kernel, problem.integrand.prior_mean, 1)
     for ell, x in enumerate(rec.design()):
-        b = spec.eval_b(grid, *gp.posterior(state, grid), ell)
+        b = spec.b.evaluate(grid, *gp.posterior(state, grid))
         assert np.allclose([b.min(), b.max()], [rec.b_min[ell], rec.b_max[ell]],
                            rtol=REPLAY_RTOL, atol=REPLAY_ATOL)
         z = t.inverse(np.asarray(problem.integrand(x[None, :]), dtype=float))[0]
@@ -346,7 +346,7 @@ def test_vbmc_density_runs_once_per_step_on_the_grid():
         return uniform(X)
 
     problem, _ = wsabi_m_problem()
-    spec = AcquisitionSpec(outer=Power(1.0), q=uniform, b=Vbmc(densities=(density,)),
+    spec = AcquisitionSpec(outer=Power(1.0), q=uniform, b=Vbmc(density),
                            gamma_tilde=1.0)
     _, rec = engine.run_abq(problem, spec, 6, cert_points=128, oracle_resolution=64)
     assert rec.n == 6

@@ -16,11 +16,17 @@ def test_roundtrip_on_valid_range(t):
 
 
 @pytest.mark.parametrize("t", ALL)
-def test_derivative_matches_finite_differences(t):
-    y = np.linspace(-2.0, 2.0, 21)
+def test_lipschitz_constant_bounds_finite_differences(t):
+    # the error bound's constant is sup |T'| on |y| <= m + 2 g sqrt(k),
+    # reached at the endpoint y = m + 2 g sqrt(k)
     h = 1e-6
-    fd = (t.forward(y + h) - t.forward(y - h)) / (2 * h)
-    assert np.allclose(t.derivative(y), fd, atol=1e-5)
+    for m_inf, gnorm, k_inf in [(0.0, 0.5, 1.0), (0.5, 0.3, 1.0), (1.5, 0.2, 2.0)]:
+        radius = m_inf + 2 * gnorm * np.sqrt(k_inf)
+        y = np.linspace(-radius, radius, 41)
+        fd = np.abs(t.forward(y + h) - t.forward(y - h)) / (2 * h)
+        lip = t.lipschitz_constant(m_inf, gnorm, k_inf)
+        assert np.all(fd <= lip * (1 + 1e-6))
+        assert fd[-1] == pytest.approx(lip, rel=1e-6)
 
 
 @pytest.mark.parametrize("t", [Square(alpha=0.5), Exponential()])
@@ -42,11 +48,6 @@ def test_identity_expectation_is_mean():
 def test_jensen_gap_nonnegative_for_convex_warps(t):
     mu, var = 0.4, 0.9
     assert t.posterior_expectation(mu, var) >= t.forward(np.array([mu]))[0]
-
-
-def test_square_negative_branch():
-    t = Square(alpha=1.0, negative_branch=True)
-    assert t.inverse(np.array([3.0]))[0] == pytest.approx(-2.0)
 
 
 def test_square_inverse_rejects_values_below_alpha():
