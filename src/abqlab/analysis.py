@@ -7,9 +7,12 @@ design with `gp.GridPosterior` but scores it by a dense solve. The first
 i rows of L^{-1} K(X, P), L the Cholesky factor of a design X, are the
 Newton basis of X[:i] on P (Mueller & Schaback 2009): one forward
 substitution `kernels.solve_lower` on the C-ordered (n, |P|) block
-K(X, P) serves every prefix. The report's passes take that block in
+K(X, P) serves every prefix, so the weak-greedy certificate (rows
+0..n-1) and the error bound (rows 1..n) share one `Projector`, one
+factor of the run's design. The report's passes take that block in
 column chunks or quadrature slabs of at most BLOCK_POINTS values, so
-their memory grows with neither the design nor the point set.
+their memory grows with neither the design nor the point set, and solve
+each chunk or slab with one factor's diagonal-block inverses.
 Theory violations are reported as findings, never raised: confirming or
 refuting the certificates is the point of this module.
 """
@@ -35,13 +38,14 @@ def projection_distance_sq(kernel, q, X, x):
     the scaled Gram matrix of X (jittered for the whole design), independent
     of the GP posterior-variance path it is tested against.
     """
-    return _Projector(kernel, q, X)(x)
+    return Projector(kernel, q, X)(x)
 
 
-class _Projector:
-    """One Cholesky factor of the scaled Gram matrix of X, against which
-    every call solves: projector(x) is projection_distance_sq(kernel, q,
-    X, x), an (n + 1, |x|) curve of `rows` rows."""
+class Projector:
+    """One Cholesky factor of the scaled Gram matrix of X, and the inverses
+    of its diagonal blocks, against which every call solves: projector(x)
+    is projection_distance_sq(kernel, q, X, x), an (n + 1, |x|) curve of
+    `rows` rows."""
 
     def __init__(self, kernel, q, X):
         self.kernel, self.q = kernel, q
@@ -49,14 +53,16 @@ class _Projector:
         self.qX = np.asarray(q(self.X), dtype=float)
         G = (self.qX[:, None] * self.qX[None, :]) * kernels.gram(kernel, self.X)
         self.L, _ = kernels.chol_with_jitter(G)
+        self.inverses = kernels.block_inverses(self.L)
         self.rows = len(self.X) + 1
+        self._sups_of = self._sups = None
 
     def __call__(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
         qx = np.asarray(self.q(x), dtype=float)
         V = self.kernel.pairwise(self.X, x)
         V *= self.qX[:, None] * qx[None, :]
-        curve = _running_residual(kernels.solve_lower(self.L, V),
+        curve = _running_residual(kernels.solve_lower(self.L, V, self.inverses),
                                   qx ** 2 * self.kernel.diag(x))
         return np.maximum(curve, 0.0, out=curve)
 
@@ -64,18 +70,24 @@ class _Projector:
         """(start, self(x[start:start + width])) over consecutive column
         chunks of x, width = BLOCK_POINTS // rows, so a chunk holds
         O(BLOCK_POINTS) values; a column does not depend on the others,
-        so the chunks are the full curve's columns."""
+        so the chunks are the full curve's columns to rounding (BLAS may
+        round a product's last columns differently when its width
+        changes)."""
         width = max(BLOCK_POINTS // self.rows, 1)
         for start in range(0, len(x), width):
             yield start, self(x[start:start + width])
 
     def sups(self, x):
         """The per-prefix maxima over x, np.max(self(x), axis=1), chunk by
-        chunk."""
-        sup = np.full(self.rows, -np.inf)
-        for _, chunk in self.chunks(x):
-            np.maximum(sup, np.max(chunk, axis=1), out=sup)
-        return sup
+        chunk, read-only. The last point set's are kept, so the certificate
+        and the error bound make one pass over the certificate grid."""
+        if x is not self._sups_of:
+            sup = np.full(self.rows, -np.inf)
+            for _, chunk in self.chunks(x):
+                np.maximum(sup, np.max(chunk, axis=1), out=sup)
+            sup.flags.writeable = False
+            self._sups_of, self._sups = x, sup
+        return self._sups
 
 
 def _running_residual(W, norm_sq):
@@ -103,10 +115,15 @@ class GreedyCertificate:
         return not self.failures
 
 
-def greedy_certificate(record, clcu=None):
+def greedy_certificate(record, clcu=None, projector=None):
     """Per-iteration ratios dist(h_chosen, S_l) / sup dist(h, S_l), the
     supremum taken over the run's certificate grid, with the run's kernel
     and q; a ratio below gamma_hat by more than CERT_TOL is a failure.
+
+    Step l chose against X[:l], row l of `projector`, the `Projector` of
+    the whole design X, since the leading block of X's factor is X[:l]'s:
+    the certificate reads rows 0..n-1. It is built here unless the caller
+    shares the one it passes to `error_bound_check`.
 
     gamma_hat is computed from the monitored b range, and is 0 (a vacuous
     certificate) when b_min is 0, b_max = 0 included; when a theoretical
@@ -117,14 +134,12 @@ def greedy_certificate(record, clcu=None):
     if record.n < 2:
         raise DomainError("greedy certificate needs a run with at least 2 points")
     spec = record.spec
-    kernel = record.problem.integrand.kernel
-    X_all = record.design()
-    # rows 0..n-1: the designs X[:l] that each step l chose against, from one
-    # factor for the grid and the chosen points
-    projector = _Projector(kernel, spec.q, X_all[:-1])
-    d_grid = np.sqrt(projector.sups(record.cert_grid))
+    X = record.design()
+    if projector is None:
+        projector = Projector(record.problem.integrand.kernel, spec.q, X)
+    d_grid = np.sqrt(projector.sups(record.cert_grid)[:-1])
     d_chosen = np.sqrt(np.concatenate([np.diagonal(chunk, offset=-start)
-                                       for start, chunk in projector.chunks(X_all)]))
+                                       for start, chunk in projector.chunks(X)]))
     sup = np.maximum(d_grid, d_chosen)
     ratios = np.divide(d_chosen, sup, out=np.ones_like(sup), where=sup > 0)
 
@@ -188,7 +203,7 @@ def nwidth_surrogate(kernel, q, grid, n):
         except LinearDependenceError:
             break
         post.update(state)
-    sups = np.sqrt(_Projector(kernel, q, state.X).sups(grid))[1:]
+    sups = np.sqrt(Projector(kernel, q, state.X).sups(grid))[1:]
     return np.minimum.accumulate(np.pad(sups, (0, n - sups.size), mode="edge")).tolist()
 
 
@@ -251,10 +266,14 @@ def grid_slack(kernel, q, radius):
 def _plugin_means(state, transform):
     """A `weighted_integrals` term: T(m + sum_{j < i} beta_j (L^{-1} K(X, .))_j),
     T of the posterior mean of each prefix X[:i] of the state's design, as
-    one (n, slab) block per slab; the running sum goes row by row, like
+    one (n, slab) block per slab, every slab solved with one set of
+    `kernels.block_inverses`; the running sum goes row by row, like
     `_running_residual`'s."""
+    inverses = kernels.block_inverses(state.chol)
+
     def term(pts):
-        rows = kernels.solve_lower(state.chol, state.kernel.pairwise(state.X, pts))
+        rows = kernels.solve_lower(state.chol, state.kernel.pairwise(state.X, pts),
+                                   inverses)
         rows *= state.beta[:, None]
         if len(rows):
             rows[0] += state.mean(pts)
@@ -287,9 +306,12 @@ class BoundReport:
                    default=0.0)
 
 
-def error_bound_check(record, state):
+def error_bound_check(record, state, projector=None):
     """Check |reference - plugin estimate| after each step against the
-    assembled error bound, by solves against the run's final `state`.
+    assembled error bound, by solves against the run's final `state`. The
+    sups over the certificate grid are rows 1..n of `projector`, the
+    `Projector` of the state's design, built here unless the caller shares
+    the one it passes to `greedy_certificate`.
 
     The left side reads the run's own plug-in estimates `record.est_plugin`.
     The reference is the integral of the integrand at REFINEMENT times the
@@ -324,7 +346,8 @@ def error_bound_check(record, state):
     report = BoundReport(reference=reference, reference_self_error=ref_err,
                          constant_transform=float(c_t), constant_pi_over_q=c_piq,
                          gnorm=gnorm, grid_slack=widen, cap=cap)
-    projector = _Projector(integrand.kernel, q, state.X)
+    if projector is None:
+        projector = Projector(integrand.kernel, q, state.X)
     sups = np.sqrt(projector.sups(record.cert_grid)[1:]).tolist()
     for n, (sup, plug, fine) in enumerate(zip(sups, record.est_plugin, plug_fine),
                                           start=1):

@@ -18,7 +18,7 @@ from .exceptions import DomainError, NumericalDegradationError
 
 _HALF_INTEGER_NUS = (0.5, 1.5, 2.5, 3.5)
 
-# solve_lower substitutes SOLVE_BLOCK rows at a time and works on at most
+# solve_lower solves SOLVE_BLOCK rows at a time and works on at most
 # SOLVE_CHUNK right-hand sides at once, so a chunk of rows stays in cache
 SOLVE_BLOCK = 16
 SOLVE_CHUNK = 4096
@@ -226,27 +226,44 @@ def chol_with_jitter(K, max_doublings=10):
     raise NumericalDegradationError(f"Cholesky failed after jitter grew to {jitter:g}")
 
 
-def solve_lower(L, B):
+def block_inverses(L):
+    """Inverses of the SOLVE_BLOCK diagonal blocks of a lower-triangular L,
+    in order, each found by substituting its block's rows on the identity,
+    so each is exactly lower-triangular."""
+    inverses = []
+    for i0 in range(0, L.shape[0], SOLVE_BLOCK):
+        D = L[i0:i0 + SOLVE_BLOCK, i0:i0 + SOLVE_BLOCK]
+        inv = np.eye(len(D))
+        for i in range(len(D)):
+            if i:
+                inv[i] -= D[i, :i] @ inv[:i]
+            inv[i] /= D[i, i]
+        inverses.append(inv)
+    return inverses
+
+
+def solve_lower(L, B, inverses=None):
     """L^{-1} B for a lower-triangular L, written over the (n, m) block B
     and returned.
 
-    Blocked forward substitution: each diagonal block of rows takes one
-    BLAS product with the rows already solved, then its rows are
-    substituted one by one. A block has SOLVE_BLOCK rows and spans at most
-    SOLVE_CHUNK columns. No pivoting, which would double the flops, and no
-    explicit inverse, whose forward error is worse.
+    Blocked forward substitution, as BLAS trsm kernels do it: each block of
+    SOLVE_BLOCK rows takes one product with the rows already solved, then
+    one with the inverse of its diagonal block, from `block_inverses(L)`,
+    which a caller solving against one L many times computes once and
+    passes. Only those diagonal blocks are inverted, never L. A block spans
+    at most SOLVE_CHUNK columns, so column slices of whole SOLVE_CHUNKs,
+    solved with the same inverses, are one solve's columns bit for bit. No
+    pivoting, which would double the flops.
     """
-    n = L.shape[0]
+    if inverses is None:
+        inverses = block_inverses(L)
     for c in range(0, B.shape[1], SOLVE_CHUNK):
         C = B[:, c:c + SOLVE_CHUNK]
-        for i0 in range(0, n, SOLVE_BLOCK):
-            i1 = min(i0 + SOLVE_BLOCK, n)
+        for i0, inv in zip(range(0, L.shape[0], SOLVE_BLOCK), inverses):
+            rows = C[i0:i0 + SOLVE_BLOCK]
             if i0:
-                C[i0:i1] -= L[i0:i1, :i0] @ C[:i0]
-            for i in range(i0, i1):
-                if i > i0:
-                    C[i] -= L[i, i0:i] @ C[i0:i]
-                C[i] /= L[i, i]
+                rows -= L[i0:i0 + SOLVE_BLOCK, :i0] @ C[:i0]
+            rows[...] = inv @ rows
     return B
 
 

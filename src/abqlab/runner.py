@@ -154,9 +154,11 @@ def build_report(raw, state, record):
                 f"envelope [{clcu.c_l:g}, {clcu.c_u:g}]"
             )
 
+    # the certificate and the error bound read one factor of the design
+    projector = analysis.Projector(kernel, record.spec.q, state.X)
     cert_json = None
     if record.n >= 2:
-        cert = analysis.greedy_certificate(record, clcu=clcu)
+        cert = analysis.greedy_certificate(record, clcu=clcu, projector=projector)
         cert_json = {
             "gamma_hat": cert.gamma_hat,
             "gamma_theoretical": (None if np.isnan(cert.gamma_theoretical)
@@ -176,7 +178,7 @@ def build_report(raw, state, record):
                 f"gamma_hat {failure['gamma_hat']:g}"
             )
 
-    bound = analysis.error_bound_check(record, state)
+    bound = analysis.error_bound_check(record, state, projector=projector)
     bound_json = None
     if record.n:
         bound_json = {

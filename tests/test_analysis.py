@@ -512,16 +512,37 @@ def test_chunked_sups_equal_the_dense_maxima(run_d2):
     state, rec = run_d2
     kernel, q, grid = state.kernel, rec.spec.q, rec.cert_grid
     dense = np.max(analysis.projection_distance_sq(kernel, q, state.X, grid), axis=1)
-    chunked = analysis._Projector(kernel, q, state.X).sups(grid)
+    chunked = analysis.Projector(kernel, q, state.X).sups(grid)
     assert np.array_equal(chunked, dense)
     report = analysis.error_bound_check(rec, state)
     assert [row["sup_qk"] for row in report.rows] == np.sqrt(dense[1:]).tolist()
-    X_all = rec.design()
-    dist = analysis.projection_distance_sq(kernel, q, X_all[:-1],
-                                           np.vstack([grid, X_all]))
-    d_chosen = np.sqrt(np.diagonal(dist[:, len(grid):]))
-    sup = np.maximum(np.sqrt(np.max(dist[:, :len(grid)], axis=1)), d_chosen)
+    # the certificate reads rows 0..n-1 of the same factor of the design
+    X = rec.design()
+    d_chosen = np.sqrt(np.diagonal(analysis.projection_distance_sq(kernel, q, X, X)))
+    sup = np.maximum(np.sqrt(dense[:-1]), d_chosen)
     assert np.array_equal(analysis.greedy_certificate(rec).ratios, d_chosen / sup)
+
+
+def test_build_report_factors_each_design_once(run_d2, monkeypatch):
+    # the certificate and the error bound share one Projector of the run's
+    # design; the n-width surrogate has one of its own P-greedy design
+    state, rec = run_d2
+    designs, factored = [], []
+    init, chol = analysis.Projector.__init__, kernels.chol_with_jitter
+
+    def recording_init(self, kernel, q, X):
+        designs.append(np.array(X))
+        init(self, kernel, q, X)
+
+    def recording_chol(K):
+        factored.append(len(K))
+        return chol(K)
+
+    monkeypatch.setattr(analysis.Projector, "__init__", recording_init)
+    monkeypatch.setattr(kernels, "chol_with_jitter", recording_chol)
+    runner.build_report(RUN_D2, state, rec)
+    assert len(designs) == 2 and factored == [len(X) for X in designs]
+    assert np.array_equal(designs[0], rec.design())
 
 
 def test_report_passes_on_the_run_d2_config_stay_under_5_mib(run_d2):

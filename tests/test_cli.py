@@ -430,7 +430,7 @@ def test_config_schema_uses_the_keywords_the_checker_implements():
 
 
 def test_cli_error_at_report_time_writes_no_artifact(tmp_path, monkeypatch, capsys):
-    def failing(record, state):
+    def failing(record, state, projector=None):
         raise NumericalDegradationError("posterior variance below its floor")
 
     monkeypatch.setattr(analysis, "error_bound_check", failing)

@@ -171,11 +171,12 @@ def test_sqdist_rejects_mismatched_dimensions():
         sqdist(np.zeros((3, 2)), np.zeros((4, 3)))
 
 
-# The Grams below are 81-point lattice designs, beyond the row block of
-# solve_lower, so every off-diagonal block is used; one column is what a
-# one-point posterior (gp.extend) solves. The gap to LAPACK's solve is held
-# to the kappa-scaled tolerance that tests/test_gp.py states, kappa =
-# cond(L)^2 the condition number of the jittered Gram matrix.
+# The Grams below are the first n points of an 81-point lattice design, n
+# below, at and past one row block of solve_lower and up to 81, so every
+# off-diagonal block is used; one column is what a one-point posterior
+# (gp.extend) solves. The gap to LAPACK's solve is held to the kappa-scaled
+# tolerance that tests/test_gp.py states, kappa = cond(L)^2 the condition
+# number of the jittered Gram matrix.
 EPS = np.finfo(float).eps
 MEAN_TOL = 1e3
 LATTICE = np.stack(np.meshgrid(*[np.linspace(0, 1, 9)] * 2, indexing="ij"),
@@ -186,14 +187,30 @@ LATTICE = np.stack(np.meshgrid(*[np.linspace(0, 1, 9)] * 2, indexing="ij"),
                                     Wendland(1, 0.3), InverseMultiquadric(0.5, 0.1)])
 @pytest.mark.parametrize("shape", [(81, 1), (81, 7), (81, kernels.SOLVE_CHUNK + 5)])
 def test_solve_lower_matches_lapack_triangular_solve(kernel, shape):
-    L, _ = chol_with_jitter(gram(kernel, LATTICE))
     B = np.random.default_rng(3).normal(size=shape)
-    expected = solve_triangular(L, B, lower=True)
-    kappa = np.linalg.cond(L) ** 2
-    scale = max(1.0, float(np.max(np.abs(expected))))
-    out = B.copy()
-    assert solve_lower(L, out) is out
-    assert np.allclose(out, expected, rtol=0, atol=MEAN_TOL * EPS * kappa * scale)
+    for n in (1, kernels.SOLVE_BLOCK - 1, kernels.SOLVE_BLOCK, kernels.SOLVE_BLOCK + 1,
+              81):
+        L, _ = chol_with_jitter(gram(kernel, LATTICE[:n]))
+        expected = solve_triangular(L, B[:n], lower=True)
+        kappa = np.linalg.cond(L) ** 2
+        scale = max(1.0, float(np.max(np.abs(expected))))
+        out = B[:n].copy()
+        assert solve_lower(L, out) is out
+        assert np.allclose(out, expected, rtol=0, atol=MEAN_TOL * EPS * kappa * scale), n
+
+
+def test_column_slices_solved_with_one_factors_inverses_equal_one_solve():
+    # the report solves a point set chunk by chunk, or slab by slab, with the
+    # inverses of one factor; slices of whole SOLVE_CHUNKs, the last one
+    # short, are bit for bit the columns of one solve over all of them
+    L, _ = chol_with_jitter(gram(Matern(2.5, 0.1), LATTICE))
+    inverses = kernels.block_inverses(L)
+    B = np.random.default_rng(4).normal(size=(81, 3 * kernels.SOLVE_CHUNK + 5))
+    whole = solve_lower(L, B.copy())
+    for width in (kernels.SOLVE_CHUNK, 2 * kernels.SOLVE_CHUNK):
+        sliced = np.hstack([solve_lower(L, B[:, s:s + width].copy(), inverses)
+                            for s in range(0, B.shape[1], width)])
+        assert np.array_equal(sliced, whole), width
 
 
 def test_predicted_rate_forms():
