@@ -196,7 +196,7 @@ def nwidth_surrogate(kernel, q, grid, n):
         raise DomainError("n must be at least 1")
     q_sq = np.asarray(q(grid), dtype=float) ** 2
     state = gp.empty_state(kernel, ConstantMean(0.0), grid.shape[1])
-    post = gp.GridPosterior(state, grid)
+    post = gp.GridPosterior(state, grid, capacity=n)
     for _ in range(n):
         try:
             state = post.extend(state, int(np.argmax(q_sq * post.var)), 0.0)

@@ -1,10 +1,11 @@
 """The sequential quadrature loop: select, evaluate, condition, estimate.
 
-`run_abq` is the one place that computes posterior moments, each from a
-`gp.GridPosterior`. The certificate grid and the estimators' quadrature
-nodes keep one posterior each for the whole run; each step grows the state
-from the grid posterior and adds one Newton-basis row to each, O(|P| n)
-instead of a dense O(|P| n^2) solve.
+`run_abq` is the one place that computes posterior moments, from one
+`gp.GridPosterior` on the certificate grid stacked over the estimators'
+quadrature nodes, its rows preallocated to the budget. Each step grows
+the state from the grid part of that posterior and adds one Newton-basis
+row to it, O(|P| n) instead of a dense O(|P| n^2) solve; selection reads
+the first |grid| moments and the estimators the rest.
 The grid moments after step l give sup q sqrt(k) for step l and the b
 range and acquisition for step l+1; acquisition rules and estimators
 take moments as inputs.
@@ -210,22 +211,26 @@ def run_abq(problem, spec, n, cert_points=None, oracle_resolution=None):
     cert_grid = certificate_grid(dom, cert_points)
 
     state = gp.empty_state(kernel=model.kernel, mean=model.prior_mean, dim=dom.dim)
-    grid_post = gp.GridPosterior(state, cert_grid)
     nodes, w = quadrature_nodes(dom, oracle_resolution)
     dens = problem.pi(nodes)
-    node_post = gp.GridPosterior(state, nodes)
+    # one posterior on [grid; nodes]: selection reads [:G], the estimators [G:]
+    G = len(cert_grid)
+    post = gp.GridPosterior(state, np.vstack([cert_grid, nodes]), capacity=n)
+    grid_prior_var = post.prior_var[:G]
 
     record = RunRecord(problem=problem, spec=spec, cert_grid=cert_grid,
-                       cert_radius=covering_radius(dom, len(cert_grid)),
+                       cert_radius=covering_radius(dom, G),
                        oracle_resolution=oracle_resolution)
     q_grid = spec.q(cert_grid)
-    record.e0 = float(np.max(q_grid * np.sqrt(grid_post.var)))
+    record.e0 = float(np.max(q_grid * np.sqrt(post.var[:G])))
 
     for _ in range(n):
-        a_grid, clamps, b_grid = spec.evaluate(cert_grid, grid_post.mean, grid_post.var)
+        grid_var = post.var[:G]
+        a_grid, clamps, b_grid = spec.evaluate(cert_grid, post.mean[:G], grid_var)
+        # read now: the update below overwrites the mean b may be a view of
+        b_range = float(np.min(b_grid)), float(np.max(b_grid))
         # F(0) b = 0 at a point the design spans: zero it where extend rejects
-        floor = gp.dependence_floor(state.jitter_used, grid_post.prior_var)
-        spanned = grid_post.var <= floor
+        spanned = grid_var <= gp.dependence_floor(state.jitter_used, grid_prior_var)
         try:
             index = select_next(np.where(spanned, 0.0, a_grid))
         except Converged:
@@ -238,15 +243,14 @@ def run_abq(problem, spec, n, cert_points=None, oracle_resolution=None):
             raise NonFiniteIntegrandError(
                 f"non-finite integrand value {f_val.tolist()} at x = {x.tolist()}"
             )
-        state = grid_post.extend(state, index, t.inverse(f_val)[0])
-        grid_post.update(state)
-        node_post.update(state)
+        state = post.extend(state, index, t.inverse(f_val)[0])
+        post.update(state)
         record.points.append(x)
         record.clamp_events += clamps
-        record.b_min.append(float(np.min(b_grid)))
-        record.b_max.append(float(np.max(b_grid)))
-        record.sup_qk.append(float(np.max(q_grid * np.sqrt(grid_post.var))))
-        plugin, expectation = estimates(t, w, dens, node_post.mean, node_post.var)
+        record.b_min.append(b_range[0])
+        record.b_max.append(b_range[1])
+        record.sup_qk.append(float(np.max(q_grid * np.sqrt(post.var[:G]))))
+        plugin, expectation = estimates(t, w, dens, post.mean[G:], post.var[G:])
         record.est_plugin.append(plugin)
         record.est_expectation.append(expectation)
     return state, record

@@ -11,11 +11,12 @@ Newton-basis rows V = L^{-1} K(X, P), the mean m(P) + V^T beta and the
 variance k(P, P) - sum_i V_i^2 (Mueller & Schaback 2009). It is built
 from one C-ordered (n, |P|) kernel block K(X, P) and one blocked forward
 substitution, `kernels.solve_lower`, written over it; `update` adds one
-row per new design point, O(|P| n) per step, and `GridPosterior.extend`
-grows a state by a point of P from its column of V. `extend` and
-`posterior` are one-point and one-shot forms. Built and updated rows
-agree to rounding; the gap grows with the Gram condition number, and
-tests/test_gp.py states the bound.
+row per new design point, O(|P| n) per step, into a row buffer allocated
+up front for `capacity` rows (the sequential loop passes its budget), and
+updates `mean` in place. `GridPosterior.extend` grows a state by a point
+of P from its column of V. `extend` and `posterior` are one-point and
+one-shot forms. Built and updated rows agree to rounding; the gap grows
+with the Gram condition number, and tests/test_gp.py states the bound.
 """
 
 from __future__ import annotations
@@ -80,16 +81,6 @@ def posterior(state, X):
     return post.mean, post.var
 
 
-def check_floor(var, prior_var):
-    """Posterior variances clamped at 0; a value below
-    -1e-10 * max(1, |prior variance|) raises NumericalDegradationError."""
-    floor = -1e-10 * np.maximum(1.0, np.abs(prior_var))
-    if np.any(var < floor):
-        raise NumericalDegradationError(
-            f"posterior variance {float(np.min(var)):g} below clamp tolerance")
-    return np.maximum(var, 0.0)
-
-
 def dependence_floor(jitter_used, prior_var):
     """Posterior variance at or below which the design spans a point."""
     return np.maximum(100.0 * jitter_used, 1e-12 * prior_var)
@@ -99,20 +90,40 @@ class GridPosterior:
     """Posterior moments on a point set P, built once and updated point by point.
 
     Holds the rows V = L^{-1} K(X, P), the mean m(P) + V^T beta and the
-    variance k(P, P) - sum_i V_i^2, clamped at 0 with `check_floor`.
+    variance k(P, P) - sum_i V_i^2, clamped at 0; a variance below
+    -1e-10 * max(1, |prior variance|) raises NumericalDegradationError.
     `update` adds one row per new design point from one kernel row and
-    one product with the new Cholesky row.
+    one product with the new Cholesky row. The row buffer holds
+    `capacity` rows from the start and doubles when an update runs past
+    it. `mean` is updated in place, so a caller that keeps it across an
+    update sees the new values; `var` is a new array after each update.
     """
 
-    def __init__(self, state, P):
+    def __init__(self, state, P, capacity=0):
         self.P = np.atleast_2d(np.asarray(P, dtype=float))
         self.n = state.n
         self.prior_var = state.kernel.diag(self.P)
+        self._floor = -1e-10 * np.maximum(1.0, np.abs(self.prior_var))
         self._rows = kernels.solve_lower(state.chol,
                                          state.kernel.pairwise(state.X, self.P))
         self._raw_var = self.prior_var - np.sum(self._rows * self._rows, axis=0)
         self.mean = state.mean(self.P) + self._rows.T @ state.beta
-        self.var = check_floor(self._raw_var, self.prior_var)
+        if capacity > self.n:
+            self._grow(capacity)
+        self._clamp()
+
+    def _grow(self, size):
+        """Move the rows, all filled, to a buffer of `size` rows."""
+        grown = np.empty((size, self.P.shape[0]))
+        grown[:len(self._rows)] = self._rows
+        self._rows = grown
+
+    def _clamp(self):
+        if np.any(self._raw_var < self._floor):
+            raise NumericalDegradationError(
+                f"posterior variance {float(np.min(self._raw_var)):g} "
+                "below clamp tolerance")
+        self.var = np.maximum(self._raw_var, 0.0)
 
     def update(self, state):
         """Condition on the design points of `state` past the first `n`.
@@ -124,18 +135,16 @@ class GridPosterior:
             return
         for i in range(self.n, state.n):
             if i == self._rows.shape[0]:
-                grown = np.empty((max(8, 2 * i), self.P.shape[0]))
-                grown[:i] = self._rows[:i]
-                self._rows = grown
+                self._grow(max(8, 2 * i))
             row = state.kernel.pairwise(state.X[i:i + 1], self.P)[0]
             row -= state.chol[i, :i] @ self._rows[:i]
             row /= state.chol[i, i]
             self._rows[i] = row
-            self.mean = self.mean + state.beta[i] * row
+            self.mean += state.beta[i] * row
             row *= row
             self._raw_var -= row
         self.n = state.n
-        self.var = check_floor(self._raw_var, self.prior_var)
+        self._clamp()
 
     def extend(self, state, index, z):
         """State on X + {P[index]} with latent value z, with no solve: the

@@ -70,8 +70,11 @@ class Square(Transform):
             raise ValueError("alpha must be positive")
 
     def forward(self, y):
-        y = np.asarray(y, dtype=float)
-        return self.alpha + 0.5 * y ** 2
+        # alpha + 0.5 y^2 with one allocation; y is left as it is
+        out = np.square(np.asarray(y, dtype=float))
+        out *= 0.5
+        out += self.alpha
+        return out
 
     def inverse(self, f_val):
         f_val = np.asarray(f_val, dtype=float)

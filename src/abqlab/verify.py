@@ -327,10 +327,12 @@ def check_moment_estimator(seed=5, n_mc=1_000_000, n_query=20):
     s2 = np.zeros((len(warps), n_query))
     block = BLOCK_POINTS // n_query
     for start in range(0, n_mc, block):
-        latent = mean[:, None] + sd[:, None] * rng.standard_normal(
-            min(block, n_mc - start))
+        latent = sd[:, None] * rng.standard_normal(min(block, n_mc - start))
+        latent += mean[:, None]
         for i, (t, c) in enumerate(zip(warps, shifts)):
-            dev = t.forward(latent) - c[:, None]
+            # both warps return a new array, so the shift goes in place
+            dev = t.forward(latent)
+            dev -= c[:, None]
             s1[i] += dev.sum(axis=1)
             s2[i] += np.square(dev, out=dev).sum(axis=1)
 

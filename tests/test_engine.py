@@ -207,8 +207,8 @@ def test_masked_candidates_are_those_extend_rejects(monkeypatch):
     grid_posterior, extend = gp.GridPosterior, gp.GridPosterior.extend
     select = engine.select_next
 
-    def building(state, P):
-        posts.append(grid_posterior(state, P))
+    def building(state, P, capacity=0):
+        posts.append(grid_posterior(state, P, capacity))
         states.append(state)
         return posts[-1]
 
@@ -232,7 +232,7 @@ def test_masked_candidates_are_those_extend_rejects(monkeypatch):
     monkeypatch.setattr(engine, "select_next", spy)
     _, rec = engine.run_abq(make_problem(), p_greedy_spec(), 10, cert_points=8)
     assert rec.n == 8 and rec.stop_cause == engine.STOP_SPANNED
-    assert len(probes) == 9
+    assert len(posts) == 1 and len(probes) == 9
     for ell, (masked, rejected, n) in enumerate(probes):
         assert np.array_equal(masked, rejected)
         assert rejected.sum() == n == ell
@@ -307,8 +307,9 @@ def test_record_replays_from_its_design():
 
 
 def count_posteriors(monkeypatch):
-    """Record each GridPosterior construction as (point set, |P|, state.n),
-    `gp.posterior` included, and count updates by point set and state."""
+    """Record each GridPosterior construction as (point set, state.n,
+    capacity), `gp.posterior` included, and count updates by point set and
+    state."""
     built, updates = [], Counter()
     grid_posterior, update = gp.GridPosterior, gp.GridPosterior.update
 
@@ -316,10 +317,10 @@ def count_posteriors(monkeypatch):
         updates[self.P.tobytes(), state.n] += 1
         return update(self, state)
 
-    def counting_grid(state, P):
+    def counting_grid(state, P, capacity=0):
         P = np.atleast_2d(np.asarray(P, dtype=float))
-        built.append((P.tobytes(), P.shape[0], state.n))
-        return grid_posterior(state, P)
+        built.append((P, state.n, capacity))
+        return grid_posterior(state, P, capacity)
 
     monkeypatch.setattr(gp.GridPosterior, "update", counting_update)
     monkeypatch.setattr(gp, "GridPosterior", counting_grid)
@@ -331,10 +332,15 @@ def test_run_abq_computes_each_posterior_once(monkeypatch):
     problem, spec = wsabi_m_problem()
     _, rec = engine.run_abq(problem, spec, 8, cert_points=128, oracle_resolution=64)
     assert rec.n == 8
-    # one posterior each on the grid and the oracle nodes, built before the
-    # first point and conditioned once per new GP state; nothing else is built
-    assert [(size, n) for _, size, n in built] == [(128, 0), (64, 0)]
-    assert sorted(updates.values()) == [1] * (2 * rec.n)
+    # one posterior on the grid stacked over the oracle nodes, built before
+    # the first point with rows for the budget and conditioned once per new
+    # GP state; nothing else is built
+    assert len(built) == 1
+    P, n, capacity = built[0]
+    nodes, _ = quadrature_nodes(DOM, 64)
+    assert np.array_equal(P, np.vstack([rec.cert_grid, nodes]))
+    assert (len(P), n, capacity) == (128 + 64, 0, 8)
+    assert updates == {(P.tobytes(), k): 1 for k in range(1, rec.n + 1)}
 
 
 def test_vbmc_density_runs_once_per_step_on_the_grid():

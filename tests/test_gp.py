@@ -248,3 +248,50 @@ def test_grid_posterior_builds_from_one_kernel_block(monkeypatch):
     post = gp.GridPosterior(state, P)
     assert calls == [(6, 11)]
     assert post.n == 6
+
+
+def p_greedy_chain(post, state, steps, candidates):
+    """`steps` P-greedy steps on the first `candidates` points of `post`,
+    each state extended from `post` and yielded after its update."""
+    for _ in range(steps):
+        index = int(np.argmax(post.var[:candidates]))
+        state = post.extend(state, index, float(np.sin(7.0 * index)))
+        post.update(state)
+        yield state
+
+
+@pytest.mark.parametrize("a, b, dim", [(128, 64, 1), (512, 256, 1), (4096, 4096, 2)],
+                         ids=["128+64", "512+256", "4096+4096"])
+def test_stacked_posterior_equals_separate_ones(a, b, dim):
+    # the engine's one posterior on [grid; nodes] at its widths: the grid
+    # part and the node part are the separate posteriors bit for bit
+    rng = np.random.default_rng(a + b)
+    A, B = rng.uniform(size=(a, dim)), rng.uniform(size=(b, dim))
+    kernel, mean = Matern(2.5, 0.3), ConstantMean(5.0)
+    state = gp.empty_state(kernel, mean, dim)
+    stacked = gp.GridPosterior(state, np.vstack([A, B]), capacity=12)
+    alone = gp.GridPosterior(state, A), gp.GridPosterior(state, B)
+    for state in p_greedy_chain(stacked, state, 12, a):
+        for post, part in zip(alone, (slice(None, a), slice(a, None))):
+            post.update(state)
+            assert np.array_equal(stacked.mean[part], post.mean)
+            assert np.array_equal(stacked.var[part], post.var)
+    assert state.n == 12
+
+
+def test_preallocated_posterior_equals_a_grown_one():
+    P = np.random.default_rng(1).uniform(size=(300, 2))
+    kernel, mean = Matern(1.5, 0.25), ConstantMean(0.3)
+    state = gp.empty_state(kernel, mean, 2)
+    # rows for 12, for 3 (so it doubles past them) and for none
+    posts = [gp.GridPosterior(state, P, capacity=c) for c in (12, 3, 0)]
+    held = posts[0].mean
+    for state in p_greedy_chain(posts[0], state, 12, len(P)):
+        for post in posts[1:]:
+            post.update(state)
+            assert np.array_equal(post.mean, posts[0].mean)
+            assert np.array_equal(post.var, posts[0].var)
+    assert posts[0]._rows.shape[0] == 12 and posts[1]._rows.shape[0] == 16
+    # the mean is updated in place
+    assert held is posts[0].mean
+    assert_moments_close((posts[1].mean, posts[1].var), state, P, state.z - 0.3)

@@ -57,6 +57,18 @@ def test_square_inverse_rejects_values_below_alpha():
         Square(alpha=0.0)
 
 
+@pytest.mark.parametrize("y", [np.random.default_rng(2).normal(0, 30, (7, 129)),
+                               np.random.default_rng(3).normal(0, 1e-160, 50),
+                               np.array(-1.7), 2.5], ids=["2d", "tiny", "0-d", "float"])
+def test_square_forward_is_exact_and_leaves_its_argument(y):
+    t = Square(alpha=0.8)
+    before = np.copy(y)
+    out = t.forward(y)
+    assert np.array_equal(out, 0.8 + 0.5 * np.asarray(y, dtype=float) ** 2)
+    assert np.shape(out) == np.shape(y)
+    assert np.array_equal(y, before)
+
+
 def test_exponential_guards():
     with pytest.raises(SaturationError):
         Exponential().forward(np.array([1000.0]))
