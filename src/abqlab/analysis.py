@@ -107,7 +107,6 @@ class GreedyCertificate:
 
     ratios: np.ndarray
     gamma_hat: float
-    gamma_theoretical: float = float("nan")
     failures: list = field(default_factory=list)
 
     @property
@@ -115,7 +114,15 @@ class GreedyCertificate:
         return not self.failures
 
 
-def greedy_certificate(record, clcu=None, projector=None):
+def weak_greedy_gamma(spec, lower, upper):
+    """sqrt(psi(min(gamma_tilde * lower / upper, 1))), the weak-greedy
+    constant of spec's rule when b stays in [lower, upper]; 0 (vacuous)
+    when lower <= 0 or the ratio underflows to 0."""
+    c = min(spec.gamma_tilde * lower / upper, 1.0) if lower > 0 else 0.0
+    return float(np.sqrt(spec.outer.psi(c))) if c > 0 else 0.0
+
+
+def greedy_certificate(record, projector=None):
     """Per-iteration ratios dist(h_chosen, S_l) / sup dist(h, S_l), the
     supremum taken over the run's certificate grid, with the run's kernel
     and q; a ratio below gamma_hat by more than CERT_TOL is a failure.
@@ -125,10 +132,7 @@ def greedy_certificate(record, clcu=None, projector=None):
     the certificate reads rows 0..n-1. It is built here unless the caller
     shares the one it passes to `error_bound_check`.
 
-    gamma_hat is computed from the monitored b range, and is 0 (a vacuous
-    certificate) when b_min is 0, b_max = 0 included; when a theoretical
-    [C_L, C_U] is supplied (and present) the certificate carries the
-    theoretical gamma as well.
+    gamma_hat is `weak_greedy_gamma` of the monitored b range.
     Failures are reported, not raised.
     """
     if record.n < 2:
@@ -143,17 +147,10 @@ def greedy_certificate(record, clcu=None, projector=None):
     sup = np.maximum(d_grid, d_chosen)
     ratios = np.divide(d_chosen, sup, out=np.ones_like(sup), where=sup > 0)
 
-    b_max = max(record.b_max)
-    c_hat = min(spec.gamma_tilde * min(record.b_min) / b_max, 1.0) if b_max > 0 else 0.0
-    gamma_hat = float(np.sqrt(spec.outer.psi(c_hat))) if c_hat > 0 else 0.0
-
+    gamma_hat = weak_greedy_gamma(spec, min(record.b_min), max(record.b_max))
     failures = [{"iteration": ell, "ratio": float(rho), "gamma_hat": gamma_hat}
                 for ell, rho in enumerate(ratios) if rho < gamma_hat - CERT_TOL]
-    cert = GreedyCertificate(ratios=ratios, gamma_hat=gamma_hat, failures=failures)
-    if clcu is not None and clcu.present:
-        c_theo = min(spec.gamma_tilde * clcu.c_l / clcu.c_u, 1.0)
-        cert.gamma_theoretical = float(np.sqrt(spec.outer.psi(c_theo)))
-    return cert
+    return GreedyCertificate(ratios=ratios, gamma_hat=gamma_hat, failures=failures)
 
 
 def fill_distance(X, dom):

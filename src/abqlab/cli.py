@@ -21,7 +21,7 @@ import numpy as np
 
 from . import analysis, kernels, runner
 from .config import load_config
-from .exceptions import AbqError, ConfigError
+from .exceptions import AbqError, ConfigError, DomainError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -86,42 +86,49 @@ def _cmd_verify(args):
 
 
 def _read_trace(path):
+    """A trace's n and sup_q_sqrt_k columns and its dimension. A trace that
+    lacks one of the columns n, x0 and sup_q_sqrt_k, or has a row that is
+    not one finite number per column, raises ConfigError naming the line."""
     with open(path) as fh:
         first = fh.readline().strip()
         if first.removeprefix("# ") not in runner.READABLE_TRACE_SCHEMAS:
             raise ConfigError(f"{path}:1: unrecognized trace schema line {first!r}")
         header = fh.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    cols = {name: np.array([float(r[i]) for r in rows])
-            for i, name in enumerate(header)}
-    dim = sum(1 for name in header if name.startswith("x"))
-    return cols, dim
+        if not {"n", "x0", "sup_q_sqrt_k"} <= set(header):
+            raise ConfigError(f"{path}:2: a trace needs columns n, x0 and sup_q_sqrt_k")
+        body = [(k, line) for k, line in enumerate(fh, start=3) if line.strip()]
+    rows = []
+    for lineno, line in body:
+        try:
+            row = [float(cell) for cell in line.split(",")]
+        except ValueError:
+            row = []
+        if len(row) != len(header) or not np.all(np.isfinite(row)):
+            raise ConfigError(f"{path}:{lineno}: not {len(header)} finite numbers")
+        rows.append(row)
+    cols = dict(zip(header, np.array(rows).reshape(-1, len(header)).T))
+    return cols["n"], cols["sup_q_sqrt_k"], sum(name.startswith("x") for name in header)
 
 
 def _cmd_rates(args):
     out = []
     for path in args.traces:
-        cols, dim = _read_trace(path)
-        e = cols["sup_q_sqrt_k"]
-        ns = cols["n"]
+        ns, e, dim = _read_trace(path)
         fits = {}
         for model in (kernels.RatePrediction("exponential", 1.0 / dim),
                       kernels.RatePrediction("polynomial", 0.0)):
             try:
                 fit = analysis.fit_rate(e, model, n_values=ns, floor=1e-12)
-            except Exception as exc:  # short series: report, keep going
+            except DomainError as exc:  # short series: report, keep going
                 fits[model.model] = {"skipped": str(exc)}
+                print(f"{path} [{model.model}] skipped: {exc}")
                 continue
             fits[model.model] = {"slope": fit.slope, "intercept": fit.intercept,
                                  "r_squared": fit.r_squared,
                                  "n_range": list(fit.n_range)}
+            print(f"{path} [{model.model}] slope={fit.slope:.4g} "
+                  f"R^2={fit.r_squared:.4f}")
         out.append({"trace": path, "dim": dim, "fits": fits})
-        for model, fit in fits.items():
-            if "slope" in fit:
-                print(f"{path} [{model}] slope={fit['slope']:.4g} "
-                      f"R^2={fit['r_squared']:.4f}")
-            else:
-                print(f"{path} [{model}] skipped: {fit['skipped']}")
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(out, fh, indent=2, sort_keys=True)

@@ -8,6 +8,7 @@ exactly.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -262,39 +263,45 @@ class TruncatedGaussianDensity(Density):
 
 
 class TabulatedDensity(Density):
-    """Density given by values on a tensor grid, multilinear in between.
-
-    Values below 1e-300 are clamped to zero.
-    """
+    """Density given by values on a tensor grid, multilinear in between: each
+    corner value times its weights left to right, summed over the corners in
+    `itertools.product` order, as scipy's 2-D RegularGridInterpolator does.
+    Values below 1e-300 are clamped to zero; points outside the box raise
+    ValueError."""
 
     def __init__(self, domain, values):
         self.domain = domain
-        values = np.asarray(values, dtype=float)
-        if values.ndim != domain.dim or min(values.shape) < 2:
+        self.values = np.asarray(values, dtype=float)
+        if self.values.ndim != domain.dim or min(self.values.shape) < 2:
             raise ValueError("values must be a d-dimensional tensor, 2 or more per axis")
-        if np.any(values < 0):
+        if np.any(self.values < 0):
             raise ValueError("density values must be nonnegative")
-        from scipy.interpolate import RegularGridInterpolator
-
-        axes = [
-            np.linspace(a, b, n)
-            for (a, b), n in zip(zip(domain.lower, domain.upper), values.shape)
-        ]
-        self._interp = RegularGridInterpolator(axes, values, method="linear")
-        self.strictly_positive = bool(np.all(values > 0))
+        self.axes = [np.linspace(a, b, n)
+                     for a, b, n in zip(domain.lower, domain.upper, self.values.shape)]
+        self.strictly_positive = bool(np.all(self.values > 0))
 
     def __call__(self, X):
         X = as_points(X, self.domain.dim)
-        vals = self._interp(X)
-        vals = np.where(vals < _TINY_DENSITY, 0.0, vals)
-        return vals
+        if not np.all(self.domain.contains(X)):
+            raise ValueError("a point lies outside the density's box")
+        cells, fractions = [], []
+        for x, axis in zip(X.T, self.axes):
+            i = np.clip(np.searchsorted(axis, x, side="right") - 1, 0, len(axis) - 2)
+            cells.append(i)
+            fractions.append((x - axis[i]) / (axis[i + 1] - axis[i]))
+        vals = 0.0
+        for corner in itertools.product((0, 1), repeat=len(cells)):
+            term = self.values[tuple(i + c for i, c in zip(cells, corner))]
+            for c, y in zip(corner, fractions):
+                term = term * (y if c else 1 - y)
+            vals = vals + term
+        return np.where(vals < _TINY_DENSITY, 0.0, vals)
 
     def bounds(self):
         # a multilinear slope along axis i averages its cells' dv / dx_i
-        v = self._interp.values
-        return float(np.max(v)), float(np.linalg.norm(
-            [np.max(np.abs(np.diff(v, axis=i))) / np.min(np.diff(x))
-             for i, x in enumerate(self._interp.grid)]))
+        return float(np.max(self.values)), float(np.linalg.norm(
+            [np.max(np.abs(np.diff(self.values, axis=i))) / np.min(np.diff(x))
+             for i, x in enumerate(self.axes)]))
 
 
 class MeanFunction:

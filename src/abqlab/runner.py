@@ -139,8 +139,10 @@ def build_report(raw, state, record):
 
     clcu = clcu_for(record)
     clcu_json = {"present": clcu.present, "reason": clcu.reason}
+    gamma_theoretical = None
     if clcu.present:
         clcu_json.update({"c_l": clcu.c_l, "c_u": clcu.c_u})
+        gamma_theoretical = analysis.weak_greedy_gamma(record.spec, clcu.c_l, clcu.c_u)
     else:
         findings.append(f"weak-adaptivity envelope absent: {clcu.reason}")
 
@@ -158,11 +160,10 @@ def build_report(raw, state, record):
     projector = analysis.Projector(kernel, record.spec.q, state.X)
     cert_json = None
     if record.n >= 2:
-        cert = analysis.greedy_certificate(record, clcu=clcu, projector=projector)
+        cert = analysis.greedy_certificate(record, projector=projector)
         cert_json = {
             "gamma_hat": cert.gamma_hat,
-            "gamma_theoretical": (None if np.isnan(cert.gamma_theoretical)
-                                  else cert.gamma_theoretical),
+            "gamma_theoretical": gamma_theoretical,
             "min_ratio": float(np.min(cert.ratios)),
             "failures": cert.failures,
         }

@@ -113,6 +113,20 @@ def test_greedy_certificate_exact_argmax_ratio_one():
     assert cert.gamma_hat == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("lower, upper, gamma_tilde, want", [
+    (2.0, 4.0, 1.0, np.sqrt(0.5)),  # Power(1.0): psi(c) = c
+    (4.0, 4.0, 0.5, np.sqrt(0.5)),
+    (4.0, 2.0, 1.0, 1.0),  # c is capped at 1
+    (0.0, 4.0, 1.0, 0.0),  # C_L = 0: vacuous, psi(0) is never asked for
+    (0.0, 0.0, 1.0, 0.0),
+    (1e-300, 1e300, 1.0, 0.0),  # the ratio underflows to 0
+])
+def test_weak_greedy_gamma(lower, upper, gamma_tilde, want):
+    spec = AcquisitionSpec(outer=Power(1.0), q=Q, b=ConstantRule(1.0),
+                           gamma_tilde=gamma_tilde)
+    assert analysis.weak_greedy_gamma(spec, lower, upper) == want
+
+
 def test_greedy_certificate_needs_two_points():
     rec = _p_greedy_record(budget=1)[0]
     with pytest.raises(DomainError):

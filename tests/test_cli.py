@@ -782,6 +782,23 @@ def test_report_vbmc_envelope_from_the_density_on_the_probe_grid(tmp_path):
     weak = report["weak_adaptivity"]
     assert set(weak) == {"b_min", "b_max", "within_envelope"}
     assert weak["within_envelope"]
+    # Power(1.0) and gamma_tilde 1: gamma = sqrt(psi(C_L / C_U)), psi(c) = c
+    gamma = report["certificate"]["gamma_theoretical"]
+    assert gamma == np.sqrt(clcu["c_l"] / clcu["c_u"])
+
+
+def test_report_of_a_vbmc_envelope_with_c_l_zero(tmp_path):
+    # the density vanishes at one corner, so C_L = 0 and the theoretical
+    # gamma is 0 (a vacuous certificate), as gamma_hat is for b_min = 0
+    raw = box_config(2, budget=10)
+    raw["acquisition"]["b"] = {"kind": "vbmc", "density": {
+        "kind": "tabulated", "values": [[1.0, 1.0], [1.0, 0.0]]}}
+    cfg = write_config(tmp_path, raw)
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "r")]) == 0
+    report = json.loads((tmp_path / "r" / "report.json").read_text())
+    assert report["iterations"] == 10
+    assert report["clcu"]["present"] and report["clcu"]["c_l"] == 0.0
+    assert report["certificate"]["gamma_theoretical"] == 0.0
 
 
 def test_report_bound_reads_the_trace_estimates(tmp_path, monkeypatch):
@@ -811,6 +828,41 @@ def test_cli_rates_rejects_foreign_csv(tmp_path):
     path = tmp_path / "foreign.csv"
     path.write_text("a,b\n1,2\n")
     assert cli.main(["rates", str(path)]) == 2
+
+
+def trace_lines():
+    """A d=1 trace of 12 rows whose sup_q_sqrt_k halves at each step."""
+    header = ("n,x0,sup_q_sqrt_k,plugin_estimate,expectation_estimate,"
+              "abs_error_plugin,abs_error_expectation,b_min,b_max,fill_distance")
+    rows = [f"{n},0.5,{0.5 ** n!r},1.0,1.0,0.1,0.1,1.0,1.0,0.5" for n in range(1, 13)]
+    return [f"# {runner.TRACE_SCHEMA}", header, *rows]
+
+
+def replace_cell(line, column, cell):
+    cells = line.split(",")
+    cells[column] = cell
+    return ",".join(cells)
+
+
+@pytest.mark.parametrize("edit, lineno", [
+    pytest.param(lambda t: t[1].replace("sup_q_sqrt_k", "e"), 2, id="no-sup-column"),
+    pytest.param(lambda t: t[1].replace("n,", "step,", 1), 2, id="no-n-column"),
+    pytest.param(lambda t: t[1].replace("x0,", "y0,"), 2, id="no-x-column"),
+    pytest.param(lambda t: replace_cell(t[6], 2, "abc"), 7, id="non-numeric"),
+    pytest.param(lambda t: replace_cell(t[6], 7, "nan"), 7, id="nan"),
+    pytest.param(lambda t: replace_cell(t[9], 0, "inf"), 10, id="inf"),
+    pytest.param(lambda t: t[4].rsplit(",", 1)[0], 5, id="short-row"),
+    pytest.param(lambda t: t[4] + ",1.0", 5, id="long-row"),
+])
+def test_cli_rates_names_the_line_of_a_malformed_trace(tmp_path, capsys, edit, lineno):
+    path = tmp_path / "trace.csv"
+    lines = trace_lines()
+    path.write_text("\n".join(lines) + "\n")
+    assert cli.main(["rates", str(path)]) == 0
+    lines[lineno - 1] = edit(lines)
+    path.write_text("\n".join(lines) + "\n")
+    assert cli.main(["rates", str(path)]) == 2
+    assert f"config error: {path}:{lineno}: " in capsys.readouterr().err
 
 
 def blas_unset_env():
@@ -872,12 +924,15 @@ def test_importing_abqlab_starts_no_blas_thread():
 
 def test_cli_import_loads_no_jsonschema_numpy_random_or_scipy():
     # the config check is in the package; numpy.random is imported by
-    # `verify` alone; only a tabulated density imports scipy, when it is
-    # built (a d > 10 certificate grid raises DomainError without it).
+    # `verify` alone; no density imports scipy, a tabulated one built and
+    # evaluated included (a d > 10 certificate grid raises DomainError).
     # Counted over what `import numpy` loads, since numpy < 2 imports
     # numpy.random itself.
     src = str(Path(cli.__file__).resolve().parents[1])
     code = ("import sys, numpy; numpy_alone = set(sys.modules); import abqlab.cli; "
+            "from abqlab.domain import Domain, TabulatedDensity; "
+            "TabulatedDensity(Domain((0.0, 0.0), (1.0, 2.0)), "
+            "[[1.0, 2.0], [0.5, 3.0]])([0.5, 1.0]); "
             "print(sorted(m for m in set(sys.modules) - numpy_alone "
             "if m.split('.')[0] in ('jsonschema', 'scipy') "
             "or m.startswith('numpy.random')))")
@@ -887,21 +942,71 @@ def test_cli_import_loads_no_jsonschema_numpy_random_or_scipy():
 
 
 def test_truncated_gaussians_and_the_projection_check_load_no_scipy():
-    # the truncated Gaussian's normaliser is computed on math.erf/erfc
+    # the truncated Gaussian's normaliser is computed on math.erf/erfc, and
+    # a tabulated density interpolates with numpy alone
     src = str(Path(cli.__file__).resolve().parents[1])
     code = textwrap.dedent("""
         import sys
         from abqlab import verify
-        from abqlab.domain import Domain, TruncatedGaussianDensity
+        from abqlab.domain import Domain, TabulatedDensity, TruncatedGaussianDensity
 
-        TruncatedGaussianDensity(Domain((0.0, -1.0), (1.0, 2.0)),
-                                 center=[3.0, 0.5], scale=[0.3, 2.0])
+        dom = Domain((0.0, -1.0), (1.0, 2.0))
+        TruncatedGaussianDensity(dom, center=[3.0, 0.5], scale=[0.3, 2.0])
+        TabulatedDensity(dom, [[1.0, 2.0, 0.5], [3.0, 0.0, 1.0]]).bounds()
+        TabulatedDensity(dom, [[1.0, 2.0, 0.5], [3.0, 0.0, 1.0]])(dom.probe_grid())
         assert verify.check_projection_identity()[0]
         print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     """)
     out = subprocess.run([sys.executable, "-c", code], check=True, text=True,
                          capture_output=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "[]"
+
+
+NO_SCIPY = textwrap.dedent("""
+    import sys
+
+    class NoScipy:
+        \"\"\"An import finder that makes every scipy module unimportable.\"\"\"
+
+        def find_spec(self, name, path=None, target=None):
+            if name.split(".")[0] == "scipy":
+                raise ImportError(f"scipy is blocked: {name}")
+            return None
+
+    sys.meta_path.insert(0, NoScipy())
+    import abqlab.cli
+
+    code = abqlab.cli.main(sys.argv[1:])
+    try:
+        import scipy  # noqa: F401
+    except ImportError:
+        sys.exit(code)
+    sys.exit("the finder let scipy through")
+""")
+
+
+def test_tabulated_vbmc_run_needs_no_scipy(tmp_path):
+    # tabulated pi, q and VBMC density: the run's artifacts with scipy
+    # unimportable are those of a run that may import it
+    rng = np.random.default_rng(3)
+    raw = box_config(2, budget=12)
+    pi, q, density = (rng.uniform(low, 2.0, shape).tolist()
+                      for low, shape in ((0.5, (4, 3)), (0.5, (3, 5)), (0.2, (5, 4))))
+    raw["pi"] = {"kind": "tabulated", "values": pi}
+    raw["acquisition"]["q"] = {"kind": "tabulated", "values": q}
+    raw["acquisition"]["b"] = {"kind": "vbmc", "delta2": 1.5, "delta3": 0.5,
+                               "density": {"kind": "tabulated", "values": density}}
+    cfg = write_config(tmp_path, raw)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", NO_SCIPY, "run", cfg,
+                          "--out", str(tmp_path / "blocked")],
+                         text=True, capture_output=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0, out.stderr
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "free")]) == 0
+    for name in ("trace.csv", "report.json"):
+        blocked = (tmp_path / "blocked" / name).read_bytes()
+        assert blocked == (tmp_path / "free" / name).read_bytes(), name
 
 
 def test_cli_runs_load_no_module_the_import_did_not(tmp_path):

@@ -186,6 +186,42 @@ def test_tabulated_density_matches_the_multilinear_interpolant():
     assert TabulatedDensity(dom, values)(np.array([[2.0, 0.0]]))[0] == 0.0
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_tabulated_density_matches_scipy_on_points_knots_and_faces(dim):
+    # corner values times their weights left to right, summed in
+    # itertools.product order: scipy's 2-D fast path and its 1-D product,
+    # so bit-equal in d <= 2; from d = 3 scipy multiplies the weights first
+    from scipy.interpolate import RegularGridInterpolator
+
+    rng = np.random.default_rng(dim)
+    for _ in range(40 if dim <= 2 else 10):
+        lower = rng.uniform(-2.0, 1.0, dim)
+        dom = Domain(lower, lower + rng.uniform(0.1, 3.0, dim))
+        values = rng.uniform(0.0, 2.0, rng.integers(2, 7, dim))
+        dens = TabulatedDensity(dom, values)
+        inside = rng.uniform(dom.lower, dom.upper, (200, dim))
+        # each face point has one coordinate on the lower or upper face
+        faces = inside.copy()
+        axis, side = rng.integers(0, dim, 200), rng.integers(0, 2, 200)
+        faces[np.arange(200), axis] = np.array([dom.lower, dom.upper])[side, axis]
+        knots = np.stack(np.meshgrid(*dens.axes, indexing="ij"), -1).reshape(-1, dim)
+        X = np.concatenate([inside, faces, knots])
+        want = RegularGridInterpolator(dens.axes, values)(X)
+        got = dens(X)
+        if dim <= 2:
+            assert np.array_equal(got, want)
+        else:
+            assert np.max(np.abs(got - want)) <= 2 ** dim * np.spacing(values.max())
+        assert np.array_equal(dens(knots), values.reshape(-1))
+
+
+def test_tabulated_density_rejects_points_outside_its_box():
+    dens = TabulatedDensity(Domain((0.0, -1.0), (2.0, 1.0)), np.ones((3, 2)))
+    for x in ([2.5, 0.0], [1.0, -1.5], [np.nan, 0.0]):
+        with pytest.raises(ValueError, match="outside"):
+            dens(np.array([[1.0, 0.0], x]))
+
+
 def test_tabulated_density_interpolates_and_flags_positivity():
     dom = Domain((0.0,), (1.0,))
     dens = TabulatedDensity(dom, np.array([1.0, 3.0]))
