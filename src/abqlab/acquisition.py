@@ -76,8 +76,6 @@ def _check_psi_arg(c):
 
 
 class AdaptiveTermRule:
-    name = "base"
-
     def evaluate(self, X, mean, var):
         """b_l over a batch of points with posterior moments (mean, var)
         there; must be strictly positive."""
@@ -87,7 +85,6 @@ class AdaptiveTermRule:
 @dataclass(frozen=True)
 class ConstantRule(AdaptiveTermRule):
     value: float = 1.0
-    name = "constant"
 
     def __post_init__(self):
         if self.value <= 0:
@@ -102,8 +99,6 @@ class ConstantRule(AdaptiveTermRule):
 class WsabiL(AdaptiveTermRule):
     """b_l(x) = m_{g,Xl}^2(x)."""
 
-    name = "wsabi_l"
-
     def evaluate(self, X, mean, var):
         return mean ** 2
 
@@ -112,8 +107,6 @@ class WsabiL(AdaptiveTermRule):
 class WsabiM(AdaptiveTermRule):
     """b_l(x) = k_Xl(x,x)/2 + m_{g,Xl}^2(x)."""
 
-    name = "wsabi_m"
-
     def evaluate(self, X, mean, var):
         return 0.5 * var + mean ** 2
 
@@ -121,8 +114,6 @@ class WsabiM(AdaptiveTermRule):
 @dataclass(frozen=True)
 class Mmlt(AdaptiveTermRule):
     """b_l(x) = exp(k_Xl(x,x) + 2 m_{g,Xl}(x))."""
-
-    name = "mmlt"
 
     def evaluate(self, X, mean, var):
         return np.exp(var + 2.0 * mean)
@@ -139,7 +130,6 @@ class Vbmc(AdaptiveTermRule):
     density: object
     delta2: float = 1.0
     delta3: float = 1.0
-    name = "vbmc"
 
     def __post_init__(self):
         if self.delta2 < 0 or self.delta3 < 0:
@@ -231,4 +221,5 @@ def theoretical_clcu(rule, m_inf_low, m_inf_high, gnorm, k_inf, probe=None):
             float(np.min(vals)) ** rule.delta2 * float(np.exp(-width)),
             float(np.max(vals)) ** rule.delta2 * float(np.exp(width)),
         )
-    return ClcuResult(False, reason=f"no known envelope for rule {rule.name}")
+    return ClcuResult(False,
+                      reason=f"no known envelope for rule {type(rule).__name__}")

@@ -193,8 +193,6 @@ def load_config(path):
                             parse_constant=finite(float))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     validate_config(raw)
     return raw
 
@@ -310,12 +308,13 @@ _KEYWORDS = frozenset({
 
 
 def expand_matrix(raw):
-    """Cartesian expansion of the optional matrix block into flat configs."""
+    """Cartesian expansion of the optional matrix block into (directory tag,
+    flat config) pairs. Two combos with one tag raise ConfigError."""
     matrix = raw.get("matrix")
     if not matrix:
         return [("", raw)]
     keys = sorted(matrix)
-    combos = []
+    combos = {}
     for values in itertools.product(*(matrix[k] for k in keys)):
         cfg = copy.deepcopy(raw)
         cfg.pop("matrix", None)
@@ -323,16 +322,21 @@ def expand_matrix(raw):
         for key, value in zip(keys, values):
             _set_dotted(cfg, key, value)
             tags.append(f"{key.split('.')[-1]}={value}")
-        combos.append(("__".join(tags), cfg))
-    return combos
+        tag = "__".join(tags)
+        if tag in combos:
+            raise ConfigError(f"matrix gives two combos the directory {tag!r}")
+        combos[tag] = cfg
+    return list(combos.items())
 
 
 def _set_dotted(cfg, dotted, value):
     node = cfg
-    parts = dotted.split(".")
-    for part in parts[:-1]:
+    *parents, last = dotted.split(".")
+    for part in parents:
         node = node.setdefault(part, {})
-    node[parts[-1]] = value
+        if not isinstance(node, dict):
+            raise ConfigError(f"matrix key {dotted!r}: {part!r} is not an object")
+    node[last] = value
 
 
 def build_domain(raw):

@@ -43,10 +43,6 @@ class GpState:
     def n(self):
         return self.X.shape[0]
 
-    @property
-    def dim(self):
-        return self.X.shape[1]
-
 
 def empty_state(kernel, mean, dim):
     return GpState(

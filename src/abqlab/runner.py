@@ -1,4 +1,5 @@
-"""Experiment execution and artifact emission (trace.csv, report.json)."""
+"""Experiment execution and every file abqlab writes or reads back:
+trace.csv (which `abqlab rates` reads), report.json and the --out summaries."""
 
 from __future__ import annotations
 
@@ -28,12 +29,22 @@ def json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj).__name__}")
 
 
+def write_json(path, payload):
+    """Write payload to path as indented JSON with sorted keys and a trailing
+    newline, making the parent directory first."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True, default=json_default)
+        fh.write("\n")
+
+
 def run_experiment(raw, out_dir):
     """Run a (possibly matrix) config; one artifact directory per combo.
 
     Every combo is validated before any runs, and a combo's directory is
-    made only once its report is built. Returns the list of directories
-    written. Deterministic given the config.
+    made only once its report is built. Returns one (directory, number of
+    findings) pair per combo, in matrix order. Deterministic given the
+    config.
     """
     flats, targets = [], []
     for tag, flat in expand_matrix(raw):
@@ -50,11 +61,10 @@ def run_experiment(raw, out_dir):
 
         # each combo writes only to its own directory, so order is immaterial
         with ProcessPoolExecutor(max_workers=min(width, len(flats))) as pool:
-            list(pool.map(_run_single, flats, targets))
+            findings = list(pool.map(_run_single, flats, targets))
     else:
-        for flat, target in zip(flats, targets):
-            _run_single(flat, target)
-    return targets
+        findings = [_run_single(flat, target) for flat, target in zip(flats, targets)]
+    return list(zip(targets, findings))
 
 
 def execute(raw):
@@ -68,23 +78,23 @@ def _execute_valid(raw):
     """Build and run one validated flat config, the only reader of its
     `budget` and `grids`; returns (state, record)."""
     problem, spec = build_problem(raw)
-    grids = raw.get("grids", {})
-    return engine.run_abq(problem, spec, raw["budget"],
+    # the schema's integers take whole-number floats such as 3.0
+    grids = {name: int(value) for name, value in raw.get("grids", {}).items()}
+    return engine.run_abq(problem, spec, int(raw["budget"]),
                           cert_points=grids.get("certificate"),
                           oracle_resolution=grids.get("oracle"))
 
 
 def _run_single(raw, target):
-    # run_experiment validated every combo before the first run
+    """Run one validated flat config into target; returns its findings count."""
     state, record = _execute_valid(raw)
     report = build_report(raw, state, record)
     fills = (analysis.fill_distance(record.design(), record.problem.domain)
              if record.n else [])
     os.makedirs(target, exist_ok=True)
     _write_trace(os.path.join(target, "trace.csv"), record, report["reference"], fills)
-    with open(os.path.join(target, "report.json"), "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True, default=json_default)
-        fh.write("\n")
+    write_json(os.path.join(target, "report.json"), report)
+    return len(report["findings"])
 
 
 def _write_trace(path, record, reference, fills):
@@ -110,6 +120,52 @@ def _write_trace(path, record, reference, fills):
         lines.append(",".join(row))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _read_trace(path):
+    """A trace's n and sup_q_sqrt_k columns and its dimension. A trace that
+    lacks one of the columns n, x0 and sup_q_sqrt_k, or has a row that is
+    not one finite number per column, raises ConfigError naming the line."""
+    with open(path) as fh:
+        first = fh.readline().strip()
+        if first.removeprefix("# ") not in READABLE_TRACE_SCHEMAS:
+            raise ConfigError(f"{path}:1: unrecognized trace schema line {first!r}")
+        header = fh.readline().strip().split(",")
+        if not {"n", "x0", "sup_q_sqrt_k"} <= set(header):
+            raise ConfigError(f"{path}:2: a trace needs columns n, x0 and sup_q_sqrt_k")
+        body = [(k, line) for k, line in enumerate(fh, start=3) if line.strip()]
+    rows = []
+    for lineno, line in body:
+        try:
+            row = [float(cell) for cell in line.split(",")]
+        except ValueError:
+            row = []
+        if len(row) != len(header) or not np.all(np.isfinite(row)):
+            raise ConfigError(f"{path}:{lineno}: not {len(header)} finite numbers")
+        rows.append(row)
+    cols = dict(zip(header, np.array(rows).reshape(-1, len(header)).T))
+    return cols["n"], cols["sup_q_sqrt_k"], sum(name.startswith("x") for name in header)
+
+
+def trace_rate_fits(path):
+    """The `abqlab rates` record of one trace: its dimension and the
+    exponential and polynomial fits of its sup_q_sqrt_k column. A fit the
+    series is too short for is recorded as skipped, with the reason."""
+    ns, e, dim = _read_trace(path)
+    fits = {}
+    for model in (kernels.RatePrediction("exponential", 1.0 / dim),
+                  kernels.RatePrediction("polynomial", 0.0)):
+        try:
+            fits[model.model] = _fit_json(
+                analysis.fit_rate(e, model, n_values=ns, floor=1e-12))
+        except DomainError as exc:
+            fits[model.model] = {"skipped": str(exc)}
+    return {"trace": path, "dim": dim, "fits": fits}
+
+
+def _fit_json(fit):
+    return {"slope": fit.slope, "intercept": fit.intercept,
+            "r_squared": fit.r_squared, "n_range": list(fit.n_range)}
 
 
 def clcu_for(record):
@@ -210,11 +266,7 @@ def build_report(raw, state, record):
     fits = {}
     try:
         pred = kernels.predicted_rate(kernel, dom.dim)
-        fit = analysis.fit_rate(record.sup_qk, pred, floor=1e-7)
-        fits[pred.model] = {
-            "slope": fit.slope, "intercept": fit.intercept,
-            "r_squared": fit.r_squared, "n_range": list(fit.n_range),
-        }
+        fits[pred.model] = _fit_json(analysis.fit_rate(record.sup_qk, pred, floor=1e-7))
     except DomainError as exc:
         fits["skipped"] = str(exc)
 

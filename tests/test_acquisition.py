@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 from abqlab import gp
 from abqlab.acquisition import (
     AcquisitionSpec,
+    AdaptiveTermRule,
     ConstantRule,
     Expm1,
     Mmlt,
@@ -157,6 +158,17 @@ def test_clcu_vbmc_needs_density_bounds():
     assert res.present
     assert res.c_l == pytest.approx(0.5 * np.exp(-2.0))
     assert res.c_u == pytest.approx(2.0 * np.exp(2.0))
+
+
+def test_clcu_absent_for_a_user_defined_rule():
+    class HalfVariance(AdaptiveTermRule):
+        def evaluate(self, X, mean, var):
+            return 0.5 * var
+
+    res = theoretical_clcu(HalfVariance(), 1.0, 2.0, 0.5, 1.0,
+                           probe=np.array([[0.1], [0.9]]))
+    assert not res.present
+    assert res.reason == "no known envelope for rule HalfVariance"
 
 
 def test_clamp_counting_at_zero_mean():

@@ -233,6 +233,9 @@ def test_cli_exit_code_2_on_multiquadric_kernel(tmp_path, capsys):
     # a Matern length scale means nothing to the squared-exponential family
     pytest.param("kernel", {"family": "squared-exponential", "ell": 0.05},
                  id="se-with-matern-ell"),
+    # a matrix key whose path passes through a number or a list
+    pytest.param("matrix", {"budget.x": [1]}, id="matrix-key-through-a-number"),
+    pytest.param("matrix", {"domain.lower.0": [0.5]}, id="matrix-key-through-a-list"),
 ])
 def test_cli_exit_code_2_on_invalid_config_value(tmp_path, capsys, key, value):
     raw = json.loads(json.dumps(MINIMAL))
@@ -306,6 +309,39 @@ def test_cli_validates_every_matrix_combo_before_running(tmp_path, capsys, key,
     assert "config error: config field " + key.replace(".", "/") in (
         capsys.readouterr().err)
     assert not (tmp_path / "o").exists()  # the valid combo did not run either
+
+
+@pytest.mark.parametrize("matrix, message", [
+    ({"seed": [0, 0]}, "matrix gives two combos the directory 'seed=0'"),
+    ({"budget.x": [1]}, "matrix key 'budget.x': 'budget' is not an object"),
+    ({"domain.lower.0": [0.5]},
+     "matrix key 'domain.lower.0': 'lower' is not an object"),
+])
+def test_cli_names_the_matrix_key_or_directory_it_rejects(tmp_path, capsys,
+                                                          monkeypatch, matrix,
+                                                          message):
+    # rejected before any run starts, so no two workers share a directory
+    monkeypatch.setenv("ABQ_LAB_THREADS", "2")
+    raw = json.loads(json.dumps(MINIMAL))
+    raw["matrix"] = matrix
+    cfg = write_config(tmp_path, raw)
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_whole_number_floats_in_integer_fields_run_as_integers(tmp_path):
+    # the schema's integer type takes 3.0, as jsonschema's does
+    traces = []
+    for number in (int, float):
+        raw = json.loads(json.dumps(MINIMAL))
+        raw["budget"] = number(3)
+        raw["grids"] = {"certificate": number(512), "oracle": number(32)}
+        cfg = write_config(tmp_path, raw, name=f"{number.__name__}.json")
+        out = tmp_path / number.__name__
+        assert cli.main(["run", cfg, "--out", str(out)]) == 0
+        traces.append((out / "trace.csv").read_bytes())
+    assert traces[0] == traces[1]
 
 
 def test_validate_config_keeps_the_error_jsonschema_picks(monkeypatch):
@@ -728,6 +764,60 @@ def test_cli_run_computes_the_reference_integral_once(tmp_path, monkeypatch):
 def test_cli_run_requires_output_dir(tmp_path):
     cfg = write_config(tmp_path, MINIMAL)
     assert cli.main(["run", cfg]) == 2
+
+
+@pytest.mark.parametrize("command", ["run-onto-a-file", "config-missing",
+                                     "rates-trace-missing", "rates-out-under-a-file",
+                                     "verify-out-under-a-file"])
+def test_cli_exit_code_2_on_a_path_it_cannot_read_or_write(tmp_path, capsys,
+                                                           monkeypatch, command):
+    monkeypatch.setattr(verify, "run_all", lambda printer: [])
+    cfg = write_config(tmp_path, MINIMAL)
+    trace = tmp_path / "trace.csv"
+    trace.write_text("\n".join(trace_lines()) + "\n")
+    a_file = tmp_path / "a-file"
+    a_file.write_text("")
+    missing = tmp_path / "missing"
+    argv, path = {
+        "run-onto-a-file": (["run", cfg, "--out", str(a_file)], a_file),
+        "config-missing": (["run", str(missing), "--out", str(tmp_path / "o")], missing),
+        "rates-trace-missing": (["rates", str(missing)], missing),
+        "rates-out-under-a-file": (["rates", str(trace), "--out", f"{a_file}/x.json"],
+                                   a_file),
+        "verify-out-under-a-file": (["verify", "--out", f"{a_file}/x.json"], a_file),
+    }[command]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("file error: ") and err.count("\n") == 1
+    assert repr(str(path)) in err
+
+
+def test_rates_and_verify_out_make_their_parent_directory(tmp_path, monkeypatch):
+    monkeypatch.setattr(verify, "run_all", lambda printer: [])
+    trace = tmp_path / "trace.csv"
+    trace.write_text("\n".join(trace_lines()) + "\n")
+    rates_out, verify_out = tmp_path / "new" / "a" / "x.json", tmp_path / "new" / "v.json"
+    assert cli.main(["rates", str(trace), "--out", str(rates_out)]) == 0
+    assert cli.main(["verify", "--out", str(verify_out)]) == 0
+    assert json.loads(rates_out.read_text())[0]["dim"] == 1
+    assert json.loads(verify_out.read_text()) == {"checks": [], "all_ok": True}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_run_experiment_returns_each_directory_and_its_findings(tmp_path, capsys,
+                                                               monkeypatch, threads):
+    # at budget 40 the run stops early, a finding; at budget 5 it does not
+    monkeypatch.setenv("ABQ_LAB_THREADS", threads)
+    raw = json.loads(json.dumps(MINIMAL))
+    raw["matrix"] = {"budget": [5, 40]}
+    written = runner.run_experiment(raw, str(tmp_path / "r"))
+    assert written == [(str(tmp_path / "r" / "budget=5"), 0),
+                       (str(tmp_path / "r" / "budget=40"), 1)]
+    for target, findings in written:
+        report = json.loads((Path(target) / "report.json").read_text())
+        assert len(report["findings"]) == findings
+    assert cli.main(["run", write_config(tmp_path, raw), "--out", str(tmp_path / "c")]) == 0
+    assert capsys.readouterr().out.endswith("2 experiment(s), 1 finding(s)\n")
 
 
 def test_cli_rates_refits_from_trace(tmp_path, capsys):
