@@ -138,7 +138,7 @@ def greedy_certificate(record, projector=None):
     if record.n < 2:
         raise DomainError("greedy certificate needs a run with at least 2 points")
     spec = record.spec
-    X = record.design()
+    X = record.state.X
     if projector is None:
         projector = Projector(record.problem.integrand.kernel, spec.q, X)
     d_grid = np.sqrt(projector.sups(record.cert_grid)[:-1])
@@ -303,11 +303,11 @@ class BoundReport:
                    default=0.0)
 
 
-def error_bound_check(record, state, projector=None):
+def error_bound_check(record, projector=None):
     """Check |reference - plugin estimate| after each step against the
-    assembled error bound, by solves against the run's final `state`. The
+    assembled error bound, by solves against the run's `record.state`. The
     sups over the certificate grid are rows 1..n of `projector`, the
-    `Projector` of the state's design, built here unless the caller shares
+    `Projector` of the run's design, built here unless the caller shares
     the one it passes to `greedy_certificate`.
 
     The left side reads the run's own plug-in estimates `record.est_plugin`.
@@ -332,8 +332,8 @@ def error_bound_check(record, state, projector=None):
     coarse, c_piq = weighted_integrals(dom, res, pi, lambda P: [integrand(P)],
                                        lambda P: [1.0 / np.asarray(q(P))], functions=2)
     reference, *plug_fine = weighted_integrals(
-        dom, REFINEMENT * res, pi, lambda P: [integrand(P)], _plugin_means(state, t),
-        functions=1 + len(state.X))
+        dom, REFINEMENT * res, pi, lambda P: [integrand(P)],
+        _plugin_means(record.state, t), functions=1 + record.n)
     ref_err = abs(reference - coarse)
     gnorm = rkhs_norm(integrand)
     m_inf = float(np.max(np.abs(integrand.prior_mean(dom.probe_grid()))))
@@ -344,7 +344,7 @@ def error_bound_check(record, state, projector=None):
                          constant_transform=float(c_t), constant_pi_over_q=c_piq,
                          gnorm=gnorm, grid_slack=widen, cap=cap)
     if projector is None:
-        projector = Projector(integrand.kernel, q, state.X)
+        projector = Projector(integrand.kernel, q, record.state.X)
     sups = np.sqrt(projector.sups(record.cert_grid)[1:]).tolist()
     for n, (sup, plug, fine) in enumerate(zip(sups, record.est_plugin, plug_fine),
                                           start=1):

@@ -45,6 +45,9 @@ MIN_SLAB = 128
 # resolution per dim; its self-error is the distance to the oracle's own
 REFINEMENT = 2
 
+# the most points a run's quadrature rule or certificate grid may have
+GUARD_POINTS = 10 ** 7
+
 
 def as_points(x, dim):
     """Coerce a point or an (n, d) batch of points to a 2-D float array."""
@@ -402,8 +405,8 @@ def _gauss_legendre(resolution):
 
 def check_rule_size(dim, resolution):
     """Raise BudgetExceededError when a tensor rule of `resolution` nodes
-    per dim has more than 1e7 nodes."""
-    if resolution ** dim > 10 ** 7:
+    per dim has more than GUARD_POINTS (1e7) nodes."""
+    if resolution ** dim > GUARD_POINTS:
         raise BudgetExceededError(
             f"resolution^d = {resolution}^{dim} exceeds the 1e7 evaluation guard"
         )

@@ -2,10 +2,10 @@
 
 `run_abq` is the one place that computes posterior moments, from one
 `gp.GridPosterior` on the certificate grid stacked over the estimators'
-quadrature nodes, its rows preallocated to the budget. Each step grows
-the state from the grid part of that posterior and adds one Newton-basis
-row to it, O(|P| n) instead of a dense O(|P| n^2) solve; selection reads
-the first |grid| moments and the estimators the rest.
+quadrature nodes, its rows preallocated to min(budget, |grid|). Each step
+grows the state from the grid part of that posterior and adds one
+Newton-basis row to it, O(|P| n) instead of a dense O(|P| n^2) solve;
+selection reads the first |grid| moments and the estimators the rest.
 The grid moments after step l give sup q sqrt(k) for step l and the b
 range and acquisition for step l+1; acquisition rules and estimators
 take moments as inputs.
@@ -26,8 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gp
-from .domain import REFINEMENT, check_rule_size, grid_per_dim, quadrature_nodes
-from .exceptions import Converged, DomainError, NonFiniteIntegrandError
+from .domain import (GUARD_POINTS, REFINEMENT, check_rule_size, grid_per_dim,
+                     quadrature_nodes)
+from .exceptions import BudgetExceededError, Converged, DomainError, NonFiniteIntegrandError
 
 DEFAULT_CERT_POINTS_PER_DIM = 2048
 
@@ -70,15 +71,16 @@ class Problem:
 
 @dataclass
 class RunRecord:
-    """Per-iteration trace of one sequential run, with the problem and the
-    acquisition it ran, so every certificate reads the run it certifies."""
+    """Per-iteration trace of one sequential run, with the problem, the
+    acquisition and the budget it ran, so every certificate reads the run."""
 
     problem: Problem
     spec: object  # AcquisitionSpec
     cert_grid: np.ndarray
     cert_radius: float  # every point of the box is this close to cert_grid
     oracle_resolution: int  # Gauss-Legendre nodes per dim of the estimators
-    points: list = field(default_factory=list)
+    budget: int  # the n that run_abq was given
+    state: gp.GpState  # the GP on the design so far, replaced at each step
     sup_qk: list = field(default_factory=list)  # e_n surrogate after n points
     b_min: list = field(default_factory=list)
     b_max: list = field(default_factory=list)
@@ -94,10 +96,7 @@ class RunRecord:
 
     @property
     def n(self):
-        return len(self.points)
-
-    def design(self):
-        return np.array(self.points).reshape(self.n, -1)
+        return self.state.n
 
 
 def _next_pow2(n):
@@ -139,13 +138,17 @@ def certificate_grid(dom, size=None):
     scaled to the box.
 
     The points come from the Joe-Kuo table above, so d is at most 10;
-    a larger d raises DomainError.
+    a larger d raises DomainError, and a grid of more than GUARD_POINTS
+    (1e7) points BudgetExceededError, before any point is made.
     """
     d = dom.dim
     if d > len(_SOBOL_POLY):
         raise DomainError(f"the certificate grid has Sobol' points for d <= "
                           f"{len(_SOBOL_POLY)}, not d = {d}")
     size = _next_pow2(size if size is not None else DEFAULT_CERT_POINTS_PER_DIM * d)
+    if size > GUARD_POINTS:
+        raise BudgetExceededError(f"a certificate grid of {size} points exceeds "
+                                  f"the 1e7-point guard")
     lower = np.asarray(dom.lower)
     return _sobol(d, size) * (np.asarray(dom.upper) - lower) + lower
 
@@ -193,12 +196,13 @@ def run_abq(problem, spec, n, cert_points=None, oracle_resolution=None):
     oracle_resolution nodes per dim, by default the `domain.grid_per_dim`
     count for ORACLE_POINTS nodes in total and at most ORACLE_PER_DIM per
     dim, raised to ORACLE_MIN_PER_DIM: 256, 64, 16, 8 and 8 in d = 1..5.
-    The record keeps it, the problem and the spec for the report.
+    The record keeps it, the problem, the spec, the budget n and the final
+    state, which is also the first value returned.
     Deterministic given its arguments; the integrand is evaluated only at
     the points the design keeps. Raises NonFiniteIntegrandError
     when the integrand returns NaN or inf, and BudgetExceededError before
     the first integrand call when the report's rule, at REFINEMENT times
-    the resolution, is over the 1e7-node guard.
+    the resolution, or the certificate grid is over the 1e7-point guard.
     """
     dom = problem.domain
     model = problem.integrand
@@ -213,14 +217,15 @@ def run_abq(problem, spec, n, cert_points=None, oracle_resolution=None):
     state = gp.empty_state(kernel=model.kernel, mean=model.prior_mean, dim=dom.dim)
     nodes, w = quadrature_nodes(dom, oracle_resolution)
     dens = problem.pi(nodes)
-    # one posterior on [grid; nodes]: selection reads [:G], the estimators [G:]
+    # one posterior on [grid; nodes]: selection reads [:G], the estimators [G:];
+    # each step spans a grid point the design did not, so a run takes <= G steps
     G = len(cert_grid)
-    post = gp.GridPosterior(state, np.vstack([cert_grid, nodes]), capacity=n)
+    post = gp.GridPosterior(state, np.vstack([cert_grid, nodes]), capacity=min(n, G))
     grid_prior_var = post.prior_var[:G]
 
     record = RunRecord(problem=problem, spec=spec, cert_grid=cert_grid,
                        cert_radius=covering_radius(dom, G),
-                       oracle_resolution=oracle_resolution)
+                       oracle_resolution=oracle_resolution, budget=n, state=state)
     q_grid = spec.q(cert_grid)
     record.e0 = float(np.max(q_grid * np.sqrt(post.var[:G])))
 
@@ -230,22 +235,21 @@ def run_abq(problem, spec, n, cert_points=None, oracle_resolution=None):
         # read now: the update below overwrites the mean b may be a view of
         b_range = float(np.min(b_grid)), float(np.max(b_grid))
         # F(0) b = 0 at a point the design spans: zero it where extend rejects
-        spanned = grid_var <= gp.dependence_floor(state.jitter_used, grid_prior_var)
+        spanned = grid_var <= gp.dependence_floor(record.state.jitter_used, grid_prior_var)
         try:
             index = select_next(np.where(spanned, 0.0, a_grid))
         except Converged:
             record.stop_cause = (STOP_SPANNED if np.all(spanned)
                                  else STOP_ZERO_ACQUISITION)
-            return state, record
+            return record.state, record
         x = cert_grid[index]
         f_val = np.asarray(problem.integrand(x[None, :]), dtype=float)
         if not np.all(np.isfinite(f_val)):
             raise NonFiniteIntegrandError(
                 f"non-finite integrand value {f_val.tolist()} at x = {x.tolist()}"
             )
-        state = post.extend(state, index, t.inverse(f_val)[0])
-        post.update(state)
-        record.points.append(x)
+        record.state = post.extend(record.state, index, t.inverse(f_val)[0])
+        post.update(record.state)
         record.clamp_events += clamps
         record.b_min.append(b_range[0])
         record.b_max.append(b_range[1])
@@ -253,4 +257,4 @@ def run_abq(problem, spec, n, cert_points=None, oracle_resolution=None):
         plugin, expectation = estimates(t, w, dens, post.mean[G:], post.var[G:])
         record.est_plugin.append(plugin)
         record.est_expectation.append(expectation)
-    return state, record
+    return record.state, record

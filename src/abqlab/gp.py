@@ -12,11 +12,12 @@ variance k(P, P) - sum_i V_i^2 (Mueller & Schaback 2009). It is built
 from one C-ordered (n, |P|) kernel block K(X, P) and one blocked forward
 substitution, `kernels.solve_lower`, written over it; `update` adds one
 row per new design point, O(|P| n) per step, into a row buffer allocated
-up front for `capacity` rows (the sequential loop passes its budget), and
-updates `mean` in place. `GridPosterior.extend` grows a state by a point
-of P from its column of V. `extend` and `posterior` are one-point and
-one-shot forms. Built and updated rows agree to rounding; the gap grows
-with the Gram condition number, and tests/test_gp.py states the bound.
+up front for `capacity` rows (min(budget, |grid|) in the sequential
+loop), and updates `mean` in place. `GridPosterior.extend` grows a state
+by a point of P from its column of V. `extend` and `posterior` are
+one-point and one-shot forms. Built and updated rows agree to rounding;
+the gap grows with the Gram condition number, and tests/test_gp.py
+states the bound.
 """
 
 from __future__ import annotations

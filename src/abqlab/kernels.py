@@ -23,6 +23,9 @@ _HALF_INTEGER_NUS = (0.5, 1.5, 2.5, 3.5)
 SOLVE_BLOCK = 16
 SOLVE_CHUNK = 4096
 
+# chol_with_jitter doubles its jitter at most this many times
+JITTER_DOUBLINGS = 10
+
 
 def sqdist(X, Y):
     """Squared Euclidean distances ||x_i - y_j||^2 as a C-ordered (|X|, |Y|)
@@ -201,29 +204,28 @@ def gram(kernel, X):
     return K
 
 
-def chol_with_jitter(K, max_doublings=10):
-    """Lower Cholesky factor of K + jitter*I under the adaptive jitter policy.
+def chol_with_jitter(K):
+    """(L, jitter), L the lower Cholesky factor of K + jitter*I.
 
-    Jitter starts at 1e-12 * max diagonal and doubles at most
-    `max_doublings` times before giving up. A Gram matrix with a NaN or
-    inf entry raises NumericalDegradationError at once, since no jitter
-    repairs it.
+    Jitter starts at 1e-12 * max diagonal (1e-12 if that is not positive)
+    and doubles at most JITTER_DOUBLINGS times; when every jitter fails,
+    NumericalDegradationError names the largest. A Gram matrix with a NaN
+    or inf entry raises it at once, since no jitter repairs it.
     """
     n = K.shape[0]
     if n == 0:
         return np.zeros((0, 0)), 0.0
     if not np.all(np.isfinite(K)):
         raise NumericalDegradationError("Gram matrix has non-finite entries")
-    jitter = 1e-12 * float(np.max(np.diag(K)))
-    if jitter <= 0:
-        jitter = 1e-12
-    for _ in range(max_doublings + 1):
+    jitter = 1e-12 * max(float(np.max(np.diag(K))), 0.0) or 1e-12
+    for doubling in range(JITTER_DOUBLINGS + 1):
         try:
-            L = np.linalg.cholesky(K + jitter * np.eye(n))
-            return L, jitter
+            return np.linalg.cholesky(K + jitter * np.eye(n)), jitter
         except np.linalg.LinAlgError:
+            if doubling == JITTER_DOUBLINGS:
+                raise NumericalDegradationError(
+                    f"Cholesky failed at every jitter up to {jitter:g}") from None
             jitter *= 2
-    raise NumericalDegradationError(f"Cholesky failed after jitter grew to {jitter:g}")
 
 
 def block_inverses(L):

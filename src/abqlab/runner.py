@@ -68,28 +68,22 @@ def run_experiment(raw, out_dir):
 
 
 def execute(raw):
-    """Validate, build and run one flat (matrix-expanded) config; returns
-    (state, record)."""
+    """Validate, build and run one flat (matrix-expanded) config, the only
+    reader of its `budget` and `grids`; returns the run's RunRecord."""
     validate_config(raw)
-    return _execute_valid(raw)
-
-
-def _execute_valid(raw):
-    """Build and run one validated flat config, the only reader of its
-    `budget` and `grids`; returns (state, record)."""
     problem, spec = build_problem(raw)
     # the schema's integers take whole-number floats such as 3.0
     grids = {name: int(value) for name, value in raw.get("grids", {}).items()}
     return engine.run_abq(problem, spec, int(raw["budget"]),
                           cert_points=grids.get("certificate"),
-                          oracle_resolution=grids.get("oracle"))
+                          oracle_resolution=grids.get("oracle"))[1]
 
 
 def _run_single(raw, target):
-    """Run one validated flat config into target; returns its findings count."""
-    state, record = _execute_valid(raw)
-    report = build_report(raw, state, record)
-    fills = (analysis.fill_distance(record.design(), record.problem.domain)
+    """Run one flat config into target; returns its findings count."""
+    record = execute(raw)
+    report = build_report(raw, record)
+    fills = (analysis.fill_distance(record.state.X, record.problem.domain)
              if record.n else [])
     os.makedirs(target, exist_ok=True)
     _write_trace(os.path.join(target, "trace.csv"), record, report["reference"], fills)
@@ -104,20 +98,11 @@ def _write_trace(path, record, reference, fills):
                "abs_error_plugin", "abs_error_expectation",
                "b_min", "b_max", "fill_distance"])
     lines = [f"# {TRACE_SCHEMA}", ",".join(cols)]
-    for i in range(record.n):
-        row = [str(i + 1)]
-        row += [repr(float(v)) for v in np.atleast_1d(record.points[i])]
-        row += [repr(float(v)) for v in (
-            record.sup_qk[i],
-            record.est_plugin[i],
-            record.est_expectation[i],
-            abs(reference - record.est_plugin[i]),
-            abs(reference - record.est_expectation[i]),
-            record.b_min[i],
-            record.b_max[i],
-            fills[i],
-        )]
-        lines.append(",".join(row))
+    for i, x in enumerate(record.state.X):
+        plugin, expectation = record.est_plugin[i], record.est_expectation[i]
+        row = [*x, record.sup_qk[i], plugin, expectation, abs(reference - plugin),
+               abs(reference - expectation), record.b_min[i], record.b_max[i], fills[i]]
+        lines.append(",".join([str(i + 1)] + [repr(float(v)) for v in row]))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -183,14 +168,14 @@ def envelope_verdict(record, clcu):
     return b_lo, b_hi, bool(clcu.c_l <= b_lo and b_hi <= clcu.c_u)
 
 
-def build_report(raw, state, record):
+def build_report(raw, record):
     """The report.json payload of one run, from the run alone: raw is the
-    flat config it ran, echoed in the report."""
+    flat config it ran, only echoed in the report."""
     dom = record.problem.domain
     kernel = record.problem.integrand.kernel
     findings = []
     if record.converged:
-        findings.append(f"run stopped after {record.n} of {raw['budget']} steps: "
+        findings.append(f"run stopped after {record.n} of {record.budget} steps: "
                         f"{record.stop_cause}")
 
     clcu = clcu_for(record)
@@ -213,7 +198,7 @@ def build_report(raw, state, record):
             )
 
     # the certificate and the error bound read one factor of the design
-    projector = analysis.Projector(kernel, record.spec.q, state.X)
+    projector = analysis.Projector(kernel, record.spec.q, record.state.X)
     cert_json = None
     if record.n >= 2:
         cert = analysis.greedy_certificate(record, projector=projector)
@@ -235,7 +220,7 @@ def build_report(raw, state, record):
                 f"gamma_hat {failure['gamma_hat']:g}"
             )
 
-    bound = analysis.error_bound_check(record, state, projector=projector)
+    bound = analysis.error_bound_check(record, projector=projector)
     bound_json = None
     if record.n:
         bound_json = {
@@ -290,7 +275,7 @@ def build_report(raw, state, record):
         "rate_fits": fits,
         "nwidth_surrogate": {"n": list(range(1, record.n + 1)), "value": surrogate},
         # the first point fixes the jitter for the rest of the run
-        "jitter_events": [[0, float(state.jitter_used)]] if record.n else [],
+        "jitter_events": [[0, float(record.state.jitter_used)]] if record.n else [],
         "clamp_events": record.clamp_events,
         "findings": findings,
     }

@@ -194,7 +194,7 @@ def builtin_matrix():
 
 def matrix_runs():
     """(name, record) for each run of the builtin matrix."""
-    return [(name, runner.execute(raw)[1]) for name, raw in builtin_matrix()]
+    return [(name, runner.execute(raw)) for name, raw in builtin_matrix()]
 
 
 def check_certificates(runs):
@@ -255,8 +255,8 @@ def check_error_bound(budget=30):
     rows = []
     ok = True
     for t_kind, raw in _bound_configs(budget):
-        state, record = runner.execute(raw)
-        report = analysis.error_bound_check(record, state)
+        record = runner.execute(raw)
+        report = analysis.error_bound_check(record)
         rows.append({"transform": t_kind, "iterations": record.n,
                      "violations": len(report.violations),
                      "max_lhs_over_rhs": report.max_lhs_over_rhs})
@@ -272,7 +272,7 @@ def _p_greedy_run(kernel, budget, dim=1, grid_points=512):
     """The record of a P-greedy run: zero integrand, constant b."""
     raw = _config(kernel, {"kind": "synthetic", "centers": [], "weights": []},
                   budget=budget, dim=dim, grid_points=grid_points)
-    return runner.execute(raw)[1]
+    return runner.execute(raw)
 
 
 def check_rate_infinite():
@@ -373,7 +373,7 @@ def check_inconsistency_caveat(stall_factor=5.0):
     series = {}
     clcu_zero = None
     for label, mean_value in (("zero_mean", 0.0), ("shifted_mean", 5.0)):
-        record = runner.execute(_inconsistency_config(mean_value))[1]
+        record = runner.execute(_inconsistency_config(mean_value))
         if label == "zero_mean":
             clcu_zero = runner.clcu_for(record)
         series[label] = list(record.sup_qk)

@@ -101,12 +101,12 @@ def _p_greedy_record(budget=10, kernel=None):
     problem = engine.Problem(integrand=integrand, pi=Q, domain=DOM)
     spec = AcquisitionSpec(outer=Power(1.0), q=Q, b=ConstantRule(1.0),
                            gamma_tilde=1.0)
-    state, rec = engine.run_abq(problem, spec, budget, cert_points=128)
-    return rec, problem, spec, state
+    _, rec = engine.run_abq(problem, spec, budget, cert_points=128)
+    return rec, problem, spec
 
 
 def test_greedy_certificate_exact_argmax_ratio_one():
-    rec, problem, spec, _ = _p_greedy_record()
+    rec, problem, spec = _p_greedy_record()
     cert = analysis.greedy_certificate(rec)
     assert cert.ok
     assert np.min(cert.ratios) >= 1.0 - 1e-9
@@ -266,8 +266,8 @@ def test_grid_slack_bounds_the_supremum_off_the_grid(q):
 
 
 def test_error_bound_holds_on_small_run():
-    rec, _, _, state = _p_greedy_record(budget=8)
-    report = analysis.error_bound_check(rec, state)
+    rec = _p_greedy_record(budget=8)[0]
+    report = analysis.error_bound_check(rec)
     assert report.ok
     assert len(report.rows) == rec.n
     assert report.constant_transform == 1.0
@@ -283,8 +283,8 @@ def test_error_bound_check_reports_the_reference_self_error():
     problem = engine.Problem(integrand=integrand, pi=Q, domain=DOM)
     spec = AcquisitionSpec(outer=Power(1.0), q=Q, b=ConstantRule(1.0),
                            gamma_tilde=1.0)
-    state, rec = engine.run_abq(problem, spec, 0, oracle_resolution=8)
-    report = analysis.error_bound_check(rec, state)
+    _, rec = engine.run_abq(problem, spec, 0, oracle_resolution=8)
+    report = analysis.error_bound_check(rec)
     assert report.rows == [] and report.ok
     assert report.reference == reference_integral(integrand, Q, DOM, 16)
     exact = reference_integral(integrand, Q, DOM, 1024)
@@ -306,15 +306,16 @@ def square_warp_problem():
 
 def bound_check_inputs(budget=8, oracle=64):
     problem, spec = square_warp_problem()
-    state, rec = engine.run_abq(problem, spec, budget, cert_points=64,
-                                oracle_resolution=oracle)
+    _, rec = engine.run_abq(problem, spec, budget, cert_points=64,
+                            oracle_resolution=oracle)
     assert rec.n == budget
-    return problem, spec, state, rec
+    return problem, spec, rec
 
 
 def test_error_bound_rows_match_a_dense_replay():
-    problem, spec, state, rec = bound_check_inputs()
-    report = analysis.error_bound_check(rec, state)
+    problem, spec, rec = bound_check_inputs()
+    state = rec.state
+    report = analysis.error_bound_check(rec)
     assert report.ok
     # the reference is the oracle integral at twice the run's resolution,
     # its self-error the distance to the integral at that resolution
@@ -371,8 +372,8 @@ def test_the_cap_binds_in_d4_and_the_bound_still_holds():
     q = UniformDensity(dom)
     problem = engine.Problem(integrand=integrand, pi=q, domain=dom)
     spec = AcquisitionSpec(outer=Power(1.0), q=q, b=WsabiM(), gamma_tilde=1.0)
-    state, rec = engine.run_abq(problem, spec, 12)
-    report = analysis.error_bound_check(rec, state)
+    _, rec = engine.run_abq(problem, spec, 12)
+    report = analysis.error_bound_check(rec)
     assert report.ok and len(report.rows) == 12
     assert report.cap == 1.0  # uniform q on the unit cube, k(x, x) = 1
     const = report.constant_transform * report.constant_pi_over_q * report.gnorm
@@ -382,8 +383,8 @@ def test_the_cap_binds_in_d4_and_the_bound_still_holds():
 
 
 def test_report_checks_read_the_run_instead_of_replaying_it(monkeypatch):
-    state, rec = bound_check_inputs()[2:]
-    short = bound_check_inputs(budget=4)[3]
+    rec = bound_check_inputs()[2]
+    short = bound_check_inputs(budget=4)[2]
     calls = Counter()
     integrand_sizes = []
     call = SyntheticIntegrand.__call__
@@ -402,7 +403,7 @@ def test_report_checks_read_the_run_instead_of_replaying_it(monkeypatch):
     monkeypatch.setattr(gp, "extend", counting("extend", gp.extend))
     monkeypatch.setattr(kernels, "chol_with_jitter",
                         counting("chol", kernels.chol_with_jitter))
-    analysis.error_bound_check(rec, state)
+    analysis.error_bound_check(rec)
     # the integrand is evaluated only on the reference's two node sets
     assert integrand_sizes == [64, 128]
     assert calls["extend"] == 0
@@ -451,10 +452,10 @@ def test_error_bound_check_memory_does_not_grow_with_the_oracle():
     )
     problem = engine.Problem(integrand=integrand, pi=q, domain=dom)
     spec = AcquisitionSpec(outer=Power(1.0), q=q, b=WsabiM(), gamma_tilde=1.0)
-    state, rec = engine.run_abq(problem, spec, 3, oracle_resolution=64)
+    _, rec = engine.run_abq(problem, spec, 3, oracle_resolution=64)
     tracemalloc.start()
     try:
-        report = analysis.error_bound_check(rec, state)
+        report = analysis.error_bound_check(rec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -484,9 +485,9 @@ RUN_D2 = {
 
 @pytest.fixture(scope="module")
 def run_d2():
-    state, rec = runner.execute(RUN_D2)
+    rec = runner.execute(RUN_D2)
     assert rec.n == 60 and rec.n * len(rec.cert_grid) > BLOCK_POINTS
-    return state, rec
+    return rec
 
 
 def test_streamed_plugin_walk_equals_a_dense_per_row_sum(monkeypatch):
@@ -532,20 +533,19 @@ SUP_ATOL = 1e3 * np.finfo(float).eps
 def test_chunked_sups_equal_the_dense_maxima(run_d2, monkeypatch):
     # the certificate, the error bound and the n-width surrogate take their
     # suprema over column chunks; n |grid| is over BLOCK_POINTS here
-    state, rec = run_d2
-    kernel, q, grid = state.kernel, rec.spec.q, rec.cert_grid
-    dense = np.max(analysis.projection_distance_sq(kernel, q, state.X, grid), axis=1)
-    chunked = analysis.Projector(kernel, q, state.X).sups(grid)
+    rec, X = run_d2, run_d2.state.X
+    kernel, q, grid = rec.problem.integrand.kernel, rec.spec.q, rec.cert_grid
+    dense = np.max(analysis.projection_distance_sq(kernel, q, X, grid), axis=1)
+    chunked = analysis.Projector(kernel, q, X).sups(grid)
     assert np.allclose(chunked, dense, rtol=0, atol=SUP_ATOL)
-    report = analysis.error_bound_check(rec, state)
+    report = analysis.error_bound_check(rec)
     assert [row["sup_qk"] for row in report.rows] == np.sqrt(chunked[1:]).tolist()
     # the certificate reads rows 0..n-1 of the same factor of the design
-    X = rec.design()
     d_chosen = np.sqrt(np.diagonal(analysis.projection_distance_sq(kernel, q, X, X)))
     sup = np.maximum(np.sqrt(chunked[:-1]), d_chosen)
     assert np.array_equal(analysis.greedy_certificate(rec).ratios, d_chosen / sup)
     # chunks of whole SOLVE_CHUNKs give one call's maxima bit for bit
-    projector = analysis.Projector(kernel, q, state.X)
+    projector = analysis.Projector(kernel, q, X)
     monkeypatch.setattr(kernels, "SOLVE_CHUNK", 512)
     monkeypatch.setattr(analysis, "BLOCK_POINTS", 512 * projector.rows)
     assert [start for start, _ in projector.chunks(grid)] == list(range(0, 4096, 512))
@@ -555,7 +555,7 @@ def test_chunked_sups_equal_the_dense_maxima(run_d2, monkeypatch):
 def test_build_report_factors_each_design_once(run_d2, monkeypatch):
     # the certificate and the error bound share one Projector of the run's
     # design; the n-width surrogate has one of its own P-greedy design
-    state, rec = run_d2
+    rec = run_d2
     designs, factored = [], []
     init, chol = analysis.Projector.__init__, kernels.chol_with_jitter
 
@@ -569,9 +569,9 @@ def test_build_report_factors_each_design_once(run_d2, monkeypatch):
 
     monkeypatch.setattr(analysis.Projector, "__init__", recording_init)
     monkeypatch.setattr(kernels, "chol_with_jitter", recording_chol)
-    runner.build_report(RUN_D2, state, rec)
+    runner.build_report(RUN_D2, rec)
     assert len(designs) == 2 and factored == [len(X) for X in designs]
-    assert np.array_equal(designs[0], rec.design())
+    assert np.array_equal(designs[0], rec.state.X)
 
 
 def test_run_d2_posteriors_hold_rows_for_the_budget(run_d2, monkeypatch):
@@ -581,21 +581,21 @@ def test_run_d2_posteriors_hold_rows_for_the_budget(run_d2, monkeypatch):
     grow = gp.GridPosterior._grow
     monkeypatch.setattr(gp.GridPosterior, "_grow",
                         lambda post, size: sizes.append(size) or grow(post, size))
-    state, rec = runner.execute(RUN_D2)
-    analysis.nwidth_surrogate(state.kernel, rec.spec.q, rec.cert_grid, rec.n)
+    rec = runner.execute(RUN_D2)
+    analysis.nwidth_surrogate(rec.state.kernel, rec.spec.q, rec.cert_grid, rec.n)
     assert sizes == [60, 60]
 
 
 def test_report_passes_on_the_run_d2_config_stay_under_5_mib(run_d2):
     # each pass holds O(BLOCK_POINTS) values, not an (n, points) block: the
     # fine plug-in walk's 60 x 16384 block would take 7.5 MiB alone
-    state, rec = run_d2
-    kernel, q = state.kernel, rec.spec.q
+    rec = run_d2
+    kernel, q = rec.state.kernel, rec.spec.q
     passes = {
-        "error bound": lambda: analysis.error_bound_check(rec, state),
+        "error bound": lambda: analysis.error_bound_check(rec),
         "certificate": lambda: analysis.greedy_certificate(rec),
         "n-width": lambda: analysis.nwidth_surrogate(kernel, q, rec.cert_grid, rec.n),
-        "fill distance": lambda: analysis.fill_distance(rec.design(),
+        "fill distance": lambda: analysis.fill_distance(rec.state.X,
                                                         rec.problem.domain),
     }
     peaks = {}

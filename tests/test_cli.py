@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from abqlab import BLAS_THREAD_VARIABLES, analysis, cli, config, engine, runner, verify
+from abqlab import BLAS_THREAD_VARIABLES, analysis, cli, config, engine, gp, runner, verify
 from abqlab.config import (CONFIG_SCHEMA, build_problem, expand_matrix, load_config,
                            validate_config)
 from abqlab.domain import Domain, SyntheticIntegrand, rkhs_norm
-from abqlab.exceptions import ConfigError, NumericalDegradationError
+from abqlab.exceptions import BudgetExceededError, ConfigError, NumericalDegradationError
 
 MINIMAL = {
     "version": "1",
@@ -466,7 +466,7 @@ def test_config_schema_uses_the_keywords_the_checker_implements():
 
 
 def test_cli_error_at_report_time_writes_no_artifact(tmp_path, monkeypatch, capsys):
-    def failing(record, state, projector=None):
+    def failing(record, projector=None):
         raise NumericalDegradationError("posterior variance below its floor")
 
     monkeypatch.setattr(analysis, "error_bound_check", failing)
@@ -525,27 +525,81 @@ def test_cli_exit_code_2_on_a_malformed_thread_count(tmp_path, monkeypatch, caps
 
 
 def test_report_records_the_jitter_the_first_point_fixes():
-    state, record = runner.execute(MINIMAL)
-    report = runner.build_report(MINIMAL, state, record)
+    record = runner.execute(MINIMAL)
+    report = runner.build_report(MINIMAL, record)
     # SE kernel, k(x, x) = 1: the jitter is 1e-12 k(x, x) from the first point on
     assert report["jitter_events"] == [[0, 1e-12]]
-    assert state.jitter_used == 1e-12
+    assert record.state.jitter_used == 1e-12
 
 
-def test_run_validates_each_matrix_combo_once(tmp_path, monkeypatch):
+def test_early_stop_finding_names_the_budget_the_run_was_given():
+    # a whole-number float budget runs as the integer, and the finding says so
+    raw = json.loads(json.dumps(MINIMAL))
+    raw["budget"] = 40.0
+    record = runner.execute(raw)
+    assert record.budget == 40 and record.n == 12
+    assert runner.build_report(raw, record)["findings"][0] == (
+        f"run stopped after 12 of 40 steps: {engine.STOP_SPANNED}")
+
+
+def test_a_budget_beyond_the_grid_allocates_rows_for_the_grid(tmp_path, monkeypatch):
+    # each step spans a grid point the design did not, so a run on the
+    # 512-point grid takes at most 512 steps, however large its budget
+    sizes = []
+    grow = gp.GridPosterior._grow
+    monkeypatch.setattr(gp.GridPosterior, "_grow",
+                        lambda post, size: sizes.append(size) or grow(post, size))
+    cfg = write_config(tmp_path, {**MINIMAL, "budget": 1e9})
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 0
+    # the run's posterior, then the report's n-width walk for its 12 steps
+    assert sizes == [512, 12]
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert report["iterations"] == 12
+    assert report["findings"][0].startswith("run stopped after 12 of 1000000000 steps")
+
+
+def test_an_oversize_certificate_grid_exits_3_before_making_points(
+        tmp_path, monkeypatch, capsys):
+    made = []
+    monkeypatch.setattr(engine, "_sobol",
+                        lambda d, n: made.append(n) or np.zeros((1, d)))
+    cfg = write_config(tmp_path, {**MINIMAL, "grids": {"certificate": 1e9}})
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "BudgetExceededError" in err
+    assert f"{2 ** 30} points exceeds the 1e7-point guard" in err
+    assert made == []
+    assert not (tmp_path / "o").exists()
+    # the largest grid under the guard is 2^23 points
+    dom = build_problem(MINIMAL)[0].domain
+    engine.certificate_grid(dom, 2 ** 23)
+    with pytest.raises(BudgetExceededError):
+        engine.certificate_grid(dom, 2 ** 23 + 1)
+    assert made == [2 ** 23]
+
+
+def test_run_validates_every_matrix_combo_before_running_any(tmp_path, monkeypatch):
     raw = json.loads(json.dumps(MINIMAL))
     raw["budget"] = 3
     raw["matrix"] = {"acquisition.gamma_tilde": [1.0, 0.5]}
-    validated = []
+    events = []
 
     def counting(flat):
-        validated.append(flat["acquisition"]["gamma_tilde"])
+        events.append(("validate", flat["acquisition"]["gamma_tilde"]))
         return validate_config(flat)
 
+    def building(flat):
+        events.append(("build", flat["acquisition"]["gamma_tilde"]))
+        return build_problem(flat)
+
     monkeypatch.setattr(runner, "validate_config", counting)
+    monkeypatch.setattr(runner, "build_problem", building)
     monkeypatch.delenv("ABQ_LAB_THREADS", raising=False)
     assert len(runner.run_experiment(raw, str(tmp_path / "out"))) == 2
-    assert validated == [1.0, 0.5]
+    # execute validates each combo again, just before it builds it
+    assert events == [("validate", 1.0), ("validate", 0.5),
+                      ("validate", 1.0), ("build", 1.0),
+                      ("validate", 0.5), ("build", 0.5)]
 
 
 def test_execute_reads_the_grids_block():
@@ -553,14 +607,14 @@ def test_execute_reads_the_grids_block():
         raw = json.loads(json.dumps(MINIMAL))
         raw["domain"] = {"lower": [0.0] * dim, "upper": [1.0] * dim}
         raw["grids"] = {"oracle": 32, "certificate": 100}
-        rec = runner.execute(raw)[1]
+        rec = runner.execute(raw)
         dom = rec.problem.domain
         assert rec.n == raw["budget"]
         assert rec.oracle_resolution == 32
         assert np.array_equal(rec.cert_grid, engine.certificate_grid(dom, 100))
         assert rec.cert_grid.shape == (128, dim)
         del raw["grids"]
-        rec = runner.execute(raw)[1]
+        rec = runner.execute(raw)
         assert rec.oracle_resolution == oracle
         assert np.array_equal(rec.cert_grid, engine.certificate_grid(dom))
         assert rec.cert_grid.shape == (2048 * dim, dim)
@@ -604,8 +658,8 @@ def test_selection_on_the_certificate_grid_is_weak_greedy(tmp_path, gamma_tilde)
 def test_error_bound_sups_are_the_runs_e_n():
     # the bound's dense solve on the certificate grid and the engine's
     # incremental grid posterior give the same sup q sqrt(k_X) per step
-    state, record = runner.execute(RUN_D2_SEED0)
-    rows = analysis.error_bound_check(record, state).rows
+    record = runner.execute(RUN_D2_SEED0)
+    rows = analysis.error_bound_check(record).rows
     assert len(rows) == record.n == 60
     assert np.allclose([row["sup_qk"] for row in rows], record.sup_qk,
                        rtol=1e-10, atol=0.0)
@@ -698,11 +752,11 @@ def test_report_finds_an_oracle_too_coarse_for_the_bound():
     raw = json.loads(json.dumps(MINIMAL))
     raw["kernel"] = {"family": "matern", "nu": 0.5, "ell": 0.05}
     raw["grids"] = {"oracle": 8, "certificate": 512}
-    state, record = runner.execute(raw)
-    bound = analysis.error_bound_check(record, state)
+    record = runner.execute(raw)
+    bound = analysis.error_bound_check(record)
     smallest = min(row["rhs"] for row in bound.rows)
     assert bound.reference_self_error > 10 * analysis.ORACLE_TOL * smallest
-    report = runner.build_report(raw, state, record)
+    report = runner.build_report(raw, record)
     assert report["error_bound"]["ok"]
     assert [f for f in report["findings"] if f.startswith("oracle self-error")] == [
         f"oracle self-error {bound.reference_self_error:g} exceeds 0.001 of the "
@@ -712,9 +766,9 @@ def test_report_finds_an_oracle_too_coarse_for_the_bound():
 
 def test_d3_default_oracle_is_fine_enough_for_the_bound():
     raw = box_config(3, 4)
-    state, record = runner.execute(raw)
+    record = runner.execute(raw)
     assert record.oracle_resolution == 16
-    report = runner.build_report(raw, state, record)
+    report = runner.build_report(raw, record)
     assert report["error_bound"]["ok"]
     assert report["reference_self_error"] < 1e-6
     assert not any(f.startswith("oracle self-error") for f in report["findings"])
@@ -900,7 +954,7 @@ def test_report_bound_reads_the_trace_estimates(tmp_path, monkeypatch):
     lines = (tmp_path / "trace.csv").read_text().splitlines()
     column = lines[1].split(",").index("abs_error_plugin")
     traced = [float(line.split(",")[column]) for line in lines[2:]]
-    state, record = runner.execute(MINIMAL)
+    record = runner.execute(MINIMAL)
     walk, walks = analysis.weighted_integrals, []
 
     def counting(dom, resolution, pi, *terms, **kwargs):
@@ -909,7 +963,7 @@ def test_report_bound_reads_the_trace_estimates(tmp_path, monkeypatch):
         return values
 
     monkeypatch.setattr(analysis, "weighted_integrals", counting)
-    lhs = [row["lhs"] for row in analysis.error_bound_check(record, state).rows]
+    lhs = [row["lhs"] for row in analysis.error_bound_check(record).rows]
     assert len(traced) == record.n and lhs == traced
     assert walks == [(256, 2), (512, 1 + record.n)]
 

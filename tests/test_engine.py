@@ -135,7 +135,7 @@ def test_run_abq_is_deterministic():
     spec = p_greedy_spec()
     _, rec1 = engine.run_abq(problem, spec, 8, cert_points=128)
     _, rec2 = engine.run_abq(problem, spec, 8, cert_points=128)
-    assert np.array_equal(rec1.design(), rec2.design())
+    assert np.array_equal(rec1.state.X, rec2.state.X)
     assert rec1.sup_qk == rec2.sup_qk
 
 
@@ -144,9 +144,20 @@ def test_run_record_monotone_error_and_shapes():
     spec = p_greedy_spec()
     _, rec = engine.run_abq(problem, spec, 10, cert_points=128)
     assert rec.n == 10
-    assert rec.design().shape == (10, 1)
+    assert rec.state.X.shape == (10, 1)
     e = [rec.e0] + rec.sup_qk
     assert all(b <= a + 1e-12 for a, b in zip(e, e[1:]))
+
+
+@pytest.mark.parametrize("budget, steps", [(6, 6), (100, 8)])
+def test_run_record_carries_the_final_state_and_the_budget(budget, steps):
+    # 8 grid points: a budget of 100 stops once the design spans all 8
+    state, rec = engine.run_abq(make_problem(), p_greedy_spec(), budget, cert_points=8)
+    assert state is rec.state
+    assert rec.budget == budget and rec.n == state.n == steps
+    assert rec.converged == (steps < budget)
+    assert len(rec.sup_qk) == len(rec.est_plugin) == steps
+    assert not hasattr(rec, "points") and not hasattr(rec, "design")
 
 
 def test_identity_estimators_agree():
@@ -251,7 +262,7 @@ def test_integrand_is_called_only_at_kept_points(monkeypatch, budget, cert_point
                             cert_points=cert_points)
     assert rec.stop_cause == cause
     assert len(calls) == rec.n == (budget if cause is None else 8)
-    assert np.array_equal(np.vstack(calls), rec.design())
+    assert np.array_equal(np.vstack(calls), rec.state.X)
 
 
 def test_adaptive_rule_records_b_range():
@@ -289,7 +300,7 @@ def test_record_replays_from_its_design():
     grid, t, pi = rec.cert_grid, problem.integrand.transform, problem.pi
     pts, w = quadrature_nodes(DOM, 64)
     state = gp.empty_state(problem.integrand.kernel, problem.integrand.prior_mean, 1)
-    for ell, x in enumerate(rec.design()):
+    for ell, x in enumerate(rec.state.X):
         b = spec.b.evaluate(grid, *gp.posterior(state, grid))
         assert np.allclose([b.min(), b.max()], [rec.b_min[ell], rec.b_max[ell]],
                            rtol=REPLAY_RTOL, atol=REPLAY_ATOL)

@@ -145,6 +145,27 @@ def test_chol_with_jitter_rejects_non_finite_gram_at_once(monkeypatch, bad):
     assert attempts == []
 
 
+def test_chol_with_jitter_doubles_until_the_factor_exists():
+    # eigenvalues 2 + 5e-12 and -5e-12: jitter 1e-12, 2e-12 and 4e-12 fail,
+    # 8e-12 is the first above 5e-12
+    K = np.array([[1.0, 1.0 + 5e-12], [1.0 + 5e-12, 1.0]])
+    L, jitter = chol_with_jitter(K)
+    assert jitter == 8e-12
+    assert np.allclose(L @ L.T, K + jitter * np.eye(2), rtol=0, atol=1e-15)
+
+
+def test_chol_with_jitter_names_the_largest_jitter_it_tried(monkeypatch):
+    # eigenvalue -1: no jitter of the policy repairs it
+    tried = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky",
+                        lambda A: tried.append(A[0, 0] - 1.0) or cholesky(A))
+    with pytest.raises(NumericalDegradationError, match=r"up to 1\.024e-09$"):
+        chol_with_jitter(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    assert len(tried) == kernels.JITTER_DOUBLINGS + 1
+    assert tried[-1] == pytest.approx(1e-12 * 2 ** kernels.JITTER_DOUBLINGS)
+
+
 @st.composite
 def point_pairs(draw):
     """Two point sets in the same dimension d = 1..5, of 1 to 6 points each."""

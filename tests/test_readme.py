@@ -51,6 +51,6 @@ def test_readme_minimal_config_evaluates_only_kept_points(monkeypatch):
     calls = []
     monkeypatch.setattr(integrand_type, "__call__",
                         lambda self, X: calls.append(len(X)) or call(self, X))
-    record = runner.execute(raw)[1]
+    record = runner.execute(raw)
     assert record.n == 12 and record.stop_cause == engine.STOP_SPANNED
     assert sum(calls) == 12
