@@ -192,15 +192,14 @@ def nwidth_surrogate(kernel, q, grid, n):
     if n < 1:
         raise DomainError("n must be at least 1")
     q_sq = np.asarray(q(grid), dtype=float) ** 2
-    state = gp.empty_state(kernel, ConstantMean(0.0), grid.shape[1])
-    post = gp.GridPosterior(state, grid, capacity=n)
+    post = gp.GridPosterior(gp.empty_state(kernel, ConstantMean(0.0), grid.shape[1]),
+                            grid, capacity=n)
     for _ in range(n):
         try:
-            state = post.extend(state, int(np.argmax(q_sq * post.var)), 0.0)
+            post.add(int(np.argmax(q_sq * post.var)), 0.0)
         except LinearDependenceError:
             break
-        post.update(state)
-    sups = np.sqrt(Projector(kernel, q, state.X).sups(grid))[1:]
+    sups = np.sqrt(Projector(kernel, q, post.state.X).sups(grid))[1:]
     return np.minimum.accumulate(np.pad(sups, (0, n - sups.size), mode="edge")).tolist()
 
 
@@ -329,8 +328,12 @@ def error_bound_check(record, projector=None):
     q = record.spec.q
     res = record.oracle_resolution
     t = integrand.transform
+    # q may underflow to 0 at a node: an infinite integral of pi/q is then a
+    # finding of the report, not a warning
+    inverse_q = np.errstate(divide="ignore", over="ignore")(
+        lambda P: [1.0 / np.asarray(q(P))])
     coarse, c_piq = weighted_integrals(dom, res, pi, lambda P: [integrand(P)],
-                                       lambda P: [1.0 / np.asarray(q(P))], functions=2)
+                                       inverse_q, functions=2)
     reference, *plug_fine = weighted_integrals(
         dom, REFINEMENT * res, pi, lambda P: [integrand(P)],
         _plugin_means(record.state, t), functions=1 + record.n)

@@ -358,6 +358,9 @@ def build_kernel(raw):
     foreign = sorted(set(params) - {f.name for f in dataclasses.fields(cls)})
     if foreign:
         raise ValueError(f"kernel family {family} takes no {', '.join(foreign)}")
+    if family == "wendland" and len(raw["domain"]["lower"]) > 3:
+        raise ValueError("kernel family wendland is positive definite in d <= 3 "
+                         f"only, not d = {len(raw['domain']['lower'])}")
     return cls(**params)
 
 

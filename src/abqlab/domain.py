@@ -48,6 +48,9 @@ REFINEMENT = 2
 # the most points a run's quadrature rule or certificate grid may have
 GUARD_POINTS = 10 ** 7
 
+# the most floats (1 GiB) a posterior's row buffer may hold
+GUARD_FLOATS = 2 ** 27
+
 
 def as_points(x, dim):
     """Coerce a point or an (n, d) batch of points to a 2-D float array."""

@@ -3,18 +3,19 @@
 `run_abq` is the one place that computes posterior moments, from one
 `gp.GridPosterior` on the certificate grid stacked over the estimators'
 quadrature nodes, its rows preallocated to min(budget, |grid|). Each step
-grows the state from the grid part of that posterior and adds one
-Newton-basis row to it, O(|P| n) instead of a dense O(|P| n^2) solve;
-selection reads the first |grid| moments and the estimators the rest.
+conditions it on the chosen grid point with one `add`, a Newton-basis
+row in O(|P| n) instead of a dense O(|P| n^2) solve; selection reads the
+first |grid| moments and the estimators the rest.
 The grid moments after step l give sup q sqrt(k) for step l and the b
 range and acquisition for step l+1; acquisition rules and estimators
 take moments as inputs.
 
 Selection maximizes the acquisition over the certificate grid, the point
 set every recorded supremum is taken on, so the selection is greedy on
-that grid by construction; a grid point the design spans, its variance at
-or below `gp.dependence_floor`, gets acquisition F(0) b = 0, and the run
-stops when all do; `RunRecord.stop_cause` says why a run stopped early.
+that grid by construction; a grid point the design spans, where the
+posterior's `spanned()` holds and `add` would raise, gets acquisition
+F(0) b = 0, and the run stops when all do; `RunRecord.stop_cause` says
+why a run stopped early.
 The grid is a Sobol' net, and the record keeps its covering radius, which
 bounds how far the supremum over the whole box can exceed the grid's.
 """
@@ -221,7 +222,6 @@ def run_abq(problem, spec, n, cert_points=None, oracle_resolution=None):
     # each step spans a grid point the design did not, so a run takes <= G steps
     G = len(cert_grid)
     post = gp.GridPosterior(state, np.vstack([cert_grid, nodes]), capacity=min(n, G))
-    grid_prior_var = post.prior_var[:G]
 
     record = RunRecord(problem=problem, spec=spec, cert_grid=cert_grid,
                        cert_radius=covering_radius(dom, G),
@@ -230,12 +230,11 @@ def run_abq(problem, spec, n, cert_points=None, oracle_resolution=None):
     record.e0 = float(np.max(q_grid * np.sqrt(post.var[:G])))
 
     for _ in range(n):
-        grid_var = post.var[:G]
-        a_grid, clamps, b_grid = spec.evaluate(cert_grid, post.mean[:G], grid_var)
-        # read now: the update below overwrites the mean b may be a view of
+        a_grid, clamps, b_grid = spec.evaluate(cert_grid, post.mean[:G], post.var[:G])
+        # read now: the add below overwrites the mean b may be a view of
         b_range = float(np.min(b_grid)), float(np.max(b_grid))
-        # F(0) b = 0 at a point the design spans: zero it where extend rejects
-        spanned = grid_var <= gp.dependence_floor(record.state.jitter_used, grid_prior_var)
+        # F(0) b = 0 at a point the design spans: zero it where add raises
+        spanned = post.spanned()[:G]
         try:
             index = select_next(np.where(spanned, 0.0, a_grid))
         except Converged:
@@ -248,8 +247,7 @@ def run_abq(problem, spec, n, cert_points=None, oracle_resolution=None):
             raise NonFiniteIntegrandError(
                 f"non-finite integrand value {f_val.tolist()} at x = {x.tolist()}"
             )
-        record.state = post.extend(record.state, index, t.inverse(f_val)[0])
-        post.update(record.state)
+        record.state = post.add(index, t.inverse(f_val)[0])
         record.clamp_events += clamps
         record.b_min.append(b_range[0])
         record.b_max.append(b_range[1])

@@ -1,23 +1,18 @@
 """Exact Gaussian-process conditioning on noiseless latent observations.
 
-States are persistent: `extend` returns a fresh state backed by a rank-1
-Cholesky extension, leaving the original untouched, so the sequential
-loop (and its tests) can backtrack freely.
-
 A state carries the Cholesky factor L of its jittered Gram matrix and
-the whitened residual beta = L^{-1} (z - m_X). `GridPosterior` is the one
-place that computes posterior moments: on a point set P it holds the
-Newton-basis rows V = L^{-1} K(X, P), the mean m(P) + V^T beta and the
-variance k(P, P) - sum_i V_i^2 (Mueller & Schaback 2009). It is built
-from one C-ordered (n, |P|) kernel block K(X, P) and one blocked forward
-substitution, `kernels.solve_lower`, written over it; `update` adds one
-row per new design point, O(|P| n) per step, into a row buffer allocated
-up front for `capacity` rows (min(budget, |grid|) in the sequential
-loop), and updates `mean` in place. `GridPosterior.extend` grows a state
-by a point of P from its column of V. `extend` and `posterior` are
-one-point and one-shot forms. Built and updated rows agree to rounding;
-the gap grows with the Gram condition number, and tests/test_gp.py
-states the bound.
+the whitened residual beta = L^{-1} (z - m_X); states are persistent, so
+a conditioning step returns a new one. `GridPosterior` is the one place
+that computes posterior moments: on a point set P it holds its state,
+the Newton-basis rows V = L^{-1} K(X, P), the mean m(P) + V^T beta and
+the variance k(P, P) - sum_i V_i^2 (Mueller & Schaback 2009), built from
+one (n, |P|) kernel block and one blocked forward substitution,
+`kernels.solve_lower`, written over it. `add(index, z)` is the one
+conditioning step: the Cholesky row of P[index] is column `index` of V,
+and the new row of V costs one kernel row, O(|P| n); `spanned()` marks
+where it raises. `extend` and `posterior` are one-point and one-shot
+forms. Built and added rows agree to rounding; the gap grows with the
+Gram condition number, and tests/test_gp.py states the bound.
 """
 
 from __future__ import annotations
@@ -27,7 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .exceptions import LinearDependenceError, NumericalDegradationError
+from .domain import GUARD_FLOATS
+from .exceptions import (BudgetExceededError, LinearDependenceError,
+                         NumericalDegradationError)
 
 
 @dataclass(frozen=True)
@@ -84,36 +81,31 @@ def dependence_floor(jitter_used, prior_var):
 
 
 class GridPosterior:
-    """Posterior moments on a point set P, built once and updated point by point.
+    """Posterior moments on a point set P, conditioned one point at a time.
 
-    Holds the rows V = L^{-1} K(X, P), the mean m(P) + V^T beta and the
-    variance k(P, P) - sum_i V_i^2, clamped at 0; a variance below
-    -1e-10 * max(1, |prior variance|) raises NumericalDegradationError.
-    `update` adds one row per new design point from one kernel row and
-    one product with the new Cholesky row. The row buffer holds
-    `capacity` rows from the start and doubles when an update runs past
-    it. `mean` is updated in place, so a caller that keeps it across an
-    update sees the new values; `var` is a new array after each update.
+    `mean` is updated in place by each `add`; `var` is a new array, clamped
+    at 0, and a variance below -1e-10 * max(1, |prior variance|) raises
+    NumericalDegradationError. The rows V sit in a buffer allocated once,
+    for the state's points and the `capacity` points the caller will add;
+    a buffer of more than GUARD_FLOATS floats raises BudgetExceededError.
     """
 
     def __init__(self, state, P, capacity=0):
         self.P = np.atleast_2d(np.asarray(P, dtype=float))
-        self.n = state.n
+        rows = state.n + capacity
+        if rows * len(self.P) > GUARD_FLOATS:
+            raise BudgetExceededError(f"a posterior of {rows} rows on {len(self.P)} "
+                                      "points exceeds the 2^27-float (1 GiB) guard")
+        self.state = state
         self.prior_var = state.kernel.diag(self.P)
         self._floor = -1e-10 * np.maximum(1.0, np.abs(self.prior_var))
-        self._rows = kernels.solve_lower(state.chol,
-                                         state.kernel.pairwise(state.X, self.P))
-        self._raw_var = self.prior_var - np.sum(self._rows * self._rows, axis=0)
-        self.mean = state.mean(self.P) + self._rows.T @ state.beta
-        if capacity > self.n:
-            self._grow(capacity)
+        self._rows = np.empty((rows, len(self.P)))
+        V = self._rows[:state.n]
+        V[...] = state.kernel.pairwise(state.X, self.P)
+        kernels.solve_lower(state.chol, V)
+        self._raw_var = self.prior_var - np.sum(V * V, axis=0)
+        self.mean = state.mean(self.P) + V.T @ state.beta
         self._clamp()
-
-    def _grow(self, size):
-        """Move the rows, all filled, to a buffer of `size` rows."""
-        grown = np.empty((size, self.P.shape[0]))
-        grown[:len(self._rows)] = self._rows
-        self._rows = grown
 
     def _clamp(self):
         if np.any(self._raw_var < self._floor):
@@ -122,57 +114,47 @@ class GridPosterior:
                 "below clamp tolerance")
         self.var = np.maximum(self._raw_var, 0.0)
 
-    def update(self, state):
-        """Condition on the design points of `state` past the first `n`.
+    def spanned(self):
+        """Mask of the points of P the design spans, where `add` raises: the
+        variance is at or below `dependence_floor`."""
+        return self.var <= dependence_floor(self.state.jitter_used, self.prior_var)
 
-        `state` must extend the state this posterior last saw, as
-        `extend` does.
-        """
-        if state.n == self.n:
-            return
-        for i in range(self.n, state.n):
-            if i == self._rows.shape[0]:
-                self._grow(max(8, 2 * i))
-            row = state.kernel.pairwise(state.X[i:i + 1], self.P)[0]
-            row -= state.chol[i, :i] @ self._rows[:i]
-            row /= state.chol[i, i]
-            self._rows[i] = row
-            self.mean += state.beta[i] * row
-            row *= row
-            self._raw_var -= row
-        self.n = state.n
-        self._clamp()
-
-    def extend(self, state, index, z):
-        """State on X + {P[index]} with latent value z, with no solve: the
-        Cholesky row is column `index` of V. Raises LinearDependenceError
-        when var[index] is at or below `dependence_floor`, and ValueError
-        when `state` is not the state this posterior last saw.
-        """
-        if state.n != self.n:
-            raise ValueError(f"posterior holds {self.n} design points, "
-                             f"the state {state.n}")
+    def add(self, index, z):
+        """Condition on P[index] with latent value z; returns the new state,
+        also kept as `state`. Raises LinearDependenceError where `spanned()`
+        holds and IndexError past the capacity, leaving the posterior as it
+        was."""
+        state, n = self.state, self.state.n
         prior, var = float(self.prior_var[index]), float(self.var[index])
         if var <= dependence_floor(state.jitter_used, prior):
             raise LinearDependenceError(f"new point has posterior variance {var:g}, "
                                         "at or below the dependence threshold")
         # the first point fixes the jitter for the rest of the chain
-        jitter = state.jitter_used if state.n else (1e-12 * abs(prior) or 1e-12)
-        n = state.n
+        jitter = state.jitter_used if n else (1e-12 * abs(prior) or 1e-12)
         L = np.zeros((n + 1, n + 1))
         L[:n, :n] = state.chol
         L[n, :n] = self._rows[:n, index]
         L[n, n] = np.sqrt(self._raw_var[index] + jitter)
         z = float(z)
-        return GpState(kernel=state.kernel, mean=state.mean,
-                       X=np.vstack([state.X, self.P[index]]), z=np.append(state.z, z),
-                       chol=L, jitter_used=jitter,
-                       beta=np.append(state.beta, (z - self.mean[index]) / L[n, n]))
+        beta = (z - self.mean[index]) / L[n, n]
+        new = GpState(kernel=state.kernel, mean=state.mean,
+                      X=np.vstack([state.X, self.P[index]]), z=np.append(state.z, z),
+                      chol=L, jitter_used=jitter, beta=np.append(state.beta, beta))
+        row = state.kernel.pairwise(new.X[n:], self.P)[0]
+        row -= L[n, :n] @ self._rows[:n]
+        row /= L[n, n]
+        self._rows[n] = row
+        self.mean += beta * row
+        row *= row
+        self._raw_var -= row
+        self._clamp()
+        self.state = new
+        return new
 
 
 def extend(state, x_new, z_new):
-    """State on X + {x_new}: `GridPosterior.extend` on the one-point set {x_new}."""
+    """State on X + {x_new}: `GridPosterior.add` on the one-point set {x_new}."""
     x_new = np.atleast_2d(np.asarray(x_new, dtype=float))
     if x_new.shape[0] != 1:
         raise ValueError("extend takes a single point")
-    return GridPosterior(state, x_new).extend(state, 0, z_new)
+    return GridPosterior(state, x_new, capacity=1).add(0, z_new)

@@ -4,6 +4,7 @@ trace.csv (which `abqlab rates` reads), report.json and the --out summaries."""
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import numpy as np
@@ -20,21 +21,23 @@ READABLE_TRACE_SCHEMAS = ("abqlab-trace v1", TRACE_SCHEMA)
 REPORT_SCHEMA = "abqlab-report v1"
 
 
-def json_default(obj):
-    """Serialize numpy scalars/arrays that leak into report payloads."""
-    if isinstance(obj, np.generic):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
+def _jsonable(obj):
+    """obj with numpy scalars and arrays as Python values and every
+    non-finite float as None, which JSON writes as null."""
+    if isinstance(obj, dict):
+        return {key: _jsonable(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [_jsonable(value) for value in obj]
+    obj = obj.item() if isinstance(obj, np.generic) else obj
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
 
 
 def write_json(path, payload):
-    """Write payload to path as indented JSON with sorted keys and a trailing
-    newline, making the parent directory first."""
+    """Write payload to path as strict, indented JSON with sorted keys and a
+    trailing newline, making the parent directory first."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=json_default)
+        json.dump(_jsonable(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -240,6 +243,9 @@ def build_report(raw, record):
             findings.append(
                 f"quadrature error bound violated at {len(bound.violations)} step(s)"
             )
+        if not math.isfinite(bound.constant_pi_over_q):
+            findings.append("error bound vacuous: \u222b\u03c0/q is not finite on the "
+                            "oracle rule")
         min_rhs = min(row["rhs"] for row in bound.rows)
         if bound.reference_self_error > analysis.ORACLE_TOL * min_rhs:
             findings.append(

@@ -173,9 +173,9 @@ def test_nwidth_surrogate_is_p_greedy_on_the_grid(monkeypatch):
     kernel, grid = Matern(2.5, 0.3), engine.certificate_grid(dom, 256)
     q = TruncatedGaussianDensity(dom, center=[0.3, 0.6], scale=[0.4, 0.5])
     design = []
-    extend = gp.GridPosterior.extend
-    monkeypatch.setattr(gp.GridPosterior, "extend", lambda post, state, j, z:
-                        design.append(post.P[j]) or extend(post, state, j, z))
+    add = gp.GridPosterior.add
+    monkeypatch.setattr(gp.GridPosterior, "add", lambda post, j, z:
+                        design.append(post.P[j]) or add(post, j, z))
     vals = analysis.nwidth_surrogate(kernel, q, grid, 10)
     assert len(design) == 10
     sups = []
@@ -574,16 +574,12 @@ def test_build_report_factors_each_design_once(run_d2, monkeypatch):
     assert np.array_equal(designs[0], rec.state.X)
 
 
-def test_run_d2_posteriors_hold_rows_for_the_budget(run_d2, monkeypatch):
-    # the run and the report's 60-step P-greedy walk allocate their rows
-    # once, for the budget, and make no doubling copies
-    sizes = []
-    grow = gp.GridPosterior._grow
-    monkeypatch.setattr(gp.GridPosterior, "_grow",
-                        lambda post, size: sizes.append(size) or grow(post, size))
+def test_run_d2_posteriors_hold_rows_for_the_budget(run_d2, posteriors):
+    # the run and the report's 60-step P-greedy walk each allocate their
+    # rows once, for the budget
     rec = runner.execute(RUN_D2)
     analysis.nwidth_surrogate(rec.state.kernel, rec.spec.q, rec.cert_grid, rec.n)
-    assert sizes == [60, 60]
+    assert [post._rows.shape[0] for post in posteriors] == [60, 60]
 
 
 def test_report_passes_on_the_run_d2_config_stay_under_5_mib(run_d2):

@@ -4,13 +4,14 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from abqlab import BLAS_THREAD_VARIABLES, analysis, cli, config, engine, gp, runner, verify
+from abqlab import BLAS_THREAD_VARIABLES, analysis, cli, config, engine, runner, verify
 from abqlab.config import (CONFIG_SCHEMA, build_problem, expand_matrix, load_config,
                            validate_config)
 from abqlab.domain import Domain, SyntheticIntegrand, rkhs_norm
@@ -209,6 +210,24 @@ def test_cli_exit_code_2_on_multiquadric_kernel(tmp_path, capsys):
     cfg = write_config(tmp_path, raw)
     assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "kernel/family" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dim, code", [(4, 2), (3, 0)], ids=["d4", "d3"])
+def test_cli_wendland_kernel_runs_up_to_d3_only(tmp_path, capsys, dim, code):
+    # minimal-degree Wendland functions are positive definite in d <= 3 only
+    raw = json.loads(json.dumps(MINIMAL))
+    raw["domain"] = {"lower": [0.0] * dim, "upper": [1.0] * dim}
+    raw["kernel"] = {"family": "wendland", "smoothness_index": 1, "radius": 0.5}
+    raw.update(budget=4, grids={"certificate": 512, "oracle": 8})
+    cfg = write_config(tmp_path, raw)
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.count("\n") == 1 and err.startswith("config error: kernel family "
+                                                        "wendland") and "d = 4" in err
+        assert not (tmp_path / "o").exists()
+    else:
+        assert err == "" and (tmp_path / "o" / "report.json").exists()
 
 
 @pytest.mark.parametrize("key, value", [
@@ -542,17 +561,13 @@ def test_early_stop_finding_names_the_budget_the_run_was_given():
         f"run stopped after 12 of 40 steps: {engine.STOP_SPANNED}")
 
 
-def test_a_budget_beyond_the_grid_allocates_rows_for_the_grid(tmp_path, monkeypatch):
+def test_a_budget_beyond_the_grid_allocates_rows_for_the_grid(tmp_path, posteriors):
     # each step spans a grid point the design did not, so a run on the
     # 512-point grid takes at most 512 steps, however large its budget
-    sizes = []
-    grow = gp.GridPosterior._grow
-    monkeypatch.setattr(gp.GridPosterior, "_grow",
-                        lambda post, size: sizes.append(size) or grow(post, size))
     cfg = write_config(tmp_path, {**MINIMAL, "budget": 1e9})
     assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 0
     # the run's posterior, then the report's n-width walk for its 12 steps
-    assert sizes == [512, 12]
+    assert [post._rows.shape[0] for post in posteriors] == [512, 12]
     report = json.loads((tmp_path / "o" / "report.json").read_text())
     assert report["iterations"] == 12
     assert report["findings"][0].startswith("run stopped after 12 of 1000000000 steps")
@@ -576,6 +591,49 @@ def test_an_oversize_certificate_grid_exits_3_before_making_points(
     with pytest.raises(BudgetExceededError):
         engine.certificate_grid(dom, 2 ** 23 + 1)
     assert made == [2 ** 23]
+
+
+def test_a_posterior_over_the_float_guard_exits_3_under_a_memory_cap(tmp_path):
+    # 30 rows on 2^23 grid points and 256 oracle nodes would take 1.88 GiB;
+    # under a 1.5 GB address-space cap the guard must fire before numpy tries
+    cfg = write_config(tmp_path, {**MINIMAL, "budget": 30,
+                                  "grids": {"certificate": 2 ** 23}})
+    code = ("import resource, sys; "
+            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]; "
+            "resource.setrlimit(resource.RLIMIT_AS, (1500 * 2 ** 20, hard)); "
+            "from abqlab import cli; sys.exit(cli.main(sys.argv[1:]))")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", code, "run", cfg,
+                           "--out", str(tmp_path / "o")],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 3, done.stderr
+    assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+    assert done.stderr.startswith("abort (BudgetExceededError): a posterior of 30 "
+                                  "rows on 8388864 points exceeds"), done.stderr
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_q_that_underflows_on_the_oracle_makes_the_bound_vacuous(tmp_path, capsys):
+    # q underflows to 0 at the oracle nodes near the box's edges, so the
+    # integral of pi/q is inf: a finding and a null in strict JSON, with no
+    # warning
+    raw = json.loads(json.dumps(MINIMAL))
+    raw["acquisition"]["q"] = {"kind": "truncated-gaussian", "center": [0.5],
+                               "scale": [0.01]}
+    cfg = write_config(tmp_path, raw)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err == ""
+
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    report = json.loads((tmp_path / "o" / "report.json").read_text(),
+                        parse_constant=reject)
+    assert report["error_bound"]["constants"]["pi_over_q"] is None
+    assert ("error bound vacuous: \u222b\u03c0/q is not finite on the oracle rule"
+            in report["findings"])
 
 
 def test_run_validates_every_matrix_combo_before_running_any(tmp_path, monkeypatch):

@@ -1,9 +1,10 @@
+import copy
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from abqlab import engine, gp
+from abqlab import analysis, engine, gp
 from abqlab.acquisition import (AcquisitionSpec, ConstantRule, Power, Vbmc,
                                 WsabiL, WsabiM)
 from abqlab.domain import (
@@ -13,7 +14,7 @@ from abqlab.domain import (
     UniformDensity,
     quadrature_nodes,
 )
-from abqlab.exceptions import (DomainError, LinearDependenceError,
+from abqlab.exceptions import (BudgetExceededError, DomainError, LinearDependenceError,
                                NonFiniteIntegrandError)
 from abqlab.kernels import Matern, SquaredExponential
 from abqlab.transforms import Identity, Square
@@ -210,42 +211,33 @@ def test_underflowing_acquisition_stops_with_its_own_cause():
     assert np.any(var > gp.dependence_floor(state.jitter_used, 1.0))
 
 
-def test_masked_candidates_are_those_extend_rejects(monkeypatch):
+def test_masked_candidates_are_those_extend_rejects(monkeypatch, posteriors):
     # an 8-point grid, 1/8 apart at lengthscale 0.25: each step's design
     # points sit on the grid and the rest stay well separated from them.
-    # At each selection, probe the run's own grid posterior and state.
-    posts, states, probes = [], [], []
-    grid_posterior, extend = gp.GridPosterior, gp.GridPosterior.extend
+    # At each selection, probe copies of the run's own grid posterior.
+    probes = []
     select = engine.select_next
 
-    def building(state, P, capacity=0):
-        posts.append(grid_posterior(state, P, capacity))
-        states.append(state)
-        return posts[-1]
-
-    def extending(post, state, index, z):
-        states.append(extend(post, state, index, z))
-        return states[-1]
-
     def spy(a):
+        post = posteriors[0]
         rejected = []
         for j in range(len(a)):
             try:
-                extend(posts[0], states[-1], j, 0.0)
+                copy.deepcopy(post).add(j, 0.0)
                 rejected.append(False)
             except LinearDependenceError:
                 rejected.append(True)
-        probes.append((a == 0.0, np.array(rejected), states[-1].n))
+        probes.append((a == 0.0, np.array(rejected), post.spanned()[:len(a)],
+                       post.state.n))
         return select(a)
 
-    monkeypatch.setattr(gp.GridPosterior, "extend", extending)
-    monkeypatch.setattr(gp, "GridPosterior", building)
     monkeypatch.setattr(engine, "select_next", spy)
     _, rec = engine.run_abq(make_problem(), p_greedy_spec(), 10, cert_points=8)
     assert rec.n == 8 and rec.stop_cause == engine.STOP_SPANNED
-    assert len(posts) == 1 and len(probes) == 9
-    for ell, (masked, rejected, n) in enumerate(probes):
+    assert len(posteriors) == 1 and len(probes) == 9
+    for ell, (masked, rejected, spanned, n) in enumerate(probes):
         assert np.array_equal(masked, rejected)
+        assert np.array_equal(spanned, rejected)
         assert rejected.sum() == n == ell
 
 
@@ -319,39 +311,40 @@ def test_record_replays_from_its_design():
 
 def count_posteriors(monkeypatch):
     """Record each GridPosterior construction as (point set, state.n,
-    capacity), `gp.posterior` included, and count updates by point set and
-    state."""
-    built, updates = [], Counter()
-    grid_posterior, update = gp.GridPosterior, gp.GridPosterior.update
+    capacity), `gp.posterior` included, and count adds by point set and
+    the size of the state they return."""
+    built, adds = [], Counter()
+    grid_posterior, add = gp.GridPosterior, gp.GridPosterior.add
 
-    def counting_update(self, state):
-        updates[self.P.tobytes(), state.n] += 1
-        return update(self, state)
+    def counting_add(self, index, z):
+        state = add(self, index, z)
+        adds[self.P.tobytes(), state.n] += 1
+        return state
 
     def counting_grid(state, P, capacity=0):
         P = np.atleast_2d(np.asarray(P, dtype=float))
         built.append((P, state.n, capacity))
         return grid_posterior(state, P, capacity)
 
-    monkeypatch.setattr(gp.GridPosterior, "update", counting_update)
+    monkeypatch.setattr(gp.GridPosterior, "add", counting_add)
     monkeypatch.setattr(gp, "GridPosterior", counting_grid)
-    return built, updates
+    return built, adds
 
 
 def test_run_abq_computes_each_posterior_once(monkeypatch):
-    built, updates = count_posteriors(monkeypatch)
+    built, adds = count_posteriors(monkeypatch)
     problem, spec = wsabi_m_problem()
     _, rec = engine.run_abq(problem, spec, 8, cert_points=128, oracle_resolution=64)
     assert rec.n == 8
     # one posterior on the grid stacked over the oracle nodes, built before
-    # the first point with rows for the budget and conditioned once per new
-    # GP state; nothing else is built
+    # the first point with rows for the budget and one add per design
+    # point; nothing else is built
     assert len(built) == 1
     P, n, capacity = built[0]
     nodes, _ = quadrature_nodes(DOM, 64)
     assert np.array_equal(P, np.vstack([rec.cert_grid, nodes]))
     assert (len(P), n, capacity) == (128 + 64, 0, 8)
-    assert updates == {(P.tobytes(), k): 1 for k in range(1, rec.n + 1)}
+    assert adds == {(P.tobytes(), k): 1 for k in range(1, rec.n + 1)}
 
 
 def test_vbmc_density_runs_once_per_step_on_the_grid():
@@ -369,6 +362,23 @@ def test_vbmc_density_runs_once_per_step_on_the_grid():
     assert rec.n == 6
     # once per step on the certificate grid, and nowhere else
     assert calls == {128: rec.n}
+
+
+def test_the_posterior_float_guard_fires_before_the_integrand_is_called(monkeypatch):
+    calls = []
+    call = SyntheticIntegrand.__call__
+    monkeypatch.setattr(SyntheticIntegrand, "__call__",
+                        lambda self, X: calls.append(len(X)) or call(self, X))
+    # 8 rows on 64 grid points and 256 oracle nodes are 2560 floats
+    monkeypatch.setattr(gp, "GUARD_FLOATS", 2559)
+    problem = make_problem()
+    with pytest.raises(BudgetExceededError, match="8 rows on 320 points"):
+        engine.run_abq(problem, p_greedy_spec(), 8, cert_points=64)
+    assert calls == []
+    # the report's n-width walk allocates its rows under the same guard
+    grid = engine.certificate_grid(DOM, 512)
+    with pytest.raises(BudgetExceededError, match="5 rows on 512 points"):
+        analysis.nwidth_surrogate(problem.integrand.kernel, UniformDensity(DOM), grid, 5)
 
 
 def test_non_finite_integrand_raises_typed_error():

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -103,15 +105,17 @@ def test_grid_posterior_extend_rejects_by_the_variance_it_holds():
     # and extend rejects exactly those at or below it
     state, X, _ = make_state()
     P = X[0] + np.logspace(-1, -9, 33)[:, None]
-    post = gp.GridPosterior(state, P)
+    post = gp.GridPosterior(state, P, capacity=1)
     rejected = []
     for j in range(len(P)):
         try:
-            post.extend(state, j, 0.0)
+            copy.deepcopy(post).add(j, 0.0)
             rejected.append(False)
         except LinearDependenceError:
             rejected.append(True)
-    spanned = post.var <= gp.dependence_floor(state.jitter_used, post.prior_var)
+    spanned = post.spanned()
+    assert np.array_equal(spanned, post.var <= gp.dependence_floor(state.jitter_used,
+                                                                  post.prior_var))
     assert np.array_equal(rejected, spanned)
     assert 0 < spanned.sum() < len(P)
 
@@ -168,16 +172,16 @@ def test_grid_posterior_matches_dense_posterior(kernel, design, m):
     X, z, P = design
     mean = ConstantMean(m)
     state = gp.empty_state(kernel, mean, X.shape[1])
-    post = gp.GridPosterior(state, P)
+    post = gp.GridPosterior(state, P, capacity=len(X))
     assert np.array_equal(post.mean, mean(P))
     assert np.array_equal(post.var, kernel.diag(P))
+    first = len(P) - len(X)  # P ends with the design
     for k in range(1, len(X) + 1):
-        state = gp.extend(state, X[k - 1:k], z[k - 1])
-        post.update(state)
-        assert post.n == k
+        state = post.add(first + k - 1, z[k - 1])
+        assert post.state is state and state.n == k
         dense = gp.build_state(kernel, mean, X[:k], z[:k])
         assert_moments_close((post.mean, post.var), dense, P, z[:k] - m)
-    # the chain of updates agrees with one construction on the chained state
+    # the chain of adds agrees with one construction on the chained state
     assert_moments_close((post.mean, post.var), state, P, z - m)
 
 
@@ -188,11 +192,10 @@ def test_extend_chain_equals_build_state(kernel, design, m):
     X, z, P = design
     mean = ConstantMean(m)
     chain = grid_chain = gp.empty_state(kernel, mean, X.shape[1])
-    post = gp.GridPosterior(grid_chain, X)
+    post = gp.GridPosterior(grid_chain, X, capacity=len(X))
     for i, (xi, zi) in enumerate(zip(X, z)):
         chain = gp.extend(chain, xi[None, :], zi)
-        grid_chain = post.extend(grid_chain, i, zi)
-        post.update(grid_chain)
+        grid_chain = post.add(i, zi)
     batch = gp.build_state(kernel, mean, X, z)
     kappa = np.linalg.cond(batch.chol) ** 2
     scale = max(1.0, float(np.max(np.abs(z - m))))
@@ -205,19 +208,6 @@ def test_extend_chain_equals_build_state(kernel, design, m):
         assert np.allclose(state.beta, batch.beta, rtol=0,
                            atol=MEAN_TOL * EPS * kappa * scale)
         assert_moments_close(gp.posterior(state, P), batch, P, z - m)
-
-
-def test_grid_posterior_extend_rejects_a_stale_posterior():
-    # rows for another design size would give a wrong Cholesky row
-    state, _, _ = make_state(n=3)
-    post = gp.GridPosterior(state, np.linspace(0, 1, 5)[:, None])
-    bigger = post.extend(state, 0, 0.0)
-    with pytest.raises(ValueError, match="posterior holds 3 design points"):
-        post.extend(bigger, 1, 0.0)
-    post.update(bigger)
-    with pytest.raises(ValueError, match="posterior holds 4 design points"):
-        post.extend(state, 1, 0.0)
-    assert post.extend(bigger, 1, 0.0).n == 5
 
 
 def test_grid_posterior_keeps_the_floor_check():
@@ -247,51 +237,41 @@ def test_grid_posterior_builds_from_one_kernel_block(monkeypatch):
     P = np.linspace(0, 1, 11)[:, None]
     post = gp.GridPosterior(state, P)
     assert calls == [(6, 11)]
-    assert post.n == 6
+    assert post.state is state
 
 
-def p_greedy_chain(post, state, steps, candidates):
+def p_greedy_chain(post, steps, candidates):
     """`steps` P-greedy steps on the first `candidates` points of `post`,
-    each state extended from `post` and yielded after its update."""
+    each chosen index and latent value yielded after `post` adds them."""
     for _ in range(steps):
         index = int(np.argmax(post.var[:candidates]))
-        state = post.extend(state, index, float(np.sin(7.0 * index)))
-        post.update(state)
-        yield state
+        z = float(np.sin(7.0 * index))
+        post.add(index, z)
+        yield index, z
 
 
 @pytest.mark.parametrize("a, b, dim", [(128, 64, 1), (512, 256, 1), (4096, 4096, 2)],
                          ids=["128+64", "512+256", "4096+4096"])
 def test_stacked_posterior_equals_separate_ones(a, b, dim):
-    # the engine's one posterior on [grid; nodes] at its widths: the grid
-    # part and the node part are the separate posteriors bit for bit
+    # the engine's one posterior on [grid; nodes] at its widths: its grid
+    # part is the posterior on the grid alone, and both parts are those of
+    # the posterior on [nodes; grid], bit for bit
     rng = np.random.default_rng(a + b)
     A, B = rng.uniform(size=(a, dim)), rng.uniform(size=(b, dim))
-    kernel, mean = Matern(2.5, 0.3), ConstantMean(5.0)
-    state = gp.empty_state(kernel, mean, dim)
-    stacked = gp.GridPosterior(state, np.vstack([A, B]), capacity=12)
-    alone = gp.GridPosterior(state, A), gp.GridPosterior(state, B)
-    for state in p_greedy_chain(stacked, state, 12, a):
-        for post, part in zip(alone, (slice(None, a), slice(a, None))):
-            post.update(state)
-            assert np.array_equal(stacked.mean[part], post.mean)
-            assert np.array_equal(stacked.var[part], post.var)
-    assert state.n == 12
-
-
-def test_preallocated_posterior_equals_a_grown_one():
-    P = np.random.default_rng(1).uniform(size=(300, 2))
-    kernel, mean = Matern(1.5, 0.25), ConstantMean(0.3)
-    state = gp.empty_state(kernel, mean, 2)
-    # rows for 12, for 3 (so it doubles past them) and for none
-    posts = [gp.GridPosterior(state, P, capacity=c) for c in (12, 3, 0)]
-    held = posts[0].mean
-    for state in p_greedy_chain(posts[0], state, 12, len(P)):
-        for post in posts[1:]:
-            post.update(state)
-            assert np.array_equal(post.mean, posts[0].mean)
-            assert np.array_equal(post.var, posts[0].var)
-    assert posts[0]._rows.shape[0] == 12 and posts[1]._rows.shape[0] == 16
+    state = gp.empty_state(Matern(2.5, 0.3), ConstantMean(5.0), dim)
+    stacked, alone, flipped = (gp.GridPosterior(state, P, capacity=12)
+                               for P in (np.vstack([A, B]), A, np.vstack([B, A])))
+    held = stacked.mean
+    order = np.r_[b:a + b, :b]  # [A; B] within [B; A]
+    for index, z in p_greedy_chain(stacked, 12, a):
+        alone.add(index, z)
+        flipped.add(index + b, z)
+        assert np.array_equal(stacked.mean[:a], alone.mean)
+        assert np.array_equal(stacked.var[:a], alone.var)
+        assert np.array_equal(stacked.mean, flipped.mean[order])
+        assert np.array_equal(stacked.var, flipped.var[order])
+    assert stacked.state.n == 12
+    assert np.array_equal(alone.state.chol, stacked.state.chol)
+    assert np.array_equal(flipped.state.chol, stacked.state.chol)
     # the mean is updated in place
-    assert held is posts[0].mean
-    assert_moments_close((posts[1].mean, posts[1].var), state, P, state.z - 0.3)
+    assert held is stacked.mean
