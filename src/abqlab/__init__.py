@@ -55,11 +55,10 @@ from .engine import (
 )
 from .analysis import (
     projection_distance_sq,
-    greedy_certificate,
+    Certificates,
     fill_distance,
     nwidth_surrogate,
     fit_rate,
-    error_bound_check,
 )
 
 __version__ = "0.1.0"

@@ -7,9 +7,9 @@ design with `gp.GridPosterior` but scores it by a dense solve. The first
 i rows of L^{-1} K(X, P), L the Cholesky factor of a design X, are the
 Newton basis of X[:i] on P (Mueller & Schaback 2009): one forward
 substitution `kernels.solve_lower` on the C-ordered (n, |P|) block
-K(X, P) serves every prefix, so the weak-greedy certificate (rows
-0..n-1) and the error bound (rows 1..n) share one `Projector`, one
-factor of the run's design. The report's passes take that block in
+K(X, P) serves every prefix: a run's `Certificates` reads the weak-greedy
+certificate (rows 0..n-1) and the error bound (rows 1..n) from one
+`Projector` of its design. The report's passes take that block in
 column chunks or quadrature slabs of at most BLOCK_POINTS values, so
 their memory grows with neither the design nor the point set, and solve
 each chunk or slab with one factor's diagonal-block inverses.
@@ -20,10 +20,12 @@ refuting the certificates is the point of this module.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import gp, kernels
+from .acquisition import theoretical_clcu
 from .domain import (BLOCK_POINTS, REFINEMENT, ConstantMean, grid_per_dim,
                      rkhs_norm, weighted_integrals)
 from .exceptions import DomainError, LinearDependenceError
@@ -55,7 +57,6 @@ class Projector:
         self.L, _ = kernels.chol_with_jitter(G)
         self.inverses = kernels.block_inverses(self.L)
         self.rows = len(self.X) + 1
-        self._sups_of = self._sups = None
 
     def __call__(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -78,16 +79,11 @@ class Projector:
             yield start, self(x[start:start + width])
 
     def sups(self, x):
-        """The per-prefix maxima over x, np.max(self(x), axis=1), chunk by
-        chunk, read-only. The last point set's are kept, so the certificate
-        and the error bound make one pass over the certificate grid."""
-        if x is not self._sups_of:
-            sup = np.full(self.rows, -np.inf)
-            for _, chunk in self.chunks(x):
-                np.maximum(sup, np.max(chunk, axis=1), out=sup)
-            sup.flags.writeable = False
-            self._sups_of, self._sups = x, sup
-        return self._sups
+        """np.max(self(x), axis=1), the per-prefix maxima, chunk by chunk."""
+        sup = np.full(self.rows, -np.inf)
+        for _, chunk in self.chunks(x):
+            np.maximum(sup, np.max(chunk, axis=1), out=sup)
+        return sup
 
 
 def _running_residual(W, norm_sq):
@@ -120,37 +116,6 @@ def weak_greedy_gamma(spec, lower, upper):
     when lower <= 0 or the ratio underflows to 0."""
     c = min(spec.gamma_tilde * lower / upper, 1.0) if lower > 0 else 0.0
     return float(np.sqrt(spec.outer.psi(c))) if c > 0 else 0.0
-
-
-def greedy_certificate(record, projector=None):
-    """Per-iteration ratios dist(h_chosen, S_l) / sup dist(h, S_l), the
-    supremum taken over the run's certificate grid, with the run's kernel
-    and q; a ratio below gamma_hat by more than CERT_TOL is a failure.
-
-    Step l chose against X[:l], row l of `projector`, the `Projector` of
-    the whole design X, since the leading block of X's factor is X[:l]'s:
-    the certificate reads rows 0..n-1. It is built here unless the caller
-    shares the one it passes to `error_bound_check`.
-
-    gamma_hat is `weak_greedy_gamma` of the monitored b range.
-    Failures are reported, not raised.
-    """
-    if record.n < 2:
-        raise DomainError("greedy certificate needs a run with at least 2 points")
-    spec = record.spec
-    X = record.state.X
-    if projector is None:
-        projector = Projector(record.problem.integrand.kernel, spec.q, X)
-    d_grid = np.sqrt(projector.sups(record.cert_grid)[:-1])
-    d_chosen = np.sqrt(np.concatenate([np.diagonal(chunk, offset=-start)
-                                       for start, chunk in projector.chunks(X)]))
-    sup = np.maximum(d_grid, d_chosen)
-    ratios = np.divide(d_chosen, sup, out=np.ones_like(sup), where=sup > 0)
-
-    gamma_hat = weak_greedy_gamma(spec, min(record.b_min), max(record.b_max))
-    failures = [{"iteration": ell, "ratio": float(rho), "gamma_hat": gamma_hat}
-                for ell, rho in enumerate(ratios) if rho < gamma_hat - CERT_TOL]
-    return GreedyCertificate(ratios=ratios, gamma_hat=gamma_hat, failures=failures)
 
 
 def fill_distance(X, dom):
@@ -302,60 +267,125 @@ class BoundReport:
                    default=0.0)
 
 
-def error_bound_check(record, projector=None):
-    """Check |reference - plugin estimate| after each step against the
-    assembled error bound, by solves against the run's `record.state`. The
-    sups over the certificate grid are rows 1..n of `projector`, the
-    `Projector` of the run's design, built here unless the caller shares
-    the one it passes to `greedy_certificate`.
+class Certificates:
+    """The certificates of one run, each part computed on its first read, so
+    a caller pays only for the parts it reads: the envelope `clcu` and
+    `gamma_theoretical` on it (None when absent), the monitored `b_range`
+    and whether a present envelope holds it, `inside` (both None for a run
+    of no steps), the weak-greedy certificate `greedy` (None below 2
+    points) and the error `bound`. The parts share |m| on one probe grid,
+    the native norm, one `Projector` of the run's design X and one pass of
+    it over the certificate grid; reading `clcu` alone factors nothing."""
 
-    The left side reads the run's own plug-in estimates `record.est_plugin`.
-    The reference is the integral of the integrand at REFINEMENT times the
-    run's `record.oracle_resolution` (the resolution of the plug-in
-    estimates), its self-error the distance to the integral at that
-    resolution; a run of no steps gets the reference and no rows. The
-    right-hand side multiplies the transform's Lipschitz constant, the
-    integral of pi/q, the known native norm, and sup q sqrt(posterior var)
-    over the certificate grid plus `grid_slack` at `record.cert_radius`,
-    capped by sup q sqrt(sup k(x, x)), since the posterior variance k_X(x)
-    never exceeds the prior's k(x, x); its slack carries the reference's
-    self-error and the distance from each estimate to the plug-in integral
-    at the refined resolution. One walk at each resolution gives every
-    integral.
-    """
-    integrand, pi, dom = (record.problem.integrand, record.problem.pi,
-                          record.problem.domain)
-    q = record.spec.q
-    res = record.oracle_resolution
-    t = integrand.transform
-    # q may underflow to 0 at a node: an infinite integral of pi/q is then a
-    # finding of the report, not a warning
-    inverse_q = np.errstate(divide="ignore", over="ignore")(
-        lambda P: [1.0 / np.asarray(q(P))])
-    coarse, c_piq = weighted_integrals(dom, res, pi, lambda P: [integrand(P)],
-                                       inverse_q, functions=2)
-    reference, *plug_fine = weighted_integrals(
-        dom, REFINEMENT * res, pi, lambda P: [integrand(P)],
-        _plugin_means(record.state, t), functions=1 + record.n)
-    ref_err = abs(reference - coarse)
-    gnorm = rkhs_norm(integrand)
-    m_inf = float(np.max(np.abs(integrand.prior_mean(dom.probe_grid()))))
-    c_t = t.lipschitz_constant(m_inf, gnorm, integrand.kernel.sup_diag())
-    widen = grid_slack(integrand.kernel, q, record.cert_radius)
-    cap = float(q.bounds()[0] * np.sqrt(integrand.kernel.sup_diag()))
-    report = BoundReport(reference=reference, reference_self_error=ref_err,
-                         constant_transform=float(c_t), constant_pi_over_q=c_piq,
-                         gnorm=gnorm, grid_slack=widen, cap=cap)
-    if projector is None:
-        projector = Projector(integrand.kernel, q, record.state.X)
-    sups = np.sqrt(projector.sups(record.cert_grid)[1:]).tolist()
-    for n, (sup, plug, fine) in enumerate(zip(sups, record.est_plugin, plug_fine),
-                                          start=1):
-        slack = ref_err + abs(fine - plug)
-        lhs = abs(reference - plug)
-        rhs = c_t * c_piq * gnorm * min(sup + widen, cap) + slack
-        row = {"n": n, "lhs": lhs, "rhs": rhs, "sup_qk": sup, "slack": slack}
-        report.rows.append(row)
-        if lhs > rhs:
-            report.violations.append(row)
-    return report
+    def __init__(self, record):
+        self.record = record
+
+    @cached_property
+    def _probe(self):
+        """(sup |m|, gnorm, clcu): |m| on one probe grid, which a VBMC rule
+        also reads, and the known native norm gnorm of the integrand."""
+        integrand = self.record.problem.integrand
+        probe = self.record.problem.domain.probe_grid()
+        m_abs = np.abs(integrand.prior_mean(probe))
+        m_sup, gnorm = float(np.max(m_abs)), rkhs_norm(integrand)
+        clcu = theoretical_clcu(self.record.spec.b, float(np.min(m_abs)), m_sup, gnorm,
+                                integrand.kernel.sup_diag(), probe)
+        return m_sup, gnorm, clcu
+
+    @cached_property
+    def clcu(self):
+        return self._probe[2]
+
+    @cached_property
+    def gamma_theoretical(self):
+        c = self.clcu
+        return weak_greedy_gamma(self.record.spec, c.c_l, c.c_u) if c.present else None
+
+    @cached_property
+    def b_range(self):
+        rec = self.record
+        return (min(rec.b_min), max(rec.b_max)) if rec.n else None
+
+    @cached_property
+    def inside(self):
+        c, b = self.clcu, self.b_range
+        return bool(c.c_l <= b[0] and b[1] <= c.c_u) if b and c.present else None
+
+    @cached_property
+    def _projector(self):
+        rec = self.record
+        return Projector(rec.problem.integrand.kernel, rec.spec.q, rec.state.X)
+
+    @cached_property
+    def _sups(self):
+        """Grid maxima: the certificate reads rows 0..n-1, the bound rows 1..n."""
+        return self._projector.sups(self.record.cert_grid)
+
+    @cached_property
+    def greedy(self):
+        """Per-iteration ratios dist(h_chosen, S_l) / sup dist(h, S_l), the
+        supremum taken over the run's certificate grid, with the run's kernel
+        and q; a ratio below gamma_hat, `weak_greedy_gamma` of the monitored b
+        range, by more than CERT_TOL is a failure. The chosen points'
+        distances are the diagonal of the design's own curve."""
+        record = self.record
+        if record.n < 2:
+            return None
+        d_chosen = np.sqrt(np.concatenate([
+            np.diagonal(chunk, offset=-start)
+            for start, chunk in self._projector.chunks(record.state.X)]))
+        sup = np.maximum(np.sqrt(self._sups[:-1]), d_chosen)
+        ratios = np.divide(d_chosen, sup, out=np.ones_like(sup), where=sup > 0)
+        gamma_hat = weak_greedy_gamma(record.spec, *self.b_range)
+        failures = [{"iteration": ell, "ratio": float(rho), "gamma_hat": gamma_hat}
+                    for ell, rho in enumerate(ratios) if rho < gamma_hat - CERT_TOL]
+        return GreedyCertificate(ratios=ratios, gamma_hat=gamma_hat, failures=failures)
+
+    @cached_property
+    def bound(self):
+        """|reference - plugin estimate| after each step against the
+        assembled error bound, by solves against the run's `record.state`.
+        The left side reads the run's plug-in estimates `record.est_plugin`.
+        The reference is the integral at REFINEMENT times the run's
+        `record.oracle_resolution`, the plug-in estimates' resolution, its
+        self-error the distance to the integral at that resolution; a run of
+        no steps gets the reference and no rows. The right-hand side
+        multiplies the transform's Lipschitz constant, the integral of pi/q,
+        the known native norm, and sup q sqrt(posterior var) over the
+        certificate grid plus `grid_slack` at `record.cert_radius`, capped
+        by sup q sqrt(sup k(x, x)), since k_X(x) <= k(x, x); its slack
+        carries the reference's self-error and the distance from each
+        estimate to the plug-in integral at the refined resolution. One walk
+        at each resolution gives every integral."""
+        record = self.record
+        integrand, pi, dom = (record.problem.integrand, record.problem.pi,
+                              record.problem.domain)
+        q, res, t = record.spec.q, record.oracle_resolution, integrand.transform
+        # q may underflow to 0 at a node: an infinite integral of pi/q is then
+        # a finding of the report, not a warning
+        inverse_q = np.errstate(divide="ignore", over="ignore")(
+            lambda P: [1.0 / np.asarray(q(P))])
+        coarse, c_piq = weighted_integrals(dom, res, pi, lambda P: [integrand(P)],
+                                           inverse_q, functions=2)
+        reference, *plug_fine = weighted_integrals(
+            dom, REFINEMENT * res, pi, lambda P: [integrand(P)],
+            _plugin_means(record.state, t), functions=1 + record.n)
+        ref_err = abs(reference - coarse)
+        m_sup, gnorm, _ = self._probe
+        c_t = t.lipschitz_constant(m_sup, gnorm, integrand.kernel.sup_diag())
+        widen = grid_slack(integrand.kernel, q, record.cert_radius)
+        cap = float(q.bounds()[0] * np.sqrt(integrand.kernel.sup_diag()))
+        report = BoundReport(reference=reference, reference_self_error=ref_err,
+                             constant_transform=float(c_t), constant_pi_over_q=c_piq,
+                             gnorm=gnorm, grid_slack=widen, cap=cap)
+        sups = np.sqrt(self._sups[1:]).tolist()
+        for n, (sup, plug, fine) in enumerate(zip(sups, record.est_plugin, plug_fine),
+                                              start=1):
+            slack = ref_err + abs(fine - plug)
+            lhs = abs(reference - plug)
+            rhs = c_t * c_piq * gnorm * min(sup + widen, cap) + slack
+            row = {"n": n, "lhs": lhs, "rhs": rhs, "sup_qk": sup, "slack": slack}
+            report.rows.append(row)
+            if lhs > rhs:
+                report.violations.append(row)
+        return report

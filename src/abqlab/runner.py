@@ -10,9 +10,7 @@ import os
 import numpy as np
 
 from . import analysis, engine, kernels
-from .acquisition import theoretical_clcu
 from .config import build_problem, expand_matrix, validate_config
-from .domain import rkhs_norm
 from .exceptions import ConfigError, DomainError
 
 TRACE_SCHEMA = "abqlab-trace v2"
@@ -44,16 +42,18 @@ def write_json(path, payload):
 def run_experiment(raw, out_dir):
     """Run a (possibly matrix) config; one artifact directory per combo.
 
-    Every combo is validated before any runs, and a combo's directory is
-    made only once its report is built. Returns one (directory, number of
-    findings) pair per combo, in matrix order. Deterministic given the
-    config.
+    Every combo is validated, against the schema and then by building its
+    objects, before any runs, and a combo's directory is made only once its
+    report is built. Returns one (directory, number of findings) pair per
+    combo, in matrix order. Deterministic given the config.
     """
     flats, targets = [], []
     for tag, flat in expand_matrix(raw):
         validate_config(flat)
         flats.append(flat)
         targets.append(os.path.join(out_dir, tag) if tag else out_dir)
+    for flat in flats:
+        build_problem(flat)
     try:
         width = int(os.environ.get("ABQ_LAB_THREADS", "1"))
     except ValueError:
@@ -156,64 +156,47 @@ def _fit_json(fit):
             "r_squared": fit.r_squared, "n_range": list(fit.n_range)}
 
 
-def clcu_for(record):
-    """Theoretical [C_L, C_U] for the run's rule, from a probe grid."""
-    integrand = record.problem.integrand
-    probe = record.problem.domain.probe_grid()
-    m_abs = np.abs(integrand.prior_mean(probe))
-    return theoretical_clcu(record.spec.b, float(np.min(m_abs)), float(np.max(m_abs)),
-                            rkhs_norm(integrand), integrand.kernel.sup_diag(), probe)
-
-
-def envelope_verdict(record, clcu):
-    """(b_min, b_max, inside): the run's b range and whether [C_L, C_U] holds it."""
-    b_lo, b_hi = min(record.b_min), max(record.b_max)
-    return b_lo, b_hi, bool(clcu.c_l <= b_lo and b_hi <= clcu.c_u)
-
-
 def build_report(raw, record):
     """The report.json payload of one run, from the run alone: raw is the
-    flat config it ran, only echoed in the report."""
+    flat config it ran, only echoed in the report. The numbers come from
+    one `analysis.Certificates`; the findings are worded here."""
     dom = record.problem.domain
     kernel = record.problem.integrand.kernel
+    certs = analysis.Certificates(record)
     findings = []
     if record.converged:
         findings.append(f"run stopped after {record.n} of {record.budget} steps: "
                         f"{record.stop_cause}")
 
-    clcu = clcu_for(record)
+    clcu = certs.clcu
     clcu_json = {"present": clcu.present, "reason": clcu.reason}
-    gamma_theoretical = None
     if clcu.present:
         clcu_json.update({"c_l": clcu.c_l, "c_u": clcu.c_u})
-        gamma_theoretical = analysis.weak_greedy_gamma(record.spec, clcu.c_l, clcu.c_u)
     else:
         findings.append(f"weak-adaptivity envelope absent: {clcu.reason}")
 
     weak = None
-    if record.n and clcu.present:
-        b_lo, b_hi, inside = envelope_verdict(record, clcu)
-        weak = {"b_min": b_lo, "b_max": b_hi, "within_envelope": inside}
-        if not inside:
+    if certs.inside is not None:
+        b_lo, b_hi = certs.b_range
+        weak = {"b_min": b_lo, "b_max": b_hi, "within_envelope": certs.inside}
+        if not certs.inside:
             findings.append(
                 f"monitored b range [{b_lo:g}, {b_hi:g}] leaves the theoretical "
                 f"envelope [{clcu.c_l:g}, {clcu.c_u:g}]"
             )
 
-    # the certificate and the error bound read one factor of the design
-    projector = analysis.Projector(kernel, record.spec.q, record.state.X)
+    cert = certs.greedy
     cert_json = None
-    if record.n >= 2:
-        cert = analysis.greedy_certificate(record, projector=projector)
+    if cert is not None:
         cert_json = {
             "gamma_hat": cert.gamma_hat,
-            "gamma_theoretical": gamma_theoretical,
+            "gamma_theoretical": certs.gamma_theoretical,
             "min_ratio": float(np.min(cert.ratios)),
             "failures": cert.failures,
         }
         if cert.gamma_hat == 0.0:
             findings.append(
-                f"weak-greedy certificate vacuous: b_min = {min(record.b_min):g} "
+                f"weak-greedy certificate vacuous: b_min = {certs.b_range[0]:g} "
                 f"gives gamma_hat = 0"
             )
         for failure in cert.failures:
@@ -223,7 +206,7 @@ def build_report(raw, record):
                 f"gamma_hat {failure['gamma_hat']:g}"
             )
 
-    bound = analysis.error_bound_check(record, projector=projector)
+    bound = certs.bound
     bound_json = None
     if record.n:
         bound_json = {

@@ -193,38 +193,32 @@ def builtin_matrix():
 
 
 def matrix_runs():
-    """(name, record) for each run of the builtin matrix."""
-    return [(name, runner.execute(raw)) for name, raw in builtin_matrix()]
+    """(name, `analysis.Certificates`) for each run of the builtin matrix,
+    one object per run, shared by the certificate and envelope checks."""
+    return [(name, analysis.Certificates(runner.execute(raw)))
+            for name, raw in builtin_matrix()]
 
 
 def check_certificates(runs):
-    rows = []
-    ok = True
-    for name, record in runs:
-        cert = analysis.greedy_certificate(record)
-        min_ratio = float(np.min(cert.ratios))
-        rows.append({
-            "run": name, "iterations": record.n, "gamma_hat": cert.gamma_hat,
-            "min_ratio": min_ratio, "failures": len(cert.failures),
-        })
-        ok = ok and cert.ok
-    return ok, {"runs": rows, "tolerance": analysis.CERT_TOL}
+    rows = [{"run": name, "iterations": certs.record.n,
+             "gamma_hat": certs.greedy.gamma_hat,
+             "min_ratio": float(np.min(certs.greedy.ratios)),
+             "failures": len(certs.greedy.failures)} for name, certs in runs]
+    return (all(certs.greedy.ok for _, certs in runs),
+            {"runs": rows, "tolerance": analysis.CERT_TOL})
 
 
 def check_adaptivity_envelopes(runs):
     rows = []
-    ok = True
-    for name, record in runs:
-        clcu = runner.clcu_for(record)
-        if not clcu.present:
+    for name, certs in runs:
+        clcu = certs.clcu
+        if clcu.present:
+            b_lo, b_hi = certs.b_range
+            rows.append({"run": name, "c_l": clcu.c_l, "c_u": clcu.c_u,
+                         "b_min": b_lo, "b_max": b_hi, "inside": certs.inside})
+        else:
             rows.append({"run": name, "envelope": "absent", "reason": clcu.reason})
-            ok = False
-            continue
-        b_lo, b_hi, inside = runner.envelope_verdict(record, clcu)
-        rows.append({"run": name, "c_l": clcu.c_l, "c_u": clcu.c_u,
-                     "b_min": b_lo, "b_max": b_hi, "inside": inside})
-        ok = ok and inside
-    return ok, {"runs": rows}
+    return all(certs.inside for _, certs in runs), {"runs": rows}
 
 
 # ---------------------------------------------------------------------------
@@ -252,16 +246,12 @@ def _bound_configs(budget, seed=11):
 
 
 def check_error_bound(budget=30):
-    rows = []
-    ok = True
-    for t_kind, raw in _bound_configs(budget):
-        record = runner.execute(raw)
-        report = analysis.error_bound_check(record)
-        rows.append({"transform": t_kind, "iterations": record.n,
-                     "violations": len(report.violations),
-                     "max_lhs_over_rhs": report.max_lhs_over_rhs})
-        ok = ok and report.ok
-    return ok, {"runs": rows}
+    runs = [(t_kind, analysis.Certificates(runner.execute(raw)))
+            for t_kind, raw in _bound_configs(budget)]
+    rows = [{"transform": t_kind, "iterations": certs.record.n,
+             "violations": len(certs.bound.violations),
+             "max_lhs_over_rhs": certs.bound.max_lhs_over_rhs} for t_kind, certs in runs]
+    return all(certs.bound.ok for _, certs in runs), {"runs": rows}
 
 
 # ---------------------------------------------------------------------------
@@ -370,20 +360,17 @@ def check_inconsistency_caveat(stall_factor=5.0):
     """Zero-mean squared-mean weighting on an integrand whose latent part
     vanishes for x > 0.53: the lower envelope is absent and the error
     series stalls relative to the same run with a shifted mean."""
-    series = {}
-    clcu_zero = None
-    for label, mean_value in (("zero_mean", 0.0), ("shifted_mean", 5.0)):
-        record = runner.execute(_inconsistency_config(mean_value))
-        if label == "zero_mean":
-            clcu_zero = runner.clcu_for(record)
-        series[label] = list(record.sup_qk)
+    records = {label: runner.execute(_inconsistency_config(mean_value))
+               for label, mean_value in (("zero_mean", 0.0), ("shifted_mean", 5.0))}
+    series = {label: list(record.sup_qk) for label, record in records.items()}
+    clcu_zero = analysis.Certificates(records["zero_mean"]).clcu
     e_zero = series["zero_mean"][-1]
     e_shift = series["shifted_mean"][-1]
     stalled = e_zero > stall_factor * e_shift
-    envelope_absent = clcu_zero is not None and not clcu_zero.present
+    envelope_absent = not clcu_zero.present
     return envelope_absent and stalled, {
         "envelope_absent": envelope_absent,
-        "envelope_reason": clcu_zero.reason if clcu_zero is not None else "",
+        "envelope_reason": clcu_zero.reason,
         "final_error_zero_mean": e_zero,
         "final_error_shifted_mean": e_shift,
         "stall_factor_observed": e_zero / e_shift if e_shift > 0 else float("inf"),

@@ -107,7 +107,7 @@ def _p_greedy_record(budget=10, kernel=None):
 
 def test_greedy_certificate_exact_argmax_ratio_one():
     rec, problem, spec = _p_greedy_record()
-    cert = analysis.greedy_certificate(rec)
+    cert = analysis.Certificates(rec).greedy
     assert cert.ok
     assert np.min(cert.ratios) >= 1.0 - 1e-9
     assert cert.gamma_hat == pytest.approx(1.0)
@@ -129,8 +129,9 @@ def test_weak_greedy_gamma(lower, upper, gamma_tilde, want):
 
 def test_greedy_certificate_needs_two_points():
     rec = _p_greedy_record(budget=1)[0]
-    with pytest.raises(DomainError):
-        analysis.greedy_certificate(rec)
+    certs = analysis.Certificates(rec)
+    assert certs.greedy is None
+    assert certs.bound.ok and len(certs.bound.rows) == 1
 
 
 def test_fill_distance_single_center():
@@ -267,7 +268,7 @@ def test_grid_slack_bounds_the_supremum_off_the_grid(q):
 
 def test_error_bound_holds_on_small_run():
     rec = _p_greedy_record(budget=8)[0]
-    report = analysis.error_bound_check(rec)
+    report = analysis.Certificates(rec).bound
     assert report.ok
     assert len(report.rows) == rec.n
     assert report.constant_transform == 1.0
@@ -284,7 +285,7 @@ def test_error_bound_check_reports_the_reference_self_error():
     spec = AcquisitionSpec(outer=Power(1.0), q=Q, b=ConstantRule(1.0),
                            gamma_tilde=1.0)
     _, rec = engine.run_abq(problem, spec, 0, oracle_resolution=8)
-    report = analysis.error_bound_check(rec)
+    report = analysis.Certificates(rec).bound
     assert report.rows == [] and report.ok
     assert report.reference == reference_integral(integrand, Q, DOM, 16)
     exact = reference_integral(integrand, Q, DOM, 1024)
@@ -315,7 +316,7 @@ def bound_check_inputs(budget=8, oracle=64):
 def test_error_bound_rows_match_a_dense_replay():
     problem, spec, rec = bound_check_inputs()
     state = rec.state
-    report = analysis.error_bound_check(rec)
+    report = analysis.Certificates(rec).bound
     assert report.ok
     # the reference is the oracle integral at twice the run's resolution,
     # its self-error the distance to the integral at that resolution
@@ -373,7 +374,7 @@ def test_the_cap_binds_in_d4_and_the_bound_still_holds():
     problem = engine.Problem(integrand=integrand, pi=q, domain=dom)
     spec = AcquisitionSpec(outer=Power(1.0), q=q, b=WsabiM(), gamma_tilde=1.0)
     _, rec = engine.run_abq(problem, spec, 12)
-    report = analysis.error_bound_check(rec)
+    report = analysis.Certificates(rec).bound
     assert report.ok and len(report.rows) == 12
     assert report.cap == 1.0  # uniform q on the unit cube, k(x, x) = 1
     const = report.constant_transform * report.constant_pi_over_q * report.gnorm
@@ -403,7 +404,7 @@ def test_report_checks_read_the_run_instead_of_replaying_it(monkeypatch):
     monkeypatch.setattr(gp, "extend", counting("extend", gp.extend))
     monkeypatch.setattr(kernels, "chol_with_jitter",
                         counting("chol", kernels.chol_with_jitter))
-    analysis.error_bound_check(rec)
+    analysis.Certificates(rec).bound
     # the integrand is evaluated only on the reference's two node sets
     assert integrand_sizes == [64, 128]
     assert calls["extend"] == 0
@@ -412,7 +413,7 @@ def test_report_checks_read_the_run_instead_of_replaying_it(monkeypatch):
     chols = []
     for record in (short, rec):
         calls.clear()
-        analysis.greedy_certificate(record)
+        analysis.Certificates(record).greedy
         chols.append(calls["chol"])
     assert chols == [1, 1]
 
@@ -455,7 +456,7 @@ def test_error_bound_check_memory_does_not_grow_with_the_oracle():
     _, rec = engine.run_abq(problem, spec, 3, oracle_resolution=64)
     tracemalloc.start()
     try:
-        report = analysis.error_bound_check(rec)
+        report = analysis.Certificates(rec).bound
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -538,12 +539,12 @@ def test_chunked_sups_equal_the_dense_maxima(run_d2, monkeypatch):
     dense = np.max(analysis.projection_distance_sq(kernel, q, X, grid), axis=1)
     chunked = analysis.Projector(kernel, q, X).sups(grid)
     assert np.allclose(chunked, dense, rtol=0, atol=SUP_ATOL)
-    report = analysis.error_bound_check(rec)
-    assert [row["sup_qk"] for row in report.rows] == np.sqrt(chunked[1:]).tolist()
+    certs = analysis.Certificates(rec)
+    assert [row["sup_qk"] for row in certs.bound.rows] == np.sqrt(chunked[1:]).tolist()
     # the certificate reads rows 0..n-1 of the same factor of the design
     d_chosen = np.sqrt(np.diagonal(analysis.projection_distance_sq(kernel, q, X, X)))
     sup = np.maximum(np.sqrt(chunked[:-1]), d_chosen)
-    assert np.array_equal(analysis.greedy_certificate(rec).ratios, d_chosen / sup)
+    assert np.array_equal(certs.greedy.ratios, d_chosen / sup)
     # chunks of whole SOLVE_CHUNKs give one call's maxima bit for bit
     projector = analysis.Projector(kernel, q, X)
     monkeypatch.setattr(kernels, "SOLVE_CHUNK", 512)
@@ -553,25 +554,58 @@ def test_chunked_sups_equal_the_dense_maxima(run_d2, monkeypatch):
 
 
 def test_build_report_factors_each_design_once(run_d2, monkeypatch):
-    # the certificate and the error bound share one Projector of the run's
-    # design; the n-width surrogate has one of its own P-greedy design
+    # one Certificates of the run does each job once: one Projector of the
+    # run's design, one pass of it over the certificate grid for the
+    # certificate and the error bound, one probe grid and one native norm
+    # for the envelope and the bound's C_T; the n-width surrogate has one
+    # Projector of its own P-greedy design
     rec = run_d2
-    designs, factored = [], []
+    projectors, factored, passes, calls = [], [], [], Counter()
     init, chol = analysis.Projector.__init__, kernels.chol_with_jitter
+    sups, probe_grid, rkhs_norm = (analysis.Projector.sups, Domain.probe_grid,
+                                   domain.rkhs_norm)
 
     def recording_init(self, kernel, q, X):
-        designs.append(np.array(X))
         init(self, kernel, q, X)
+        projectors.append(self)
 
     def recording_chol(K):
         factored.append(len(K))
         return chol(K)
 
+    def recording_sups(self, x):
+        passes.append((self, x))
+        return sups(self, x)
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
     monkeypatch.setattr(analysis.Projector, "__init__", recording_init)
+    monkeypatch.setattr(analysis.Projector, "sups", recording_sups)
     monkeypatch.setattr(kernels, "chol_with_jitter", recording_chol)
+    monkeypatch.setattr(Domain, "probe_grid", counting("probe_grid", probe_grid))
+    for module in (domain, analysis, runner):
+        if getattr(module, "rkhs_norm", None) is rkhs_norm:
+            monkeypatch.setattr(module, "rkhs_norm", counting("rkhs_norm", rkhs_norm))
     runner.build_report(RUN_D2, rec)
-    assert len(designs) == 2 and factored == [len(X) for X in designs]
-    assert np.array_equal(designs[0], rec.state.X)
+    assert len(projectors) == 2 and factored == [len(p.X) for p in projectors]
+    run = [p for p in projectors if np.array_equal(p.X, rec.state.X)]
+    assert len(run) == 1
+    assert [x is rec.cert_grid for p, x in passes if p is run[0]] == [True]
+    assert calls == {"probe_grid": 1, "rkhs_norm": 1}
+
+
+def test_reading_the_envelope_factors_no_design(run_d2, monkeypatch):
+    # verify's envelope check reads clcu, b_range and inside alone
+    built = []
+    monkeypatch.setattr(analysis, "Projector", lambda *args: built.append(args))
+    certs = analysis.Certificates(run_d2)
+    assert certs.clcu.present and certs.inside
+    assert certs.b_range == (min(run_d2.b_min), max(run_d2.b_max))
+    assert built == []
 
 
 def test_run_d2_posteriors_hold_rows_for_the_budget(run_d2, posteriors):
@@ -588,8 +622,8 @@ def test_report_passes_on_the_run_d2_config_stay_under_5_mib(run_d2):
     rec = run_d2
     kernel, q = rec.state.kernel, rec.spec.q
     passes = {
-        "error bound": lambda: analysis.error_bound_check(rec),
-        "certificate": lambda: analysis.greedy_certificate(rec),
+        "error bound": lambda: analysis.Certificates(rec).bound,
+        "certificate": lambda: analysis.Certificates(rec).greedy,
         "n-width": lambda: analysis.nwidth_surrogate(kernel, q, rec.cert_grid, rec.n),
         "fill distance": lambda: analysis.fill_distance(rec.state.X,
                                                         rec.problem.domain),

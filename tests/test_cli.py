@@ -330,6 +330,36 @@ def test_cli_validates_every_matrix_combo_before_running(tmp_path, capsys, key,
     assert not (tmp_path / "o").exists()  # the valid combo did not run either
 
 
+def test_cli_builds_every_matrix_combo_before_running(tmp_path, capsys):
+    # nu = 2.0 passes the schema but not the Matern kernel: no combo runs,
+    # not even nu=2.5, which comes first
+    raw = json.loads(json.dumps(MINIMAL))
+    raw["kernel"] = {"family": "matern", "nu": 2.5, "ell": 0.3}
+    raw["matrix"] = {"kernel.nu": [2.5, 2.0]}
+    cfg = write_config(tmp_path, raw)
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "nu must be one of" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("budget, rows", [(0, 0), (1, 1)])
+def test_cli_runs_budgets_below_two_without_a_certificate(tmp_path, budget, rows):
+    # the certificate needs two points; the error bound is checked from one
+    raw = json.loads(json.dumps(MINIMAL))
+    raw["budget"] = budget
+    cfg = write_config(tmp_path, raw)
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 0
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    lines = (tmp_path / "o" / "trace.csv").read_text().splitlines()
+    assert report["iterations"] == rows and len(lines) == 2 + rows
+    assert report["certificate"] is None
+    if budget == 0:
+        assert report["error_bound"] is None
+    else:
+        assert report["error_bound"]["ok"]
+
+
 @pytest.mark.parametrize("matrix, message", [
     ({"seed": [0, 0]}, "matrix gives two combos the directory 'seed=0'"),
     ({"budget.x": [1]}, "matrix key 'budget.x': 'budget' is not an object"),
@@ -485,10 +515,10 @@ def test_config_schema_uses_the_keywords_the_checker_implements():
 
 
 def test_cli_error_at_report_time_writes_no_artifact(tmp_path, monkeypatch, capsys):
-    def failing(record, projector=None):
+    def failing(certs):
         raise NumericalDegradationError("posterior variance below its floor")
 
-    monkeypatch.setattr(analysis, "error_bound_check", failing)
+    monkeypatch.setattr(analysis.Certificates, "bound", property(failing))
     cfg = write_config(tmp_path, MINIMAL)
     assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 3
     assert "NumericalDegradationError" in capsys.readouterr().err
@@ -654,8 +684,10 @@ def test_run_validates_every_matrix_combo_before_running_any(tmp_path, monkeypat
     monkeypatch.setattr(runner, "build_problem", building)
     monkeypatch.delenv("ABQ_LAB_THREADS", raising=False)
     assert len(runner.run_experiment(raw, str(tmp_path / "out"))) == 2
+    # every combo's schema, then every combo's objects, before any runs;
     # execute validates each combo again, just before it builds it
     assert events == [("validate", 1.0), ("validate", 0.5),
+                      ("build", 1.0), ("build", 0.5),
                       ("validate", 1.0), ("build", 1.0),
                       ("validate", 0.5), ("build", 0.5)]
 
@@ -717,7 +749,7 @@ def test_error_bound_sups_are_the_runs_e_n():
     # the bound's dense solve on the certificate grid and the engine's
     # incremental grid posterior give the same sup q sqrt(k_X) per step
     record = runner.execute(RUN_D2_SEED0)
-    rows = analysis.error_bound_check(record).rows
+    rows = analysis.Certificates(record).bound.rows
     assert len(rows) == record.n == 60
     assert np.allclose([row["sup_qk"] for row in rows], record.sup_qk,
                        rtol=1e-10, atol=0.0)
@@ -811,7 +843,7 @@ def test_report_finds_an_oracle_too_coarse_for_the_bound():
     raw["kernel"] = {"family": "matern", "nu": 0.5, "ell": 0.05}
     raw["grids"] = {"oracle": 8, "certificate": 512}
     record = runner.execute(raw)
-    bound = analysis.error_bound_check(record)
+    bound = analysis.Certificates(record).bound
     smallest = min(row["rhs"] for row in bound.rows)
     assert bound.reference_self_error > 10 * analysis.ORACLE_TOL * smallest
     report = runner.build_report(raw, record)
@@ -1021,7 +1053,7 @@ def test_report_bound_reads_the_trace_estimates(tmp_path, monkeypatch):
         return values
 
     monkeypatch.setattr(analysis, "weighted_integrals", counting)
-    lhs = [row["lhs"] for row in analysis.error_bound_check(record).rows]
+    lhs = [row["lhs"] for row in analysis.Certificates(record).bound.rows]
     assert len(traced) == record.n and lhs == traced
     assert walks == [(256, 2), (512, 1 + record.n)]
 
