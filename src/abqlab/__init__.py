@@ -21,7 +21,7 @@ from .domain import (
     AffineMean,
     SyntheticIntegrand,
     rkhs_norm,
-    reference_integral,
+    weighted_integrals,
 )
 from .kernels import (
     SquaredExponential,
@@ -32,7 +32,7 @@ from .kernels import (
     predicted_rate,
     RatePrediction,
 )
-from .gp import GpState, empty_state, build_state, posterior, extend
+from .gp import GpState, GridPosterior, empty_state, build_state
 from .transforms import Identity, Square, Exponential
 from .acquisition import (
     Power,
@@ -54,7 +54,7 @@ from .engine import (
     certificate_grid,
 )
 from .analysis import (
-    projection_distance_sq,
+    Projector,
     Certificates,
     fill_distance,
     nwidth_surrogate,

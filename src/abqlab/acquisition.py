@@ -182,7 +182,7 @@ class ClcuResult:
     reason: str = ""
 
 
-def theoretical_clcu(rule, m_inf_low, m_inf_high, gnorm, k_inf, probe=None):
+def theoretical_clcu(rule, m_inf_low, m_inf_high, gnorm, k_inf, probe):
     """[C_L, C_U] from the per-rule sufficient conditions.
 
     m_inf_low = inf |m|, m_inf_high = sup |m|, gnorm = native norm of the
@@ -212,8 +212,6 @@ def theoretical_clcu(rule, m_inf_low, m_inf_high, gnorm, k_inf, probe=None):
             float(np.exp(k_inf + 2.0 * m_inf_high + 2.0 * spread)),
         )
     if isinstance(rule, Vbmc):
-        if probe is None:
-            return ClcuResult(False, reason="no probe points to bound the vbmc density on")
         vals = rule.density(probe)
         width = rule.delta3 * (m_inf_high + spread)
         return ClcuResult(

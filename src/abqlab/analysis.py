@@ -34,20 +34,13 @@ CERT_TOL = 1e-9  # slack of a weak-greedy ratio below gamma_hat
 ORACLE_TOL = 1e-3  # largest reference self-error, relative to the smallest rhs
 
 
-def projection_distance_sq(kernel, q, X, x):
-    """Squared RKHS distances from h_x = q(x) k(., x) to span{q(x_j) k(., x_j)},
-    one row for each prefix X[:0], ..., X[:n] of X, from one dense solve on
-    the scaled Gram matrix of X (jittered for the whole design), independent
-    of the GP posterior-variance path it is tested against.
-    """
-    return Projector(kernel, q, X)(x)
-
-
 class Projector:
-    """One Cholesky factor of the scaled Gram matrix of X, and the inverses
-    of its diagonal blocks, against which every call solves: projector(x)
-    is projection_distance_sq(kernel, q, X, x), an (n + 1, |x|) curve of
-    `rows` rows."""
+    """One Cholesky factor of the scaled Gram matrix of X (jittered for the
+    whole design), and the inverses of its diagonal blocks, against which
+    every call solves: projector(x) is the (n + 1, |x|) curve of squared
+    RKHS distances from h_x = q(x) k(., x) to span{q(x_j) k(., x_j)}, one
+    of its `rows` rows for each prefix X[:0], ..., X[:n] of X, independent
+    of the GP posterior-variance path it is tested against."""
 
     def __init__(self, kernel, q, X):
         self.kernel, self.q = kernel, q

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -415,7 +415,7 @@ def check_rule_size(dim, resolution):
         )
 
 
-def quadrature_blocks(dom, resolution, block=BLOCK_POINTS):
+def quadrature_blocks(dom, resolution, block):
     """The tensor Gauss-Legendre rule of `quadrature_nodes`, as consecutive
     (nodes, weights) slabs of at most `block` nodes, bit-equal to the
     rule's rows in the rule's order.
@@ -457,7 +457,7 @@ def _tree_sum(parts):
     return _tree_sum(parts[:half]) + _tree_sum(parts[half:])
 
 
-def weighted_integrals(dom, resolution, pi, *terms, functions=1):
+def weighted_integrals(dom, resolution, pi, *terms, functions):
     """The integrals against pi, by the tensor rule, of every function that
     each term yields on a slab of nodes, in order: one walk over the slabs
     of `quadrature_blocks`, pi evaluated once per node. A term yields the
@@ -481,8 +481,3 @@ def weighted_integrals(dom, resolution, pi, *terms, functions=1):
             np.atleast_1d(np.sum(w * np.asarray(v, dtype=float) * dens, axis=-1))
             for term in terms for v in term(pts)]))
     return _tree_sum(parts).tolist()
-
-
-def reference_integral(f, pi, dom, resolution):
-    """Ground-truth value of the weighted integral of f by a tensor rule."""
-    return weighted_integrals(dom, resolution, pi, lambda P: [f(P)])[0]

@@ -29,7 +29,7 @@ import numpy as np
 from . import gp
 from .domain import (GUARD_POINTS, REFINEMENT, check_rule_size, grid_per_dim,
                      quadrature_nodes)
-from .exceptions import BudgetExceededError, Converged, DomainError, NonFiniteIntegrandError
+from .exceptions import BudgetExceededError, DomainError, NonFiniteIntegrandError
 
 DEFAULT_CERT_POINTS_PER_DIM = 2048
 
@@ -169,12 +169,10 @@ def covering_radius(dom, size):
 
 
 def select_next(a):
-    """Index of the first point of largest acquisition `a`. Raises
-    Converged when the acquisition vanishes at every point."""
+    """Index of the first point of largest acquisition `a`, or None when the
+    acquisition vanishes at every point."""
     best = int(np.argmax(a))
-    if a[best] <= 0.0:
-        raise Converged("acquisition is zero at every candidate")
-    return best
+    return best if a[best] > 0.0 else None
 
 
 def estimates(transform, w, dens, mean, var):
@@ -235,9 +233,8 @@ def run_abq(problem, spec, n, cert_points=None, oracle_resolution=None):
         b_range = float(np.min(b_grid)), float(np.max(b_grid))
         # F(0) b = 0 at a point the design spans: zero it where add raises
         spanned = post.spanned()[:G]
-        try:
-            index = select_next(np.where(spanned, 0.0, a_grid))
-        except Converged:
+        index = select_next(np.where(spanned, 0.0, a_grid))
+        if index is None:
             record.stop_cause = (STOP_SPANNED if np.all(spanned)
                                  else STOP_ZERO_ACQUISITION)
             return record.state, record

@@ -30,10 +30,6 @@ class WeakAdaptivityViolation(AbqError):
     """An adaptive term became nonpositive where it must be positive."""
 
 
-class Converged(AbqError):
-    """The acquisition vanished everywhere: nothing left to select."""
-
-
 class ConfigError(AbqError):
     """An experiment configuration failed validation."""
 

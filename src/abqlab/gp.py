@@ -10,9 +10,8 @@ one (n, |P|) kernel block and one blocked forward substitution,
 `kernels.solve_lower`, written over it. `add(index, z)` is the one
 conditioning step: the Cholesky row of P[index] is column `index` of V,
 and the new row of V costs one kernel row, O(|P| n); `spanned()` marks
-where it raises. `extend` and `posterior` are one-point and one-shot
-forms. Built and added rows agree to rounding; the gap grows with the
-Gram condition number, and tests/test_gp.py states the bound.
+where it raises. Built and added rows agree to rounding; the gap grows
+with the Gram condition number, and tests/test_gp.py states the bound.
 """
 
 from __future__ import annotations
@@ -67,12 +66,6 @@ def build_state(kernel, mean, X, z):
     beta = kernels.solve_lower(L, (z - mean(X))[:, None])[:, 0]
     return GpState(kernel=kernel, mean=mean, X=X, z=z, chol=L,
                    jitter_used=jitter, beta=beta)
-
-
-def posterior(state, X):
-    """(mean, variance) over X: the moments of a one-shot `GridPosterior`."""
-    post = GridPosterior(state, X)
-    return post.mean, post.var
 
 
 def dependence_floor(jitter_used, prior_var):
@@ -150,11 +143,3 @@ class GridPosterior:
         self._clamp()
         self.state = new
         return new
-
-
-def extend(state, x_new, z_new):
-    """State on X + {x_new}: `GridPosterior.add` on the one-point set {x_new}."""
-    x_new = np.atleast_2d(np.asarray(x_new, dtype=float))
-    if x_new.shape[0] != 1:
-        raise ValueError("extend takes a single point")
-    return GridPosterior(state, x_new, capacity=1).add(0, z_new)

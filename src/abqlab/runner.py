@@ -42,18 +42,17 @@ def write_json(path, payload):
 def run_experiment(raw, out_dir):
     """Run a (possibly matrix) config; one artifact directory per combo.
 
-    Every combo is validated, against the schema and then by building its
-    objects, before any runs, and a combo's directory is made only once its
-    report is built. Returns one (directory, number of findings) pair per
-    combo, in matrix order. Deterministic given the config.
+    Every combo is validated against the schema, and then built once by
+    `prepare`, before any runs, and a combo's directory is made only once
+    its report is built. Returns one (directory, number of findings) pair
+    per combo, in matrix order. Deterministic given the config.
     """
     flats, targets = [], []
     for tag, flat in expand_matrix(raw):
         validate_config(flat)
         flats.append(flat)
         targets.append(os.path.join(out_dir, tag) if tag else out_dir)
-    for flat in flats:
-        build_problem(flat)
+    runs = [prepare(flat) for flat in flats]
     try:
         width = int(os.environ.get("ABQ_LAB_THREADS", "1"))
     except ValueError:
@@ -64,27 +63,32 @@ def run_experiment(raw, out_dir):
 
         # each combo writes only to its own directory, so order is immaterial
         with ProcessPoolExecutor(max_workers=min(width, len(flats))) as pool:
-            findings = list(pool.map(_run_single, flats, targets))
+            findings = list(pool.map(_run_single, flats, runs, targets))
     else:
-        findings = [_run_single(flat, target) for flat, target in zip(flats, targets)]
+        findings = list(map(_run_single, flats, runs, targets))
     return list(zip(targets, findings))
 
 
-def execute(raw):
-    """Validate, build and run one flat (matrix-expanded) config, the only
-    reader of its `budget` and `grids`; returns the run's RunRecord."""
-    validate_config(raw)
+def prepare(raw):
+    """Build one validated flat (matrix-expanded) config, the only reader of
+    its `budget` and `grids`: the arguments of its `engine.run_abq`, a tuple
+    that pickles, so a worker process runs it as built."""
     problem, spec = build_problem(raw)
     # the schema's integers take whole-number floats such as 3.0
     grids = {name: int(value) for name, value in raw.get("grids", {}).items()}
-    return engine.run_abq(problem, spec, int(raw["budget"]),
-                          cert_points=grids.get("certificate"),
-                          oracle_resolution=grids.get("oracle"))[1]
+    return (problem, spec, int(raw["budget"]), grids.get("certificate"),
+            grids.get("oracle"))
 
 
-def _run_single(raw, target):
-    """Run one flat config into target; returns its findings count."""
-    record = execute(raw)
+def execute(raw):
+    """The RunRecord of one flat config, validated, prepared and run."""
+    validate_config(raw)
+    return engine.run_abq(*prepare(raw))[1]
+
+
+def _run_single(raw, run, target):
+    """Run one prepared config into target; returns its findings count."""
+    record = engine.run_abq(*run)[1]
     report = build_report(raw, record)
     fills = (analysis.fill_distance(record.state.X, record.problem.domain)
              if record.n else [])

@@ -111,8 +111,8 @@ def check_projection_identity(n_configs=200, seed=20260824):
         dom, kernel, q, X, x_query = _random_config(rng)
         state = gp.build_state(kernel, lambda P: np.zeros(len(P)),
                                X, np.zeros(X.shape[0]))
-        lhs = np.asarray(q(x_query)) ** 2 * gp.posterior(state, x_query)[1]
-        rhs = analysis.projection_distance_sq(kernel, q, X, x_query)[-1]
+        lhs = np.asarray(q(x_query)) ** 2 * gp.GridPosterior(state, x_query).var
+        rhs = analysis.Projector(kernel, q, X)(x_query)[-1]
         scale = np.maximum(np.asarray(q(x_query)) ** 2 * kernel.diag(x_query),
                            1e-30)
         worst = max(worst, float(np.max(np.abs(lhs - rhs) / scale)))
@@ -304,7 +304,8 @@ def check_moment_estimator(seed=5, n_mc=1_000_000, n_query=20):
     z = rng.normal(0.3, 0.5, size=6)
     state = gp.build_state(kernel, ConstantMean(0.2), X, z)
     queries = rng.uniform(0.0, 1.0, size=(n_query, 1))
-    mean, var = gp.posterior(state, queries)
+    post = gp.GridPosterior(state, queries)
+    mean, var = post.mean, post.var
     sd = np.sqrt(var)
 
     # The draws are streamed in blocks of BLOCK_POINTS latent values, so the
@@ -338,7 +339,8 @@ def check_moment_estimator(seed=5, n_mc=1_000_000, n_query=20):
     pi = UniformDensity(dom)
     ident = transforms.Identity()
     nodes, w = quadrature_nodes(dom, 256)
-    plug, expect = engine.estimates(ident, w, pi(nodes), *gp.posterior(state, nodes))
+    post = gp.GridPosterior(state, nodes)
+    plug, expect = engine.estimates(ident, w, pi(nodes), post.mean, post.var)
     identity_gap = abs(plug - expect)
     ok = worst_sigma <= 3.0 and identity_gap <= 1e-12
     return ok, {"worst_sigma": worst_sigma, "identity_gap": identity_gap,

@@ -27,6 +27,7 @@ from abqlab.kernels import Matern
 
 DOM = Domain((0.0,), (1.0,))
 Q = UniformDensity(DOM)
+PROBE = np.array([[0.1], [0.9]])
 
 
 def make_state(mean_value=0.0, n=4, seed=0):
@@ -67,7 +68,8 @@ def test_outer_function_inverses():
 def test_acquisition_vanishes_at_design_points():
     state = make_state(mean_value=5.0)
     spec = AcquisitionSpec(outer=Power(1.0), q=Q, b=WsabiL(), gamma_tilde=1.0)
-    a, _, _ = spec.evaluate(state.X, *gp.posterior(state, state.X))
+    post = gp.GridPosterior(state, state.X)
+    a, _, _ = spec.evaluate(state.X, post.mean, post.var)
     assert np.all(a < 1e-8)
 
 
@@ -76,16 +78,17 @@ def test_constant_rule_reduces_to_uncertainty_sampling():
     spec = AcquisitionSpec(outer=Power(1.0), q=Q, b=ConstantRule(2.0),
                            gamma_tilde=1.0)
     grid = DOM.uniform_grid(101)
-    mean, var = gp.posterior(state, grid)
-    a, _, _ = spec.evaluate(grid, mean, var)
-    assert np.argmax(a) == np.argmax(np.asarray(Q(grid)) ** 2 * var)
+    post = gp.GridPosterior(state, grid)
+    a, _, _ = spec.evaluate(grid, post.mean, post.var)
+    assert np.argmax(a) == np.argmax(np.asarray(Q(grid)) ** 2 * post.var)
 
 
 def test_rule_values_match_definitions():
     state = make_state(mean_value=2.0)
     X = np.array([[0.5]])
-    moments = gp.posterior(state, X)
-    m, v = moments[0][0], moments[1][0]
+    post = gp.GridPosterior(state, X)
+    moments = post.mean, post.var
+    m, v = post.mean[0], post.var[0]
     assert WsabiL().evaluate(X, *moments)[0] == pytest.approx(m ** 2)
     assert WsabiM().evaluate(X, *moments)[0] == pytest.approx(0.5 * v + m ** 2)
     assert Mmlt().evaluate(X, *moments)[0] == pytest.approx(np.exp(v + 2 * m))
@@ -106,9 +109,10 @@ def test_vbmc_rejects_nonpositive_density():
     dens = TabulatedDensity(DOM, np.array([0.0, 2.0]))
     rule = Vbmc(dens)
     state = make_state()
+    X = np.array([[0.0]])
+    post = gp.GridPosterior(state, X)
     with pytest.raises(WeakAdaptivityViolation):
-        X = np.array([[0.0]])
-        rule.evaluate(X, *gp.posterior(state, X))
+        rule.evaluate(X, post.mean, post.var)
 
 
 def test_spec_validation():
@@ -121,29 +125,29 @@ def test_spec_validation():
 
 
 def test_clcu_constant_rule():
-    res = theoretical_clcu(ConstantRule(3.0), 0, 0, 1.0, 1.0)
+    res = theoretical_clcu(ConstantRule(3.0), 0, 0, 1.0, 1.0, PROBE)
     assert res.present and res.c_l == res.c_u == 3.0
 
 
 def test_clcu_wsabi_shifted_mean():
     # inf|m|=5, spread = 2 * 0.5 * 1 = 1
-    res = theoretical_clcu(WsabiL(), 5.0, 5.0, 0.5, 1.0)
+    res = theoretical_clcu(WsabiL(), 5.0, 5.0, 0.5, 1.0, PROBE)
     assert res.present
     assert res.c_l == pytest.approx(16.0)
     assert res.c_u == pytest.approx(36.0)
-    res_m = theoretical_clcu(WsabiM(), 5.0, 5.0, 0.5, 1.0)
+    res_m = theoretical_clcu(WsabiM(), 5.0, 5.0, 0.5, 1.0, PROBE)
     assert res_m.c_l == pytest.approx(16.0)
     assert res_m.c_u == pytest.approx(36.5)  # + sup k / 2
 
 
 def test_clcu_wsabi_absent_for_zero_mean():
-    res = theoretical_clcu(WsabiL(), 0.0, 0.0, 0.5, 1.0)
+    res = theoretical_clcu(WsabiL(), 0.0, 0.0, 0.5, 1.0, PROBE)
     assert not res.present
     assert "inf|m|" in res.reason
 
 
 def test_clcu_mmlt():
-    res = theoretical_clcu(Mmlt(), 0.0, 1.0, 0.5, 1.0)
+    res = theoretical_clcu(Mmlt(), 0.0, 1.0, 0.5, 1.0, PROBE)
     assert res.present
     assert res.c_l == pytest.approx(np.exp(-4.0))
     assert res.c_u == pytest.approx(np.exp(5.0))
@@ -152,9 +156,7 @@ def test_clcu_mmlt():
 def test_clcu_vbmc_needs_density_bounds():
     # the density's min and max on the probe points bound it: 0.5 and 2.0
     rule = Vbmc(lambda X: np.where(X[:, 0] < 0.5, 0.5, 2.0), delta2=1.0, delta3=1.0)
-    absent = theoretical_clcu(rule, 0.0, 1.0, 0.5, 1.0)
-    assert not absent.present and "probe" in absent.reason
-    res = theoretical_clcu(rule, 0.0, 1.0, 0.5, 1.0, probe=np.array([[0.1], [0.9]]))
+    res = theoretical_clcu(rule, 0.0, 1.0, 0.5, 1.0, PROBE)
     assert res.present
     assert res.c_l == pytest.approx(0.5 * np.exp(-2.0))
     assert res.c_u == pytest.approx(2.0 * np.exp(2.0))
@@ -165,8 +167,7 @@ def test_clcu_absent_for_a_user_defined_rule():
         def evaluate(self, X, mean, var):
             return 0.5 * var
 
-    res = theoretical_clcu(HalfVariance(), 1.0, 2.0, 0.5, 1.0,
-                           probe=np.array([[0.1], [0.9]]))
+    res = theoretical_clcu(HalfVariance(), 1.0, 2.0, 0.5, 1.0, PROBE)
     assert not res.present
     assert res.reason == "no known envelope for rule HalfVariance"
 
@@ -175,7 +176,8 @@ def test_clamp_counting_at_zero_mean():
     state = gp.empty_state(Matern(1.5, 0.3), ConstantMean(0.0), 1)
     spec = AcquisitionSpec(outer=Power(1.0), q=Q, b=WsabiL(), gamma_tilde=1.0)
     grid = DOM.uniform_grid(5)
-    a, clamped, _ = spec.evaluate(grid, *gp.posterior(state, grid))
+    post = gp.GridPosterior(state, grid)
+    a, clamped, _ = spec.evaluate(grid, post.mean, post.var)
     assert clamped == 5  # b = m^2 = 0 everywhere before any data
     assert np.all(a >= 0)
 

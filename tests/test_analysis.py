@@ -11,8 +11,7 @@ from abqlab import analysis, domain, engine, gp, kernels, runner, verify
 from abqlab.acquisition import AcquisitionSpec, ConstantRule, Power, WsabiM
 from abqlab.domain import (BLOCK_POINTS, ConstantMean, Domain, SyntheticIntegrand,
                            TabulatedDensity, TruncatedGaussianDensity,
-                           UniformDensity, quadrature_nodes, reference_integral,
-                           weighted_integrals)
+                           UniformDensity, quadrature_nodes, weighted_integrals)
 from abqlab.exceptions import DomainError
 from abqlab.kernels import Matern, RatePrediction, SquaredExponential, Wendland
 from abqlab.transforms import Identity, Square
@@ -27,8 +26,8 @@ def test_projection_distance_equals_scaled_posterior_variance():
     X = np.array([[0.15], [0.4], [0.8]])
     xq = rng.uniform(0, 1, size=(20, 1))
     state = gp.build_state(kernel, ConstantMean(0.0), X, np.zeros(3))
-    lhs = np.asarray(Q(xq)) ** 2 * gp.posterior(state, xq)[1]
-    rhs = analysis.projection_distance_sq(kernel, Q, X, xq)[-1]
+    lhs = np.asarray(Q(xq)) ** 2 * gp.GridPosterior(state, xq).var
+    rhs = analysis.Projector(kernel, Q, X)(xq)[-1]
     assert np.allclose(lhs, rhs, atol=1e-10)
 
 
@@ -67,7 +66,7 @@ def prefix_cases(draw):
        case=prefix_cases())
 def test_projection_distance_curve_matches_per_prefix_solves(kernel, case):
     X, q, x = case
-    curve = analysis.projection_distance_sq(kernel, q, X, x)
+    curve = analysis.Projector(kernel, q, X)(x)
     assert curve.shape == (len(X) + 1, len(x))
     qX, qx = q(X), q(x)
     norm_sq = qx ** 2 * kernel.diag(x)
@@ -88,7 +87,7 @@ def test_projection_distance_curve_matches_per_prefix_solves(kernel, case):
 def test_projection_distance_empty_design_is_norm():
     xq = np.array([[0.3]])
     kernel = SquaredExponential(0.5)
-    d2 = analysis.projection_distance_sq(kernel, Q, np.zeros((0, 1)), xq)
+    d2 = analysis.Projector(kernel, Q, np.zeros((0, 1)))(xq)
     assert d2[0] == pytest.approx(Q(xq)[0] ** 2)
 
 
@@ -181,8 +180,7 @@ def test_nwidth_surrogate_is_p_greedy_on_the_grid(monkeypatch):
     assert len(design) == 10
     sups = []
     for m, x in enumerate(design):
-        dist = analysis.projection_distance_sq(kernel, q, np.array(design[:m + 1]),
-                                               grid)
+        dist = analysis.Projector(kernel, q, np.array(design[:m + 1]))(grid)
         assert np.array_equal(x, grid[np.argmax(dist[m])])
         sups.append(np.sqrt(np.max(dist[m + 1])))
     assert np.allclose(vals, np.minimum.accumulate(sups), rtol=1e-12, atol=0.0)
@@ -257,11 +255,10 @@ def test_grid_slack_bounds_the_supremum_off_the_grid(q):
     X = rng.uniform(dom.lower, dom.upper, size=(6, dom.dim))
     grid = engine.certificate_grid(dom, 256)
     slack = analysis.grid_slack(kernel, q, engine.covering_radius(dom, 256))
-    on_grid = np.sqrt(np.max(analysis.projection_distance_sq(kernel, q, X, grid),
-                             axis=1))
+    projector = analysis.Projector(kernel, q, X)
+    on_grid = np.sqrt(np.max(projector(grid), axis=1))
     points = rng.uniform(dom.lower, dom.upper, size=(200_000, dom.dim))
-    off_grid = np.sqrt(np.max(analysis.projection_distance_sq(kernel, q, X, points),
-                              axis=1))
+    off_grid = np.sqrt(np.max(projector(points), axis=1))
     assert slack > 0
     assert np.all(off_grid <= on_grid + slack)
 
@@ -287,8 +284,9 @@ def test_error_bound_check_reports_the_reference_self_error():
     _, rec = engine.run_abq(problem, spec, 0, oracle_resolution=8)
     report = analysis.Certificates(rec).bound
     assert report.rows == [] and report.ok
-    assert report.reference == reference_integral(integrand, Q, DOM, 16)
-    exact = reference_integral(integrand, Q, DOM, 1024)
+    assert report.reference == weighted_integrals(DOM, 16, Q, lambda P: [integrand(P)],
+                                                  functions=1)[0]
+    exact = weighted_integrals(DOM, 1024, Q, lambda P: [integrand(P)], functions=1)[0]
     assert report.reference_self_error > 1e-6
     assert abs(report.reference - exact) <= report.reference_self_error
 
@@ -320,9 +318,11 @@ def test_error_bound_rows_match_a_dense_replay():
     assert report.ok
     # the reference is the oracle integral at twice the run's resolution,
     # its self-error the distance to the integral at that resolution
-    reference = reference_integral(problem.integrand, problem.pi, DOM, 128)
-    ref_err = abs(reference - reference_integral(problem.integrand, problem.pi,
-                                                 DOM, 64))
+    (reference,) = weighted_integrals(DOM, 128, problem.pi,
+                                      lambda P: [problem.integrand(P)], functions=1)
+    (coarse,) = weighted_integrals(DOM, 64, problem.pi,
+                                   lambda P: [problem.integrand(P)], functions=1)
+    ref_err = abs(reference - coarse)
     assert (report.reference, report.reference_self_error) == (reference, ref_err)
     # 64 Sobol points in d=1 are the multiples of 1/64; uniform q is flat, so
     # the slack is sqrt(2 (k(0) - k(h))) at h = 1/64
@@ -339,14 +339,15 @@ def test_error_bound_rows_match_a_dense_replay():
     const = report.constant_transform * report.constant_pi_over_q * report.gnorm
     replay = gp.empty_state(state.kernel, state.mean, 1)
     for row, x, z in zip(report.rows, state.X, state.z, strict=True):
-        replay = gp.extend(replay, x[None, :], z)
-        sup = np.max(spec.q(grid) * np.sqrt(gp.posterior(replay, grid)[1]))
+        replay = gp.GridPosterior(replay, x, capacity=1).add(0, z)
+        sup = np.max(spec.q(grid) * np.sqrt(gp.GridPosterior(replay, grid).var))
 
         def plugin(P):
-            return t.forward(gp.posterior(replay, P)[0])
+            return [t.forward(gp.GridPosterior(replay, P).mean)]
 
-        plug = reference_integral(plugin, problem.pi, DOM, 64)
-        slack = ref_err + abs(reference_integral(plugin, problem.pi, DOM, 128) - plug)
+        (plug,) = weighted_integrals(DOM, 64, problem.pi, plugin, functions=1)
+        (fine,) = weighted_integrals(DOM, 128, problem.pi, plugin, functions=1)
+        slack = ref_err + abs(fine - plug)
         expected = {"n": replay.n, "lhs": abs(reference - plug),
                     "rhs": const * min(sup + report.grid_slack, cap) + slack,
                     "sup_qk": sup,
@@ -401,13 +402,13 @@ def test_report_checks_read_the_run_instead_of_replaying_it(monkeypatch):
         return call(self, X)
 
     monkeypatch.setattr(SyntheticIntegrand, "__call__", integrand)
-    monkeypatch.setattr(gp, "extend", counting("extend", gp.extend))
+    monkeypatch.setattr(gp.GridPosterior, "add", counting("add", gp.GridPosterior.add))
     monkeypatch.setattr(kernels, "chol_with_jitter",
                         counting("chol", kernels.chol_with_jitter))
     analysis.Certificates(rec).bound
     # the integrand is evaluated only on the reference's two node sets
     assert integrand_sizes == [64, 128]
-    assert calls["extend"] == 0
+    assert calls["add"] == 0
     # one factorization for the certificate grid and the chosen points,
     # whatever the number of steps
     chols = []
@@ -419,7 +420,8 @@ def test_report_checks_read_the_run_instead_of_replaying_it(monkeypatch):
 
 
 def test_plugin_curve_matches_a_one_shot_evaluation():
-    # 48^3 oracle nodes: two slabs of quadrature_blocks
+    # 48^3 oracle nodes and 6 functions: 16 slabs of quadrature_blocks, each
+    # three 48^2 tiles
     dom = Domain((-0.3, 0.0, 0.5), (1.0, 2.0, 0.75))
     rng = np.random.default_rng(5)
     X = np.asarray(dom.lower) + dom.widths * rng.uniform(size=(6, 3))
@@ -427,7 +429,8 @@ def test_plugin_curve_matches_a_one_shot_evaluation():
                            5.0 + rng.uniform(-0.5, 0.5, size=6))
     pi = TruncatedGaussianDensity(dom, center=[0.3, 1.0, 0.6], scale=[0.5, 0.8, 0.2])
     t = Square(alpha=2.0)
-    curve = weighted_integrals(dom, 48, pi, analysis._plugin_means(state, t))
+    curve = weighted_integrals(dom, 48, pi, analysis._plugin_means(state, t),
+                               functions=6)
     pts, w = quadrature_nodes(dom, 48)
     rows = solve_triangular(state.chol, state.kernel.pairwise(pts, state.X).T,
                             lower=True)
@@ -536,17 +539,17 @@ def test_chunked_sups_equal_the_dense_maxima(run_d2, monkeypatch):
     # suprema over column chunks; n |grid| is over BLOCK_POINTS here
     rec, X = run_d2, run_d2.state.X
     kernel, q, grid = rec.problem.integrand.kernel, rec.spec.q, rec.cert_grid
-    dense = np.max(analysis.projection_distance_sq(kernel, q, X, grid), axis=1)
-    chunked = analysis.Projector(kernel, q, X).sups(grid)
+    projector = analysis.Projector(kernel, q, X)
+    dense = np.max(projector(grid), axis=1)
+    chunked = projector.sups(grid)
     assert np.allclose(chunked, dense, rtol=0, atol=SUP_ATOL)
     certs = analysis.Certificates(rec)
     assert [row["sup_qk"] for row in certs.bound.rows] == np.sqrt(chunked[1:]).tolist()
     # the certificate reads rows 0..n-1 of the same factor of the design
-    d_chosen = np.sqrt(np.diagonal(analysis.projection_distance_sq(kernel, q, X, X)))
+    d_chosen = np.sqrt(np.diagonal(projector(X)))
     sup = np.maximum(np.sqrt(chunked[:-1]), d_chosen)
     assert np.array_equal(certs.greedy.ratios, d_chosen / sup)
     # chunks of whole SOLVE_CHUNKs give one call's maxima bit for bit
-    projector = analysis.Projector(kernel, q, X)
     monkeypatch.setattr(kernels, "SOLVE_CHUNK", 512)
     monkeypatch.setattr(analysis, "BLOCK_POINTS", 512 * projector.rows)
     assert [start for start, _ in projector.chunks(grid)] == list(range(0, 4096, 512))

@@ -1,6 +1,7 @@
 import copy
 import json
 import os
+import pickle
 import subprocess
 import sys
 import textwrap
@@ -194,6 +195,46 @@ def test_cli_matrix_produces_six_artifact_sets(tmp_path, monkeypatch):
                               for name in ("trace.csv", "report.json")]
                           for d in dirs})
     # one worker process or two, every combo's artifacts are the same bytes
+    assert artifacts[0] == artifacts[1]
+
+
+def mixed_density_config():
+    """A d=2 config whose pi is tabulated, whose q is a truncated Gaussian
+    and whose b is VBMC: the densities a worker process gets pickled."""
+    raw = box_config(2, 6)
+    raw["pi"] = {"kind": "tabulated", "values": [[1.0, 2.0, 0.5], [3.0, 1.5, 1.0]]}
+    raw["acquisition"]["q"] = {"kind": "truncated-gaussian", "center": [0.4, 0.6],
+                               "scale": [0.3, 0.5]}
+    raw["acquisition"]["b"] = {"kind": "vbmc", "delta2": 1.5, "delta3": 0.5}
+    raw["grids"] = {"certificate": 256, "oracle": 16}
+    return raw
+
+
+def test_a_prepared_config_pickles_and_evaluates_bit_equal():
+    prepared = runner.prepare(mixed_density_config())
+    copied = pickle.loads(pickle.dumps(prepared))
+    assert copied[2:] == prepared[2:] == (6, 256, 16)
+    (problem, spec), (twin, twin_spec) = prepared[:2], copied[:2]
+    points = problem.domain.probe_grid()
+    for f, g in ((problem.integrand, twin.integrand), (problem.pi, twin.pi),
+                 (spec.q, twin_spec.q), (spec.b.density, twin_spec.b.density)):
+        assert np.array_equal(f(points), g(points))
+    one, two = engine.run_abq(*prepared)[1], engine.run_abq(*copied)[1]
+    assert np.array_equal(one.state.X, two.state.X)
+    assert (one.sup_qk, one.b_min, one.b_max, one.est_plugin) == (
+        two.sup_qk, two.b_min, two.b_max, two.est_plugin)
+
+
+def test_two_workers_write_the_bytes_of_one(tmp_path, monkeypatch):
+    raw = mixed_density_config()
+    raw["matrix"] = {"acquisition.gamma_tilde": [1.0, 0.5]}
+    artifacts = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("ABQ_LAB_THREADS", workers)
+        written = runner.run_experiment(raw, str(tmp_path / workers))
+        assert [findings for _, findings in written] == [0, 0]
+        artifacts.append([Path(target, name).read_bytes() for target, _ in written
+                          for name in ("trace.csv", "report.json")])
     assert artifacts[0] == artifacts[1]
 
 
@@ -684,12 +725,10 @@ def test_run_validates_every_matrix_combo_before_running_any(tmp_path, monkeypat
     monkeypatch.setattr(runner, "build_problem", building)
     monkeypatch.delenv("ABQ_LAB_THREADS", raising=False)
     assert len(runner.run_experiment(raw, str(tmp_path / "out"))) == 2
-    # every combo's schema, then every combo's objects, before any runs;
-    # execute validates each combo again, just before it builds it
+    # every combo's schema, then every combo's objects, once and before any
+    # runs; the runs take the objects as built
     assert events == [("validate", 1.0), ("validate", 0.5),
-                      ("build", 1.0), ("build", 0.5),
-                      ("validate", 1.0), ("build", 1.0),
-                      ("validate", 0.5), ("build", 0.5)]
+                      ("build", 1.0), ("build", 0.5)]
 
 
 def test_execute_reads_the_grids_block():
@@ -892,7 +931,7 @@ def test_default_grids_run_in_d1_to_d5_in_time_and_memory(tmp_path):
         assert report["iterations"] == 8 and report["error_bound"]["ok"], dim
 
 
-def test_cli_run_computes_the_reference_integral_once(tmp_path, monkeypatch):
+def test_cli_run_computes_the_reference_once(tmp_path, monkeypatch):
     # one reference: the integrand's integral at the oracle resolution (256
     # in d=1) and at twice it, for the self-error, each node evaluated once;
     # the run itself evaluates only the points it selects

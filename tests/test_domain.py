@@ -16,8 +16,8 @@ from abqlab.domain import (
     _ndtr,
     quadrature_blocks,
     quadrature_nodes,
-    reference_integral,
     rkhs_norm,
+    weighted_integrals,
 )
 from abqlab.exceptions import BudgetExceededError
 from abqlab.kernels import Matern, SquaredExponential
@@ -66,7 +66,8 @@ def test_densities_normalize():
         UniformDensity(dom),
         TruncatedGaussianDensity(dom, center=[1.0, 0.5], scale=[0.5, 1.0]),
     ):
-        mass = reference_integral(lambda P: np.ones(len(P)), dens, dom, 64)
+        (mass,) = weighted_integrals(dom, 64, dens, lambda P: [np.ones(len(P))],
+                                     functions=1)
         assert mass == pytest.approx(1.0, abs=1e-10)
         assert dens.strictly_positive
 
@@ -312,7 +313,8 @@ def test_rkhs_norm_empty_expansion_is_zero():
 
 def test_quadrature_polynomial_exactness():
     dom = Domain((0.0,), (1.0,))
-    val = reference_integral(lambda P: P[:, 0] ** 2, UniformDensity(dom), dom, 16)
+    (val,) = weighted_integrals(dom, 16, UniformDensity(dom), lambda P: [P[:, 0] ** 2],
+                                functions=1)
     assert val == pytest.approx(1.0 / 3.0, abs=1e-12)
 
 
@@ -365,7 +367,7 @@ def test_quadrature_blocks_are_the_dense_rule(dom, resolution, block, sizes):
 
 
 @pytest.mark.parametrize("resolution", [48, 64])
-def test_blocked_reference_integral_matches_a_one_shot_sum(resolution):
+def test_blocked_weighted_integral_matches_a_one_shot_sum(resolution):
     f = SyntheticIntegrand(
         centers=np.array([[0.2, 0.5, 0.6], [0.7, 1.4, 0.7]]),
         weights=np.array([0.6, -0.4]), prior_mean=ConstantMean(2.0),
@@ -374,4 +376,5 @@ def test_blocked_reference_integral_matches_a_one_shot_sum(resolution):
     pi = TruncatedGaussianDensity(BOX3, center=[0.3, 1.0, 0.6], scale=[0.5, 0.8, 0.2])
     pts, w = dense_rule(BOX3, resolution)
     dense = np.sum(w * f(pts) * pi(pts))
-    assert reference_integral(f, pi, BOX3, resolution) == pytest.approx(dense, rel=1e-13)
+    (blocked,) = weighted_integrals(BOX3, resolution, pi, lambda P: [f(P)], functions=1)
+    assert blocked == pytest.approx(dense, rel=1e-13)

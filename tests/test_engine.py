@@ -13,6 +13,7 @@ from abqlab.domain import (
     SyntheticIntegrand,
     UniformDensity,
     quadrature_nodes,
+    weighted_integrals,
 )
 from abqlab.exceptions import (BudgetExceededError, DomainError, LinearDependenceError,
                                NonFiniteIntegrandError)
@@ -88,9 +89,15 @@ def test_select_next_matches_exhaustive_argmax():
     state = gp.build_state(problem.integrand.kernel, problem.integrand.prior_mean,
                            np.array([[0.4]]), [0.1])
     grid = DOM.uniform_grid(101)
-    a, _, _ = spec.evaluate(grid, *gp.posterior(state, grid))
+    post = gp.GridPosterior(state, grid)
+    a, _, _ = spec.evaluate(grid, post.mean, post.var)
     best = engine.select_next(a)
     assert all(a[best] >= value for value in a)
+
+
+def test_select_next_returns_none_on_a_vanishing_acquisition():
+    assert engine.select_next(np.zeros(4)) is None
+    assert engine.select_next(np.array([0.0, 1e-300, 0.0])) == 1
 
 
 def test_certificate_grid_is_a_net_at_the_covering_radius():
@@ -126,7 +133,8 @@ def test_flat_acquisition_breaks_ties_by_lowest_index():
     spec = p_greedy_spec()
     state = gp.empty_state(SquaredExponential(0.5), ConstantMean(0.0), 1)
     grid = DOM.uniform_grid(16)
-    a, _, _ = spec.evaluate(grid, *gp.posterior(state, grid))
+    post = gp.GridPosterior(state, grid)
+    a, _, _ = spec.evaluate(grid, post.mean, post.var)
     assert np.all(a == a[0])
     assert engine.select_next(a) == 0
 
@@ -169,12 +177,11 @@ def test_identity_estimators_agree():
 
 
 def test_plugin_estimate_converges_to_reference():
-    from abqlab.domain import reference_integral
-
     problem = make_problem()
     spec = p_greedy_spec()
     _, rec = engine.run_abq(problem, spec, 25, cert_points=256)
-    ref = reference_integral(problem.integrand, problem.pi, DOM, 256)
+    (ref,) = weighted_integrals(DOM, 256, problem.pi, lambda P: [problem.integrand(P)],
+                                functions=1)
     assert abs(rec.est_plugin[-1] - ref) < 1e-4
 
 
@@ -207,7 +214,7 @@ def test_underflowing_acquisition_stops_with_its_own_cause():
     state, rec = engine.run_abq(problem, spec, 30, cert_points=64)
     assert 0 < rec.n < 30
     assert rec.stop_cause == engine.STOP_ZERO_ACQUISITION
-    var = gp.posterior(state, rec.cert_grid)[1]
+    var = gp.GridPosterior(state, rec.cert_grid).var
     assert np.any(var > gp.dependence_floor(state.jitter_used, 1.0))
 
 
@@ -293,15 +300,17 @@ def test_record_replays_from_its_design():
     pts, w = quadrature_nodes(DOM, 64)
     state = gp.empty_state(problem.integrand.kernel, problem.integrand.prior_mean, 1)
     for ell, x in enumerate(rec.state.X):
-        b = spec.b.evaluate(grid, *gp.posterior(state, grid))
+        on_grid = gp.GridPosterior(state, grid)
+        b = spec.b.evaluate(grid, on_grid.mean, on_grid.var)
         assert np.allclose([b.min(), b.max()], [rec.b_min[ell], rec.b_max[ell]],
                            rtol=REPLAY_RTOL, atol=REPLAY_ATOL)
         z = t.inverse(np.asarray(problem.integrand(x[None, :]), dtype=float))[0]
-        state = gp.extend(state, x, z)
-        sup = np.max(spec.q(grid) * np.sqrt(gp.posterior(state, grid)[1]))
-        mean, var = gp.posterior(state, pts)
-        plugin = np.sum(w * t.forward(mean) * pi(pts))
-        expectation = np.sum(w * t.posterior_expectation(mean, var) * pi(pts))
+        state = gp.GridPosterior(state, x, capacity=1).add(0, z)
+        sup = np.max(spec.q(grid) * np.sqrt(gp.GridPosterior(state, grid).var))
+        at_nodes = gp.GridPosterior(state, pts)
+        plugin = np.sum(w * t.forward(at_nodes.mean) * pi(pts))
+        expectation = np.sum(w * t.posterior_expectation(at_nodes.mean, at_nodes.var)
+                             * pi(pts))
         assert np.allclose(
             [sup, plugin, expectation],
             [rec.sup_qk[ell], rec.est_plugin[ell], rec.est_expectation[ell]],
@@ -311,8 +320,8 @@ def test_record_replays_from_its_design():
 
 def count_posteriors(monkeypatch):
     """Record each GridPosterior construction as (point set, state.n,
-    capacity), `gp.posterior` included, and count adds by point set and
-    the size of the state they return."""
+    capacity), and count adds by point set and the size of the state they
+    return."""
     built, adds = [], Counter()
     grid_posterior, add = gp.GridPosterior, gp.GridPosterior.add
 

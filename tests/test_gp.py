@@ -21,10 +21,9 @@ def make_state(kernel=None, n=6, seed=0, mean_value=0.3):
 
 def test_empty_state_returns_prior():
     state = gp.empty_state(SquaredExponential(0.5), ConstantMean(1.5), 1)
-    X = np.array([[0.2], [0.9]])
-    mean, var = gp.posterior(state, X)
-    assert np.allclose(mean, 1.5)
-    assert np.allclose(var, 1.0)
+    post = gp.GridPosterior(state, np.array([[0.2], [0.9]]))
+    assert np.allclose(post.mean, 1.5)
+    assert np.allclose(post.var, 1.0)
 
 
 def test_posterior_mean_matches_dense_solve_oracle():
@@ -33,7 +32,7 @@ def test_posterior_mean_matches_dense_solve_oracle():
     K = gram(state.kernel, X) + state.jitter_used * np.eye(len(X))
     alpha = np.linalg.solve(K, z - 0.3)
     oracle = 0.3 + state.kernel.pairwise(q, X) @ alpha
-    assert np.allclose(gp.posterior(state, q)[0], oracle, atol=1e-10)
+    assert np.allclose(gp.GridPosterior(state, q).mean, oracle, atol=1e-10)
 
 
 def test_posterior_var_matches_dense_solve_oracle():
@@ -44,14 +43,14 @@ def test_posterior_var_matches_dense_solve_oracle():
     oracle = state.kernel.diag(q) - np.einsum(
         "ij,ij->i", Kq, np.linalg.solve(K, Kq.T).T
     )
-    assert np.allclose(gp.posterior(state, q)[1], np.maximum(oracle, 0), atol=1e-10)
+    assert np.allclose(gp.GridPosterior(state, q).var, np.maximum(oracle, 0), atol=1e-10)
 
 
 def test_interpolation_at_design_points():
     state, X, z = make_state()
-    mean, var = gp.posterior(state, X)
-    assert np.allclose(mean, z, atol=1e-6)
-    assert np.all(var < 1e-8)
+    post = gp.GridPosterior(state, X)
+    assert np.allclose(post.mean, z, atol=1e-6)
+    assert np.all(post.var < 1e-8)
 
 
 def test_extend_matches_batch_build():
@@ -62,17 +61,19 @@ def test_extend_matches_batch_build():
     batch = gp.build_state(kernel, ConstantMean(0.0), X, z)
     seq = gp.empty_state(kernel, ConstantMean(0.0), 2)
     for xi, zi in zip(X, z):
-        seq = gp.extend(seq, xi[None, :], zi)
+        seq = gp.GridPosterior(seq, xi, capacity=1).add(0, zi)
     q = rng.uniform(0, 1, size=(9, 2))
-    assert np.allclose(gp.posterior(seq, q), gp.posterior(batch, q), atol=1e-8)
+    chained, built = gp.GridPosterior(seq, q), gp.GridPosterior(batch, q)
+    assert np.allclose(chained.mean, built.mean, atol=1e-8)
+    assert np.allclose(chained.var, built.var, atol=1e-8)
 
 
 def test_variance_monotone_under_conditioning():
     state, _, _ = make_state(n=4)
     q = np.linspace(0, 1, 50)[:, None]
-    before = gp.posterior(state, q)[1]
-    bigger = gp.extend(state, np.array([[0.5]]), 0.0)
-    after = gp.posterior(bigger, q)[1]
+    before = gp.GridPosterior(state, q).var
+    bigger = gp.GridPosterior(state, np.array([[0.5]]), capacity=1).add(0, 0.0)
+    after = gp.GridPosterior(bigger, q).var
     assert np.all(after <= before + 1e-9)
 
 
@@ -88,21 +89,21 @@ def test_worst_case_interpolation_bound():
     X = np.array([[0.1], [0.4], [0.7], [0.9]])
     state = gp.build_state(kernel, ConstantMean(0.0), X, g.latent(X))
     q = np.linspace(0, 1, 200)[:, None]
-    mean, var = gp.posterior(state, q)
-    gap = np.abs(g.latent(q) - mean)
-    bound = norm * np.sqrt(var)
+    post = gp.GridPosterior(state, q)
+    gap = np.abs(g.latent(q) - post.mean)
+    bound = norm * np.sqrt(post.var)
     assert np.all(gap <= bound + 1e-9)
 
 
 def test_extend_rejects_duplicate_point():
     state, X, _ = make_state()
     with pytest.raises(LinearDependenceError):
-        gp.extend(state, X[0][None, :], 0.0)
+        gp.GridPosterior(state, X[0], capacity=1).add(0, 0.0)
 
 
 def test_grid_posterior_extend_rejects_by_the_variance_it_holds():
     # points ever closer to a design point: the variances cross the floor,
-    # and extend rejects exactly those at or below it
+    # and add rejects exactly those at or below it
     state, X, _ = make_state()
     P = X[0] + np.logspace(-1, -9, 33)[:, None]
     post = gp.GridPosterior(state, P, capacity=1)
@@ -123,7 +124,8 @@ def test_grid_posterior_extend_rejects_by_the_variance_it_holds():
 def test_extend_is_persistent():
     state, _, _ = make_state(n=3)
     n_before = state.n
-    gp.extend(state, np.array([[0.99]]), 1.0)
+    post = gp.GridPosterior(state, np.array([[0.99]]), capacity=1)
+    assert post.add(0, 1.0).n == n_before + 1
     assert state.n == n_before
 
 
@@ -160,10 +162,11 @@ def lattice_designs(draw):
 
 def assert_moments_close(moments, dense_state, P, resid):
     kappa = np.linalg.cond(dense_state.chol) ** 2
-    mean, var = gp.posterior(dense_state, P)
+    dense = gp.GridPosterior(dense_state, P)
     scale = max(1.0, float(np.max(np.abs(resid))))
-    assert np.allclose(moments[0], mean, rtol=0, atol=MEAN_TOL * EPS * kappa * scale)
-    assert np.allclose(moments[1], var, rtol=0, atol=VAR_TOL * EPS * kappa)
+    assert np.allclose(moments[0], dense.mean, rtol=0,
+                       atol=MEAN_TOL * EPS * kappa * scale)
+    assert np.allclose(moments[1], dense.var, rtol=0, atol=VAR_TOL * EPS * kappa)
 
 
 @given(kernel=st.sampled_from(PROPERTY_KERNELS), design=lattice_designs(),
@@ -188,13 +191,14 @@ def test_grid_posterior_matches_dense_posterior(kernel, design, m):
 @given(kernel=st.sampled_from(PROPERTY_KERNELS), design=lattice_designs(),
        m=st.floats(-2, 2))
 def test_extend_chain_equals_build_state(kernel, design, m):
-    # one chain by gp.extend, one by a posterior on the design grown by index
+    # one chain of one-point posteriors, each added to once, and one
+    # posterior on the design grown by index
     X, z, P = design
     mean = ConstantMean(m)
     chain = grid_chain = gp.empty_state(kernel, mean, X.shape[1])
     post = gp.GridPosterior(grid_chain, X, capacity=len(X))
     for i, (xi, zi) in enumerate(zip(X, z)):
-        chain = gp.extend(chain, xi[None, :], zi)
+        chain = gp.GridPosterior(chain, xi, capacity=1).add(0, zi)
         grid_chain = post.add(i, zi)
     batch = gp.build_state(kernel, mean, X, z)
     kappa = np.linalg.cond(batch.chol) ** 2
@@ -207,7 +211,8 @@ def test_extend_chain_equals_build_state(kernel, design, m):
                            atol=VAR_TOL * EPS * kappa)
         assert np.allclose(state.beta, batch.beta, rtol=0,
                            atol=MEAN_TOL * EPS * kappa * scale)
-        assert_moments_close(gp.posterior(state, P), batch, P, z - m)
+        post = gp.GridPosterior(state, P)
+        assert_moments_close((post.mean, post.var), batch, P, z - m)
 
 
 def test_grid_posterior_keeps_the_floor_check():

@@ -194,8 +194,8 @@ def test_sqdist_rejects_mismatched_dimensions():
 
 # The Grams below are the first n points of an 81-point lattice design, n
 # below, at and past one row block of solve_lower and up to 81, so every
-# off-diagonal block is used; one column is what a one-point posterior
-# (gp.extend) solves. The gap to LAPACK's solve is held to the kappa-scaled
+# off-diagonal block is used; one column is what a one-point
+# `gp.GridPosterior` solves. The gap to LAPACK's solve is held to the kappa-scaled
 # tolerance that tests/test_gp.py states, kappa = cond(L)^2 the condition
 # number of the jittered Gram matrix.
 EPS = np.finfo(float).eps

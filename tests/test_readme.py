@@ -1,10 +1,13 @@
 """README's code blocks run as written: the library sketch and the minimal
-config through `abqlab run`."""
+config through `abqlab run`; and the module names its prose cites exist."""
 
+import importlib
 import json
+import pkgutil
 import re
 from pathlib import Path
 
+import abqlab
 from abqlab import cli, config, engine, runner
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -54,3 +57,25 @@ def test_readme_minimal_config_evaluates_only_kept_points(monkeypatch):
     record = runner.execute(raw)
     assert record.n == 12 and record.stop_cause == engine.STOP_SPANNED
     assert sum(calls) == 12
+
+
+def cited_names():
+    """Each `<module>.<name>` inside a backticked span of README prose, code
+    fences left out, where <module> is an abqlab module and <name> is
+    called, capitalized or private: a function, class, constant or helper
+    the prose cites, not a config key such as `domain.lower`."""
+    prose = re.sub(r"^```.*?^```", "", README, flags=re.MULTILINE | re.DOTALL)
+    modules = {info.name for info in pkgutil.iter_modules(abqlab.__path__)}
+    for span in re.findall(r"`([^`]+)`", prose):
+        for match in re.finditer(r"(?<![\w.])(\w+)\.(\w+)(\()?", span):
+            module, name, call = match.groups()
+            if module in modules and (call or name[0].isupper() or name[0] == "_"):
+                yield module, name
+
+
+def test_readme_names_resolve():
+    cited = sorted(set(cited_names()))
+    assert len(cited) > 30
+    missing = [f"{module}.{name}" for module, name in cited
+               if not hasattr(importlib.import_module(f"abqlab.{module}"), name)]
+    assert missing == []

@@ -20,11 +20,11 @@ def dense_worst_sigma(seed, n_mc, n_query):
     z = rng.normal(0.3, 0.5, size=6)
     state = gp.build_state(kernels.Matern(nu=2.5, ell=0.3), ConstantMean(0.2), X, z)
     queries = rng.uniform(0.0, 1.0, size=(n_query, 1))
-    mean, var = gp.posterior(state, queries)
+    post = gp.GridPosterior(state, queries)
     draws = rng.standard_normal(n_mc)
     worst = 0.0
     for t in (transforms.Square(alpha=1.0), transforms.Exponential()):
-        for mu, v in zip(mean, var):
+        for mu, v in zip(post.mean, post.var):
             samples = t.forward(mu + np.sqrt(v) * draws)
             se = np.std(samples, ddof=1) / np.sqrt(n_mc)
             if se > 0:
