@@ -57,7 +57,7 @@ class Projector:
         V = self.kernel.pairwise(self.X, x)
         V *= self.qX[:, None] * qx[None, :]
         curve = _running_residual(kernels.solve_lower(self.L, V, self.inverses),
-                                  qx ** 2 * self.kernel.diag(x))
+                                  qx ** 2 * self.kernel.sup_diag())
         return np.maximum(curve, 0.0, out=curve)
 
     def chunks(self, x):
@@ -233,7 +233,7 @@ def _plugin_means(state, transform):
             rows[0] += state.mean(pts)
         for i in range(1, len(rows)):
             rows[i] += rows[i - 1]
-        yield transform.forward(rows)
+        return transform.forward(rows)
 
     return term
 
@@ -357,12 +357,12 @@ class Certificates:
         # q may underflow to 0 at a node: an infinite integral of pi/q is then
         # a finding of the report, not a warning
         inverse_q = np.errstate(divide="ignore", over="ignore")(
-            lambda P: [1.0 / np.asarray(q(P))])
-        coarse, c_piq = weighted_integrals(dom, res, pi, lambda P: [integrand(P)],
-                                           inverse_q, functions=2)
+            lambda P: 1.0 / np.asarray(q(P)))
+        coarse, c_piq = weighted_integrals(dom, res, pi, integrand, inverse_q,
+                                           functions=2)
         reference, *plug_fine = weighted_integrals(
-            dom, REFINEMENT * res, pi, lambda P: [integrand(P)],
-            _plugin_means(record.state, t), functions=1 + record.n)
+            dom, REFINEMENT * res, pi, integrand, _plugin_means(record.state, t),
+            functions=1 + record.n)
         ref_err = abs(reference - coarse)
         m_sup, gnorm, _ = self._probe
         c_t = t.lipschitz_constant(m_sup, gnorm, integrand.kernel.sup_diag())

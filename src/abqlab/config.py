@@ -21,7 +21,7 @@ from .domain import (
     TruncatedGaussianDensity,
     UniformDensity,
 )
-from .engine import ORACLE_MIN_PER_DIM, Problem
+from .engine import MAX_DIM, ORACLE_MIN_PER_DIM, Problem
 from .exceptions import ConfigError
 
 SCHEMA_VERSION = "1"
@@ -40,6 +40,31 @@ _DENSITY_SCHEMA = {
     "then": {"required": ["values"]},
 }
 
+_KERNELS = {
+    "squared-exponential": kernels.SquaredExponential,
+    "matern": kernels.Matern,
+    "inverse-multiquadric": kernels.InverseMultiquadric,
+    "wendland": kernels.Wendland,
+}
+
+# each family's dataclass fields, in order, as JSON types
+_KERNEL_SCHEMA = {
+    "type": "object",
+    "properties": {
+        "family": {"enum": list(_KERNELS)},
+        **{f.name: {"type": {"int": "integer", "float": "number"}[f.type]}
+           for cls in _KERNELS.values() for f in dataclasses.fields(cls)},
+    },
+    "required": ["family"],
+    "additionalProperties": False,
+}
+
+_BUILTIN_INTEGRANDS = {
+    # relative center positions and raw weights, scaled to the domain
+    "two-bumps": ([[0.25], [0.7]], [0.5, -0.3]),
+    "left-cluster": ([[0.12], [0.28]], [1.5, 1.0]),
+}
+
 CONFIG_SCHEMA = {
     "type": "object",
     "properties": {
@@ -49,35 +74,14 @@ CONFIG_SCHEMA = {
             "type": "object",
             "properties": {
                 "lower": {"type": "array", "items": {"type": "number"},
-                          "minItems": 1, "maxItems": 10},
+                          "minItems": 1, "maxItems": MAX_DIM},
                 "upper": {"type": "array", "items": {"type": "number"},
-                          "minItems": 1, "maxItems": 10},
+                          "minItems": 1, "maxItems": MAX_DIM},
             },
             "required": ["lower", "upper"],
             "additionalProperties": False,
         },
-        "kernel": {
-            "type": "object",
-            "properties": {
-                "family": {
-                    "enum": [
-                        "squared-exponential",
-                        "matern",
-                        "inverse-multiquadric",
-                        "wendland",
-                    ]
-                },
-                "gamma": {"type": "number"},
-                "nu": {"type": "number"},
-                "ell": {"type": "number"},
-                "beta": {"type": "number"},
-                "c": {"type": "number"},
-                "smoothness_index": {"type": "integer"},
-                "radius": {"type": "number"},
-            },
-            "required": ["family"],
-            "additionalProperties": False,
-        },
+        "kernel": _KERNEL_SCHEMA,
         "mean": {
             "type": "object",
             "properties": {
@@ -104,7 +108,7 @@ CONFIG_SCHEMA = {
                 "kind": {"enum": ["synthetic", "builtin"]},
                 "centers": {"type": "array"},
                 "weights": {"type": "array", "items": {"type": "number"}},
-                "name": {"enum": ["two-bumps", "left-cluster"]},
+                "name": {"enum": list(_BUILTIN_INTEGRANDS)},
             },
             "required": ["kind"],
             "additionalProperties": False,
@@ -162,12 +166,6 @@ CONFIG_SCHEMA = {
         "acquisition", "budget",
     ],
     "additionalProperties": False,
-}
-
-_BUILTIN_INTEGRANDS = {
-    # relative center positions and raw weights, scaled to the domain
-    "two-bumps": ([[0.25], [0.7]], [0.5, -0.3]),
-    "left-cluster": ([[0.12], [0.28]], [1.5, 1.0]),
 }
 
 
@@ -343,14 +341,6 @@ def build_domain(raw):
     return Domain(tuple(raw["domain"]["lower"]), tuple(raw["domain"]["upper"]))
 
 
-_KERNELS = {
-    "squared-exponential": kernels.SquaredExponential,
-    "matern": kernels.Matern,
-    "inverse-multiquadric": kernels.InverseMultiquadric,
-    "wendland": kernels.Wendland,
-}
-
-
 def build_kernel(raw):
     params = dict(raw["kernel"])
     family = params.pop("family")
@@ -358,9 +348,9 @@ def build_kernel(raw):
     foreign = sorted(set(params) - {f.name for f in dataclasses.fields(cls)})
     if foreign:
         raise ValueError(f"kernel family {family} takes no {', '.join(foreign)}")
-    if family == "wendland" and len(raw["domain"]["lower"]) > 3:
-        raise ValueError("kernel family wendland is positive definite in d <= 3 "
-                         f"only, not d = {len(raw['domain']['lower'])}")
+    if len(raw["domain"]["lower"]) > cls.max_dim:
+        raise ValueError(f"kernel family {family} is positive definite in d <= "
+                         f"{cls.max_dim} only, not d = {len(raw['domain']['lower'])}")
     return cls(**params)
 
 
@@ -405,7 +395,9 @@ def _integrand_geometry(raw, dom):
     return centers, np.asarray(weights, dtype=float)
 
 
-def build_transform(raw, latent_min_sq=None):
+def build_transform(raw, probe_latent):
+    """The config's warp; `probe_latent()` gives the latent function on the
+    domain's probe grid, which only a square warp with no alpha reads."""
     spec = raw["transform"]
     kind = spec["kind"]
     if kind == "identity":
@@ -414,13 +406,15 @@ def build_transform(raw, latent_min_sq=None):
         return transforms.Exponential()
     alpha = spec.get("alpha")
     if alpha is None:
-        # alpha = 0.8 * min f, solved for f = alpha + y^2/2: alpha = 4 min(y^2/2)
-        if latent_min_sq is None or latent_min_sq <= 0:
+        # alpha = 0.8 * min f, solved for f = alpha + y^2/2: alpha = 4 min(y^2/2);
+        # a latent that crosses (or grazes) zero has no usable positive floor
+        latent = probe_latent()
+        alpha = 4.0 * float(np.min(0.5 * latent ** 2))
+        if alpha <= 0 or np.min(latent) <= 0.0 <= np.max(latent):
             raise ConfigError(
                 "square transform needs an explicit alpha when the latent "
                 "function is not bounded away from zero"
             )
-        alpha = 4.0 * latent_min_sq
     return transforms.Square(alpha=float(alpha))
 
 
@@ -439,23 +433,12 @@ def _build_problem(raw):
     kernel = build_kernel(raw)
     mean = build_mean(raw, dom)
     centers, weights = _integrand_geometry(raw, dom)
-
-    latent_min_sq = None
-    if raw["transform"]["kind"] == "square" and raw["transform"].get("alpha") is None:
-        probe = dom.probe_grid()
-        stub = SyntheticIntegrand(centers=centers, weights=weights, prior_mean=mean,
-                                  kernel=kernel, transform=transforms.Identity())
-        latent = stub.latent(probe)
-        # a latent that crosses (or grazes) zero has no usable positive floor
-        if float(np.min(latent)) <= 0.0 <= float(np.max(latent)):
-            latent_min_sq = 0.0
-        else:
-            latent_min_sq = float(np.min(0.5 * latent ** 2))
-    transform = build_transform(raw, latent_min_sq)
-
     integrand = SyntheticIntegrand(centers=centers, weights=weights,
                                    prior_mean=mean, kernel=kernel,
-                                   transform=transform)
+                                   transform=transforms.Identity())
+    # the latent function does not read the warp, so it can decide the warp
+    integrand = dataclasses.replace(integrand, transform=build_transform(
+        raw, lambda: integrand.latent(dom.probe_grid())))
     pi = build_density(raw["pi"], dom)
     acq_raw = raw["acquisition"]
     outer_raw = acq_raw["outer"]

@@ -459,10 +459,10 @@ def _tree_sum(parts):
 
 def weighted_integrals(dom, resolution, pi, *terms, functions):
     """The integrals against pi, by the tensor rule, of every function that
-    each term yields on a slab of nodes, in order: one walk over the slabs
-    of `quadrature_blocks`, pi evaluated once per node. A term yields the
-    values of one function on the slab, or a (rows, slab) block of one
-    function per row.
+    each term gives on a slab of nodes, in order: one walk over the slabs
+    of `quadrature_blocks`, pi evaluated once per node. A term returns the
+    (slab,) values of one function on the slab, or a (rows, slab) block of
+    one function per row.
 
     `functions`, the number of functions of all terms together, sizes the
     slabs: the largest power of two of nodes, but at least MIN_SLAB, whose
@@ -478,6 +478,6 @@ def weighted_integrals(dom, resolution, pi, *terms, functions):
     for pts, w in quadrature_blocks(dom, resolution, block):
         dens = np.asarray(pi(pts), dtype=float)
         parts.append(np.concatenate([
-            np.atleast_1d(np.sum(w * np.asarray(v, dtype=float) * dens, axis=-1))
-            for term in terms for v in term(pts)]))
+            np.atleast_1d(np.sum(w * np.asarray(term(pts), dtype=float) * dens, axis=-1))
+            for term in terms]))
     return _tree_sum(parts).tolist()

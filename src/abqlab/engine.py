@@ -54,6 +54,7 @@ _SOBOL_M_INIT = ((), (1,), (1, 3), (1, 3, 1), (1, 1, 1), (1, 1, 3, 3),
                  (1, 3, 5, 13), (1, 1, 5, 5, 17), (1, 1, 5, 5, 5),
                  (1, 1, 7, 11, 19))
 _SOBOL_BITS = 30
+MAX_DIM = len(_SOBOL_POLY)  # the largest d of a certificate grid, and of a config
 
 
 @dataclass(frozen=True)
@@ -143,9 +144,9 @@ def certificate_grid(dom, size=None):
     (1e7) points BudgetExceededError, before any point is made.
     """
     d = dom.dim
-    if d > len(_SOBOL_POLY):
+    if d > MAX_DIM:
         raise DomainError(f"the certificate grid has Sobol' points for d <= "
-                          f"{len(_SOBOL_POLY)}, not d = {d}")
+                          f"{MAX_DIM}, not d = {d}")
     size = _next_pow2(size if size is not None else DEFAULT_CERT_POINTS_PER_DIM * d)
     if size > GUARD_POINTS:
         raise BudgetExceededError(f"a certificate grid of {size} points exceeds "

@@ -5,7 +5,8 @@ the whitened residual beta = L^{-1} (z - m_X); states are persistent, so
 a conditioning step returns a new one. `GridPosterior` is the one place
 that computes posterior moments: on a point set P it holds its state,
 the Newton-basis rows V = L^{-1} K(X, P), the mean m(P) + V^T beta and
-the variance k(P, P) - sum_i V_i^2 (Mueller & Schaback 2009), built from
+the variance k(x, x) - sum_i V_i^2 (Mueller & Schaback 2009), k(x, x) the
+one number `prior_var` = `sup_diag()` of the isotropic kernel, built from
 one (n, |P|) kernel block and one blocked forward substitution,
 `kernels.solve_lower`, written over it. `add(index, z)` is the one
 conditioning step: the Cholesky row of P[index] is column `index` of V,
@@ -60,7 +61,7 @@ def build_state(kernel, mean, X, z):
     if X.shape[0] != z.shape[0]:
         raise ValueError("X and z length mismatch")
     if X.shape[0] == 0:
-        return empty_state(kernel, mean, X.shape[1] if X.ndim == 2 else 1)
+        return empty_state(kernel, mean, X.shape[1])
     K = kernels.gram(kernel, X)
     L, jitter = kernels.chol_with_jitter(K)
     beta = kernels.solve_lower(L, (z - mean(X))[:, None])[:, 0]
@@ -70,14 +71,14 @@ def build_state(kernel, mean, X, z):
 
 def dependence_floor(jitter_used, prior_var):
     """Posterior variance at or below which the design spans a point."""
-    return np.maximum(100.0 * jitter_used, 1e-12 * prior_var)
+    return max(100.0 * jitter_used, kernels.JITTER * prior_var)
 
 
 class GridPosterior:
     """Posterior moments on a point set P, conditioned one point at a time.
 
     `mean` is updated in place by each `add`; `var` is a new array, clamped
-    at 0, and a variance below -1e-10 * max(1, |prior variance|) raises
+    at 0, and a variance below -1e-10 * max(1, |prior_var|) raises
     NumericalDegradationError. The rows V sit in a buffer allocated once,
     for the state's points and the `capacity` points the caller will add;
     a buffer of more than GUARD_FLOATS floats raises BudgetExceededError.
@@ -90,8 +91,8 @@ class GridPosterior:
             raise BudgetExceededError(f"a posterior of {rows} rows on {len(self.P)} "
                                       "points exceeds the 2^27-float (1 GiB) guard")
         self.state = state
-        self.prior_var = state.kernel.diag(self.P)
-        self._floor = -1e-10 * np.maximum(1.0, np.abs(self.prior_var))
+        self.prior_var = state.kernel.sup_diag()  # k(x, x), the same at every x
+        self._floor = -1e-10 * max(1.0, abs(self.prior_var))
         self._rows = np.empty((rows, len(self.P)))
         V = self._rows[:state.n]
         V[...] = state.kernel.pairwise(state.X, self.P)
@@ -118,12 +119,13 @@ class GridPosterior:
         holds and IndexError past the capacity, leaving the posterior as it
         was."""
         state, n = self.state, self.state.n
-        prior, var = float(self.prior_var[index]), float(self.var[index])
-        if var <= dependence_floor(state.jitter_used, prior):
+        var = float(self.var[index])
+        if var <= dependence_floor(state.jitter_used, self.prior_var):
             raise LinearDependenceError(f"new point has posterior variance {var:g}, "
                                         "at or below the dependence threshold")
         # the first point fixes the jitter for the rest of the chain
-        jitter = state.jitter_used if n else (1e-12 * abs(prior) or 1e-12)
+        jitter = state.jitter_used if n else (kernels.JITTER * abs(self.prior_var)
+                                              or kernels.JITTER)
         L = np.zeros((n + 1, n + 1))
         L[:n, :n] = state.chol
         L[n, :n] = self._rows[:n, index]

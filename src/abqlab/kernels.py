@@ -3,7 +3,10 @@
 Each kernel knows whether its native space has infinite smoothness
 (square-exponential, inverse multiquadric) or a finite Sobolev order r
 (Matern with half-integer nu, Wendland), which drives the predicted decay
-of the worst-case error: exp(-D n^(1/d)) versus n^(-r/d + 1/2).
+of the worst-case error: exp(-D n^(1/d)) versus n^(-r/d + 1/2). Each
+family is a dataclass whose fields are its parameters, which the config
+schema lists; k(x, x) is the one number `sup_diag()`, and `max_dim` the
+largest d in which the family is positive definite.
 """
 
 from __future__ import annotations
@@ -23,7 +26,9 @@ _HALF_INTEGER_NUS = (0.5, 1.5, 2.5, 3.5)
 SOLVE_BLOCK = 16
 SOLVE_CHUNK = 4096
 
-# chol_with_jitter doubles its jitter at most this many times
+# chol_with_jitter and gp start their jitter at JITTER times k(x, x), and
+# chol_with_jitter doubles it at most JITTER_DOUBLINGS times
+JITTER = 1e-12
 JITTER_DOUBLINGS = 10
 
 
@@ -54,12 +59,10 @@ class Kernel:
     is the constant `sup_diag()`.
     """
 
+    max_dim = math.inf  # the family is positive definite on R^d for d <= max_dim
+
     def pairwise(self, X, Y):
         raise NotImplementedError
-
-    def diag(self, X):
-        """k(x, x) at each row of the (n, d) points X."""
-        return np.full(len(X), self.sup_diag())
 
     # (smoothness kind, Sobolev order r or None); r may depend on d
     def smoothness(self, d):
@@ -167,6 +170,7 @@ class Wendland(Kernel):
     space on R^d is a Sobolev space of order d/2 + k + 1/2.
     """
 
+    max_dim = 3
     smoothness_index: int = 1
     radius: float = 1.0
 
@@ -187,8 +191,8 @@ class Wendland(Kernel):
         return t ** 6 * (35 * r ** 2 + 18 * r + 3) / 3.0
 
     def smoothness(self, d):
-        if d > 3:
-            raise DomainError("Wendland family implemented for d <= 3 only")
+        if d > self.max_dim:
+            raise DomainError(f"Wendland family implemented for d <= {self.max_dim} only")
         return ("finite", d / 2 + self.smoothness_index + 0.5)
 
     def sup_diag(self):
@@ -207,7 +211,7 @@ def gram(kernel, X):
 def chol_with_jitter(K):
     """(L, jitter), L the lower Cholesky factor of K + jitter*I.
 
-    Jitter starts at 1e-12 * max diagonal (1e-12 if that is not positive)
+    Jitter starts at JITTER * max diagonal (JITTER if that is not positive)
     and doubles at most JITTER_DOUBLINGS times; when every jitter fails,
     NumericalDegradationError names the largest. A Gram matrix with a NaN
     or inf entry raises it at once, since no jitter repairs it.
@@ -217,7 +221,7 @@ def chol_with_jitter(K):
         return np.zeros((0, 0)), 0.0
     if not np.all(np.isfinite(K)):
         raise NumericalDegradationError("Gram matrix has non-finite entries")
-    jitter = 1e-12 * max(float(np.max(np.diag(K))), 0.0) or 1e-12
+    jitter = JITTER * max(float(np.max(np.diag(K))), 0.0) or JITTER
     for doubling in range(JITTER_DOUBLINGS + 1):
         try:
             return np.linalg.cholesky(K + jitter * np.eye(n)), jitter

@@ -113,8 +113,7 @@ def check_projection_identity(n_configs=200, seed=20260824):
                                X, np.zeros(X.shape[0]))
         lhs = np.asarray(q(x_query)) ** 2 * gp.GridPosterior(state, x_query).var
         rhs = analysis.Projector(kernel, q, X)(x_query)[-1]
-        scale = np.maximum(np.asarray(q(x_query)) ** 2 * kernel.diag(x_query),
-                           1e-30)
+        scale = np.maximum(np.asarray(q(x_query)) ** 2 * kernel.sup_diag(), 1e-30)
         worst = max(worst, float(np.max(np.abs(lhs - rhs) / scale)))
     return worst <= PROJECTION_RTOL, {
         "configs": n_configs, "max_relative_error": worst,

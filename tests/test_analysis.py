@@ -69,7 +69,7 @@ def test_projection_distance_curve_matches_per_prefix_solves(kernel, case):
     curve = analysis.Projector(kernel, q, X)(x)
     assert curve.shape == (len(X) + 1, len(x))
     qX, qx = q(X), q(x)
-    norm_sq = qx ** 2 * kernel.diag(x)
+    norm_sq = qx ** 2 * kernel.sup_diag()
     assert np.array_equal(curve[0], norm_sq)
     G = np.outer(qX, qX) * kernels.gram(kernel, X)
     _, jitter = kernels.chol_with_jitter(G)
@@ -284,9 +284,8 @@ def test_error_bound_check_reports_the_reference_self_error():
     _, rec = engine.run_abq(problem, spec, 0, oracle_resolution=8)
     report = analysis.Certificates(rec).bound
     assert report.rows == [] and report.ok
-    assert report.reference == weighted_integrals(DOM, 16, Q, lambda P: [integrand(P)],
-                                                  functions=1)[0]
-    exact = weighted_integrals(DOM, 1024, Q, lambda P: [integrand(P)], functions=1)[0]
+    assert report.reference == weighted_integrals(DOM, 16, Q, integrand, functions=1)[0]
+    exact = weighted_integrals(DOM, 1024, Q, integrand, functions=1)[0]
     assert report.reference_self_error > 1e-6
     assert abs(report.reference - exact) <= report.reference_self_error
 
@@ -318,10 +317,8 @@ def test_error_bound_rows_match_a_dense_replay():
     assert report.ok
     # the reference is the oracle integral at twice the run's resolution,
     # its self-error the distance to the integral at that resolution
-    (reference,) = weighted_integrals(DOM, 128, problem.pi,
-                                      lambda P: [problem.integrand(P)], functions=1)
-    (coarse,) = weighted_integrals(DOM, 64, problem.pi,
-                                   lambda P: [problem.integrand(P)], functions=1)
+    (reference,) = weighted_integrals(DOM, 128, problem.pi, problem.integrand, functions=1)
+    (coarse,) = weighted_integrals(DOM, 64, problem.pi, problem.integrand, functions=1)
     ref_err = abs(reference - coarse)
     assert (report.reference, report.reference_self_error) == (reference, ref_err)
     # 64 Sobol points in d=1 are the multiples of 1/64; uniform q is flat, so
@@ -343,7 +340,7 @@ def test_error_bound_rows_match_a_dense_replay():
         sup = np.max(spec.q(grid) * np.sqrt(gp.GridPosterior(replay, grid).var))
 
         def plugin(P):
-            return [t.forward(gp.GridPosterior(replay, P).mean)]
+            return t.forward(gp.GridPosterior(replay, P).mean)
 
         (plug,) = weighted_integrals(DOM, 64, problem.pi, plugin, functions=1)
         (fine,) = weighted_integrals(DOM, 128, problem.pi, plugin, functions=1)
@@ -511,8 +508,8 @@ def test_streamed_plugin_walk_equals_a_dense_per_row_sum(monkeypatch):
     f = SyntheticIntegrand(centers=X[:2], weights=np.array([0.4, -0.3]),
                            prior_mean=ConstantMean(5.0), kernel=Matern(2.5, 0.3),
                            transform=t)
-    curve = weighted_integrals(dom, 32, pi, lambda P: [f(P)],
-                               analysis._plugin_means(state, t), functions=7)
+    curve = weighted_integrals(dom, 32, pi, f, analysis._plugin_means(state, t),
+                               functions=7)
     assert slabs == [8192] * 4
     pts, w = quadrature_nodes(dom, 32)
     rows = kernels.solve_lower(state.chol, state.kernel.pairwise(state.X, pts))

@@ -66,7 +66,7 @@ def test_densities_normalize():
         UniformDensity(dom),
         TruncatedGaussianDensity(dom, center=[1.0, 0.5], scale=[0.5, 1.0]),
     ):
-        (mass,) = weighted_integrals(dom, 64, dens, lambda P: [np.ones(len(P))],
+        (mass,) = weighted_integrals(dom, 64, dens, lambda P: np.ones(len(P)),
                                      functions=1)
         assert mass == pytest.approx(1.0, abs=1e-10)
         assert dens.strictly_positive
@@ -313,7 +313,7 @@ def test_rkhs_norm_empty_expansion_is_zero():
 
 def test_quadrature_polynomial_exactness():
     dom = Domain((0.0,), (1.0,))
-    (val,) = weighted_integrals(dom, 16, UniformDensity(dom), lambda P: [P[:, 0] ** 2],
+    (val,) = weighted_integrals(dom, 16, UniformDensity(dom), lambda P: P[:, 0] ** 2,
                                 functions=1)
     assert val == pytest.approx(1.0 / 3.0, abs=1e-12)
 
@@ -376,5 +376,5 @@ def test_blocked_weighted_integral_matches_a_one_shot_sum(resolution):
     pi = TruncatedGaussianDensity(BOX3, center=[0.3, 1.0, 0.6], scale=[0.5, 0.8, 0.2])
     pts, w = dense_rule(BOX3, resolution)
     dense = np.sum(w * f(pts) * pi(pts))
-    (blocked,) = weighted_integrals(BOX3, resolution, pi, lambda P: [f(P)], functions=1)
+    (blocked,) = weighted_integrals(BOX3, resolution, pi, f, functions=1)
     assert blocked == pytest.approx(dense, rel=1e-13)

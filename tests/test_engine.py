@@ -180,8 +180,7 @@ def test_plugin_estimate_converges_to_reference():
     problem = make_problem()
     spec = p_greedy_spec()
     _, rec = engine.run_abq(problem, spec, 25, cert_points=256)
-    (ref,) = weighted_integrals(DOM, 256, problem.pi, lambda P: [problem.integrand(P)],
-                                functions=1)
+    (ref,) = weighted_integrals(DOM, 256, problem.pi, problem.integrand, functions=1)
     assert abs(rec.est_plugin[-1] - ref) < 1e-4
 
 

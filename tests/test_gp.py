@@ -40,7 +40,7 @@ def test_posterior_var_matches_dense_solve_oracle():
     q = np.linspace(0, 1, 11)[:, None]
     K = gram(state.kernel, X) + state.jitter_used * np.eye(len(X))
     Kq = state.kernel.pairwise(q, X)
-    oracle = state.kernel.diag(q) - np.einsum(
+    oracle = state.kernel.sup_diag() - np.einsum(
         "ij,ij->i", Kq, np.linalg.solve(K, Kq.T).T
     )
     assert np.allclose(gp.GridPosterior(state, q).var, np.maximum(oracle, 0), atol=1e-10)
@@ -177,7 +177,7 @@ def test_grid_posterior_matches_dense_posterior(kernel, design, m):
     state = gp.empty_state(kernel, mean, X.shape[1])
     post = gp.GridPosterior(state, P, capacity=len(X))
     assert np.array_equal(post.mean, mean(P))
-    assert np.array_equal(post.var, kernel.diag(P))
+    assert np.array_equal(post.var, np.full(len(P), kernel.sup_diag()))
     first = len(P) - len(X)  # P ends with the design
     for k in range(1, len(X) + 1):
         state = post.add(first + k - 1, z[k - 1])
