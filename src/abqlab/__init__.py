@@ -28,7 +28,6 @@ from .kernels import (
     Matern,
     InverseMultiquadric,
     Wendland,
-    gram,
     predicted_rate,
     RatePrediction,
 )

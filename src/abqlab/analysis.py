@@ -1,18 +1,21 @@
 """Verification layer: projection oracle, greedy certificates, rate fits.
 
-Everything here recomputes quantities through paths independent of the
-engine (dense solves on the scaled Gram matrix, direct grid suprema), so
-the two code paths act as mutual oracles; the n-width surrogate picks its
-design with `gp.GridPosterior` but scores it by a dense solve. The first
-i rows of L^{-1} K(X, P), L the Cholesky factor of a design X, are the
-Newton basis of X[:i] on P (Mueller & Schaback 2009): one forward
-substitution `kernels.solve_lower` on the C-ordered (n, |P|) block
-K(X, P) serves every prefix: a run's `Certificates` reads the weak-greedy
-certificate (rows 0..n-1) and the error bound (rows 1..n) from one
-`Projector` of its design. The report's passes take that block in
-column chunks or quadrature slabs of at most BLOCK_POINTS values, so
-their memory grows with neither the design nor the point set, and solve
-each chunk or slab with one factor's diagonal-block inverses.
+The weak-greedy certificate (its own factor of the scaled Gram matrix)
+and the reference integral (its own walks) are independent of the engine,
+so each checks it. The bound's plug-in curve reads the run's own factor
+and beta on purpose: its slack |fine - plug| is then the plug-in
+estimate's quadrature error alone, and an engine whose posterior drifts
+from its data is a violation. The n-width surrogate picks its design with
+`gp.GridPosterior` but scores it by a dense solve. The first i rows of
+L^{-1} K(X, P), L the Cholesky factor of a design X, are the Newton basis
+of X[:i] on P (Mueller & Schaback 2009): one forward substitution
+`kernels.solve_lower` on the C-ordered (n, |P|) block K(X, P) serves every
+prefix: a run's `Certificates` reads the weak-greedy certificate (rows
+0..n-1) and the error bound (rows 1..n) from one `Projector` of its design.
+The report's passes take that block in column chunks or quadrature slabs
+of at most BLOCK_POINTS values, so their memory grows with neither the
+design nor the point set, and solve each chunk or slab with one factor's
+diagonal-block inverses.
 Theory violations are reported as findings, never raised: confirming or
 refuting the certificates is the point of this module.
 """
@@ -46,7 +49,7 @@ class Projector:
         self.kernel, self.q = kernel, q
         self.X = np.atleast_2d(np.asarray(X, dtype=float))
         self.qX = np.asarray(q(self.X), dtype=float)
-        G = (self.qX[:, None] * self.qX[None, :]) * kernels.gram(kernel, self.X)
+        G = (self.qX[:, None] * self.qX[None, :]) * kernel.pairwise(self.X, self.X)
         self.L, _ = kernels.chol_with_jitter(G)
         self.inverses = kernels.block_inverses(self.L)
         self.rows = len(self.X) + 1
@@ -337,8 +340,9 @@ class Certificates:
     @cached_property
     def bound(self):
         """|reference - plugin estimate| after each step against the
-        assembled error bound, by solves against the run's `record.state`.
-        The left side reads the run's plug-in estimates `record.est_plugin`.
+        assembled error bound. The left side reads the run's plug-in
+        estimates `record.est_plugin`, the slack the run's own `record.state`,
+        not a rebuild: a posterior drifting from its data is a violation.
         The reference is the integral at REFINEMENT times the run's
         `record.oracle_resolution`, the plug-in estimates' resolution, its
         self-error the distance to the integral at that resolution; a run of

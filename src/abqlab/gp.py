@@ -1,10 +1,11 @@
 """Exact Gaussian-process conditioning on noiseless latent observations.
 
-A state carries the Cholesky factor L of its jittered Gram matrix and
-the whitened residual beta = L^{-1} (z - m_X); states are persistent, so
-a conditioning step returns a new one. `GridPosterior` is the one place
-that computes posterior moments: on a point set P it holds its state,
-the Newton-basis rows V = L^{-1} K(X, P), the mean m(P) + V^T beta and
+A state carries the Cholesky factor L of its Gram matrix `pairwise(X, X)`,
+jittered from `kernels.start_jitter` on, and the whitened residual
+beta = L^{-1} (z - m_X); states are persistent, so a conditioning step
+returns a new one. `GridPosterior` is the one place that computes
+posterior moments: on a point set P it holds its state, the Newton-basis
+rows V = L^{-1} K(X, P), the mean m(P) + V^T beta and
 the variance k(x, x) - sum_i V_i^2 (Mueller & Schaback 2009), k(x, x) the
 one number `prior_var` = `sup_diag()` of the isotropic kernel, built from
 one (n, |P|) kernel block and one blocked forward substitution,
@@ -60,10 +61,7 @@ def build_state(kernel, mean, X, z):
     z = np.atleast_1d(np.asarray(z, dtype=float))
     if X.shape[0] != z.shape[0]:
         raise ValueError("X and z length mismatch")
-    if X.shape[0] == 0:
-        return empty_state(kernel, mean, X.shape[1])
-    K = kernels.gram(kernel, X)
-    L, jitter = kernels.chol_with_jitter(K)
+    L, jitter = kernels.chol_with_jitter(kernel.pairwise(X, X))
     beta = kernels.solve_lower(L, (z - mean(X))[:, None])[:, 0]
     return GpState(kernel=kernel, mean=mean, X=X, z=z, chol=L,
                    jitter_used=jitter, beta=beta)
@@ -71,7 +69,7 @@ def build_state(kernel, mean, X, z):
 
 def dependence_floor(jitter_used, prior_var):
     """Posterior variance at or below which the design spans a point."""
-    return max(100.0 * jitter_used, kernels.JITTER * prior_var)
+    return max(100.0 * jitter_used, kernels.start_jitter(prior_var))
 
 
 class GridPosterior:
@@ -124,8 +122,7 @@ class GridPosterior:
             raise LinearDependenceError(f"new point has posterior variance {var:g}, "
                                         "at or below the dependence threshold")
         # the first point fixes the jitter for the rest of the chain
-        jitter = state.jitter_used if n else (kernels.JITTER * abs(self.prior_var)
-                                              or kernels.JITTER)
+        jitter = state.jitter_used if n else kernels.start_jitter(self.prior_var)
         L = np.zeros((n + 1, n + 1))
         L[:n, :n] = state.chol
         L[n, :n] = self._rows[:n, index]

@@ -6,7 +6,8 @@ Each kernel knows whether its native space has infinite smoothness
 of the worst-case error: exp(-D n^(1/d)) versus n^(-r/d + 1/2). Each
 family is a dataclass whose fields are its parameters, which the config
 schema lists; k(x, x) is the one number `sup_diag()`, and `max_dim` the
-largest d in which the family is positive definite.
+largest d in which the family is positive definite. A design's Gram matrix
+is `pairwise(X, X)`, bitwise symmetric, factored from `start_jitter` on.
 """
 
 from __future__ import annotations
@@ -26,17 +27,24 @@ _HALF_INTEGER_NUS = (0.5, 1.5, 2.5, 3.5)
 SOLVE_BLOCK = 16
 SOLVE_CHUNK = 4096
 
-# chol_with_jitter and gp start their jitter at JITTER times k(x, x), and
-# chol_with_jitter doubles it at most JITTER_DOUBLINGS times
 JITTER = 1e-12
 JITTER_DOUBLINGS = 10
+
+
+def start_jitter(k0):
+    """JITTER * k0, or JITTER when that is not positive: the starting jitter
+    for a kernel of variance k(x, x) = k0, at which `chol_with_jitter` (k0
+    its largest diagonal entry) and a chain of `gp.GridPosterior.add`s start."""
+    return max(JITTER * k0, 0.0) or JITTER
 
 
 def sqdist(X, Y):
     """Squared Euclidean distances ||x_i - y_j||^2 as a C-ordered (|X|, |Y|)
     block, the squared coordinate gaps summed over the dims in order, as
     scipy's cdist does: bit-equal to cdist(X, Y, "sqeuclidean"), and its
-    square root to cdist(X, Y). Costs the block and one (|X|, |Y|) buffer."""
+    square root to cdist(X, Y). A gap and its negation square alike, so
+    sqdist(X, X), and every family's `pairwise(X, X)`, elementwise in it, is
+    bitwise symmetric. Costs the block and one (|X|, |Y|) buffer."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     if X.shape[1] != Y.shape[1]:
@@ -199,20 +207,11 @@ class Wendland(Kernel):
         return 1.0
 
 
-def gram(kernel, X):
-    """Kernel matrix, made bitwise symmetric by mirroring the upper triangle."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    K = kernel.pairwise(X, X)
-    iu = np.triu_indices(K.shape[0], k=1)
-    K[(iu[1], iu[0])] = K[iu]
-    return K
-
-
 def chol_with_jitter(K):
     """(L, jitter), L the lower Cholesky factor of K + jitter*I.
 
-    Jitter starts at JITTER * max diagonal (JITTER if that is not positive)
-    and doubles at most JITTER_DOUBLINGS times; when every jitter fails,
+    Jitter starts at `start_jitter` of the largest diagonal entry and
+    doubles at most JITTER_DOUBLINGS times; when every jitter fails,
     NumericalDegradationError names the largest. A Gram matrix with a NaN
     or inf entry raises it at once, since no jitter repairs it.
     """
@@ -221,7 +220,7 @@ def chol_with_jitter(K):
         return np.zeros((0, 0)), 0.0
     if not np.all(np.isfinite(K)):
         raise NumericalDegradationError("Gram matrix has non-finite entries")
-    jitter = JITTER * max(float(np.max(np.diag(K))), 0.0) or JITTER
+    jitter = start_jitter(float(np.max(np.diag(K))))
     for doubling in range(JITTER_DOUBLINGS + 1):
         try:
             return np.linalg.cholesky(K + jitter * np.eye(n)), jitter

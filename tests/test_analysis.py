@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from collections import Counter
 
@@ -71,7 +72,7 @@ def test_projection_distance_curve_matches_per_prefix_solves(kernel, case):
     qX, qx = q(X), q(x)
     norm_sq = qx ** 2 * kernel.sup_diag()
     assert np.array_equal(curve[0], norm_sq)
-    G = np.outer(qX, qX) * kernels.gram(kernel, X)
+    G = np.outer(qX, qX) * kernel.pairwise(X, X)
     _, jitter = kernels.chol_with_jitter(G)
     for i in range(1, len(X) + 1):
         _, jitter_i = kernels.chol_with_jitter(G[:i, :i])
@@ -637,3 +638,27 @@ def test_report_passes_on_the_run_d2_config_stay_under_5_mib(run_d2):
         finally:
             tracemalloc.stop()
     assert all(peak < 5 * 2 ** 20 for peak in peaks.values()), peaks
+
+
+@pytest.mark.parametrize("delta, violated", [(0.0, False), (0.5, True)])
+def test_a_posterior_drifting_from_its_data_violates_the_bound(monkeypatch, delta,
+                                                               violated):
+    # each add moves beta_n by delta and the mean by delta * v_n, so the
+    # engine's mean is m + V^T beta for a beta that no longer fits the data.
+    # The bound's plug-in curve solves against the run's own factor and
+    # beta, so |fine - plug| stays the quadrature error and the drift shows
+    # in lhs alone; a dense rebuild of the design's state would move it into
+    # the slack and report no violation
+    class Drifting(gp.GridPosterior):
+        def add(self, index, z):
+            state = super().add(index, z)
+            beta = state.beta.copy()
+            beta[-1] += delta
+            self.mean += delta * self._rows[state.n - 1]
+            self.state = dataclasses.replace(state, beta=beta)
+            return self.state
+
+    monkeypatch.setattr(gp, "GridPosterior", Drifting)
+    rec = runner.execute({**RUN_D2, "budget": 8})
+    assert rec.n == 8
+    assert bool(analysis.Certificates(rec).bound.violations) == violated

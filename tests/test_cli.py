@@ -1197,13 +1197,17 @@ def test_importing_abqlab_starts_no_blas_thread():
 
 def test_cli_import_loads_no_jsonschema_numpy_random_or_scipy():
     # the config check is in the package; numpy.random is imported by
-    # `verify` alone; no density imports scipy, a tabulated one built and
-    # evaluated included (a d > 10 certificate grid raises DomainError).
+    # `verify` alone; no density imports scipy, a truncated Gaussian and a
+    # tabulated one built and evaluated included (a d > 10 certificate grid
+    # raises DomainError).
     # Counted over what `import numpy` loads, since numpy < 2 imports
     # numpy.random itself.
     src = str(Path(cli.__file__).resolve().parents[1])
     code = ("import sys, numpy; numpy_alone = set(sys.modules); import abqlab.cli; "
-            "from abqlab.domain import Domain, TabulatedDensity; "
+            "from abqlab.domain import Domain, TabulatedDensity, "
+            "TruncatedGaussianDensity; "
+            "TruncatedGaussianDensity(Domain((0.0,), (1.0,)), center=[3.0], "
+            "scale=[0.3])([0.5]); "
             "TabulatedDensity(Domain((0.0, 0.0), (1.0, 2.0)), "
             "[[1.0, 2.0], [0.5, 3.0]])([0.5, 1.0]); "
             "print(sorted(m for m in set(sys.modules) - numpy_alone "

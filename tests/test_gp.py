@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from abqlab import gp
 from abqlab.domain import ConstantMean, SyntheticIntegrand, rkhs_norm
 from abqlab.exceptions import LinearDependenceError, NumericalDegradationError
-from abqlab.kernels import Matern, SquaredExponential, Wendland, gram
+from abqlab.kernels import Matern, SquaredExponential, Wendland
 from abqlab.transforms import Identity
 
 
@@ -24,12 +24,18 @@ def test_empty_state_returns_prior():
     post = gp.GridPosterior(state, np.array([[0.2], [0.9]]))
     assert np.allclose(post.mean, 1.5)
     assert np.allclose(post.var, 1.0)
+    # the batch recipe on no points gives the empty state
+    built = gp.build_state(state.kernel, state.mean, np.zeros((0, 1)), np.zeros(0))
+    assert built.kernel is state.kernel and built.mean is state.mean
+    assert built.jitter_used == 0.0
+    for name in ("X", "z", "chol", "beta"):
+        assert getattr(built, name).shape == getattr(state, name).shape, name
 
 
 def test_posterior_mean_matches_dense_solve_oracle():
     state, X, z = make_state()
     q = np.linspace(0, 1, 11)[:, None]
-    K = gram(state.kernel, X) + state.jitter_used * np.eye(len(X))
+    K = state.kernel.pairwise(X, X) + state.jitter_used * np.eye(len(X))
     alpha = np.linalg.solve(K, z - 0.3)
     oracle = 0.3 + state.kernel.pairwise(q, X) @ alpha
     assert np.allclose(gp.GridPosterior(state, q).mean, oracle, atol=1e-10)
@@ -38,7 +44,7 @@ def test_posterior_mean_matches_dense_solve_oracle():
 def test_posterior_var_matches_dense_solve_oracle():
     state, X, _ = make_state()
     q = np.linspace(0, 1, 11)[:, None]
-    K = gram(state.kernel, X) + state.jitter_used * np.eye(len(X))
+    K = state.kernel.pairwise(X, X) + state.jitter_used * np.eye(len(X))
     Kq = state.kernel.pairwise(q, X)
     oracle = state.kernel.sup_diag() - np.einsum(
         "ij,ij->i", Kq, np.linalg.solve(K, Kq.T).T

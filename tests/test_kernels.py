@@ -8,7 +8,7 @@ from scipy.linalg import solve_triangular
 from scipy.spatial.distance import cdist
 from scipy.special import gamma as gamma_fn, kv
 
-from abqlab import kernels
+from abqlab import config, kernels
 from abqlab.exceptions import DomainError, NumericalDegradationError
 from abqlab.kernels import (
     InverseMultiquadric,
@@ -17,7 +17,6 @@ from abqlab.kernels import (
     SquaredExponential,
     Wendland,
     chol_with_jitter,
-    gram,
     predicted_rate,
     solve_lower,
     sqdist,
@@ -104,7 +103,7 @@ def test_kernels_positive_definite_on_distinct_points():
     X = rng.uniform(0, 1, size=(12, 2))
     for k in (SquaredExponential(0.6), Matern(1.5, 0.4),
               InverseMultiquadric(0.5, 1.0), Wendland(1, 0.8)):
-        w = np.linalg.eigvalsh(gram(k, X))
+        w = np.linalg.eigvalsh(k.pairwise(X, X))
         assert w.min() > -1e-10 * w.max()
 
 
@@ -118,16 +117,23 @@ def test_wendland_compact_support_and_values():
 
 
 def test_gram_bitwise_symmetric():
+    # a design's Gram matrix is pairwise(X, X), not mirrored: sqdist negates
+    # each gap exactly and every family is elementwise in the squared
+    # distance; a family whose distances round its two arguments differently,
+    # such as |x|^2 - 2 x.y + |y|^2 summed in that order, fails here
     rng = np.random.default_rng(1)
-    X = rng.uniform(0, 1, size=(20, 2))
-    K = gram(SquaredExponential(0.4), X)
-    assert np.array_equal(K, K.T)
+    for family, cls in config._KERNELS.items():
+        for dim in [d for d in (1, 2, 3, 5) if d <= cls.max_dim]:
+            for n in (2, 17, 40):
+                X = rng.uniform(0, 1, size=(n, dim))
+                K = cls().pairwise(X, X)
+                assert np.array_equal(K, K.T), (family, dim, n)
 
 
 def test_chol_with_jitter_reconstructs():
     rng = np.random.default_rng(2)
     X = rng.uniform(0, 1, size=(8, 1))
-    K = gram(Matern(2.5, 0.3), X)
+    K = Matern(2.5, 0.3).pairwise(X, X)
     L, jitter = chol_with_jitter(K)
     assert np.allclose(L @ L.T, K + jitter * np.eye(8), atol=1e-12)
     assert jitter <= 1e-10
@@ -211,7 +217,7 @@ def test_solve_lower_matches_lapack_triangular_solve(kernel, shape):
     B = np.random.default_rng(3).normal(size=shape)
     for n in (1, kernels.SOLVE_BLOCK - 1, kernels.SOLVE_BLOCK, kernels.SOLVE_BLOCK + 1,
               81):
-        L, _ = chol_with_jitter(gram(kernel, LATTICE[:n]))
+        L, _ = chol_with_jitter(kernel.pairwise(LATTICE[:n], LATTICE[:n]))
         expected = solve_triangular(L, B[:n], lower=True)
         kappa = np.linalg.cond(L) ** 2
         scale = max(1.0, float(np.max(np.abs(expected))))
@@ -224,7 +230,7 @@ def test_column_slices_solved_with_one_factors_inverses_equal_one_solve():
     # the report solves a point set chunk by chunk, or slab by slab, with the
     # inverses of one factor; slices of whole SOLVE_CHUNKs, the last one
     # short, are bit for bit the columns of one solve over all of them
-    L, _ = chol_with_jitter(gram(Matern(2.5, 0.1), LATTICE))
+    L, _ = chol_with_jitter(Matern(2.5, 0.1).pairwise(LATTICE, LATTICE))
     inverses = kernels.block_inverses(L)
     B = np.random.default_rng(4).normal(size=(81, 3 * kernels.SOLVE_CHUNK + 5))
     whole = solve_lower(L, B.copy())
