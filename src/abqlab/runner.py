@@ -53,20 +53,56 @@ def run_experiment(raw, out_dir):
         flats.append(flat)
         targets.append(os.path.join(out_dir, tag) if tag else out_dir)
     runs = [prepare(flat) for flat in flats]
-    try:
-        width = int(os.environ.get("ABQ_LAB_THREADS", "1"))
-    except ValueError:
-        raise ConfigError(f"ABQ_LAB_THREADS must be an integer, not "
-                          f"{os.environ['ABQ_LAB_THREADS']!r}") from None
-    if width > 1 and len(flats) > 1:
+    # each combo writes only to its own directory
+    findings = pool_map(_run_single, list(zip(flats, runs, targets)))
+    return list(zip(targets, findings))
+
+
+def pool_width(tasks):
+    """How many worker processes `pool_map` starts for `tasks` tasks:
+    ABQ_LAB_THREADS, by default the CPUs this process may run on, at most
+    `tasks`. A value that is not an integer of at least 1 is a config error."""
+    value = os.environ.get("ABQ_LAB_THREADS")
+    if value is None:
+        width = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                 else os.cpu_count() or 1)
+    else:
+        try:
+            width = int(value)
+        except ValueError:
+            width = 0
+        if width < 1:
+            raise ConfigError(f"ABQ_LAB_THREADS must be an integer of at least 1, "
+                              f"not {value!r}")
+    return max(1, min(width, tasks))
+
+
+def pool_map(fn, tasks):
+    """[fn(*task) for task in tasks], on `pool_width(len(tasks))` forked
+    worker processes, or in this process at width 1 or where fork is not
+    available. Tasks are dispatched in order and results come back in
+    order. A forked worker inherits the imported modules, where a spawned
+    one would import abqlab again; with fork, the executor starts every
+    worker before its manager thread, so each fork copies one thread (BLAS
+    is pinned to one, see `abqlab`). The first task, in order, whose result
+    is an error stops the pool: the tasks still waiting are dropped, the
+    running ones end, every worker is joined, and then that error is
+    raised here."""
+    width = pool_width(len(tasks))
+    if width > 1:
+        # imported here: a single run, which never starts a pool, skips them
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        # each combo writes only to its own directory, so order is immaterial
-        with ProcessPoolExecutor(max_workers=min(width, len(flats))) as pool:
-            findings = list(pool.map(_run_single, flats, runs, targets))
-    else:
-        findings = list(map(_run_single, flats, runs, targets))
-    return list(zip(targets, findings))
+        if "fork" in multiprocessing.get_all_start_methods():
+            with ProcessPoolExecutor(
+                    width, mp_context=multiprocessing.get_context("fork")) as pool:
+                futures = [pool.submit(fn, *task) for task in tasks]
+                try:
+                    return [future.result() for future in futures]
+                finally:
+                    pool.shutdown(cancel_futures=True)
+    return [fn(*task) for task in tasks]
 
 
 def prepare(raw):

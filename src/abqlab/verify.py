@@ -1,8 +1,10 @@
 """Built-in verification suite.
 
 Each check empirically confirms one guarantee of the method on desk-scale
-problems and returns a CheckResult; `run_all` drives them in order and
-reports one pass/fail line per tag. The checks are:
+problems and returns a CheckResult; `run_all` runs them as eight
+independent tasks, on forked worker processes as `runner.pool_map` sizes
+them, and reports one pass/fail line per tag in suite order. The checks
+are:
 
 - projection-identity: the scaled posterior variance equals the squared
   RKHS distance to the span of the scaled design functions, confirmed
@@ -309,26 +311,36 @@ def check_moment_estimator(seed=5, n_mc=1_000_000, n_query=20):
 
     # The draws are streamed in blocks of BLOCK_POINTS latent values, so the
     # memory does not grow with n_mc; chunked standard_normal calls replay one
-    # call's stream. Per query, the sums of y - c and (y - c)^2 with the shift
-    # c = T(mean) give the mean and a one-pass variance free of cancellation.
-    warps = (transforms.Square(alpha=1.0), transforms.Exponential())
-    shifts = [t.forward(mean) for t in warps]
-    s1 = np.zeros((len(warps), n_query))
-    s2 = np.zeros((len(warps), n_query))
+    # call's stream. Per query, the sums of dev = T(mean + sd e) - T(mean) and
+    # of dev^2 give the mean and a one-pass variance free of cancellation.
+    # Every query shares the draws e. The square warp's dev is
+    # mean sd e + (sd e)^2 / 2, so its sums follow from the power sums of e;
+    # the exponential warp's is e^mean (e^(sd e) - 1), one array per block
+    # (sd <= 1, so e^(sd e) cannot overflow).
+    square, exponential = transforms.Square(alpha=1.0), transforms.Exponential()
+    powers = np.zeros(4)  # the sums of e^k, k = 1..4
+    exp_s1 = np.zeros(n_query)
+    exp_s2 = np.zeros(n_query)
     block = BLOCK_POINTS // n_query
     for start in range(0, n_mc, block):
-        latent = sd[:, None] * rng.standard_normal(min(block, n_mc - start))
-        latent += mean[:, None]
-        for i, (t, c) in enumerate(zip(warps, shifts)):
-            # both warps return a new array, so the shift goes in place
-            dev = t.forward(latent)
-            dev -= c[:, None]
-            s1[i] += dev.sum(axis=1)
-            s2[i] += np.square(dev, out=dev).sum(axis=1)
+        e = rng.standard_normal(min(block, n_mc - start))
+        e2 = e * e
+        powers += (e.sum(), e2.sum(), e2 @ e, e2 @ e2)
+        dev = np.multiply.outer(sd, e)
+        np.exp(dev, out=dev)
+        dev -= 1.0
+        exp_s1 += dev.sum(axis=1)
+        exp_s2 += np.einsum("ij,ij->i", dev, dev)
+    p1, p2, p3, p4 = powers
+    slope, curve = mean * sd, var / 2.0
+    scale = exponential.forward(mean)
+    sums = ((square, slope * p1 + curve * p2,
+             slope * slope * p2 + 2.0 * slope * curve * p3 + curve * curve * p4),
+            (exponential, scale * exp_s1, scale * scale * exp_s2))
 
     worst_sigma = 0.0
-    for t, c, a, b in zip(warps, shifts, s1, s2):
-        mc = c + a / n_mc
+    for t, a, b in sums:
+        mc = t.forward(mean) + a / n_mc
         se = np.sqrt((b - a * a / n_mc) / (n_mc - 1) / n_mc)
         gap = np.abs(t.posterior_expectation(mean, var) - mc)
         spread = se > 0
@@ -382,26 +394,55 @@ def check_inconsistency_caveat(stall_factor=5.0):
 # ---------------------------------------------------------------------------
 
 
-def run_all(printer=print):
-    """Run the nine checks and return their results in suite order. The
-    builtin matrix runs, shared by the certificate and envelope checks, are
-    timed into weak-greedy-certificate's seconds, their first consumer."""
+# the nine checks in suite order
+TAGS = ("projection-identity", "psi-inequality", "weak-greedy-certificate",
+        "adaptivity-envelope", "error-bound", "rate-form-infinite",
+        "rate-form-finite", "moment-estimator", "inconsistency-caveat")
+
+# run_all's eight tasks, longest first by the in-process seconds of a
+# serial run on a 2-vCPU host (error-bound 0.10 s, projection-identity
+# 0.08, moment-estimator 0.06, the matrix 0.05, each other check at most
+# 0.02), so no long task starts last. Each is a check's tag and the name
+# of its function; no tag is the builtin matrix runs and their two
+# checks. A worker looks the name up in the module it forked with, since
+# a function is sent by import path and one the module no longer holds
+# (a wrapped or replaced one) would not pickle.
+TASKS = (
+    ("error-bound", "check_error_bound"),
+    ("projection-identity", "check_projection_identity"),
+    ("moment-estimator", "check_moment_estimator"),
+    (None, "matrix_runs"),
+    ("rate-form-infinite", "check_rate_infinite"),
+    ("psi-inequality", "check_psi_inequality"),
+    ("rate-form-finite", "check_rate_finite"),
+    ("inconsistency-caveat", "check_inconsistency_caveat"),
+)
+
+
+def _run_task(tag, name):
+    """The results of one task of `run_all`, each timed in this process.
+    The matrix runs, shared by the certificate and envelope checks, are
+    computed once and timed into weak-greedy-certificate's seconds, their
+    first consumer."""
+    fn = globals()[name]
+    if tag is not None:
+        return [_timed(tag, fn)]
     start = time.perf_counter()
-    runs = matrix_runs()
+    runs = fn()
     matrix_seconds = time.perf_counter() - start
     certificates = _timed("weak-greedy-certificate", check_certificates, runs)
     certificates.seconds += matrix_seconds
-    results = [
-        _timed("projection-identity", check_projection_identity),
-        _timed("psi-inequality", check_psi_inequality),
-        certificates,
-        _timed("adaptivity-envelope", check_adaptivity_envelopes, runs),
-        _timed("error-bound", check_error_bound),
-        _timed("rate-form-infinite", check_rate_infinite),
-        _timed("rate-form-finite", check_rate_finite),
-        _timed("moment-estimator", check_moment_estimator),
-        _timed("inconsistency-caveat", check_inconsistency_caveat),
-    ]
+    return [certificates, _timed("adaptivity-envelope", check_adaptivity_envelopes, runs)]
+
+
+def run_all(printer=print):
+    """Run the nine checks, as eight independent tasks on `runner.pool_map`,
+    and return their results in suite order. Each check seeds its own
+    generator, so the results but their seconds are the same at any
+    ABQ_LAB_THREADS."""
+    done = {res.tag: res for results in runner.pool_map(_run_task, TASKS)
+            for res in results}
+    results = [done[tag] for tag in TAGS]
     if printer is not None:
         for res in results:
             printer(res.line())

@@ -614,6 +614,30 @@ def test_cli_exit_code_2_on_a_malformed_thread_count(tmp_path, monkeypatch, caps
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_a_thread_count_below_one_is_a_config_error(tmp_path, monkeypatch, capsys,
+                                                    command, threads):
+    monkeypatch.setenv("ABQ_LAB_THREADS", threads)
+    argv = {"run": ["run", write_config(tmp_path, MINIMAL), "--out", str(tmp_path / "o")],
+            "verify": ["verify", "--out", str(tmp_path / "v.json")]}[command]
+    assert cli.main(argv) == 2
+    out = capsys.readouterr()
+    assert out.err == (f"config error: ABQ_LAB_THREADS must be an integer of at "
+                       f"least 1, not {threads!r}\n")
+    assert out.out == "" and list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
+
+def test_pool_width_is_the_thread_count_capped_at_the_tasks(monkeypatch):
+    monkeypatch.setenv("ABQ_LAB_THREADS", "64")
+    assert [runner.pool_width(tasks) for tasks in (0, 1, 8, 100)] == [1, 1, 8, 64]
+    monkeypatch.setenv("ABQ_LAB_THREADS", "3")
+    assert [runner.pool_width(tasks) for tasks in (1, 2, 8)] == [1, 2, 3]
+    monkeypatch.delenv("ABQ_LAB_THREADS")
+    cpus = len(os.sched_getaffinity(0))
+    assert runner.pool_width(10 ** 6) == cpus and runner.pool_width(1) == 1
+
+
 def test_report_records_the_jitter_the_first_point_fixes():
     record = runner.execute(MINIMAL)
     report = runner.build_report(MINIMAL, record)
@@ -1287,9 +1311,9 @@ def test_tabulated_vbmc_run_needs_no_scipy(tmp_path):
 
 
 def test_cli_runs_load_no_module_the_import_did_not(tmp_path):
-    # a numpy submodule first touched inside a run (numpy.polynomial by
-    # leggauss, numpy.ma by np.unique) costs its import in the command's own
-    # time; only `verify` imports numpy.random
+    # a numpy submodule first touched inside a run (numpy.ma by np.unique)
+    # costs its import in the command's own time; only `verify` imports
+    # numpy.random
     configs = [write_config(tmp_path, box_config(dim, 3), f"d{dim}.json")
                for dim in (2, 3)]
     src = str(Path(cli.__file__).resolve().parents[1])

@@ -1,15 +1,20 @@
 """The verification suite's own machinery: the streamed Monte Carlo moment
-check against a dense reference, its memory bound, and how `run_all` bills
-the shared matrix runs."""
+check against a dense reference, its memory bound, how `run_all` bills
+the shared matrix runs, and its process pool: the same summary at every
+width, and a check's error raised as in process."""
 
+import multiprocessing
+import os
 import time
 import tracemalloc
 
 import numpy as np
+import pytest
 from numpy.random import default_rng
 
-from abqlab import gp, kernels, transforms, verify
+from abqlab import cli, gp, kernels, transforms, verify
 from abqlab.domain import BLOCK_POINTS, ConstantMean
+from abqlab.exceptions import SaturationError
 
 
 def dense_worst_sigma(seed, n_mc, n_query):
@@ -70,3 +75,52 @@ def test_run_all_bills_the_matrix_runs_to_the_certificate_check(monkeypatch):
     assert [r.tag for r in results][2] == "weak-greedy-certificate"
     assert seconds["weak-greedy-certificate"] >= 0.2
     assert sum(seconds.values()) - seconds["weak-greedy-certificate"] < 0.2
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_run_all_bills_the_matrix_runs_the_same_at_each_width(monkeypatch, threads):
+    monkeypatch.setenv("ABQ_LAB_THREADS", threads)
+    test_run_all_bills_the_matrix_runs_to_the_certificate_check(monkeypatch)
+
+
+def test_verify_summary_but_its_seconds_is_the_same_at_every_width(tmp_path,
+                                                                   monkeypatch):
+    summaries = []
+    for threads in ("1", "2", None):
+        if threads is None:  # the default, the CPUs this process may run on
+            monkeypatch.delenv("ABQ_LAB_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("ABQ_LAB_THREADS", threads)
+        out = tmp_path / f"{threads}.json"
+        assert cli.main(["verify", "--out", str(out)]) == 0
+        lines = out.read_bytes().splitlines(keepends=True)
+        summaries.append(b"".join(line for line in lines if b'"seconds": ' not in line))
+    assert b'"all_ok": true' in summaries[0]
+    assert summaries[0] == summaries[1] == summaries[2]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_a_check_raising_in_a_worker_exits_as_in_process(tmp_path, monkeypatch, capsys,
+                                                         threads):
+    ran_in = tmp_path / "pid"
+
+    def overflowing():
+        ran_in.write_text(str(os.getpid()))
+        raise SaturationError("exp overflow in a planted check")
+
+    for _, name in verify.TASKS:
+        monkeypatch.setattr(verify, name, lambda: (True, {}))
+    monkeypatch.setattr(verify, "matrix_runs", lambda: [])
+    monkeypatch.setattr(verify, "check_psi_inequality", overflowing)
+    monkeypatch.setenv("ABQ_LAB_THREADS", threads)
+    assert cli.main(["verify"]) == 3
+    out = capsys.readouterr()
+    assert out.err == "abort (SaturationError): exp overflow in a planted check\n"
+    assert out.out == ""
+    pid = int(ran_in.read_text())
+    assert (pid == os.getpid()) == (threads == "1")
+    # every worker was joined: none is alive, and the one that raised is gone
+    assert multiprocessing.active_children() == []
+    if pid != os.getpid():
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
