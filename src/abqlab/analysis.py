@@ -5,8 +5,8 @@ and the reference integral (its own walks) are independent of the engine,
 so each checks it. The bound's plug-in curve reads the run's own factor
 and beta on purpose: its slack |fine - plug| is then the plug-in
 estimate's quadrature error alone, and an engine whose posterior drifts
-from its data is a violation. The n-width surrogate picks its design with
-`gp.GridPosterior` but scores it by a dense solve. The first i rows of
+from its data is a violation. The n-width surrogate picks and scores its
+P-greedy design on one `gp.GridPosterior`. The first i rows of
 L^{-1} K(X, P), L the Cholesky factor of a design X, are the Newton basis
 of X[:i] on P (Mueller & Schaback 2009): one forward substitution
 `kernels.solve_lower` on the C-ordered (n, |P|) block K(X, P) serves every
@@ -59,8 +59,10 @@ class Projector:
         qx = np.asarray(self.q(x), dtype=float)
         V = self.kernel.pairwise(self.X, x)
         V *= self.qX[:, None] * qx[None, :]
-        curve = _running_residual(kernels.solve_lower(self.L, V, self.inverses),
-                                  qx ** 2 * self.kernel.sup_diag())
+        kernels.solve_lower(self.L, V, self.inverses)
+        curve = np.zeros((self.rows, len(x)))
+        _running_sum(np.multiply(V, V, out=curve[1:]))
+        np.subtract(qx ** 2 * self.kernel.sup_diag(), curve, out=curve)
         return np.maximum(curve, 0.0, out=curve)
 
     def chunks(self, x):
@@ -82,15 +84,12 @@ class Projector:
         return sup
 
 
-def _running_residual(W, norm_sq):
-    """Rows norm_sq - sum_{j < i} W_j^2, i = 0..n, squaring W in place; the
-    running sum goes row by row, since a cumsum down the columns of a
-    C-ordered block strides across memory."""
-    W *= W
-    curve = np.zeros((W.shape[0] + 1, W.shape[1]))
-    for i, row in enumerate(W):
-        np.add(curve[i], row, out=curve[i + 1])
-    return np.subtract(norm_sq, curve, out=curve)
+def _running_sum(rows):
+    """rows[i] = sum_{j <= i} rows[j] in place, row by row, since a cumsum
+    down the columns of a C-ordered block strides across memory."""
+    for i in range(1, len(rows)):
+        rows[i] += rows[i - 1]
+    return rows
 
 
 @dataclass
@@ -145,23 +144,26 @@ def nwidth_surrogate(kernel, q, grid, n):
     The design is P-greedy on the grid: each step adds the first grid point
     of largest q^2 times the posterior variance of a zero-mean GP, until n
     points or a point the design spans. Entry m-1 is sup q sqrt(k_X) over
-    the grid, X the first m design points, from one dense solve; any m grid
-    points span at most m dimensions, so each is a valid bound. A design
-    that stopped early repeats its last value, and a running minimum keeps
-    the curve nonincreasing.
+    the grid, X the first m design points, read off the walk's posterior as
+    `engine.run_abq` reads e_m; any m grid points span at most m dimensions,
+    so each is a valid bound. A design that stopped early repeats its last
+    value, and a running minimum keeps the curve nonincreasing.
     """
     if n < 1:
         raise DomainError("n must be at least 1")
-    q_sq = np.asarray(q(grid), dtype=float) ** 2
+    q_grid = np.asarray(q(grid), dtype=float)
+    q_sq = q_grid ** 2
+    # each step spans a grid point the design did not: at most |grid| rows
     post = gp.GridPosterior(gp.empty_state(kernel, ConstantMean(0.0), grid.shape[1]),
-                            grid, capacity=n)
+                            grid, capacity=min(n, len(grid)))
+    sups = []
     for _ in range(n):
         try:
             post.add(int(np.argmax(q_sq * post.var)), 0.0)
         except LinearDependenceError:
             break
-    sups = np.sqrt(Projector(kernel, q, post.state.X).sups(grid))[1:]
-    return np.minimum.accumulate(np.pad(sups, (0, n - sups.size), mode="edge")).tolist()
+        sups.append(np.max(q_grid * np.sqrt(post.var)))
+    return np.minimum.accumulate(np.pad(sups, (0, n - len(sups)), mode="edge")).tolist()
 
 
 @dataclass(frozen=True)
@@ -224,8 +226,7 @@ def _plugin_means(state, transform):
     """A `weighted_integrals` term: T(m + sum_{j < i} beta_j (L^{-1} K(X, .))_j),
     T of the posterior mean of each prefix X[:i] of the state's design, as
     one (n, slab) block per slab, every slab solved with one set of
-    `kernels.block_inverses`; the running sum goes row by row, like
-    `_running_residual`'s."""
+    `kernels.block_inverses`."""
     inverses = kernels.block_inverses(state.chol)
 
     def term(pts):
@@ -234,9 +235,7 @@ def _plugin_means(state, transform):
         rows *= state.beta[:, None]
         if len(rows):
             rows[0] += state.mean(pts)
-        for i in range(1, len(rows)):
-            rows[i] += rows[i - 1]
-        return transform.forward(rows)
+        return transform.forward(_running_sum(rows))
 
     return term
 

@@ -187,6 +187,14 @@ def test_nwidth_surrogate_is_p_greedy_on_the_grid(monkeypatch):
     assert np.allclose(vals, np.minimum.accumulate(sups), rtol=1e-12, atol=0.0)
 
 
+def test_nwidth_surrogate_holds_rows_for_the_grid_not_the_budget():
+    # a walk spans a new grid point per step, so it fills at most |grid|
+    # rows: a budget of 40000 on 4096 points needs no 40000-row buffer
+    grid = engine.certificate_grid(DOM, 4096)
+    vals = analysis.nwidth_surrogate(Matern(2.5, 0.3), Q, grid, 40000)
+    assert len(vals) == 40000
+
+
 def test_nwidth_surrogate_stops_when_the_grid_is_spanned():
     # four grid points span every function on the grid: the fifth step is
     # linearly dependent, and the rest repeat the last value
@@ -197,15 +205,32 @@ def test_nwidth_surrogate_stops_when_the_grid_is_spanned():
 
 @pytest.mark.parametrize("dim, grid_points", [(1, 512), (2, 1024)])
 def test_nwidth_surrogate_equals_the_p_greedy_run(dim, grid_points):
-    # on a P-greedy run (constant b, uniform q) the surrogate's design is the
-    # run's, so its dense values cross-check the engine's incremental e_n
-    record = verify._p_greedy_run({"family": "matern", "nu": 1.5, "ell": 0.25},
-                                  budget=60, dim=dim, grid_points=grid_points)
-    vals = analysis.nwidth_surrogate(record.problem.integrand.kernel, record.spec.q,
-                                     record.cert_grid, record.n)
-    assert record.n == 60
-    assert np.allclose(vals, np.minimum.accumulate(record.sup_qk),
-                       rtol=1e-10, atol=0.0)
+    # on a P-greedy run (constant b) the surrogate's walk is the run's: the
+    # same posterior updates on the same grid, read by the same sup q sqrt(k_X)
+    # formula, so it is the running minimum of the engine's e_n bit for bit.
+    # The two posteriors span different point sets ([grid; nodes] against the
+    # grid), so this also needs the BLAS to round each grid column alike at
+    # either width. A q this broad keeps the grid argmax off points the
+    # design spans; under a peaked q the surrogate stops there, where the
+    # engine masks and goes on
+    uniform = {"kind": "uniform"}
+    gaussian = {"kind": "truncated-gaussian", "center": [0.3] * dim, "scale": [0.4] * dim}
+    for kernel in ({"family": "matern", "nu": 1.5, "ell": 0.25},
+                   {"family": "squared-exponential", "gamma": 0.5}):
+        for q in (uniform, gaussian):
+            raw = verify._config(kernel, {"kind": "synthetic", "centers": [],
+                                          "weights": []},
+                                 budget=60, dim=dim, grid_points=grid_points)
+            raw["acquisition"]["q"] = q
+            record = runner.execute(raw)
+            vals = analysis.nwidth_surrogate(record.problem.integrand.kernel,
+                                             record.spec.q, record.cert_grid, record.n)
+            if kernel["family"] == "matern" or dim == 2:
+                assert record.n == 60, (kernel, q)
+            else:
+                # SE in d=1 spans the 512-point grid within a dozen steps
+                assert record.stop_cause == engine.STOP_SPANNED, (kernel, q)
+            assert vals == np.minimum.accumulate(record.sup_qk).tolist(), (kernel, q)
 
 
 def test_fit_rate_recovers_exact_exponential_series():
@@ -558,8 +583,8 @@ def test_build_report_factors_each_design_once(run_d2, monkeypatch):
     # one Certificates of the run does each job once: one Projector of the
     # run's design, one pass of it over the certificate grid for the
     # certificate and the error bound, one probe grid and one native norm
-    # for the envelope and the bound's C_T; the n-width surrogate has one
-    # Projector of its own P-greedy design
+    # for the envelope and the bound's C_T; the n-width surrogate reads the
+    # posterior of its P-greedy walk and factors nothing
     rec = run_d2
     projectors, factored, passes, calls = [], [], [], Counter()
     init, chol = analysis.Projector.__init__, kernels.chol_with_jitter
@@ -592,10 +617,9 @@ def test_build_report_factors_each_design_once(run_d2, monkeypatch):
         if getattr(module, "rkhs_norm", None) is rkhs_norm:
             monkeypatch.setattr(module, "rkhs_norm", counting("rkhs_norm", rkhs_norm))
     runner.build_report(RUN_D2, rec)
-    assert len(projectors) == 2 and factored == [len(p.X) for p in projectors]
-    run = [p for p in projectors if np.array_equal(p.X, rec.state.X)]
-    assert len(run) == 1
-    assert [x is rec.cert_grid for p, x in passes if p is run[0]] == [True]
+    assert len(projectors) == 1 and factored == [rec.n]
+    assert np.array_equal(projectors[0].X, rec.state.X)
+    assert [(p is projectors[0], x is rec.cert_grid) for p, x in passes] == [(True, True)]
     assert calls == {"probe_grid": 1, "rkhs_norm": 1}
 
 

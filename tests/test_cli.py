@@ -1040,6 +1040,9 @@ def test_cli_rates_refits_from_trace(tmp_path, capsys):
     fits = json.loads(Path(summary).read_text())
     assert fits[0]["dim"] == 1
     assert fits[0]["fits"]["exponential"]["slope"] < 0
+    # the SE kernel's model refits from the trace as the report fit it
+    report = json.loads((tmp_path / "r" / "report.json").read_text())
+    assert fits[0]["fits"]["exponential"] == report["rate_fits"]["exponential"]
 
 
 def test_cli_rates_reads_a_v1_trace(tmp_path, capsys):
