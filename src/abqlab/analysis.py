@@ -3,10 +3,10 @@
 The weak-greedy certificate (its own factor of the scaled Gram matrix)
 and the reference integral (its own walks) are independent of the engine,
 so each checks it. The bound's plug-in curve reads the run's own factor
-and beta on purpose: its slack |fine - plug| is then the plug-in
-estimate's quadrature error alone, and an engine whose posterior drifts
-from its data is a violation. The n-width surrogate picks and scores its
-P-greedy design on one `gp.GridPosterior`. The first i rows of
+and beta on purpose: its slack |fine - plug| is then the plug-in estimate's
+quadrature error alone, and an engine whose posterior drifts from its data
+is a violation. The n-width surrogate is a bound, not a check: it walks
+with the engine's greedy step on one `gp.GridPosterior`. The first i rows of
 L^{-1} K(X, P), L the Cholesky factor of a design X, are the Newton basis
 of X[:i] on P (Mueller & Schaback 2009): one forward substitution
 `kernels.solve_lower` on the C-ordered (n, |P|) block K(X, P) serves every
@@ -27,11 +27,11 @@ from functools import cached_property
 
 import numpy as np
 
-from . import gp, kernels
+from . import engine, gp, kernels
 from .acquisition import theoretical_clcu
 from .domain import (BLOCK_POINTS, REFINEMENT, ConstantMean, grid_per_dim,
                      rkhs_norm, weighted_integrals)
-from .exceptions import DomainError, LinearDependenceError
+from .exceptions import DomainError
 
 CERT_TOL = 1e-9  # slack of a weak-greedy ratio below gamma_hat
 ORACLE_TOL = 1e-3  # largest reference self-error, relative to the smallest rhs
@@ -141,13 +141,13 @@ def nwidth_surrogate(kernel, q, grid, n):
     """Upper bounds on the m-widths of {q(x) k(., x) : x in grid} for
     m = 1..n, as a list of n values.
 
-    The design is P-greedy on the grid: each step adds the first grid point
-    of largest q^2 times the posterior variance of a zero-mean GP, until n
-    points or a point the design spans. Entry m-1 is sup q sqrt(k_X) over
-    the grid, X the first m design points, read off the walk's posterior as
-    `engine.run_abq` reads e_m; any m grid points span at most m dimensions,
-    so each is a valid bound. A design that stopped early repeats its last
-    value, and a running minimum keeps the curve nonincreasing.
+    The design is P-greedy on the grid, each step `engine.select_next` on
+    q^2 times a zero-mean GP's variance, so on a P-greedy run it is the
+    run's walk for every q. Entry m-1 is sup q sqrt(k_X) over the grid, X
+    the first m design points, read as `engine.run_abq` reads e_m: a bound,
+    as m grid points span at most m dimensions. Each `add` subtracts a
+    square from the variance and clamps at 0, so the entries never rise, bit
+    for bit; a walk that stops early repeats its last entry (e_0 if none).
     """
     if n < 1:
         raise DomainError("n must be at least 1")
@@ -156,14 +156,14 @@ def nwidth_surrogate(kernel, q, grid, n):
     # each step spans a grid point the design did not: at most |grid| rows
     post = gp.GridPosterior(gp.empty_state(kernel, ConstantMean(0.0), grid.shape[1]),
                             grid, capacity=min(n, len(grid)))
-    sups = []
+    sups = [np.max(q_grid * np.sqrt(post.var))]
     for _ in range(n):
-        try:
-            post.add(int(np.argmax(q_sq * post.var)), 0.0)
-        except LinearDependenceError:
+        index = engine.select_next(q_sq * post.var, post.spanned())
+        if index is None:
             break
+        post.add(index, 0.0)
         sups.append(np.max(q_grid * np.sqrt(post.var)))
-    return np.minimum.accumulate(np.pad(sups, (0, n - len(sups)), mode="edge")).tolist()
+    return np.pad(sups, (0, n + 1 - len(sups)), mode="edge")[1:].tolist()
 
 
 @dataclass(frozen=True)

@@ -186,11 +186,13 @@ def load_config(path):
         return hook
 
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh, parse_float=finite(float), parse_int=finite(int),
                             parse_constant=finite(float))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     validate_config(raw)
     return raw
 

@@ -348,10 +348,10 @@ class SyntheticIntegrand:
     def __post_init__(self):
         centers = np.atleast_2d(np.asarray(self.centers, dtype=float))
         weights = np.atleast_1d(np.asarray(self.weights, dtype=float))
-        if weights.size == 0:
+        if centers.size == 0:  # [] and [[]] are no centers
             centers = centers.reshape(0, max(centers.shape[1], 1))
         if centers.shape[0] != weights.shape[0]:
-            raise ValueError("centers and weights length mismatch")
+            raise ValueError(f"{len(centers)} centers for {len(weights)} weights")
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "weights", weights)
 

@@ -12,10 +12,10 @@ take moments as inputs.
 
 Selection maximizes the acquisition over the certificate grid, the point
 set every recorded supremum is taken on, so the selection is greedy on
-that grid by construction; a grid point the design spans, where the
-posterior's `spanned()` holds and `add` would raise, gets acquisition
-F(0) b = 0, and the run stops when all do; `RunRecord.stop_cause` says
-why a run stopped early.
+that grid by construction. `select_next`, the one greedy step (the n-width
+surrogate's too), skips grid points the design spans, where `add` would
+raise and F(0) b = 0, and the run stops when it finds none with a nonzero
+acquisition; `RunRecord.stop_cause` says why a run stopped early.
 The grid is a Sobol' net, and the record keeps its covering radius, which
 bounds how far the supremum over the whole box can exceed the grid's.
 """
@@ -169,9 +169,10 @@ def covering_radius(dom, size):
     return float(np.linalg.norm(sides))
 
 
-def select_next(a):
-    """Index of the first point of largest acquisition `a`, or None when the
-    acquisition vanishes at every point."""
+def select_next(a, spanned):
+    """Index of the first point of largest `a` among those the design does
+    not span (`spanned` false), or None when `a` vanishes at all of them."""
+    a = np.where(spanned, 0.0, a)
     best = int(np.argmax(a))
     return best if a[best] > 0.0 else None
 
@@ -232,9 +233,8 @@ def run_abq(problem, spec, n, cert_points=None, oracle_resolution=None):
         a_grid, clamps, b_grid = spec.evaluate(cert_grid, post.mean[:G], post.var[:G])
         # read now: the add below overwrites the mean b may be a view of
         b_range = float(np.min(b_grid)), float(np.max(b_grid))
-        # F(0) b = 0 at a point the design spans: zero it where add raises
         spanned = post.spanned()[:G]
-        index = select_next(np.where(spanned, 0.0, a_grid))
+        index = select_next(a_grid, spanned)
         if index is None:
             record.stop_cause = (STOP_SPANNED if np.all(spanned)
                                  else STOP_ZERO_ACQUISITION)

@@ -152,16 +152,21 @@ def _write_trace(path, record, reference, fills):
 
 def _read_trace(path):
     """A trace's n and sup_q_sqrt_k columns and its dimension. A trace that
-    lacks one of the columns n, x0 and sup_q_sqrt_k, or has a row that is
-    not one finite number per column, raises ConfigError naming the line."""
-    with open(path) as fh:
-        first = fh.readline().strip()
-        if first.removeprefix("# ") not in READABLE_TRACE_SCHEMAS:
-            raise ConfigError(f"{path}:1: unrecognized trace schema line {first!r}")
-        header = fh.readline().strip().split(",")
-        if not {"n", "x0", "sup_q_sqrt_k"} <= set(header):
-            raise ConfigError(f"{path}:2: a trace needs columns n, x0 and sup_q_sqrt_k")
-        body = [(k, line) for k, line in enumerate(fh, start=3) if line.strip()]
+    is not UTF-8 text, lacks one of the columns n, x0 and sup_q_sqrt_k, or
+    has a row that is not one finite number per column, raises ConfigError
+    naming the file or the line."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            first = fh.readline().strip()
+            if first.removeprefix("# ") not in READABLE_TRACE_SCHEMAS:
+                raise ConfigError(f"{path}:1: unrecognized trace schema line {first!r}")
+            header = fh.readline().strip().split(",")
+            if not {"n", "x0", "sup_q_sqrt_k"} <= set(header):
+                raise ConfigError(f"{path}:2: a trace needs columns n, x0 and "
+                                  "sup_q_sqrt_k")
+            body = [(k, line) for k, line in enumerate(fh, start=3) if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     rows = []
     for lineno, line in body:
         try:

@@ -196,28 +196,39 @@ def test_nwidth_surrogate_holds_rows_for_the_grid_not_the_budget():
 
 
 def test_nwidth_surrogate_stops_when_the_grid_is_spanned():
-    # four grid points span every function on the grid: the fifth step is
-    # linearly dependent, and the rest repeat the last value
+    # four grid points span every function on the grid: the fifth step
+    # finds every point spanned, and the rest repeat the last value
     vals = analysis.nwidth_surrogate(Matern(1.5, 0.25), Q, DOM.uniform_grid(4), 6)
     assert len(vals) == 6
     assert vals[3] < 1e-5 and vals[3:] == [vals[3]] * 3
 
 
+def test_nwidth_surrogate_of_a_walk_that_selects_no_point():
+    # q underflows to 0 at every grid point, so no step scores above 0: each
+    # entry is e_0, the empty design's sup, which is 0 here
+    grid = engine.certificate_grid(DOM, 512)
+    q = TruncatedGaussianDensity(DOM, center=[0.5 + 2 ** -10], scale=[1e-5])
+    assert not np.any(q(grid))
+    assert analysis.nwidth_surrogate(Matern(1.5, 0.25), q, grid, 5) == [0.0] * 5
+
+
 @pytest.mark.parametrize("dim, grid_points", [(1, 512), (2, 1024)])
 def test_nwidth_surrogate_equals_the_p_greedy_run(dim, grid_points):
     # on a P-greedy run (constant b) the surrogate's walk is the run's: the
-    # same posterior updates on the same grid, read by the same sup q sqrt(k_X)
-    # formula, so it is the running minimum of the engine's e_n bit for bit.
-    # The two posteriors span different point sets ([grid; nodes] against the
-    # grid), so this also needs the BLAS to round each grid column alike at
-    # either width. A q this broad keeps the grid argmax off points the
-    # design spans; under a peaked q the surrogate stops there, where the
-    # engine masks and goes on
-    uniform = {"kind": "uniform"}
-    gaussian = {"kind": "truncated-gaussian", "center": [0.3] * dim, "scale": [0.4] * dim}
+    # same greedy step `engine.select_next` on the same posterior updates,
+    # read by the same sup q sqrt(k_X) formula, so it is the engine's e_n
+    # bit for bit, for every q. The two posteriors span different point sets
+    # ([grid; nodes] against the grid), so this also needs the BLAS to round
+    # each grid column alike at either width
+    qs = {"uniform": {"kind": "uniform"},
+          "broad": {"kind": "truncated-gaussian", "center": [0.3] * dim,
+                    "scale": [0.4] * dim},
+          "default": {"kind": "truncated-gaussian"},
+          "peaked": {"kind": "truncated-gaussian", "center": [0.5] * dim,
+                     "scale": [0.01] * dim}}
     for kernel in ({"family": "matern", "nu": 1.5, "ell": 0.25},
                    {"family": "squared-exponential", "gamma": 0.5}):
-        for q in (uniform, gaussian):
+        for name, q in qs.items():
             raw = verify._config(kernel, {"kind": "synthetic", "centers": [],
                                           "weights": []},
                                  budget=60, dim=dim, grid_points=grid_points)
@@ -226,11 +237,16 @@ def test_nwidth_surrogate_equals_the_p_greedy_run(dim, grid_points):
             vals = analysis.nwidth_surrogate(record.problem.integrand.kernel,
                                              record.spec.q, record.cert_grid, record.n)
             if kernel["family"] == "matern" or dim == 2:
-                assert record.n == 60, (kernel, q)
+                assert record.n == 60, (kernel, name)
+            elif name == "peaked":
+                # the peaked q underflows to 0 on the points SE in d=1 leaves
+                assert record.stop_cause == engine.STOP_ZERO_ACQUISITION, name
             else:
                 # SE in d=1 spans the 512-point grid within a dozen steps
-                assert record.stop_cause == engine.STOP_SPANNED, (kernel, q)
-            assert vals == np.minimum.accumulate(record.sup_qk).tolist(), (kernel, q)
+                assert record.stop_cause == engine.STOP_SPANNED, (kernel, name)
+            # e_n never rises, so it is its own running minimum
+            assert vals == record.sup_qk, (kernel, name)
+            assert vals == np.minimum.accumulate(record.sup_qk).tolist(), (kernel, name)
 
 
 def test_fit_rate_recovers_exact_exponential_series():

@@ -287,6 +287,13 @@ def test_cli_wendland_kernel_runs_up_to_d3_only(tmp_path, capsys, dim, code):
                  id="constant-b"),
     pytest.param("integrand", {"kind": "synthetic", "centers": [[0.2, 0.7]],
                                "weights": [0.5]}, id="centers-columns"),
+    # [] and [[]] are no centers, so one weight has none to go with
+    pytest.param("integrand", {"kind": "synthetic", "centers": [], "weights": [1.0]},
+                 id="no-centers-one-weight"),
+    pytest.param("integrand", {"kind": "synthetic", "centers": [[]], "weights": [1.0]},
+                 id="empty-center-one-weight"),
+    pytest.param("integrand", {"kind": "synthetic", "centers": [[0.3]], "weights": []},
+                 id="one-center-no-weights"),
     pytest.param("mean", {"kind": "affine", "slope": [1.0, 2.0]}, id="slope-length"),
     pytest.param("pi", {"kind": "tabulated", "values": [1.0]},
                  id="tabulated-one-value-axis"),
@@ -306,7 +313,12 @@ def test_cli_exit_code_2_on_invalid_config_value(tmp_path, capsys, key, value):
     node[last] = value
     cfg = write_config(tmp_path, raw)
     assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert "config error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1, err
+    if key == "integrand":
+        centers, weights = sum(1 for c in value["centers"] if c), len(value["weights"])
+        if centers != weights:
+            assert err == f"config error: {centers} centers for {weights} weights\n"
     assert not (tmp_path / "o").exists()
 
 
@@ -997,6 +1009,22 @@ def test_cli_exit_code_2_on_a_path_it_cannot_read_or_write(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("file error: ") and err.count("\n") == 1
     assert repr(str(path)) in err
+
+
+@pytest.mark.parametrize("command", ["run", "rates", "rates-row"])
+def test_cli_exit_code_2_on_a_file_that_is_not_utf8(tmp_path, capsys, command):
+    # \xff starts no UTF-8 sequence: the first byte of a config or trace, or
+    # one in a trace row past the lines the trace's checks read first
+    path = tmp_path / "not-utf8"
+    lines = [line.encode() for line in trace_lines()]
+    lines[6] += b"\xff"
+    path.write_bytes(b"\n".join(lines) if command == "rates-row" else b"\xff\xfe{}")
+    argv = (["run", str(path), "--out", str(tmp_path / "o")] if command == "run"
+            else ["rates", str(path)])
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (f"config error: {path}: not UTF-8 text "
+                                       "(invalid start byte)\n")
+    assert not (tmp_path / "o").exists()
 
 
 def test_rates_and_verify_out_make_their_parent_directory(tmp_path, monkeypatch):

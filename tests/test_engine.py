@@ -91,13 +91,22 @@ def test_select_next_matches_exhaustive_argmax():
     grid = DOM.uniform_grid(101)
     post = gp.GridPosterior(state, grid)
     a, _, _ = spec.evaluate(grid, post.mean, post.var)
-    best = engine.select_next(a)
-    assert all(a[best] >= value for value in a)
+    spanned = post.spanned()
+    assert spanned[40] and np.count_nonzero(spanned) == 1  # the design point 0.4
+    best = engine.select_next(a, spanned)
+    assert not spanned[best]
+    assert all(a[best] >= value for value in a[~spanned])
 
 
 def test_select_next_returns_none_on_a_vanishing_acquisition():
-    assert engine.select_next(np.zeros(4)) is None
-    assert engine.select_next(np.array([0.0, 1e-300, 0.0])) == 1
+    free = np.zeros(4, dtype=bool)
+    assert engine.select_next(np.zeros(4), free) is None
+    assert engine.select_next(np.array([0.0, 1e-300, 0.0, 0.0]), free) == 1
+    # a spanned point is never picked, however large its acquisition
+    assert engine.select_next(np.array([0.0, 2.0, 1.0, 1.0]),
+                              np.array([False, True, False, False])) == 2
+    assert engine.select_next(np.array([0.0, 2.0, 0.0, 0.0]),
+                              np.array([False, True, False, False])) is None
 
 
 def test_certificate_grid_is_a_net_at_the_covering_radius():
@@ -136,7 +145,7 @@ def test_flat_acquisition_breaks_ties_by_lowest_index():
     post = gp.GridPosterior(state, grid)
     a, _, _ = spec.evaluate(grid, post.mean, post.var)
     assert np.all(a == a[0])
-    assert engine.select_next(a) == 0
+    assert engine.select_next(a, post.spanned()) == 0
 
 
 def test_run_abq_is_deterministic():
@@ -224,7 +233,7 @@ def test_masked_candidates_are_those_extend_rejects(monkeypatch, posteriors):
     probes = []
     select = engine.select_next
 
-    def spy(a):
+    def spy(a, spanned):
         post = posteriors[0]
         rejected = []
         for j in range(len(a)):
@@ -233,17 +242,15 @@ def test_masked_candidates_are_those_extend_rejects(monkeypatch, posteriors):
                 rejected.append(False)
             except LinearDependenceError:
                 rejected.append(True)
-        probes.append((a == 0.0, np.array(rejected), post.spanned()[:len(a)],
-                       post.state.n))
-        return select(a)
+        probes.append((spanned, np.array(rejected), post.state.n))
+        return select(a, spanned)
 
     monkeypatch.setattr(engine, "select_next", spy)
     _, rec = engine.run_abq(make_problem(), p_greedy_spec(), 10, cert_points=8)
     assert rec.n == 8 and rec.stop_cause == engine.STOP_SPANNED
     assert len(posteriors) == 1 and len(probes) == 9
-    for ell, (masked, rejected, spanned, n) in enumerate(probes):
+    for ell, (masked, rejected, n) in enumerate(probes):
         assert np.array_equal(masked, rejected)
-        assert np.array_equal(spanned, rejected)
         assert rejected.sum() == n == ell
 
 
