@@ -120,20 +120,23 @@ def fill_distance(X, dom):
     nearest of the first i points: a running minimum along the design and
     its maximum over the grid. The grid has `grid_per_dim(d, BLOCK_POINTS,
     cap)` points per dim, cap 256 in d=1 and 64 above: 256, 64^2, 40^3,
-    16^4 and 9^5 points. The running minimum is one (grid,) vector, updated
-    point by point, so memory does not grow with the design.
+    16^4 and 9^5 points. It is never expanded: each design point's squared
+    distances come from its per-axis gap tables (`kernels.sqdist` on the
+    `TensorGrid`), and the running minimum of the squared distances is one
+    (grid,) vector, so memory grows with neither the design nor d. sqrt is
+    correctly rounded and monotone, so one sqrt of each maximum is the
+    maximum of the distances, bit for bit.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[0] == 0:
         raise DomainError("fill distance needs at least one point")
-    grid = dom.uniform_grid(grid_per_dim(dom.dim, BLOCK_POINTS,
-                                         256 if dom.dim == 1 else 64))
+    grid = dom.uniform_tensor(grid_per_dim(dom.dim, BLOCK_POINTS,
+                                           256 if dom.dim == 1 else 64))
     nearest = np.full(len(grid), np.inf)
     fills = []
     for x in X:
-        dist = kernels.sqdist(grid, x[None, :])[:, 0]
-        np.minimum(nearest, np.sqrt(dist, out=dist), out=nearest)
-        fills.append(float(np.max(nearest)))
+        np.minimum(nearest, kernels.sqdist(x[None, :], grid)[0], out=nearest)
+        fills.append(float(np.sqrt(np.max(nearest))))
     return fills
 
 
@@ -223,20 +226,22 @@ def grid_slack(kernel, q, radius):
 
 
 def _plugin_means(state, transform):
-    """A `weighted_integrals` term: T(m + sum_{j < i} beta_j (L^{-1} K(X, .))_j),
-    T of the posterior mean of each prefix X[:i] of the state's design, as
-    one (n, slab) block per slab, every slab solved with one set of
-    `kernels.block_inverses`."""
+    """A `weighted_integrals` term that reads the slab's grid:
+    T(m + sum_{j < i} beta_j (L^{-1} K(X, .))_j), T of the posterior mean of
+    each prefix X[:i] of the state's design, as one (n, slab) block per
+    slab, its kernel block from the slab's per-axis gap tables and every
+    slab solved with one set of `kernels.block_inverses`."""
     inverses = kernels.block_inverses(state.chol)
 
-    def term(pts):
-        rows = kernels.solve_lower(state.chol, state.kernel.pairwise(state.X, pts),
+    def term(grid, pts):
+        rows = kernels.solve_lower(state.chol, state.kernel.pairwise(state.X, grid),
                                    inverses)
         rows *= state.beta[:, None]
         if len(rows):
             rows[0] += state.mean(pts)
         return transform.forward(_running_sum(rows))
 
+    term.reads_grid = True
     return term
 
 

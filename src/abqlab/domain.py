@@ -51,6 +51,39 @@ GUARD_POINTS = 10 ** 7
 GUARD_FLOATS = 2 ** 27
 
 
+class TensorGrid:
+    """The points (h, x) for each row h of `heads` and, within it, each point
+    x of the tensor grid of the 1-D `axes`, in lexicographic order, kept as
+    these factors; no heads (None) is the tensor grid of the axes alone.
+    `points()` expands it to a (len, dim) array, and `kernels.sqdist` reads
+    it as per-axis gap tables without expanding it. It is not an array, so a
+    slice of one cannot keep all of its factors."""
+
+    def __init__(self, axes, heads=None):
+        self.axes = axes
+        self.heads = heads
+
+    def __len__(self):
+        rows = 1 if self.heads is None else len(self.heads)
+        return rows * math.prod(len(a) for a in self.axes)
+
+    @property
+    def shape(self):
+        k = 0 if self.heads is None else self.heads.shape[1]
+        return len(self), k + len(self.axes)
+
+    def points(self):
+        """The (len, dim) points, each axis broadcast into place."""
+        heads = np.empty((1, 0)) if self.heads is None else self.heads
+        lens = [len(a) for a in self.axes]
+        k = heads.shape[1]
+        out = np.empty((len(heads), *lens, k + len(lens)))
+        out[..., :k] = heads.reshape(len(heads), *[1] * len(lens), k)
+        for j, a in enumerate(self.axes):
+            out[..., k + j] = a.reshape(-1, *[1] * (len(lens) - 1 - j))
+        return out.reshape(self.shape)
+
+
 def as_points(x, dim):
     """Coerce a point or an (n, d) batch of points to a 2-D float array."""
     arr = np.atleast_1d(np.asarray(x, dtype=float))
@@ -99,10 +132,14 @@ class Domain:
         hi = np.asarray(self.upper)
         return np.all((X >= lo - 1e-12) & (X <= hi + 1e-12), axis=1)
 
+    def uniform_tensor(self, points_per_dim):
+        """Endpoint tensor grid of m points per dim, as its `TensorGrid`."""
+        return TensorGrid([np.linspace(a, b, points_per_dim)
+                           for a, b in zip(self.lower, self.upper)])
+
     def uniform_grid(self, points_per_dim):
         """Endpoint tensor grid, flattened to (m^d, d) in lexicographic order."""
-        return _mesh([np.linspace(a, b, points_per_dim)
-                      for a, b in zip(self.lower, self.upper)])
+        return self.uniform_tensor(points_per_dim).points()
 
     def probe_grid(self):
         """Endpoint tensor grid for suprema and infima over the box.
@@ -380,21 +417,6 @@ def rkhs_norm(integrand):
     return float(np.sqrt(max(sq, 0.0)))
 
 
-def _mesh(axes, heads=None):
-    """Rows (h, x) for each row h of `heads` and, within it, each point x of
-    the tensor grid of the 1-D `axes`, in lexicographic order, broadcast
-    into place; with no heads, the tensor grid (prod of lengths, len(axes))."""
-    if heads is None:
-        heads = np.empty((1, 0))
-    lens = [len(a) for a in axes]
-    k = heads.shape[1]
-    out = np.empty((len(heads), *lens, k + len(axes)))
-    out[..., :k] = heads.reshape(len(heads), *[1] * len(lens), k)
-    for j, a in enumerate(axes):
-        out[..., k + j] = a.reshape(-1, *[1] * (len(lens) - 1 - j))
-    return out.reshape(len(heads) * math.prod(lens), k + len(axes))
-
-
 def _legendre(n, x):
     """P_n(x) and P_{n-1}(x), n >= 1, by the three-term recurrence."""
     prev, cur = np.ones_like(x), x
@@ -449,14 +471,15 @@ def check_rule_size(dim, resolution):
 
 def quadrature_blocks(dom, resolution, block):
     """The tensor Gauss-Legendre rule of `quadrature_nodes`, as consecutive
-    (nodes, weights) slabs of at most `block` nodes, bit-equal to the
-    rule's rows in the rule's order.
+    (nodes, weights) slabs of at most `block` nodes, each slab's nodes a
+    `TensorGrid` whose points are the rule's rows in the rule's order, bit
+    for bit.
 
     The trailing axes whose grid fits in a block stay whole, and a slab
     takes as many consecutive index tuples of the `lead` other axes as fit
-    (at least one), so every slab is a whole number of tail grids. A
-    node's weight multiplies its axes' factors in axis order,
-    ((w_0 * w_1) * w_2) * ..., the order of the dense rule.
+    (at least one), so every slab is its heads, those tuples' nodes, crossed
+    with the tail axes. A node's weight multiplies its axes' factors in axis
+    order, ((w_0 * w_1) * w_2) * ..., the order of the dense rule.
     """
     check_rule_size(dom.dim, resolution)
     x, w = _gauss_legendre(resolution)
@@ -467,19 +490,21 @@ def quadrature_blocks(dom, resolution, block):
         lead += 1
     heads = resolution ** lead
     per_slab = min(max(block // resolution ** (dom.dim - lead), 1), heads)
-    head_pts, head_factors = _mesh(axes[:lead]), _mesh(factors[:lead])
+    # one empty head row when lead = 0
+    head_pts, head_factors = (TensorGrid(axes[:lead]).points(),
+                              TensorGrid(factors[:lead]).points())
     for s in range(0, heads, per_slab):
-        cols = _mesh(factors[lead:], head_factors[s:s + per_slab])
+        cols = TensorGrid(factors[lead:], head_factors[s:s + per_slab]).points()
         weights = cols[:, 0].copy()
         for col in cols.T[1:]:
             weights *= col
-        yield _mesh(axes[lead:], head_pts[s:s + per_slab]), weights
+        yield TensorGrid(axes[lead:], head_pts[s:s + per_slab] if lead else None), weights
 
 
 def quadrature_nodes(dom, resolution):
     """Tensor Gauss-Legendre nodes and weights on the domain box."""
-    (rule,) = quadrature_blocks(dom, resolution, resolution ** dom.dim)
-    return rule
+    ((grid, weights),) = quadrature_blocks(dom, resolution, resolution ** dom.dim)
+    return grid.points(), weights
 
 
 def _tree_sum(parts):
@@ -492,9 +517,11 @@ def _tree_sum(parts):
 def weighted_integrals(dom, resolution, pi, *terms, functions):
     """The integrals against pi, by the tensor rule, of every function that
     each term gives on a slab of nodes, in order: one walk over the slabs
-    of `quadrature_blocks`, pi evaluated once per node. A term returns the
-    (slab,) values of one function on the slab, or a (rows, slab) block of
-    one function per row.
+    of `quadrature_blocks`, each slab's points expanded once, pi evaluated
+    once per node. A term is called with the slab's (slab, d) points, or,
+    when it has a true `reads_grid` attribute, with the slab's `TensorGrid`
+    and those points; it returns the (slab,) values of one function on the
+    slab, or a (rows, slab) block of one function per row.
 
     `functions`, the number of functions of all terms together, sizes the
     slabs: the largest power of two of nodes, but at least MIN_SLAB, whose
@@ -507,9 +534,12 @@ def weighted_integrals(dom, resolution, pi, *terms, functions):
     """
     block = max(MIN_SLAB, 1 << (max(BLOCK_POINTS // functions, 1).bit_length() - 1))
     parts = []
-    for pts, w in quadrature_blocks(dom, resolution, block):
+    for grid, w in quadrature_blocks(dom, resolution, block):
+        pts = grid.points()
         dens = np.asarray(pi(pts), dtype=float)
         parts.append(np.concatenate([
-            np.atleast_1d(np.sum(w * np.asarray(term(pts), dtype=float) * dens, axis=-1))
+            np.atleast_1d(np.sum(w * np.asarray(
+                term(grid, pts) if getattr(term, "reads_grid", False) else term(pts),
+                dtype=float) * dens, axis=-1))
             for term in terms]))
     return _tree_sum(parts).tolist()

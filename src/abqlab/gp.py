@@ -72,27 +72,43 @@ def dependence_floor(jitter_used, prior_var):
     return max(100.0 * jitter_used, kernels.start_jitter(prior_var))
 
 
+def _read_only(view):
+    view.flags.writeable = False
+    return view
+
+
 class GridPosterior:
     """Posterior moments on a point set P, conditioned one point at a time.
 
     `mean` is updated in place by each `add`; `var` is a new array, clamped
     at 0, and a variance below -1e-10 * max(1, |prior_var|) raises
-    NumericalDegradationError. The rows V sit in a buffer allocated once,
-    for the state's points and the `capacity` points the caller will add;
-    a buffer of more than GUARD_FLOATS floats raises BudgetExceededError.
+    NumericalDegradationError. The rows V, and the design's L, X, z and
+    beta, sit in buffers allocated once, for the state's points and the
+    `capacity` points the caller will add; each `add` writes one row of
+    each, so the states it returns are read-only prefix views, which later
+    adds leave as they are. A row buffer of more than GUARD_FLOATS floats
+    raises BudgetExceededError, and so does an L buffer, which is no larger
+    while the rows are at most |P|.
     """
 
     def __init__(self, state, P, capacity=0):
         self.P = np.atleast_2d(np.asarray(P, dtype=float))
         rows = state.n + capacity
-        if rows * len(self.P) > GUARD_FLOATS:
+        if rows * max(rows, len(self.P)) > GUARD_FLOATS:
             raise BudgetExceededError(f"a posterior of {rows} rows on {len(self.P)} "
                                       "points exceeds the 2^27-float (1 GiB) guard")
         self.state = state
         self.prior_var = state.kernel.sup_diag()  # k(x, x), the same at every x
         self._floor = -1e-10 * max(1.0, abs(self.prior_var))
         self._rows = np.empty((rows, len(self.P)))
-        V = self._rows[:state.n]
+        # zeros: L's upper triangle is never written
+        self._L = np.zeros((rows, rows))
+        self._X, self._z, self._beta = (np.empty((rows, self.P.shape[1])),
+                                        np.empty(rows), np.empty(rows))
+        n = state.n
+        self._L[:n, :n], self._X[:n], self._z[:n], self._beta[:n] = (
+            state.chol, state.X, state.z, state.beta)
+        V = self._rows[:n]
         V[...] = state.kernel.pairwise(state.X, self.P)
         kernels.solve_lower(state.chol, V)
         self._raw_var = self.prior_var - np.sum(V * V, axis=0)
@@ -123,20 +139,22 @@ class GridPosterior:
                                         "at or below the dependence threshold")
         # the first point fixes the jitter for the rest of the chain
         jitter = state.jitter_used if n else kernels.start_jitter(self.prior_var)
-        L = np.zeros((n + 1, n + 1))
-        L[:n, :n] = state.chol
-        L[n, :n] = self._rows[:n, index]
+        L = self._L
+        L[n, :n] = self._rows[:n, index]  # IndexError past the capacity
         L[n, n] = np.sqrt(self._raw_var[index] + jitter)
         z = float(z)
-        beta = (z - self.mean[index]) / L[n, n]
+        self._X[n], self._z[n] = self.P[index], z
+        self._beta[n] = (z - self.mean[index]) / L[n, n]
+        m = n + 1
         new = GpState(kernel=state.kernel, mean=state.mean,
-                      X=np.vstack([state.X, self.P[index]]), z=np.append(state.z, z),
-                      chol=L, jitter_used=jitter, beta=np.append(state.beta, beta))
+                      X=_read_only(self._X[:m]), z=_read_only(self._z[:m]),
+                      chol=_read_only(L[:m, :m]), jitter_used=jitter,
+                      beta=_read_only(self._beta[:m]))
         row = state.kernel.pairwise(new.X[n:], self.P)[0]
         row -= L[n, :n] @ self._rows[:n]
         row /= L[n, n]
         self._rows[n] = row
-        self.mean += beta * row
+        self.mean += self._beta[n] * row
         row *= row
         self._raw_var -= row
         self._clamp()

@@ -382,7 +382,7 @@ def test_quadrature_blocks_are_the_dense_rule(dom, resolution, block, sizes):
     blocks = list(quadrature_blocks(dom, resolution, block))
     assert [len(b) for b, _ in blocks] == sizes
     assert all(v.shape == (len(b),) for b, v in blocks)
-    assert np.array_equal(np.concatenate([b for b, _ in blocks]), pts)
+    assert np.array_equal(np.concatenate([b.points() for b, _ in blocks]), pts)
     assert np.array_equal(np.concatenate([v for _, v in blocks]), w)
 
 

@@ -1,11 +1,13 @@
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from abqlab import gp
-from abqlab.domain import ConstantMean, SyntheticIntegrand, rkhs_norm
+from abqlab import analysis, engine, gp
+from abqlab.domain import (ConstantMean, Domain, SyntheticIntegrand, UniformDensity,
+                           rkhs_norm)
 from abqlab.exceptions import LinearDependenceError, NumericalDegradationError
 from abqlab.kernels import Matern, SquaredExponential, Wendland
 from abqlab.transforms import Identity
@@ -286,3 +288,44 @@ def test_stacked_posterior_equals_separate_ones(a, b, dim):
     assert np.array_equal(flipped.state.chol, stacked.state.chol)
     # the mean is updated in place
     assert held is stacked.mean
+
+
+def test_earlier_states_read_the_same_after_later_adds():
+    # each state is a read-only prefix view of the posterior's buffers, and
+    # an add writes only the rows past every earlier state
+    rng = np.random.default_rng(4)
+    P = rng.uniform(size=(40, 2))
+    state = gp.empty_state(Matern(2.5, 0.3), ConstantMean(0.5), 2)
+    post = gp.GridPosterior(state, P, capacity=10)
+    fields = ("X", "z", "chol", "beta")
+    states = [state]
+    held = [{name: getattr(state, name).copy() for name in fields}]
+    for _ in p_greedy_chain(post, 10, len(P)):
+        states.append(post.state)
+        held.append({name: getattr(post.state, name).copy() for name in fields})
+    # past the capacity, add raises and keeps the last state
+    with pytest.raises(IndexError):
+        post.add(int(np.argmax(post.var)), 0.0)
+    assert post.state is states[-1]
+    for n, (state, copies) in enumerate(zip(states, held)):
+        assert state.n == n
+        for name in fields:
+            assert np.array_equal(getattr(state, name), copies[name]), (n, name)
+    with pytest.raises(ValueError, match="read-only"):
+        states[3].chol[0, 0] = 0.0
+
+
+def test_a_full_walk_copies_no_factor_per_step(posteriors):
+    # the n-width walk to full span on a 1024-point d=2 grid: the rows and
+    # the factor L take 8 MiB each, allocated once; copying L at every add
+    # held two (n, n) factors at once, 24 MiB in all at the end
+    dom = Domain((0.0, 0.0), (1.0, 1.0))
+    grid = engine.certificate_grid(dom, 1024)
+    tracemalloc.start()
+    try:
+        analysis.nwidth_surrogate(Matern(2.5, 0.3), UniformDensity(dom), grid, len(grid))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert posteriors[0].state.n == len(grid)
+    assert peak < 18 * 2 ** 20, peak

@@ -9,6 +9,7 @@ from scipy.spatial.distance import cdist
 from scipy.special import gamma as gamma_fn, kv
 
 from abqlab import config, kernels
+from abqlab.domain import Domain, quadrature_blocks
 from abqlab.exceptions import DomainError, NumericalDegradationError
 from abqlab.kernels import (
     InverseMultiquadric,
@@ -174,12 +175,14 @@ def test_chol_with_jitter_names_the_largest_jitter_it_tried(monkeypatch):
 
 @st.composite
 def point_pairs(draw):
-    """Two point sets in the same dimension d = 1..5, of 1 to 6 points each."""
+    """Two point sets in the same dimension d = 1..5, one of 1 to 6 points
+    and the other of 1 to 40, in either order: tall pairs take sqdist's
+    transposed branch."""
     d = draw(st.integers(1, 5))
     coords = st.floats(-10, 10, allow_nan=False)
     X = draw(arrays(float, (draw(st.integers(1, 6)), d), elements=coords))
-    Y = draw(arrays(float, (draw(st.integers(1, 6)), d), elements=coords))
-    return X, Y
+    Y = draw(arrays(float, (draw(st.integers(1, 40)), d), elements=coords))
+    return (Y, X) if draw(st.booleans()) else (X, Y)
 
 
 @given(point_pairs())
@@ -191,6 +194,50 @@ def test_sqdist_is_cdist_bit_for_bit(pair):
     assert D.flags.c_contiguous
     assert np.array_equal(D, cdist(X, Y, "sqeuclidean"))
     assert np.array_equal(np.sqrt(D), cdist(X, Y))
+
+
+# every family, each Matern nu, and Wendland where it is defined
+GRID_KERNELS = [SquaredExponential(0.6), InverseMultiquadric(0.5, 1.0),
+                *(Matern(nu, 0.4) for nu in (0.5, 1.5, 2.5, 3.5)),
+                *(Wendland(k, 0.8) for k in (0, 1, 2))]
+
+
+def slab_grids(dim):
+    """The slabs of the 3-node rule on a box in `dim` dims, for blocks that
+    give one slab with no heads (lead 0), slabs of one head, and slabs of
+    two heads whose last one is partial (3 heads, or 9 in two lead dims)."""
+    dom = Domain(tuple(-0.3 * k for k in range(dim)), tuple(0.5 + k for k in range(dim)))
+    blocks = [3 ** dim, 3 ** (dim - 1), 2 * 3 ** (dim - 1)]
+    blocks += [2 * 3 ** (dim - 2)] if dim > 1 else []
+    for block in blocks:
+        for grid, _ in quadrature_blocks(dom, 3, block):
+            yield block, grid
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def test_sqdist_and_pairwise_on_a_grid_equal_its_points(dim):
+    # the gap tables add the head sums, then each axis's squared gaps in
+    # axis order: the expanded points' additions, so the blocks are equal
+    # bit for bit, with the grid in either argument and for every design
+    # size, the empty one (a budget-0 run) included
+    rng = np.random.default_rng(dim)
+    seen = set()
+    for block, grid in slab_grids(dim):
+        pts = grid.points()
+        heads = 0 if grid.heads is None else len(grid.heads)
+        seen.add((heads, len(grid) < block))
+        for n in (0, 1, 7):
+            X = rng.uniform(-1.0, 4.0, size=(n, dim))
+            for a, b, pa, pb in ((X, grid, X, pts), (grid, X, pts, X)):
+                D = sqdist(a, b)
+                assert D.flags.c_contiguous and D.shape == (len(pa), len(pb))
+                assert np.array_equal(D, cdist(pa, pb, "sqeuclidean")), (block, n)
+                for kernel in GRID_KERNELS:
+                    if dim <= kernel.max_dim:
+                        assert np.array_equal(kernel.pairwise(a, b),
+                                              kernel.pairwise(pa, pb)), (kernel, n)
+    # a slab with no heads, slabs of one head, and a partial last slab
+    assert (0, False) in seen and (1, False) in seen and (1, True) in seen
 
 
 def test_sqdist_rejects_mismatched_dimensions():
