@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DomainError, WeakAdaptivityViolation
+from .transforms import EXP_LIMIT, checked_exp
 
 _B_FLOOR = 1e-300
 
@@ -116,7 +117,7 @@ class Mmlt(AdaptiveTermRule):
     """b_l(x) = exp(k_Xl(x,x) + 2 m_{g,Xl}(x))."""
 
     def evaluate(self, X, mean, var):
-        return np.exp(var + 2.0 * mean)
+        return checked_exp(var + 2.0 * mean, "mmlt")
 
 
 @dataclass(frozen=True)
@@ -141,7 +142,7 @@ class Vbmc(AdaptiveTermRule):
             raise WeakAdaptivityViolation(
                 "vbmc density is nonpositive somewhere on the evaluated points"
             )
-        return pvals ** self.delta2 * np.exp(self.delta3 * mean)
+        return pvals ** self.delta2 * checked_exp(self.delta3 * mean, "vbmc")
 
 
 @dataclass(frozen=True)
@@ -182,12 +183,13 @@ class ClcuResult:
     reason: str = ""
 
 
-def theoretical_clcu(rule, m_inf_low, m_inf_high, gnorm, k_inf, probe):
+def theoretical_clcu(rule, m_inf_low, m_inf_high, gnorm, k_inf):
     """[C_L, C_U] from the per-rule sufficient conditions.
 
     m_inf_low = inf |m|, m_inf_high = sup |m|, gnorm = native norm of the
-    expansion part, k_inf = sup k(x,x). VBMC additionally bounds its
-    density by its min and max on the (n, d) points `probe`.
+    expansion part, k_inf = sup k(x,x). VBMC also reads its density's inf
+    and sup, `bounds()`; an envelope whose C_U exponent passes EXP_LIMIT
+    is absent.
     """
     if any(v < 0 for v in (m_inf_low, m_inf_high, gnorm, k_inf)):
         raise ValueError("all norm arguments must be nonnegative")
@@ -205,19 +207,17 @@ def theoretical_clcu(rule, m_inf_low, m_inf_high, gnorm, k_inf, probe):
         if isinstance(rule, WsabiM):
             c_u = 0.5 * k_inf + c_u
         return ClcuResult(True, (m_inf_low - spread) ** 2, c_u)
-    if isinstance(rule, Mmlt):
-        return ClcuResult(
-            True,
-            float(np.exp(-2.0 * m_inf_high - 2.0 * spread)),
-            float(np.exp(k_inf + 2.0 * m_inf_high + 2.0 * spread)),
-        )
-    if isinstance(rule, Vbmc):
-        vals = rule.density(probe)
-        width = rule.delta3 * (m_inf_high + spread)
-        return ClcuResult(
-            True,
-            float(np.min(vals)) ** rule.delta2 * float(np.exp(-width)),
-            float(np.max(vals)) ** rule.delta2 * float(np.exp(width)),
-        )
+    if isinstance(rule, (Mmlt, Vbmc)):  # [low e^bottom, high e^top]
+        if isinstance(rule, Mmlt):
+            low, high, bottom = 1.0, 1.0, -2.0 * m_inf_high - 2.0 * spread
+            top = k_inf + 2.0 * m_inf_high + 2.0 * spread
+        else:
+            low, high, _ = rule.density.bounds()
+            top = rule.delta3 * (m_inf_high + spread)
+            low, high, bottom = low ** rule.delta2, high ** rule.delta2, -top
+        if top > EXP_LIMIT:
+            return ClcuResult(False, reason=f"C_U's exponent {top} passes the exp "
+                                            f"limit {EXP_LIMIT}")
+        return ClcuResult(True, low * float(np.exp(bottom)), high * float(np.exp(top)))
     return ClcuResult(False,
                       reason=f"no known envelope for rule {type(rule).__name__}")

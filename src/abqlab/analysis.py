@@ -220,7 +220,7 @@ def grid_slack(kernel, q, radius):
     `radius` of every point, for any X: q(x) sqrt(k_X(x)) = ||(I - Pi_X) q(x)
     k(., x)||, I - Pi_X contracts, and each kernel is isotropic, decreasing."""
     k0, k_r = kernel.pairwise(np.zeros((1, 1)), np.array([[0.0], [radius]]))[0]
-    q_sup, q_lip = q.bounds()
+    _, q_sup, q_lip = q.bounds()
     return float(q_sup * np.sqrt(2.0 * max(k0 - k_r, 0.0))
                  + q_lip * np.sqrt(k0) * radius)
 
@@ -273,7 +273,7 @@ class Certificates:
     `gamma_theoretical` on it (None when absent), the monitored `b_range`
     and whether a present envelope holds it, `inside` (both None for a run
     of no steps), the weak-greedy certificate `greedy` (None below 2
-    points) and the error `bound`. The parts share |m| on one probe grid,
+    points) and the error `bound`. The parts share the prior mean's range,
     the native norm, one `Projector` of the run's design X and one pass of
     it over the certificate grid; reading `clcu` alone factors nothing."""
 
@@ -281,20 +281,19 @@ class Certificates:
         self.record = record
 
     @cached_property
-    def _probe(self):
-        """(sup |m|, gnorm, clcu): |m| on one probe grid, which a VBMC rule
-        also reads, and the known native norm gnorm of the integrand."""
+    def _norms(self):
+        """(sup |m|, gnorm, clcu): |m| from the prior mean's exact range over
+        the box, and the known native norm gnorm of the integrand."""
         integrand = self.record.problem.integrand
-        probe = self.record.problem.domain.probe_grid()
-        m_abs = np.abs(integrand.prior_mean(probe))
-        m_sup, gnorm = float(np.max(m_abs)), rkhs_norm(integrand)
-        clcu = theoretical_clcu(self.record.spec.b, float(np.min(m_abs)), m_sup, gnorm,
-                                integrand.kernel.sup_diag(), probe)
+        lo, hi = integrand.prior_mean.range(self.record.problem.domain)
+        m_sup, gnorm = max(abs(lo), abs(hi)), rkhs_norm(integrand)
+        clcu = theoretical_clcu(self.record.spec.b, max(0.0, lo, -hi), m_sup, gnorm,
+                                integrand.kernel.sup_diag())
         return m_sup, gnorm, clcu
 
     @cached_property
     def clcu(self):
-        return self._probe[2]
+        return self._norms[2]
 
     @cached_property
     def gamma_theoretical(self):
@@ -372,10 +371,10 @@ class Certificates:
             dom, REFINEMENT * res, pi, integrand, _plugin_means(record.state, t),
             functions=1 + record.n)
         ref_err = abs(reference - coarse)
-        m_sup, gnorm, _ = self._probe
+        m_sup, gnorm, _ = self._norms
         c_t = t.lipschitz_constant(m_sup, gnorm, integrand.kernel.sup_diag())
         widen = grid_slack(integrand.kernel, q, record.cert_radius)
-        cap = float(q.bounds()[0] * np.sqrt(integrand.kernel.sup_diag()))
+        cap = float(q.bounds()[1] * np.sqrt(integrand.kernel.sup_diag()))
         report = BoundReport(reference=reference, reference_self_error=ref_err,
                              constant_transform=float(c_t), constant_pi_over_q=c_piq,
                              gnorm=gnorm, grid_slack=widen, cap=cap)

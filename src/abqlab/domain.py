@@ -21,8 +21,8 @@ from .exceptions import BudgetExceededError
 _TINY_DENSITY = 1e-300
 _LOG_SQRT_2PI = np.log(np.sqrt(2 * np.pi))
 
-# probe grids (suprema and infima of means and densities)
-# hold at most PROBE_PER_DIM points per axis and PROBE_POINTS in total
+# the probe grid (the latent floor of a square warp's default alpha)
+# holds at most PROBE_PER_DIM points per axis and PROBE_POINTS in total
 PROBE_PER_DIM = 512
 PROBE_POINTS = 2 ** 16
 
@@ -142,11 +142,12 @@ class Domain:
         return self.uniform_tensor(points_per_dim).points()
 
     def probe_grid(self):
-        """Endpoint tensor grid for suprema and infima over the box.
+        """Endpoint tensor grid on which a square warp with no alpha takes
+        the minimum of the latent function (`config.build_transform`).
 
         It has `grid_per_dim(d, PROBE_POINTS, PROBE_PER_DIM)` points per dim
-        (512 in d=1, 256^2, 40^3, 16^4, 9^5), and it contains every box
-        corner, so sup |m| is exact for affine m.
+        (512 in d=1, 256^2, 40^3, 16^4, 9^5). The extremes of means and
+        densities are closed forms (`MeanFunction.range`, `Density.bounds`).
         """
         return self.uniform_grid(grid_per_dim(self.dim, PROBE_POINTS, PROBE_PER_DIM))
 
@@ -164,7 +165,8 @@ def grid_per_dim(dim, total, cap):
 
 class Density:
     """A continuous, nonnegative density on a box domain; `bounds()` gives
-    upper bounds on its supremum and Euclidean Lipschitz constant there."""
+    (inf, sup, Lipschitz) over the box: its exact infimum and supremum and
+    an upper bound on its Euclidean Lipschitz constant."""
 
     domain: Domain
     strictly_positive: bool = False
@@ -185,7 +187,7 @@ class UniformDensity(Density):
         return np.full(X.shape[0], self._value)
 
     def bounds(self):
-        return self._value, 0.0
+        return self._value, self._value, 0.0
 
 
 _SQRT1_2 = math.sqrt(0.5)
@@ -295,13 +297,19 @@ class TruncatedGaussianDensity(Density):
         return out
 
     def bounds(self):
-        """|grad p| <= prod_j sup p_j * ||(sup |p_i'| / sup p_i)_i||, where
-        |p_i'| = |z| p_i / scale_i and |z| phi(z) peaks at z = +-1."""
+        """Each factor p_i decreases in |z|: the infimum is p at the corner
+        of the endpoints with the larger |z|, the supremum p at the centre
+        clipped to the box. |grad p| <= prod_j sup p_j * ||(sup |p_i'| /
+        sup p_i)_i||, where |p_i'| = |z| p_i / scale_i and |z| phi(z) peaks
+        at z = +-1."""
+        far = np.where(np.abs(self._a) > np.abs(self._b), self.domain.lower,
+                       self.domain.upper)
+        floor = self(far)[0]
         peak = self(np.clip(self.center, self.domain.lower, self.domain.upper))[0]
         zp = np.clip(0.0, self._a, self._b)
         z = np.abs(np.clip([[1.0], [-1.0]], self._a, self._b))
         slopes = np.max(z * np.exp((zp ** 2 - z ** 2) / 2.0), axis=0) / self.scale
-        return float(peak), float(peak * np.linalg.norm(slopes))
+        return float(floor), float(peak), float(peak * np.linalg.norm(slopes))
 
 
 class TabulatedDensity(Density):
@@ -340,16 +348,22 @@ class TabulatedDensity(Density):
         return np.where(vals < _TINY_DENSITY, 0.0, vals)
 
     def bounds(self):
-        # a multilinear slope along axis i averages its cells' dv / dx_i
-        return float(np.max(self.values)), float(np.linalg.norm(
-            [np.max(np.abs(np.diff(self.values, axis=i))) / np.min(np.diff(x))
-             for i, x in enumerate(self.axes)]))
+        # a multilinear interpolant takes its extremes at nodes, and its
+        # slope along axis i averages its cells' dv / dx_i
+        low, high = float(np.min(self.values)), float(np.max(self.values))
+        lip = np.linalg.norm([np.max(np.abs(np.diff(self.values, axis=i)))
+                              / np.min(np.diff(x)) for i, x in enumerate(self.axes)])
+        return low if low >= _TINY_DENSITY else 0.0, high, float(lip)
 
 
 class MeanFunction:
     """Bounded prior mean function on the domain."""
 
     def __call__(self, X):
+        raise NotImplementedError
+
+    def range(self, dom):
+        """(min m, max m) over the box `dom`, exactly."""
         raise NotImplementedError
 
 
@@ -361,6 +375,9 @@ class ConstantMean(MeanFunction):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         return np.full(X.shape[0], float(self.value))
 
+    def range(self, dom):
+        return float(self.value), float(self.value)
+
 
 @dataclass(frozen=True)
 class AffineMean(MeanFunction):
@@ -370,6 +387,11 @@ class AffineMean(MeanFunction):
     def __call__(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         return X @ np.atleast_1d(np.asarray(self.slope, dtype=float)) + self.offset
+
+    def range(self, dom):
+        """An affine function takes its extremes at the box's 2^d corners."""
+        corners = self(dom.uniform_grid(2))
+        return float(np.min(corners)), float(np.max(corners))
 
 
 @dataclass(frozen=True)

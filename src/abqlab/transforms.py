@@ -14,7 +14,9 @@ import numpy as np
 
 from .exceptions import DomainError, SaturationError
 
-_EXP_LIMIT = 700.0
+# the largest exponent a warp, an adaptive term or an envelope exponentiates:
+# exp(700) is about 1e304, so a product with a modest factor stays finite
+EXP_LIMIT = 700.0
 
 
 class Transform:
@@ -31,6 +33,15 @@ class Transform:
     def lipschitz_constant(self, m_inf, gnorm, k_inf):
         """sup |T'| over the latent range |y| <= m_inf + 2 gnorm sqrt(k_inf)."""
         raise NotImplementedError
+
+
+def checked_exp(arg, what):
+    """np.exp(arg), or SaturationError naming `what` once an exponent
+    passes EXP_LIMIT."""
+    arg = np.asarray(arg, dtype=float)
+    if np.any(arg > EXP_LIMIT):
+        raise SaturationError(f"{what}: exp overflow for exponent {float(np.max(arg))}")
+    return np.exp(arg)
 
 
 def _check_var(var):
@@ -97,10 +108,7 @@ class Square(Transform):
 @dataclass(frozen=True)
 class Exponential(Transform):
     def forward(self, y):
-        y = np.asarray(y, dtype=float)
-        if np.any(y > _EXP_LIMIT):
-            raise SaturationError(f"exp overflow for latent value {float(np.max(y))}")
-        return np.exp(y)
+        return checked_exp(y, "exponential warp")
 
     def inverse(self, f_val):
         f_val = np.asarray(f_val, dtype=float)
@@ -112,13 +120,9 @@ class Exponential(Transform):
 
     def posterior_expectation(self, mean, var):
         var = _check_var(var)
-        arg = np.asarray(mean, dtype=float) + 0.5 * var
-        if np.any(arg > _EXP_LIMIT):
-            raise SaturationError("exp overflow in log-normal moment")
-        return np.exp(arg)
+        return checked_exp(np.asarray(mean, dtype=float) + 0.5 * var,
+                           "log-normal moment")
 
     def lipschitz_constant(self, m_inf, gnorm, k_inf):
-        R = m_inf + 2.0 * gnorm * np.sqrt(k_inf)
-        if R > _EXP_LIMIT:
-            raise SaturationError("Lipschitz constant overflows double precision")
-        return float(np.exp(R))
+        return float(checked_exp(m_inf + 2.0 * gnorm * np.sqrt(k_inf),
+                                 "Lipschitz constant"))

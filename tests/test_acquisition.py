@@ -22,12 +22,11 @@ from abqlab.domain import (
     TruncatedGaussianDensity,
     UniformDensity,
 )
-from abqlab.exceptions import DomainError, WeakAdaptivityViolation
+from abqlab.exceptions import DomainError, SaturationError, WeakAdaptivityViolation
 from abqlab.kernels import Matern
 
 DOM = Domain((0.0,), (1.0,))
 Q = UniformDensity(DOM)
-PROBE = np.array([[0.1], [0.9]])
 
 
 def make_state(mean_value=0.0, n=4, seed=0):
@@ -125,41 +124,67 @@ def test_spec_validation():
 
 
 def test_clcu_constant_rule():
-    res = theoretical_clcu(ConstantRule(3.0), 0, 0, 1.0, 1.0, PROBE)
+    res = theoretical_clcu(ConstantRule(3.0), 0, 0, 1.0, 1.0)
     assert res.present and res.c_l == res.c_u == 3.0
 
 
 def test_clcu_wsabi_shifted_mean():
     # inf|m|=5, spread = 2 * 0.5 * 1 = 1
-    res = theoretical_clcu(WsabiL(), 5.0, 5.0, 0.5, 1.0, PROBE)
+    res = theoretical_clcu(WsabiL(), 5.0, 5.0, 0.5, 1.0)
     assert res.present
     assert res.c_l == pytest.approx(16.0)
     assert res.c_u == pytest.approx(36.0)
-    res_m = theoretical_clcu(WsabiM(), 5.0, 5.0, 0.5, 1.0, PROBE)
+    res_m = theoretical_clcu(WsabiM(), 5.0, 5.0, 0.5, 1.0)
     assert res_m.c_l == pytest.approx(16.0)
     assert res_m.c_u == pytest.approx(36.5)  # + sup k / 2
 
 
 def test_clcu_wsabi_absent_for_zero_mean():
-    res = theoretical_clcu(WsabiL(), 0.0, 0.0, 0.5, 1.0, PROBE)
+    res = theoretical_clcu(WsabiL(), 0.0, 0.0, 0.5, 1.0)
     assert not res.present
     assert "inf|m|" in res.reason
 
 
 def test_clcu_mmlt():
-    res = theoretical_clcu(Mmlt(), 0.0, 1.0, 0.5, 1.0, PROBE)
+    res = theoretical_clcu(Mmlt(), 0.0, 1.0, 0.5, 1.0)
     assert res.present
     assert res.c_l == pytest.approx(np.exp(-4.0))
     assert res.c_u == pytest.approx(np.exp(5.0))
 
 
 def test_clcu_vbmc_needs_density_bounds():
-    # the density's min and max on the probe points bound it: 0.5 and 2.0
-    rule = Vbmc(lambda X: np.where(X[:, 0] < 0.5, 0.5, 2.0), delta2=1.0, delta3=1.0)
-    res = theoretical_clcu(rule, 0.0, 1.0, 0.5, 1.0, PROBE)
+    # the density's inf and sup, its nodes' min and max: 0.5 and 2.0
+    rule = Vbmc(TabulatedDensity(DOM, [0.5, 1.0, 2.0]), delta2=1.0, delta3=1.0)
+    res = theoretical_clcu(rule, 0.0, 1.0, 0.5, 1.0)
     assert res.present
     assert res.c_l == pytest.approx(0.5 * np.exp(-2.0))
     assert res.c_u == pytest.approx(2.0 * np.exp(2.0))
+
+
+# C_U's exponent: MMLT's sup k + 2 sup|m| + 2 spread = 2 sup|m| + 3, VBMC's
+# delta3 (sup|m| + spread) = 2 sup|m| + 2 at delta3 = 2; sup|m| = 350 puts
+# both past the exp limit 700, and 348 below it
+EXP_RULES = [Mmlt(), Vbmc(UniformDensity(DOM), delta3=2.0)]
+
+
+@pytest.mark.parametrize("rule", EXP_RULES)
+def test_clcu_absent_when_c_u_overflows(rule):
+    res = theoretical_clcu(rule, 0.0, 350.0, 0.5, 1.0)
+    assert not res.present
+    assert res.reason.startswith("C_U's exponent 70")
+    assert res.reason.endswith("passes the exp limit 700.0")
+    assert theoretical_clcu(rule, 0.0, 348.0, 0.5, 1.0).present
+
+
+@pytest.mark.parametrize("rule", EXP_RULES)
+def test_rules_raise_on_an_exponent_past_the_exp_limit(rule):
+    # exponents var + 2 m (MMLT) and 2 m (VBMC): 349 gives at most 698.5, 351
+    # at least 702
+    X = DOM.uniform_grid(3)
+    var = np.array([0.0, 0.5, 1.0])
+    assert np.all(np.isfinite(rule.evaluate(X, np.array([0.0, 349.0, 0.0]), var)))
+    with pytest.raises(SaturationError, match="exp overflow for exponent 70"):
+        rule.evaluate(X, np.array([0.0, 351.0, 351.0]), var)
 
 
 def test_clcu_absent_for_a_user_defined_rule():
@@ -167,7 +192,7 @@ def test_clcu_absent_for_a_user_defined_rule():
         def evaluate(self, X, mean, var):
             return 0.5 * var
 
-    res = theoretical_clcu(HalfVariance(), 1.0, 2.0, 0.5, 1.0, PROBE)
+    res = theoretical_clcu(HalfVariance(), 1.0, 2.0, 0.5, 1.0)
     assert not res.present
     assert res.reason == "no known envelope for rule HalfVariance"
 

@@ -1,5 +1,7 @@
+import importlib.util
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -374,7 +376,7 @@ def test_error_bound_rows_match_a_dense_replay():
     assert report.grid_slack == pytest.approx(np.sqrt(2 * (1 - k_h)), rel=1e-14)
     # the posterior variance is at most k(x, x), so sup q sqrt(sup k) caps
     # the grid supremum plus its slack
-    cap = spec.q.bounds()[0] * np.sqrt(state.kernel.sup_diag())
+    cap = spec.q.bounds()[1] * np.sqrt(state.kernel.sup_diag())
     assert report.cap == cap
     t = problem.integrand.transform
     const = report.constant_transform * report.constant_pi_over_q * report.gnorm
@@ -600,9 +602,10 @@ def test_chunked_sups_equal_the_dense_maxima(run_d2, monkeypatch):
 def test_build_report_factors_each_design_once(run_d2, monkeypatch):
     # one Certificates of the run does each job once: one Projector of the
     # run's design, one pass of it over the certificate grid for the
-    # certificate and the error bound, one probe grid and one native norm
-    # for the envelope and the bound's C_T; the n-width surrogate reads the
-    # posterior of its P-greedy walk and factors nothing
+    # certificate and the error bound, and one native norm for the envelope
+    # and the bound's C_T, whose |m| extremes are closed forms read on no
+    # probe grid; the n-width surrogate reads the posterior of its P-greedy
+    # walk and factors nothing
     rec = run_d2
     projectors, factored, passes, calls = [], [], [], Counter()
     init, chol = analysis.Projector.__init__, kernels.chol_with_jitter
@@ -638,7 +641,7 @@ def test_build_report_factors_each_design_once(run_d2, monkeypatch):
     assert len(projectors) == 1 and factored == [rec.n]
     assert np.array_equal(projectors[0].X, rec.state.X)
     assert [(p is projectors[0], x is rec.cert_grid) for p, x in passes] == [(True, True)]
-    assert calls == {"probe_grid": 1, "rkhs_norm": 1}
+    assert (calls["probe_grid"], calls["rkhs_norm"]) == (0, 1)
 
 
 def test_reading_the_envelope_factors_no_design(run_d2, monkeypatch):
@@ -680,6 +683,26 @@ def test_report_passes_on_the_run_d2_config_stay_under_5_mib(run_d2):
         finally:
             tracemalloc.stop()
     assert all(peak < 5 * 2 ** 20 for peak in peaks.values()), peaks
+
+
+def test_build_report_on_the_run_d3_config_traces_under_1_5_mib():
+    # perfbench's run-d3 config: the envelope reads the extremes of |m| as
+    # closed forms, so no 40^3-point probe grid is expanded (2.44 MiB traced
+    # when it was); the error bound's and the fill distance's passes, about
+    # 1.1 MiB each, set the peak
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    raw = bench.run_config(3, 4, 0)
+    rec = runner.execute(raw)
+    tracemalloc.start()
+    try:
+        runner.build_report(raw, rec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2 ** 20, peak
 
 
 @pytest.mark.parametrize("delta, violated", [(0.0, False), (0.5, True)])

@@ -1091,28 +1091,111 @@ def test_cli_rates_reads_a_v1_trace(tmp_path, capsys):
     assert out[0] == out[1]
 
 
-def test_report_vbmc_envelope_from_the_density_on_the_probe_grid(tmp_path):
+def truncnorm_pdf(x, center, scale):
+    """scipy's truncated-Gaussian density on [0, 1]^d at the point x."""
+    from scipy.stats import truncnorm
+
+    lo, hi = -np.asarray(center) / scale, (1 - np.asarray(center)) / scale
+    return float(np.prod(truncnorm.pdf(x, lo, hi, loc=center, scale=scale)))
+
+
+# each density with its (inf, sup), which no point of the 256^2 probe grid
+# (multiples of 1/255) reaches: the Gaussian's peak at (0.3, 0.6), and the
+# tabulated nodes (1/7, 1/2) and (5/7, 1/2), the interpolant's extremes
+TABULATED = np.ones((8, 3))
+TABULATED[1, 1], TABULATED[5, 1] = 3.0, 0.25
+VBMC_DENSITIES = {
+    "truncated-gaussian": (
+        {"kind": "truncated-gaussian", "center": [0.3, 0.6], "scale": [0.2, 0.3]},
+        # each factor is least at its endpoint farther from the centre
+        lambda: (truncnorm_pdf([1.0, 0.0], [0.3, 0.6], [0.2, 0.3]),
+                 truncnorm_pdf([0.3, 0.6], [0.3, 0.6], [0.2, 0.3]))),
+    "tabulated": ({"kind": "tabulated", "values": TABULATED.tolist()},
+                  lambda: (0.25, 3.0)),
+}
+
+
+@pytest.mark.parametrize("name", list(VBMC_DENSITIES))
+def test_report_vbmc_envelope_from_the_density_extremes(tmp_path, name):
+    density, extremes = VBMC_DENSITIES[name]
+    inf, sup = extremes()
     raw = box_config(2, budget=4)
-    density = {"kind": "truncated-gaussian", "center": [0.3, 0.6], "scale": [0.2, 0.3]}
     raw["acquisition"]["b"] = {"kind": "vbmc", "density": density, "delta2": 1.5,
                                "delta3": 0.5}
     cfg = write_config(tmp_path, raw)
     assert cli.main(["run", cfg, "--out", str(tmp_path / "r")]) == 0
     report = json.loads((tmp_path / "r" / "report.json").read_text())
-    # [C_L, C_U] = [min pi^d2 e^-w, max pi^d2 e^w], w = d3 (sup|m| + 2||g|| sqrt(sup k))
+    # [C_L, C_U] = [inf pi^d2 e^-w, sup pi^d2 e^w], w = d3 (sup|m| + 2||g|| sqrt(sup k))
     problem, _ = build_problem(raw)
-    pvals = config.build_density(density, problem.domain)(problem.domain.probe_grid())
+    probe = config.build_density(density, problem.domain)(problem.domain.probe_grid())
+    assert inf < np.min(probe) or np.max(probe) < sup
     width = 0.5 * (5.0 + 2.0 * rkhs_norm(problem.integrand) * 1.0)
     clcu = report["clcu"]
     assert clcu["present"]
-    assert clcu["c_l"] == pytest.approx(np.min(pvals) ** 1.5 * np.exp(-width), rel=1e-12)
-    assert clcu["c_u"] == pytest.approx(np.max(pvals) ** 1.5 * np.exp(width), rel=1e-12)
+    assert clcu["c_l"] == pytest.approx(inf ** 1.5 * np.exp(-width), rel=1e-12)
+    assert clcu["c_u"] == pytest.approx(sup ** 1.5 * np.exp(width), rel=1e-12)
     weak = report["weak_adaptivity"]
     assert set(weak) == {"b_min", "b_max", "within_envelope"}
     assert weak["within_envelope"]
     # Power(1.0) and gamma_tilde 1: gamma = sqrt(psi(C_L / C_U)), psi(c) = c
     gamma = report["certificate"]["gamma_theoretical"]
     assert gamma == np.sqrt(clcu["c_l"] / clcu["c_u"])
+
+
+def matern_d1_config(mean, transform, b, centers, weights):
+    """A d=1 run on [0, 1]: Matern 2.5/0.3, uniform pi and q, budget 10 on
+    the 512-point certificate grid."""
+    return {**MINIMAL, "kernel": {"family": "matern", "nu": 2.5, "ell": 0.3},
+            "mean": mean, "transform": transform,
+            "integrand": {"kind": "synthetic", "centers": centers, "weights": weights},
+            "acquisition": {**MINIMAL["acquisition"], "b": b}}
+
+
+def test_a_sign_changing_affine_mean_has_no_wsabi_envelope(tmp_path):
+    # m = 1000 x - 500.5 crosses 0 at x = 0.5005, between the probe grid's
+    # points, where |m| is at least 0.478: inf |m| over the box is 0, so the
+    # WSABI hypothesis inf|m| > 2||g|| sqrt(sup k) fails
+    raw = matern_d1_config({"kind": "affine", "slope": [1000.0], "offset": -500.5},
+                           {"kind": "square", "alpha": 2.0}, {"kind": "wsabi_l"},
+                           [[0.3]], [0.05])
+    cfg = write_config(tmp_path, raw)
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "r")]) == 0
+    report = json.loads((tmp_path / "r" / "report.json").read_text())
+    assert report["clcu"] == {"present": False,
+                              "reason": "hypothesis inf|m| > 2||g||sqrt(sup k) fails "
+                                        "(0.0 <= 0.1)"}
+    assert report["certificate"]["gamma_theoretical"] is None
+
+
+# MMLT's b = exp(var + 2 m) passes the exp limit 700 at its first step, under
+# the prior variance 1: at m = 400 (exponent 801) and at m = 352 (705)
+@pytest.mark.parametrize("mean, transform", [(400.0, "exponential"),
+                                             (352.0, "identity")])
+def test_an_mmlt_exponent_past_the_exp_limit_exits_3(tmp_path, capsys, mean, transform):
+    raw = matern_d1_config({"kind": "constant", "value": mean}, {"kind": transform},
+                           {"kind": "mmlt"}, [[0.3], [0.7]], [2.0, -1.5])
+    cfg = write_config(tmp_path, raw)
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "r")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("abort (SaturationError): mmlt: exp overflow for exponent ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "r").exists()
+
+
+def test_an_envelope_whose_c_u_overflows_is_absent(tmp_path, capsys):
+    # sup |m| = 352: C_U = exp(sup k + 2 sup|m| + 2 spread), an exponent of
+    # about 713; m = -352 keeps the run's own b = exp(var + 2 m) near 0
+    raw = matern_d1_config({"kind": "constant", "value": -352.0}, {"kind": "identity"},
+                           {"kind": "mmlt"}, [[0.3], [0.7]], [2.0, -1.5])
+    cfg = write_config(tmp_path, raw)
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "r")]) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads((tmp_path / "r" / "report.json").read_text())
+    clcu = report["clcu"]
+    assert not clcu["present"] and "c_u" not in clcu
+    assert clcu["reason"].startswith("C_U's exponent 71")
+    assert clcu["reason"].endswith("passes the exp limit 700.0")
+    assert report["certificate"]["gamma_theoretical"] is None
 
 
 def test_report_of_a_vbmc_envelope_with_c_l_zero(tmp_path):

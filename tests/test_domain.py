@@ -7,6 +7,7 @@ from abqlab.domain import (
     AffineMean,
     ConstantMean,
     Domain,
+    MeanFunction,
     SyntheticIntegrand,
     TabulatedDensity,
     TruncatedGaussianDensity,
@@ -260,23 +261,50 @@ def test_density_bounds_hold_on_random_points_and_pairs(dens):
     # close pairs probe the slope, far ones the range
     Y = np.clip(X + rng.normal(scale=rng.choice([1e-3, 0.3], size=(len(X), 1)),
                                size=X.shape), dom.lower, dom.upper)
-    sup, lip = dens.bounds()
+    inf, sup, lip = dens.bounds()
     qx, qy = dens(X), dens(Y)
-    assert np.all(qx <= sup * (1 + 1e-12))
+    assert np.all((inf * (1 - 1e-12) <= qx) & (qx <= sup * (1 + 1e-12)))
     gap = np.linalg.norm(X - Y, axis=1)
     assert np.all(np.abs(qx - qy) <= lip * gap + 1e-12 * sup)
     if isinstance(dens, TruncatedGaussianDensity):
-        # the supremum is the density at the centre clipped to the box
+        # the supremum is the density at the centre clipped to the box, the
+        # infimum at the corner farthest from it in standard units
         peak = np.clip(dens.center, dom.lower, dom.upper)[None, :]
         assert dens(peak)[0] == pytest.approx(sup, rel=1e-12)
+        corners = dom.uniform_grid(2)
+        assert inf == pytest.approx(np.min(dens(corners)), rel=1e-12)
+    if isinstance(dens, TabulatedDensity):
+        # a multilinear interpolant takes its extremes at the nodes
+        assert (inf, sup) == (np.min(dens.values), np.max(dens.values))
     if isinstance(dens, UniformDensity):
-        assert (sup, lip) == (1.0 / dom.volume, 0.0)
+        assert (inf, sup, lip) == (1.0 / dom.volume, 1.0 / dom.volume, 0.0)
+
+
+def test_tabulated_density_infimum_is_clamped_like_its_values():
+    # a node below 1e-300 reads 0 in __call__, and so does the infimum
+    dom = Domain((0.0,), (1.0,))
+    tiny = TabulatedDensity(dom, [1e-310, 1.0, 2.0])
+    assert tiny(np.array([[0.0]]))[0] == 0.0
+    assert tiny.bounds()[:2] == (0.0, 2.0)
 
 
 def test_mean_functions():
     assert ConstantMean(2.5)(np.zeros((3, 2)))[0] == 2.5
     m = AffineMean((1.0, -2.0), offset=0.5)
     assert m(np.array([[1.0, 1.0]]))[0] == pytest.approx(-0.5)
+
+
+def test_mean_ranges_are_exact_over_the_box():
+    dom = Domain((0.0, -1.0), (1.0, 2.0))
+    assert ConstantMean(-2.5).range(dom) == (-2.5, -2.5)
+    assert type(ConstantMean(3).range(dom)[0]) is float
+    # the extremes sit at the corners (0, 2) and (1, -1)
+    assert AffineMean((1.0, -2.0), offset=0.5).range(dom) == (-3.5, 3.5)
+    # a mean that crosses zero between grid points: its range is the corners'
+    crossing = AffineMean((1000.0,), offset=-500.5)
+    assert crossing.range(Domain((0.0,), (1.0,))) == (-500.5, 499.5)
+    with pytest.raises(NotImplementedError):
+        MeanFunction().range(dom)
 
 
 def test_synthetic_integrand_consistency():
