@@ -49,7 +49,7 @@ from .engine import (
     RunRecord,
     select_next,
     run_abq,
-    estimates,
+    estimate_series,
     certificate_grid,
 )
 from .analysis import (

@@ -61,7 +61,7 @@ class Projector:
         V *= self.qX[:, None] * qx[None, :]
         kernels.solve_lower(self.L, V, self.inverses)
         curve = np.zeros((self.rows, len(x)))
-        _running_sum(np.multiply(V, V, out=curve[1:]))
+        gp.running_sum(np.multiply(V, V, out=curve[1:]))
         np.subtract(qx ** 2 * self.kernel.sup_diag(), curve, out=curve)
         return np.maximum(curve, 0.0, out=curve)
 
@@ -82,14 +82,6 @@ class Projector:
         for _, chunk in self.chunks(x):
             np.maximum(sup, np.max(chunk, axis=1), out=sup)
         return sup
-
-
-def _running_sum(rows):
-    """rows[i] = sum_{j <= i} rows[j] in place, row by row, since a cumsum
-    down the columns of a C-ordered block strides across memory."""
-    for i in range(1, len(rows)):
-        rows[i] += rows[i - 1]
-    return rows
 
 
 @dataclass
@@ -205,12 +197,14 @@ def fit_rate(e_values, model, n_values=None, n_min=5, floor=0.0):
         )
     x = model.regressor(ns)
     y = np.log(e)
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    ss_res = float(np.sum(resid ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    # the centred least-squares line; np.polyfit's lstsq costs ~1 MB of RSS
+    dx, dy = x - x.mean(), y - y.mean()
+    slope = float(dx @ dy / (dx @ dx))
+    intercept = float(y.mean() - slope * x.mean())
+    ss_res = float(np.sum((y - (slope * x + intercept)) ** 2))
+    ss_tot = float(np.sum(dy ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return RateFit(model=model.model, slope=float(slope), intercept=float(intercept),
+    return RateFit(model=model.model, slope=slope, intercept=intercept,
                    r_squared=r2, n_range=(int(ns[0]), int(ns[-1])))
 
 
@@ -226,20 +220,17 @@ def grid_slack(kernel, q, radius):
 
 
 def _plugin_means(state, transform):
-    """A `weighted_integrals` term that reads the slab's grid:
-    T(m + sum_{j < i} beta_j (L^{-1} K(X, .))_j), T of the posterior mean of
-    each prefix X[:i] of the state's design, as one (n, slab) block per
-    slab, its kernel block from the slab's per-axis gap tables and every
-    slab solved with one set of `kernels.block_inverses`."""
+    """A `weighted_integrals` term that reads the slab's grid: T of
+    `gp.prefix_means`, the posterior mean of each prefix X[:i] of the
+    state's design, as one (n, slab) block per slab, its kernel block from
+    the slab's per-axis gap tables and every slab solved with one set of
+    `kernels.block_inverses`."""
     inverses = kernels.block_inverses(state.chol)
 
     def term(grid, pts):
         rows = kernels.solve_lower(state.chol, state.kernel.pairwise(state.X, grid),
                                    inverses)
-        rows *= state.beta[:, None]
-        if len(rows):
-            rows[0] += state.mean(pts)
-        return transform.forward(_running_sum(rows))
+        return transform.forward(gp.prefix_means(state, rows, pts))
 
     term.reads_grid = True
     return term

@@ -1,14 +1,12 @@
-"""The sequential quadrature loop: select, evaluate, condition, estimate.
+"""The sequential quadrature loop: select, evaluate, condition; then estimate.
 
-`run_abq` is the one place that computes posterior moments, from one
-`gp.GridPosterior` on the certificate grid stacked over the estimators'
-quadrature nodes, its rows preallocated to min(budget, |grid|). Each step
-conditions it on the chosen grid point with one `add`, a Newton-basis
-row in O(|P| n) instead of a dense O(|P| n^2) solve; selection reads the
-first |grid| moments and the estimators the rest.
+`run_abq` conditions one `gp.GridPosterior` on the certificate grid alone,
+so its float guard counts the min(budget, |grid|) grid rows only, with one
+`add` per step: a Newton-basis row in O(|grid| n), not an O(|grid| n^2) solve.
 The grid moments after step l give sup q sqrt(k) for step l and the b
-range and acquisition for step l+1; acquisition rules and estimators
-take moments as inputs.
+range and acquisition for step l+1; acquisition rules take moments as
+inputs. The estimates feed no selection, so once the grid posterior is
+dropped, `estimate_series` reads every prefix's from one oracle walk.
 
 Selection maximizes the acquisition over the certificate grid, the point
 set every recorded supremum is taken on, so the selection is greedy on
@@ -26,9 +24,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import gp
+from . import gp, kernels
+# unused here: perfbench/selftest.py requires the engine.quadrature_nodes binding
 from .domain import (GUARD_POINTS, REFINEMENT, check_rule_size, grid_per_dim,
-                     quadrature_nodes)
+                     quadrature_nodes, weighted_integrals)
 from .exceptions import BudgetExceededError, DomainError, NonFiniteIntegrandError
 
 DEFAULT_CERT_POINTS_PER_DIM = 2048
@@ -177,13 +176,29 @@ def select_next(a, spanned):
     return best if a[best] > 0.0 else None
 
 
-def estimates(transform, w, dens, mean, var):
-    """(plugin, expectation): the integrals against pi of the transformed
-    posterior mean and of the pointwise posterior expectation of T, from
-    quadrature weights w, the density dens of pi at the nodes and the
-    posterior moments (mean, var) there."""
-    return (float(np.sum(w * transform.forward(mean) * dens)),
-            float(np.sum(w * transform.posterior_expectation(mean, var) * dens)))
+def estimate_series(state, transform, pi, dom, resolution):
+    """(plugin, expectation), two lists of n floats: the integrals against pi
+    of T(m_i) and E[T](m_i, v_i), the moments of each prefix X[:i] of the
+    state's design, in one `weighted_integrals` walk of the rule of
+    `resolution` nodes per dim. Per slab, V = L^{-1} K(X, slab) with one set
+    of `kernels.block_inverses`; running sums of V^2 give the variances,
+    checked by `gp.clamp_variance`, and `gp.prefix_means` the means."""
+    n = state.n
+    if not n:
+        return [], []
+    inverses, k0 = kernels.block_inverses(state.chol), state.kernel.sup_diag()
+
+    def term(grid, pts):
+        V = kernels.solve_lower(state.chol, state.kernel.pairwise(state.X, grid),
+                                inverses)
+        var = gp.clamp_variance(k0 - gp.running_sum(V * V), k0)
+        mean = gp.prefix_means(state, V, pts)
+        return np.concatenate([transform.forward(mean),
+                               transform.posterior_expectation(mean, var)])
+
+    term.reads_grid = True
+    series = weighted_integrals(dom, resolution, pi, term, functions=2 * n)
+    return series[:n], series[n:]
 
 
 def run_abq(problem, spec, n, cert_points=None, oracle_resolution=None):
@@ -196,14 +211,16 @@ def run_abq(problem, spec, n, cert_points=None, oracle_resolution=None):
     The estimators integrate on a Gauss-Legendre tensor grid with
     oracle_resolution nodes per dim, by default the `domain.grid_per_dim`
     count for ORACLE_POINTS nodes in total and at most ORACLE_PER_DIM per
-    dim, raised to ORACLE_MIN_PER_DIM: 256, 64, 16, 8 and 8 in d = 1..5.
+    dim, raised to ORACLE_MIN_PER_DIM: 256, 64, 16, 8 and 8 in d = 1..5,
+    once the loop ends, on every exit path (`estimate_series`).
     The record keeps it, the problem, the spec, the budget n and the final
     state, which is also the first value returned.
     Deterministic given its arguments; the integrand is evaluated only at
     the points the design keeps. Raises NonFiniteIntegrandError
     when the integrand returns NaN or inf, and BudgetExceededError before
     the first integrand call when the report's rule, at REFINEMENT times
-    the resolution, or the certificate grid is over the 1e7-point guard.
+    the resolution or the certificate grid is over the 1e7-point guard, or
+    min(n, |grid|) rows on the grid alone over the 2^27-float guard.
     """
     dom = problem.domain
     model = problem.integrand
@@ -216,29 +233,25 @@ def run_abq(problem, spec, n, cert_points=None, oracle_resolution=None):
     cert_grid = certificate_grid(dom, cert_points)
 
     state = gp.empty_state(kernel=model.kernel, mean=model.prior_mean, dim=dom.dim)
-    nodes, w = quadrature_nodes(dom, oracle_resolution)
-    dens = problem.pi(nodes)
-    # one posterior on [grid; nodes]: selection reads [:G], the estimators [G:];
-    # each step spans a grid point the design did not, so a run takes <= G steps
-    G = len(cert_grid)
-    post = gp.GridPosterior(state, np.vstack([cert_grid, nodes]), capacity=min(n, G))
+    # each step spans a grid point the design did not, so a run takes <= |grid| steps
+    post = gp.GridPosterior(state, cert_grid, capacity=min(n, len(cert_grid)))
 
     record = RunRecord(problem=problem, spec=spec, cert_grid=cert_grid,
-                       cert_radius=covering_radius(dom, G),
+                       cert_radius=covering_radius(dom, len(cert_grid)),
                        oracle_resolution=oracle_resolution, budget=n, state=state)
     q_grid = spec.q(cert_grid)
-    record.e0 = float(np.max(q_grid * np.sqrt(post.var[:G])))
+    record.e0 = float(np.max(q_grid * np.sqrt(post.var)))
 
     for _ in range(n):
-        a_grid, clamps, b_grid = spec.evaluate(cert_grid, post.mean[:G], post.var[:G])
+        a_grid, clamps, b_grid = spec.evaluate(cert_grid, post.mean, post.var)
         # read now: the add below overwrites the mean b may be a view of
         b_range = float(np.min(b_grid)), float(np.max(b_grid))
-        spanned = post.spanned()[:G]
+        spanned = post.spanned()
         index = select_next(a_grid, spanned)
         if index is None:
             record.stop_cause = (STOP_SPANNED if np.all(spanned)
                                  else STOP_ZERO_ACQUISITION)
-            return record.state, record
+            break
         x = cert_grid[index]
         f_val = np.asarray(problem.integrand(x[None, :]), dtype=float)
         if not np.all(np.isfinite(f_val)):
@@ -249,8 +262,9 @@ def run_abq(problem, spec, n, cert_points=None, oracle_resolution=None):
         record.clamp_events += clamps
         record.b_min.append(b_range[0])
         record.b_max.append(b_range[1])
-        record.sup_qk.append(float(np.max(q_grid * np.sqrt(post.var[:G]))))
-        plugin, expectation = estimates(t, w, dens, post.mean[G:], post.var[G:])
-        record.est_plugin.append(plugin)
-        record.est_expectation.append(expectation)
+        record.sup_qk.append(float(np.max(q_grid * np.sqrt(post.var))))
+    # the state's buffers outlive the posterior; its rows on the grid do not
+    del post
+    record.est_plugin, record.est_expectation = estimate_series(
+        record.state, t, problem.pi, dom, oracle_resolution)
     return record.state, record

@@ -3,8 +3,8 @@
 A state carries the Cholesky factor L of its Gram matrix `pairwise(X, X)`,
 jittered from `kernels.start_jitter` on, and the whitened residual
 beta = L^{-1} (z - m_X); states are persistent, so a conditioning step
-returns a new one. `GridPosterior` is the one place that computes
-posterior moments: on a point set P it holds its state, the Newton-basis
+returns a new one. `GridPosterior` conditions moments one point at a
+time: on a point set P it holds its state, the Newton-basis
 rows V = L^{-1} K(X, P), the mean m(P) + V^T beta and
 the variance k(x, x) - sum_i V_i^2 (Mueller & Schaback 2009), k(x, x) the
 one number `prior_var` = `sup_diag()` of the isotropic kernel, built from
@@ -67,6 +67,34 @@ def build_state(kernel, mean, X, z):
                    jitter_used=jitter, beta=beta)
 
 
+def running_sum(rows):
+    """rows[i] = sum_{j <= i} rows[j] in place, row by row, since a cumsum
+    down the columns of a C-ordered block strides across memory."""
+    for i in range(1, len(rows)):
+        rows[i] += rows[i - 1]
+    return rows
+
+
+def prefix_means(state, rows, pts):
+    """The posterior means at pts of the prefixes X[:1], ..., X[:n] of the
+    state's design, m(pts) + sum_{j < i} beta_j rows_j, written over its
+    Newton rows `rows` = L^{-1} K(X, pts), whose first i rows are the
+    Newton basis of X[:i] (Mueller & Schaback 2009)."""
+    rows *= state.beta[:, None]
+    if len(rows):
+        rows[0] += state.mean(pts)
+    return running_sum(rows)
+
+
+def clamp_variance(raw, prior_var):
+    """max(raw, 0), or NumericalDegradationError when a variance is below
+    -1e-10 * max(1, |prior_var|)."""
+    if np.any(raw < -1e-10 * max(1.0, abs(prior_var))):
+        raise NumericalDegradationError(
+            f"posterior variance {float(np.min(raw)):g} below clamp tolerance")
+    return np.maximum(raw, 0.0)
+
+
 def dependence_floor(jitter_used, prior_var):
     """Posterior variance at or below which the design spans a point."""
     return max(100.0 * jitter_used, kernels.start_jitter(prior_var))
@@ -80,9 +108,8 @@ def _read_only(view):
 class GridPosterior:
     """Posterior moments on a point set P, conditioned one point at a time.
 
-    `mean` is updated in place by each `add`; `var` is a new array, clamped
-    at 0, and a variance below -1e-10 * max(1, |prior_var|) raises
-    NumericalDegradationError. The rows V, and the design's L, X, z and
+    `mean` is updated in place by each `add`; `var` is a new array,
+    `clamp_variance` of the raw one. The rows V, and the design's L, X, z and
     beta, sit in buffers allocated once, for the state's points and the
     `capacity` points the caller will add; each `add` writes one row of
     each, so the states it returns are read-only prefix views, which later
@@ -99,7 +126,6 @@ class GridPosterior:
                                       "points exceeds the 2^27-float (1 GiB) guard")
         self.state = state
         self.prior_var = state.kernel.sup_diag()  # k(x, x), the same at every x
-        self._floor = -1e-10 * max(1.0, abs(self.prior_var))
         self._rows = np.empty((rows, len(self.P)))
         # zeros: L's upper triangle is never written
         self._L = np.zeros((rows, rows))
@@ -113,14 +139,7 @@ class GridPosterior:
         kernels.solve_lower(state.chol, V)
         self._raw_var = self.prior_var - np.sum(V * V, axis=0)
         self.mean = state.mean(self.P) + V.T @ state.beta
-        self._clamp()
-
-    def _clamp(self):
-        if np.any(self._raw_var < self._floor):
-            raise NumericalDegradationError(
-                f"posterior variance {float(np.min(self._raw_var)):g} "
-                "below clamp tolerance")
-        self.var = np.maximum(self._raw_var, 0.0)
+        self.var = clamp_variance(self._raw_var, self.prior_var)
 
     def spanned(self):
         """Mask of the points of P the design spans, where `add` raises: the
@@ -157,6 +176,6 @@ class GridPosterior:
         self.mean += self._beta[n] * row
         row *= row
         self._raw_var -= row
-        self._clamp()
+        self.var = clamp_variance(self._raw_var, self.prior_var)
         self.state = new
         return new

@@ -269,6 +269,24 @@ def test_fit_rate_recovers_exact_polynomial_series():
     assert fit.slope == pytest.approx(-1.5, abs=1e-9)
 
 
+@pytest.mark.parametrize("model", [RatePrediction("exponential", 0.5),
+                                   RatePrediction("polynomial", -1.5)])
+@pytest.mark.parametrize("seed", range(5))
+def test_fit_rate_is_the_polyfit_line(model, seed):
+    # the closed-form centred line is np.polyfit's least-squares line
+    rng = np.random.default_rng(seed)
+    n = np.arange(1, 60)
+    e = np.exp(rng.normal(-0.3, 0.2) * model.regressor(n) + rng.normal(0, 0.3, n.size))
+    fit = analysis.fit_rate(e, model)
+    x, y = model.regressor(n[4:]), np.log(e[4:])
+    slope, intercept = np.polyfit(x, y, 1)
+    assert fit.slope == pytest.approx(slope, rel=1e-12)
+    assert fit.intercept == pytest.approx(intercept, rel=1e-12)
+    resid = y - (slope * x + intercept)
+    r2 = 1.0 - np.sum(resid ** 2) / np.sum((y - y.mean()) ** 2)
+    assert fit.r_squared == pytest.approx(r2, rel=1e-12)
+
+
 def test_fit_rate_truncates_at_floor_and_guards_length():
     e = list(3.0 * np.exp(-0.7 * np.arange(1, 20)))
     e[12:] = [1e-16] * (len(e) - 12)  # numerical noise tail

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import os
 import pickle
@@ -12,7 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from abqlab import BLAS_THREAD_VARIABLES, analysis, cli, config, engine, runner, verify
+from abqlab import (BLAS_THREAD_VARIABLES, analysis, cli, config, engine, gp, runner,
+                    verify)
 from abqlab.config import (CONFIG_SCHEMA, build_problem, expand_matrix, load_config,
                            validate_config)
 from abqlab.domain import Domain, SyntheticIntegrand, rkhs_norm
@@ -578,6 +580,28 @@ def test_cli_error_at_report_time_writes_no_artifact(tmp_path, monkeypatch, caps
     assert not (tmp_path / "o" / "trace.csv").exists()
 
 
+def test_a_node_variance_below_the_floor_exits_3(tmp_path, monkeypatch, capsys):
+    # every state the run records has its last Cholesky diagonal halved; the
+    # grid posterior the loop selects on is left as it is, so only the
+    # estimates' pass over the oracle nodes, after the loop, sees a variance
+    # far below its clamp floor
+    add = gp.GridPosterior.add
+
+    def corrupting_add(self, index, z):
+        state = add(self, index, z)
+        chol = state.chol.copy()
+        chol[-1, -1] *= 0.5
+        return dataclasses.replace(state, chol=chol)
+
+    monkeypatch.setattr(gp.GridPosterior, "add", corrupting_add)
+    cfg = write_config(tmp_path, MINIMAL)
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("abort (NumericalDegradationError): posterior variance ")
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_runs_the_inconsistency_config_with_a_vacuous_certificate(tmp_path):
     # zero prior mean under WSABI-L: b = m^2 starts at 0, so b_min = 0
     cfg = write_config(tmp_path, verify._inconsistency_config(0.0))
@@ -701,8 +725,8 @@ def test_an_oversize_certificate_grid_exits_3_before_making_points(
 
 
 def test_a_posterior_over_the_float_guard_exits_3_under_a_memory_cap(tmp_path):
-    # 30 rows on 2^23 grid points and 256 oracle nodes would take 1.88 GiB;
-    # under a 1.5 GB address-space cap the guard must fire before numpy tries
+    # 30 rows on 2^23 grid points would take 1.88 GiB; under a 1.5 GB
+    # address-space cap the guard must fire before numpy tries
     cfg = write_config(tmp_path, {**MINIMAL, "budget": 30,
                                   "grids": {"certificate": 2 ** 23}})
     code = ("import resource, sys; "
@@ -716,7 +740,7 @@ def test_a_posterior_over_the_float_guard_exits_3_under_a_memory_cap(tmp_path):
     assert done.returncode == 3, done.stderr
     assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
     assert done.stderr.startswith("abort (BudgetExceededError): a posterior of 30 "
-                                  "rows on 8388864 points exceeds"), done.stderr
+                                  "rows on 8388608 points exceeds"), done.stderr
     assert not (tmp_path / "o").exists()
 
 

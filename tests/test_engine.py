@@ -1,5 +1,10 @@
 import copy
+import dataclasses
+import importlib.util
+import json
+import re
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +12,7 @@ import pytest
 from abqlab import analysis, engine, gp
 from abqlab.acquisition import (AcquisitionSpec, ConstantRule, Power, Vbmc,
                                 WsabiL, WsabiM)
+from abqlab.config import build_problem
 from abqlab.domain import (
     ConstantMean,
     Domain,
@@ -16,7 +22,7 @@ from abqlab.domain import (
     weighted_integrals,
 )
 from abqlab.exceptions import (BudgetExceededError, DomainError, LinearDependenceError,
-                               NonFiniteIntegrandError)
+                               NonFiniteIntegrandError, NumericalDegradationError)
 from abqlab.kernels import Matern, SquaredExponential
 from abqlab.transforms import Identity, Square
 
@@ -324,6 +330,69 @@ def test_record_replays_from_its_design():
         )
 
 
+def _bench_config(dim, budget, seed):
+    """perfbench's run config: Matern 2.5, mean 5, square warp, WSABI-M."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    return bench.run_config(dim, budget, seed)
+
+
+def _readme_minimal():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return json.loads(re.search(r"Minimal config:\s*```json\n(.*?)```", readme,
+                                re.S).group(1))
+
+
+def _warped(raw, transform):
+    return {**raw, "transform": {"kind": transform}}
+
+
+@pytest.mark.parametrize("raw, steps", [
+    (_readme_minimal(), 12),  # identity warp; the run stops early
+    (_warped(_readme_minimal(), "exponential"), 12),
+    (_warped(_bench_config(1, 20, 3), "identity"), 20),
+    (_bench_config(1, 20, 3), 20),  # square warp
+    (_warped(_bench_config(1, 20, 3), "exponential"), 20),
+    (_bench_config(2, 60, 0), 60),  # run-d2
+], ids=["readme-minimal", "readme-exponential", "identity-d1", "square-d1",
+        "exponential-d1", "run-d2"])
+def test_every_prefix_estimate_equals_a_dense_replay(raw, steps):
+    # the estimates come from one slab pass after the loop; a dense replay
+    # builds each prefix's state afresh and its moments on the oracle rule
+    problem, spec = build_problem(raw)
+    _, rec = engine.run_abq(problem, spec, raw["budget"],
+                            cert_points=raw.get("grids", {}).get("certificate"))
+    assert rec.n == steps
+    assert len(rec.est_plugin) == len(rec.est_expectation) == rec.n
+    model, t = problem.integrand, problem.integrand.transform
+    nodes, w = quadrature_nodes(problem.domain, rec.oracle_resolution)
+    dens = problem.pi(nodes)
+    for i in range(1, rec.n + 1):
+        state = gp.build_state(model.kernel, model.prior_mean, rec.state.X[:i],
+                               rec.state.z[:i])
+        post = gp.GridPosterior(state, nodes)
+        plugin = np.sum(w * t.forward(post.mean) * dens)
+        expectation = np.sum(w * t.posterior_expectation(post.mean, post.var) * dens)
+        assert rec.est_plugin[i - 1] == pytest.approx(plugin, rel=1e-13), i
+        assert rec.est_expectation[i - 1] == pytest.approx(expectation, rel=1e-13), i
+
+
+def test_a_node_variance_below_the_floor_raises():
+    # the slab pass clamps each prefix's variance at the nodes as a
+    # posterior does: far below zero is a degraded factor, not rounding
+    problem, spec = wsabi_m_problem()
+    state, _ = engine.run_abq(problem, spec, 4, cert_points=64, oracle_resolution=32)
+    chol = state.chol.copy()
+    chol[-1, -1] *= 0.5  # doubles the last Newton row
+    broken = dataclasses.replace(state, chol=chol)
+    t, pi = problem.integrand.transform, problem.pi
+    engine.estimate_series(state, t, pi, DOM, 32)
+    with pytest.raises(NumericalDegradationError, match="below clamp tolerance"):
+        engine.estimate_series(broken, t, pi, DOM, 32)
+
+
 def count_posteriors(monkeypatch):
     """Record each GridPosterior construction as (point set, state.n,
     capacity), and count adds by point set and the size of the state they
@@ -351,14 +420,13 @@ def test_run_abq_computes_each_posterior_once(monkeypatch):
     problem, spec = wsabi_m_problem()
     _, rec = engine.run_abq(problem, spec, 8, cert_points=128, oracle_resolution=64)
     assert rec.n == 8
-    # one posterior on the grid stacked over the oracle nodes, built before
-    # the first point with rows for the budget and one add per design
-    # point; nothing else is built
+    # one posterior on the certificate grid alone, built before the first
+    # point with rows for the budget and one add per design point; nothing
+    # else is built, and the estimates read no posterior
     assert len(built) == 1
     P, n, capacity = built[0]
-    nodes, _ = quadrature_nodes(DOM, 64)
-    assert np.array_equal(P, np.vstack([rec.cert_grid, nodes]))
-    assert (len(P), n, capacity) == (128 + 64, 0, 8)
+    assert np.array_equal(P, rec.cert_grid)
+    assert (len(P), n, capacity) == (128, 0, 8)
     assert adds == {(P.tobytes(), k): 1 for k in range(1, rec.n + 1)}
 
 
@@ -384,10 +452,10 @@ def test_the_posterior_float_guard_fires_before_the_integrand_is_called(monkeypa
     call = SyntheticIntegrand.__call__
     monkeypatch.setattr(SyntheticIntegrand, "__call__",
                         lambda self, X: calls.append(len(X)) or call(self, X))
-    # 8 rows on 64 grid points and 256 oracle nodes are 2560 floats
-    monkeypatch.setattr(gp, "GUARD_FLOATS", 2559)
+    # 8 rows on 64 grid points are 512 floats; the oracle nodes hold none
+    monkeypatch.setattr(gp, "GUARD_FLOATS", 511)
     problem = make_problem()
-    with pytest.raises(BudgetExceededError, match="8 rows on 320 points"):
+    with pytest.raises(BudgetExceededError, match="8 rows on 64 points"):
         engine.run_abq(problem, p_greedy_spec(), 8, cert_points=64)
     assert calls == []
     # the report's n-width walk allocates its rows under the same guard

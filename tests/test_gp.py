@@ -266,9 +266,12 @@ def p_greedy_chain(post, steps, candidates):
 @pytest.mark.parametrize("a, b, dim", [(128, 64, 1), (512, 256, 1), (4096, 4096, 2)],
                          ids=["128+64", "512+256", "4096+4096"])
 def test_stacked_posterior_equals_separate_ones(a, b, dim):
-    # the engine's one posterior on [grid; nodes] at its widths: its grid
-    # part is the posterior on the grid alone, and both parts are those of
-    # the posterior on [nodes; grid], bit for bit
+    # a posterior's moments at a point do not depend on the other points
+    # it holds: the grid part of a posterior on [grid; nodes] is the
+    # posterior on the grid alone, and both parts are those of the posterior
+    # on [nodes; grid], bit for bit. It is the evidence that conditioning
+    # the certificate grid without the oracle nodes moves no grid moment,
+    # so a run's design is the same with or without them
     rng = np.random.default_rng(a + b)
     A, B = rng.uniform(size=(a, dim)), rng.uniform(size=(b, dim))
     state = gp.empty_state(Matern(2.5, 0.3), ConstantMean(5.0), dim)
