@@ -31,7 +31,8 @@ class OuterFunction:
         raise NotImplementedError
 
     def psi(self, c):
-        """Constant with F^{-1}(c y) >= psi(c) F^{-1}(y) for all y >= 0."""
+        """Constant with F^{-1}(c y) >= psi(c) F^{-1}(y) for all y >= 0, for
+        a number c or elementwise over an array of them."""
         raise NotImplementedError
 
 
@@ -52,8 +53,10 @@ class Power(OuterFunction):
         return np.asarray(y, dtype=float) ** (1.0 / self.delta)
 
     def psi(self, c):
+        # c^(1/delta) = F^{-1}(c), one array expression for a number and an
+        # array alike, so psi(c)[i] == psi(c[i]) bit for bit
         _check_psi_arg(c)
-        return c ** (1.0 / self.delta)
+        return self.inverse(c)
 
 
 @dataclass(frozen=True)
@@ -72,8 +75,12 @@ class Expm1(OuterFunction):
 
 
 def _check_psi_arg(c):
-    if not 0 < c <= 1:
-        raise DomainError(f"psi is defined for c in (0, 1], got {c}")
+    """Raise DomainError naming the first value of c, a number or an array,
+    outside (0, 1]; NaN is outside."""
+    c = np.asarray(c)
+    bad = ~((0 < c) & (c <= 1))
+    if bad.any():
+        raise DomainError(f"psi is defined for c in (0, 1], got {c[bad][0]}")
 
 
 class AdaptiveTermRule:

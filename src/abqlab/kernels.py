@@ -156,19 +156,23 @@ class Matern(Kernel):
 
     def pairwise(self, X, Y):
         # k = exp(-u) * sum_j c_j u^j with u = sqrt(2 nu) r / ell, p = nu - 1/2
-        # and c_j = p!/(2p)! * (2p-j)!/(j!(p-j)!) * 2^j, evaluated by Horner
-        # in place; u is overwritten by exp(-u) once the polynomial is done,
-        # so the kernel block costs two (n, m) buffers
-        u = sqdist(X, Y)
-        np.sqrt(u, out=u)
-        u *= np.sqrt(2 * self.nu) / self.ell
+        # and c_j = p!/(2p)! * (2p-j)!/(j!(p-j)!) * 2^j (c_0 = 1). The block
+        # holds w = -u, so exp needs no negation pass, and Horner runs on w as
+        # h_j = c_j - h_(j+1) w, starting from the product c_p w; IEEE negation
+        # is exact, so every entry equals the sum in u. w is overwritten by
+        # exp(w) once the polynomial is done: the block costs two buffers
+        w = sqdist(X, Y)
+        np.sqrt(w, out=w)
+        w *= -(np.sqrt(2 * self.nu) / self.ell)
         coefs = _matern_coefs(int(self.nu - 0.5))
-        poly = np.full(u.shape, coefs[-1])
-        for c in coefs[-2::-1]:
-            poly *= u
-            poly += c
-        np.negative(u, out=u)
-        poly *= np.exp(u, out=u)
+        if len(coefs) == 1:
+            return np.exp(w, out=w)
+        poly = w * coefs[-1]
+        for c in coefs[-2:0:-1]:
+            np.subtract(c, poly, out=poly)
+            poly *= w
+        np.subtract(coefs[0], poly, out=poly)
+        poly *= np.exp(w, out=w)
         return poly
 
     def smoothness(self, d):

@@ -48,6 +48,24 @@ def test_psi_domain_guard():
             Power(2.0).psi(bad)
 
 
+def test_psi_of_an_array_is_psi_of_each_value_bit_for_bit():
+    # the psi-inequality check's samples: per outer in turn, c then z
+    rng = np.random.default_rng(3)
+    for outer in (Power(1.0), Power(2.0), Power(0.5), Expm1()):
+        c = rng.uniform(1e-3, 1.0, size=10_000)
+        rng.uniform(0.0, 10.0, size=10_000)
+        each = np.array([outer.psi(ci) for ci in c])
+        assert np.array_equal(outer.psi(c).view(np.int64), each.view(np.int64)), outer
+
+
+@pytest.mark.parametrize("outer", [Power(2.0), Expm1()])
+@pytest.mark.parametrize("bad", [0.0, -0.5, 1.5, np.nan])
+def test_psi_domain_guard_names_the_first_bad_value_of_an_array(outer, bad):
+    c = np.array([0.5, 1.0, bad, 0.25, 2.0])
+    with pytest.raises(DomainError, match=f"got {bad}$"):
+        outer.psi(c)
+
+
 @pytest.mark.parametrize("outer", [Power(1.0), Power(2.0), Power(0.5), Expm1()])
 def test_psi_concavity_inequality(outer):
     rng = np.random.default_rng(42)

@@ -876,8 +876,14 @@ def test_every_verify_run_is_a_valid_config(monkeypatch):
     verify.check_rate_infinite()
     verify.check_rate_finite()
     verify.check_inconsistency_caveat()
-    # 8 matrix runs, 15 bound runs, 3 P-greedy runs, 2 inconsistency runs
-    assert len(seen) == 28
+    # 4 matrix runs (one per rule, certified at each gamma_tilde), 15 bound
+    # runs, 3 P-greedy runs, 2 inconsistency runs
+    assert len(seen) == 24
+    # the matrix's eight configs, each gamma_tilde's included, are valid too
+    configs = verify.builtin_matrix()
+    assert len(configs) == 8
+    for _, raw in configs:
+        validate_config(raw)
 
 
 def test_cli_exit_code_3_on_non_finite_integrand(tmp_path, monkeypatch, capsys):

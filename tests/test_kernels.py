@@ -9,7 +9,7 @@ from scipy.spatial.distance import cdist
 from scipy.special import gamma as gamma_fn, kv
 
 from abqlab import config, kernels
-from abqlab.domain import Domain, quadrature_blocks
+from abqlab.domain import Domain, TensorGrid, quadrature_blocks
 from abqlab.exceptions import DomainError, NumericalDegradationError
 from abqlab.kernels import (
     InverseMultiquadric,
@@ -197,6 +197,34 @@ def test_sqdist_is_cdist_bit_for_bit(pair):
 
 
 # every family, each Matern nu, and Wendland where it is defined
+def horner_in_u(kernel, X, Y):
+    """Matern.pairwise's earlier formula: u = sqrt(2 nu) r / ell, Horner from
+    a block full of c_p with u * h + c, then exp of -u."""
+    u = np.sqrt(sqdist(X, Y)) * (np.sqrt(2 * kernel.nu) / kernel.ell)
+    coefs = kernels._matern_coefs(int(kernel.nu - 0.5))
+    poly = np.full(u.shape, coefs[-1])
+    for c in coefs[-2::-1]:
+        poly = poly * u + c
+    return poly * np.exp(-u)
+
+
+@pytest.mark.parametrize("nu", [0.5, 1.5, 2.5, 3.5])
+def test_matern_in_negated_u_equals_the_horner_sum_in_u(nu):
+    # IEEE negation is exact, so c - h (-u) is c + h u bit for bit, r = 0
+    # (a design point in both arguments, or on the grid) included
+    rng = np.random.default_rng(int(2 * nu))
+    grid = TensorGrid([np.linspace(0.0, 1.0, 9), np.linspace(-0.5, 0.5, 7)])
+    for ell in (0.05, 0.4, 3.0):
+        kernel = Matern(nu, ell)
+        X = rng.uniform(-0.5, 1.5, size=(30, 2))
+        Y = np.vstack([rng.uniform(-0.5, 1.5, size=(200, 2)), X[:4]])
+        on_grid = np.vstack([X[:3], grid.points()[[0, 17, 62]]])
+        for a, b, pb in ((X, Y, Y), (on_grid, grid, grid.points())):
+            K = kernel.pairwise(a, b)
+            assert np.array_equal(K, horner_in_u(kernel, a, pb)), (nu, ell)
+        assert np.sum(K == 1.0) >= 3
+
+
 GRID_KERNELS = [SquaredExponential(0.6), InverseMultiquadric(0.5, 1.0),
                 *(Matern(nu, 0.4) for nu in (0.5, 1.5, 2.5, 3.5)),
                 *(Wendland(k, 0.8) for k in (0, 1, 2))]

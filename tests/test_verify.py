@@ -1,18 +1,22 @@
 """The verification suite's own machinery: the streamed Monte Carlo moment
-check against a dense reference, its memory bound, how `run_all` bills
-the shared matrix runs, and its process pool: the same summary at every
-width, and a check's error raised as in process."""
+check against a dense reference, its memory bound, the builtin matrix's
+one run per rule, how `run_all` bills the shared matrix runs, and its
+process pool: the same summary at every width, a check's error raised as
+in process, and numpy.random loaded only where a check draws."""
 
 import multiprocessing
 import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.random import default_rng
 
-from abqlab import cli, gp, kernels, transforms, verify
+from abqlab import analysis, cli, gp, kernels, runner, transforms, verify
 from abqlab.domain import BLOCK_POINTS, ConstantMean
 from abqlab.exceptions import SaturationError
 
@@ -57,6 +61,47 @@ def test_moment_check_memory_stays_under_one_array_of_draws():
         tracemalloc.stop()
     assert ok and detail["mc_samples"] == n_mc
     assert peak < 8 * n_mc, peak
+
+
+def test_gamma_tilde_changes_no_matrix_run_so_each_rule_runs_once(monkeypatch):
+    # gamma_tilde is the slack of an approximate maximiser, and the engine's
+    # grid argmax is exact: a rule's run at each gamma_tilde is one record.
+    # Should the engine come to read gamma_tilde, this fails first.
+    configs = dict(verify.builtin_matrix())
+    for name, _ in verify._rules():
+        one, half = (runner.execute(configs[f"{name}__gamma_tilde={gt}"])
+                     for gt in verify.GAMMA_TILDES)
+        assert (one.spec.gamma_tilde, half.spec.gamma_tilde) == verify.GAMMA_TILDES
+        for part in ("X", "chol", "beta"):
+            assert np.array_equal(getattr(one.state, part), getattr(half.state, part))
+        for part in ("sup_qk", "b_min", "b_max", "est_plugin", "est_expectation",
+                     "clamp_events", "stop_cause"):
+            assert getattr(one, part) == getattr(half, part), (name, part)
+    execute, calls = runner.execute, []
+    monkeypatch.setattr(runner, "execute", lambda raw: calls.append(raw) or execute(raw))
+    runs = verify.matrix_runs()
+    assert len(calls) == 4
+    assert [name for name, _ in runs] == list(configs)
+    assert len({id(certs.record.state) for _, certs in runs}) == 4
+    for name, certs in runs:
+        gt = configs[name]["acquisition"]["gamma_tilde"]
+        assert certs.record.spec.gamma_tilde == gt
+        assert certs.greedy.gamma_hat == analysis.weak_greedy_gamma(
+            certs.record.spec, *certs.b_range)
+    # the constant rule's b is 1, so its gamma_hat is sqrt(gamma_tilde)
+    gammas = [certs.greedy.gamma_hat for _, certs in runs[:2]]
+    assert gammas == [1.0, float(np.sqrt(0.5))]
+
+
+def test_only_the_checks_that_draw_load_numpy_random():
+    code = ("import sys, numpy; from abqlab import verify; "
+            "before = any(m.startswith('numpy.random') for m in sys.modules); "
+            "verify.check_psi_inequality(samples=10); "
+            "print(before, any(m.startswith('numpy.random') for m in sys.modules))")
+    src = str(Path(verify.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], check=True, text=True,
+                         capture_output=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.split() == ["False", "True"]
 
 
 def test_run_all_bills_the_matrix_runs_to_the_certificate_check(monkeypatch):
