@@ -12,7 +12,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -52,35 +52,27 @@ GUARD_FLOATS = 2 ** 27
 
 
 class TensorGrid:
-    """The points (h, x) for each row h of `heads` and, within it, each point
-    x of the tensor grid of the 1-D `axes`, in lexicographic order, kept as
-    these factors; no heads (None) is the tensor grid of the axes alone.
-    `points()` expands it to a (len, dim) array, and `kernels.sqdist` reads
-    it as per-axis gap tables without expanding it. It is not an array, so a
-    slice of one cannot keep all of its factors."""
+    """The tensor grid of the 1-D `axes`, its points in lexicographic order,
+    kept as these factors. `points()` expands it to a (len, dim) array, and
+    `kernels.sqdist` reads it as per-axis gap tables without expanding it.
+    It is not an array, so a slice of one cannot keep all of its factors."""
 
-    def __init__(self, axes, heads=None):
+    def __init__(self, axes):
         self.axes = axes
-        self.heads = heads
 
     def __len__(self):
-        rows = 1 if self.heads is None else len(self.heads)
-        return rows * math.prod(len(a) for a in self.axes)
+        return math.prod(len(a) for a in self.axes)
 
     @property
     def shape(self):
-        k = 0 if self.heads is None else self.heads.shape[1]
-        return len(self), k + len(self.axes)
+        return len(self), len(self.axes)
 
     def points(self):
         """The (len, dim) points, each axis broadcast into place."""
-        heads = np.empty((1, 0)) if self.heads is None else self.heads
         lens = [len(a) for a in self.axes]
-        k = heads.shape[1]
-        out = np.empty((len(heads), *lens, k + len(lens)))
-        out[..., :k] = heads.reshape(len(heads), *[1] * len(lens), k)
+        out = np.empty((*lens, len(lens)))
         for j, a in enumerate(self.axes):
-            out[..., k + j] = a.reshape(-1, *[1] * (len(lens) - 1 - j))
+            out[..., j] = a.reshape(-1, *[1] * (len(lens) - 1 - j))
         return out.reshape(self.shape)
 
 
@@ -494,33 +486,27 @@ def check_rule_size(dim, resolution):
 def quadrature_blocks(dom, resolution, block):
     """The tensor Gauss-Legendre rule of `quadrature_nodes`, as consecutive
     (nodes, weights) slabs of at most `block` nodes, each slab's nodes a
-    `TensorGrid` whose points are the rule's rows in the rule's order, bit
-    for bit.
+    sub-box `TensorGrid` whose points are the rule's rows in the rule's
+    order, bit for bit.
 
-    The trailing axes whose grid fits in a block stay whole, and a slab
-    takes as many consecutive index tuples of the `lead` other axes as fit
-    (at least one), so every slab is its heads, those tuples' nodes, crossed
-    with the tail axes. A node's weight multiplies its axes' factors in axis
-    order, ((w_0 * w_1) * w_2) * ..., the order of the dense rule.
+    The trailing axes whose grid fits in a block stay whole, the axis
+    before them is cut into runs of as many nodes as fit, and each earlier
+    axis gives one node per slab. A node's weight multiplies its axes'
+    factors in axis order, ((w_0 * w_1) * w_2) * ..., the order of the
+    dense rule.
     """
     check_rule_size(dom.dim, resolution)
     x, w = _gauss_legendre(resolution)
     axes = [0.5 * (b - a) * x + 0.5 * (a + b) for a, b in zip(dom.lower, dom.upper)]
     factors = [0.5 * (b - a) * w for a, b in zip(dom.lower, dom.upper)]
-    lead = 0
-    while resolution ** (dom.dim - lead) > block:
-        lead += 1
-    heads = resolution ** lead
-    per_slab = min(max(block // resolution ** (dom.dim - lead), 1), heads)
-    # one empty head row when lead = 0
-    head_pts, head_factors = (TensorGrid(axes[:lead]).points(),
-                              TensorGrid(factors[:lead]).points())
-    for s in range(0, heads, per_slab):
-        cols = TensorGrid(factors[lead:], head_factors[s:s + per_slab]).points()
-        weights = cols[:, 0].copy()
-        for col in cols.T[1:]:
-            weights *= col
-        yield TensorGrid(axes[lead:], head_pts[s:s + per_slab] if lead else None), weights
+    # each axis's run: the nodes that fit in a block beside the whole axes
+    # after it, between one and all of them
+    runs = [min(max(block // resolution ** (dom.dim - 1 - k), 1), resolution)
+            for k in range(dom.dim)]
+    for starts in itertools.product(*(range(0, resolution, r) for r in runs)):
+        box = [slice(s, s + r) for s, r in zip(starts, runs)]
+        yield (TensorGrid([a[c] for a, c in zip(axes, box)]),
+               reduce(np.multiply.outer, [f[c] for f, c in zip(factors, box)]).ravel())
 
 
 def quadrature_nodes(dom, resolution):
@@ -541,9 +527,9 @@ def weighted_integrals(dom, resolution, pi, *terms, functions):
     each term gives on a slab of nodes, in order: one walk over the slabs
     of `quadrature_blocks`, each slab's points expanded once, pi evaluated
     once per node. A term is called with the slab's (slab, d) points, or,
-    when it has a true `reads_grid` attribute, with the slab's `TensorGrid`
-    and those points; it returns the (slab,) values of one function on the
-    slab, or a (rows, slab) block of one function per row.
+    when it has a true `reads_grid` attribute, with the slab's sub-box
+    `TensorGrid` and those points; it returns the (slab,) values of one
+    function on the slab, or a (rows, slab) block of one function per row.
 
     `functions`, the number of functions of all terms together, sizes the
     slabs: the largest power of two of nodes, but at least MIN_SLAB, whose

@@ -45,41 +45,36 @@ def sqdist(X, Y):
     scipy's cdist does: bit-equal to cdist(X, Y, "sqeuclidean"), and its
     square root to cdist(X, Y). A gap and its negation square alike, so
     sqdist(X, X), and every family's `pairwise(X, X)`, elementwise in it, is
-    bitwise symmetric, and the block is formed with the longer point set on
-    its inner axis, transposed into place when that is X.
+    bitwise symmetric, and the block of two point sets is formed with the
+    longer one on its inner axis, transposed into place when that is X.
 
-    Either argument may be a `domain.TensorGrid`, which is never expanded:
-    each point's squared gaps to each axis are one (|points|, len(axis))
-    table, added to the point's sums over the heads by broadcasting in axis
-    order, the additions of the expanded grid in their order. A grid's
-    block costs the block and the sums before its last axis, a len(axis)-th
-    of it; two point sets' cost the block and one buffer, and a transposed
-    block one more."""
-    if isinstance(X, TensorGrid) and isinstance(Y, TensorGrid):
-        X = X.points()
-    X, Y = (P if isinstance(P, TensorGrid) else np.atleast_2d(np.asarray(P, dtype=float))
-            for P in (X, Y))
+    Y may be a `domain.TensorGrid`, which is never expanded: each point's
+    squared gaps to each axis are one (|X|, len(axis)) table, added by
+    broadcasting in axis order, the additions of the expanded grid in their
+    order. A grid's block costs the block and the sums before its last
+    axis, a len(axis)-th of it; two point sets' cost the block and one
+    buffer, and a transposed block one more."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    grid = isinstance(Y, TensorGrid)
+    if not grid:
+        Y = np.atleast_2d(np.asarray(Y, dtype=float))
     if X.shape[1] != Y.shape[1]:
         raise ValueError(f"points of dimension {X.shape[1]} and {Y.shape[1]}")
-    if isinstance(X, TensorGrid) or (not isinstance(Y, TensorGrid) and len(X) > len(Y)):
+    if grid:
+        D = None
+        for k, axis in enumerate(Y.axes):
+            gap = np.subtract.outer(X[:, k], axis)
+            gap *= gap
+            D = gap if D is None else np.add(
+                D[..., None], gap.reshape(len(X), *[1] * (D.ndim - 1), len(axis)))
+        return D.reshape(len(X), len(Y))
+    if len(X) > len(Y):
         return np.ascontiguousarray(_sqdist_rows(Y, X).T)
     return _sqdist_rows(X, Y)
 
 
 def _sqdist_rows(X, Y):
-    """sqdist(X, Y) for an (n, d) array X and an array or TensorGrid Y."""
-    if isinstance(Y, TensorGrid):
-        n = len(X)
-        # the (n, heads) sums over the head dims, or no heads: the first
-        # axis's table then starts the sums
-        first = Y.shape[1] - len(Y.axes)
-        D = None if Y.heads is None else _sqdist_rows(X[:, :first], Y.heads)
-        for k, axis in enumerate(Y.axes, start=first):
-            gap = np.subtract.outer(X[:, k], axis)
-            gap *= gap
-            D = gap if D is None else np.add(
-                D[..., None], gap.reshape(n, *[1] * (D.ndim - 1), len(axis)))
-        return D.reshape(n, len(Y))
+    """sqdist(X, Y) for an (n, d) and an (m, d) array, as an (n, m) block."""
     D = np.subtract.outer(X[:, 0], Y[:, 0])
     D *= D
     if X.shape[1] > 1:

@@ -3,8 +3,8 @@
 Each check empirically confirms one guarantee of the method on desk-scale
 problems and returns a CheckResult; `run_all` runs them as eight
 independent tasks, on forked worker processes as `runner.pool_map` sizes
-them, and reports one pass/fail line per tag in suite order. The checks
-are:
+them, and returns one result per tag in suite order, each with its
+pass/fail `line()`. The checks are:
 
 - projection-identity: the scaled posterior variance equals the squared
   RKHS distance to the span of the scaled design functions, confirmed
@@ -466,15 +466,11 @@ def _run_task(tag, name):
     return [certificates, _timed("adaptivity-envelope", check_adaptivity_envelopes, runs)]
 
 
-def run_all(printer=print):
+def run_all():
     """Run the nine checks, as eight independent tasks on `runner.pool_map`,
     and return their results in suite order. Each check seeds its own
     generator, so the results but their seconds are the same at any
     ABQ_LAB_THREADS."""
     done = {res.tag: res for results in runner.pool_map(_run_task, TASKS)
             for res in results}
-    results = [done[tag] for tag in TAGS]
-    if printer is not None:
-        for res in results:
-            printer(res.line())
-    return results
+    return [done[tag] for tag in TAGS]

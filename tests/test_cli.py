@@ -1020,7 +1020,7 @@ def test_cli_run_requires_output_dir(tmp_path):
                                      "verify-out-under-a-file"])
 def test_cli_exit_code_2_on_a_path_it_cannot_read_or_write(tmp_path, capsys,
                                                            monkeypatch, command):
-    monkeypatch.setattr(verify, "run_all", lambda printer: [])
+    monkeypatch.setattr(verify, "run_all", lambda: [])
     cfg = write_config(tmp_path, MINIMAL)
     trace = tmp_path / "trace.csv"
     trace.write_text("\n".join(trace_lines()) + "\n")
@@ -1058,7 +1058,7 @@ def test_cli_exit_code_2_on_a_file_that_is_not_utf8(tmp_path, capsys, command):
 
 
 def test_rates_and_verify_out_make_their_parent_directory(tmp_path, monkeypatch):
-    monkeypatch.setattr(verify, "run_all", lambda printer: [])
+    monkeypatch.setattr(verify, "run_all", lambda: [])
     trace = tmp_path / "trace.csv"
     trace.write_text("\n".join(trace_lines()) + "\n")
     rates_out, verify_out = tmp_path / "new" / "a" / "x.json", tmp_path / "new" / "v.json"

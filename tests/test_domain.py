@@ -394,14 +394,17 @@ def dense_rule(dom, resolution):
     return pts, weight
 
 
-# ids are resolution-slabs; a slab is a whole number of tail grids: in
-# d=2 at 48, 20 rows of 48 under a block of 1000, then the 8 left over
+# ids are resolution-slabs; a slab is a sub-box, a run of the cut axis
+# crossed with the whole axes after it: in d=2 at 48, 20 rows of 48 under
+# a block of 1000, then the 8 left over; in d=3 at 12 under a block of
+# 100, each node of axis 0 with runs of 8 and 4 of axis 1's 12
 @pytest.mark.parametrize("dom, resolution, block, sizes", [
     pytest.param(BOX1, 256, 128, [128, 128], id="256-2"),
     pytest.param(BOX2, 48, 1000, [960, 960, 384], id="48-3"),
     pytest.param(BOX2, 16, 256, [256], id="16-1"),
     pytest.param(BOX3, 48, BLOCK_POINTS, [28 * 48 ** 2, 20 * 48 ** 2], id="48-2"),
     pytest.param(BOX3, 64, BLOCK_POINTS, [16 * 64 ** 2] * 4, id="64-4"),
+    pytest.param(BOX3, 12, 100, [96, 48] * 12, id="12-24"),
 ])
 def test_quadrature_blocks_are_the_dense_rule(dom, resolution, block, sizes):
     pts, w = dense_rule(dom, resolution)
@@ -414,8 +417,14 @@ def test_quadrature_blocks_are_the_dense_rule(dom, resolution, block, sizes):
     assert np.array_equal(np.concatenate([v for _, v in blocks]), w)
 
 
-@pytest.mark.parametrize("resolution", [48, 64])
-def test_blocked_weighted_integral_matches_a_one_shot_sum(resolution):
+# 512 functions give slabs of at most 128 nodes: at 24 nodes per dim,
+# runs of 5, 5, 5, 5 and 4 of axis 1 under each node of axis 0
+@pytest.mark.parametrize("resolution, functions", [
+    pytest.param(48, 1, id="48"),
+    pytest.param(64, 1, id="64"),
+    pytest.param(24, 512, id="24-512"),
+])
+def test_blocked_weighted_integral_matches_a_one_shot_sum(resolution, functions):
     f = SyntheticIntegrand(
         centers=np.array([[0.2, 0.5, 0.6], [0.7, 1.4, 0.7]]),
         weights=np.array([0.6, -0.4]), prior_mean=ConstantMean(2.0),
@@ -424,5 +433,5 @@ def test_blocked_weighted_integral_matches_a_one_shot_sum(resolution):
     pi = TruncatedGaussianDensity(BOX3, center=[0.3, 1.0, 0.6], scale=[0.5, 0.8, 0.2])
     pts, w = dense_rule(BOX3, resolution)
     dense = np.sum(w * f(pts) * pi(pts))
-    (blocked,) = weighted_integrals(BOX3, resolution, pi, f, functions=1)
+    (blocked,) = weighted_integrals(BOX3, resolution, pi, f, functions=functions)
     assert blocked == pytest.approx(dense, rel=1e-13)

@@ -232,11 +232,11 @@ GRID_KERNELS = [SquaredExponential(0.6), InverseMultiquadric(0.5, 1.0),
 
 def slab_grids(dim):
     """The slabs of the 3-node rule on a box in `dim` dims, for blocks that
-    give one slab with no heads (lead 0), slabs of one head, and slabs of
-    two heads whose last one is partial (3 heads, or 9 in two lead dims)."""
+    give one whole slab, runs of one node of axis 0, and, for each axis k,
+    runs of two of axis k whose last one is partial, under one node of each
+    axis before it."""
     dom = Domain(tuple(-0.3 * k for k in range(dim)), tuple(0.5 + k for k in range(dim)))
-    blocks = [3 ** dim, 3 ** (dim - 1), 2 * 3 ** (dim - 1)]
-    blocks += [2 * 3 ** (dim - 2)] if dim > 1 else []
+    blocks = [3 ** dim, 3 ** (dim - 1), *(2 * 3 ** (dim - 1 - k) for k in range(dim))]
     for block in blocks:
         for grid, _ in quadrature_blocks(dom, 3, block):
             yield block, grid
@@ -244,28 +244,34 @@ def slab_grids(dim):
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
 def test_sqdist_and_pairwise_on_a_grid_equal_its_points(dim):
-    # the gap tables add the head sums, then each axis's squared gaps in
-    # axis order: the expanded points' additions, so the blocks are equal
-    # bit for bit, with the grid in either argument and for every design
-    # size, the empty one (a budget-0 run) included
+    # the gap tables add each axis's squared gaps in axis order, a slab's
+    # one-node axes included: the expanded points' additions, so the blocks
+    # are equal bit for bit, for every design size, the empty one (a
+    # budget-0 run) included
     rng = np.random.default_rng(dim)
     seen = set()
     for block, grid in slab_grids(dim):
+        # a sub-box: one node on each axis before the cut axis, a run of
+        # the cut axis, and the whole axes after it
+        lens = [len(a) for a in grid.axes]
+        cut = len(lens)
+        while cut and lens[cut - 1] == 3:
+            cut -= 1
+        head = lens[:cut]
+        assert head[:-1] == [1] * (cut - 1) and all(0 < run < 3 for run in head[-1:]), lens
+        seen.add((cut, len(grid) < block))
         pts = grid.points()
-        heads = 0 if grid.heads is None else len(grid.heads)
-        seen.add((heads, len(grid) < block))
         for n in (0, 1, 7):
             X = rng.uniform(-1.0, 4.0, size=(n, dim))
-            for a, b, pa, pb in ((X, grid, X, pts), (grid, X, pts, X)):
-                D = sqdist(a, b)
-                assert D.flags.c_contiguous and D.shape == (len(pa), len(pb))
-                assert np.array_equal(D, cdist(pa, pb, "sqeuclidean")), (block, n)
-                for kernel in GRID_KERNELS:
-                    if dim <= kernel.max_dim:
-                        assert np.array_equal(kernel.pairwise(a, b),
-                                              kernel.pairwise(pa, pb)), (kernel, n)
-    # a slab with no heads, slabs of one head, and a partial last slab
-    assert (0, False) in seen and (1, False) in seen and (1, True) in seen
+            D = sqdist(X, grid)
+            assert D.flags.c_contiguous and D.shape == (n, len(pts))
+            assert np.array_equal(D, cdist(X, pts, "sqeuclidean")), (block, n)
+            for kernel in GRID_KERNELS:
+                if dim <= kernel.max_dim:
+                    assert np.array_equal(kernel.pairwise(X, grid),
+                                          kernel.pairwise(X, pts)), (kernel, n)
+    # a whole slab, and runs of each axis, whole and partial
+    assert seen == {(0, False), *((k, p) for k in range(1, dim + 1) for p in (False, True))}
 
 
 def test_sqdist_rejects_mismatched_dimensions():

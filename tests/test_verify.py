@@ -115,7 +115,7 @@ def test_run_all_bills_the_matrix_runs_to_the_certificate_check(monkeypatch):
                  "check_error_bound", "check_rate_infinite", "check_rate_finite",
                  "check_moment_estimator", "check_inconsistency_caveat"):
         monkeypatch.setattr(verify, name, lambda *args: (True, {}))
-    results = verify.run_all(printer=None)
+    results = verify.run_all()
     seconds = {r.tag: r.seconds for r in results}
     assert [r.tag for r in results][2] == "weak-greedy-certificate"
     assert seconds["weak-greedy-certificate"] >= 0.2
