@@ -47,7 +47,6 @@ from .acquisition import (
 from .engine import (
     Problem,
     RunRecord,
-    select_next,
     run_abq,
     estimate_series,
     certificate_grid,

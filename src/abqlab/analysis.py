@@ -5,8 +5,9 @@ and the reference integral (its own walks) are independent of the engine,
 so each checks it. The bound's plug-in curve reads the run's own factor
 and beta on purpose: its slack |fine - plug| is then the plug-in estimate's
 quadrature error alone, and an engine whose posterior drifts from its data
-is a violation. The n-width surrogate is a bound, not a check: it walks
-with the engine's greedy step on one `gp.GridPosterior`. The first i rows of
+is a violation; that curve integrates the engine's prefix posteriors,
+`gp.prefix_term`. The n-width surrogate is a bound, not a check: it walks
+with the run's greedy step, `GridPosterior.select`. The first i rows of
 L^{-1} K(X, P), L the Cholesky factor of a design X, are the Newton basis
 of X[:i] on P (Mueller & Schaback 2009): one forward substitution
 `kernels.solve_lower` on the C-ordered (n, |P|) block K(X, P) serves every
@@ -27,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import engine, gp, kernels
+from . import gp, kernels
 from .acquisition import theoretical_clcu
 from .domain import (BLOCK_POINTS, REFINEMENT, ConstantMean, grid_per_dim,
                      rkhs_norm, weighted_integrals)
@@ -136,7 +137,7 @@ def nwidth_surrogate(kernel, q, grid, n):
     """Upper bounds on the m-widths of {q(x) k(., x) : x in grid} for
     m = 1..n, as a list of n values.
 
-    The design is P-greedy on the grid, each step `engine.select_next` on
+    The design is P-greedy on the grid, each step `GridPosterior.select` on
     q^2 times a zero-mean GP's variance, so on a P-greedy run it is the
     run's walk for every q. Entry m-1 is sup q sqrt(k_X) over the grid, X
     the first m design points, read as `engine.run_abq` reads e_m: a bound,
@@ -148,12 +149,11 @@ def nwidth_surrogate(kernel, q, grid, n):
         raise DomainError("n must be at least 1")
     q_grid = np.asarray(q(grid), dtype=float)
     q_sq = q_grid ** 2
-    # each step spans a grid point the design did not: at most |grid| rows
     post = gp.GridPosterior(gp.empty_state(kernel, ConstantMean(0.0), grid.shape[1]),
-                            grid, capacity=min(n, len(grid)))
+                            grid, capacity=n)
     sups = [np.max(q_grid * np.sqrt(post.var))]
     for _ in range(n):
-        index = engine.select_next(q_sq * post.var, post.spanned())
+        index = post.select(q_sq * post.var)
         if index is None:
             break
         post.add(index, 0.0)
@@ -217,23 +217,6 @@ def grid_slack(kernel, q, radius):
     _, q_sup, q_lip = q.bounds()
     return float(q_sup * np.sqrt(2.0 * max(k0 - k_r, 0.0))
                  + q_lip * np.sqrt(k0) * radius)
-
-
-def _plugin_means(state, transform):
-    """A `weighted_integrals` term that reads the slab's grid: T of
-    `gp.prefix_means`, the posterior mean of each prefix X[:i] of the
-    state's design, as one (n, slab) block per slab, its kernel block from
-    the slab's per-axis gap tables and every slab solved with one set of
-    `kernels.block_inverses`."""
-    inverses = kernels.block_inverses(state.chol)
-
-    def term(grid, pts):
-        rows = kernels.solve_lower(state.chol, state.kernel.pairwise(state.X, grid),
-                                   inverses)
-        return transform.forward(gp.prefix_means(state, rows, pts))
-
-    term.reads_grid = True
-    return term
 
 
 @dataclass
@@ -358,9 +341,10 @@ class Certificates:
             lambda P: 1.0 / np.asarray(q(P)))
         coarse, c_piq = weighted_integrals(dom, res, pi, integrand, inverse_q,
                                            functions=2)
+        plug_in = gp.prefix_term(record.state, lambda V, pts: t.forward(
+            gp.prefix_means(record.state, V, pts)))
         reference, *plug_fine = weighted_integrals(
-            dom, REFINEMENT * res, pi, integrand, _plugin_means(record.state, t),
-            functions=1 + record.n)
+            dom, REFINEMENT * res, pi, integrand, plug_in, functions=1 + record.n)
         ref_err = abs(reference - coarse)
         m_sup, gnorm, _ = self._norms
         c_t = t.lipschitz_constant(m_sup, gnorm, integrand.kernel.sup_diag())

@@ -10,10 +10,10 @@ dropped, `estimate_series` reads every prefix's from one oracle walk.
 
 Selection maximizes the acquisition over the certificate grid, the point
 set every recorded supremum is taken on, so the selection is greedy on
-that grid by construction. `select_next`, the one greedy step (the n-width
-surrogate's too), skips grid points the design spans, where `add` would
-raise and F(0) b = 0, and the run stops when it finds none with a nonzero
-acquisition; `RunRecord.stop_cause` says why a run stopped early.
+that grid by construction. `GridPosterior.select`, the one greedy step (the
+n-width surrogate's too), skips grid points the design spans, where `add`
+would raise and F(0) b = 0, and the run stops when it finds none with a
+nonzero acquisition; `RunRecord.stop_cause` says why a run stopped early.
 The grid is a Sobol' net, and the record keeps its covering radius, which
 bounds how far the supremum over the whole box can exceed the grid's.
 """
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import gp, kernels
+from . import gp
 # unused here: perfbench/selftest.py requires the engine.quadrature_nodes binding
 from .domain import (GUARD_POINTS, REFINEMENT, check_rule_size, grid_per_dim,
                      quadrature_nodes, weighted_integrals)
@@ -168,36 +168,26 @@ def covering_radius(dom, size):
     return float(np.linalg.norm(sides))
 
 
-def select_next(a, spanned):
-    """Index of the first point of largest `a` among those the design does
-    not span (`spanned` false), or None when `a` vanishes at all of them."""
-    a = np.where(spanned, 0.0, a)
-    best = int(np.argmax(a))
-    return best if a[best] > 0.0 else None
-
-
 def estimate_series(state, transform, pi, dom, resolution):
     """(plugin, expectation), two lists of n floats: the integrals against pi
     of T(m_i) and E[T](m_i, v_i), the moments of each prefix X[:i] of the
     state's design, in one `weighted_integrals` walk of the rule of
-    `resolution` nodes per dim. Per slab, V = L^{-1} K(X, slab) with one set
-    of `kernels.block_inverses`; running sums of V^2 give the variances,
-    checked by `gp.clamp_variance`, and `gp.prefix_means` the means."""
+    `resolution` nodes per dim over the Newton rows V of `gp.prefix_term`:
+    running sums of V^2 give the variances, checked by `gp.clamp_variance`,
+    and `gp.prefix_means` the means."""
     n = state.n
     if not n:
         return [], []
-    inverses, k0 = kernels.block_inverses(state.chol), state.kernel.sup_diag()
+    k0 = state.kernel.sup_diag()
 
-    def term(grid, pts):
-        V = kernels.solve_lower(state.chol, state.kernel.pairwise(state.X, grid),
-                                inverses)
+    def moments(V, pts):
         var = gp.clamp_variance(k0 - gp.running_sum(V * V), k0)
         mean = gp.prefix_means(state, V, pts)
         return np.concatenate([transform.forward(mean),
                                transform.posterior_expectation(mean, var)])
 
-    term.reads_grid = True
-    series = weighted_integrals(dom, resolution, pi, term, functions=2 * n)
+    series = weighted_integrals(dom, resolution, pi, gp.prefix_term(state, moments),
+                                functions=2 * n)
     return series[:n], series[n:]
 
 
@@ -233,8 +223,7 @@ def run_abq(problem, spec, n, cert_points=None, oracle_resolution=None):
     cert_grid = certificate_grid(dom, cert_points)
 
     state = gp.empty_state(kernel=model.kernel, mean=model.prior_mean, dim=dom.dim)
-    # each step spans a grid point the design did not, so a run takes <= |grid| steps
-    post = gp.GridPosterior(state, cert_grid, capacity=min(n, len(cert_grid)))
+    post = gp.GridPosterior(state, cert_grid, capacity=n)
 
     record = RunRecord(problem=problem, spec=spec, cert_grid=cert_grid,
                        cert_radius=covering_radius(dom, len(cert_grid)),
@@ -246,10 +235,9 @@ def run_abq(problem, spec, n, cert_points=None, oracle_resolution=None):
         a_grid, clamps, b_grid = spec.evaluate(cert_grid, post.mean, post.var)
         # read now: the add below overwrites the mean b may be a view of
         b_range = float(np.min(b_grid)), float(np.max(b_grid))
-        spanned = post.spanned()
-        index = select_next(a_grid, spanned)
+        index = post.select(a_grid)
         if index is None:
-            record.stop_cause = (STOP_SPANNED if np.all(spanned)
+            record.stop_cause = (STOP_SPANNED if np.all(post.spanned())
                                  else STOP_ZERO_ACQUISITION)
             break
         x = cert_grid[index]

@@ -12,8 +12,12 @@ one (n, |P|) kernel block and one blocked forward substitution,
 `kernels.solve_lower`, written over it. `add(index, z)` is the one
 conditioning step: the Cholesky row of P[index] is column `index` of V,
 and the new row of V costs one kernel row, O(|P| n); `spanned()` marks
-where it raises. Built and added rows agree to rounding; the gap grows
-with the Gram condition number, and tests/test_gp.py states the bound.
+where it raises, and `select(a)`, the greedy step of a run and of the
+n-width surrogate, skips those points. Built and added rows agree to
+rounding; the gap grows with the Gram condition number, and
+tests/test_gp.py states the bound. `prefix_term` walks the Newton rows
+of every prefix of a design over a quadrature rule, slab by slab: the
+estimates and the error bound's plug-in curve both integrate them.
 """
 
 from __future__ import annotations
@@ -86,6 +90,23 @@ def prefix_means(state, rows, pts):
     return running_sum(rows)
 
 
+def prefix_term(state, values):
+    """A `domain.weighted_integrals` term over the prefixes X[:1], ..., X[:n]
+    of the state's design: on each slab it writes V = L^{-1} K(X, slab), the
+    Newton rows, its kernel block from the slab's per-axis gap tables, every
+    slab solved with one set of `kernels.block_inverses`, and returns
+    `values(V, pts)`, which may write over V."""
+    inverses = kernels.block_inverses(state.chol)
+
+    def term(grid, pts):
+        V = kernels.solve_lower(state.chol, state.kernel.pairwise(state.X, grid),
+                                inverses)
+        return values(V, pts)
+
+    term.reads_grid = True
+    return term
+
+
 def clamp_variance(raw, prior_var):
     """max(raw, 0), or NumericalDegradationError when a variance is below
     -1e-10 * max(1, |prior_var|)."""
@@ -111,16 +132,17 @@ class GridPosterior:
     `mean` is updated in place by each `add`; `var` is a new array,
     `clamp_variance` of the raw one. The rows V, and the design's L, X, z and
     beta, sit in buffers allocated once, for the state's points and the
-    `capacity` points the caller will add; each `add` writes one row of
-    each, so the states it returns are read-only prefix views, which later
-    adds leave as they are. A row buffer of more than GUARD_FLOATS floats
-    raises BudgetExceededError, and so does an L buffer, which is no larger
-    while the rows are at most |P|.
+    `capacity` points the caller will add, at most |P|: each `add` spans a
+    point of P the design did not. Each `add` writes one row of each buffer,
+    so the states it returns are read-only prefix views, which later adds
+    leave as they are. A row buffer of more than GUARD_FLOATS floats raises
+    BudgetExceededError, and so does an L buffer, which is no larger while
+    the rows are at most |P|.
     """
 
     def __init__(self, state, P, capacity=0):
         self.P = np.atleast_2d(np.asarray(P, dtype=float))
-        rows = state.n + capacity
+        rows = state.n + min(capacity, len(self.P))
         if rows * max(rows, len(self.P)) > GUARD_FLOATS:
             raise BudgetExceededError(f"a posterior of {rows} rows on {len(self.P)} "
                                       "points exceeds the 2^27-float (1 GiB) guard")
@@ -145,6 +167,14 @@ class GridPosterior:
         """Mask of the points of P the design spans, where `add` raises: the
         variance is at or below `dependence_floor`."""
         return self.var <= dependence_floor(self.state.jitter_used, self.prior_var)
+
+    def select(self, a):
+        """The greedy step: the index of the first point of P of largest `a`
+        among those the design does not span, where `add` cannot raise
+        LinearDependenceError, or None when `a` vanishes at all of them."""
+        a = np.where(self.spanned(), 0.0, a)
+        best = int(np.argmax(a))
+        return best if a[best] > 0.0 else None
 
     def add(self, index, z):
         """Condition on P[index] with latent value z; returns the new state,

@@ -26,7 +26,7 @@ def matrix_runs():
 
 def test_criterion_01_projection_identity_oracle():
     start = time.perf_counter()
-    ok, detail = verify.check_projection_identity(n_configs=200)
+    ok, detail = verify.check_projection_identity()
     elapsed = time.perf_counter() - start
     report("criterion-01 projection identity",
            ok and elapsed < 30,
@@ -56,7 +56,7 @@ def test_criterion_03_weak_greedy_certificates(matrix_runs):
 
 
 def test_criterion_04_quadrature_error_bound():
-    ok, detail = verify.check_error_bound(budget=30)
+    ok, detail = verify.check_error_bound()
     worst = max(r["max_lhs_over_rhs"] for r in detail["runs"])
     report("criterion-04 quadrature error bound", ok,
            f"runs={len(detail['runs'])} max_lhs/rhs={worst:.3f}")

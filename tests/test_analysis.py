@@ -1,3 +1,5 @@
+import ast
+import dataclasses
 import importlib.util
 import tracemalloc
 from collections import Counter
@@ -219,7 +221,7 @@ def test_nwidth_surrogate_of_a_walk_that_selects_no_point():
 @pytest.mark.parametrize("dim, grid_points", [(1, 512), (2, 1024)])
 def test_nwidth_surrogate_equals_the_p_greedy_run(dim, grid_points):
     # on a P-greedy run (constant b) the surrogate's walk is the run's: the
-    # same greedy step `engine.select_next` on the same posterior updates,
+    # same greedy step `GridPosterior.select` on the same posterior updates,
     # read by the same sup q sqrt(k_X) formula, so it is the engine's e_n
     # bit for bit, for every q. The two posteriors span different point sets
     # ([grid; nodes] against the grid), so this also needs the BLAS to round
@@ -480,6 +482,11 @@ def test_report_checks_read_the_run_instead_of_replaying_it(monkeypatch):
     assert chols == [1, 1]
 
 
+def plug_in(state, t):
+    """The error bound's plug-in term: T of every prefix's posterior mean."""
+    return gp.prefix_term(state, lambda V, pts: t.forward(gp.prefix_means(state, V, pts)))
+
+
 def test_plugin_curve_matches_a_one_shot_evaluation():
     # 48^3 oracle nodes and 6 functions: 16 slabs of quadrature_blocks, each
     # three 48^2 tiles
@@ -490,8 +497,7 @@ def test_plugin_curve_matches_a_one_shot_evaluation():
                            5.0 + rng.uniform(-0.5, 0.5, size=6))
     pi = TruncatedGaussianDensity(dom, center=[0.3, 1.0, 0.6], scale=[0.5, 0.8, 0.2])
     t = Square(alpha=2.0)
-    curve = weighted_integrals(dom, 48, pi, analysis._plugin_means(state, t),
-                               functions=6)
+    curve = weighted_integrals(dom, 48, pi, plug_in(state, t), functions=6)
     pts, w = quadrature_nodes(dom, 48)
     rows = solve_triangular(state.chol, state.kernel.pairwise(pts, state.X).T,
                             lower=True)
@@ -572,8 +578,7 @@ def test_streamed_plugin_walk_equals_a_dense_per_row_sum(monkeypatch):
     f = SyntheticIntegrand(centers=X[:2], weights=np.array([0.4, -0.3]),
                            prior_mean=ConstantMean(5.0), kernel=Matern(2.5, 0.3),
                            transform=t)
-    curve = weighted_integrals(dom, 32, pi, f, analysis._plugin_means(state, t),
-                               functions=7)
+    curve = weighted_integrals(dom, 32, pi, f, plug_in(state, t), functions=7)
     assert slabs == [8192] * 4
     pts, w = quadrature_nodes(dom, 32)
     rows = kernels.solve_lower(state.chol, state.kernel.pairwise(state.X, pts))
@@ -723,6 +728,23 @@ def test_build_report_on_the_run_d3_config_traces_under_1_5_mib():
     assert peak < 1.5 * 2 ** 20, peak
 
 
+def test_a_b_range_that_leaves_the_envelope_is_a_finding():
+    # run-d2's config at budget 8 keeps b inside [C_L, C_U]; the same record
+    # with its first b_min at C_L / 2 leaves it
+    raw = {**RUN_D2, "budget": 8}
+    rec = runner.execute(raw)
+    certs = analysis.Certificates(rec)
+    c_l, c_u = certs.clcu.c_l, certs.clcu.c_u
+    assert certs.inside
+    low = dataclasses.replace(rec, b_min=[c_l / 2, *rec.b_min[1:]])
+    report = runner.build_report(raw, low)
+    b_max = max(rec.b_max)
+    assert report["weak_adaptivity"] == {"b_min": c_l / 2, "b_max": b_max,
+                                         "within_envelope": False}
+    assert (f"monitored b range [{c_l / 2:g}, {b_max:g}] leaves the theoretical "
+            f"envelope [{c_l:g}, {c_u:g}]") in report["findings"]
+
+
 @pytest.mark.parametrize("delta, violated", [(0.0, False), (0.5, True)])
 def test_a_posterior_drifting_from_its_data_violates_the_bound(monkeypatch, delta,
                                                                violated):
@@ -745,3 +767,27 @@ def test_a_posterior_drifting_from_its_data_violates_the_bound(monkeypatch, delt
     assert rec.n == 8
     # 7 of the 8 steps: the first step's drift does not outrun its slack
     assert len(analysis.Certificates(rec).bound.violations) == (7 if violated else 0)
+
+
+def imported_modules(module):
+    """The names of the abqlab modules that `module`'s source imports."""
+    names = set()
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            names |= {a.name.split(".")[1] for a in node.names
+                      if a.name.startswith("abqlab.")}
+        elif isinstance(node, ast.ImportFrom) and (node.level or node.module == "abqlab"):
+            if node.module and node.module != "abqlab":
+                names.add(node.module.split(".")[-1])
+            else:
+                names |= {a.name for a in node.names}
+    return names
+
+
+def test_analysis_imports_no_engine_and_the_engine_no_kernels():
+    # the certificates are an oracle independent of the engine, and the
+    # walk's kernel solves live in gp alone
+    assert {"gp", "kernels", "domain"} <= imported_modules(analysis)
+    assert "engine" not in imported_modules(analysis)
+    assert "gp" in imported_modules(engine)
+    assert "kernels" not in imported_modules(engine)

@@ -385,6 +385,42 @@ def test_cli_validates_every_matrix_combo_before_running(tmp_path, capsys, key,
     assert not (tmp_path / "o").exists()  # the valid combo did not run either
 
 
+@pytest.mark.parametrize("part, message", [
+    ({"kernel": {"family": "matern", "nu": 2.5, "ell": 0.0}}, "ell must be positive"),
+    ({"kernel": {"family": "matern", "nu": 2.5, "ell": -0.3}}, "ell must be positive"),
+    ({"kernel": {"family": "inverse-multiquadric", "beta": 0.0, "c": 1.0}},
+     "beta must be positive"),
+    ({"kernel": {"family": "inverse-multiquadric", "beta": 0.5, "c": 0.0}},
+     "c must be positive"),
+    ({"kernel": {"family": "wendland", "smoothness_index": 1, "radius": 0.0}},
+     "radius must be positive"),
+    ({"pi": {"kind": "truncated-gaussian", "center": [0.3, 0.4]}},
+     "center/scale dimension mismatch"),
+], ids=["matern-ell-0", "matern-ell-negative", "imq-beta-0", "imq-c-0",
+        "wendland-radius-0", "truncated-gaussian-center-length"])
+def test_cli_exit_code_2_on_a_parameter_the_object_rejects(tmp_path, capsys, part,
+                                                           message):
+    # each value passes the schema; the kernel or density built from it
+    # raises, and the CLI prints its message as one config error
+    cfg = write_config(tmp_path, {**MINIMAL, **part})
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_fits_the_exponential_rate_of_an_inverse_multiquadric_run(tmp_path):
+    # an infinitely smooth kernel: the report fits exp(-D n^(1/d)) to e_n
+    raw = {**MINIMAL, "budget": 20,
+           "kernel": {"family": "inverse-multiquadric", "beta": 0.5, "c": 0.3}}
+    cfg = write_config(tmp_path, raw)
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 0
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert report["iterations"] == 20 and report["findings"] == []
+    fit = report["rate_fits"]["exponential"]
+    assert list(report["rate_fits"]) == ["exponential"]
+    assert fit["n_range"] == [5, 20] and fit["slope"] < 0 and fit["r_squared"] > 0.9
+
+
 def test_cli_builds_every_matrix_combo_before_running(tmp_path, capsys):
     # nu = 2.0 passes the schema but not the Matern kernel: no combo runs,
     # not even nu=2.5, which comes first
@@ -471,7 +507,10 @@ def test_validate_config_keeps_the_error_jsonschema_picks(monkeypatch):
 
 # values a mutation swaps in: a bool is not a number, 1.0 is an integer
 SWAPS = [0, -1, 2.5, 1.0, True, None, "x", [], {}]
-CONFIG_BASES = [MINIMAL, *(raw for _, raw in verify.builtin_matrix()),
+# the builtin matrix: four published rules, two certificate slacknesses each
+MATRIX_CONFIGS = [{**raw, "acquisition": {**raw["acquisition"], "gamma_tilde": gt}}
+                  for _, raw in verify._rules() for gt in verify.GAMMA_TILDES]
+CONFIG_BASES = [MINIMAL, *MATRIX_CONFIGS,
                 {**MINIMAL, "matrix": {"seed": [0, 1], "acquisition.b.kind": ["mmlt"]}}]
 
 
@@ -880,9 +919,8 @@ def test_every_verify_run_is_a_valid_config(monkeypatch):
     # runs, 3 P-greedy runs, 2 inconsistency runs
     assert len(seen) == 24
     # the matrix's eight configs, each gamma_tilde's included, are valid too
-    configs = verify.builtin_matrix()
-    assert len(configs) == 8
-    for _, raw in configs:
+    assert len(MATRIX_CONFIGS) == 8
+    for raw in MATRIX_CONFIGS:
         validate_config(raw)
 
 

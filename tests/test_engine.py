@@ -89,7 +89,7 @@ def test_certificate_grid_stops_at_d_10():
         engine.certificate_grid(dom, 64)
 
 
-def test_select_next_matches_exhaustive_argmax():
+def test_select_matches_exhaustive_argmax():
     problem = make_problem()
     spec = p_greedy_spec()
     state = gp.build_state(problem.integrand.kernel, problem.integrand.prior_mean,
@@ -99,20 +99,9 @@ def test_select_next_matches_exhaustive_argmax():
     a, _, _ = spec.evaluate(grid, post.mean, post.var)
     spanned = post.spanned()
     assert spanned[40] and np.count_nonzero(spanned) == 1  # the design point 0.4
-    best = engine.select_next(a, spanned)
+    best = post.select(a)
     assert not spanned[best]
     assert all(a[best] >= value for value in a[~spanned])
-
-
-def test_select_next_returns_none_on_a_vanishing_acquisition():
-    free = np.zeros(4, dtype=bool)
-    assert engine.select_next(np.zeros(4), free) is None
-    assert engine.select_next(np.array([0.0, 1e-300, 0.0, 0.0]), free) == 1
-    # a spanned point is never picked, however large its acquisition
-    assert engine.select_next(np.array([0.0, 2.0, 1.0, 1.0]),
-                              np.array([False, True, False, False])) == 2
-    assert engine.select_next(np.array([0.0, 2.0, 0.0, 0.0]),
-                              np.array([False, True, False, False])) is None
 
 
 def test_certificate_grid_is_a_net_at_the_covering_radius():
@@ -151,7 +140,7 @@ def test_flat_acquisition_breaks_ties_by_lowest_index():
     post = gp.GridPosterior(state, grid)
     a, _, _ = spec.evaluate(grid, post.mean, post.var)
     assert np.all(a == a[0])
-    assert engine.select_next(a, post.spanned()) == 0
+    assert post.select(a) == 0
 
 
 def test_run_abq_is_deterministic():
@@ -237,10 +226,9 @@ def test_masked_candidates_are_those_extend_rejects(monkeypatch, posteriors):
     # points sit on the grid and the rest stay well separated from them.
     # At each selection, probe copies of the run's own grid posterior.
     probes = []
-    select = engine.select_next
+    select = gp.GridPosterior.select
 
-    def spy(a, spanned):
-        post = posteriors[0]
+    def spy(post, a):
         rejected = []
         for j in range(len(a)):
             try:
@@ -248,10 +236,12 @@ def test_masked_candidates_are_those_extend_rejects(monkeypatch, posteriors):
                 rejected.append(False)
             except LinearDependenceError:
                 rejected.append(True)
-        probes.append((spanned, np.array(rejected), post.state.n))
-        return select(a, spanned)
+        probes.append((post.spanned(), np.array(rejected), post.state.n))
+        index = select(post, a)
+        assert index is None or not rejected[index]
+        return index
 
-    monkeypatch.setattr(engine, "select_next", spy)
+    monkeypatch.setattr(gp.GridPosterior, "select", spy)
     _, rec = engine.run_abq(make_problem(), p_greedy_spec(), 10, cert_points=8)
     assert rec.n == 8 and rec.stop_cause == engine.STOP_SPANNED
     assert len(posteriors) == 1 and len(probes) == 9

@@ -129,6 +129,34 @@ def test_grid_posterior_extend_rejects_by_the_variance_it_holds():
     assert 0 < spanned.sum() < len(P)
 
 
+def test_select_returns_none_on_a_vanishing_acquisition():
+    # four points a third apart at lengthscale 0.3: a design at P[1] spans
+    # it alone
+    P = np.linspace(0.0, 1.0, 4)[:, None]
+    free = gp.GridPosterior(gp.empty_state(Matern(2.5, 0.3), ConstantMean(0.0), 1), P)
+    assert free.select(np.zeros(4)) is None
+    assert free.select(np.array([0.0, 1e-300, 0.0, 0.0])) == 1
+    # a spanned point is never picked, however large its acquisition
+    post = gp.GridPosterior(gp.build_state(Matern(2.5, 0.3), ConstantMean(0.0),
+                                           P[1:2], [0.0]), P)
+    assert np.array_equal(post.spanned(), [False, True, False, False])
+    assert post.select(np.array([0.0, 2.0, 1.0, 1.0])) == 2
+    assert post.select(np.array([0.0, 2.0, 0.0, 0.0])) is None
+
+
+def test_capacity_is_capped_at_the_point_set():
+    # each add spans a point of P the design did not, so a posterior never
+    # takes more than |P| adds: a capacity past the 2^27-float guard keeps
+    # |P| rows, and the walk stops once the design spans P
+    P = np.linspace(0.0, 1.0, 5)[:, None]
+    post = gp.GridPosterior(gp.empty_state(Matern(2.5, 0.3), ConstantMean(0.0), 1), P,
+                            capacity=10 ** 9)
+    assert post._rows.shape == (len(P), len(P))
+    while (index := post.select(post.var)) is not None:
+        post.add(index, 0.0)
+    assert post.state.n == len(P) and np.all(post.spanned())
+
+
 def test_extend_is_persistent():
     state, _, _ = make_state(n=3)
     n_before = state.n

@@ -67,7 +67,9 @@ def test_gamma_tilde_changes_no_matrix_run_so_each_rule_runs_once(monkeypatch):
     # gamma_tilde is the slack of an approximate maximiser, and the engine's
     # grid argmax is exact: a rule's run at each gamma_tilde is one record.
     # Should the engine come to read gamma_tilde, this fails first.
-    configs = dict(verify.builtin_matrix())
+    configs = {f"{name}__gamma_tilde={gt}":
+               {**raw, "acquisition": {**raw["acquisition"], "gamma_tilde": gt}}
+               for name, raw in verify._rules() for gt in verify.GAMMA_TILDES}
     for name, _ in verify._rules():
         one, half = (runner.execute(configs[f"{name}__gamma_tilde={gt}"])
                      for gt in verify.GAMMA_TILDES)
@@ -91,6 +93,17 @@ def test_gamma_tilde_changes_no_matrix_run_so_each_rule_runs_once(monkeypatch):
     # the constant rule's b is 1, so its gamma_hat is sqrt(gamma_tilde)
     gammas = [certs.greedy.gamma_hat for _, certs in runs[:2]]
     assert gammas == [1.0, float(np.sqrt(0.5))]
+
+
+def test_an_absent_envelope_fails_the_envelope_check():
+    # the inconsistency check's zero-mean run: WSABI-L's b = m^2 has no
+    # lower envelope, so its row names the reason and the check fails
+    certs = analysis.Certificates(runner.execute(verify._inconsistency_config(0.0)))
+    assert not certs.clcu.present
+    ok, detail = verify.check_adaptivity_envelopes([("zero-mean", certs)])
+    assert not ok
+    assert detail == {"runs": [{"run": "zero-mean", "envelope": "absent",
+                                "reason": certs.clcu.reason}]}
 
 
 def test_only_the_checks_that_draw_load_numpy_random():
