@@ -36,6 +36,9 @@ from .exceptions import DomainError
 
 CERT_TOL = 1e-9  # slack of a weak-greedy ratio below gamma_hat
 ORACLE_TOL = 1e-3  # largest reference self-error, relative to the smallest rhs
+# the bound's rounding allowance, ROUNDING * eps * (integral of |f| pi): with
+# ||g|| = 0 the rhs is the slack alone, and the estimate's rounding is of its size
+ROUNDING = 2.0 ** 11
 
 
 class Projector:
@@ -227,6 +230,7 @@ class BoundReport:
     constant_pi_over_q: float
     gnorm: float
     grid_slack: float  # at the run's covering radius
+    rounding: float  # ROUNDING * eps * (integral of |f| pi)
     cap: float  # sup q sqrt(sup k(x, x)), a bound on sup q sqrt(k_X) for any X
     rows: list = field(default_factory=list)
     violations: list = field(default_factory=list)
@@ -328,19 +332,26 @@ class Certificates:
         the known native norm, and sup q sqrt(posterior var) over the
         certificate grid plus `grid_slack` at `record.cert_radius`, capped
         by sup q sqrt(sup k(x, x)), since k_X(x) <= k(x, x); its slack
-        carries the reference's self-error and the distance from each
-        estimate to the plug-in integral at the refined resolution. One walk
-        at each resolution gives every integral."""
+        carries the reference's self-error, the distance from each
+        estimate to the plug-in integral at the refined resolution, and the
+        rounding allowance. One walk at each resolution gives every
+        integral."""
         record = self.record
         integrand, pi, dom = (record.problem.integrand, record.problem.pi,
                               record.problem.domain)
         q, res, t = record.spec.q, record.oracle_resolution, integrand.transform
-        # q may underflow to 0 at a node: an infinite integral of pi/q is then
-        # a finding of the report, not a warning
+        # q may underflow to 0 at a node, and pi with it: an infinite or NaN
+        # integral of pi/q is then a finding of the report, not a warning
         inverse_q = np.errstate(divide="ignore", over="ignore")(
             lambda P: 1.0 / np.asarray(q(P)))
-        coarse, c_piq = weighted_integrals(dom, res, pi, integrand, inverse_q,
-                                           functions=2)
+
+        def f_and_abs(P):
+            f = integrand(P)
+            return np.stack([f, np.abs(f)])
+        with np.errstate(invalid="ignore"):
+            coarse, f_abs, c_piq = weighted_integrals(dom, res, pi, f_and_abs, inverse_q,
+                                                      functions=3)
+        rounding = ROUNDING * float(np.finfo(float).eps) * f_abs
         plug_in = gp.prefix_term(record.state, lambda V, pts: t.forward(
             gp.prefix_means(record.state, V, pts)))
         reference, *plug_fine = weighted_integrals(
@@ -352,11 +363,12 @@ class Certificates:
         cap = float(q.bounds()[1] * np.sqrt(integrand.kernel.sup_diag()))
         report = BoundReport(reference=reference, reference_self_error=ref_err,
                              constant_transform=float(c_t), constant_pi_over_q=c_piq,
-                             gnorm=gnorm, grid_slack=widen, cap=cap)
+                             gnorm=gnorm, grid_slack=widen, rounding=rounding,
+                             cap=cap)
         sups = np.sqrt(self._sups[1:]).tolist()
         for n, (sup, plug, fine) in enumerate(zip(sups, record.est_plugin, plug_fine),
                                               start=1):
-            slack = ref_err + abs(fine - plug)
+            slack = ref_err + abs(fine - plug) + rounding
             lhs = abs(reference - plug)
             rhs = c_t * c_piq * gnorm * min(sup + widen, cap) + slack
             row = {"n": n, "lhs": lhs, "rhs": rhs, "sup_qk": sup, "slack": slack}

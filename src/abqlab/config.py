@@ -46,18 +46,31 @@ _KERNELS = {
     "inverse-multiquadric": kernels.InverseMultiquadric,
     "wendland": kernels.Wendland,
 }
+_OUTERS = {"power": acquisition.Power, "expm1": acquisition.Expm1}
+_RULES = {"constant": acquisition.ConstantRule, "wsabi_l": acquisition.WsabiL,
+          "wsabi_m": acquisition.WsabiM, "mmlt": acquisition.Mmlt, "vbmc": acquisition.Vbmc}
+_MEANS = {"constant": ConstantMean, "affine": AffineMean}
 
-# each family's dataclass fields, in order, as JSON types
-_KERNEL_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "family": {"enum": list(_KERNELS)},
-        **{f.name: {"type": {"int": "integer", "float": "number"}[f.type]}
-           for cls in _KERNELS.values() for f in dataclasses.fields(cls)},
-    },
-    "required": ["family"],
-    "additionalProperties": False,
-}
+# a dataclass field's JSON schema, by its annotation
+_FIELD_SCHEMAS = {"int": {"type": "integer"}, "float": {"type": "number"},
+                  "tuple": {"type": "array", "items": {"type": "number"}}}
+
+
+def _block_schema(key, classes):
+    """The schema of a block that names one of `classes` by `key`: its other
+    keys are every class's dataclass fields in order, each typed by its
+    annotation, and a `density` field is a density block."""
+    return {
+        "type": "object",
+        "properties": {
+            key: {"enum": list(classes)},
+            **{f.name: _DENSITY_SCHEMA if f.name == "density" else _FIELD_SCHEMAS[f.type]
+               for cls in classes.values() for f in dataclasses.fields(cls)},
+        },
+        "required": [key],
+        "additionalProperties": False,
+    }
+
 
 _BUILTIN_INTEGRANDS = {
     # relative center positions and raw weights, scaled to the domain
@@ -81,18 +94,8 @@ CONFIG_SCHEMA = {
             "required": ["lower", "upper"],
             "additionalProperties": False,
         },
-        "kernel": _KERNEL_SCHEMA,
-        "mean": {
-            "type": "object",
-            "properties": {
-                "kind": {"enum": ["constant", "affine"]},
-                "value": {"type": "number"},
-                "slope": {"type": "array", "items": {"type": "number"}},
-                "offset": {"type": "number"},
-            },
-            "required": ["kind"],
-            "additionalProperties": False,
-        },
+        "kernel": _block_schema("family", _KERNELS),
+        "mean": _block_schema("kind", _MEANS),
         "transform": {
             "type": "object",
             "properties": {
@@ -117,30 +120,9 @@ CONFIG_SCHEMA = {
         "acquisition": {
             "type": "object",
             "properties": {
-                "outer": {
-                    "type": "object",
-                    "properties": {
-                        "kind": {"enum": ["power", "expm1"]},
-                        "delta": {"type": "number"},
-                    },
-                    "required": ["kind"],
-                    "additionalProperties": False,
-                },
+                "outer": _block_schema("kind", _OUTERS),
                 "q": _DENSITY_SCHEMA,
-                "b": {
-                    "type": "object",
-                    "properties": {
-                        "kind": {
-                            "enum": ["constant", "wsabi_l", "wsabi_m", "mmlt", "vbmc"]
-                        },
-                        "value": {"type": "number"},
-                        "delta2": {"type": "number"},
-                        "delta3": {"type": "number"},
-                        "density": _DENSITY_SCHEMA,
-                    },
-                    "required": ["kind"],
-                    "additionalProperties": False,
-                },
+                "b": _block_schema("kind", _RULES),
                 "gamma_tilde": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
             },
             "required": ["outer", "q", "b", "gamma_tilde"],
@@ -356,15 +338,26 @@ def build_kernel(raw):
     return cls(**params)
 
 
+def _build(spec, classes, **given):
+    """The instance of the class `spec["kind"]` names, given the spec's keys
+    that are its fields; a field named in `given` takes what the function
+    there returns instead. Keys of the block's other kinds are ignored."""
+    cls = classes[spec["kind"]]
+    names = [f.name for f in dataclasses.fields(cls)]
+    return cls(**{name: given[name]() if name in given else spec[name]
+                  for name in names if name in given or name in spec})
+
+
 def build_mean(raw, dom):
     spec = raw["mean"]
-    if spec["kind"] == "constant":
-        return ConstantMean(spec.get("value", 0.0))
-    slope = spec.get("slope", [0.0] * dom.dim)
-    if len(slope) != dom.dim:
-        raise ValueError(f"mean slope has {len(slope)} entries "
-                         f"in domain dimension {dom.dim}")
-    return AffineMean(tuple(slope), spec.get("offset", 0.0))
+
+    def slope():
+        values = spec.get("slope", [0.0] * dom.dim)
+        if len(values) != dom.dim:
+            raise ValueError(f"mean slope has {len(values)} entries "
+                             f"in domain dimension {dom.dim}")
+        return tuple(values)
+    return _build(spec, _MEANS, slope=slope)
 
 
 def build_density(spec, dom):
@@ -409,14 +402,13 @@ def build_transform(raw, probe_latent):
     alpha = spec.get("alpha")
     if alpha is None:
         # alpha = 0.8 * min f, solved for f = alpha + y^2/2: alpha = 4 min(y^2/2);
-        # a latent that crosses (or grazes) zero has no usable positive floor
+        # the warp's inverse takes the nonnegative root, so a latent that is
+        # not positive everywhere would be observed folded
         latent = probe_latent()
         alpha = 4.0 * float(np.min(0.5 * latent ** 2))
-        if alpha <= 0 or np.min(latent) <= 0.0 <= np.max(latent):
-            raise ConfigError(
-                "square transform needs an explicit alpha when the latent "
-                "function is not bounded away from zero"
-            )
+        if alpha <= 0 or np.min(latent) <= 0.0:
+            raise ConfigError("square transform needs an explicit alpha when the "
+                              "latent function is not positive everywhere")
     return transforms.Square(alpha=float(alpha))
 
 
@@ -443,26 +435,10 @@ def _build_problem(raw):
         raw, lambda: integrand.latent(dom.probe_grid())))
     pi = build_density(raw["pi"], dom)
     acq_raw = raw["acquisition"]
-    outer_raw = acq_raw["outer"]
-    outer = (acquisition.Power(outer_raw.get("delta", 1.0))
-             if outer_raw["kind"] == "power" else acquisition.Expm1())
+    outer = _build(acq_raw["outer"], _OUTERS)
     q = build_density(acq_raw["q"], dom)
-    b = _build_rule(acq_raw["b"], dom)
+    b = _build(acq_raw["b"], _RULES, density=lambda: build_density(
+        acq_raw["b"].get("density", {"kind": "uniform"}), dom))
     spec = acquisition.AcquisitionSpec(outer=outer, q=q, b=b,
                                        gamma_tilde=acq_raw["gamma_tilde"])
     return Problem(integrand=integrand, pi=pi, domain=dom), spec
-
-
-def _build_rule(spec, dom):
-    kind = spec["kind"]
-    if kind == "constant":
-        return acquisition.ConstantRule(spec.get("value", 1.0))
-    if kind == "wsabi_l":
-        return acquisition.WsabiL()
-    if kind == "wsabi_m":
-        return acquisition.WsabiM()
-    if kind == "mmlt":
-        return acquisition.Mmlt()
-    density = build_density(spec.get("density", {"kind": "uniform"}), dom)
-    return acquisition.Vbmc(density, delta2=spec.get("delta2", 1.0),
-                            delta3=spec.get("delta3", 1.0))

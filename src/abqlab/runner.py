@@ -264,6 +264,7 @@ def build_report(raw, record):
                 "gnorm": bound.gnorm,
                 "covering_radius": record.cert_radius,
                 "grid_slack": bound.grid_slack,
+                "rounding": bound.rounding,
                 "cap": bound.cap,
             },
         }

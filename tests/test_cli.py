@@ -155,6 +155,44 @@ def test_square_alpha_defaults_from_latent_floor():
         build_problem(raw)
 
 
+@pytest.mark.parametrize("block, registry, kinds, keys", [
+    (("acquisition", "outer"), config._OUTERS, ["power", "expm1"], {"delta": 0.5}),
+    (("acquisition", "b"), config._RULES, ["constant", "wsabi_l", "wsabi_m", "mmlt", "vbmc"],
+     {"value": 2.0, "delta2": 0.5, "delta3": 0.25,
+      "density": {"kind": "truncated-gaussian", "center": [0.4], "scale": [0.2]}}),
+    (("mean",), config._MEANS, ["constant", "affine"],
+     {"value": 3.0, "slope": [1.5], "offset": 4.0}),
+], ids=["outer", "b", "mean"])
+def test_every_kind_builds_from_a_block_that_holds_every_key_of_its_block(
+        block, registry, kinds, keys):
+    # a matrix that swaps the kind leaves the other kinds' keys in the block:
+    # the schema takes them and each class is built from its own fields alone
+    schema = CONFIG_SCHEMA
+    for part in block:
+        schema = schema["properties"][part]
+    assert list(registry) == kinds and schema["properties"]["kind"]["enum"] == kinds
+    assert list(schema["properties"]) == ["kind", *(
+        f.name for cls in registry.values() for f in dataclasses.fields(cls))]
+    assert set(schema["properties"]) == {"kind", *keys}
+    for kind, cls in registry.items():
+        raw = json.loads(json.dumps(MINIMAL))
+        parent = raw
+        for part in block[:-1]:
+            parent = parent[part]
+        parent[block[-1]] = {"kind": kind, **keys}
+        validate_config(raw)
+        problem, spec = build_problem(raw)
+        built = {"outer": spec.outer, "b": spec.b,
+                 "mean": problem.integrand.prior_mean}[block[-1]]
+        assert type(built) is cls
+        for f in dataclasses.fields(cls):
+            value = getattr(built, f.name)
+            if f.name == "density":
+                assert (value.center.tolist(), value.scale.tolist()) == ([0.4], [0.2])
+            else:
+                assert value == (tuple(keys[f.name]) if f.name == "slope" else keys[f.name])
+
+
 def test_cli_run_writes_artifacts_and_is_deterministic(tmp_path):
     cfg = write_config(tmp_path, MINIMAL)
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
@@ -790,6 +828,10 @@ def test_a_q_that_underflows_on_the_oracle_makes_the_bound_vacuous(tmp_path, cap
     raw = json.loads(json.dumps(MINIMAL))
     raw["acquisition"]["q"] = {"kind": "truncated-gaussian", "center": [0.5],
                                "scale": [0.01]}
+    assert_vacuous_bound_and_no_warning(tmp_path, capsys, raw)
+
+
+def assert_vacuous_bound_and_no_warning(tmp_path, capsys, raw):
     cfg = write_config(tmp_path, raw)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -804,6 +846,59 @@ def test_a_q_that_underflows_on_the_oracle_makes_the_bound_vacuous(tmp_path, cap
     assert report["error_bound"]["constants"]["pi_over_q"] is None
     assert ("error bound vacuous: \u222b\u03c0/q is not finite on the oracle rule"
             in report["findings"])
+
+
+# configs a seeded random-config sweep drew, each a d=2 run on a 256-point
+# certificate grid: a pi and a q that both underflow to 0 at oracle nodes, and
+# an integrand that is its affine prior mean (no centres, so ||g|| = 0)
+SWEEP_UNDERFLOW = {
+    "version": "1", "seed": 0, "domain": {"lower": [0.0, 0.0], "upper": [1.0, 1.0]},
+    "kernel": {"family": "inverse-multiquadric", "beta": 0.28, "c": 0.0429},
+    "mean": {"kind": "constant", "value": 5.0}, "transform": {"kind": "identity"},
+    "integrand": {"kind": "synthetic",
+                  "centers": [[0.9353, 0.7808], [0.847, 0.042], [0.4873, 0.1466]],
+                  "weights": [0.8202, -0.4189, -0.0264]},
+    "pi": {"kind": "truncated-gaussian", "center": [-0.145, 0.794],
+           "scale": [0.0227, 0.3426]},
+    "acquisition": {"outer": {"kind": "power", "delta": 1.0},
+                    "q": {"kind": "truncated-gaussian", "center": [-0.2, 0.479],
+                          "scale": [1.2654, 0.0108]},
+                    "b": {"kind": "constant", "value": 1.0}, "gamma_tilde": 0.5},
+    "budget": 18, "grids": {"certificate": 256},
+}
+SWEEP_NO_CENTRES = {
+    "version": "1", "seed": 0, "domain": {"lower": [0.0, 0.0], "upper": [1.0, 1.0]},
+    "kernel": {"family": "squared-exponential", "gamma": 0.5814},
+    "mean": {"kind": "affine", "slope": [2.609, 2.865], "offset": 5.784},
+    "transform": {"kind": "identity"},
+    "integrand": {"kind": "synthetic", "centers": [], "weights": []},
+    "pi": {"kind": "truncated-gaussian", "center": [0.775, 0.904], "scale": [0.3084, 2.7054]},
+    "acquisition": {"outer": {"kind": "power", "delta": 1.0},
+                    "q": {"kind": "truncated-gaussian", "center": [0.292, 0.251],
+                          "scale": [0.3458, 0.029]},
+                    "b": {"kind": "mmlt"}, "gamma_tilde": 0.5},
+    "budget": 19, "grids": {"certificate": 256},
+}
+
+
+def test_a_pi_and_q_that_both_underflow_make_the_bound_vacuous_with_no_warning(
+        tmp_path, capsys):
+    # pi/q is 0 * inf, NaN, at the nodes where both underflow: a finding, with
+    # no "invalid value" RuntimeWarning on the way
+    assert_vacuous_bound_and_no_warning(tmp_path, capsys, SWEEP_UNDERFLOW)
+
+
+def test_the_bound_allows_for_rounding_when_the_integrand_is_its_prior_mean(tmp_path):
+    # ||g|| = 0, so the rhs is the slack alone; without the rounding allowance
+    # the estimates' rounding (lhs 5.3e-14 at n = 18 against a slack of
+    # 3.6e-15) reads as 4 violations and the oracle's self-error as too coarse
+    cfg = write_config(tmp_path, SWEEP_NO_CENTRES)
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 0
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    bound = report["error_bound"]
+    assert report["iterations"] == 19 and bound["constants"]["gnorm"] == 0.0
+    assert bound["ok"] and bound["violations"] == [], report["findings"]
+    assert report["findings"] == []
 
 
 def test_run_validates_every_matrix_combo_before_running_any(tmp_path, monkeypatch):
@@ -1282,9 +1377,10 @@ def test_report_of_a_vbmc_envelope_with_c_l_zero(tmp_path):
 
 def test_report_bound_reads_the_trace_estimates(tmp_path, monkeypatch):
     # the bound's left side is |reference - est_plugin|, the trace's column;
-    # one walk at the run's resolution gives the coarse reference and the
-    # integral of pi/q, and one at the refined resolution (2 * 256) gives
-    # the reference and the plug-in curve
+    # one walk at the run's resolution gives the coarse reference, the
+    # integral of |f| pi the rounding allowance reads and the integral of
+    # pi/q, and one at the refined resolution (2 * 256) gives the reference
+    # and the plug-in curve
     runner.run_experiment(MINIMAL, str(tmp_path))
     lines = (tmp_path / "trace.csv").read_text().splitlines()
     column = lines[1].split(",").index("abs_error_plugin")
@@ -1300,7 +1396,7 @@ def test_report_bound_reads_the_trace_estimates(tmp_path, monkeypatch):
     monkeypatch.setattr(analysis, "weighted_integrals", counting)
     lhs = [row["lhs"] for row in analysis.Certificates(record).bound.rows]
     assert len(traced) == record.n and lhs == traced
-    assert walks == [(256, 2), (512, 1 + record.n)]
+    assert walks == [(256, 3), (512, 1 + record.n)]
 
 
 def test_cli_rates_rejects_foreign_csv(tmp_path):

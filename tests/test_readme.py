@@ -7,8 +7,11 @@ import pkgutil
 import re
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import abqlab
-from abqlab import cli, config, engine, runner
+from abqlab import analysis, cli, config, engine, runner
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -57,6 +60,41 @@ def test_readme_minimal_config_evaluates_only_kept_points(monkeypatch):
     record = runner.execute(raw)
     assert record.n == 12 and record.stop_cause == engine.STOP_SPANNED
     assert sum(calls) == 12
+
+
+def test_readme_minimal_config_refuses_a_default_alpha_under_a_negative_latent(
+        tmp_path, capsys):
+    # mean -2 keeps the two-bumps latent negative on the whole box; the square
+    # warp's inverse takes the nonnegative root, so the run would condition on
+    # |m + g| under prior mean m
+    raw = json.loads(block("Minimal config:", "json"))
+    raw["mean"] = {"kind": "constant", "value": -2.0}
+    raw["transform"] = {"kind": "square"}
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+    assert "alpha" in err and "not positive everywhere" in err, err
+    assert not (tmp_path / "out").exists()
+
+
+def test_readme_minimal_config_with_no_centres_has_no_oracle_finding(tmp_path):
+    # the integrand is the prior mean 5, so ||g|| = 0 and the bound's rhs is
+    # its slack alone: the rounding allowance keeps the oracle's 1.8e-15
+    # self-error within ORACLE_TOL of it
+    raw = json.loads(block("Minimal config:", "json"))
+    raw["mean"] = {"kind": "constant", "value": 5.0}
+    raw["integrand"] = {"kind": "synthetic", "centers": [], "weights": []}
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    bound = report["error_bound"]
+    assert bound["ok"] and bound["violations"] == [], report["findings"]
+    eps = float(np.finfo(float).eps)
+    assert bound["constants"]["rounding"] == pytest.approx(analysis.ROUNDING * eps * 5.0)
+    assert not [f for f in report["findings"] if f.startswith("oracle self-error")]
 
 
 def cited_names():
