@@ -34,14 +34,15 @@ pass/fail `line()`. The checks are:
   vanishes on a subregion, squared-mean weighting has no lower envelope
   and the error series stalls relative to a shifted-mean run.
 
-numpy.random is imported by the checks that draw (projection-identity,
-psi-inequality, error-bound and moment-estimator) on their first draw,
-so the pool's parent, which only dispatches tasks, never loads it.
+Four checks (projection-identity, psi-inequality, error-bound and
+moment-estimator) draw their inputs from a seeded stdlib `random.Random`,
+so no process of the suite imports numpy.random.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import random
 import time
 from dataclasses import dataclass, field
 
@@ -72,12 +73,19 @@ class CheckResult:
         return f"[{'PASS' if self.ok else 'FAIL'}] {self.tag} ({self.seconds:.1f}s)"
 
 
-def _default_rng(seed):
-    """numpy's `default_rng(seed)`, with numpy.random (about 5 MB and 13 ms)
-    imported on the first call, in the process of a check that draws."""
-    from numpy.random import default_rng
+def _uniform(rng, low, high, size):
+    """`size` floats uniform on [low, high), 53 bits each from one
+    `rng.randbytes` call read little-endian, so reruns match on any platform."""
+    bits = np.frombuffer(rng.randbytes(8 * int(np.prod(size))), "<u8") >> 11
+    return low + (high - low) * (bits * 2.0 ** -53).reshape(size)
 
-    return default_rng(seed)
+
+def _normal(rng, n):
+    """n standard normals, Box-Muller on consecutive pairs of uniforms with
+    the pair's two outputs interleaved, so even-sized blocks replay one call."""
+    u = _uniform(rng, 0.0, 1.0, (n + 1) // 2 * 2).reshape(-1, 2)
+    radius, angle = np.sqrt(-2.0 * np.log1p(-u[:, 0])), 2.0 * np.pi * u[:, 1]
+    return np.stack((radius * np.cos(angle), radius * np.sin(angle)), axis=1).ravel()[:n]
 
 
 def _timed(tag, fn, *args, **kwargs):
@@ -92,35 +100,35 @@ def _timed(tag, fn, *args, **kwargs):
 
 
 def _random_config(rng):
-    d = int(rng.integers(1, 3))
+    d = rng.randrange(1, 3)
     dom = Domain((0.0,) * d, (1.0,) * d)
     kernel = rng.choice([
-        kernels.SquaredExponential(gamma=float(rng.uniform(0.3, 1.5))),
-        kernels.Matern(nu=float(rng.choice([0.5, 1.5, 2.5])),
-                       ell=float(rng.uniform(0.2, 1.0))),
-        kernels.InverseMultiquadric(beta=float(rng.uniform(0.3, 1.5)),
-                                    c=float(rng.uniform(0.5, 2.0))),
+        kernels.SquaredExponential(gamma=rng.uniform(0.3, 1.5)),
+        kernels.Matern(nu=rng.choice([0.5, 1.5, 2.5]),
+                       ell=rng.uniform(0.2, 1.0)),
+        kernels.InverseMultiquadric(beta=rng.uniform(0.3, 1.5),
+                                    c=rng.uniform(0.5, 2.0)),
     ])
     if rng.random() < 0.5:
         q = UniformDensity(dom)
     else:
         q = TruncatedGaussianDensity(
-            dom, center=rng.uniform(0.2, 0.8, size=d),
-            scale=rng.uniform(0.3, 1.0, size=d),
+            dom, center=_uniform(rng, 0.2, 0.8, d),
+            scale=_uniform(rng, 0.3, 1.0, d),
         )
-    n = int(rng.integers(1, 11))
+    n = rng.randrange(1, 11)
     # one jittered point per grid cell: random designs whose separation keeps
     # the Gram factorization well within the oracle-agreement tolerance
     per = int(np.ceil(n ** (1.0 / d)))
-    cells = rng.choice(per ** d, size=n, replace=False)
+    cells = rng.sample(range(per ** d), n)
     idx = np.stack(np.unravel_index(cells, (per,) * d), axis=1)
-    X = (idx + 0.25 + 0.5 * rng.random((n, d))) / per
-    x_query = rng.uniform(0.0, 1.0, size=(8, d))
+    X = (idx + 0.25 + 0.5 * _uniform(rng, 0.0, 1.0, (n, d))) / per
+    x_query = _uniform(rng, 0.0, 1.0, (8, d))
     return dom, kernel, q, X, x_query
 
 
 def check_projection_identity():
-    rng = _default_rng(20260824)
+    rng = random.Random(20260824)
     worst = 0.0
     for _ in range(200):
         dom, kernel, q, X, x_query = _random_config(rng)
@@ -141,12 +149,12 @@ def check_projection_identity():
 
 
 def check_psi_inequality(samples=10_000):
-    rng = _default_rng(3)
+    rng = random.Random(3)
     outers = [Power(1.0), Power(2.0), Power(0.5), Expm1()]
     worst = 0.0
     for outer in outers:
-        c = rng.uniform(1e-3, 1.0, size=samples)
-        z = rng.uniform(0.0, 10.0, size=samples)
+        c = _uniform(rng, 1e-3, 1.0, samples)
+        z = _uniform(rng, 0.0, 10.0, samples)
         lhs = outer.inverse(c * z)
         rhs = outer.psi(c) * outer.inverse(z)
         worst = max(worst, float(np.max(rhs - lhs)))
@@ -254,7 +262,7 @@ def check_adaptivity_envelopes(runs):
 
 def _bound_configs():
     """Five random synthetic integrands under each of the three warps."""
-    rng = _default_rng(11)
+    rng = random.Random(11)
     kernel = {"family": "matern", "nu": 2.5, "ell": 0.3}
     warps = {"identity": (0.0, {"kind": "identity"}),
              "square": (5.0, {"kind": "square", "alpha": 2.0}),
@@ -262,9 +270,9 @@ def _bound_configs():
     configs = []
     for t_kind, (mean, transform) in warps.items():
         for _ in range(5):
-            m = int(rng.integers(2, 5))
-            centers = np.sort(rng.uniform(0.05, 0.95, size=(m, 1)), axis=0)
-            weights = rng.uniform(-0.4, 0.4, size=m)
+            m = rng.randrange(2, 5)
+            centers = np.sort(_uniform(rng, 0.05, 0.95, (m, 1)), axis=0)
+            weights = _uniform(rng, -0.4, 0.4, m)
             integrand = {"kind": "synthetic", "centers": centers.tolist(),
                          "weights": weights.tolist()}
             configs.append((t_kind, _config(kernel, integrand, mean=mean,
@@ -324,19 +332,19 @@ def check_rate_finite():
 
 
 def check_moment_estimator(n_mc=1_000_000, n_query=20):
-    rng = _default_rng(5)
+    rng = random.Random(5)
     dom = Domain((0.0,), (1.0,))
     kernel = kernels.Matern(nu=2.5, ell=0.3)
-    X = rng.uniform(0.1, 0.9, size=(6, 1))
-    z = rng.normal(0.3, 0.5, size=6)
+    X = _uniform(rng, 0.1, 0.9, (6, 1))
+    z = 0.3 + 0.5 * _normal(rng, 6)
     state = gp.build_state(kernel, ConstantMean(0.2), X, z)
-    queries = rng.uniform(0.0, 1.0, size=(n_query, 1))
+    queries = _uniform(rng, 0.0, 1.0, (n_query, 1))
     post = gp.GridPosterior(state, queries)
     mean, var = post.mean, post.var
     sd = np.sqrt(var)
 
     # The draws are streamed in blocks of BLOCK_POINTS latent values, so the
-    # memory does not grow with n_mc; chunked standard_normal calls replay one
+    # memory does not grow with n_mc; blocks of even size replay one _normal
     # call's stream. Per query, the sums of dev = T(mean + sd e) - T(mean) and
     # of dev^2 give the mean and a one-pass variance free of cancellation.
     # Every query shares the draws e. The square warp's dev is
@@ -349,7 +357,7 @@ def check_moment_estimator(n_mc=1_000_000, n_query=20):
     exp_s2 = np.zeros(n_query)
     block = BLOCK_POINTS // n_query
     for start in range(0, n_mc, block):
-        e = rng.standard_normal(min(block, n_mc - start))
+        e = _normal(rng, min(block, n_mc - start))
         e2 = e * e
         powers += (e.sum(), e2.sum(), e2 @ e, e2 @ e2)
         dev = np.multiply.outer(sd, e)
@@ -422,20 +430,19 @@ TAGS = ("projection-identity", "psi-inequality", "weak-greedy-certificate",
         "adaptivity-envelope", "error-bound", "rate-form-infinite",
         "rate-form-finite", "moment-estimator", "inconsistency-caveat")
 
-# run_all's eight tasks, longest first by the in-process seconds of a
-# serial run on a 2-vCPU host (error-bound 0.14 s, projection-identity
-# 0.13, moment-estimator 0.09, the matrix 0.03, rate-form-infinite 0.03,
-# each other check at most 0.02, psi-inequality 0.001), so no long task
-# starts last. The first task that draws in a process adds numpy.random's
-# import, about 0.01 s. Each is a check's tag and the name of its
-# function; no tag is the builtin matrix runs and their two checks. A
-# worker looks the name up in the module it forked with, since a function
-# is sent by import path and one the module no longer holds (a wrapped or
-# replaced one) would not pickle.
+# run_all's eight tasks, longest first by the seconds each takes as the
+# first task of a fresh process on a 2-vCPU host (moment-estimator 0.16 s,
+# error-bound 0.145, projection-identity 0.13, the matrix 0.03,
+# rate-form-infinite 0.03, each other check at most 0.015, psi-inequality
+# 0.004), so no long task starts last. Each is a check's tag and the name
+# of its function; no tag is the builtin matrix runs and their two checks.
+# A worker looks the name up in the module it forked with, since a
+# function is sent by import path and one the module no longer holds (a
+# wrapped or replaced one) would not pickle.
 TASKS = (
+    ("moment-estimator", "check_moment_estimator"),
     ("error-bound", "check_error_bound"),
     ("projection-identity", "check_projection_identity"),
-    ("moment-estimator", "check_moment_estimator"),
     (None, "matrix_runs"),
     ("rate-form-infinite", "check_rate_infinite"),
     ("rate-form-finite", "check_rate_finite"),

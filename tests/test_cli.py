@@ -1498,8 +1498,8 @@ def test_importing_abqlab_starts_no_blas_thread():
 
 
 def test_cli_import_loads_no_jsonschema_numpy_random_or_scipy():
-    # the config check is in the package; numpy.random is imported by
-    # `verify` alone; no density imports scipy, a truncated Gaussian and a
+    # the config check is in the package; no abqlab command imports
+    # numpy.random; no density imports scipy, a truncated Gaussian and a
     # tabulated one built and evaluated included (a d > 10 certificate grid
     # raises DomainError).
     # Counted over what `import numpy` loads, since numpy < 2 imports
@@ -1590,7 +1590,7 @@ def test_tabulated_vbmc_run_needs_no_scipy(tmp_path):
 
 def test_cli_runs_load_no_module_the_import_did_not(tmp_path):
     # a numpy submodule first touched inside a run (numpy.ma by np.unique)
-    # costs its import in the command's own time; only `verify` imports
+    # costs its import in the command's own time; no command imports
     # numpy.random
     configs = [write_config(tmp_path, box_config(dim, 3), f"d{dim}.json")
                for dim in (2, 3)]

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from abqlab import analysis, engine, gp
+from abqlab import analysis, engine, gp, runner, verify
 from abqlab.acquisition import (AcquisitionSpec, ConstantRule, Power, Vbmc,
                                 WsabiL, WsabiM)
 from abqlab.config import build_problem
@@ -367,6 +367,26 @@ def test_every_prefix_estimate_equals_a_dense_replay(raw, steps):
         expectation = np.sum(w * t.posterior_expectation(post.mean, post.var) * dens)
         assert rec.est_plugin[i - 1] == pytest.approx(plugin, rel=1e-13), i
         assert rec.est_expectation[i - 1] == pytest.approx(expectation, rel=1e-13), i
+
+
+def _with_acquisition(raw, **parts):
+    return {**raw, "acquisition": {**raw["acquisition"], **parts}}
+
+
+@pytest.mark.parametrize("raw", [
+    _readme_minimal(),
+    _with_acquisition(_readme_minimal(), q={"kind": "truncated-gaussian"}),
+    dict(verify._rules())["constant"],
+], ids=["readme-minimal", "readme-gaussian-q", "verify-constant"])
+def test_expm1_and_power_one_outers_pick_the_same_design(raw):
+    # F = expm1 and F(y) = y are both increasing, so under a constant b the
+    # argmax of F(q^2 var) b is the same point: the runs match bit for bit.
+    # A log-space ranking of the acquisition must keep this.
+    expm1, power = (runner.execute(_with_acquisition(raw, outer=outer))
+                    for outer in ({"kind": "expm1"}, {"kind": "power", "delta": 1.0}))
+    assert expm1.n == power.n > 1
+    assert expm1.state.X.tobytes() == power.state.X.tobytes()
+    assert expm1.sup_qk == power.sup_qk and expm1.stop_cause == power.stop_cause
 
 
 def test_a_node_variance_below_the_floor_raises():

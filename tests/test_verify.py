@@ -2,10 +2,11 @@
 check against a dense reference, its memory bound, the builtin matrix's
 one run per rule, how `run_all` bills the shared matrix runs, and its
 process pool: the same summary at every width, a check's error raised as
-in process, and numpy.random loaded only where a check draws."""
+in process, and no numpy.random module loaded by any check."""
 
 import multiprocessing
 import os
+import random
 import subprocess
 import sys
 import time
@@ -14,7 +15,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from numpy.random import default_rng
 
 from abqlab import analysis, cli, gp, kernels, runner, transforms, verify
 from abqlab.domain import BLOCK_POINTS, ConstantMean
@@ -24,13 +24,13 @@ from abqlab.exceptions import SaturationError
 def dense_worst_sigma(seed, n_mc, n_query):
     """The moment check's worst |closed - MC| / se, over one array of all
     n_mc draws, replaying the check's generator calls."""
-    rng = default_rng(seed)
-    X = rng.uniform(0.1, 0.9, size=(6, 1))
-    z = rng.normal(0.3, 0.5, size=6)
+    rng = random.Random(seed)
+    X = verify._uniform(rng, 0.1, 0.9, (6, 1))
+    z = 0.3 + 0.5 * verify._normal(rng, 6)
     state = gp.build_state(kernels.Matern(nu=2.5, ell=0.3), ConstantMean(0.2), X, z)
-    queries = rng.uniform(0.0, 1.0, size=(n_query, 1))
+    queries = verify._uniform(rng, 0.0, 1.0, (n_query, 1))
     post = gp.GridPosterior(state, queries)
-    draws = rng.standard_normal(n_mc)
+    draws = verify._normal(rng, n_mc)
     worst = 0.0
     for t in (transforms.Square(alpha=1.0), transforms.Exponential()):
         for mu, v in zip(post.mean, post.var):
@@ -49,6 +49,26 @@ def test_streamed_moment_check_equals_the_dense_one():
     dense = dense_worst_sigma(5, n_mc, n_query)
     assert ok and detail["mc_samples"] == n_mc
     assert abs(detail["worst_sigma"] - dense) <= 1e-9 * dense
+
+
+def test_normals_drawn_in_even_blocks_replay_one_call_and_uniforms_stay_in_range():
+    whole = verify._normal(random.Random(5), 10_001)
+    rng = random.Random(5)
+    blocks = [verify._normal(rng, n) for n in (2, 3276, 6552, 170, 1)]
+    assert np.concatenate(blocks).tobytes() == whole.tobytes()
+    assert abs(np.mean(whole)) < 0.05 and abs(np.std(whole) - 1.0) < 0.05
+    u = verify._uniform(random.Random(3), -0.4, 0.4, (500, 4))
+    assert u.shape == (500, 4) and np.all((-0.4 <= u) & (u < 0.4))
+
+    class Extremes:
+        """Eight zero bytes, then eight all-ones bytes."""
+
+        def randbytes(self, n):
+            assert n == 16
+            return b"\x00" * 8 + b"\xff" * 8
+
+    # 53 bits of each word: the extremes are 0 and the largest double below 1
+    assert verify._uniform(Extremes(), 0.0, 1.0, 2).tolist() == [0.0, 1.0 - 2.0 ** -53]
 
 
 def test_moment_check_memory_stays_under_one_array_of_draws():
@@ -106,15 +126,19 @@ def test_an_absent_envelope_fails_the_envelope_check():
                                 "reason": certs.clcu.reason}]}
 
 
-def test_only_the_checks_that_draw_load_numpy_random():
-    code = ("import sys, numpy; from abqlab import verify; "
-            "before = any(m.startswith('numpy.random') for m in sys.modules); "
-            "verify.check_psi_inequality(samples=10); "
-            "print(before, any(m.startswith('numpy.random') for m in sys.modules))")
+def test_the_whole_suite_loads_no_numpy_random():
+    # every check in one process, at width 1; counted over what `import
+    # numpy` loads, since numpy < 2 imports numpy.random itself
+    code = ("import sys, numpy; numpy_alone = set(sys.modules); "
+            "from abqlab import verify; "
+            "assert all(r.ok for r in verify.run_all()); "
+            "print(sorted(m for m in set(sys.modules) - numpy_alone "
+            "if m.startswith('numpy.random')))")
     src = str(Path(verify.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], check=True, text=True,
-                         capture_output=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.split() == ["False", "True"]
+                         capture_output=True,
+                         env={**os.environ, "PYTHONPATH": src, "ABQ_LAB_THREADS": "1"})
+    assert out.stdout.strip() == "[]"
 
 
 def test_run_all_bills_the_matrix_runs_to_the_certificate_check(monkeypatch):
