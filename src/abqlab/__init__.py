@@ -7,7 +7,8 @@ import os
 # split: a second BLAS thread only spins after each call. The BLAS library
 # reads these when numpy is first imported, so they are set before any
 # module here imports it; a value already in the environment is kept. The
-# process pool of `runner.pool_map` is the program's parallelism.
+# worker processes `runner.pool_map` forks are the program's parallelism:
+# they inherit their tasks, which are never sent pickled, and the pin.
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 for _name in BLAS_THREAD_VARIABLES:
     os.environ.setdefault(_name, "1")

@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import pickle
 
 import numpy as np
 
@@ -78,37 +79,109 @@ def pool_width(tasks):
 
 
 def pool_map(fn, tasks):
-    """[fn(*task) for task in tasks], on `pool_width(len(tasks))` forked
-    worker processes, or in this process at width 1 or where fork is not
-    available. Tasks are dispatched in order and results come back in
-    order. A forked worker inherits the imported modules, where a spawned
-    one would import abqlab again; with fork, the executor starts every
-    worker before its manager thread, so each fork copies one thread (BLAS
-    is pinned to one, see `abqlab`). The first task, in order, whose result
-    is an error stops the pool: the tasks still waiting are dropped, the
-    running ones end, every worker is joined, and then that error is
-    raised here."""
+    """[fn(*task) for task in tasks], on `pool_width(len(tasks))` worker
+    processes forked once, or in this process at width 1 or where `os.fork`
+    does not exist. A worker inherits the imported modules, fn and tasks,
+    so neither fn nor a task is pickled: a worker is sent task indices, the
+    next one going to the first worker that returns a result, and it sends
+    back the result, or the exception the task raised, pickled. Results
+    come back in task order. The pool forks from one thread (BLAS is pinned
+    to one, see `abqlab`). The first failing task, in order, stops dispatch:
+    the running tasks end, every worker is reaped, and then its error is
+    raised here; a worker that exits without a result fails its task with
+    a RuntimeError naming the task and the exit status."""
     width = pool_width(len(tasks))
-    if width > 1:
-        # imported here: a single run, which never starts a pool, skips them
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+    if width == 1 or not hasattr(os, "fork"):
+        return [fn(*task) for task in tasks]
+    import select  # here: a single run, which never starts a pool, skips it
 
-        if "fork" in multiprocessing.get_all_start_methods():
-            with ProcessPoolExecutor(
-                    width, mp_context=multiprocessing.get_context("fork")) as pool:
-                futures = [pool.submit(fn, *task) for task in tasks]
-                try:
-                    return [future.result() for future in futures]
-                finally:
-                    pool.shutdown(cancel_futures=True)
-    return [fn(*task) for task in tasks]
+    outcomes = {}  # task index -> (True, result) or (False, exception)
+    workers = {}  # result pipe -> [pid, task pipe, running task index]
+    pending = iter(range(len(tasks)))
+    try:
+        for _ in range(width):
+            (task_r, task_w), (result_r, result_w) = os.pipe(), os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _serve(fn, tasks, task_r, result_w, (task_w, result_r))
+            os.close(task_r)
+            os.close(result_w)
+            workers[result_r] = [pid, task_w, next(pending)]
+            os.write(task_w, workers[result_r][2].to_bytes(4, "little"))
+        while busy := [fd for fd, worker in workers.items() if worker[2] is not None]:
+            for fd in select.select(busy, [], [])[0]:
+                worker = workers[fd]
+                header = _read(fd, 8)
+                size = int.from_bytes(header, "little")
+                payload = _read(fd, size)
+                if len(header) == 8 and len(payload) == size:
+                    outcomes[worker[2]] = pickle.loads(payload)
+                else:
+                    status = os.waitstatus_to_exitcode(os.waitpid(worker[0], 0)[1])
+                    worker[0] = None
+                    outcomes[worker[2]] = (False, RuntimeError(
+                        f"the worker running task {worker[2]} exited with status "
+                        f"{status} before returning its result"))
+                # a dead worker's task failed, so it is sent no other
+                worker[2] = (next(pending, None)
+                             if all(ok for ok, _ in outcomes.values()) else None)
+                if worker[2] is not None:
+                    os.write(worker[1], worker[2].to_bytes(4, "little"))
+    finally:
+        # closed pipes end every worker: an idle one reads end of file, a
+        # busy one fails to write its result. A worker holds copies of the
+        # parent's ends of the pipes of those forked before it until it
+        # exits, so they end last to first
+        for fd, (_, task_w, _) in workers.items():
+            os.close(fd)
+            os.close(task_w)
+        for pid, _, _ in workers.values():
+            if pid is not None:
+                os.waitpid(pid, 0)
+    for index in sorted(outcomes):
+        ok, value = outcomes[index]
+        if not ok:
+            raise value
+    return [outcomes[index][1] for index in range(len(tasks))]
+
+
+def _serve(fn, tasks, task_r, result_w, parent_ends):
+    """A forked worker of `pool_map`: close its copies of the parent's ends
+    of its pipes, so that the parent's closing them ends the worker, then
+    run the task of each index read from task_r and write its
+    length-prefixed, pickled outcome to result_w, until task_r reads end of
+    file. It leaves through `os._exit`, so it never flushes the parent's
+    stdio buffers nor runs its atexit handlers."""
+    status = 1
+    try:
+        for fd in parent_ends:
+            os.close(fd)
+        while index := os.read(task_r, 4):
+            try:
+                outcome = (True, fn(*tasks[int.from_bytes(index, "little")]))
+            except Exception as exc:
+                outcome = (False, exc)
+            payload = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
+            message = memoryview(len(payload).to_bytes(8, "little") + payload)
+            while message:
+                message = message[os.write(result_w, message):]
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _read(fd, size):
+    """size bytes from the pipe fd, fewer if its writer closes it first."""
+    data = bytearray()
+    while len(data) < size and (chunk := os.read(fd, size - len(data))):
+        data += chunk
+    return data
 
 
 def prepare(raw):
     """Build one validated flat (matrix-expanded) config, the only reader of
     its `budget` and `grids`: the arguments of its `engine.run_abq`, a tuple
-    that pickles, so a worker process runs it as built."""
+    that a worker process of `pool_map` inherits and runs as built."""
     problem, spec = build_problem(raw)
     # the schema's integers take whole-number floats such as 3.0
     grids = {name: int(value) for name, value in raw.get("grids", {}).items()}

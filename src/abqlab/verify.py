@@ -2,9 +2,10 @@
 
 Each check empirically confirms one guarantee of the method on desk-scale
 problems and returns a CheckResult; `run_all` runs them as eight
-independent tasks, on forked worker processes as `runner.pool_map` sizes
-them, and returns one result per tag in suite order, each with its
-pass/fail `line()`. The checks are:
+independent tasks on the worker processes `runner.pool_map` forks, which
+inherit the tasks and are sent only their indices, and returns one
+result per tag in suite order, each with its pass/fail `line()`. The
+checks are:
 
 - projection-identity: the scaled posterior variance equals the squared
   RKHS distance to the span of the scaled design functions, confirmed
@@ -436,9 +437,10 @@ TAGS = ("projection-identity", "psi-inequality", "weak-greedy-certificate",
 # rate-form-infinite 0.03, each other check at most 0.015, psi-inequality
 # 0.004), so no long task starts last. Each is a check's tag and the name
 # of its function; no tag is the builtin matrix runs and their two checks.
-# A worker looks the name up in the module it forked with, since a
-# function is sent by import path and one the module no longer holds (a
-# wrapped or replaced one) would not pickle.
+# A worker inherits TASKS and is never sent a task pickled; it looks the
+# name up in the module when the task runs, so a function replaced after
+# import (a test's monkeypatch, the benchmark's tracing wrapper) is the
+# one that runs.
 TASKS = (
     ("moment-estimator", "check_moment_estimator"),
     ("error-bound", "check_error_bound"),

@@ -240,7 +240,8 @@ def test_cli_matrix_produces_six_artifact_sets(tmp_path, monkeypatch):
 
 def mixed_density_config():
     """A d=2 config whose pi is tabulated, whose q is a truncated Gaussian
-    and whose b is VBMC: the densities a worker process gets pickled."""
+    and whose b is VBMC: densities that pickle, though a worker process
+    inherits them and is never sent them pickled."""
     raw = box_config(2, 6)
     raw["pi"] = {"kind": "tabulated", "values": [[1.0, 2.0, 0.5], [3.0, 1.5, 1.0]]}
     raw["acquisition"]["q"] = {"kind": "truncated-gaussian", "center": [0.4, 0.6],
@@ -1518,6 +1519,37 @@ def test_cli_import_loads_no_jsonschema_numpy_random_or_scipy():
     out = subprocess.run([sys.executable, "-c", code], check=True, text=True,
                          capture_output=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "[]"
+
+
+def test_verify_and_a_matrix_run_at_width_two_load_no_pool_module(tmp_path):
+    # runner.pool_map forks its own workers: neither command loads
+    # multiprocessing or concurrent.futures, and each writes the bytes it
+    # writes at width 1 (verify's but for its seconds)
+    raw = json.loads(json.dumps(MINIMAL))
+    raw["budget"] = 5
+    raw["matrix"] = {"acquisition.gamma_tilde": [1.0, 0.5]}
+    cfg = write_config(tmp_path, raw)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys, abqlab.cli; code = abqlab.cli.main(sys.argv[1:]); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing' "
+            "or m.startswith('concurrent.futures'))); sys.exit(code)")
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        for argv in (["verify", "--out", str(out / "verify.json")],
+                     ["run", cfg, "--out", str(out / "run")]):
+            done = subprocess.run([sys.executable, "-c", code, *argv], check=True,
+                                  text=True, capture_output=True,
+                                  env={**os.environ, "PYTHONPATH": src,
+                                       "ABQ_LAB_THREADS": threads})
+            assert done.stdout.splitlines()[-1] == "[]", (argv, threads)
+        lines = (out / "verify.json").read_bytes().splitlines(keepends=True)
+        runs = sorted((out / "run").glob("*/*"))
+        assert len(runs) == 4
+        written.append(([line for line in lines if b'"seconds": ' not in line],
+                        [(path.relative_to(out), path.read_bytes()) for path in runs]))
+    assert b'"all_ok": true' in b"".join(written[0][0])
+    assert written[0] == written[1]
 
 
 def test_truncated_gaussians_and_the_projection_check_load_no_scipy():
