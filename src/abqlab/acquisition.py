@@ -3,8 +3,9 @@
 Covers the published adaptive terms (WSABI-L/M, MMLT, VBMC) plus a
 constant rule that reduces selection to scaled uncertainty sampling
 (P-greedy). The outer function F carries the concavity constant psi used
-by the weak-greedy certificate, and each rule can report the theoretical
-weak-adaptivity envelope [C_L, C_U] when its sufficient condition holds.
+by the weak-greedy certificate, and each rule's `envelope` reports its
+theoretical weak-adaptivity envelope [C_L, C_U] when its sufficient
+condition holds.
 
 Rules are weakly adaptive: b_l depends on the data only through the
 current posterior moments, so every evaluation takes the posterior mean
@@ -13,7 +14,7 @@ and variance at the points as inputs and never touches the GP itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -83,11 +84,37 @@ def _check_psi_arg(c):
         raise DomainError(f"psi is defined for c in (0, 1], got {c[bad][0]}")
 
 
+@dataclass(frozen=True)
+class ClcuResult:
+    """Theoretical weak-adaptivity envelope, or the reason it is absent."""
+
+    present: bool
+    c_l: float = float("nan")
+    c_u: float = float("nan")
+    reason: str = ""
+
+
 class AdaptiveTermRule:
     def evaluate(self, X, mean, var):
         """b_l over a batch of points with posterior moments (mean, var)
         there; must be strictly positive."""
         raise NotImplementedError
+
+    def envelope(self, m_low, m_high, spread, k_inf):
+        """[C_L, C_U] from the rule's sufficient condition, given m_low =
+        inf |m|, m_high = sup |m|, spread = 2 ||g|| sqrt(sup k) and k_inf =
+        sup k(x,x), or the reason it is absent; a rule that does not
+        override this has no known envelope."""
+        return ClcuResult(False,
+                          reason=f"no known envelope for rule {type(self).__name__}")
+
+
+def _exp_envelope(low, high, bottom, top):
+    """[low e^bottom, high e^top], absent when top passes EXP_LIMIT."""
+    if top > EXP_LIMIT:
+        return ClcuResult(False, reason=f"C_U's exponent {top} passes the exp "
+                                        f"limit {EXP_LIMIT}")
+    return ClcuResult(True, low * float(np.exp(bottom)), high * float(np.exp(top)))
 
 
 @dataclass(frozen=True)
@@ -102,6 +129,9 @@ class ConstantRule(AdaptiveTermRule):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         return np.full(X.shape[0], float(self.value))
 
+    def envelope(self, m_low, m_high, spread, k_inf):
+        return ClcuResult(True, self.value, self.value)
+
 
 @dataclass(frozen=True)
 class WsabiL(AdaptiveTermRule):
@@ -109,6 +139,13 @@ class WsabiL(AdaptiveTermRule):
 
     def evaluate(self, X, mean, var):
         return mean ** 2
+
+    def envelope(self, m_low, m_high, spread, k_inf):
+        """[(inf|m| - spread)^2, (sup|m| + spread)^2] when inf|m| > spread."""
+        if m_low <= spread:
+            return ClcuResult(False, reason=f"hypothesis inf|m| > 2||g||sqrt(sup k) "
+                                            f"fails ({m_low} <= {spread})")
+        return ClcuResult(True, (m_low - spread) ** 2, (m_high + spread) ** 2)
 
 
 @dataclass(frozen=True)
@@ -118,6 +155,11 @@ class WsabiM(AdaptiveTermRule):
     def evaluate(self, X, mean, var):
         return 0.5 * var + mean ** 2
 
+    def envelope(self, m_low, m_high, spread, k_inf):
+        """WSABI-L's envelope with sup k / 2 added to C_U."""
+        res = WsabiL.envelope(self, m_low, m_high, spread, k_inf)
+        return replace(res, c_u=0.5 * k_inf + res.c_u) if res.present else res
+
 
 @dataclass(frozen=True)
 class Mmlt(AdaptiveTermRule):
@@ -125,6 +167,10 @@ class Mmlt(AdaptiveTermRule):
 
     def evaluate(self, X, mean, var):
         return checked_exp(var + 2.0 * mean, "mmlt")
+
+    def envelope(self, m_low, m_high, spread, k_inf):
+        return _exp_envelope(1.0, 1.0, -2.0 * m_high - 2.0 * spread,
+                             k_inf + 2.0 * m_high + 2.0 * spread)
 
 
 @dataclass(frozen=True)
@@ -150,6 +196,12 @@ class Vbmc(AdaptiveTermRule):
                 "vbmc density is nonpositive somewhere on the evaluated points"
             )
         return pvals ** self.delta2 * checked_exp(self.delta3 * mean, "vbmc")
+
+    def envelope(self, m_low, m_high, spread, k_inf):
+        """Reads the density's inf and sup, `bounds()`."""
+        low, high, _ = self.density.bounds()
+        top = self.delta3 * (m_high + spread)
+        return _exp_envelope(low ** self.delta2, high ** self.delta2, -top, top)
 
 
 @dataclass(frozen=True)
@@ -180,51 +232,13 @@ class AcquisitionSpec:
         return self.outer(qv ** 2 * var) * np.maximum(bv, _B_FLOOR), clamped, bv
 
 
-@dataclass(frozen=True)
-class ClcuResult:
-    """Theoretical weak-adaptivity envelope, or the reason it is absent."""
-
-    present: bool
-    c_l: float = float("nan")
-    c_u: float = float("nan")
-    reason: str = ""
-
-
 def theoretical_clcu(rule, m_inf_low, m_inf_high, gnorm, k_inf):
-    """[C_L, C_U] from the per-rule sufficient conditions.
+    """[C_L, C_U] of the rule, `rule.envelope`, at spread = 2 gnorm sqrt(k_inf).
 
     m_inf_low = inf |m|, m_inf_high = sup |m|, gnorm = native norm of the
-    expansion part, k_inf = sup k(x,x). VBMC also reads its density's inf
-    and sup, `bounds()`; an envelope whose C_U exponent passes EXP_LIMIT
-    is absent.
+    expansion part, k_inf = sup k(x,x); an envelope whose C_U exponent passes
+    EXP_LIMIT is absent.
     """
     if any(v < 0 for v in (m_inf_low, m_inf_high, gnorm, k_inf)):
         raise ValueError("all norm arguments must be nonnegative")
-    spread = 2.0 * gnorm * np.sqrt(k_inf)
-    if isinstance(rule, ConstantRule):
-        return ClcuResult(True, rule.value, rule.value)
-    if isinstance(rule, (WsabiL, WsabiM)):
-        if m_inf_low <= spread:
-            return ClcuResult(
-                False,
-                reason=f"hypothesis inf|m| > 2||g||sqrt(sup k) fails "
-                       f"({m_inf_low} <= {spread})",
-            )
-        c_u = (m_inf_high + spread) ** 2
-        if isinstance(rule, WsabiM):
-            c_u = 0.5 * k_inf + c_u
-        return ClcuResult(True, (m_inf_low - spread) ** 2, c_u)
-    if isinstance(rule, (Mmlt, Vbmc)):  # [low e^bottom, high e^top]
-        if isinstance(rule, Mmlt):
-            low, high, bottom = 1.0, 1.0, -2.0 * m_inf_high - 2.0 * spread
-            top = k_inf + 2.0 * m_inf_high + 2.0 * spread
-        else:
-            low, high, _ = rule.density.bounds()
-            top = rule.delta3 * (m_inf_high + spread)
-            low, high, bottom = low ** rule.delta2, high ** rule.delta2, -top
-        if top > EXP_LIMIT:
-            return ClcuResult(False, reason=f"C_U's exponent {top} passes the exp "
-                                            f"limit {EXP_LIMIT}")
-        return ClcuResult(True, low * float(np.exp(bottom)), high * float(np.exp(top)))
-    return ClcuResult(False,
-                      reason=f"no known envelope for rule {type(rule).__name__}")
+    return rule.envelope(m_inf_low, m_inf_high, 2.0 * gnorm * np.sqrt(k_inf), k_inf)

@@ -246,47 +246,28 @@ class BoundReport:
 
 
 class Certificates:
-    """The certificates of one run, each part computed on its first read, so
-    a caller pays only for the parts it reads: the envelope `clcu` and
-    `gamma_theoretical` on it (None when absent), the monitored `b_range`
-    and whether a present envelope holds it, `inside` (both None for a run
-    of no steps), the weak-greedy certificate `greedy` (None below 2
-    points) and the error `bound`. The parts share the prior mean's range,
-    the native norm, one `Projector` of the run's design X and one pass of
-    it over the certificate grid; reading `clcu` alone factors nothing."""
+    """The certificates of one run. The cheap parts are set when it is
+    built: the envelope `clcu` and `gamma_theoretical` on it (None when
+    absent), the monitored `b_range` and whether a present envelope holds
+    it, `inside` (both None for a run of no steps), from the prior mean's
+    range over the box, `m_sup` = sup |m|, and the native norm `gnorm`.
+    The parts that factor or walk are computed on their first read, so a
+    caller pays only for those it reads: the weak-greedy certificate
+    `greedy` (None below 2 points) and the error `bound`, which share one
+    `Projector` of the run's design X and one pass of it over the
+    certificate grid; reading the envelope factors nothing."""
 
     def __init__(self, record):
         self.record = record
-
-    @cached_property
-    def _norms(self):
-        """(sup |m|, gnorm, clcu): |m| from the prior mean's exact range over
-        the box, and the known native norm gnorm of the integrand."""
-        integrand = self.record.problem.integrand
-        lo, hi = integrand.prior_mean.range(self.record.problem.domain)
-        m_sup, gnorm = max(abs(lo), abs(hi)), rkhs_norm(integrand)
-        clcu = theoretical_clcu(self.record.spec.b, max(0.0, lo, -hi), m_sup, gnorm,
-                                integrand.kernel.sup_diag())
-        return m_sup, gnorm, clcu
-
-    @cached_property
-    def clcu(self):
-        return self._norms[2]
-
-    @cached_property
-    def gamma_theoretical(self):
-        c = self.clcu
-        return weak_greedy_gamma(self.record.spec, c.c_l, c.c_u) if c.present else None
-
-    @cached_property
-    def b_range(self):
-        rec = self.record
-        return (min(rec.b_min), max(rec.b_max)) if rec.n else None
-
-    @cached_property
-    def inside(self):
-        c, b = self.clcu, self.b_range
-        return bool(c.c_l <= b[0] and b[1] <= c.c_u) if b and c.present else None
+        integrand, spec = record.problem.integrand, record.spec
+        lo, hi = integrand.prior_mean.range(record.problem.domain)
+        self.m_sup, self.gnorm = max(abs(lo), abs(hi)), rkhs_norm(integrand)
+        c = self.clcu = theoretical_clcu(spec.b, max(0.0, lo, -hi), self.m_sup,
+                                         self.gnorm, integrand.kernel.sup_diag())
+        self.gamma_theoretical = (weak_greedy_gamma(spec, c.c_l, c.c_u)
+                                  if c.present else None)
+        b = self.b_range = (min(record.b_min), max(record.b_max)) if record.n else None
+        self.inside = bool(c.c_l <= b[0] and b[1] <= c.c_u) if b and c.present else None
 
     @cached_property
     def _projector(self):
@@ -357,20 +338,19 @@ class Certificates:
         reference, *plug_fine = weighted_integrals(
             dom, REFINEMENT * res, pi, integrand, plug_in, functions=1 + record.n)
         ref_err = abs(reference - coarse)
-        m_sup, gnorm, _ = self._norms
-        c_t = t.lipschitz_constant(m_sup, gnorm, integrand.kernel.sup_diag())
+        c_t = t.lipschitz_constant(self.m_sup, self.gnorm, integrand.kernel.sup_diag())
         widen = grid_slack(integrand.kernel, q, record.cert_radius)
         cap = float(q.bounds()[1] * np.sqrt(integrand.kernel.sup_diag()))
         report = BoundReport(reference=reference, reference_self_error=ref_err,
                              constant_transform=float(c_t), constant_pi_over_q=c_piq,
-                             gnorm=gnorm, grid_slack=widen, rounding=rounding,
+                             gnorm=self.gnorm, grid_slack=widen, rounding=rounding,
                              cap=cap)
         sups = np.sqrt(self._sups[1:]).tolist()
         for n, (sup, plug, fine) in enumerate(zip(sups, record.est_plugin, plug_fine),
                                               start=1):
             slack = ref_err + abs(fine - plug) + rounding
             lhs = abs(reference - plug)
-            rhs = c_t * c_piq * gnorm * min(sup + widen, cap) + slack
+            rhs = c_t * c_piq * self.gnorm * min(sup + widen, cap) + slack
             row = {"n": n, "lhs": lhs, "rhs": rhs, "sup_qk": sup, "slack": slack}
             report.rows.append(row)
             if lhs > rhs:

@@ -25,9 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gp
-# unused here: perfbench/selftest.py requires the engine.quadrature_nodes binding
 from .domain import (GUARD_POINTS, REFINEMENT, check_rule_size, grid_per_dim,
-                     quadrature_nodes, weighted_integrals)
+                     weighted_integrals)
 from .exceptions import BudgetExceededError, DomainError, NonFiniteIntegrandError
 
 DEFAULT_CERT_POINTS_PER_DIM = 2048

@@ -36,7 +36,7 @@ def test_criterion_01_projection_identity_oracle():
 
 
 def test_criterion_02_outer_function_concavity():
-    ok, detail = verify.check_psi_inequality(samples=10_000)
+    ok, detail = verify.check_psi_inequality()
     report("criterion-02 outer-function concavity constant", ok,
            f"max_violation={detail['max_violation']:.2e}")
     assert ok, detail

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from abqlab import gp
+from abqlab import config, gp
 from abqlab.acquisition import (
     AcquisitionSpec,
     AdaptiveTermRule,
@@ -213,6 +213,13 @@ def test_clcu_absent_for_a_user_defined_rule():
     res = theoretical_clcu(HalfVariance(), 1.0, 2.0, 0.5, 1.0)
     assert not res.present
     assert res.reason == "no known envelope for rule HalfVariance"
+
+
+def test_every_registered_rule_defines_its_own_envelope():
+    # a b kind is one class and one registry entry: its envelope lives in
+    # its class, not in a branch of theoretical_clcu
+    assert [name for name, cls in config._RULES.items()
+            if "envelope" not in vars(cls)] == []
 
 
 def test_clamp_counting_at_zero_mean():

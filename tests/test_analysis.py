@@ -223,9 +223,8 @@ def test_nwidth_surrogate_equals_the_p_greedy_run(dim, grid_points):
     # on a P-greedy run (constant b) the surrogate's walk is the run's: the
     # same greedy step `GridPosterior.select` on the same posterior updates,
     # read by the same sup q sqrt(k_X) formula, so it is the engine's e_n
-    # bit for bit, for every q. The two posteriors span different point sets
-    # ([grid; nodes] against the grid), so this also needs the BLAS to round
-    # each grid column alike at either width
+    # bit for bit, for every q. Both walks condition a `GridPosterior` on the
+    # grid alone, so they span the same point set
     qs = {"uniform": {"kind": "uniform"},
           "broad": {"kind": "truncated-gaussian", "center": [0.3] * dim,
                     "scale": [0.4] * dim},
@@ -668,12 +667,16 @@ def test_build_report_factors_each_design_once(run_d2, monkeypatch):
 
 
 def test_reading_the_envelope_factors_no_design(run_d2, monkeypatch):
-    # verify's envelope check reads clcu, b_range and inside alone
+    # verify's envelope check reads clcu, b_range and inside alone, and the
+    # report gamma_theoretical: all four are set when Certificates is built
     built = []
     monkeypatch.setattr(analysis, "Projector", lambda *args: built.append(args))
     certs = analysis.Certificates(run_d2)
+    assert {"clcu", "gamma_theoretical", "b_range", "inside"} <= set(vars(certs))
     assert certs.clcu.present and certs.inside
     assert certs.b_range == (min(run_d2.b_min), max(run_d2.b_max))
+    assert certs.gamma_theoretical == analysis.weak_greedy_gamma(
+        run_d2.spec, certs.clcu.c_l, certs.clcu.c_u)
     assert built == []
 
 
