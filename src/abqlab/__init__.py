@@ -43,7 +43,6 @@ from .acquisition import (
     Mmlt,
     Vbmc,
     AcquisitionSpec,
-    theoretical_clcu,
 )
 from .engine import (
     Problem,

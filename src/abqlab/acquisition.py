@@ -231,14 +231,3 @@ class AcquisitionSpec:
         clamped = int(np.count_nonzero(bv < _B_FLOOR))
         return self.outer(qv ** 2 * var) * np.maximum(bv, _B_FLOOR), clamped, bv
 
-
-def theoretical_clcu(rule, m_inf_low, m_inf_high, gnorm, k_inf):
-    """[C_L, C_U] of the rule, `rule.envelope`, at spread = 2 gnorm sqrt(k_inf).
-
-    m_inf_low = inf |m|, m_inf_high = sup |m|, gnorm = native norm of the
-    expansion part, k_inf = sup k(x,x); an envelope whose C_U exponent passes
-    EXP_LIMIT is absent.
-    """
-    if any(v < 0 for v in (m_inf_low, m_inf_high, gnorm, k_inf)):
-        raise ValueError("all norm arguments must be nonnegative")
-    return rule.envelope(m_inf_low, m_inf_high, 2.0 * gnorm * np.sqrt(k_inf), k_inf)

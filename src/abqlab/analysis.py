@@ -29,7 +29,6 @@ from functools import cached_property
 import numpy as np
 
 from . import gp, kernels
-from .acquisition import theoretical_clcu
 from .domain import (BLOCK_POINTS, REFINEMENT, ConstantMean, grid_per_dim,
                      rkhs_norm, weighted_integrals)
 from .exceptions import DomainError
@@ -99,6 +98,10 @@ class GreedyCertificate:
     @property
     def ok(self):
         return not self.failures
+
+    @property
+    def vacuous(self):  # gamma_hat = 0: no ratio can fail, so nothing is certified
+        return self.gamma_hat == 0.0
 
 
 def weak_greedy_gamma(spec, lower, upper):
@@ -232,8 +235,11 @@ class BoundReport:
     grid_slack: float  # at the run's covering radius
     rounding: float  # ROUNDING * eps * (integral of |f| pi)
     cap: float  # sup q sqrt(sup k(x, x)), a bound on sup q sqrt(k_X) for any X
+    vacuous: bool  # the integral of pi/q is not finite on the oracle rule
     rows: list = field(default_factory=list)
     violations: list = field(default_factory=list)
+    min_rhs: float = np.inf
+    unresolved: bool = False  # the self-error is over ORACLE_TOL * min_rhs
 
     @property
     def ok(self):
@@ -247,12 +253,13 @@ class BoundReport:
 
 class Certificates:
     """The certificates of one run. The cheap parts are set when it is
-    built: the envelope `clcu` and `gamma_theoretical` on it (None when
-    absent), the monitored `b_range` and whether a present envelope holds
-    it, `inside` (both None for a run of no steps), from the prior mean's
-    range over the box, `m_sup` = sup |m|, and the native norm `gnorm`.
-    The parts that factor or walk are computed on their first read, so a
-    caller pays only for those it reads: the weak-greedy certificate
+    built, from the prior mean's range over the box, `gnorm` = ||g|| and
+    sup k: the latent bound `latent_sup` = sup |m| + 2 ||g|| sqrt(sup k)
+    on |m + g~|, the envelope `clcu` and `gamma_theoretical` on it (None
+    when absent), the monitored `b_range`, `gamma_hat` on it and whether a
+    present envelope holds it, `inside` (all three None for a run of no
+    steps). The parts that factor or walk are computed on their first read,
+    so a caller pays only for those it reads: the weak-greedy certificate
     `greedy` (None below 2 points) and the error `bound`, which share one
     `Projector` of the run's design X and one pass of it over the
     certificate grid; reading the envelope factors nothing."""
@@ -261,12 +268,15 @@ class Certificates:
         self.record = record
         integrand, spec = record.problem.integrand, record.spec
         lo, hi = integrand.prior_mean.range(record.problem.domain)
-        self.m_sup, self.gnorm = max(abs(lo), abs(hi)), rkhs_norm(integrand)
-        c = self.clcu = theoretical_clcu(spec.b, max(0.0, lo, -hi), self.m_sup,
-                                         self.gnorm, integrand.kernel.sup_diag())
+        m_sup, self.gnorm = max(abs(lo), abs(hi)), rkhs_norm(integrand)
+        k0 = integrand.kernel.sup_diag()
+        spread = 2.0 * self.gnorm * np.sqrt(k0)
+        self.latent_sup = m_sup + spread
+        c = self.clcu = spec.b.envelope(max(0.0, lo, -hi), m_sup, spread, k0)
         self.gamma_theoretical = (weak_greedy_gamma(spec, c.c_l, c.c_u)
                                   if c.present else None)
         b = self.b_range = (min(record.b_min), max(record.b_max)) if record.n else None
+        self.gamma_hat = weak_greedy_gamma(spec, *b) if b else None
         self.inside = bool(c.c_l <= b[0] and b[1] <= c.c_u) if b and c.present else None
 
     @cached_property
@@ -294,7 +304,7 @@ class Certificates:
             for start, chunk in self._projector.chunks(record.state.X)]))
         sup = np.maximum(np.sqrt(self._sups[:-1]), d_chosen)
         ratios = np.divide(d_chosen, sup, out=np.ones_like(sup), where=sup > 0)
-        gamma_hat = weak_greedy_gamma(record.spec, *self.b_range)
+        gamma_hat = self.gamma_hat
         failures = [{"iteration": ell, "ratio": float(rho), "gamma_hat": gamma_hat}
                     for ell, rho in enumerate(ratios) if rho < gamma_hat - CERT_TOL]
         return GreedyCertificate(ratios=ratios, gamma_hat=gamma_hat, failures=failures)
@@ -338,13 +348,13 @@ class Certificates:
         reference, *plug_fine = weighted_integrals(
             dom, REFINEMENT * res, pi, integrand, plug_in, functions=1 + record.n)
         ref_err = abs(reference - coarse)
-        c_t = t.lipschitz_constant(self.m_sup, self.gnorm, integrand.kernel.sup_diag())
+        c_t = t.lipschitz_constant(self.latent_sup)
         widen = grid_slack(integrand.kernel, q, record.cert_radius)
         cap = float(q.bounds()[1] * np.sqrt(integrand.kernel.sup_diag()))
         report = BoundReport(reference=reference, reference_self_error=ref_err,
                              constant_transform=float(c_t), constant_pi_over_q=c_piq,
                              gnorm=self.gnorm, grid_slack=widen, rounding=rounding,
-                             cap=cap)
+                             cap=cap, vacuous=not np.isfinite(c_piq))
         sups = np.sqrt(self._sups[1:]).tolist()
         for n, (sup, plug, fine) in enumerate(zip(sups, record.est_plugin, plug_fine),
                                               start=1):
@@ -355,4 +365,6 @@ class Certificates:
             report.rows.append(row)
             if lhs > rhs:
                 report.violations.append(row)
+        report.min_rhs = min((r["rhs"] for r in report.rows), default=np.inf)
+        report.unresolved = ref_err > ORACLE_TOL * report.min_rhs
         return report

@@ -312,7 +312,7 @@ def build_report(raw, record):
             "min_ratio": float(np.min(cert.ratios)),
             "failures": cert.failures,
         }
-        if cert.gamma_hat == 0.0:
+        if cert.vacuous:
             findings.append(
                 f"weak-greedy certificate vacuous: b_min = {certs.b_range[0]:g} "
                 f"gives gamma_hat = 0"
@@ -345,14 +345,13 @@ def build_report(raw, record):
             findings.append(
                 f"quadrature error bound violated at {len(bound.violations)} step(s)"
             )
-        if not math.isfinite(bound.constant_pi_over_q):
+        if bound.vacuous:
             findings.append("error bound vacuous: \u222b\u03c0/q is not finite on the "
                             "oracle rule")
-        min_rhs = min(row["rhs"] for row in bound.rows)
-        if bound.reference_self_error > analysis.ORACLE_TOL * min_rhs:
+        if bound.unresolved:
             findings.append(
                 f"oracle self-error {bound.reference_self_error:g} exceeds "
-                f"{analysis.ORACLE_TOL:g} of the smallest bound {min_rhs:g}: "
+                f"{analysis.ORACLE_TOL:g} of the smallest bound {bound.min_rhs:g}: "
                 f"the reference is too coarse to check it (raise grids.oracle)"
             )
 

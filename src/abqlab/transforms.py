@@ -30,8 +30,8 @@ class Transform:
         """E[T(Z)] for Z ~ N(mean, var)."""
         raise NotImplementedError
 
-    def lipschitz_constant(self, m_inf, gnorm, k_inf):
-        """sup |T'| over the latent range |y| <= m_inf + 2 gnorm sqrt(k_inf)."""
+    def lipschitz_constant(self, latent_sup):
+        """sup |T'| over the latent range |y| <= latent_sup."""
         raise NotImplementedError
 
 
@@ -63,7 +63,7 @@ class Identity(Transform):
         _check_var(var)
         return np.asarray(mean, dtype=float)
 
-    def lipschitz_constant(self, m_inf, gnorm, k_inf):
+    def lipschitz_constant(self, latent_sup):
         return 1.0
 
 
@@ -101,8 +101,8 @@ class Square(Transform):
         mean = np.asarray(mean, dtype=float)
         return self.alpha + 0.5 * (mean ** 2 + var)
 
-    def lipschitz_constant(self, m_inf, gnorm, k_inf):
-        return m_inf + 2.0 * gnorm * np.sqrt(k_inf)
+    def lipschitz_constant(self, latent_sup):
+        return latent_sup
 
 
 @dataclass(frozen=True)
@@ -123,6 +123,5 @@ class Exponential(Transform):
         return checked_exp(np.asarray(mean, dtype=float) + 0.5 * var,
                            "log-normal moment")
 
-    def lipschitz_constant(self, m_inf, gnorm, k_inf):
-        return float(checked_exp(m_inf + 2.0 * gnorm * np.sqrt(k_inf),
-                                 "Lipschitz constant"))
+    def lipschitz_constant(self, latent_sup):
+        return float(checked_exp(latent_sup, "Lipschitz constant"))

@@ -14,12 +14,12 @@ checks are:
   F^-1(c z) >= psi(c) F^-1(z) over random (c, z).
 - weak-greedy-certificate: every run of the builtin acquisition matrix
   achieves per-iteration ratios above the certified lower bound computed
-  from the monitored b range. The matrix is four runs, one per published
-  rule, each certified at two values of gamma_tilde: the engine's exact
-  argmax never reads gamma_tilde, so one run serves both.
-- error-bound: the plugin estimator error stays below the assembled
-  worst-case bound (with honest oracle slack) on synthetic integrands
-  with known native norm, for all three transforms.
+  from the monitored b range, and it is not 0. The matrix is four runs,
+  one per published rule, each certified at two values of gamma_tilde:
+  the engine's exact argmax never reads gamma_tilde, so one run serves both.
+- error-bound: the plugin estimator error stays below the assembled,
+  non-vacuous, resolved worst-case bound (with honest oracle slack) on
+  synthetic integrands with known native norm, for all three transforms.
 - rate-form-infinite: uncertainty-sampling error decay under an
   infinitely smooth kernel fits exp(-D n^(1/d)) with high R^2 in d=1, 2.
 - rate-form-finite: under a finite-smoothness kernel the fitted log-log
@@ -239,7 +239,7 @@ def check_certificates(runs):
              "gamma_hat": certs.greedy.gamma_hat,
              "min_ratio": float(np.min(certs.greedy.ratios)),
              "failures": len(certs.greedy.failures)} for name, certs in runs]
-    return (all(certs.greedy.ok for _, certs in runs),
+    return (all(certs.greedy.ok and not certs.greedy.vacuous for _, certs in runs),
             {"runs": rows, "tolerance": analysis.CERT_TOL})
 
 
@@ -286,7 +286,8 @@ def check_error_bound():
     rows = [{"transform": t_kind, "iterations": certs.record.n,
              "violations": len(certs.bound.violations),
              "max_lhs_over_rhs": certs.bound.max_lhs_over_rhs} for t_kind, certs in runs]
-    return all(certs.bound.ok for _, certs in runs), {"runs": rows}
+    return all(certs.bound.ok and not (certs.bound.vacuous or certs.bound.unresolved)
+               for _, certs in runs), {"runs": rows}
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from abqlab import config, gp
+from abqlab import config, gp, verify
 from abqlab.acquisition import (
     AcquisitionSpec,
     AdaptiveTermRule,
@@ -13,7 +15,6 @@ from abqlab.acquisition import (
     Vbmc,
     WsabiL,
     WsabiM,
-    theoretical_clcu,
 )
 from abqlab.domain import (
     ConstantMean,
@@ -49,11 +50,11 @@ def test_psi_domain_guard():
 
 
 def test_psi_of_an_array_is_psi_of_each_value_bit_for_bit():
-    # the psi-inequality check's samples: per outer in turn, c then z
-    rng = np.random.default_rng(3)
+    # the psi-inequality check's draws: per outer in turn, c then z
+    rng = random.Random(3)
     for outer in (Power(1.0), Power(2.0), Power(0.5), Expm1()):
-        c = rng.uniform(1e-3, 1.0, size=10_000)
-        rng.uniform(0.0, 10.0, size=10_000)
+        c = verify._uniform(rng, 1e-3, 1.0, verify.PSI_SAMPLES)
+        verify._uniform(rng, 0.0, 10.0, verify.PSI_SAMPLES)
         each = np.array([outer.psi(ci) for ci in c])
         assert np.array_equal(outer.psi(c).view(np.int64), each.view(np.int64)), outer
 
@@ -141,30 +142,34 @@ def test_spec_validation():
                         gamma_tilde=1.0)
 
 
+# every envelope below is at ||g|| = 0.5 and sup k = 1: spread = 2 ||g||
+# sqrt(sup k) = 1
+
+
 def test_clcu_constant_rule():
-    res = theoretical_clcu(ConstantRule(3.0), 0, 0, 1.0, 1.0)
+    res = ConstantRule(3.0).envelope(0, 0, 1.0, 1.0)
     assert res.present and res.c_l == res.c_u == 3.0
 
 
 def test_clcu_wsabi_shifted_mean():
-    # inf|m|=5, spread = 2 * 0.5 * 1 = 1
-    res = theoretical_clcu(WsabiL(), 5.0, 5.0, 0.5, 1.0)
+    # inf|m| = 5, spread 1
+    res = WsabiL().envelope(5.0, 5.0, 1.0, 1.0)
     assert res.present
     assert res.c_l == pytest.approx(16.0)
     assert res.c_u == pytest.approx(36.0)
-    res_m = theoretical_clcu(WsabiM(), 5.0, 5.0, 0.5, 1.0)
+    res_m = WsabiM().envelope(5.0, 5.0, 1.0, 1.0)
     assert res_m.c_l == pytest.approx(16.0)
     assert res_m.c_u == pytest.approx(36.5)  # + sup k / 2
 
 
 def test_clcu_wsabi_absent_for_zero_mean():
-    res = theoretical_clcu(WsabiL(), 0.0, 0.0, 0.5, 1.0)
+    res = WsabiL().envelope(0.0, 0.0, 1.0, 1.0)
     assert not res.present
     assert "inf|m|" in res.reason
 
 
 def test_clcu_mmlt():
-    res = theoretical_clcu(Mmlt(), 0.0, 1.0, 0.5, 1.0)
+    res = Mmlt().envelope(0.0, 1.0, 1.0, 1.0)
     assert res.present
     assert res.c_l == pytest.approx(np.exp(-4.0))
     assert res.c_u == pytest.approx(np.exp(5.0))
@@ -173,7 +178,7 @@ def test_clcu_mmlt():
 def test_clcu_vbmc_needs_density_bounds():
     # the density's inf and sup, its nodes' min and max: 0.5 and 2.0
     rule = Vbmc(TabulatedDensity(DOM, [0.5, 1.0, 2.0]), delta2=1.0, delta3=1.0)
-    res = theoretical_clcu(rule, 0.0, 1.0, 0.5, 1.0)
+    res = rule.envelope(0.0, 1.0, 1.0, 1.0)
     assert res.present
     assert res.c_l == pytest.approx(0.5 * np.exp(-2.0))
     assert res.c_u == pytest.approx(2.0 * np.exp(2.0))
@@ -187,11 +192,11 @@ EXP_RULES = [Mmlt(), Vbmc(UniformDensity(DOM), delta3=2.0)]
 
 @pytest.mark.parametrize("rule", EXP_RULES)
 def test_clcu_absent_when_c_u_overflows(rule):
-    res = theoretical_clcu(rule, 0.0, 350.0, 0.5, 1.0)
+    res = rule.envelope(0.0, 350.0, 1.0, 1.0)
     assert not res.present
     assert res.reason.startswith("C_U's exponent 70")
     assert res.reason.endswith("passes the exp limit 700.0")
-    assert theoretical_clcu(rule, 0.0, 348.0, 0.5, 1.0).present
+    assert rule.envelope(0.0, 348.0, 1.0, 1.0).present
 
 
 @pytest.mark.parametrize("rule", EXP_RULES)
@@ -210,14 +215,14 @@ def test_clcu_absent_for_a_user_defined_rule():
         def evaluate(self, X, mean, var):
             return 0.5 * var
 
-    res = theoretical_clcu(HalfVariance(), 1.0, 2.0, 0.5, 1.0)
+    res = HalfVariance().envelope(1.0, 2.0, 1.0, 1.0)
     assert not res.present
     assert res.reason == "no known envelope for rule HalfVariance"
 
 
 def test_every_registered_rule_defines_its_own_envelope():
     # a b kind is one class and one registry entry: its envelope lives in
-    # its class, not in a branch of theoretical_clcu
+    # its class, and no function branches on the rule's type
     assert [name for name, cls in config._RULES.items()
             if "envelope" not in vars(cls)] == []
 

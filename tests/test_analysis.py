@@ -667,16 +667,22 @@ def test_build_report_factors_each_design_once(run_d2, monkeypatch):
 
 
 def test_reading_the_envelope_factors_no_design(run_d2, monkeypatch):
-    # verify's envelope check reads clcu, b_range and inside alone, and the
-    # report gamma_theoretical: all four are set when Certificates is built
+    # verify's envelope check reads clcu, b_range and inside alone, the
+    # report gamma_theoretical, and the certificate gamma_hat and the bound
+    # latent_sup: all six are set when Certificates is built
     built = []
     monkeypatch.setattr(analysis, "Projector", lambda *args: built.append(args))
     certs = analysis.Certificates(run_d2)
-    assert {"clcu", "gamma_theoretical", "b_range", "inside"} <= set(vars(certs))
+    assert {"clcu", "gamma_theoretical", "b_range", "inside", "gamma_hat",
+            "latent_sup"} <= set(vars(certs))
     assert certs.clcu.present and certs.inside
     assert certs.b_range == (min(run_d2.b_min), max(run_d2.b_max))
     assert certs.gamma_theoretical == analysis.weak_greedy_gamma(
         run_d2.spec, certs.clcu.c_l, certs.clcu.c_u)
+    assert certs.gamma_hat == analysis.weak_greedy_gamma(run_d2.spec, *certs.b_range)
+    # sup |m| = 5 under the constant mean, spread = 2 ||g|| sqrt(sup k)
+    k0 = run_d2.problem.integrand.kernel.sup_diag()
+    assert certs.latent_sup == 5.0 + 2.0 * certs.gnorm * np.sqrt(k0)
     assert built == []
 
 

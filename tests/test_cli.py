@@ -822,14 +822,29 @@ def test_a_posterior_over_the_float_guard_exits_3_under_a_memory_cap(tmp_path):
     assert not (tmp_path / "o").exists()
 
 
+# q underflows to 0 at the oracle nodes near the box's edges, so the integral
+# of pi/q is inf
+Q_UNDERFLOW = {**MINIMAL, "acquisition": {**MINIMAL["acquisition"], "q": {
+    "kind": "truncated-gaussian", "center": [0.5], "scale": [0.01]}}}
+# a rough Matern 0.5 integrand on 8 Gauss nodes: the self-error is about 4e-2
+# of the smallest right-hand side, though the bound still holds
+COARSE_ORACLE = {**MINIMAL, "kernel": {"family": "matern", "nu": 0.5, "ell": 0.05},
+                 "grids": {"oracle": 8, "certificate": 512}}
+
+
 def test_a_q_that_underflows_on_the_oracle_makes_the_bound_vacuous(tmp_path, capsys):
-    # q underflows to 0 at the oracle nodes near the box's edges, so the
-    # integral of pi/q is inf: a finding and a null in strict JSON, with no
-    # warning
-    raw = json.loads(json.dumps(MINIMAL))
-    raw["acquisition"]["q"] = {"kind": "truncated-gaussian", "center": [0.5],
-                               "scale": [0.01]}
-    assert_vacuous_bound_and_no_warning(tmp_path, capsys, raw)
+    # a finding and a null in strict JSON, with no warning
+    assert_vacuous_bound_and_no_warning(tmp_path, capsys, Q_UNDERFLOW)
+
+
+@pytest.mark.parametrize("raw", [Q_UNDERFLOW, COARSE_ORACLE],
+                         ids=["vacuous", "unresolved"])
+def test_a_vacuous_or_unresolved_bound_fails_the_error_bound_check(monkeypatch, raw):
+    # no row is violated, but the bound checks nothing: the report's finding
+    # fails verify's error-bound check too
+    monkeypatch.setattr(verify, "_bound_configs", lambda: [("identity", raw)])
+    ok, detail = verify.check_error_bound()
+    assert not ok and detail["runs"][0]["violations"] == 0
 
 
 def assert_vacuous_bound_and_no_warning(tmp_path, capsys, raw):
@@ -1076,16 +1091,12 @@ def test_cli_rejects_an_oracle_over_the_guard_before_any_evaluation(tmp_path,
 
 
 def test_report_finds_an_oracle_too_coarse_for_the_bound():
-    # a rough Matern 0.5 integrand on 8 Gauss nodes: the self-error is about
-    # 4e-2 of the smallest right-hand side, though the bound still holds
-    raw = json.loads(json.dumps(MINIMAL))
-    raw["kernel"] = {"family": "matern", "nu": 0.5, "ell": 0.05}
-    raw["grids"] = {"oracle": 8, "certificate": 512}
-    record = runner.execute(raw)
+    record = runner.execute(COARSE_ORACLE)
     bound = analysis.Certificates(record).bound
     smallest = min(row["rhs"] for row in bound.rows)
     assert bound.reference_self_error > 10 * analysis.ORACLE_TOL * smallest
-    report = runner.build_report(raw, record)
+    assert bound.unresolved and bound.min_rhs == smallest and not bound.vacuous
+    report = runner.build_report(COARSE_ORACLE, record)
     assert report["error_bound"]["ok"]
     assert [f for f in report["findings"] if f.startswith("oracle self-error")] == [
         f"oracle self-error {bound.reference_self_error:g} exceeds 0.001 of the "

@@ -48,6 +48,20 @@ def test_readme_minimal_config_runs(tmp_path):
                      "spanned by the design"]
 
 
+def test_rates_refits_the_minimal_runs_trace_to_its_report_fit(tmp_path):
+    # e_12 is above the report's 1e-7 floor, so `abqlab rates` (floor 1e-12)
+    # fits the same series and gives the report's fit, bit for bit
+    raw = json.loads(block("Minimal config:", "json"))
+    (tmp_path / "minimal.json").write_text(json.dumps(raw))
+    assert cli.main(["run", str(tmp_path / "minimal.json"), "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert list(report["rate_fits"]) == ["exponential"]
+    fit = report["rate_fits"]["exponential"]
+    assert fit["slope"] == -1.3449454329009658 and fit["n_range"] == [5, 12]
+    rates = runner.trace_rate_fits(str(tmp_path / "trace.csv"))
+    assert rates["fits"]["exponential"] == fit
+
+
 def test_readme_minimal_config_evaluates_only_kept_points(monkeypatch):
     # SE gamma 0.5 on a 512-point uniform grid: after 12 points the design
     # spans every grid point, so the run stops without evaluating any of them

@@ -17,14 +17,13 @@ def test_roundtrip_on_valid_range(t):
 
 @pytest.mark.parametrize("t", ALL)
 def test_lipschitz_constant_bounds_finite_differences(t):
-    # the error bound's constant is sup |T'| on |y| <= m + 2 g sqrt(k),
-    # reached at the endpoint y = m + 2 g sqrt(k)
+    # the error bound's constant is sup |T'| on |y| <= latent_sup, reached at
+    # the endpoint y = latent_sup
     h = 1e-6
-    for m_inf, gnorm, k_inf in [(0.0, 0.5, 1.0), (0.5, 0.3, 1.0), (1.5, 0.2, 2.0)]:
-        radius = m_inf + 2 * gnorm * np.sqrt(k_inf)
-        y = np.linspace(-radius, radius, 41)
+    for latent_sup in (1.0, 1.1, 1.5 + 0.4 * np.sqrt(2.0)):
+        y = np.linspace(-latent_sup, latent_sup, 41)
         fd = np.abs(t.forward(y + h) - t.forward(y - h)) / (2 * h)
-        lip = t.lipschitz_constant(m_inf, gnorm, k_inf)
+        lip = t.lipschitz_constant(latent_sup)
         assert np.all(fd <= lip * (1 + 1e-6))
         assert fd[-1] == pytest.approx(lip, rel=1e-6)
 
@@ -84,9 +83,9 @@ def test_negative_variance_rejected():
 
 
 def test_lipschitz_constants():
-    assert Identity().lipschitz_constant(5.0, 1.0, 1.0) == 1.0
-    # sup |y| over the latent range m + 2 g sqrt(k)
-    assert Square(alpha=1.0).lipschitz_constant(5.0, 0.5, 1.0) == pytest.approx(6.0)
-    assert Exponential().lipschitz_constant(1.0, 0.5, 1.0) == pytest.approx(np.exp(2.0))
+    assert Identity().lipschitz_constant(6.0) == 1.0
+    # sup |y| and sup e^y over the latent range |y| <= latent_sup
+    assert Square(alpha=1.0).lipschitz_constant(6.0) == 6.0
+    assert Exponential().lipschitz_constant(2.0) == pytest.approx(np.exp(2.0))
     with pytest.raises(SaturationError):
-        Exponential().lipschitz_constant(800.0, 0.0, 1.0)
+        Exponential().lipschitz_constant(800.0)

@@ -125,6 +125,16 @@ def test_an_absent_envelope_fails_the_envelope_check():
                                 "reason": certs.clcu.reason}]}
 
 
+def test_a_vacuous_certificate_fails_the_certificate_check():
+    # the same zero-mean run: b_min = 0 gives gamma_hat = 0, so no ratio can
+    # fail, and the report finds the certificate vacuous
+    certs = analysis.Certificates(runner.execute(verify._inconsistency_config(0.0)))
+    assert certs.greedy.ok and certs.greedy.vacuous
+    ok, detail = verify.check_certificates([("zero-mean", certs)])
+    assert not ok
+    assert detail["runs"][0]["gamma_hat"] == 0.0 and detail["runs"][0]["failures"] == 0
+
+
 def test_the_whole_suite_loads_no_numpy_random():
     # every check in one process, at width 1; counted over what `import
     # numpy` loads, since numpy < 2 imports numpy.random itself
